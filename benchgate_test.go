@@ -309,7 +309,7 @@ func TestResilienceBenchGate(t *testing.T) {
 	// dead-request count is deterministic — the breaker's trip threshold
 	// plus the retry budget.
 	blackhole := func(pol *resilience.Policy) int64 {
-		bo := &fault.BlackoutTransport{StartAfter: 20, FailN: 1 << 30}
+		bo := &fault.BlackoutTransport{StartAfter: 11, FailN: 1 << 30}
 		st := open(bo, pol)
 		defer st.Close()
 		ctx := context.Background()

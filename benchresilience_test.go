@@ -140,12 +140,13 @@ func TestWriteResilienceBenchJSON(t *testing.T) {
 	}
 	overheadPct := (float64(guarded)/float64(baseline) - 1) * 100
 
-	// Blackhole: the backend goes dark at the 20th request and never comes
+	// Blackhole: the backend goes dark after 11 answered requests — the
+	// header, node 0's index and 9 slices, one GET each — and never comes
 	// back; a single sweep pass, counting requests into the dead backend.
 	// Naive mode retries every failed read to its attempt cap; the breaker
 	// trips after 3 consecutive failures and fast-fails the rest.
 	blackhole := func(pol *resilience.Policy) int64 {
-		bo := &fault.BlackoutTransport{StartAfter: 20, FailN: 1 << 30}
+		bo := &fault.BlackoutTransport{StartAfter: 11, FailN: 1 << 30}
 		st := open(bo, pol)
 		defer st.Close()
 		ctx := context.Background()
@@ -164,13 +165,13 @@ func TestWriteResilienceBenchJSON(t *testing.T) {
 	naiveDead := blackhole(nil)
 	guardedDead := blackhole(resilienceBenchPolicy(time.Hour))
 
-	// Brownout: the backend drops 12 requests starting at the 20th, then
+	// Brownout: the backend drops 12 requests after the same 11, then
 	// recovers. The retry-pending sweep loops until every slice is read
 	// clean; naive mode pays the full linear-backoff schedule for each
 	// failed read, the guarded mode trips after one read and burns the rest
 	// of the outage with cheap half-open probes.
 	brownout := func(pol *resilience.Policy) resilienceBrownoutRow {
-		bo := &fault.BlackoutTransport{StartAfter: 20, FailN: 12}
+		bo := &fault.BlackoutTransport{StartAfter: 11, FailN: 12}
 		st := open(bo, pol)
 		defer st.Close()
 		d, passes, readErrors := faultedSweep(t, st, 30*time.Second)
@@ -224,7 +225,7 @@ func TestWriteResilienceBenchJSON(t *testing.T) {
 			"gomaxprocs": runtime.GOMAXPROCS(0),
 			"go":         runtime.Version(),
 		},
-		Workload: "96x96x8x8 phantom on 3 storage nodes over an httptest HTTP backend; 64-slice whole-dataset sweeps; blackout windows are request-count based (dark at request 20)",
+		Workload: "96x96x8x8 phantom on 3 storage nodes over an httptest HTTP backend; 64-slice whole-dataset sweeps; blackout windows are request-count based (dark after 11 answered requests: header, one index, 9 slices)",
 		Policy:   "breaker: 3 consecutive failures, half-open probe after 100us (1h for the non-recovering rows); retry budget: 2 tokens, no replenish; hedging off",
 		Notes: []string{
 			"fault_free elapsed_ns are each the min of 3 sweeps; overhead_pct is the guarded sweep's cost over the plain sweep — the resilience path adds one breaker Allow/Record per read and no budget traffic while nothing fails",

@@ -29,10 +29,11 @@ func backendErrf(format string, args ...any) error {
 // be safe for concurrent ReadAt calls, matching io.ReaderAt semantics
 // otherwise (a short read always carries a non-nil error, io.EOF included).
 type Object interface {
-	// ReadAt reads len(p) bytes at byte offset off into p.
+	// ReadAt reads len(p) bytes at byte offset off into p. A read that
+	// reaches the object's last byte returns io.EOF even when it fills p
+	// (io.ReaderAt leaves that open): it is how callers learn an object's
+	// length from the read itself, with no separate size query.
 	ReadAt(ctx context.Context, p []byte, off int64) (int, error)
-	// Size returns the object's byte length as known at Open time.
-	Size() int64
 	// Close releases the handle. For pooled backends this returns the
 	// handle to the pool rather than closing the underlying resource.
 	Close() error
@@ -78,8 +79,9 @@ type Backend interface {
 type Stats struct {
 	Scheme string `json:"scheme"`
 	URL    string `json:"url,omitempty"`
-	// Opens counts real handle acquisitions (os.Open calls, HTTP HEADs) —
-	// not cache-served reuses of an already-open handle.
+	// Opens counts real handle acquisitions (os.Open calls) — not
+	// cache-served reuses of an already-open handle. Opening an HTTP object
+	// costs no request, so that backend reports 0.
 	Opens int64 `json:"opens"`
 	// Reads counts positioned and whole-object read operations issued to
 	// the underlying storage; ReadBytes is their byte total.
@@ -175,5 +177,4 @@ func (o *wrappedObject) ReadAt(ctx context.Context, p []byte, off int64) (int, e
 	return o.r.ReadAt(p, off)
 }
 
-func (o *wrappedObject) Size() int64  { return o.inner.Size() }
 func (o *wrappedObject) Close() error { return o.inner.Close() }

@@ -542,9 +542,7 @@ func TestHTTPBackendCancellation(t *testing.T) {
 		released := make(chan struct{})
 		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Length", "4096")
-			if r.Method == http.MethodHead {
-				return
-			}
+			w.Header().Set("Content-Range", "bytes 0-4095/4096")
 			w.WriteHeader(http.StatusPartialContent)
 			w.Write(make([]byte, 16))
 			w.(http.Flusher).Flush()

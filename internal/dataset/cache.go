@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"fmt"
@@ -44,6 +45,7 @@ type cacheKey struct {
 type cacheBlock struct {
 	key  cacheKey
 	data []byte
+	last bool // the fetch reported io.EOF: the object ends with this block
 	elem *list.Element
 }
 
@@ -118,8 +120,8 @@ func (b *CachedBackend) Close() error {
 	return b.inner.Close()
 }
 
-// lookup returns the cached block's bytes, or nil on a miss.
-func (b *CachedBackend) lookup(key cacheKey) []byte {
+// lookup returns the cached block, or nil on a miss.
+func (b *CachedBackend) lookup(key cacheKey) *cacheBlock {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	blk, ok := b.blocks[key]
@@ -127,21 +129,20 @@ func (b *CachedBackend) lookup(key cacheKey) []byte {
 		return nil
 	}
 	b.lru.MoveToFront(blk.elem)
-	return blk.data
+	return blk
 }
 
 // insert publishes a fetched block, evicting from the LRU tail past
 // capacity. A concurrent fetch of the same block may have landed first;
 // keeping the existing copy preserves LRU position and drops the duplicate.
-func (b *CachedBackend) insert(key cacheKey, data []byte) {
+func (b *CachedBackend) insert(blk *cacheBlock) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.blocks[key]; ok {
+	if _, ok := b.blocks[blk.key]; ok {
 		return
 	}
-	blk := &cacheBlock{key: key, data: data}
 	blk.elem = b.lru.PushFront(blk)
-	b.blocks[key] = blk
+	b.blocks[blk.key] = blk
 	for len(b.blocks) > b.capacity {
 		tail := b.lru.Back()
 		old := tail.Value.(*cacheBlock)
@@ -159,61 +160,50 @@ type cachedObject struct {
 	inner Object
 }
 
-// ReadAt implements Object.
+// ReadAt implements Object. Blocks are fetched whole, with no size query
+// first: the block whose fetch reports io.EOF marks the object's end, and a
+// read served entirely from resident blocks costs the inner backend nothing.
 func (o *cachedObject) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	size := o.inner.Size()
 	if off < 0 {
 		return 0, fmt.Errorf("dataset: cached read at negative offset %d", off)
 	}
-	if off >= size {
-		return 0, io.EOF
-	}
 	bs := int64(o.be.blockSize)
 	n := 0
-	for n < len(p) && off+int64(n) < size {
+	for n < len(p) {
 		pos := off + int64(n)
-		idx := pos / bs
-		key := cacheKey{name: o.name, idx: idx}
-		blockOff := idx * bs
-		blockLen := bs
-		if blockOff+blockLen > size {
-			blockLen = size - blockOff
-		}
-		data := o.be.lookup(key)
-		if data == nil {
+		key := cacheKey{name: o.name, idx: pos / bs}
+		in := pos - key.idx*bs // position inside the block
+		blk := o.be.lookup(key)
+		if blk == nil {
 			o.be.misses.Add(1)
-			buf := make([]byte, blockLen)
-			rn, err := o.inner.ReadAt(ctx, buf, blockOff)
+			// Fetch into pooled scratch and keep an exact-size copy: the
+			// object's last block is usually far shorter than a block.
+			buf := getRawBuf(o.be.blockSize)
+			rn, err := o.inner.ReadAt(ctx, buf, key.idx*bs)
 			o.be.fetchBytes.Add(int64(rn))
-			if err != nil && !(err == io.EOF && int64(rn) == blockLen) {
-				// A short block means the object shrank under us; surface the
-				// partial bytes the caller's range covers, then the error.
-				if int64(rn) > pos-blockOff {
-					n += copy(p[n:], buf[pos-blockOff:rn])
+			if err != nil && err != io.EOF {
+				// Surface the partial bytes the caller's range covers, then
+				// the error; a failed fetch is never cached.
+				if int64(rn) > in {
+					n += copy(p[n:], buf[in:rn])
 				}
+				putRawBuf(buf)
 				return n, err
 			}
-			data = buf
-			o.be.insert(key, data)
+			blk = &cacheBlock{key: key, data: bytes.Clone(buf[:rn]), last: err == io.EOF}
+			putRawBuf(buf)
+			o.be.insert(blk)
 		} else {
 			o.be.hits.Add(1)
 		}
-		if pos-blockOff >= int64(len(data)) {
+		c := copy(p[n:], blk.data[min(in, int64(len(blk.data))):])
+		n += c
+		if blk.last && in+int64(c) >= int64(len(blk.data)) {
 			return n, io.EOF
 		}
-		n += copy(p[n:], data[pos-blockOff:])
-	}
-	if n < len(p) {
-		return n, io.EOF
 	}
 	return n, nil
 }
-
-// Size implements Object.
-func (o *cachedObject) Size() int64 { return o.inner.Size() }
 
 // Close implements Object.
 func (o *cachedObject) Close() error { return o.inner.Close() }

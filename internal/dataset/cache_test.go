@@ -79,7 +79,7 @@ func TestCachedReadsMatchDirect(t *testing.T) {
 func TestCachedRegionReads(t *testing.T) {
 	v := randomVolume(32, [4]int{20, 15, 4, 2})
 	direct, _ := writeTemp(t, v, 1)
-	cached, err := direct.WithCache(64, 16) // tiny blocks force multi-block rows
+	cached, err := direct.WithCache(64, 16) // tiny blocks force multi-block windows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,23 +87,27 @@ func TestCachedRegionReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A window is one band read, so hits come from windows that overlap —
+	// as neighbouring chunks' windows do — not from rows within one.
 	for _, ref := range refs {
-		got, err := cached.ReadSliceRegion(0, ref, 3, 17, 2, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := direct.ReadSliceRegion(0, ref, 3, 17, 2, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("region voxel %d: %d != %d", i, got[i], want[i])
+		for _, r := range [][4]int{{3, 17, 2, 13}, {0, 9, 8, 15}} {
+			got, err := cached.ReadSliceRegion(0, ref, r[0], r[1], r[2], r[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := direct.ReadSliceRegion(0, ref, r[0], r[1], r[2], r[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("region %v voxel %d: %d != %d", r, i, got[i], want[i])
+				}
 			}
 		}
 	}
 	if s := cached.Stats(); s.CacheHits == 0 {
-		t.Error("overlapping region rows produced no cache hits")
+		t.Error("overlapping windows produced no cache hits")
 	}
 }
 

@@ -498,7 +498,7 @@ func (s *Store) ReadSliceContext(ctx context.Context, node int, ref SliceRef) ([
 // file's bytes are verified against it, so silent bit corruption surfaces as
 // an ErrDegradedData-wrapped error — as do missing, truncated and
 // short-read slices. Note that only whole-slice reads verify checksums; the
-// positioned row reads of ReadSliceRegionInto detect truncation but not
+// positioned window reads of ReadSliceRegionInto detect truncation but not
 // bit flips.
 func (s *Store) ReadSliceInto(node int, ref SliceRef, out []uint16) error {
 	return s.ReadSliceIntoContext(context.Background(), node, ref, out)
@@ -515,15 +515,16 @@ func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef
 		return sliceReadErr("slice %s: %w", ref.File, err)
 	}
 	defer obj.Close()
-	if obj.Size() != int64(2*X*Y) {
-		return degradedf("slice %s has %d bytes, want %d", ref.File, obj.Size(), 2*X*Y)
-	}
 	raw := getRawBuf(2 * X * Y)
 	defer putRawBuf(raw)
-	if n, err := obj.ReadAt(ctx, raw, 0); err != nil && !(err == io.EOF && n == len(raw)) {
+	// The read itself checks the length, so a wrong-sized slice costs one
+	// backend request like a healthy one: the object must end (io.EOF)
+	// exactly where raw does.
+	n, err := obj.ReadAt(ctx, raw, 0)
+	if err != nil && err != io.EOF {
 		return sliceReadErr("reading %s: %w", ref.File, err)
-	} else if n != len(raw) {
-		return degradedf("reading %s: short read %d of %d bytes", ref.File, n, len(raw))
+	} else if n != len(raw) || err == nil {
+		return degradedf("slice %s is not %d bytes long (read %d, at its end: %t)", ref.File, len(raw), n, err != nil)
 	}
 	if ref.HasCRC {
 		if got := crc32.Checksum(raw, castagnoli); got != ref.CRC {
@@ -534,9 +535,10 @@ func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef
 	return nil
 }
 
-// ReadSliceRegion reads the 2D subsection [x0, x1)×[y0, y1) of a slice using
-// positioned reads — the paper's "RFR filter reads a 2D subsection of each
-// image slice". Row-sized reads keep the seek count at one per row.
+// ReadSliceRegion reads the 2D subsection [x0, x1)×[y0, y1) of a slice with
+// one positioned read — the paper's "RFR filter reads a 2D subsection of each
+// image slice". The read spans the window's first value to its last, so a
+// window costs one seek or one remote request whatever its height.
 func (s *Store) ReadSliceRegion(node int, ref SliceRef, x0, x1, y0, y1 int) ([]uint16, error) {
 	return s.ReadSliceRegionContext(context.Background(), node, ref, x0, x1, y0, y1)
 }
@@ -575,18 +577,20 @@ func (s *Store) ReadSliceRegionIntoContext(ctx context.Context, node int, ref Sl
 		return sliceReadErr("slice %s: %w", ref.File, err)
 	}
 	defer obj.Close()
-	row := getRawBuf(2 * w)
-	defer putRawBuf(row)
+	// Row y of the window starts 2·X·(y−y0) bytes into the band; the columns
+	// outside [x0, x1) between two rows are read and dropped.
+	band := getRawBuf(2 * ((y1-y0-1)*X + w))
+	defer putRawBuf(band)
+	off := int64(2 * (y0*X + x0))
+	// ReadAt returns a non-nil error (io.EOF included) whenever it reads
+	// fewer than len(band) bytes, so a truncated slice file surfaces here
+	// instead of yielding silently zeroed rows.
+	if n, err := obj.ReadAt(ctx, band, off); err != nil && !(err == io.EOF && n == len(band)) {
+		return sliceReadErr("slice %s rows %d-%d: read %d of %d bytes at offset %d: %w",
+			ref.File, y0, y1-1, n, len(band), off, err)
+	}
 	for y := y0; y < y1; y++ {
-		off := int64(2 * (y*X + x0))
-		// ReadAt returns a non-nil error (io.EOF included) whenever it reads
-		// fewer than len(row) bytes, so a truncated slice file surfaces here
-		// instead of yielding silently zeroed rows.
-		if n, err := obj.ReadAt(ctx, row, off); err != nil && !(err == io.EOF && n == len(row)) {
-			return sliceReadErr("slice %s row %d: read %d of %d bytes at offset %d: %w",
-				ref.File, y, n, len(row), off, err)
-		}
-		DecodeUint16s(out[(y-y0)*w:(y-y0+1)*w], row)
+		DecodeUint16s(out[(y-y0)*w:(y-y0+1)*w], band[2*(y-y0)*X:])
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"haralick4d/internal/resilience"
@@ -25,21 +24,23 @@ const DefaultHTTPAttempts = 3
 // two bounds applies.
 const maxServerBackoff = 2 * time.Second
 
+// httpIdleConnsPerHost sizes the keep-alive pool of a backend-owned transport
+// to cover the reads in flight at once (reader copies × read-ahead depth):
+// net/http's default of 2 closes every further connection after one response.
+const httpIdleConnsPerHost = 64
+
 // HTTPBackend serves a dataset from a remote HTTP(S) server using range
-// reads — an object-store-style remote: the server only needs to answer
-// GET/HEAD with Range support (http.FileServer, nginx, S3-compatible
-// gateways all do). Slice checksums travel in the index files unchanged, so
-// CRC verification catches remote bit rot exactly as it does local.
+// reads — an object-store-style remote: the server only needs to answer GET
+// with Range and Content-Range (http.FileServer, nginx, S3-compatible
+// gateways all do). Every read is one request; nothing probes sizes. Slice
+// checksums travel in the index files unchanged, so CRC verification catches
+// remote bit rot exactly as it does local.
 type HTTPBackend struct {
 	base     *url.URL
 	client   *http.Client
+	owned    *http.Transport // non-nil when the backend built its own transport
 	attempts int
-	// sizes memoizes object sizes by URL: dataset objects are immutable
-	// once the header is published, so repeat Opens of a hot slice skip
-	// the HEAD round trip — the remote analog of the local backend's
-	// handle reuse.
-	sizes sync.Map // url -> int64
-	c     counters
+	c        counters
 	// res is the backend's resilience set: breaker gating every request,
 	// shared budget funding retries, hedger racing slow range reads. Nil
 	// leaves the plain retry loop untouched.
@@ -89,8 +90,10 @@ func (b *HTTPBackend) record(tok resilience.Token, err error) {
 }
 
 // NewHTTPBackend returns a Backend rooted at baseURL (the directory that
-// holds dataset.json). client nil selects http.DefaultClient; attempts <= 0
-// selects DefaultHTTPAttempts.
+// holds dataset.json). client nil gives the backend a transport of its own
+// (a clone of http.DefaultTransport that keeps httpIdleConnsPerHost idle
+// connections), which Close shuts down; a caller-supplied client stays the
+// caller's. attempts <= 0 selects DefaultHTTPAttempts.
 func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBackend, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -105,13 +108,20 @@ func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBac
 	if !strings.HasSuffix(u.Path, "/") {
 		u.Path += "/"
 	}
+	var owned *http.Transport
 	if client == nil {
-		client = http.DefaultClient
+		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+			owned = dt.Clone()
+		} else {
+			owned = &http.Transport{}
+		}
+		owned.MaxIdleConnsPerHost = httpIdleConnsPerHost
+		client = &http.Client{Transport: owned}
 	}
 	if attempts <= 0 {
 		attempts = DefaultHTTPAttempts
 	}
-	return &HTTPBackend{base: u, client: client, attempts: attempts}, nil
+	return &HTTPBackend{base: u, client: client, owned: owned, attempts: attempts}, nil
 }
 
 // Scheme implements Backend.
@@ -124,16 +134,6 @@ func (b *HTTPBackend) objectURL(name string) string {
 	u := *b.base
 	u.Path += name
 	return u.String()
-}
-
-// retryable reports whether a failed attempt is worth repeating: transport
-// errors, server-side 5xx, and 429 shedding are transient; other 4xx are
-// definitive.
-func retryable(status int, err error) bool {
-	if err != nil {
-		return true
-	}
-	return status >= 500 || status == http.StatusTooManyRequests
 }
 
 // retryAfterWait parses a Retry-After header as delta-seconds or an
@@ -154,16 +154,17 @@ func retryAfterWait(resp *http.Response) time.Duration {
 	return 0
 }
 
-// do issues one request with the retry budget. On success the caller owns
-// the response body. want lists the statuses that count as success; any
-// other non-retryable status is returned as a *httpStatusError.
+// do issues one GET with the retry budget. On success the caller owns the
+// response body. want lists the statuses that count as success. Transport
+// errors, 5xx and 429 shedding are transient and retried; 404/410 report the
+// object missing; any other status is definitive and fails the request.
 //
 // With a resilience set attached, every request first asks the breaker
 // (open ⇒ immediate ErrBackendUnavailable wrapping resilience.ErrOpen),
 // every retry is funded by the shared budget (empty ⇒ the attempt loop is
 // abandoned as budget-exhausted), and a 429/503 Retry-After header replaces
 // the linear backoff, capped at maxServerBackoff and the context deadline.
-func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string, want ...int) (*http.Response, error) {
+func (b *HTTPBackend) do(ctx context.Context, u, rangeHdr string, want ...int) (*http.Response, error) {
 	var lastErr error
 	var wait time.Duration // server-directed backoff from Retry-After
 	for attempt := 0; attempt < b.attempts; attempt++ {
@@ -181,13 +182,13 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 			// can perform the half-open probe.
 			if br := b.breaker(); br != nil {
 				if bs := br.Snapshot(); bs.State == resilience.StateOpen && bs.ProbeIn > 0 {
-					return nil, backendErrf("%s %s: %w after %d attempts, last: %v",
-						method, u, resilience.ErrOpen, attempt, lastErr)
+					return nil, backendErrf("GET %s: %w after %d attempts, last: %v",
+						u, resilience.ErrOpen, attempt, lastErr)
 				}
 			}
 			if !b.budget().Withdraw() {
-				return nil, backendErrf("%s %s: %w after %d attempts, last: %v",
-					method, u, resilience.ErrBudgetExhausted, attempt, lastErr)
+				return nil, backendErrf("GET %s: %w after %d attempts, last: %v",
+					u, resilience.ErrBudgetExhausted, attempt, lastErr)
 			}
 			// Server-directed wait when the last response carried
 			// Retry-After, otherwise a deterministic linear backoff: long
@@ -199,11 +200,9 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 			} else if d > maxServerBackoff {
 				d = maxServerBackoff
 			}
-			if dl, ok := ctx.Deadline(); ok {
-				if rem := time.Until(dl); d > rem {
-					d = rem // never sleep past the attempt deadline
-				}
-			}
+			// ctx.Done bounds the sleep at the deadline. Clamping d to the
+			// time left instead would race the two timers, and a retry that
+			// won would reach the server with no time to be answered.
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -211,9 +210,9 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 			}
 		}
 		wait = 0
-		req, err := http.NewRequestWithContext(ctx, method, u, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
-			return nil, backendErrf("%s %s: %w", method, u, err)
+			return nil, backendErrf("GET %s: %w", u, err)
 		}
 		if rangeHdr != "" {
 			req.Header.Set("Range", rangeHdr)
@@ -222,7 +221,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 		if br := b.breaker(); br != nil {
 			var aerr error
 			if tok, aerr = br.Allow(); aerr != nil {
-				return nil, backendErrf("%s %s: %w", method, u, aerr)
+				return nil, backendErrf("GET %s: %w", u, aerr)
 			}
 		}
 		resp, err := b.client.Do(req)
@@ -241,7 +240,8 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 		}
 		// The server answered: 5xx and 429 count against the breaker,
 		// anything else (including 404) is evidence of health.
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+		transient := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
+		if transient {
 			b.record(tok, fmt.Errorf("%s", resp.Status))
 		} else {
 			b.record(tok, nil)
@@ -256,41 +256,27 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 		resp.Body.Close()
 		switch {
 		case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusGone:
-			return nil, notExistf("dataset: %s %s: %s", method, u, resp.Status)
-		case retryable(resp.StatusCode, nil):
+			return nil, notExistf("dataset: GET %s: %s", u, resp.Status)
+		case transient:
 			lastErr = fmt.Errorf("%s", resp.Status)
 			continue
 		default:
-			return nil, backendErrf("%s %s: unexpected status %s", method, u, resp.Status)
+			return nil, backendErrf("GET %s: unexpected status %s", u, resp.Status)
 		}
 	}
-	return nil, backendErrf("%s %s: %d attempts failed, last: %w", method, u, b.attempts, lastErr)
+	return nil, backendErrf("GET %s: %d attempts failed, last: %w", u, b.attempts, lastErr)
 }
 
-// Open implements Backend: a HEAD learns the object's size (memoized per
-// URL); reads then go through ranged GETs.
+// Open implements Backend without touching the network: a missing object or
+// a dead server shows on the first ReadAt.
 func (b *HTTPBackend) Open(ctx context.Context, name string) (Object, error) {
-	u := b.objectURL(name)
-	if size, ok := b.sizes.Load(u); ok {
-		return &httpObject{be: b, url: u, size: size.(int64)}, nil
-	}
-	resp, err := b.do(ctx, http.MethodHead, u, "", http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	resp.Body.Close()
-	if resp.ContentLength < 0 {
-		return nil, backendErrf("HEAD %s: server reports no content length", u)
-	}
-	b.c.opens.Add(1)
-	b.sizes.Store(u, resp.ContentLength)
-	return &httpObject{be: b, url: u, size: resp.ContentLength}, nil
+	return &httpObject{be: b, url: b.objectURL(name)}, nil
 }
 
 // ReadFile implements Backend.
 func (b *HTTPBackend) ReadFile(ctx context.Context, name string) ([]byte, error) {
 	u := b.objectURL(name)
-	resp, err := b.do(ctx, http.MethodGet, u, "", http.StatusOK)
+	resp, err := b.do(ctx, u, "", http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
@@ -333,21 +319,36 @@ func (b *HTTPBackend) Stats() Stats {
 	return s
 }
 
-// Close implements Backend.
+// Close implements Backend: it drops the owned transport's idle connections.
+// A caller-supplied client may serve other backends and is left alone.
 func (b *HTTPBackend) Close() error {
-	b.client.CloseIdleConnections()
+	if b.owned != nil {
+		b.owned.CloseIdleConnections()
+	}
 	return nil
 }
 
 // httpObject is an Object over one remote file.
 type httpObject struct {
-	be   *HTTPBackend
-	url  string
-	size int64
+	be  *HTTPBackend
+	url string
 }
 
-// ReadAt implements Object with a ranged GET per call. The reader filters
-// issue row- or slice-sized reads, so per-call overhead is amortized over
+// parseContentRange parses the Content-Range of a 206 response,
+// "bytes <start>-<end>/<total>" with 0 <= start <= end < total, into the
+// range's first byte and the object's length. Anything else — another unit,
+// an unknown ("*") total, an inverted or overlong range — is an error: the
+// reads need the total to tell the object's end from a body cut short.
+func parseContentRange(h string) (start, total int64, err error) {
+	var end int64
+	if _, err := fmt.Sscanf(h, "bytes %d-%d/%d", &start, &end, &total); err != nil || start < 0 || start > end || end >= total {
+		return 0, 0, fmt.Errorf("dataset: invalid Content-Range %q", h)
+	}
+	return start, total, nil
+}
+
+// ReadAt implements Object with one ranged GET per call. The reader filters
+// issue window- or slice-sized reads, so per-call overhead is amortized over
 // kilobytes — and the block cache turns repeat visits into memory copies.
 // With a hedger attached, a read that outlives the latency threshold races
 // a second identical GET; the attempts write private buffers so the loser
@@ -389,43 +390,49 @@ func (o *httpObject) readAt(ctx context.Context, p []byte, off int64, c *counter
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if off >= o.size {
-		return 0, io.EOF
-	}
 	rangeHdr := fmt.Sprintf("bytes=%d-%d", off, off+int64(len(p))-1)
-	resp, err := o.be.do(ctx, http.MethodGet, o.url, rangeHdr,
+	resp, err := o.be.do(ctx, o.url, rangeHdr,
 		http.StatusPartialContent, http.StatusOK, http.StatusRequestedRangeNotSatisfiable)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
+	// The response that carries the data also says how long the object is,
+	// and so how many of the len(p) bytes exist.
+	total := resp.ContentLength // 200: the body is the whole object
 	switch resp.StatusCode {
 	case http.StatusRequestedRangeNotSatisfiable:
-		// The object shrank since Open — a remote truncation.
-		return 0, io.EOF
+		return 0, io.EOF // off is at or past the object's end
+	case http.StatusPartialContent:
+		var start int64
+		if start, total, err = parseContentRange(resp.Header.Get("Content-Range")); err != nil || start != off {
+			return 0, backendErrf("GET %s: range %s answered with Content-Range %q",
+				o.url, rangeHdr, resp.Header.Get("Content-Range"))
+		}
 	case http.StatusOK:
 		// The server ignored the Range header; accept only a whole-object
-		// read, otherwise every row read would transfer the full file.
-		if off != 0 || int64(len(p)) < o.size {
+		// read, otherwise every window read would transfer the full file.
+		if off != 0 || total < 0 || total > int64(len(p)) {
 			return 0, backendErrf("GET %s: server does not support range requests", o.url)
 		}
+	}
+	var atEnd error
+	if avail := total - off; avail <= int64(len(p)) {
+		p, atEnd = p[:avail], io.EOF // the read reaches the object's end, full or short
 	}
 	n, err := io.ReadFull(resp.Body, p)
 	c.reads.Add(1)
 	c.readBytes.Add(int64(n))
-	if err == io.ErrUnexpectedEOF {
-		err = io.EOF // short object: io.ReaderAt reports EOF with the partial read
-	} else if err != nil {
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return n, cerr // caller aborted mid-body; not a backend failure
 		}
+		// A body shorter than the server announced is a cut connection, not
+		// a short object.
 		return n, backendErrf("GET %s: reading range %s: %w", o.url, rangeHdr, err)
 	}
-	return n, err
+	return n, atEnd
 }
-
-// Size implements Object.
-func (o *httpObject) Size() int64 { return o.size }
 
 // Close implements Object.
 func (o *httpObject) Close() error { return nil }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"container/list"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -212,11 +213,11 @@ func (o *localObject) ReadAt(ctx context.Context, p []byte, off int64) (int, err
 	n, err := o.f.ReadAt(p, off)
 	o.be.c.reads.Add(1)
 	o.be.c.readBytes.Add(int64(n))
+	if err == nil && off+int64(n) == o.size {
+		err = io.EOF // the Object contract: a read ending at the last byte says so
+	}
 	return n, err
 }
-
-// Size implements Object.
-func (o *localObject) Size() int64 { return o.size }
 
 // Close implements Object.
 func (o *localObject) Close() error {

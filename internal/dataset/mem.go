@@ -135,14 +135,11 @@ func (o *memObject) ReadAt(ctx context.Context, p []byte, off int64) (int, error
 	n := copy(p, o.data[off:])
 	o.be.c.reads.Add(1)
 	o.be.c.readBytes.Add(int64(n))
-	if n < len(p) {
+	if off+int64(n) == int64(len(o.data)) {
 		return n, io.EOF
 	}
 	return n, nil
 }
-
-// Size implements Object.
-func (o *memObject) Size() int64 { return int64(len(o.data)) }
 
 // Close implements Object.
 func (o *memObject) Close() error { return nil }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -183,10 +182,6 @@ func TestHTTPHedgedRead(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodHead {
-			w.Header().Set("Content-Length", fmt.Sprint(len(payload)))
-			return
-		}
 		if calls.Add(1) == 1 {
 			// First GET stalls until the test ends.
 			select {
@@ -243,12 +238,17 @@ func TestServeStaleConvertsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = be.Open(context.Background(), "node000/slice.raw")
+	// Opening costs no request, so the dead backend shows on the read.
+	obj, err := be.Open(context.Background(), "node000/slice.raw")
+	if err != nil {
+		t.Fatalf("Open err = %v, want nil (no I/O)", err)
+	}
+	_, err = obj.ReadAt(context.Background(), make([]byte, 8), 0)
 	if !errors.Is(err, ErrDegradedData) {
-		t.Fatalf("Open err = %v, want ErrDegradedData", err)
+		t.Fatalf("ReadAt err = %v, want ErrDegradedData", err)
 	}
 	if errors.Is(err, ErrBackendUnavailable) {
-		t.Fatalf("Open err = %v; serve-stale must strip ErrBackendUnavailable so the slice is skippable", err)
+		t.Fatalf("ReadAt err = %v; serve-stale must strip ErrBackendUnavailable so the slice is skippable", err)
 	}
 	// Metadata reads must not degrade: no header, no dataset.
 	_, err = be.ReadFile(context.Background(), "dataset.json")

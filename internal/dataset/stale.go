@@ -78,5 +78,4 @@ func (o *staleObject) ReadAt(ctx context.Context, p []byte, off int64) (int, err
 	return n, err
 }
 
-func (o *staleObject) Size() int64  { return o.inner.Size() }
 func (o *staleObject) Close() error { return o.inner.Close() }

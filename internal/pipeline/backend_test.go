@@ -106,9 +106,15 @@ func TestHTTPPipelineMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestHTTPPipelineChaos injects a transport fault on every 5th HTTP request;
+// TestHTTPPipelineChaos injects a transport fault on every 12th HTTP request;
 // the backend's retry budget must absorb every failure and the run must
-// still be bit-identical to the local oracle.
+// still be bit-identical to the local oracle. The period follows from the
+// request count: a clean run of this study makes 28 requests — the header, 3
+// node indexes and one GET per slice (24), no HEADs — so requests 12 and 24
+// die, their retries make it 30, and a third multiple (36) is never reached.
+// With only two failures in the whole run no read can lose all three of its
+// attempts, however the concurrent readers interleave; a shorter period
+// (the former 5) lets one read's retries land on consecutive multiples.
 func TestHTTPPipelineChaos(t *testing.T) {
 	srv, dir := serveTestDataset(t)
 
@@ -118,7 +124,7 @@ func TestHTTPPipelineChaos(t *testing.T) {
 	}
 	want, _ := runPipeline(t, local, EngineLocal)
 
-	flaky := &fault.FlakyTransport{FailEvery: 5}
+	flaky := &fault.FlakyTransport{FailEvery: 12}
 	st, err := dataset.OpenURL(context.Background(), srv.URL, &dataset.URLOptions{
 		HTTPClient: &http.Client{Transport: flaky},
 	})
@@ -131,8 +137,9 @@ func TestHTTPPipelineChaos(t *testing.T) {
 	for f, w := range want {
 		gridsEqual(t, f.String(), w, got[f])
 	}
-	if flaky.Calls() < 5 {
-		t.Errorf("injector saw only %d requests; FailEvery never fired", flaky.Calls())
+	if flaky.Calls() != 30 || flaky.Failures() != 2 {
+		t.Errorf("injector saw %d requests and killed %d, want 30 and 2 (28 clean + 2 retries)",
+			flaky.Calls(), flaky.Failures())
 	}
 }
 

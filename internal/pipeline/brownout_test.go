@@ -145,20 +145,24 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 		// first failing read's second retry is denied no matter how the
 		// readers interleave, so the denied counter is deterministic.
 		const (
-			consec = 3
-			tokens = 1
+			consec    = 3
+			tokens    = 1
+			readers   = 3
+			readAhead = 2
 		)
-		// A clean run of this configuration makes ~100 requests; going dark
-		// after 60 leaves the first ~60% of the data healthy so the
-		// bit-identical check has clean voxels to verify.
-		bo := &fault.BlackoutTransport{StartAfter: 60, FailN: 1 << 30} // permanent
+		// A clean run of this configuration makes 52 requests — the header,
+		// 3 node indexes and one GET per slice (48) — so going dark after 40
+		// leaves 36 slices (75% of the data) healthy and the bit-identical
+		// check has clean voxels to verify unless one reader lags far behind
+		// the other two when the window opens.
+		bo := &fault.BlackoutTransport{StartAfter: 40, FailN: 1 << 30} // permanent
 		pol := &resilience.Policy{
 			// OpenFor far beyond the run: once open, the breaker stays open,
 			// so every failure the backend sees is pre-trip traffic.
 			Breaker: &resilience.BreakerConfig{ConsecFails: consec, OpenFor: time.Hour},
 			Budget:  &resilience.BudgetConfig{Tokens: tokens, Ratio: 0},
 		}
-		res, stats := runBrownout(t, dir, bo, pol, 2, []int{4, 5, 6})
+		res, stats := runBrownout(t, dir, bo, pol, readAhead, []int{4, 5, 6})
 
 		_, _, voxels := res.Degraded()
 		if voxels == 0 {
@@ -173,11 +177,11 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 		}
 		// The storm-proofing bound: traffic into the dead backend is at most
 		// the consecutive-failure trip threshold, plus the whole retry
-		// budget, plus one in-flight first attempt per reader that raced the
-		// trip. Without breaker + budget this would be hundreds of requests
-		// (every slice read times every retry attempt).
-		const readers = 3
-		limit := int64(consec + tokens + 2*readers)
+		// budget, plus the first attempts already in flight when the breaker
+		// trips: a slice read is one request, and each reader keeps readAhead
+		// of them going. Without breaker + budget this would be over a
+		// hundred requests (every remaining slice times every retry attempt).
+		limit := int64(consec + tokens + readAhead*readers)
 		if got := bo.Failures(); got > limit {
 			t.Errorf("blacked-out backend saw %d requests, want <= %d (budget-bounded)", got, limit)
 		}
@@ -187,18 +191,20 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 		// A single storage node + synchronous reads make the request stream
 		// strictly sequential, and an injected counting clock (one tick per
 		// open-state Allow) makes the probe schedule call-count-based, so the
-		// whole failure schedule is deterministic: the blacked-out read fails
-		// its 3 attempts (= FailN, consuming the blackout; = ConsecFails,
-		// tripping the breaker), a fixed handful of reads fast-fail while the
-		// clock ticks off OpenFor, then the half-open probe finds the
-		// recovered backend and closes the circuit.
+		// whole failure schedule is deterministic: requests 1–16 (header,
+		// index, 14 slice GETs) are answered, the 15th slice's GET fails its
+		// 3 attempts (= FailN, consuming the blackout; = ConsecFails, tripping
+		// the breaker), a fixed handful of reads fast-fail while the clock
+		// ticks off OpenFor, then the half-open probe — itself the GET that
+		// carries a slice — finds the recovered backend and closes the
+		// circuit.
 		dir := t.TempDir()
 		if _, err := dataset.Write(dir, synthetic.Generate(synthetic.Config{Dims: degradedDims, Seed: 17}), 1); err != nil {
 			t.Fatal(err)
 		}
 		ref := brownoutOracle(t, dir)
 		const failN = 3
-		bo := &fault.BlackoutTransport{StartAfter: 30, FailN: failN}
+		bo := &fault.BlackoutTransport{StartAfter: 16, FailN: failN}
 		var ticks atomic.Int64
 		clock := func() time.Time {
 			return time.Unix(0, 0).Add(time.Duration(ticks.Add(1)) * 100 * time.Microsecond)

@@ -140,6 +140,10 @@ func TestChaosCombinedTCP(t *testing.T) {
 // bit-identical to the clean local oracle. Runs clean under -race with a
 // fixed seed (FirstPerURL keeps the fault schedule independent of goroutine
 // interleaving, so the retry budget can never be exhausted by alignment).
+// Every object costs one request when healthy, so the schedule is 52 killed
+// first requests — header, 3 indexes, and the one block-fetch GET of each of
+// the 48 slices — each followed by the retry that answers (for a deleted
+// slice, with the 404 that degrades it).
 func TestChaosHTTPCachedFailover(t *testing.T) {
 	cleanDir := t.TempDir()
 	if _, err := dataset.Write(cleanDir, synthetic.Generate(synthetic.Config{Dims: degradedDims, Seed: 17}), 3); err != nil {

@@ -93,6 +93,11 @@ func parseAutoTuneFlags(on bool, intervalS string, seed int64, engine pipeline.E
 	return interval, nil
 }
 
+// defaultKernelWorkers is auto (all CPUs): the default run uses the parallel
+// sliding kernel, and -kernel-workers 1 asks for the sequential oracle
+// explicitly. Outputs are bit-identical either way.
+const defaultKernelWorkers = 0
+
 // validateCountFlags rejects the negative values the flag package happily
 // parses; 0 keeps each flag's documented meaning (synchronous reads, all
 // CPUs, untiled kernel rows).
@@ -137,7 +142,7 @@ func main() {
 		staleF   = flag.Bool("serve-stale", false, "while the backend breaker is open, degrade unavailable slices instead of failing the run (requires -fault-policy skip-degraded)")
 		deadS    = flag.String("deadline", "", "wall-clock budget for the whole run, e.g. 10m; propagated as a context deadline into every backend read (empty = none)")
 		texture  = flag.Int("texture", 4, "texture filter copies (HMP, or HCC+HPC pairs for split)")
-		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers per texture filter copy (0 = all CPUs, 1 = sequential reference kernel)")
+		kworkers = flag.Int("kernel-workers", defaultKernelWorkers, "intra-chunk kernel workers per texture filter copy (0 = auto: all CPUs, the sliding blocked kernel; 1 = the sequential reference kernel, the bit-exactness oracle, many times slower)")
 		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy")
 		kblock   = flag.Int("kernel-block", 0, "x tile width of the blocked kernel's accumulation runs (0 = untiled rows)")
 		iic      = flag.Int("iic", 1, "explicit IIC copies")

@@ -8,6 +8,16 @@ import (
 	"haralick4d/internal/cliflags"
 )
 
+// The default run is the parallel kernel, not the sequential oracle.
+func TestKernelWorkersDefaultIsAuto(t *testing.T) {
+	if defaultKernelWorkers != 0 {
+		t.Errorf("-kernel-workers defaults to %d, want 0 (auto)", defaultKernelWorkers)
+	}
+	if err := validateCountFlags(4, defaultKernelWorkers, 0); err != nil {
+		t.Errorf("the default -kernel-workers is rejected: %v", err)
+	}
+}
+
 func TestValidateCountFlags(t *testing.T) {
 	cases := []struct {
 		readAhead, kernelWorkers, kernelBlock int

@@ -18,6 +18,13 @@ type MatrixBatch struct {
 	Sparse []*glcm.Sparse // populated by SparseBatchInto, raster order
 	Full   []*glcm.Full   // populated by FullBatchInto, raster order
 
+	// EntryHint is the number of sparse entries the caller expects the next
+	// SparseBatchInto to store — typically NumEntries of its previous
+	// packet. A container whose arenas are smaller (a fresh one: over a
+	// network transport the batches never come back to the producer's pool)
+	// allocates them at that size once instead of growing them by doubling.
+	EntryHint int
+
 	sparseHeaders []glcm.Sparse
 	fullHeaders   []glcm.Full
 	shards        []batchShard
@@ -33,6 +40,15 @@ type batchShard struct {
 	totals  []uint64     // pair total per matrix
 }
 
+// NumEntries returns the number of sparse entries the batch stores.
+func (b *MatrixBatch) NumEntries() int {
+	n := 0
+	for i := range b.shards {
+		n += len(b.shards[i].entries)
+	}
+	return n
+}
+
 func (b *MatrixBatch) reset(workers int) {
 	b.Sparse = b.Sparse[:0]
 	b.Full = b.Full[:0]
@@ -42,6 +58,11 @@ func (b *MatrixBatch) reset(workers int) {
 	b.shards = b.shards[:workers]
 	for i := range b.shards {
 		sh := &b.shards[i]
+		// Row blocks are near-equal, so a worker's share of the hint plus an
+		// eighth covers it; a shard that still runs out grows by doubling.
+		if want := b.EntryHint/workers + b.EntryHint/(8*workers); cap(sh.entries) < want {
+			sh.entries = make([]glcm.Entry, 0, want)
+		}
 		sh.entries = sh.entries[:0]
 		sh.cells = sh.cells[:0]
 		sh.counts = sh.counts[:0]
@@ -76,13 +97,16 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		if stats != nil {
 			st = &local[w]
 		}
+		// The scanner snapshots straight into the shard's entry arena.
 		sh := &b.shards[w]
-		return sc.scan(r0, r1, st, func(_ [4]int, _ *glcm.Full, s *glcm.Sparse) error {
-			sh.entries = append(sh.entries, s.Entries...)
+		sc.entries, sc.keep = sh.entries, true
+		err := sc.scan(r0, r1, st, func(_ [4]int, _ *glcm.Full, s *glcm.Sparse) error {
 			sh.counts = append(sh.counts, len(s.Entries))
 			sh.totals = append(sh.totals, s.Total)
 			return nil
 		})
+		sh.entries = sc.entries
+		return err
 	})
 	if err != nil {
 		return err

@@ -15,11 +15,14 @@ import (
 // x): rows are split into contiguous blocks, one block per worker, so the
 // per-worker results concatenate back into global raster order. Each worker
 // owns its own scratch matrix, sparse builder and feature calculator, so the
-// hot loop performs no allocation and shares no mutable state; within a row
-// the worker advances the matrix with the sliding-window kernels
-// (glcm.SlideFull / glcm.SlideSparseScratch) instead of re-rastering every
-// ROI, falling back to a full recompute when the window geometry admits no
-// reuse.
+// hot loop performs no allocation and shares no mutable state. A worker
+// walks its rows with the blocked kernel (glcm.Blocked.StartRow/Step), which
+// slides the window along x within a row and — on its column path — carries
+// per-column pair histograms from one row to the row below, so only a
+// block's first row and the rows after a z/t wrap are rastered from scratch.
+// Geometries the blocked planner rejects, and KernelLegacy, use the legacy
+// per-direction sliding kernels (glcm.SlideFull / glcm.SlideSparseScratch),
+// which recompute when the window geometry admits no reuse.
 //
 // Workers == 1 never enters this file's machinery: it runs the untouched
 // sequential kernel (ScanRegion), which remains the verification oracle.
@@ -93,8 +96,11 @@ func runRows(rows, workers int, fn func(w, r0, r1 int) error) error {
 }
 
 // rowScanner is one worker's kernel state: the scan geometry plus its own
-// scratch matrix or builder. Matrices handed to the visitor are reused
-// across calls and must not be retained, exactly like ScanRegion.
+// blocked kernel, or scratch matrix and builder for the legacy kernels.
+// Matrices handed to the visitor are reused across calls and must not be
+// retained, exactly like ScanRegion — except that with keep set the sparse
+// matrices' entries accumulate, in visiting order, in the entries arena, and
+// each visited matrix aliases its part of it.
 type rowScanner struct {
 	cfg      *Config
 	dirs     []glcm.Direction
@@ -110,18 +116,22 @@ type rowScanner struct {
 	sparse   *glcm.Sparse
 	builder  *glcm.SparseBuilder
 	blocked  *glcm.Blocked // non-nil when the blocked kernel is planned
+	entries  []glcm.Entry  // sparse entry arena
+	keep     bool
 }
 
 // newRowScanner builds a scanner for the given scan; sparseRep selects the
 // matrix representation (independently of cfg.Representation, because the
 // batch builders fix the representation by API). Consecutive raster origins
-// are one voxel apart, so the slide stride is always 1; sliding engages
-// whenever some direction's pair box is wider than that.
+// are one voxel apart, so the slide stride is always 1; the legacy kernels
+// slide whenever some direction's pair box is wider than that.
 //
 // When blocked is set the scanner plans the cache-blocked, direction-batched
-// kernel (pooled across chunks via glcm.GetBlocked); geometries the planner
-// rejects fall back to the legacy sliding-window kernels. Callers must
-// release() the scanner when done so the pooled scratch is recycled.
+// kernel (pooled across chunks via glcm.GetBlocked) for rows of the box's x
+// extent — the kernel itself picks the column path or the x-slab slide from
+// the geometry; geometries the planner rejects fall back to the legacy
+// sliding-window kernels. Callers must release() the scanner when done so
+// the pooled scratch is recycled.
 func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, sparseRep, blocked bool) *rowScanner {
 	shape := origins.Shape()
 	dirs := cfg.DirectionSet()
@@ -141,6 +151,7 @@ func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, spars
 	if blocked {
 		k := glcm.GetBlocked(cfg.GrayLevels)
 		if k.Plan(s.strides, cfg.ROI, dirs, 1, cfg.KernelBlock) {
+			k.PlanRows(s.nx)
 			s.blocked = k
 		} else {
 			glcm.PutBlocked(k)
@@ -181,19 +192,23 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 			p[0] = s.lo[0] + i
 			rel := [4]int{p[0] - s.regionLo[0], p[1] - s.regionLo[1], p[2] - s.regionLo[2], p[3] - s.regionLo[3]}
 			if s.blocked != nil {
-				// Blocked kernel: one batched pass (or slab update) over all
-				// directions, then a merging snapshot into the visitor's
-				// matrix. The planner guarantees strides[0] == 1, so the flat
-				// origin of the previous window is base-1.
-				base := rel[0] + rel[1]*s.strides[1] + rel[2]*s.strides[2] + rel[3]*s.strides[3]
+				// Blocked kernel: position on the row's first origin (carrying
+				// what the row above left, or one batched pass over all
+				// directions), step along x, then a merging snapshot into the
+				// visitor's matrix.
 				if i == 0 {
-					s.blocked.Reset()
-					s.blocked.Accumulate(s.data, base)
+					s.blocked.StartRow(s.data, rel[0]+rel[1]*s.strides[1]+rel[2]*s.strides[2]+rel[3]*s.strides[3])
 				} else {
-					s.blocked.Slide(s.data, base-1)
+					s.blocked.Step(s.data)
 				}
 				if s.sparse != nil {
-					s.blocked.SnapshotSparse(s.sparse)
+					if !s.keep {
+						s.entries = s.entries[:0]
+					}
+					off := len(s.entries)
+					s.entries = s.blocked.AppendSparse(s.entries)
+					s.sparse.Entries = s.entries[off:]
+					s.sparse.Total = 2 * s.blocked.Pairs()
 					if stats != nil {
 						stats.StoredEntries += int64(s.sparse.NonZero())
 					}
@@ -213,6 +228,9 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 					glcm.SlideSparseScratch(s.data, s.strides, prev, s.cfg.ROI, 1, s.dirs, s.builder)
 				}
 				s.builder.Snapshot(s.sparse)
+				if s.keep {
+					s.entries = append(s.entries, s.sparse.Entries...)
+				}
 				if stats != nil {
 					stats.StoredEntries += int64(s.sparse.NonZero())
 				}

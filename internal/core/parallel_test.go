@@ -253,3 +253,124 @@ func TestValidateWorkersAndPairs(t *testing.T) {
 		t.Error("explicit worker count not honored")
 	}
 }
+
+// TestRowCarryUnevenBlocks runs the kernel's column path — per-column
+// histograms carried from row to row — the way workers cut it up: 49 raster
+// rows (7 y × 7 z, so every block crosses z wraps) split among 2, 3 and 5
+// workers, none of which divides 49, on an origin box strictly inside an
+// offset region. Feature values, batch matrices and Stats must equal the
+// workers = 1 oracle bit for bit in both representations.
+func TestRowCarryUnevenBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	regionBox := volume.BoxAt([4]int{3, 2, 1, 0}, [4]int{22, 11, 9, 1})
+	region := volume.NewRegion(regionBox)
+	for i := range region.Data {
+		region.Data[i] = uint8(rng.Intn(8))
+	}
+	origins := volume.BoxAt([4]int{4, 3, 2, 0}, [4]int{15, 7, 7, 1})
+	for _, rep := range []Representation{FullMatrix, SparseMatrix} {
+		cfg := Config{ROI: [4]int{5, 4, 2, 1}, GrayLevels: 8, NDim: 3, Distance: 1, Representation: rep, Features: features.PaperSet()}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		k := glcm.NewBlocked(cfg.GrayLevels)
+		if !k.Plan(volume.Strides(regionBox.Shape()), cfg.ROI, cfg.DirectionSet(), 1, 0) || !k.PlanRows(origins.Shape()[0]) {
+			t.Fatal("the test geometry does not take the column path")
+		}
+		ref := cfg
+		ref.Workers = 1
+		var refStats Stats
+		want, err := AnalyzeRegion(region, origins, &ref, &refStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantS, err := SparseBatch(region, origins, &ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantF, err := FullBatch(region, origins, &ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 5} {
+			pcfg := cfg
+			pcfg.Workers = workers
+			var stats Stats
+			got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats != refStats {
+				t.Errorf("%v workers %d: stats %+v, want %+v", rep, workers, stats, refStats)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i].Data, want[i].Data) {
+					t.Errorf("%v workers %d: feature %v diverged from the oracle", rep, workers, cfg.Features[i])
+				}
+			}
+			if rep == SparseMatrix {
+				gotS, err := SparseBatch(region, origins, &pcfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range wantS {
+					if gotS[k].Total != wantS[k].Total || !reflect.DeepEqual(gotS[k].Entries, wantS[k].Entries) {
+						t.Fatalf("sparse workers %d: matrix %d diverged from the oracle", workers, k)
+					}
+				}
+			} else {
+				gotF, err := FullBatch(region, origins, &pcfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range wantF {
+					if gotF[k].Total != wantF[k].Total || !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
+						t.Fatalf("full workers %d: matrix %d diverged from the oracle", workers, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSparseBatchEntryHint: a fresh container sized from a hint stores the
+// same matrices without growing its arenas, and NumEntries reports what the
+// next hint should be.
+func TestSparseBatchEntryHint(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	region, dims := randRegion(rng, 16)
+	cfg := Config{ROI: [4]int{4, 4, 2, 2}, GrayLevels: 16, NDim: 4, Distance: 1, Representation: SparseMatrix, Workers: 3}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	outDims, err := volume.OutputDims(dims, cfg.ROI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := volume.BoxAt([4]int{}, outDims)
+	var first MatrixBatch
+	if err := SparseBatchInto(region, origins, &cfg, nil, &first); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, m := range first.Sparse {
+		n += len(m.Entries)
+	}
+	if first.NumEntries() != n || n == 0 {
+		t.Fatalf("NumEntries = %d, matrices hold %d", first.NumEntries(), n)
+	}
+	hinted := MatrixBatch{EntryHint: n}
+	if err := SparseBatchInto(region, origins, &cfg, nil, &hinted); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hinted.shards {
+		if want := n/3 + n/24; cap(hinted.shards[i].entries) != want {
+			t.Errorf("shard %d arena capacity %d, want the hinted %d (it grew or was not sized)", i, cap(hinted.shards[i].entries), want)
+		}
+	}
+	for k := range first.Sparse {
+		if !reflect.DeepEqual(hinted.Sparse[k].Entries, first.Sparse[k].Entries) || hinted.Sparse[k].Total != first.Sparse[k].Total {
+			t.Fatalf("matrix %d differs with a hint", k)
+		}
+	}
+}

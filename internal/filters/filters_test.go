@@ -70,6 +70,46 @@ func TestSplitBoxProperty(t *testing.T) {
 	}
 }
 
+// TestSplitBoxCutsOutermost pins which dimension takes the cut: the
+// outermost one with at least n origins, so packets keep whole x rows and
+// runs of consecutive y rows; x only when nothing else can, and the longest
+// dimension (the slower on ties) when no dimension has n origins.
+func TestSplitBoxCutsOutermost(t *testing.T) {
+	cases := []struct {
+		shape   [4]int
+		n       int
+		dim     int // the dimension cut
+		extents []int
+	}{
+		{[4]int{97, 97, 4, 4}, 4, 3, []int{1, 1, 1, 1}}, // the paper chunk: four packets of 97×97×4×1
+		{[4]int{97, 97, 4, 3}, 4, 2, []int{1, 1, 1, 1}},
+		{[4]int{97, 97, 3, 3}, 4, 1, []int{24, 24, 24, 25}},
+		{[4]int{97, 3, 2, 2}, 4, 0, []int{24, 24, 24, 25}}, // only x can take four cuts
+		{[4]int{3, 3, 2, 2}, 4, 1, []int{1, 1, 1}},         // none can: longest, slower of the tie
+		{[4]int{5, 5, 5, 5}, 2, 3, []int{2, 3}},
+	}
+	for _, c := range cases {
+		b := volume.BoxAt([4]int{1, 2, 3, 4}, c.shape)
+		parts := SplitBox(b, c.n)
+		if len(parts) != len(c.extents) {
+			t.Errorf("%v / %d: %d parts, want %d", c.shape, c.n, len(parts), len(c.extents))
+			continue
+		}
+		at := b.Lo[c.dim]
+		for i, p := range parts {
+			want := b
+			want.Lo[c.dim], want.Hi[c.dim] = at, at+c.extents[i]
+			at += c.extents[i]
+			if p != want {
+				t.Errorf("%v / %d: part %d = %v, want %v", c.shape, c.n, i, p, want)
+			}
+		}
+		if at != b.Hi[c.dim] {
+			t.Errorf("%v / %d: parts end at %d, box at %d", c.shape, c.n, at, b.Hi[c.dim])
+		}
+	}
+}
+
 func TestSplitBoxDegenerate(t *testing.T) {
 	if parts := SplitBox(volume.Box{}, 4); parts != nil {
 		t.Errorf("empty box split into %v", parts)

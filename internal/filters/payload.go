@@ -122,18 +122,26 @@ func init() {
 	gob.Register(&AssembledMsg{})
 }
 
-// SplitBox partitions a box into at most n sub-boxes along its longest
-// dimension, preserving raster completeness (used by HCC to emit a packet
-// of co-occurrence matrices "whenever [a fraction] of a chunk had been
-// processed"). It returns at least one box; fewer than n when the longest
-// dimension is shorter than n.
+// SplitBox partitions a box into at most n sub-boxes, preserving raster
+// completeness (used by HCC to emit a packet of co-occurrence matrices
+// "whenever [a fraction] of a chunk had been processed"). The cut runs along
+// the outermost (slowest) dimension that has at least n origins, so packets
+// keep the box's full x rows and runs of consecutive y rows — what the GLCM
+// kernel reuses work across — and x is cut only when no other dimension can
+// take all n cuts. When no dimension can, the longest one is cut (the slower
+// on ties) into fewer than n boxes. It returns at least one box for a
+// non-empty input.
 func SplitBox(b volume.Box, n int) []volume.Box {
 	if n < 1 {
 		n = 1
 	}
 	shape := b.Shape()
 	dim, best := 0, 0
-	for k := 0; k < 4; k++ {
+	for k := 3; k >= 0; k-- {
+		if shape[k] >= n {
+			dim, best = k, shape[k]
+			break
+		}
 		if shape[k] > best {
 			dim, best = k, shape[k]
 		}

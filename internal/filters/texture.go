@@ -159,6 +159,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 			}
 			sparse := acfg.Representation == core.SparseMatrix
 			stop := runContext(ctx).Done()
+			entries := 0 // sparse entries of the previous packet
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
@@ -179,6 +180,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				met := ctx.Metrics()
 				for _, sub := range SplitBox(chunk.Origins, cfg.packets()) {
 					scratch := getBatchScratch(met)
+					scratch.EntryHint = entries
 					if !cfg.Admission.Acquire(stop) {
 						return nil // the run is aborting
 					}
@@ -186,6 +188,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 					var err error
 					if sparse {
 						err = core.SparseBatchInto(chunk.Region, sub, &acfg, nil, scratch)
+						entries = scratch.NumEntries()
 					} else {
 						err = core.FullBatchInto(chunk.Region, sub, &acfg, nil, scratch)
 					}

@@ -73,8 +73,8 @@ func (b *MatrixBatch) reset(workers int) {
 // SparseBatchInto computes one sparse co-occurrence matrix per ROI origin
 // of the box, in raster order, publishing them on b.Sparse. The matrices
 // alias b's arenas; see MatrixBatch. With an effective worker count above
-// one the raster rows are striped across a worker pool running the
-// sliding-window kernel; at one it runs the sequential reference kernel.
+// one the raster rows are striped across a worker pool running the blocked
+// kernel's row walk; at one it runs the sequential reference kernel.
 func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, b *MatrixBatch) error {
 	if region == nil {
 		return ErrNilRegion
@@ -88,7 +88,7 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, true, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, SparseMatrix, workers > 1 && cfg.useBlocked())
 		defer sc.release()
 		if workers == 1 {
 			sc.slide = false // sequential reference: full recompute per ROI
@@ -134,7 +134,8 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 
 // FullBatchInto is SparseBatchInto for the dense representation: one G×G
 // matrix per ROI origin, carved out of per-worker arenas, published on
-// b.Full in raster order.
+// b.Full in raster order. The batch ships the matrices, so this is the one
+// zero-skipping consumer that still materialises them.
 func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, b *MatrixBatch) error {
 	if region == nil {
 		return ErrNilRegion
@@ -148,7 +149,7 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, false, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, FullMatrixNoSkip, workers > 1 && cfg.useBlocked())
 		defer sc.release()
 		if workers == 1 {
 			sc.slide = false // sequential reference: full recompute per ROI

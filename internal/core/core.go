@@ -87,8 +87,8 @@ type Config struct {
 	// Workers bounds the intra-chunk parallelism of AnalyzeRegion and the
 	// batch builders: 0 selects GOMAXPROCS, 1 forces the sequential
 	// reference kernel (the verification oracle), and larger values stripe
-	// ROI raster rows across a worker pool whose per-row kernel also reuses
-	// overlapping-window work (glcm.SlideFull / glcm.SlideSparseScratch).
+	// ROI raster rows across a worker pool whose kernel also reuses
+	// overlapping-window work along x and from row to row (glcm.Blocked).
 	Workers int
 	// Kernel selects the accumulation kernel of the parallel scan path
 	// (see KernelMode). The zero value, KernelAuto, enables the blocked
@@ -198,7 +198,7 @@ func (c *Config) DirectionSet() []glcm.Direction {
 type Stats struct {
 	ROIs          int64  // co-occurrence matrices computed
 	Pairs         uint64 // voxel pairs accumulated
-	StoredEntries int64  // sparse entries (or non-zero full cells), summed
+	StoredEntries int64  // sparse entries — for a full matrix its non-zero cells, a mirror pair counted once — summed
 }
 
 // MeanEntries returns the average number of stored (non-zero, non-duplicate)

@@ -18,11 +18,14 @@ import (
 // hot loop performs no allocation and shares no mutable state. A worker
 // walks its rows with the blocked kernel (glcm.Blocked.StartRow/Step), which
 // slides the window along x within a row and — on its column path — carries
-// per-column pair histograms from one row to the row below, so only a
-// block's first row and the rows after a z/t wrap are rastered from scratch.
-// Geometries the blocked planner rejects, and KernelLegacy, use the legacy
-// per-direction sliding kernels (glcm.SlideFull / glcm.SlideSparseScratch),
-// which recompute when the window geometry admits no reuse.
+// per-column pair histograms and gray-level bounds from one row to the row
+// below, so only a block's first row and the rows after a z/t wrap are
+// rebuilt, and every snapshot scans only the levels present in its ROI. The
+// zero-skipping full representation takes the kernel's sorted non-zero list
+// straight to the feature sums; only FullMatrixNoSkip and the HCC batches
+// materialise a dense matrix. Geometries the blocked planner rejects, and
+// KernelLegacy, fall back to the legacy per-direction kernels of package
+// glcm, which recompute when the window geometry admits no reuse.
 //
 // Workers == 1 never enters this file's machinery: it runs the untouched
 // sequential kernel (ScanRegion), which remains the verification oracle.
@@ -120,11 +123,17 @@ type rowScanner struct {
 	keep     bool
 }
 
-// newRowScanner builds a scanner for the given scan; sparseRep selects the
-// matrix representation (independently of cfg.Representation, because the
-// batch builders fix the representation by API). Consecutive raster origins
-// are one voxel apart, so the slide stride is always 1; the legacy kernels
-// slide whenever some direction's pair box is wider than that.
+// newRowScanner builds a scanner for the given scan; rep selects the matrix
+// representation (independently of cfg.Representation, because the batch
+// builders fix the representation by API): SparseMatrix visits sparse
+// matrices, FullMatrixNoSkip dense ones, and FullMatrix — whose consumer
+// skips the zeros anyway — the blocked kernel's non-zero list as a sparse
+// matrix, falling back to dense ones on the legacy kernels. Features do not
+// depend on the representation and Full.NonZero counts a mirror pair once,
+// like the list, so the choice is invisible in results and Stats alike.
+// Consecutive raster origins are one voxel apart, so the slide stride is
+// always 1; the legacy kernels slide whenever some direction's pair box is
+// wider than that.
 //
 // When blocked is set the scanner plans the cache-blocked, direction-batched
 // kernel (pooled across chunks via glcm.GetBlocked) for rows of the box's x
@@ -132,7 +141,7 @@ type rowScanner struct {
 // the geometry; geometries the planner rejects fall back to the legacy
 // sliding-window kernels. Callers must release() the scanner when done so
 // the pooled scratch is recycled.
-func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, sparseRep, blocked bool) *rowScanner {
+func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, rep Representation, blocked bool) *rowScanner {
 	shape := origins.Shape()
 	dirs := cfg.DirectionSet()
 	s := &rowScanner{
@@ -157,7 +166,7 @@ func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, spars
 			glcm.PutBlocked(k)
 		}
 	}
-	if sparseRep {
+	if rep == SparseMatrix || rep == FullMatrix && s.blocked != nil {
 		s.sparse = glcm.NewSparse(cfg.GrayLevels)
 		if s.blocked == nil {
 			s.builder = glcm.NewSparseBuilder(cfg.GrayLevels)
@@ -194,8 +203,8 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 			if s.blocked != nil {
 				// Blocked kernel: position on the row's first origin (carrying
 				// what the row above left, or one batched pass over all
-				// directions), step along x, then a merging snapshot into the
-				// visitor's matrix.
+				// directions), step along x, then a merging snapshot — the
+				// non-zero list, or the visitor's dense matrix.
 				if i == 0 {
 					s.blocked.StartRow(s.data, rel[0]+rel[1]*s.strides[1]+rel[2]*s.strides[2]+rel[3]*s.strides[3])
 				} else {
@@ -275,7 +284,7 @@ func mergeStats(stats *Stats, local []Stats) {
 // regions — one per configured feature, each spanning exactly the origin
 // box — so callers can pool the float backing across chunks. With an
 // effective worker count above one, the ROI raster rows are striped across
-// a worker pool running the sliding-window kernel; at one, it runs the
+// a worker pool running the blocked kernel's row walk; at one, it runs the
 // sequential reference path (ScanRegion), the verification oracle.
 func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, out []*volume.FloatRegion) error {
 	if region == nil {
@@ -293,14 +302,16 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 	workers := spanWorkers(cfg, origins)
 	if workers <= 1 {
 		calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
-		return ScanRegion(region, origins, cfg, stats, func(origin [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
+		idx := 0 // ScanRegion visits the origin box in raster order
+		return ScanRegion(region, origins, cfg, stats, func(_ [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
 			vals, err := calcValues(calc, full, sparse, zeroSkip)
 			if err != nil {
 				return err
 			}
 			for i, v := range vals {
-				out[i].Set(origin, v)
+				out[i].Data[idx] = v
 			}
+			idx++
 			return nil
 		})
 	}
@@ -311,23 +322,25 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, cfg.Representation == SparseMatrix, cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, cfg.Representation, cfg.useBlocked())
 		defer sc.release()
 		calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
 		var st *Stats
 		if stats != nil {
 			st = &local[w]
 		}
-		return sc.scan(r0, r1, st, func(origin [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
+		// Workers write disjoint elements of the shared backing: the scan
+		// visits its rows in raster order, from the block's first index on.
+		idx := r0 * shape[0]
+		return sc.scan(r0, r1, st, func(_ [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
 			vals, err := calcValues(calc, full, sparse, zeroSkip)
 			if err != nil {
 				return err
 			}
-			// Workers write disjoint elements of the shared backing: every
-			// origin maps to a unique index.
 			for i, v := range vals {
-				out[i].Set(origin, v)
+				out[i].Data[idx] = v
 			}
+			idx++
 			return nil
 		})
 	})

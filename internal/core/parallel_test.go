@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -255,79 +257,125 @@ func TestValidateWorkersAndPairs(t *testing.T) {
 }
 
 // TestRowCarryUnevenBlocks runs the kernel's column path — per-column
-// histograms carried from row to row — the way workers cut it up: 49 raster
-// rows (7 y × 7 z, so every block crosses z wraps) split among 2, 3 and 5
-// workers, none of which divides 49, on an origin box strictly inside an
-// offset region. Feature values, batch matrices and Stats must equal the
-// workers = 1 oracle bit for bit in both representations.
+// histograms and level bounds carried from row to row — the way workers cut
+// it up: 49 raster rows (7 y × 7 z, so every block crosses z wraps) split
+// among 2, 3 and 5 workers, none of which divides 49, on an origin box
+// strictly inside an offset region, over noise (every window is [0, G)) and
+// over a ramp (narrow windows that move with the origin). Feature values,
+// batch matrices and Stats must equal the workers = 1 oracle bit for bit in
+// every representation: FullMatrix through the fused non-zero list,
+// FullMatrixNoSkip through the dense snapshot, SparseMatrix.
 func TestRowCarryUnevenBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	regionBox := volume.BoxAt([4]int{3, 2, 1, 0}, [4]int{22, 11, 9, 1})
-	region := volume.NewRegion(regionBox)
-	for i := range region.Data {
-		region.Data[i] = uint8(rng.Intn(8))
-	}
 	origins := volume.BoxAt([4]int{4, 3, 2, 0}, [4]int{15, 7, 7, 1})
-	for _, rep := range []Representation{FullMatrix, SparseMatrix} {
-		cfg := Config{ROI: [4]int{5, 4, 2, 1}, GrayLevels: 8, NDim: 3, Distance: 1, Representation: rep, Features: features.PaperSet()}
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
+	for _, fill := range []string{"noise", "ramp"} {
+		region := volume.NewRegion(regionBox)
+		for i := range region.Data {
+			region.Data[i] = uint8(rng.Intn(8))
+			if fill == "ramp" {
+				region.Data[i] = uint8((i%22+i/22%11)/5 + rng.Intn(2))
+			}
 		}
-		k := glcm.NewBlocked(cfg.GrayLevels)
-		if !k.Plan(volume.Strides(regionBox.Shape()), cfg.ROI, cfg.DirectionSet(), 1, 0) || !k.PlanRows(origins.Shape()[0]) {
-			t.Fatal("the test geometry does not take the column path")
-		}
-		ref := cfg
-		ref.Workers = 1
-		var refStats Stats
-		want, err := AnalyzeRegion(region, origins, &ref, &refStats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantS, err := SparseBatch(region, origins, &ref, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantF, err := FullBatch(region, origins, &ref, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 5} {
-			pcfg := cfg
-			pcfg.Workers = workers
-			var stats Stats
-			got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
+		for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
+			cfg := Config{ROI: [4]int{5, 4, 2, 1}, GrayLevels: 8, NDim: 3, Distance: 1, Representation: rep, Features: features.All()}
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			k := glcm.NewBlocked(cfg.GrayLevels)
+			if !k.Plan(volume.Strides(regionBox.Shape()), cfg.ROI, cfg.DirectionSet(), 1, 0) || !k.PlanRows(origins.Shape()[0]) {
+				t.Fatal("the test geometry does not take the column path")
+			}
+			ref := cfg
+			ref.Workers = 1
+			var refStats Stats
+			want, err := AnalyzeRegion(region, origins, &ref, &refStats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats != refStats {
-				t.Errorf("%v workers %d: stats %+v, want %+v", rep, workers, stats, refStats)
+			wantS, err := SparseBatch(region, origins, &ref, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i].Data, want[i].Data) {
-					t.Errorf("%v workers %d: feature %v diverged from the oracle", rep, workers, cfg.Features[i])
-				}
+			wantF, err := FullBatch(region, origins, &ref, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rep == SparseMatrix {
-				gotS, err := SparseBatch(region, origins, &pcfg, nil)
+			for _, workers := range []int{2, 3, 5} {
+				tag := fmt.Sprintf("%s %v workers %d", fill, rep, workers)
+				pcfg := cfg
+				pcfg.Workers = workers
+				var stats Stats
+				got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := range wantS {
-					if gotS[k].Total != wantS[k].Total || !reflect.DeepEqual(gotS[k].Entries, wantS[k].Entries) {
-						t.Fatalf("sparse workers %d: matrix %d diverged from the oracle", workers, k)
+				if stats != refStats {
+					t.Errorf("%s: stats %+v, want %+v", tag, stats, refStats)
+				}
+				for i := range want {
+					for j, v := range want[i].Data {
+						if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
+							t.Fatalf("%s: feature %v at %d is %v, the oracle's %v", tag, cfg.Features[i], j, got[i].Data[j], v)
+						}
 					}
 				}
-			} else {
-				gotF, err := FullBatch(region, origins, &pcfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range wantF {
-					if gotF[k].Total != wantF[k].Total || !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
-						t.Fatalf("full workers %d: matrix %d diverged from the oracle", workers, k)
+				if rep == SparseMatrix {
+					gotS, err := SparseBatch(region, origins, &pcfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range wantS {
+						if gotS[k].Total != wantS[k].Total || !reflect.DeepEqual(gotS[k].Entries, wantS[k].Entries) {
+							t.Fatalf("%s: sparse matrix %d diverged from the oracle", tag, k)
+						}
+					}
+				} else {
+					gotF, err := FullBatch(region, origins, &pcfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range wantF {
+						if gotF[k].Total != wantF[k].Total || !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
+							t.Fatalf("%s: full matrix %d diverged from the oracle", tag, k)
+						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestStatsAgreeAcrossPaths: Stats means the same thing on every path — the
+// sequential oracle, the fused non-zero list, the dense snapshot, the sparse
+// list, whatever the worker count. StoredEntries counts a mirror pair once
+// (Full.NonZero, the size of the equivalent sparse form) in every
+// representation, so all nine combinations report equal counters.
+func TestStatsAgreeAcrossPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	region, dims := randRegion(rng, 16)
+	var first *Stats
+	for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
+		for _, workers := range []int{1, 2, 3} {
+			cfg := Config{ROI: [4]int{4, 3, 2, 2}, GrayLevels: 16, NDim: 4, Distance: 1, Representation: rep, Workers: workers}
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			outDims, err := volume.OutputDims(dims, cfg.ROI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats Stats
+			if _, err := AnalyzeRegion(region, volume.BoxAt([4]int{}, outDims), &cfg, &stats); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = &stats
+				if stats.ROIs == 0 || stats.StoredEntries <= stats.ROIs || stats.Pairs == 0 {
+					t.Fatalf("implausible oracle stats %+v", stats)
+				}
+			} else if stats != *first {
+				t.Errorf("%v workers %d: stats %+v, want %+v", rep, workers, stats, *first)
 			}
 		}
 	}
@@ -371,6 +419,40 @@ func TestSparseBatchEntryHint(t *testing.T) {
 	for k := range first.Sparse {
 		if !reflect.DeepEqual(hinted.Sparse[k].Entries, first.Sparse[k].Entries) || hinted.Sparse[k].Total != first.Sparse[k].Total {
 			t.Fatalf("matrix %d differs with a hint", k)
+		}
+	}
+}
+
+// BenchmarkAnalyzeWindow times the parallel per-chunk computation on the
+// paper geometry over two kinds of data: "noise" spans every gray level in
+// every slab column, so each ROI's gray-level window is [0, G) — the worst
+// case of the column path, which then skips nothing — and "smooth" is a slow
+// ramp with two levels of noise, the narrow windows of real studies.
+func BenchmarkAnalyzeWindow(b *testing.B) {
+	dims := [4]int{56, 40, 4, 4}
+	for _, kind := range []string{"noise", "smooth"} {
+		rng := rand.New(rand.NewSource(11))
+		region := volume.NewRegion(volume.BoxAt([4]int{}, dims))
+		for i := range region.Data {
+			region.Data[i] = uint8(rng.Intn(32))
+			if kind == "smooth" {
+				x, y := i%dims[0], i/dims[0]%dims[1]
+				region.Data[i] = uint8((x+y)/4 + rng.Intn(2))
+			}
+		}
+		for _, rep := range []Representation{FullMatrix, SparseMatrix} {
+			cfg := DefaultConfig()
+			cfg.Representation, cfg.Workers = rep, 2
+			outDims, _ := volume.OutputDims(dims, cfg.ROI)
+			origins := volume.BoxAt([4]int{}, outDims)
+			b.Run(kind+"/"+rep.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := AnalyzeRegion(region, origins, &cfg, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(origins.NumVoxels())*float64(b.N)/b.Elapsed().Seconds(), "ROI/s")
+			})
 		}
 	}
 }

@@ -89,7 +89,8 @@ func PaperSet() []Feature {
 // need describes which intermediate quantities a feature set requires, so
 // that the per-cell work scales with the request.
 type need struct {
-	basic    bool // ASM, contrast, IDM, entropy, Σij·p
+	basic    bool // ASM, IDM, Σij·p
+	entropy  bool // −Σ p·log p (f9, f12, f13): the only per-cell math.Log
 	marginal bool // px, py (correlation, variance, f12–f14)
 	sumDiff  bool // p_{x+y}, p_{x−y} histograms (f2, f6–f8, f10, f11)
 	hxy      bool // second pass for HXY1/HXY2 (f12, f13)
@@ -100,15 +101,17 @@ func analyze(req []Feature) need {
 	var n need
 	for _, f := range req {
 		switch f {
-		case ASM, IDM, Entropy:
+		case ASM, IDM:
 			n.basic = true
+		case Entropy:
+			n.entropy = true
 		case Contrast, SumAverage, SumVariance, SumEntropy, DifferenceVariance, DifferenceEntropy:
 			n.sumDiff = true
 		case Correlation, Variance:
 			n.basic = true
 			n.marginal = true
 		case InfoCorrelation1, InfoCorrelation2:
-			n.basic = true
+			n.entropy = true
 			n.marginal = true
 			n.hxy = true
 		case MaxCorrelationCoeff:
@@ -171,8 +174,10 @@ func (a *acc) cell(i, j int, p, weight float64, n need) {
 		a.asm += wp * p
 		d := i - j
 		a.idm += wp / float64(1+d*d)
-		a.entropy -= wp * safeLog(p)
 		a.sumIJ += wp * float64(i) * float64(j)
+	}
+	if n.entropy {
+		a.entropy -= wp * safeLog(p)
 	}
 	if a.px != nil {
 		a.px[i] += p
@@ -205,11 +210,12 @@ func safeLog(p float64) float64 {
 // allocations of the one-shot FromFull/FromSparse helpers matter; a
 // Calculator amortizes them away. Not safe for concurrent use.
 type Calculator struct {
-	g   int
-	req []Feature
-	n   need
-	a   acc
-	out []float64
+	g    int
+	req  []Feature
+	n    need
+	a    acc
+	ents []glcm.Entry // FromFull's upper-triangle entry list
+	out  []float64
 }
 
 // NewCalculator returns a calculator for matrices with g gray levels
@@ -221,68 +227,38 @@ func NewCalculator(g int, req []Feature) *Calculator {
 	return c
 }
 
-// FromFull computes the requested features from a dense matrix. The
-// returned slice is reused by the next call; copy it to retain.
+// FromFull computes the requested features from a dense matrix, which must
+// be symmetric (every glcm.Full is). It gathers the upper triangle into the
+// sorted entry list of the sparse form and runs FromSparse's arithmetic on
+// it, so a matrix's features do not depend on its representation: full and
+// sparse agree bit for bit. With zeroSkip only the non-zero cells are listed
+// (the paper's zero test); without it every cell of the triangle is, zeros
+// included, so the parameter sums pay for them — the unoptimized baseline,
+// whose zero terms leave every sum unchanged. The returned slice is reused by
+// the next call; copy it to retain.
 func (c *Calculator) FromFull(m *glcm.Full, zeroSkip bool) ([]float64, error) {
 	if m.G != c.g {
 		return nil, fmt.Errorf("features: matrix has %d gray levels, calculator %d", m.G, c.g)
 	}
-	n := c.n
-	req := c.req
-	out := c.out
-	for i := range out {
-		out[i] = 0
-	}
-	if m.Total == 0 {
-		return out, nil
-	}
 	g := m.G
-	a := &c.a
-	a.reset()
-	inv := 1 / float64(m.Total)
+	if c.ents == nil {
+		n := g * (g + 1) / 2 // the whole triangle, what the list holds without the zero test
+		if zeroSkip {
+			n = min(n, 4*g) // real matrices are ≈ 1 % non-zero; append grows it otherwise
+		}
+		c.ents = make([]glcm.Entry, 0, n)
+	}
+	ents := c.ents[:0]
 	for i := 0; i < g; i++ {
 		row := m.Counts[i*g : (i+1)*g]
-		for j, c := range row {
-			if zeroSkip && c == 0 {
-				continue
-			}
-			a.cell(i, j, float64(c)*inv, 1, n)
-		}
-	}
-	var hxy1, hxy2 float64
-	if n.hxy {
-		for i := 0; i < g; i++ {
-			row := m.Counts[i*g : (i+1)*g]
-			for j, c := range row {
-				if zeroSkip && c == 0 {
-					continue
-				}
-				p := float64(c) * inv
-				q := a.px[i] * a.py[j]
-				hxy1 -= p * safeLog(q)
+		for j := i; j < g; j++ {
+			if cnt := row[j]; cnt != 0 || !zeroSkip {
+				ents = append(ents, glcm.Entry{I: uint8(i), J: uint8(j), Count: cnt})
 			}
 		}
-		hxy2 = hxy2Term(a.px, a.py)
 	}
-	var lambda2 float64
-	if n.q {
-		var err error
-		lambda2, err = qSecondEigenvalue(func(yield func(i, j int, p float64)) {
-			for i := 0; i < g; i++ {
-				row := m.Counts[i*g : (i+1)*g]
-				for j, c := range row {
-					if c != 0 {
-						yield(i, j, float64(c)*inv)
-					}
-				}
-			}
-		}, a.px, a.py, g)
-		if err != nil {
-			return nil, err
-		}
-	}
-	finish(a, n, hxy1, hxy2, lambda2, req, out)
-	return out, nil
+	c.ents = ents
+	return c.fromEntries(ents, m.Total)
 }
 
 // FromSparse computes the requested features directly from the sparse
@@ -293,20 +269,25 @@ func (c *Calculator) FromSparse(s *glcm.Sparse) ([]float64, error) {
 	if s.G != c.g {
 		return nil, fmt.Errorf("features: matrix has %d gray levels, calculator %d", s.G, c.g)
 	}
+	return c.fromEntries(s.Entries, s.Total)
+}
+
+// fromEntries is the one feature arithmetic: the features are a function of
+// the (i ≤ j)-sorted upper-triangular entry list and the matrix total, an
+// off-diagonal entry standing for both mirror cells with weight 2.
+func (c *Calculator) fromEntries(entries []glcm.Entry, total uint64) ([]float64, error) {
 	n := c.n
-	req := c.req
 	out := c.out
 	for i := range out {
 		out[i] = 0
 	}
-	if s.Total == 0 {
+	if total == 0 {
 		return out, nil
 	}
-	g := s.G
 	a := &c.a
 	a.reset()
-	inv := 1 / float64(s.Total)
-	for _, e := range s.Entries {
+	inv := 1 / float64(total)
+	for _, e := range entries {
 		p := float64(e.Count) * inv
 		w := 2.0
 		if e.I == e.J {
@@ -316,7 +297,7 @@ func (c *Calculator) FromSparse(s *glcm.Sparse) ([]float64, error) {
 	}
 	var hxy1, hxy2 float64
 	if n.hxy {
-		for _, e := range s.Entries {
+		for _, e := range entries {
 			p := float64(e.Count) * inv
 			i, j := int(e.I), int(e.J)
 			hxy1 -= p * safeLog(a.px[i]*a.py[j])
@@ -330,19 +311,22 @@ func (c *Calculator) FromSparse(s *glcm.Sparse) ([]float64, error) {
 	if n.q {
 		var err error
 		lambda2, err = qSecondEigenvalue(func(yield func(i, j int, p float64)) {
-			for _, e := range s.Entries {
+			for _, e := range entries {
+				if e.Count == 0 {
+					continue
+				}
 				p := float64(e.Count) * inv
 				yield(int(e.I), int(e.J), p)
 				if e.I != e.J {
 					yield(int(e.J), int(e.I), p)
 				}
 			}
-		}, a.px, a.py, g)
+		}, a.px, a.py, c.g)
 		if err != nil {
 			return nil, err
 		}
 	}
-	finish(a, n, hxy1, hxy2, lambda2, req, out)
+	finish(a, n, hxy1, hxy2, lambda2, c.req, out)
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -401,4 +402,72 @@ func benchFeatures(b *testing.B, mode string) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// checkRepresentations asserts that the three routes to a matrix's features
+// — FromFull with and without the zero test, FromSparse on the sparse form —
+// agree bit for bit on all fourteen: the features are a function of the
+// sorted upper-triangular entry list, not of the representation.
+func checkRepresentations(t *testing.T, tag string, m *glcm.Full) {
+	t.Helper()
+	req := All()
+	if testing.Short() && m.G == 256 && m.NonZero() > 1000 {
+		req = req[:MaxCorrelationCoeff] // three 256×256 eigenproblems: minutes under -race
+	}
+	calc := NewCalculator(m.G, req)
+	skip := append([]float64(nil), must(calc.FromFull(m, true))...)
+	noSkip := append([]float64(nil), must(calc.FromFull(m, false))...)
+	sparse := must(calc.FromSparse(m.Sparse()))
+	for i, f := range req {
+		if a, b, c := math.Float64bits(skip[i]), math.Float64bits(noSkip[i]), math.Float64bits(sparse[i]); a != b || a != c {
+			t.Errorf("%s: %v differs by representation: full+skip %v, full %v, sparse %v", tag, f, skip[i], noSkip[i], sparse[i])
+		}
+	}
+}
+
+// TestRepresentationsBitIdentical runs checkRepresentations over seeded
+// random symmetric matrices at every G class — empty, a single diagonal cell,
+// a single mirror pair, sparse, and dense (every cell non-zero).
+func TestRepresentationsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range []int{2, 8, 32, 256} {
+		checkRepresentations(t, fmt.Sprintf("G=%d empty", g), glcm.NewFull(g))
+		one := glcm.NewFull(g)
+		one.Add(uint8(g-1), uint8(g-1))
+		checkRepresentations(t, fmt.Sprintf("G=%d diagonal cell", g), one)
+		pair := glcm.NewFull(g)
+		pair.Add(0, uint8(g-1))
+		checkRepresentations(t, fmt.Sprintf("G=%d mirror pair", g), pair)
+		for _, pairs := range []int{3, 40, 2000} {
+			checkRepresentations(t, fmt.Sprintf("G=%d %d pairs", g, pairs), randomMatrix(rng, g, pairs))
+		}
+		dense := randomMatrix(rng, g, 4*g)
+		for i := 0; i < g; i++ {
+			for j := i; j < g; j++ {
+				dense.Add(uint8(i), uint8(j))
+			}
+		}
+		if dense.Density() != 1 {
+			t.Fatalf("G=%d: dense matrix has zero cells", g)
+		}
+		checkRepresentations(t, fmt.Sprintf("G=%d dense", g), dense)
+	}
+}
+
+// FuzzFeatureRepresentations builds a symmetric matrix from the payload —
+// gray pairs taken two bytes at a time, G from the selector — and checks the
+// three routes bit for bit.
+func FuzzFeatureRepresentations(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 3}, uint8(1))
+	f.Add([]byte{0, 7, 7, 0, 2, 5, 5, 5, 1, 6}, uint8(1))
+	f.Add([]byte{0, 255, 255, 255, 17, 200, 17, 200, 31, 30}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, gsel uint8) {
+		g := []int{2, 8, 32, 256}[int(gsel)%4]
+		m := glcm.NewFull(g)
+		for i := 0; i+1 < len(raw); i += 2 {
+			m.Add(uint8(int(raw[i])%g), uint8(int(raw[i+1])%g))
+		}
+		checkRepresentations(t, fmt.Sprintf("G=%d", g), m)
+	})
 }

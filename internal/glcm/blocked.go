@@ -41,6 +41,12 @@ import (
 //     levels still panic on the scratch bounds check exactly like the
 //     legacy kernels.
 //
+// Row walks add a structural zero-skip (the paper's own compute result: real
+// matrices are ≈ 1 % non-zero): the column path keeps per-x-column pair
+// histograms and gray-level bounds, carried from raster row to raster row,
+// so that every dense pass and snapshot touches only the window of levels
+// present in the ROI (see PlanRows).
+//
 // The inner loops are written flat over precomputed neighbor strides with
 // slice headers re-sliced to a common length so the compiler's bounds-check
 // elimination fires for the voxel and LUT loads (verified with
@@ -55,6 +61,7 @@ import (
 type dirPlan struct {
 	off    int    // flat offset to the d-neighbor (strides[0] == 1)
 	lo, hi [4]int // anchor bounds per coordinate: anchor and neighbor in the ROI
+	link   bool   // dx ≠ 0: the pair links two x columns
 }
 
 // pairProg is a compiled pair program, grouped by anchor voxel: group gi
@@ -109,55 +116,72 @@ func (p *pairProg) replay(c0, c1 []uint32, mul []uint16, dd []uint8, delta uint3
 }
 
 // Blocked is the blocked kernel's reusable state: the asymmetric scratch
-// histogram, the multiplication LUT, the per-scan direction plan, the
-// compiled slide programs and — for row walks on the column path — the
-// per-column pair histograms carried from raster row to raster row. A
-// Blocked is built for one gray-level count and planned for one (strides,
-// ROI shape, direction set, stride) geometry; Accumulate/Slide/Snapshot, or
-// StartRow/Step/Snapshot, may then be called for any number of ROIs. Values
-// are pooled across chunks via GetBlocked/PutBlocked. Not safe for
-// concurrent use — each worker owns one.
+// histogram and its gray-level window, the multiplication LUT, the per-scan
+// direction plan, the compiled slide programs and — for row walks on the
+// column path — the per-column pair histograms and level bounds carried from
+// raster row to raster row. A Blocked is built for one gray-level count and
+// planned for one (strides, ROI shape, direction set, stride) geometry;
+// Accumulate/Slide/Snapshot, or StartRow/Step/Snapshot, may then be called
+// for any number of ROIs. Values are pooled across chunks via
+// GetBlocked/PutBlocked. Not safe for concurrent use — each worker owns one.
 type Blocked struct {
 	g      int
 	counts []uint32 // 2 banks of G×G asymmetric scratch: counts[b*g*g+a*g+c] pairs observed as (a, c)
 	mul    []uint16 // mul[v] = v*g, 256 entries ((g-1)*g+255 fits uint16 at g=256)
 	pairs  uint64   // pairs currently accumulated (matrix Total is 2·pairs)
 
-	strides [4]int
-	shape   [4]int
-	stride  int // planned slide stride along x
-	block   int // x-tile width for accumulation runs; 0 = whole row
-	plans   []dirPlan
+	// The gray-level window: every scratch cell with a row or column outside
+	// [wlo, whi] is zero in both banks, so the snapshots scan only the window.
+	// Accumulate and Slide leave it at [0, G); the column path narrows it to
+	// the levels present in the current ROI.
+	wlo, whi int
+
+	strides  [4]int
+	shape    [4]int
+	stride   int // planned slide stride along x
+	block    int // x-tile width for accumulation runs; 0 = whole row
+	plans    []dirPlan
+	roiPairs uint64 // pairs of one ROI, all planned directions
 
 	// The x-slab slide: sub holds the pairs of the departing slab, add those
 	// of the entering slab, all offsets relative to the pre-slide origin.
 	sub, add pairProg
 	pk       []int64 // plan-time pair gathering scratch
 
-	// The column path (see PlanRows); ncols == 0 selects the x-slab walk.
-	// Column i of the current row holds, as one G×G histogram of wrapping
-	// counts, what sliding from origin i to origin i+1 changes: the pairs
-	// whose right-most voxel lies in the entering x column minus those whose
-	// left-most voxel lies in the departing one. inc and dec are the pairs a
-	// column gains and loses when its row moves one voxel down y (offsets
-	// relative to the column's origin in the row above): only the voxel row
-	// that leaves the ROI's y extent and the one that enters it take part.
-	inc, dec pairProg
-	ncols    int
-	cols     []uint32 // ncols histograms of G×G
-	first    []uint32 // G×G, one bank: the pairs of the row's first ROI
+	// The column path (see PlanRows); ncol == 0 selects the x-slab walk. A row
+	// of nx origins spans ncol = nx + W − 1 slab columns, and slab column c
+	// keeps two plain G×G histograms of the pairs as observed over the ROI's
+	// y/z/t extent: S[c], the pairs inside the column (dx = 0), and C[c], the
+	// pairs linking columns c and c + span (dx = ±span). Both are zero outside
+	// the level bounds of the columns they read. col[0] and col[1] are a
+	// column's S and C pair programs (offsets relative to the column's flat
+	// base): progAll rebuilds a store; moving one voxel down y, progOut
+	// (relative to the row above) removes the pairs of the voxel row that leaves
+	// the ROI's y extent and progIn adds those of the one that enters.
+	span     int // the one non-zero |dx| of the plan; 0 rules the column path out
+	col      [2][3]pairProg
+	ncol     int
+	store    []uint32 // S[c] at (2c)·G², C[c] at (2c+1)·G²
+	lev      []uint32 // per slab column, the voxels at each gray level
+	clo, chi []uint8  // per slab column, least and greatest level present
 	base     int      // flat origin of the current ROI
 	rowBase  int      // flat origin of the current row's first ROI
-	carried  int      // flat origin of the row that first and every column describe; -1 when none
+	carried  int      // flat origin of the row every slab column describes; -1 when none
 	cont     bool     // the current row continues the carried one
 }
+
+const (
+	progAll = iota
+	progOut
+	progIn
+)
 
 // NewBlocked returns an unplanned blocked kernel for g gray levels.
 func NewBlocked(g int) *Blocked {
 	if g < 1 || g > 256 {
 		panic("glcm: gray levels must be in [1, 256]")
 	}
-	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), mul: make([]uint16, 256), carried: -1}
+	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), mul: make([]uint16, 256), whi: g - 1, carried: -1}
 	for v := range k.mul {
 		k.mul[v] = uint16(v * g)
 	}
@@ -207,9 +231,12 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block in
 	k.shape = shape
 	k.stride = stride
 	k.block = block
-	k.ncols, k.carried = 0, -1
+	k.ncol, k.carried = 0, -1
 	k.plans = k.plans[:0]
+	k.roiPairs = 0
 	sy, sz, st := strides[1], strides[2], strides[3]
+	// The column path needs stride 1 and link pairs of a single x span.
+	span, uniform := 0, stride == 1
 	for _, d := range dirs {
 		lo, hi, ok := pairBounds(shape, d)
 		if !ok {
@@ -221,50 +248,53 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block in
 		if maxFlat := (hi[3]-1)*st + (hi[2]-1)*sz + hi[1]*sy + hi[0] + stride; maxFlat+off > math.MaxInt32 || maxFlat > math.MaxInt32 {
 			return false
 		}
-		k.plans = append(k.plans, dirPlan{off: off, lo: lo, hi: hi})
-	}
-	// The four programs share the gathering scratch, one segment each. At
-	// stride 1 a column's departing pairs are the sub slab's (anchor x = lo)
-	// and its entering pairs the add slab's (anchor x = hi); moving down y,
-	// the voxel row at anchor y = lo leaves and the one at anchor y = hi
-	// enters, and a column (entering minus departing pairs) gains what its
-	// entering side gains and what its departing side loses.
-	pk := k.pk[:0]
-	gather := func(box func(p *dirPlan)) (end int) {
-		for i := range k.plans {
-			box(&k.plans[i])
+		if dx := max(d[0], -d[0]); dx != 0 {
+			uniform = uniform && (span == 0 || span == dx)
+			span = dx
 		}
-		return len(pk)
+		k.plans = append(k.plans, dirPlan{off: off, lo: lo, hi: hi, link: d[0] != 0})
+		k.roiPairs += uint64(hi[0]-lo[0]) * uint64(hi[1]-lo[1]) * uint64(hi[2]-lo[2]) * uint64(hi[3]-lo[3])
 	}
-	var end [4]int
-	end[0] = gather(func(p *dirPlan) {
+	k.span = 0
+	if uniform {
+		k.span = max(span, 1)
+	}
+	// Each program is gathered from the directions keep admits, over the
+	// anchor box (x and y ranges; z and t are always whole) box returns.
+	fits := true
+	gather := func(pr *pairProg, keep func(p *dirPlan) bool, box func(p *dirPlan) (x0, x1, y0, y1 int)) {
+		pk := k.pk[:0]
+		for i := range k.plans {
+			if p := &k.plans[i]; keep(p) {
+				x0, x1, y0, y1 := box(p)
+				pk = p.appendPairs(pk, strides, x0, x1, y0, y1)
+			}
+		}
+		k.pk = pk
+		fits = fits && len(pk) <= math.MaxInt32
+		pr.compile(pk)
+	}
+	all := func(*dirPlan) bool { return true }
+	gather(&k.sub, all, func(p *dirPlan) (int, int, int, int) {
 		subLo, subHi, _, _ := slabX(p.lo[0], p.hi[0], stride)
-		pk = p.appendPairs(pk, strides, subLo, subHi, p.lo[1], p.hi[1])
+		return subLo, subHi, p.lo[1], p.hi[1]
 	})
-	end[1] = gather(func(p *dirPlan) {
+	gather(&k.add, all, func(p *dirPlan) (int, int, int, int) {
 		_, _, addLo, addHi := slabX(p.lo[0], p.hi[0], stride)
-		pk = p.appendPairs(pk, strides, addLo, addHi, p.lo[1], p.hi[1])
+		return addLo, addHi, p.lo[1], p.hi[1]
 	})
-	end[2], end[3] = end[1], end[1]
-	if stride == 1 { // the column path needs it; see PlanRows
-		end[2] = gather(func(p *dirPlan) {
-			pk = p.appendPairs(pk, strides, p.lo[0], p.lo[0]+1, p.lo[1], p.lo[1]+1)
-			pk = p.appendPairs(pk, strides, p.hi[0], p.hi[0]+1, p.hi[1], p.hi[1]+1)
-		})
-		end[3] = gather(func(p *dirPlan) {
-			pk = p.appendPairs(pk, strides, p.lo[0], p.lo[0]+1, p.hi[1], p.hi[1]+1)
-			pk = p.appendPairs(pk, strides, p.hi[0], p.hi[0]+1, p.lo[1], p.lo[1]+1)
-		})
+	if k.span > 0 {
+		// A column's pairs have their left-most voxel in it: anchor x = lo[0]
+		// (0, or span for dx < 0, whose neighbor is then the column's voxel).
+		for which := range k.col {
+			progs := &k.col[which]
+			keep := func(p *dirPlan) bool { return p.link == (which == 1) }
+			gather(&progs[progAll], keep, func(p *dirPlan) (int, int, int, int) { return p.lo[0], p.lo[0] + 1, p.lo[1], p.hi[1] })
+			gather(&progs[progOut], keep, func(p *dirPlan) (int, int, int, int) { return p.lo[0], p.lo[0] + 1, p.lo[1], p.lo[1] + 1 })
+			gather(&progs[progIn], keep, func(p *dirPlan) (int, int, int, int) { return p.lo[0], p.lo[0] + 1, p.hi[1], p.hi[1] + 1 })
+		}
 	}
-	k.pk = pk
-	if len(pk) > math.MaxInt32 {
-		return false
-	}
-	k.sub.compile(pk[:end[0]])
-	k.add.compile(pk[end[0]:end[1]])
-	k.inc.compile(pk[end[1]:end[2]])
-	k.dec.compile(pk[end[2]:end[3]])
-	return true
+	return fits
 }
 
 // Reset discards all accumulated pairs and any carried row. The plan is
@@ -272,6 +302,7 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block in
 func (k *Blocked) Reset() {
 	clear(k.counts)
 	k.pairs = 0
+	k.wlo, k.whi = 0, k.g-1
 	k.carried = -1
 }
 
@@ -304,6 +335,7 @@ func (k *Blocked) addRun(data []uint8, i0, j0, n int) {
 // over its valid rows, each row one flat x run against the neighbor stride.
 // The ROI rows stay L1-resident across the per-direction sweeps.
 func (k *Blocked) Accumulate(data []uint8, base int) {
+	k.wlo, k.whi = 0, k.g-1
 	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
 	block := k.block
 	gg := k.g * k.g
@@ -355,6 +387,7 @@ func (k *Blocked) Accumulate(data []uint8, base int) {
 // invariant. Exact integer update: the result is bit-identical to Reset +
 // Accumulate at the new origin.
 func (k *Blocked) Slide(data []uint8, base int) {
+	k.wlo, k.whi = 0, k.g-1
 	gg := k.g * k.g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
 	// Rebase once so the hot loops index the program offsets directly.
@@ -368,135 +401,194 @@ func (k *Blocked) Slide(data []uint8, base int) {
 // x-slab slide.
 const colBudget = 4 << 20
 
-// colGain is how many cells of the dense column pass cost as much as one
-// scattered read-modify-write of a pair program (measured ≈ 4: the pass
-// streams, the program chases data-dependent cells): the column path is
-// taken only when it saves more than G×G/colGain scattered updates per ROI.
+// colGain prices the column path's dense work against the scattered
+// read-modify-writes of a pair program: the path is taken only when it saves
+// more than G×G/colGain of them per ROI. The dense pass and the snapshot scan
+// the gray-level window, so their cost follows the data: at the rule's edge
+// (BenchmarkRowWalk, table in DESIGN §13) a window that never narrows —
+// full-range noise — costs 1.1–1.75× the x-slab walk, where the narrow
+// windows of real images gain 2.4–5×; every geometry the rule admits is
+// faster than under PR 17's merged columns on either kind of data.
 const colGain = 4
 
 // PlanRows chooses how StartRow/Step walk raster rows of nx consecutive
 // origins and reports whether the column path was chosen. On it, sliding
-// along x is the dense pass scratch += column over G×G cells, and a row
-// directly below the previous one (same data, flat origin one y stride
-// further) updates each column by its inc/dec programs and y-slides the
-// row's first matrix instead of rebuilding anything; any other row rebuilds
-// its columns with the slide programs. The x-slab slide stays the choice
-// when nothing is saved — a stride other than 1, a single origin, slide
-// programs no larger than the column programs plus the dense pass — or when
-// the row's columns exceed colBudget.
+// along x is the dense pass scratch += S[i+W] + C[i+W−span] − S[i] − C[i]
+// over the gray-level window of the columns involved, and a row directly
+// below the previous one (same data, flat origin one y stride further) brings
+// each slab column's two stores down one voxel row, once, instead of
+// rebuilding anything; any other row rebuilds them. The x-slab slide stays
+// the choice when nothing is saved — a stride other than 1 or link pairs of
+// more than one x span, a single origin, slide programs no larger than the
+// column programs plus the dense pass — or when the row's stores exceed
+// colBudget. The choice depends on G, the ROI shape, the direction set and
+// the row length only, never on the data.
 func (k *Blocked) PlanRows(nx int) bool {
 	gg := k.g * k.g
-	saved := len(k.sub.nbr) + len(k.add.nbr) - len(k.inc.nbr) - len(k.dec.nbr)
-	cols := k.stride == 1 && nx >= 2 && (nx-1)*gg*4 <= colBudget && saved*colGain > gg
-	if !cols {
-		nx = 1
+	n := nx + k.shape[0] - 1
+	saved := len(k.sub.nbr) + len(k.add.nbr)
+	for _, progs := range k.col {
+		saved -= len(progs[progOut].nbr) + len(progs[progIn].nbr)
 	}
-	k.setCols(nx - 1)
+	cols := k.span > 0 && nx >= 2 && 2*n*gg*4 <= colBudget && saved*colGain > gg
+	if !cols {
+		n = 0
+	}
+	k.setCols(n)
 	return cols
 }
 
-// setCols selects the column path with n columns per row (a stride-1 plan
-// only), or the x-slab walk when n is 0.
+// setCols selects the column path for rows of n slab columns (a plan with a
+// span only), or the x-slab walk when n is 0.
 func (k *Blocked) setCols(n int) {
-	k.ncols, k.carried = n, -1
-	if n == 0 {
+	k.ncol, k.carried = n, -1
+	if need := 2 * n * k.g * k.g; cap(k.store) < need {
+		k.store = make([]uint32, need)
+		k.lev = make([]uint32, n*k.g)
+		k.clo, k.chi = make([]uint8, n), make([]uint8, n)
+	}
+}
+
+// hist returns slab column c's S (which = 0) or C (which = 1) store, cut to
+// exactly G×G so an out-of-range gray level fails the bounds check instead
+// of landing in the next store.
+func (k *Blocked) hist(c, which int) []uint32 {
+	gg := k.g * k.g
+	o := (2*c + which) * gg
+	return k.store[o : o+gg : o+gg]
+}
+
+// enter brings slab column e up to the current row: its level histogram and
+// bounds, S[e], and the one link store it completes, C[e−span]. A continued
+// row moves each one voxel row down y — only the voxel row that leaves the
+// ROI's y extent and the one that enters it take part; any other row rebuilds
+// them.
+func (k *Blocked) enter(data []uint8, e int) {
+	g, sy, sz, st := k.g, k.strides[1], k.strides[2], k.strides[3]
+	lev := k.lev[e*g : (e+1)*g : (e+1)*g] // a level ≥ G fails the bounds check
+	lo, hi := g-1, 0
+	if k.cont {
+		lo, hi = int(k.clo[e]), int(k.chi[e])
+	} else {
+		clear(lev)
+	}
+	for t := 0; t < k.shape[3]; t++ {
+		for z := 0; z < k.shape[2]; z++ {
+			p := k.rowBase + e + t*st + z*sz
+			y0 := 0
+			if k.cont {
+				lev[data[p-sy]]--
+				y0 = k.shape[1] - 1
+			}
+			for y := y0; y < k.shape[1]; y++ {
+				v := int(data[p+y*sy])
+				lev[v]++
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+	}
+	for lev[lo] == 0 { // the column holds at least one voxel
+		lo++
+	}
+	for lev[hi] == 0 {
+		hi--
+	}
+	k.clo[e], k.chi[e] = uint8(lo), uint8(hi)
+
+	k.bring(0, e, data)
+	if e >= k.span {
+		k.bring(1, e-k.span, data)
+	}
+}
+
+// bring updates slab column c's S (which = 0) or C (which = 1) store by the
+// column's programs: rebuilt, or carried down from the row above.
+func (k *Blocked) bring(which, c int, data []uint8) {
+	progs, h, base := &k.col[which], k.hist(c, which), k.rowBase+c
+	if k.cont {
+		dd := data[base-k.strides[1]:]
+		progs[progOut].replay(h, h, k.mul, dd, ^uint32(0))
+		progs[progIn].replay(h, h, k.mul, dd, 1)
 		return
 	}
-	gg := k.g * k.g
-	if cap(k.cols) < n*gg {
-		k.cols = make([]uint32, n*gg)
+	clear(h)
+	progs[progAll].replay(h, h, k.mul, data[base:], 1)
+}
+
+// levelBounds returns the gray-level range of slab columns [c0, c1).
+func (k *Blocked) levelBounds(c0, c1 int) (lo, hi int) {
+	lo, hi = k.g-1, 0
+	for c := c0; c < c1; c++ {
+		lo, hi = min(lo, int(k.clo[c])), max(hi, int(k.chi[c]))
 	}
-	k.cols = k.cols[:n*gg]
-	if k.first == nil {
-		k.first = make([]uint32, gg)
-	}
+	return lo, hi
 }
 
 // StartRow positions the kernel on the ROI at flat offset base, the first
 // origin of a raster row; Step then advances along x. data must not change
-// between rows that are to share work.
+// between rows that are to share work. On the column path the first matrix
+// is the windowed sum of the stores of its W columns.
 func (k *Blocked) StartRow(data []uint8, base int) {
-	k.cont = k.ncols > 0 && k.carried >= 0 && base == k.carried+k.strides[1]
-	k.carried = -1 // until the last Step of this row
+	k.cont = k.ncol > 0 && k.carried >= 0 && base == k.carried+k.strides[1]
+	k.Reset() // drops the carry until the last Step of this row
 	k.base, k.rowBase = base, base
-	gg := k.g * k.g
-	c0, c1 := k.counts[:gg], k.counts[gg:]
-	if k.cont {
-		k.slideFirst(data, base-k.strides[1])
-		copy(c0, k.first)
-		clear(c1)
+	if k.ncol == 0 {
+		k.Accumulate(data, base)
 		return
 	}
-	k.Reset()
-	k.Accumulate(data, base)
-	if k.ncols > 0 {
-		first := k.first[:gg]
-		for i, c := range c0 {
-			first[i] = c + c1[i]
+	w := k.shape[0]
+	for e := 0; e < w; e++ {
+		k.enter(data, e)
+	}
+	k.wlo, k.whi = k.levelBounds(0, w)
+	k.pairs = k.roiPairs
+	for c := 0; c < w; c++ {
+		k.addStore(k.hist(c, 0))
+		if c+k.span < w { // else C[c] reaches beyond the ROI
+			k.addStore(k.hist(c, 1))
 		}
 	}
 }
 
-// slideFirst moves first — the pairs of the ROI at flat offset base — one
-// voxel down y: per direction the anchor row at y = lo leaves and the one at
-// y = hi enters, each one x run per z/t.
-func (k *Blocked) slideFirst(data []uint8, base int) {
-	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
-	first := k.first
-	mul := k.mul[:256]
-	for pi := range k.plans {
-		p := &k.plans[pi]
-		w := p.hi[0] - p.lo[0]
-		for t := p.lo[3]; t < p.hi[3]; t++ {
-			for z := p.lo[2]; z < p.hi[2]; z++ {
-				out := base + t*st + z*sz + p.lo[1]*sy + p.lo[0]
-				in := out + (p.hi[1]-p.lo[1])*sy
-				av, cv := data[out:out+w], data[out+p.off:out+p.off+w]
-				for x, a := range av {
-					first[int(mul[a])+int(cv[x])]--
-				}
-				av, cv = data[in:in+w], data[in+p.off:in+p.off+w]
-				for x, a := range av {
-					first[int(mul[a])+int(cv[x])]++
-				}
-			}
+// addStore adds the store h to the scratch over the gray-level window.
+func (k *Blocked) addStore(h []uint32) {
+	g := k.g
+	for a := k.wlo; a <= k.whi; a++ {
+		m := k.counts[a*g+k.wlo : a*g+k.whi+1]
+		hr := h[a*g+k.wlo:][:len(m)]
+		for j := range m {
+			m[j] += hr[j]
 		}
 	}
 }
 
 // Step advances the kernel from the current ROI to the next origin along x:
-// one Slide on the x-slab walk; on the column path, bring column i up to
-// this row (replay inc/dec against the row above, or rebuild it from the
-// slide programs) and add it to the scratch. Exact integer updates either
-// way: every snapshot is bit-identical to Reset + Accumulate at that origin.
+// one Slide on the x-slab walk; on the column path, bring the entering slab
+// column up to this row and add what the move changes — the entering
+// column's stores minus the departing one's — over the level window of the
+// W+1 columns involved. Exact integer updates either way: every snapshot is
+// bit-identical to Reset + Accumulate at that origin.
 func (k *Blocked) Step(data []uint8) {
-	if k.ncols == 0 {
+	if k.ncol == 0 {
 		k.Slide(data, k.base)
 		k.base += k.stride
 		return
 	}
-	gg := k.g * k.g
+	g, w := k.g, k.shape[0]
 	i := k.base - k.rowBase
-	// Cut to exactly G×G so an out-of-range gray level fails the bounds
-	// check instead of landing in the next column.
-	col := k.cols[i*gg : (i+1)*gg : (i+1)*gg]
-	if k.cont {
-		dd := data[k.base-k.strides[1]:]
-		k.inc.replay(col, col, k.mul, dd, 1)
-		k.dec.replay(col, col, k.mul, dd, ^uint32(0))
-	} else {
-		clear(col)
-		dd := data[k.base:]
-		k.sub.replay(col, col, k.mul, dd, ^uint32(0))
-		k.add.replay(col, col, k.mul, dd, 1)
-	}
-	m := k.counts[:gg]
-	col = col[:len(m)]
-	for j := range m {
-		m[j] += col[j]
+	k.enter(data, i+w)
+	k.wlo, k.whi = k.levelBounds(i+1, i+w+1)
+	lo, hi := min(k.wlo, int(k.clo[i])), max(k.whi, int(k.chi[i]))
+	sIn, cIn, sOut, cOut := k.hist(i+w, 0), k.hist(i+w-k.span, 1), k.hist(i, 0), k.hist(i, 1)
+	for a := lo; a <= hi; a++ {
+		m := k.counts[a*g+lo : a*g+hi+1]
+		si, ci, so, co := sIn[a*g+lo:][:len(m)], cIn[a*g+lo:][:len(m)], sOut[a*g+lo:][:len(m)], cOut[a*g+lo:][:len(m)]
+		for j := range m {
+			m[j] += si[j] + ci[j] - so[j] - co[j]
+		}
 	}
 	k.base++
-	if i == k.ncols-1 {
+	if i+w == k.ncol-1 {
 		k.carried = k.rowBase
 	}
 }
@@ -514,13 +606,17 @@ func (k *Blocked) SnapshotFull(m *Full) {
 	gg := g * g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
 	out := m.Counts
-	for i, ri := 0, 0; i < g; i, ri = i+1, ri+g {
+	lo, hi := k.wlo, k.whi
+	if hi-lo+1 < g {
+		clear(out) // cells outside the window are zero
+	}
+	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]
 		r1 = r1[:len(r0)]
 		rowO := out[ri : ri+g]
 		rowO[i] = 2 * (r0[i] + r1[i])
-		for j, ji := i+1, ri+g+i; j < g; j, ji = j+1, ji+g {
+		for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
 			c := r0[j] + r1[j] + c0[ji] + c1[ji]
 			rowO[j] = c
 			out[ji] = c
@@ -548,14 +644,15 @@ func (k *Blocked) AppendSparse(dst []Entry) []Entry {
 	g := k.g
 	gg := g * g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
-	for i, ri := 0, 0; i < g; i, ri = i+1, ri+g {
+	lo, hi := k.wlo, k.whi
+	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]
 		r1 = r1[:len(r0)]
 		if c := r0[i] + r1[i]; c != 0 {
 			dst = append(dst, Entry{I: uint8(i), J: uint8(i), Count: 2 * c})
 		}
-		for j, ji := i+1, ri+g+i; j < g; j, ji = j+1, ji+g {
+		for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
 			if c := r0[j] + r1[j] + c0[ji] + c1[ji]; c != 0 {
 				dst = append(dst, Entry{I: uint8(i), J: uint8(j), Count: c})
 			}

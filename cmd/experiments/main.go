@@ -26,13 +26,14 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/experiments"
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/readahead"
 )
 
 // validateCountFlags rejects the negative values the flag package happily
 // parses; 0 keeps each flag's documented meaning (synchronous reads, all
-// CPUs).
+// CPUs) and -readahead auto is no count.
 func validateCountFlags(readAhead, kernelWorkers int) error {
-	if readAhead < 0 {
+	if readAhead < 0 && readAhead != readahead.Auto {
 		return fmt.Errorf("-readahead must be >= 0, got %d", readAhead)
 	}
 	if kernelWorkers < 0 {
@@ -59,7 +60,7 @@ func main() {
 		computeS = flag.Float64("compute-scale", experiments.DefaultComputeScale, "virtual seconds per host second on a speed-1 node")
 		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
 		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy (the kernel figure sweeps both)")
-		rdAhead  = flag.Int("readahead", 4, "I/O windows the reader filters fetch ahead of the pipeline (0 = synchronous reads; outputs are identical either way)")
+		rdAhead  = 4
 		cacheBl  = flag.Int("cache-blocks", 0, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
 		cacheBS  = flag.Int("cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
 		memoP    = flag.String("memo", "", "autotune sweep memo file recording measured cells across invocations (default: autotune-memo.json next to the dataset; \"off\" disables)")
@@ -72,8 +73,12 @@ func main() {
 		metJSON  = flag.String("metrics-json", "", "write the last figure's run report as JSON to this file (\"-\" for stdout)")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	)
+	flag.Func("readahead", "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` (default 4: the figures are fixed-depth ablations), 0 (synchronous reads) or auto (self-sized); outputs are identical either way", func(s string) (err error) {
+		rdAhead, err = cliflags.ParseReadAhead(s)
+		return err
+	})
 	flag.Parse()
-	if err := validateCountFlags(*rdAhead, *kworkers); err != nil {
+	if err := validateCountFlags(rdAhead, *kworkers); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -145,7 +150,7 @@ func main() {
 	env.ComputeScale = *computeS
 	env.KernelWorkers = *kworkers
 	env.Kernel = kernel
-	env.ReadAhead = *rdAhead
+	env.ReadAhead = rdAhead
 	env.StallTimeout = stallTimeout
 	switch *memoP {
 	case "":

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"haralick4d/internal/cliflags"
+	"haralick4d/internal/readahead"
 )
 
 func TestValidateCountFlags(t *testing.T) {
@@ -15,6 +16,7 @@ func TestValidateCountFlags(t *testing.T) {
 	}{
 		{0, 0, ""},
 		{4, 1, ""},
+		{readahead.Auto, 1, ""}, // -readahead auto is no count
 		{-1, 1, "-readahead must be >= 0, got -1"},
 		{4, -1, "-kernel-workers must be >= 0, got -1"},
 	}

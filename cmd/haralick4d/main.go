@@ -100,9 +100,9 @@ const defaultKernelWorkers = 0
 
 // validateCountFlags rejects the negative values the flag package happily
 // parses; 0 keeps each flag's documented meaning (synchronous reads, all
-// CPUs, untiled kernel rows).
+// CPUs, untiled kernel rows) and -readahead auto is no count.
 func validateCountFlags(readAhead, kernelWorkers, kernelBlock int) error {
-	if readAhead < 0 {
+	if readAhead < 0 && readAhead != pipeline.ReadAheadAuto {
 		return fmt.Errorf("-readahead must be >= 0, got %d", readAhead)
 	}
 	if kernelWorkers < 0 {
@@ -132,7 +132,7 @@ func main() {
 		repS     = flag.String("rep", "full", "matrix representation: full, full-noskip, sparse")
 		policyS  = flag.String("policy", "demand-driven", "buffer scheduling: round-robin or demand-driven")
 		engineS  = flag.String("engine", "local", "execution engine: local, tcp, sim")
-		rdAhead  = flag.Int("readahead", 4, "I/O windows the dataset readers fetch ahead of the pipeline (0 = synchronous reads)")
+		rdAhead  = pipeline.ReadAheadAuto
 		codecS   = flag.String("wire-codec", "binary", "TCP wire codec: binary or gob")
 		retryS   = flag.String("retry", "", "TCP link retry policy \"attempts[,base[,max]]\", e.g. \"5,10ms,1s\" (empty = single-shot sends)")
 		faultS   = flag.String("fault-policy", "fail-fast", "degraded-slice handling: fail-fast or skip-degraded")
@@ -165,6 +165,10 @@ func main() {
 		metJSON  = flag.String("metrics-json", "", "write the run report as JSON to this file (\"-\" for stdout)")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	)
+	flag.Func("readahead", "I/O windows each dataset reader keeps in flight ahead of the pipeline: `N`, 0 (synchronous reads) or auto (the default: each reader sizes itself from its measured fetch and emit times)", func(s string) (err error) {
+		rdAhead, err = cliflags.ParseReadAhead(s)
+		return err
+	})
 	flag.Parse()
 	if *data == "" && *dataURL == "" {
 		fmt.Fprintln(os.Stderr, "haralick4d: -data or -dataset-url is required")
@@ -207,7 +211,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := validateCountFlags(*rdAhead, *kworkers, *kblock); err != nil {
+	if err := validateCountFlags(rdAhead, *kworkers, *kblock); err != nil {
 		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -359,7 +363,7 @@ func main() {
 			layout.HPCNodes = tex // co-located pairs (the paper's best layout)
 		}
 	}
-	cfg.ReadAhead = *rdAhead
+	cfg.ReadAhead = rdAhead
 	cfg.FaultPolicy = faultPolicy
 	var ctrl *autotune.Controller
 	if *tuneF {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"haralick4d/internal/cliflags"
+	"haralick4d/internal/pipeline"
 )
 
 // The default run is the parallel kernel, not the sequential oracle.
@@ -25,6 +26,7 @@ func TestValidateCountFlags(t *testing.T) {
 	}{
 		{0, 0, 0, ""},
 		{4, 8, 16, ""},
+		{pipeline.ReadAheadAuto, 0, 0, ""}, // -readahead auto is no count
 		{-1, 0, 0, "-readahead must be >= 0, got -1"},
 		{0, -3, 0, "-kernel-workers must be >= 0, got -3"},
 		{0, 0, -4, "-kernel-block must be >= 0, got -4"},

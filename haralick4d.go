@@ -103,6 +103,10 @@ const (
 	KernelLegacy = core.KernelLegacy
 )
 
+// ReadAheadAuto as Options.ReadAhead lets every dataset reader size its own
+// read-ahead depth; the CLI's default.
+const ReadAheadAuto = pipeline.ReadAheadAuto
+
 // ParseKernelMode returns the kernel mode with the given canonical name
 // ("auto", "blocked", "legacy").
 func ParseKernelMode(s string) (KernelMode, error) { return core.ParseKernelMode(s) }
@@ -163,9 +167,10 @@ type Options struct {
 	// stays nil. Metrics are on by default and cost a few atomic operations
 	// per stream buffer.
 	DisableMetrics bool
-	// ReadAhead is the number of I/O windows the dataset readers fetch and
-	// decode ahead of the pipeline (AnalyzeDataset only). 0 — the default —
-	// reads synchronously; any depth produces bit-identical outputs.
+	// ReadAhead is the number of I/O windows each dataset reader keeps in
+	// flight (fetch + decode) ahead of the pipeline (AnalyzeDataset only).
+	// 0 — the default — reads synchronously, ReadAheadAuto self-sizes; any
+	// depth produces bit-identical outputs.
 	ReadAhead int
 	// FaultPolicy selects how AnalyzeDataset handles degraded slices —
 	// checksum mismatches, truncated or missing files. FailFast (the zero

@@ -5,11 +5,23 @@ package cliflags
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"haralick4d/internal/dataset"
+	"haralick4d/internal/readahead"
 	"haralick4d/internal/resilience"
 )
+
+// ParseReadAhead reads the value of -readahead: a count of windows, or
+// "auto" for readahead.Auto. Negative counts parse; the CLIs'
+// validateCountFlags rejects them with the other count flags.
+func ParseReadAhead(s string) (int, error) {
+	if s == "auto" {
+		return readahead.Auto, nil
+	}
+	return strconv.Atoi(s)
+}
 
 // ParseRestartFlags validates the checkpoint/restart and watchdog flag
 // subset and converts the duration strings. Empty strings select the

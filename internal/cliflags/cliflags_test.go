@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"haralick4d/internal/readahead"
 )
 
 func TestParseRestartFlags(t *testing.T) {
@@ -90,5 +92,21 @@ func TestParseServeFlags(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestParseReadAhead: -readahead takes a count or "auto"; a negative count
+// parses (the CLIs reject it with their other count flags) and anything else
+// is a usage error.
+func TestParseReadAhead(t *testing.T) {
+	for in, want := range map[string]int{"auto": readahead.Auto, "0": 0, "64": 64, "-3": -3} {
+		if got, err := ParseReadAhead(in); err != nil || got != want {
+			t.Errorf("ParseReadAhead(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "deep", "4.5", "Auto"} {
+		if got, err := ParseReadAhead(bad); err == nil {
+			t.Errorf("ParseReadAhead(%q) accepted as %d", bad, got)
+		}
 	}
 }

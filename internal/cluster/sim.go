@@ -155,12 +155,8 @@ func (e *engine) buildReport() *metrics.RunReport {
 				MsgsOut:       p.stats.MsgsOut,
 				BytesIn:       p.stats.BytesIn,
 				BytesOut:      p.stats.BytesOut,
-				Spans:         p.met.Spans(),
 			}
-			if p.met != nil {
-				cr.PoolHits = p.met.PoolHit.Load()
-				cr.PoolMisses = p.met.PoolMiss.Load()
-			}
+			p.met.Fill(&cr)
 			fr.Copies = append(fr.Copies, cr)
 		}
 		rep.Filters = append(rep.Filters, fr)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"haralick4d/internal/readahead"
 	"haralick4d/internal/resilience"
 )
 
@@ -25,9 +26,10 @@ const DefaultHTTPAttempts = 3
 const maxServerBackoff = 2 * time.Second
 
 // httpIdleConnsPerHost sizes the keep-alive pool of a backend-owned transport
-// to cover the reads in flight at once (reader copies × read-ahead depth):
-// net/http's default of 2 closes every further connection after one response.
-const httpIdleConnsPerHost = 64
+// to cover the reads a run keeps in flight at once — the read-ahead budget
+// its self-sized readers share: net/http's default of 2 closes every further
+// connection after one response.
+const httpIdleConnsPerHost = readahead.BudgetWindows
 
 // HTTPBackend serves a dataset from a remote HTTP(S) server using range
 // reads — an object-store-style remote: the server only needs to answer GET

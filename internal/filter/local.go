@@ -484,12 +484,8 @@ func (rt *runtime) buildReport(elapsed time.Duration) *metrics.RunReport {
 				MsgsOut:       st.stats.MsgsOut,
 				BytesIn:       st.stats.BytesIn,
 				BytesOut:      st.stats.BytesOut,
-				Spans:         st.met.Spans(),
 			}
-			if st.met != nil {
-				cr.PoolHits = st.met.PoolHit.Load()
-				cr.PoolMisses = st.met.PoolMiss.Load()
-			}
+			st.met.Fill(&cr)
 			cr.Failed = st.stats.Failed
 			cr.Failure = st.failMsg
 			fr.Copies = append(fr.Copies, cr)

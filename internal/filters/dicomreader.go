@@ -21,12 +21,12 @@ type DFRConfig struct {
 	Study      *dicom.Study
 	Chunker    *volume.Chunker
 	GrayLevels int
-	// ReadAhead is the number of slices a small worker pool decodes ahead
-	// of the emit loop; 0 reads synchronously, reproducing the un-staged
-	// reader exactly.
+	// ReadAhead is the number of slices each copy keeps in flight (decode +
+	// requantization) ahead of the emit loop; 0 reads synchronously,
+	// reproducing the un-staged reader exactly; readahead.Auto self-sizes.
 	ReadAhead int
 	// ReadAheadGate, when set, overrides ReadAhead with a live-resizable
-	// prefetch budget shared by every DFR copy (autotune actuation point).
+	// bound on the slices in flight over all DFR copies, moved by its maker.
 	ReadAheadGate *readahead.Gate
 	// FaultPolicy selects what a failed slice decode does: fault.FailFast
 	// (zero value) aborts the run; fault.SkipDegraded replaces the lost
@@ -90,14 +90,8 @@ func NewDFR(cfg DFRConfig) func(int) filter.Filter {
 				}
 				return window, nil
 			}
-			var ra *readahead.Reader[*volume.Region]
-			if cfg.ReadAheadGate != nil {
-				ra = readahead.NewGated(fetch, len(slices), cfg.ReadAheadGate)
-			} else {
-				ra = readahead.New(fetch, len(slices), cfg.ReadAhead)
-			}
-			defer ra.Close()
-			async := cfg.ReadAheadGate != nil || cfg.ReadAhead > 0
+			ra, async := startReadAhead(ctx, fetch, len(slices), 2*X*Y, cfg.ReadAhead, cfg.ReadAheadGate)
+			defer func() { met.ReadAhead(ra.Depth()); ra.Close() }()
 			for i := range slices {
 				var wait metrics.Span
 				if async {

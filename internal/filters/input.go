@@ -43,14 +43,15 @@ type RFRConfig struct {
 	// whole slices ("a RFR filter can read one image slice without any disk
 	// seek operations").
 	IOChunk [2]int
-	// ReadAhead is the number of I/O windows a small worker pool fetches
-	// (positioned reads + requantization) ahead of the emit loop. 0 reads
-	// synchronously, reproducing the un-staged reader exactly.
+	// ReadAhead is the number of I/O windows each copy keeps in flight
+	// (positioned read + requantization) ahead of the emit loop. 0 reads
+	// synchronously, reproducing the un-staged reader exactly;
+	// readahead.Auto sizes each copy's depth from what it measures.
 	ReadAhead int
 	// ReadAheadGate, when set, overrides ReadAhead with a live-resizable
-	// prefetch budget shared by every RFR copy — the autotune controller's
-	// actuation point. The gate only changes how far reads run ahead;
-	// emission order and content are untouched.
+	// bound on the windows in flight over all RFR copies together, moved
+	// only by its maker (autotune controller, daemon governor). It changes
+	// how far reads run ahead; emission order and content are untouched.
 	ReadAheadGate *readahead.Gate
 	// FaultPolicy selects what a failed slice read does: fault.FailFast
 	// (zero value) aborts the run with the read error; fault.SkipDegraded
@@ -133,7 +134,7 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 					}
 				}
 			}
-			// fetch runs on the read-ahead workers (or inline when
+			// fetch runs on the read-ahead goroutines (or inline when
 			// ReadAhead is 0): one positioned read plus the uint16→gray
 			// decode, into a pooled window region the emit loop recycles.
 			// Whole-slice windows go through ReadSliceInto, which verifies
@@ -164,14 +165,8 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 				}
 				return window, nil
 			}
-			var ra *readahead.Reader[*volume.Region]
-			if cfg.ReadAheadGate != nil {
-				ra = readahead.NewGated(fetch, len(windows), cfg.ReadAheadGate)
-			} else {
-				ra = readahead.New(fetch, len(windows), cfg.ReadAhead)
-			}
-			defer ra.Close()
-			async := cfg.ReadAheadGate != nil || cfg.ReadAhead > 0
+			ra, async := startReadAhead(ctx, fetch, len(windows), 2*iox*ioy, cfg.ReadAhead, cfg.ReadAheadGate)
+			defer func() { met.ReadAhead(ra.Depth()); ra.Close() }()
 			for i := range windows {
 				var wait metrics.Span
 				if async {
@@ -205,6 +200,20 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 			return nil
 		})
 	}
+}
+
+// startReadAhead opens a reader copy's prefetch stage over n windows of
+// windowBytes raw bytes each — on the run's shared gate when there is one,
+// self-sized under readahead.Auto, at the fixed depth otherwise — and
+// reports whether fetches run ahead of Next at all.
+func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n, windowBytes, depth int, gate *readahead.Gate) (*readahead.Reader[*volume.Region], bool) {
+	switch {
+	case gate != nil:
+		return readahead.NewGated(fetch, n, gate), true
+	case depth == readahead.Auto:
+		return readahead.NewAuto(fetch, n, readahead.AutoCap(ctx.NumCopies(), windowBytes)), true
+	}
+	return readahead.New(fetch, n, depth), depth > 0
 }
 
 // emitPieces cuts a filled window into the pieces needed by each texture

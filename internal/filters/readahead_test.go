@@ -8,6 +8,7 @@ import (
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/dicom"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/readahead"
 	"haralick4d/internal/volume"
 )
 
@@ -63,8 +64,8 @@ func compareChunkSets(t *testing.T, ck *volume.Chunker, base map[int]*volume.Reg
 }
 
 // TestRFRReadAheadInvariance checks the tentpole contract: any read-ahead
-// depth produces chunk data identical to the synchronous reader, for both
-// whole-slice and positioned sub-window reads.
+// depth, fixed or self-sized, produces chunk data identical to the
+// synchronous reader, for both whole-slice and positioned sub-window reads.
 func TestRFRReadAheadInvariance(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
@@ -90,7 +91,7 @@ func TestRFRReadAheadInvariance(t *testing.T) {
 			}), ck)
 		}
 		sync0 := run(0)
-		compareChunkSets(t, ck, sync0, run(1), run(4), run(64))
+		compareChunkSets(t, ck, sync0, run(1), run(4), run(64), run(readahead.Auto))
 	}
 }
 
@@ -119,5 +120,5 @@ func TestDFRReadAheadInvariance(t *testing.T) {
 		}), ck)
 	}
 	sync0 := run(0)
-	compareChunkSets(t, ck, sync0, run(1), run(4), run(64))
+	compareChunkSets(t, ck, sync0, run(1), run(4), run(64), run(readahead.Auto))
 }

@@ -109,6 +109,31 @@ const (
 type Copy struct {
 	Read, ReadWait, Assemble, Compute, Emit, Write Timer
 	PoolHit, PoolMiss                              Counter
+	// A reader copy's read-ahead depth: where it ended, the greatest it
+	// reached, and the limit it was given (set once, as the copy finishes).
+	ReadAheadDepth, ReadAheadPeak, ReadAheadLimit MaxGauge
+}
+
+// ReadAhead records a reader copy's final, peak and limiting read-ahead
+// depth (no-op on nil receiver).
+func (c *Copy) ReadAhead(depth, peak, limit int) {
+	if c == nil {
+		return
+	}
+	c.ReadAheadDepth.Observe(int64(depth))
+	c.ReadAheadPeak.Observe(int64(peak))
+	c.ReadAheadLimit.Observe(int64(limit))
+}
+
+// Fill copies what the filter recorded into its row of the run report
+// (no-op on nil receiver).
+func (c *Copy) Fill(cr *CopyReport) {
+	if c == nil {
+		return
+	}
+	cr.Spans = c.Spans()
+	cr.PoolHits, cr.PoolMisses = c.PoolHit.Load(), c.PoolMiss.Load()
+	cr.ReadAheadDepth, cr.ReadAheadPeak, cr.ReadAheadLimit = c.ReadAheadDepth.Load(), c.ReadAheadPeak.Load(), c.ReadAheadLimit.Load()
 }
 
 // StartRead opens a read span (no-op on nil receiver).

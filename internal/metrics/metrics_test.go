@@ -48,6 +48,8 @@ func TestNilCopyIsSafe(t *testing.T) {
 	c.StartEmit().End()
 	c.StartWrite().End()
 	c.Pool(true)
+	c.ReadAhead(4, 8, 16)
+	c.Fill(&CopyReport{})
 	if c.Spans() != nil {
 		t.Fatalf("nil copy has spans")
 	}
@@ -156,6 +158,38 @@ func TestReportString(t *testing.T) {
 	for _, want := range []string{"HMP", "SRC", "critical path", "demand-driven", "pool hit=5"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestReadAheadDepthInReport: a reader copy's final, peak and limiting depth
+// travel from the copy's metric set into its report row and the printed
+// table, and Validate holds them to depth <= peak <= limit.
+func TestReadAheadDepthInReport(t *testing.T) {
+	c := &Copy{}
+	c.StartRead().End()
+	c.ReadAhead(12, 16, 16)
+	r := testReport()
+	c.Fill(&r.Filters[0].Copies[0])
+	row := r.Filters[0].Copies[0]
+	if row.ReadAheadDepth != 12 || row.ReadAheadPeak != 16 || row.ReadAheadLimit != 16 || row.Spans[SpanRead].Count != 1 {
+		t.Fatalf("Fill left depth %d peak %d limit %d spans %v", row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit, row.Spans)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.String(); !strings.Contains(s, "read-ahead copy 0: depth=12 peak=16 limit=16") {
+		t.Fatalf("String() does not print the read-ahead depth:\n%s", s)
+	}
+	data, err := r.JSON()
+	if err != nil || !strings.Contains(string(data), `"readahead_peak": 16`) {
+		t.Fatalf("JSON lacks readahead_peak (err %v)", err)
+	}
+	for _, bad := range [][3]int64{{17, 16, 16}, {4, 17, 16}, {-1, 4, 4}} {
+		row := &r.Filters[0].Copies[0]
+		row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit = bad[0], bad[1], bad[2]
+		if err := r.Validate(); err == nil {
+			t.Errorf("depth %d peak %d limit %d validated", bad[0], bad[1], bad[2])
 		}
 	}
 }

@@ -47,6 +47,13 @@ type CopyReport struct {
 	Spans         map[string]SpanStat `json:"spans,omitempty"`
 	PoolHits      int64               `json:"pool_hits,omitempty"`
 	PoolMisses    int64               `json:"pool_misses,omitempty"`
+	// A reader copy's read-ahead depth (windows in flight): where it ended,
+	// the peak it reached, and the limit it ran under — the fixed depth, the
+	// copy's share of the run's budget when self-sized, or its gate's quota.
+	// Peak against limit says why read-wait is what it is.
+	ReadAheadDepth int64 `json:"readahead_depth,omitempty"`
+	ReadAheadPeak  int64 `json:"readahead_peak,omitempty"`
+	ReadAheadLimit int64 `json:"readahead_limit,omitempty"`
 	// Failed marks a copy whose failure the engine tolerated via failover;
 	// Failure records the tolerated error.
 	Failed  bool   `json:"failed,omitempty"`
@@ -276,6 +283,12 @@ func (r *RunReport) Validate() error {
 	var busy int64
 	for i := range r.Filters {
 		busy += r.Filters[i].BusyNS
+		for _, c := range r.Filters[i].Copies {
+			if c.ReadAheadDepth < 0 || c.ReadAheadDepth > c.ReadAheadPeak || c.ReadAheadPeak > c.ReadAheadLimit {
+				return fmt.Errorf("metrics: %s copy %d read-ahead depth %d, peak %d outside its limit %d",
+					r.Filters[i].Name, c.Copy, c.ReadAheadDepth, c.ReadAheadPeak, c.ReadAheadLimit)
+			}
+		}
 	}
 	if busy <= 0 {
 		return fmt.Errorf("metrics: report has zero total busy time")
@@ -311,6 +324,11 @@ func (r *RunReport) String() string {
 			st := f.Spans[name]
 			fmt.Fprintf(&b, "    span %-9s count=%-7d total=%-10.2fms max=%.3fms\n",
 				name, st.Count, ms(st.TotalNS), ms(st.MaxNS))
+		}
+		for _, c := range f.Copies {
+			if c.ReadAheadLimit > 0 {
+				fmt.Fprintf(&b, "    read-ahead copy %d: depth=%d peak=%d limit=%d\n", c.Copy, c.ReadAheadDepth, c.ReadAheadPeak, c.ReadAheadLimit)
+			}
 		}
 		if f.PoolHits+f.PoolMisses > 0 {
 			fmt.Fprintf(&b, "    pool hit=%d miss=%d (%.1f%% hit)\n", f.PoolHits, f.PoolMisses,

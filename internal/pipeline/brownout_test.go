@@ -2,8 +2,12 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,7 +78,7 @@ func assertCleanVoxels(t *testing.T, res *filters.Results, ref map[features.Feat
 // HTTP backend and returns the collected results and final backend stats.
 // readAhead 0 serializes each reader's fetches (outputs are identical either
 // way); texNodes places the texture copies.
-func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *resilience.Policy, readAhead int, texNodes []int) (*filters.Results, dataset.Stats) {
+func runBrownout(t *testing.T, dir string, bo http.RoundTripper, pol *resilience.Policy, readAhead int, texNodes []int) (*filters.Results, dataset.Stats) {
 	t.Helper()
 	srv := httptest.NewServer(http.FileServer(http.Dir(dir)))
 	defer srv.Close()
@@ -117,6 +121,79 @@ func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *res
 	return res, st.Stats()
 }
 
+// darkSlices is the bounded brownout's backend: it answers everything but
+// the slices whose file names carry one of the dark prefixes, keyed on slice
+// identity so the set of lost slices is the same on every run. Two holds
+// make the breaker and budget counters independent of how the three
+// concurrent readers interleave. A request for a dark slice waits until every
+// healthy slice has been answered: the breaker is shared, and a reader that
+// reached its dark tail early would otherwise open it on a reader still in
+// its healthy slices and take those down too (the old request-ordinal
+// schedule lost every chunk that way in 4 runs of 100). Then the first dark
+// request fails alone, and the others wait until its one funded retry has
+// come back and failed as well: that read's second retry is then refused by
+// the empty budget before a third consecutive failure can open the breaker
+// and turn the refusal into a fast-fail.
+type darkSlices struct {
+	healthy int
+	dark    []string
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	served int    // healthy slices answered
+	first  string // the dark request failed first; its retry ends the second hold
+	free   bool   // second hold over: dark requests fail as they come
+	fails  int64
+}
+
+func newDarkSlices(healthy int, dark ...string) *darkSlices {
+	d := &darkSlices{healthy: healthy, dark: dark}
+	d.cond = sync.NewCond(&d.mu)
+	return d
+}
+
+// Failures reports how many requests reached the dark backend.
+func (d *darkSlices) Failures() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.fails
+}
+
+func (d *darkSlices) RoundTrip(req *http.Request) (*http.Response, error) {
+	name := path.Base(req.URL.Path)
+	isDark := false
+	for _, p := range d.dark {
+		isDark = isDark || strings.HasPrefix(name, p)
+	}
+	if !isDark {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err == nil && strings.HasPrefix(name, "slice_") {
+			d.mu.Lock()
+			d.served++
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		}
+		return resp, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.served < d.healthy {
+		d.cond.Wait()
+	}
+	switch {
+	case d.first == "":
+		d.first = name
+	case name == d.first && !d.free:
+		d.free = true
+		d.cond.Broadcast()
+	}
+	for !d.free && name != d.first {
+		d.cond.Wait()
+	}
+	d.fails++
+	return nil, fmt.Errorf("GET %s from a dark backend (%d): %w", name, d.fails, fault.ErrInjected)
+}
+
 // TestBrownoutHTTPBackend is the chaos acceptance run for the resilience
 // layer. Two phases of the same brownout:
 //
@@ -130,8 +207,8 @@ func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *res
 // Deterministic half-open probes must discover the recovery and close the
 // breaker, and requests must flow again after the window.
 //
-// All fault scheduling is request-count based (fixed seeds, no wall-clock
-// windows), so the run is reproducible under -race.
+// All fault scheduling is keyed on slice identity or request count (fixed
+// seeds, no wall-clock windows), so the run is reproducible under -race.
 func TestBrownoutHTTPBackend(t *testing.T) {
 	feats := testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin).Analysis.Features
 
@@ -151,11 +228,12 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 			readAhead = 2
 		)
 		// A clean run of this configuration makes 52 requests — the header,
-		// 3 node indexes and one GET per slice (48) — so going dark after 40
-		// leaves 36 slices (75% of the data) healthy and the bit-identical
-		// check has clean voxels to verify unless one reader lags far behind
-		// the other two when the window opens.
-		bo := &fault.BlackoutTransport{StartAfter: 40, FailN: 1 << 30} // permanent
+		// 3 node indexes and one GET per slice (48). The backend is dark for
+		// the 12 slices of the last two time steps, the tail of every node's
+		// index, which leaves 36 slices (75% of the data) and every chunk of
+		// the first three time origins healthy; see darkSlices for why the
+		// outcome does not depend on which reader is ahead.
+		bo := newDarkSlices(36, "slice_t0006_", "slice_t0007_")
 		pol := &resilience.Policy{
 			// OpenFor far beyond the run: once open, the breaker stays open,
 			// so every failure the backend sees is pre-trip traffic.
@@ -178,9 +256,9 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 		// The storm-proofing bound: traffic into the dead backend is at most
 		// the consecutive-failure trip threshold, plus the whole retry
 		// budget, plus the first attempts already in flight when the breaker
-		// trips: a slice read is one request, and each reader keeps readAhead
-		// of them going. Without breaker + budget this would be over a
-		// hundred requests (every remaining slice times every retry attempt).
+		// trips: a slice read is one request, and each reader keeps exactly
+		// readAhead of them in flight. Without breaker + budget this would be
+		// 36 requests (every dark slice times every retry attempt).
 		limit := int64(consec + tokens + readAhead*readers)
 		if got := bo.Failures(); got > limit {
 			t.Errorf("blacked-out backend saw %d requests, want <= %d (budget-bounded)", got, limit)

@@ -12,6 +12,7 @@ import (
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/readahead"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -71,9 +72,10 @@ func TestTCPCancelMidRun(t *testing.T) {
 func TestTCPCancelMidReadAhead(t *testing.T) {
 	st := testStore(t)
 	baseline := runtime.NumGoroutine()
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		cfg := testConfig(HMPImpl, core.SparseMatrix, filter.DemandDriven)
-		cfg.ReadAhead = 8
+		// A fixed depth and the self-sized default, in turn.
+		cfg.ReadAhead = []int{8, ReadAheadAuto}[trial%2]
 		cfg.IOChunk = [2]int{8, 8} // many small reads: cancellation lands mid-stream
 		g, _, _, err := Build(st, cfg, &Layout{
 			SourceNodes: []int{0, 1, 2},
@@ -87,7 +89,7 @@ func TestTCPCancelMidReadAhead(t *testing.T) {
 		go func(delay time.Duration) {
 			time.Sleep(delay)
 			cancel()
-		}(time.Duration(trial) * time.Millisecond)
+		}(time.Duration(trial/2) * time.Millisecond)
 		done := make(chan struct{})
 		var runErr error
 		go func() {
@@ -242,6 +244,51 @@ func TestPipelineRunReport(t *testing.T) {
 			if total := c.BusyNS + c.BlockedRecvNS + c.StalledSendNS; total > rep.ElapsedNS*11/10 {
 				t.Errorf("%s[%d]: accounted %dns exceeds elapsed %dns", f.Name, c.Copy, total, rep.ElapsedNS)
 			}
+		}
+	}
+}
+
+// TestReportReadAheadDepth checks what each reader copy's row says about its
+// read-ahead stage under the three owners a gate can have: a fixed depth
+// reports itself, a self-sized reader stays inside its share of the run's
+// budget, a shared gate reports its owner's setting, and a synchronous
+// reader reports nothing.
+func TestReportReadAheadDepth(t *testing.T) {
+	st := testStore(t)
+	share := int64(readahead.AutoCap(st.Meta.Nodes, 2*st.Meta.Dims[0]*st.Meta.Dims[1]))
+	for _, c := range []struct {
+		name                     string
+		depth                    int
+		gate                     *readahead.Gate
+		loDepth, hiDepth, hiPeak int64
+		limit                    int64
+	}{
+		{"sync", 0, nil, 0, 0, 0, 0},
+		{"fixed", 3, nil, 3, 3, 3, 3},
+		{"auto", ReadAheadAuto, nil, readahead.Floor, share, share, share},
+		{"gated", ReadAheadAuto, readahead.NewGate(5, 1, 9), 5, 5, 5, 9},
+	} {
+		cfg := testConfig(HMPImpl, core.SparseMatrix, filter.DemandDriven)
+		cfg.ReadAhead, cfg.ReadAheadGate = c.depth, c.gate
+		g, _, _, err := Build(st, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := RunContext(context.Background(), g, EngineLocal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Report.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, row := range rs.Report.Filter("RFR").Copies {
+			if row.ReadAheadDepth < c.loDepth || row.ReadAheadDepth > c.hiDepth || row.ReadAheadPeak > c.hiPeak || row.ReadAheadLimit != c.limit {
+				t.Errorf("%s: RFR[%d] depth %d peak %d limit %d, want depth in [%d, %d], peak <= %d, limit %d",
+					c.name, row.Copy, row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit, c.loDepth, c.hiDepth, c.hiPeak, c.limit)
+			}
+		}
+		if c.gate != nil && c.gate.Depth() != 5 {
+			t.Errorf("%s: the readers moved a gate they do not own to %d", c.name, c.gate.Depth())
 		}
 	}
 }

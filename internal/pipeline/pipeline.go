@@ -91,7 +91,7 @@ type Config struct {
 	Analysis        core.Config
 	ChunkShape      [4]int // IIC-to-TEXTURE chunk voxel shape
 	IOChunk         [2]int // RFR read window; zero reads whole slices
-	ReadAhead       int    // reader I/O windows fetched ahead of the emit loop; 0 = synchronous
+	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous, ReadAheadAuto = self-sized
 	PacketsPerChunk int    // HCC matrix packets per chunk (default 4)
 	Impl            Impl
 	Policy          filter.Policy // buffer scheduling into texture (and HPC) copies
@@ -182,6 +182,10 @@ func (c *Config) resumeSkip(chunker *volume.Chunker) (map[int]bool, error) {
 	return checkpoint.CompleteChunks(c.Recovered, chunker, feats)
 }
 
+// ReadAheadAuto as Config.ReadAhead lets every reader copy size its own
+// depth (readahead.NewAuto): the default of cmd/haralick4d.
+const ReadAheadAuto = readahead.Auto
+
 // Autotune knob ranges: prefetch depth may climb to maxReadAheadDepth
 // windows per reader set; admission never drops below one token (a
 // zero-token limit would wedge the texture filters).
@@ -189,10 +193,11 @@ const maxReadAheadDepth = 32
 
 // readAheadGate returns the resizable prefetch bound the readers share: the
 // injected governor gate when one is set, otherwise a gate registered with
-// the autotune controller, otherwise nil (fixed ReadAhead depth). An
-// autotune gate starts at the configured static depth (at least 1 — a gated
-// reader is always asynchronous) and may be resized across
-// [1, maxReadAheadDepth] mid-run.
+// the autotune controller, otherwise nil (ReadAhead decides, per copy). A
+// gate has one owner, so the readers never size it themselves. An autotune
+// gate starts at the configured static depth (at least 1 — a gated reader
+// is always asynchronous; readahead.Floor under ReadAheadAuto) and may be
+// resized across [1, maxReadAheadDepth] mid-run.
 func (c *Config) readAheadGate() *readahead.Gate {
 	if c.ReadAheadGate != nil {
 		return c.ReadAheadGate
@@ -200,9 +205,9 @@ func (c *Config) readAheadGate() *readahead.Gate {
 	if c.AutoTune == nil {
 		return nil
 	}
-	start := c.ReadAhead
-	if start < 1 {
-		start = 1
+	start := max(c.ReadAhead, 1)
+	if c.ReadAhead == ReadAheadAuto {
+		start = readahead.Floor
 	}
 	return c.AutoTune.EnableReadAhead(start, 1, maxReadAheadDepth)
 }

@@ -1,47 +1,66 @@
 // Package readahead provides the bounded, order-preserving prefetch stage
-// the reader filters (RFR, DFR) put in front of their emit loops: a small
-// worker pool runs the per-window fetch function — positioned reads plus
-// uint16→gray-level decode — up to K windows ahead of the consumer, so the
-// disk keeps streaming while pieces are cut and sent. This is the staging
-// idea of Region Templates applied to the paper's §4.3 reader filters.
+// the reader filters (RFR, DFR) put in front of their emit loops: the
+// per-window fetch function — positioned reads plus uint16→gray-level
+// decode — runs up to K windows ahead of the consumer, one goroutine per
+// window in flight, so the disk or the remote backend keeps streaming while
+// pieces are cut and sent. This is the staging idea of Region Templates
+// applied to the paper's §4.3 reader filters.
 //
 // The contract is deliberately strict:
 //
 //   - Order-preserving: Next returns fetch results in exactly the order the
 //     indices 0..n-1 would be fetched sequentially, regardless of which
-//     worker finishes first.
+//     fetch finishes first.
 //   - Bounded: at most depth fetches are completed-but-unconsumed or in
-//     flight at any moment, so window buffers in flight stay O(depth). The
-//     bound is a Gate credit count, resizable while the reader streams —
-//     the actuation point of the autotune controller.
+//     flight at any moment, and a fetch is in flight from the moment it
+//     holds a credit, so depth is both the number of requests the backend
+//     sees at once and the number of window buffers outstanding. The bound
+//     is a Gate credit count with one owner: fixed (New), moved by whoever
+//     made the gate (NewGated — the autotune controller, the daemon's
+//     governor), or moved by the reader itself from what it measures
+//     (NewAuto).
 //   - Synchronous degenerate case: depth ≤ 0 (and no gate) runs every fetch
-//     inline on the consumer's goroutine — no worker pool, no reordering
+//     inline on the consumer's goroutine — no goroutine, no reordering
 //     window, no extra buffering — reproducing the pre-readahead reader
 //     loop bit for bit.
-//   - Cancellable: Close releases the workers even when the consumer stops
-//     consuming mid-stream (pipeline abort); it is idempotent and safe to
-//     defer alongside normal completion.
+//   - Cancellable: Close releases the goroutines even when the consumer
+//     stops consuming mid-stream (pipeline abort); it is idempotent and safe
+//     to defer alongside normal completion.
 package readahead
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Fetch produces the item for one index. Fetches run concurrently on worker
-// goroutines when depth > 0, so the function must be safe for concurrent
-// calls with distinct indices.
+// Fetch produces the item for one index. Fetches run concurrently, one
+// goroutine each, when depth > 0, so the function must be safe for
+// concurrent calls with distinct indices.
 type Fetch[T any] func(index int) (T, error)
 
-// maxWorkers caps the fixed-depth pool: the point is overlapping a handful
-// of positioned reads with the emit loop, not saturating the CPU. A gated
-// reader instead sizes its pool to the gate's upper bound (capped at
-// maxGatedWorkers) so the gate's current depth — not the pool — is the
-// sole concurrency limiter as the controller raises it.
+// Auto, given as a depth, asks for a self-sized reader (NewAuto). It is no
+// count, so no count flag or field can collide with it.
+const Auto = math.MinInt
+
+// A run's default read-ahead budget, split evenly over its reader copies by
+// AutoCap: windows in flight in all (also the keep-alive pool of the HTTP
+// backend and the daemon's TotalReadAhead default), raw window bytes in all
+// (the paper sizes its buffers in bytes), and the depth every copy keeps
+// whatever the split leaves it.
 const (
-	maxWorkers      = 4
-	maxGatedWorkers = 32
+	BudgetWindows = 64
+	BudgetBytes   = 16 << 20
+	Floor         = 4
 )
+
+// AutoCap returns the depth one of copies self-sized readers may grow to
+// when each of its windows holds windowBytes of raw data.
+func AutoCap(copies, windowBytes int) int {
+	copies, windowBytes = max(copies, 1), max(windowBytes, 1)
+	return max(Floor, min(BudgetWindows/copies, BudgetBytes/copies/windowBytes))
+}
 
 // Gate is a resizable credit counter bounding the number of outstanding
 // fetches (in flight or completed-but-unconsumed). A reader's dispatcher
@@ -159,78 +178,120 @@ func (g *Gate) release(n int) {
 type Reader[T any] struct {
 	fetch Fetch[T]
 	n     int
-	async bool
 
-	// Synchronous mode (depth <= 0, no gate).
+	// Synchronous mode (gate == nil).
 	next int
 
 	// Asynchronous mode. The dispatcher takes a gate credit per index,
-	// assigns the index to a worker through jobs, and queues the index's
-	// result slot into pending in index order; the consumer returns the
-	// credit as it consumes each result, so the gate's depth is the
-	// read-ahead bound. Closing done releases every goroutine wherever it
-	// blocks.
+	// starts that index's fetch on a goroutine of its own, and queues the
+	// index's result slot into pending in index order; the consumer returns
+	// the credit as it consumes each result, so the gate's depth is the
+	// number of fetches in flight or waiting to be consumed. Closing done
+	// releases the dispatcher wherever it blocks.
 	gate      *Gate
 	held      atomic.Int64 // credits this reader holds (dispatched, unconsumed)
 	pending   chan chan result[T]
-	jobs      chan job[T]
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+	clock     func() time.Time
+
+	// Consumer-side state, touched only from Next: the gate depth seen as
+	// the last window was consumed and the greatest seen, and — when the
+	// reader sizes its own gate (auto) — the two exponentially weighted
+	// means it sizes it from and the time Next last handed a window over.
+	depth, peak     int
+	auto            bool
+	fetchT, consume time.Duration
+	returned        time.Time
 }
 
 type result[T any] struct {
-	v   T
-	err error
+	v    T
+	err  error
+	took time.Duration
 }
 
-type job[T any] struct {
-	index int
-	out   chan result[T]
+// fold moves the mean one eighth of the way to the sample; the first sample
+// seeds it.
+func fold(mean *time.Duration, sample time.Duration) {
+	if *mean == 0 {
+		*mean = sample
+		return
+	}
+	*mean += (sample - *mean) / 8
 }
 
-// New returns a reader over indices [0, n). depth is the number of indices
-// that may be fetched ahead of the consumer; depth ≤ 0 disables the worker
-// pool and fetches inline from Next. The depth is fixed; use NewGated for a
-// resizable bound.
+// step is the self-sizing rule: one step from depth toward Little's law,
+// ⌈fetch/consume⌉ + 1 — the fetches that must overlap to deliver a window
+// in the time the consumer spends on one, plus the window being consumed.
+// A 30 ms GET takes a thousand emits and climbs to the cap; a consumer
+// stalled on its sends sees its time per window grow and walks back down.
+// A target under twice the floor counts as the floor: a page-cache read
+// against a fast emit loop measures 3 to 7, and more goroutines than the
+// floor buy nothing there. The gate clamps the result into [Floor, cap].
+func step(depth int, fetch, consume time.Duration) int {
+	if fetch <= 0 || consume <= 0 {
+		return depth
+	}
+	target := int((fetch+consume-1)/consume) + 1
+	if target < 2*Floor {
+		target = Floor
+	}
+	switch {
+	case target > depth:
+		return depth + 1
+	case target < depth:
+		return depth - 1
+	}
+	return depth
+}
+
+// New returns a reader over indices [0, n) that keeps depth fetches in
+// flight ahead of the consumer; depth ≤ 0 starts no goroutine and fetches
+// inline from Next. The depth is fixed: the reader owns the gate and never
+// moves it.
 func New[T any](fetch Fetch[T], n, depth int) *Reader[T] {
 	if depth <= 0 {
 		return &Reader[T]{fetch: fetch, n: n}
 	}
-	return newAsync(fetch, n, NewGate(depth, depth, depth), min(depth, maxWorkers))
+	return newAsync(fetch, n, NewGate(depth, depth, depth), false, time.Now)
 }
 
 // NewGated returns a reader over indices [0, n) whose read-ahead bound is
-// the gate's current depth — resizable mid-stream, and shared with every
-// other reader on the same gate. A nil gate falls back to a synchronous
-// reader.
+// the gate's current depth — moved mid-stream by the gate's owner, never by
+// the reader, and shared with every other reader on the same gate. A nil
+// gate falls back to a synchronous reader.
 func NewGated[T any](fetch Fetch[T], n int, g *Gate) *Reader[T] {
 	if g == nil {
 		return New(fetch, n, 0)
 	}
-	_, hi := g.Bounds()
-	return newAsync(fetch, n, g, min(hi, maxGatedWorkers))
+	return newAsync(fetch, n, g, false, time.Now)
 }
 
-func newAsync[T any](fetch Fetch[T], n int, g *Gate, workers int) *Reader[T] {
+// NewAuto returns a reader over indices [0, n) that sizes its own depth
+// inside [Floor, limit] (see AutoCap) from the fetch and consume times it
+// measures, one step per consumed window.
+func NewAuto[T any](fetch Fetch[T], n, limit int) *Reader[T] {
+	return newAsync(fetch, n, NewGate(Floor, Floor, limit), true, time.Now)
+}
+
+func newAsync[T any](fetch Fetch[T], n int, g *Gate, auto bool, clock func() time.Time) *Reader[T] {
 	_, hi := g.Bounds()
-	r := &Reader[T]{fetch: fetch, n: n, async: true, gate: g}
+	r := &Reader[T]{fetch: fetch, n: n, gate: g, auto: auto, clock: clock, depth: g.Depth()}
+	r.peak = r.depth
 	// pending's capacity matches the gate's maximum so a dispatcher holding
 	// a credit never blocks on the slot queue.
 	r.pending = make(chan chan result[T], hi)
-	r.jobs = make(chan job[T])
 	r.done = make(chan struct{})
-	r.wg.Add(workers + 1)
-	for w := 0; w < workers; w++ {
-		go r.worker()
-	}
+	r.wg.Add(1)
 	go r.dispatch()
 	return r
 }
 
-// dispatch hands indices to the workers in order. The gate credit taken
-// before each index is what bounds the number of outstanding fetches: the
-// credit is held from here until the consumer takes the result in Next.
+// dispatch starts the fetches in index order, one goroutine each. The gate
+// credit taken before each index is the only bound on how many run at once:
+// it is held from here until the consumer takes the result in Next.
 func (r *Reader[T]) dispatch() {
 	defer r.wg.Done()
 	defer close(r.pending)
@@ -245,24 +306,13 @@ func (r *Reader[T]) dispatch() {
 		case <-r.done:
 			return
 		}
-		select {
-		case r.jobs <- job[T]{index: i, out: out}:
-		case <-r.done:
-			return
-		}
-	}
-}
-
-func (r *Reader[T]) worker() {
-	defer r.wg.Done()
-	for {
-		select {
-		case j := <-r.jobs:
-			v, err := r.fetch(j.index)
-			j.out <- result[T]{v: v, err: err} // buffered; never blocks
-		case <-r.done:
-			return
-		}
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			start := r.clock()
+			v, err := r.fetch(i)
+			out <- result[T]{v, err, r.clock().Sub(start)} // buffered; never blocks
+		}()
 	}
 }
 
@@ -271,13 +321,16 @@ func (r *Reader[T]) worker() {
 // is returned in err with ok still true, so the consumer can distinguish
 // "stream finished" from "stream failed".
 func (r *Reader[T]) Next() (v T, err error, ok bool) {
-	if !r.async {
+	if r.gate == nil {
 		if r.next >= r.n {
 			return v, nil, false
 		}
 		v, err = r.fetch(r.next)
 		r.next++
 		return v, err, true
+	}
+	if r.auto && !r.returned.IsZero() {
+		fold(&r.consume, r.clock().Sub(r.returned)) // the consumer's time on the last window
 	}
 	select {
 	case <-r.done: // Close happened-before this Next
@@ -293,6 +346,13 @@ func (r *Reader[T]) Next() (v T, err error, ok bool) {
 		case res := <-out:
 			r.held.Add(-1)
 			r.gate.release(1)
+			r.depth = r.gate.Depth()
+			if r.auto {
+				fold(&r.fetchT, res.took)
+				r.depth = r.gate.Resize(step(r.depth, r.fetchT, r.consume))
+				r.returned = r.clock()
+			}
+			r.peak = max(r.peak, r.depth)
 			return res.v, res.err, true
 		case <-r.done:
 			return v, nil, false
@@ -302,14 +362,26 @@ func (r *Reader[T]) Next() (v T, err error, ok bool) {
 	}
 }
 
-// Close stops the prefetcher and waits for every worker to exit. It is
+// Depth reports the read-ahead depth in force when the last window was
+// consumed, the greatest the reader saw, and the bound neither can pass (the
+// gate's upper limit); all zero on a synchronous reader. Call it from the
+// consumer's goroutine.
+func (r *Reader[T]) Depth() (depth, peak, limit int) {
+	if r.gate == nil {
+		return 0, 0, 0
+	}
+	_, limit = r.gate.Bounds()
+	return r.depth, r.peak, limit
+}
+
+// Close stops the prefetcher and waits for every goroutine to exit. It is
 // idempotent and must be called even after a complete consumption (defer it)
 // so the goroutines never outlive the filter copy. Fetches already in flight
-// finish before their workers observe the close. Credits still held (results
-// dispatched but never consumed — an aborted stream) are returned to the
-// gate, so readers sharing it are not starved by a sibling's early exit.
+// finish first. Credits still held (results dispatched but never consumed —
+// an aborted stream) are returned to the gate, so readers sharing it are not
+// starved by a sibling's early exit.
 func (r *Reader[T]) Close() {
-	if !r.async {
+	if r.gate == nil {
 		return
 	}
 	r.closeOnce.Do(func() {

@@ -61,29 +61,39 @@ func TestSynchronousInline(t *testing.T) {
 	}
 }
 
-// TestBound checks that at most depth fetches are outstanding when the
-// consumer stops consuming.
+// TestBound checks that exactly depth fetches are outstanding when the
+// consumer stops consuming: depth is the number of requests in flight, not
+// a count of credits queued behind a smaller pool (depth 16 used to reach
+// 4), and never one more.
 func TestBound(t *testing.T) {
-	const n, depth = 100, 3
-	var started atomic.Int64
-	release := make(chan struct{})
-	fetch := func(i int) (int, error) {
-		started.Add(1)
-		<-release
-		return i, nil
+	for _, depth := range []int{1, 3, 4, 16, 64} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			const n = 200
+			var started atomic.Int64
+			release := make(chan struct{})
+			fetch := func(i int) (int, error) {
+				started.Add(1)
+				<-release
+				return i, nil
+			}
+			r := New(fetch, n, depth)
+			defer r.Close()
+			// Without any Next call, the dispatcher can start at most depth
+			// fetches, and all of them block at once.
+			deadline := time.Now().Add(2 * time.Second)
+			for started.Load() < int64(depth) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // give an unbounded bug time to show
+			if got := started.Load(); got != int64(depth) {
+				t.Fatalf("%d fetches in flight with no consumer, want %d", got, depth)
+			}
+			if d, peak, limit := r.Depth(); d != depth || peak != depth || limit != depth {
+				t.Fatalf("Depth() = %d, %d, %d, want a fixed %d", d, peak, limit, depth)
+			}
+			close(release)
+		})
 	}
-	r := New(fetch, n, depth)
-	defer r.Close()
-	// Without any Next call, the dispatcher can queue at most depth slots.
-	deadline := time.Now().Add(time.Second)
-	for started.Load() < depth && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // give an unbounded bug time to show
-	if got := started.Load(); got != depth {
-		t.Fatalf("%d fetches outstanding with no consumer, want %d", got, depth)
-	}
-	close(release)
 }
 
 // TestErrorPropagation checks a fetch error surfaces at the failing index.

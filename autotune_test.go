@@ -17,8 +17,8 @@ func tuneOpts(par int) *Options {
 }
 
 // TestAutoTuneBitIdentical is the tentpole's correctness contract: live
-// tuning turns scheduling knobs only (prefetch depth, compute admission),
-// never routing or values, so a tuned run's grids are bit-identical to the
+// tuning turns scheduling knobs only (compute admission), never routing or
+// values, so a tuned run's grids are bit-identical to the
 // untuned sequential oracle — and the report carries the decision log.
 func TestAutoTuneBitIdentical(t *testing.T) {
 	v := phantom(t)
@@ -58,8 +58,11 @@ func TestAutoTuneBitIdentical(t *testing.T) {
 	if len(tr.Final) == 0 {
 		t.Fatal("Tuning.Final empty: knob values must be reported")
 	}
-	if _, ok := tr.Final["readahead"]; !ok {
-		t.Fatalf("readahead knob missing from Final: %v", tr.Final)
+	if _, ok := tr.Final["admission"]; !ok {
+		t.Fatalf("admission knob missing from Final: %v", tr.Final)
+	}
+	if _, ok := tr.Final["readahead"]; ok {
+		t.Fatalf("Final still carries a readahead knob: readers size themselves now: %v", tr.Final)
 	}
 	// The untuned oracle must stay untouched by the feature.
 	if oracle.Report != nil && oracle.Report.Tuning != nil {

@@ -156,7 +156,7 @@ func main() {
 		ckptIntS = flag.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
 		resumeF  = flag.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
 		stallS   = flag.String("stall-timeout", "", "fail the run if no filter makes progress for this long, e.g. 2m (default: wait forever)")
-		tuneF    = flag.Bool("autotune", false, "tune read-ahead depth and texture admission live from run metrics (engines local/tcp)")
+		tuneF    = flag.Bool("autotune", false, "tune texture admission live from run metrics (engines local/tcp; needs -texture > 1 to have a knob)")
 		tuneIntS = flag.String("autotune-interval", "", "autotune sampling cadence, e.g. 250ms (default 100ms; requires -autotune)")
 		tuneSeed = flag.Int64("autotune-seed", 0, "autotune tie-break seed, 0 = default (requires -autotune)")
 		crashN   = flag.Int("crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")

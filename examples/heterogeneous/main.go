@@ -79,9 +79,9 @@ func main() {
 				log.Fatal(err)
 			}
 			s, err := pipeline.Run(g, pipeline.EngineSim, &pipeline.RunOptions{
-				Topology:     &h.Topology,
-				QueueDepth:   16,
-				ComputeScale: 2.5,
+				Topology:      &h.Topology,
+				SimQueueDepth: 16,
+				ComputeScale:  2.5,
 			})
 			if err != nil {
 				log.Fatal(err)

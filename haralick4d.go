@@ -234,9 +234,9 @@ type Options struct {
 	// hanging. 0 disables.
 	Deadline time.Duration
 	// AutoTune runs the online feedback controller during the pipeline run:
-	// reader prefetch depth and texture compute admission are resized live
-	// from periodic progress snapshots (hill climbing with hysteresis), and
-	// the decisions appear in Result.Report.Tuning. Tuning changes
+	// texture compute admission (with more than one texture copy) is resized
+	// live from periodic progress snapshots (hill climbing with hysteresis),
+	// and the decisions appear in Result.Report.Tuning. Tuning changes
 	// scheduling only — outputs are bit-identical to an untuned run.
 	// Requires metrics; ignored by the sequential reference path
 	// (Parallelism 1 in Analyze), which has nothing to actuate.

@@ -1,20 +1,20 @@
 // Package autotune closes the loop between the run report's live metrics
 // and the pipeline's cheap-to-change knobs, after the run-time parameter
-// tuning argument of arXiv 1910.14548 and the staging-depth tuning of
-// Region Templates (arXiv 1405.7958): rather than hand-picking read-ahead
-// depth and compute concurrency per machine and workload, a small
-// hill-climbing controller observes throughput every tick and walks the
-// knobs toward the best observed rate, with hysteresis so noise does not
-// cause oscillation and a fixed-seed tie-break so a given metric trace
-// always reproduces the same decision log.
+// tuning argument of arXiv 1910.14548: rather than hand-picking compute
+// concurrency per machine and workload, a small hill-climbing controller
+// observes throughput every tick and walks its knobs toward the best
+// observed rate, with hysteresis so noise does not cause oscillation and a
+// fixed-seed tie-break so a given metric trace always reproduces the same
+// decision log. (Read-ahead depth is not one of them: each reader sizes its
+// own from the fetch and consume times it measures — internal/readahead.)
 //
 // Two tuning regimes share this package:
 //
-//   - Live (in-run): Controller resizes a readahead.Gate (prefetch depth)
-//     and a Tokens semaphore (texture admission) while the engines run,
-//     fed by metrics.Snapshot samples from the filter runtime's Monitor
-//     hook. Tuning only changes scheduling, never routing or values, so
-//     the texture output stays bit-identical to an untuned run.
+//   - Live (in-run): Controller resizes the texture filters' admission
+//     semaphore while the engines run, fed by metrics.Snapshot samples
+//     from the filter runtime's Monitor hook. Tuning only changes
+//     scheduling, never routing or values, so the texture output stays
+//     bit-identical to an untuned run.
 //   - Cross-run: Memo journals (config fingerprint, parameter cell) →
 //     measured result, so repeated experiment sweeps over the expensive
 //     knobs (chunk dims, copy counts, kernel block) reuse prior trials
@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"haralick4d/internal/metrics"
-	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 )
 
 // Defaults for Config zero values.
@@ -78,18 +78,14 @@ func (c Config) hysteresis() float64 {
 // knob is one tunable parameter: an actuator (get/set), a step rule, and
 // hill-climbing state.
 type knob struct {
-	name string
-	get  func() int
-	set  func(int) int // clamps; returns the applied value
-	step func(cur, dir int) int
-	// hint inspects a snapshot and returns a preferred direction (or 0);
-	// it overrides the climb direction when it fires.
-	hint    func(s *metrics.Snapshot) (dir int, trigger string)
-	dir     int
-	prev    int  // value before the in-flight move
-	moved   bool // a move awaits evaluation
-	cool    int  // ticks to skip after a revert
-	trigger string
+	name  string
+	get   func() int
+	set   func(int) int // clamps; returns the applied value
+	step  func(cur, dir int) int
+	dir   int
+	prev  int  // value before the in-flight move
+	moved bool // a move awaits evaluation
+	cool  int  // ticks to skip after a revert
 }
 
 // Controller is the deterministic feedback loop. Knobs are registered
@@ -141,44 +137,16 @@ func (c *Controller) record(atNS int64, name string, from, to int, trigger strin
 	})
 }
 
-// EnableReadAhead registers the prefetch-depth knob and returns the gate
-// the reader filters must share. The climb is multiplicative (double or
-// halve) over [lo, hi]; a read-wait share above 5% of wall time hints the
-// climb upward (the readers are the bottleneck, buy more overlap).
-func (c *Controller) EnableReadAhead(start, lo, hi int) *readahead.Gate {
-	g := readahead.NewGate(start, lo, hi)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := &knob{
-		name: "readahead",
-		get:  g.Depth,
-		set:  g.Resize,
-		step: func(cur, dir int) int {
-			if dir > 0 {
-				return cur * 2
-			}
-			return cur / 2
-		},
-		hint: func(s *metrics.Snapshot) (int, string) {
-			if s.WallNS > 0 && float64(s.SpanNS(metrics.SpanReadWait))/float64(s.WallNS) > 0.05 {
-				return +1, "read-wait"
-			}
-			return 0, ""
-		},
-		dir: +1,
-	}
-	c.knobs = append(c.knobs, k)
-	c.record(0, k.name, g.Depth(), g.Depth(), "init", 0)
-	return g
-}
-
 // EnableAdmission registers the compute-admission knob and returns the
-// token semaphore the texture filters must share. The climb is additive
-// (±1) over [lo, hi], defaulting downward: with copies already sized by
-// the layout, the interesting experiment is usually shedding concurrency
-// when copies contend.
-func (c *Controller) EnableAdmission(start, lo, hi int) *Tokens {
-	t := NewTokens(start, lo, hi)
+// semaphore the texture filters must share: they take one credit before
+// computing a chunk and return it after, so its limit is the effective
+// compute concurrency across their copies — turned down to shed concurrency
+// when copies thrash, and back up when the pipeline is compute-starved. The
+// climb is additive (±1) over [lo, hi], defaulting downward: with copies
+// already sized by the layout, the interesting experiment is usually
+// shedding concurrency when copies contend.
+func (c *Controller) EnableAdmission(start, lo, hi int) *sem.Sem {
+	t := sem.New(start, lo, hi)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := &knob{
@@ -255,17 +223,8 @@ func (c *Controller) Step(s *metrics.Snapshot) {
 		c.advance()
 		return
 	}
-	dir := k.dir
-	trigger := "climb"
-	if k.hint != nil {
-		if d, why := k.hint(s); d != 0 {
-			dir, k.dir = d, d
-			trigger = why
-		}
-	}
 	cur := k.get()
-	next := k.step(cur, dir)
-	applied := k.set(next)
+	applied := k.set(k.step(cur, k.dir))
 	if applied == cur { // pinned at a bound: flip and rotate
 		k.dir = -k.dir
 		c.advance()
@@ -273,8 +232,7 @@ func (c *Controller) Step(s *metrics.Snapshot) {
 	}
 	k.prev = cur
 	k.moved = true
-	k.trigger = trigger
-	c.record(wall, k.name, cur, applied, trigger, rate)
+	c.record(wall, k.name, cur, applied, "climb", rate)
 }
 
 func (c *Controller) advance() {

@@ -6,30 +6,27 @@ import (
 	"time"
 
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/sem"
 )
 
-// snap builds a minimal snapshot: wall clock, cumulative messages out, and
-// an optional read-wait span total.
-func snap(wallNS, msgs, readWaitNS int64) *metrics.Snapshot {
+// snap builds a minimal snapshot: wall clock and cumulative messages out.
+func snap(wallNS, msgs int64) *metrics.Snapshot {
 	return &metrics.Snapshot{
 		WallNS: wallNS,
 		Filters: []metrics.FilterSnap{{
 			Name:   "HMP",
 			Copies: []metrics.CopySnap{{Node: 0, MsgsOut: msgs}},
-			Spans:  map[string]int64{metrics.SpanReadWait: readWaitNS},
 		}},
 	}
 }
 
 // trace replays a fixed snapshot sequence through a fresh controller with
-// both knobs enabled and returns the decision log.
+// the admission knob enabled and returns the decision log.
 func trace(t *testing.T, seed int64, snaps []*metrics.Snapshot) []metrics.TuningDecision {
 	t.Helper()
 	c := New(Config{Seed: seed})
-	g := c.EnableReadAhead(4, 1, 32)
-	tk := c.EnableAdmission(4, 1, 4)
-	if g == nil || tk == nil {
-		t.Fatal("Enable* returned nil")
+	if tk := c.EnableAdmission(4, 1, 4); tk == nil {
+		t.Fatal("EnableAdmission returned nil")
 	}
 	for _, s := range snaps {
 		c.Step(s)
@@ -43,18 +40,12 @@ func trace(t *testing.T, seed int64, snaps []*metrics.Snapshot) []metrics.Tuning
 func TestDeterministicDecisions(t *testing.T) {
 	mk := func() []*metrics.Snapshot {
 		var s []*metrics.Snapshot
-		// A noisy but fixed trace: rate wobbles around a slow climb with a
-		// read-wait phase in the middle.
+		// A noisy but fixed trace: the rate wobbles around a slow climb.
 		msgs, wall := int64(0), int64(0)
-		deltas := []int64{0, 40, 44, 39, 60, 61, 30, 33, 70, 72, 71, 35, 80, 82, 84, 90}
-		for i, d := range deltas {
+		for _, d := range []int64{0, 40, 44, 39, 60, 61, 30, 33, 70, 72, 71, 35, 80, 82, 84, 90} {
 			wall += int64(100 * time.Millisecond)
 			msgs += d
-			var rw int64
-			if i >= 4 && i <= 7 {
-				rw = wall / 10 // read-wait share 10% > the 5% hint threshold
-			}
-			s = append(s, snap(wall, msgs, rw))
+			s = append(s, snap(wall, msgs))
 		}
 		return s
 	}
@@ -64,12 +55,10 @@ func TestDeterministicDecisions(t *testing.T) {
 		t.Fatalf("same seed, same trace, different decisions:\n%v\n%v", a, b)
 	}
 	if len(a) < 2 {
-		t.Fatalf("trace produced %d decisions, want at least the two init records", len(a))
+		t.Fatalf("trace produced %d decisions, want the init record and at least one move", len(a))
 	}
-	for _, d := range a[:2] {
-		if d.Trigger != "init" || d.AtNS != 0 {
-			t.Fatalf("decision log must start with init records, got %+v", d)
-		}
+	if d := a[0]; d.Trigger != "init" || d.AtNS != 0 {
+		t.Fatalf("decision log must start with the init record, got %+v", d)
 	}
 }
 
@@ -77,11 +66,11 @@ func TestDeterministicDecisions(t *testing.T) {
 // turn no knobs.
 func TestWarmupSkipped(t *testing.T) {
 	c := New(Config{})
-	c.EnableReadAhead(4, 1, 32)
+	c.EnableAdmission(4, 1, 4)
 	for i := 0; i < 5; i++ {
-		c.Step(snap(int64(i+1)*1e8, 0, 0))
+		c.Step(snap(int64(i+1)*1e8, 0))
 	}
-	c.Step(snap(1e8, 50, 0)) // wall went backwards vs a later anchor: also skipped
+	c.Step(snap(1e8, 50)) // wall went backwards vs a later anchor: also skipped
 	if d := c.Decisions(); len(d) != 1 || d[0].Trigger != "init" {
 		t.Fatalf("warm-up ticks produced decisions beyond init: %v", d)
 	}
@@ -89,24 +78,24 @@ func TestWarmupSkipped(t *testing.T) {
 
 // TestAcceptKeepsClimbing checks the hysteresis accept path: a move followed
 // by a clear rate improvement is kept and the climb continues in the same
-// direction.
+// direction (down, for admission: shedding concurrency).
 func TestAcceptKeepsClimbing(t *testing.T) {
 	c := New(Config{})
-	g := c.EnableReadAhead(4, 1, 32)
+	tk := c.EnableAdmission(4, 1, 4)
 	wall, msgs := int64(0), int64(0)
 	step := func(d int64) {
 		wall += int64(100 * time.Millisecond)
 		msgs += d
-		c.Step(snap(wall, msgs, 0))
+		c.Step(snap(wall, msgs))
 	}
 	step(50) // anchor
-	step(50) // baseline measured, move 4→8 proposed
-	if got := g.Depth(); got != 8 {
-		t.Fatalf("after first move depth = %d, want 8", got)
+	step(50) // baseline measured, move 4→3 proposed
+	if got := tk.Limit(); got != 3 {
+		t.Fatalf("after first move limit = %d, want 3", got)
 	}
-	step(100) // clearly above baseline×1.05: accepted, climbs 8→16
-	if got := g.Depth(); got != 16 {
-		t.Fatalf("accepted move should keep climbing, depth = %d, want 16", got)
+	step(100) // clearly above baseline×1.05: accepted, climbs on 3→2
+	if got := tk.Limit(); got != 2 {
+		t.Fatalf("accepted move should keep climbing, limit = %d, want 2", got)
 	}
 	for _, d := range c.Decisions() {
 		if d.Trigger == "revert" {
@@ -119,52 +108,23 @@ func TestAcceptKeepsClimbing(t *testing.T) {
 // by a clear regression restores the previous value and logs the revert.
 func TestRevertRestoresValue(t *testing.T) {
 	c := New(Config{})
-	g := c.EnableReadAhead(4, 1, 32)
+	tk := c.EnableAdmission(4, 1, 4)
 	wall, msgs := int64(0), int64(0)
 	step := func(d int64) {
 		wall += int64(100 * time.Millisecond)
 		msgs += d
-		c.Step(snap(wall, msgs, 0))
+		c.Step(snap(wall, msgs))
 	}
 	step(50) // anchor
-	step(50) // baseline measured, move 4→8 proposed
+	step(50) // baseline measured, move 4→3 proposed
 	step(10) // far below baseline×0.95: revert
-	if got := g.Depth(); got != 4 {
-		t.Fatalf("regressing move not reverted: depth = %d, want 4", got)
+	if got := tk.Limit(); got != 4 {
+		t.Fatalf("regressing move not reverted: limit = %d, want 4", got)
 	}
 	ds := c.Decisions()
 	last := ds[len(ds)-1]
-	if last.Trigger != "revert" || last.From != 8 || last.To != 4 {
-		t.Fatalf("last decision = %+v, want revert 8→4", last)
-	}
-}
-
-// TestReadWaitHint checks the snapshot hint: a read-wait share above 5% of
-// wall time forces the readahead climb upward with the "read-wait" trigger.
-func TestReadWaitHint(t *testing.T) {
-	c := New(Config{})
-	c.EnableReadAhead(8, 1, 32)
-	wall, msgs := int64(0), int64(0)
-	step := func(d, rw int64) {
-		wall += int64(100 * time.Millisecond)
-		msgs += d
-		c.Step(snap(wall, msgs, rw))
-	}
-	step(50, 0)      // anchor
-	step(50, 0)      // baseline, climb move proposed
-	step(50, 0)      // neutral evaluation tick
-	step(50, wall/5) // 20% read-wait share on a proposing tick
-	var hinted bool
-	for _, d := range c.Decisions() {
-		if d.Trigger == "read-wait" {
-			hinted = true
-			if d.To <= d.From {
-				t.Fatalf("read-wait hint must climb upward, got %+v", d)
-			}
-		}
-	}
-	if !hinted {
-		t.Fatalf("no read-wait decision in %v", c.Decisions())
+	if last.Trigger != "revert" || last.From != 3 || last.To != 4 {
+		t.Fatalf("last decision = %+v, want revert 3→4", last)
 	}
 }
 
@@ -175,8 +135,7 @@ func TestAttach(t *testing.T) {
 	nilC.Attach(&metrics.RunReport{}) // must not panic
 	c := New(Config{Seed: 3, Interval: 50 * time.Millisecond})
 	c.Attach(nil) // must not panic
-	g := c.EnableReadAhead(2, 1, 8)
-	_ = g
+	c.EnableAdmission(2, 1, 8)
 	rep := &metrics.RunReport{}
 	c.Attach(rep)
 	if rep.Tuning == nil {
@@ -185,8 +144,8 @@ func TestAttach(t *testing.T) {
 	if rep.Tuning.Seed != 3 || rep.Tuning.IntervalNS != int64(50*time.Millisecond) {
 		t.Fatalf("Tuning header = %+v", rep.Tuning)
 	}
-	if got := rep.Tuning.Final["readahead"]; got != 2 {
-		t.Fatalf("Final[readahead] = %d, want 2", got)
+	if got := rep.Tuning.Final["admission"]; got != 2 {
+		t.Fatalf("Final[admission] = %d, want 2", got)
 	}
 	if len(rep.Tuning.Decisions) == 0 {
 		t.Fatal("Tuning.Decisions empty: the init record must always be present")
@@ -196,20 +155,20 @@ func TestAttach(t *testing.T) {
 // TestTokensResize checks the admission semaphore's live-resize contract and
 // its nil-receiver no-op behavior.
 func TestTokensResize(t *testing.T) {
-	var nilT *Tokens
-	if !nilT.Acquire(nil) {
-		t.Fatal("nil Tokens must admit everything")
+	var nilT *sem.Sem
+	if !nilT.Acquire(1, nil) {
+		t.Fatal("a nil semaphore must admit everything")
 	}
-	nilT.Release()
+	nilT.Release(1)
 
-	tk := NewTokens(2, 1, 4)
+	tk := New(Config{}).EnableAdmission(2, 1, 4)
 	stop := make(chan struct{})
-	if !tk.Acquire(stop) || !tk.Acquire(stop) {
+	if !tk.Acquire(1, stop) || !tk.Acquire(1, stop) {
 		t.Fatal("two acquires within the limit must not block")
 	}
 	// A third acquire blocks until Resize raises the limit.
 	got := make(chan bool, 1)
-	go func() { got <- tk.Acquire(stop) }()
+	go func() { got <- tk.Acquire(1, stop) }()
 	select {
 	case <-got:
 		t.Fatal("acquire beyond the limit did not block")
@@ -225,7 +184,7 @@ func TestTokensResize(t *testing.T) {
 		t.Fatal("Resize did not wake the blocked acquire")
 	}
 	// A blocked acquire aborts when stop closes.
-	go func() { got <- tk.Acquire(stop) }()
+	go func() { got <- tk.Acquire(1, stop) }()
 	close(stop)
 	select {
 	case ok := <-got:
@@ -235,7 +194,7 @@ func TestTokensResize(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("closing stop did not unblock the acquire")
 	}
-	tk.Release()
-	tk.Release()
-	tk.Release()
+	tk.Release(1)
+	tk.Release(1)
+	tk.Release(1)
 }

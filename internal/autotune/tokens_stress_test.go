@@ -5,19 +5,23 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"haralick4d/internal/sem"
 )
 
-// These tests pin the admission semaphore's behavior when Resize races live
-// traffic — the situation the daemon's resource governor creates every time
-// a job starts or finishes and every running job's share is re-cut in place.
+// These tests pin the admission semaphore, used the way the texture filters
+// use it (one credit per chunk being computed), when Resize races live
+// traffic — what the controller's admission knob does every tick it moves, and
+// the daemon's resource governor every time a job starts or finishes. The
+// weighted semantics are pinned in internal/sem.
 
 // TestTokensShrinkBelowInFlight pins the shrink semantics when the cut goes
 // below what is already held: nothing is revoked, new admissions stop
 // entirely, and they resume only once the holders drain below the new limit.
 func TestTokensShrinkBelowInFlight(t *testing.T) {
-	tk := NewTokens(8, 1, 16)
+	tk := sem.New(8, 1, 16)
 	for i := 0; i < 8; i++ {
-		if !tk.Acquire(nil) {
+		if !tk.Acquire(1, nil) {
 			t.Fatal("acquire within the limit blocked")
 		}
 	}
@@ -25,7 +29,7 @@ func TestTokensShrinkBelowInFlight(t *testing.T) {
 		t.Fatalf("Resize(2) = %d", n)
 	}
 	admitted := make(chan bool, 1)
-	go func() { admitted <- tk.Acquire(nil) }()
+	go func() { admitted <- tk.Acquire(1, nil) }()
 	mustBlock := func(when string) {
 		t.Helper()
 		select {
@@ -36,10 +40,10 @@ func TestTokensShrinkBelowInFlight(t *testing.T) {
 	}
 	mustBlock("8 held, limit 2")
 	for i := 0; i < 6; i++ { // drain to exactly the new limit
-		tk.Release()
+		tk.Release(1)
 	}
 	mustBlock("2 held, limit 2")
-	tk.Release() // 1 held < limit 2: the waiter gets the freed token
+	tk.Release(1) // 1 held < limit 2: the waiter gets the freed token
 	select {
 	case ok := <-admitted:
 		if !ok {
@@ -48,22 +52,22 @@ func TestTokensShrinkBelowInFlight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("draining below the shrunken limit did not admit the waiter")
 	}
-	tk.Release()
-	tk.Release()
+	tk.Release(1)
+	tk.Release(1)
 }
 
 // TestTokensGrowWakesAllBlocked parks several acquirers on a full semaphore
 // and grows it: every newly minted token must be handed to a waiter, not
 // just the first one the broadcast happens to wake.
 func TestTokensGrowWakesAllBlocked(t *testing.T) {
-	tk := NewTokens(1, 1, 16)
-	if !tk.Acquire(nil) {
+	tk := sem.New(1, 1, 16)
+	if !tk.Acquire(1, nil) {
 		t.Fatal("first acquire blocked")
 	}
 	const waiters = 5
 	admitted := make(chan bool, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() { admitted <- tk.Acquire(nil) }()
+		go func() { admitted <- tk.Acquire(1, nil) }()
 	}
 	time.Sleep(20 * time.Millisecond) // park them on the cond
 	tk.Resize(1 + waiters)            // one held + one token per waiter
@@ -78,7 +82,7 @@ func TestTokensGrowWakesAllBlocked(t *testing.T) {
 		}
 	}
 	for i := 0; i < 1+waiters; i++ {
-		tk.Release()
+		tk.Release(1)
 	}
 }
 
@@ -89,16 +93,16 @@ func TestTokensGrowWakesAllBlocked(t *testing.T) {
 // checking stop, so a worker that keeps winning tokens would otherwise
 // never observe the drain.)
 func TestTokensResizeDuringDrain(t *testing.T) {
-	tk := NewTokens(2, 1, 8)
+	tk := sem.New(2, 1, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for tk.Acquire(stop) {
+			for tk.Acquire(1, stop) {
 				time.Sleep(time.Millisecond)
-				tk.Release()
+				tk.Release(1)
 				select {
 				case <-stop:
 					return
@@ -130,12 +134,7 @@ func TestTokensResizeDuringDrain(t *testing.T) {
 		t.Fatal("an acquirer stayed wedged after stop closed mid-resize")
 	}
 	<-resizerDone
-	tk.mu.Lock()
-	out := tk.out
-	tk.mu.Unlock()
-	if out != 0 {
-		t.Fatalf("%d tokens leaked through the drain", out)
-	}
+	tokensAtRest(t, tk)
 }
 
 // TestTokensConcurrentResizeStress whipsaws the limit across its whole
@@ -144,7 +143,7 @@ func TestTokensResizeDuringDrain(t *testing.T) {
 // upper bound, and it is at rest when the traffic stops.
 func TestTokensConcurrentResizeStress(t *testing.T) {
 	const hi = 8
-	tk := NewTokens(hi, 1, hi)
+	tk := sem.New(hi, 1, hi)
 	stop := make(chan struct{})
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
@@ -152,7 +151,7 @@ func TestTokensConcurrentResizeStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for tk.Acquire(stop) {
+			for tk.Acquire(1, stop) {
 				c := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -161,7 +160,7 @@ func TestTokensConcurrentResizeStress(t *testing.T) {
 					}
 				}
 				cur.Add(-1)
-				tk.Release()
+				tk.Release(1)
 				select {
 				case <-stop:
 					return
@@ -178,10 +177,19 @@ func TestTokensConcurrentResizeStress(t *testing.T) {
 	if p := peak.Load(); p > hi {
 		t.Fatalf("observed %d concurrent holders, upper bound is %d", p, hi)
 	}
-	tk.mu.Lock()
-	out := tk.out
-	tk.mu.Unlock()
-	if out != 0 {
-		t.Fatalf("%d tokens leaked through the stress run", out)
+	tokensAtRest(t, tk)
+}
+
+// tokensAtRest fails the test unless every token has come home: the whole
+// range fits at once only when nothing is held.
+func tokensAtRest(t *testing.T, tk *sem.Sem) {
+	t.Helper()
+	_, hi := tk.Bounds()
+	tk.Resize(hi)
+	closed := make(chan struct{})
+	close(closed)
+	if !tk.Acquire(hi, closed) {
+		t.Fatal("tokens still held after the traffic stopped")
 	}
+	tk.Release(hi)
 }

@@ -3,10 +3,13 @@ package dataset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"haralick4d/internal/fault"
@@ -162,6 +165,102 @@ func TestLocalBackendEviction(t *testing.T) {
 	// among the 2 most recent must reopen.
 	if got := st.Stats().Opens; got < 4 {
 		t.Errorf("opens = %d, want >= 4 (eviction must have reopened)", got)
+	}
+}
+
+// TestLocalBackendOpenPastBudget: with more handles referenced at once than
+// the cache may hold, the one just opened is the only unreferenced entry for
+// an instant — it must not be the one evicted. Hold two Objects under
+// maxOpen 2, open a third, read it, close all: every read succeeds and the
+// cache drains back inside its bound.
+func TestLocalBackendOpenPastBudget(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"a", "b", "c"}
+	for _, n := range names {
+		if err := os.WriteFile(filepath.Join(dir, n), []byte("slice "+n), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be := NewLocalBackend(dir, 2)
+	defer be.Close()
+	ctx := context.Background()
+	var held []Object
+	for _, n := range names {
+		o, err := be.Open(ctx, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, o)
+		buf := make([]byte, 7)
+		if _, err := o.ReadAt(ctx, buf, 0); err != nil && err != io.EOF {
+			t.Fatalf("reading %q with %d handles held: %v", n, len(held), err)
+		}
+		if string(buf) != "slice "+n {
+			t.Fatalf("read %q from %q", buf, n)
+		}
+	}
+	for _, o := range held {
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be.mu.Lock()
+	cached := be.lru.Len()
+	be.mu.Unlock()
+	if cached > 2 {
+		t.Fatalf("%d handles cached after every Object closed, bound is 2", cached)
+	}
+}
+
+// TestLocalBackendConcurrentOpens: 256 readers over 300 files and a 128-handle
+// cache, so the cache is over its bound with everything referenced most of the
+// time. No read may find its file closed under it.
+func TestLocalBackendConcurrentOpens(t *testing.T) {
+	const files, readers, maxOpen = 300, 256, 128
+	dir := t.TempDir()
+	for i := 0; i < files; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprint(i)), []byte(fmt.Sprintf("%04d", i)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be := NewLocalBackend(dir, maxOpen)
+	defer be.Close()
+	ctx := context.Background()
+	// All readers hold their first handle until every one has it, so 256
+	// are referenced at once against a bound of 128.
+	var opened, done sync.WaitGroup
+	opened.Add(readers)
+	for r := 0; r < readers; r++ {
+		done.Add(1)
+		go func(r int) {
+			defer done.Done()
+			for k, i := 0, r; i < 3*files; k, i = k+1, i+readers {
+				name := i % files
+				o, err := be.Open(ctx, fmt.Sprint(name))
+				if err != nil {
+					t.Errorf("open %d: %v", name, err)
+					return
+				}
+				if k == 0 {
+					opened.Done()
+					opened.Wait()
+				}
+				buf := make([]byte, 4)
+				if _, err := o.ReadAt(ctx, buf, 0); err != nil && err != io.EOF {
+					t.Errorf("read %d: %v", name, err)
+				} else if string(buf) != fmt.Sprintf("%04d", name) {
+					t.Errorf("read %q from file %d", buf, name)
+				}
+				o.Close()
+			}
+		}(r)
+	}
+	done.Wait()
+	be.mu.Lock()
+	cached := be.lru.Len()
+	be.mu.Unlock()
+	if cached > maxOpen {
+		t.Fatalf("%d handles cached at rest, bound is %d", cached, maxOpen)
 	}
 }
 

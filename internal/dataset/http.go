@@ -25,11 +25,12 @@ const DefaultHTTPAttempts = 3
 // two bounds applies.
 const maxServerBackoff = 2 * time.Second
 
-// httpIdleConnsPerHost sizes the keep-alive pool of a backend-owned transport
-// to cover the reads a run keeps in flight at once — the read-ahead budget
-// its self-sized readers share: net/http's default of 2 closes every further
-// connection after one response.
-const httpIdleConnsPerHost = readahead.BudgetWindows
+// httpConns sizes a backend-owned transport: the connections it may open to
+// the host and those it keeps idle are both the requests a run's self-sized
+// readers keep in flight at once, so none is dialled beyond what is kept and
+// none closed after one response (net/http's defaults: no limit, 2 idle per
+// host, 100 idle in all — the last would silently cap the pool).
+const httpConns = readahead.MaxRequests
 
 // HTTPBackend serves a dataset from a remote HTTP(S) server using range
 // reads — an object-store-style remote: the server only needs to answer GET
@@ -93,8 +94,8 @@ func (b *HTTPBackend) record(tok resilience.Token, err error) {
 
 // NewHTTPBackend returns a Backend rooted at baseURL (the directory that
 // holds dataset.json). client nil gives the backend a transport of its own
-// (a clone of http.DefaultTransport that keeps httpIdleConnsPerHost idle
-// connections), which Close shuts down; a caller-supplied client stays the
+// (a clone of http.DefaultTransport with a pool of httpConns connections),
+// which Close shuts down; a caller-supplied client stays the
 // caller's. attempts <= 0 selects DefaultHTTPAttempts.
 func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBackend, error) {
 	u, err := url.Parse(baseURL)
@@ -117,7 +118,9 @@ func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBac
 		} else {
 			owned = &http.Transport{}
 		}
-		owned.MaxIdleConnsPerHost = httpIdleConnsPerHost
+		owned.MaxConnsPerHost = httpConns
+		owned.MaxIdleConnsPerHost = httpConns
+		owned.MaxIdleConns = httpConns
 		client = &http.Client{Transport: owned}
 	}
 	if attempts <= 0 {

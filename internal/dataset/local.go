@@ -8,14 +8,18 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"haralick4d/internal/readahead"
 )
 
 // DefaultMaxOpenFiles bounds the local backend's file-descriptor cache. A
 // dataset node holds one file per 2D slice, so reads used to pay an
 // open/stat/close per call; the cache keeps recently-read slices open and
 // serves repeat reads (region reads issue one per row window, read-ahead
-// revisits slices per chunk) from the same descriptor.
-const DefaultMaxOpenFiles = 128
+// revisits slices per chunk) from the same descriptor. It holds every read a
+// run's self-sized readers keep in flight at once, so none evicts another's
+// handle.
+const DefaultMaxOpenFiles = readahead.MaxRequests
 
 // LocalBackend serves a dataset from a local directory tree — the paper's
 // node-local disks — through a bounded LRU cache of open file handles.
@@ -103,14 +107,17 @@ func (b *LocalBackend) Open(ctx context.Context, name string) (Object, error) {
 			return nil, err
 		}
 		b.c.opens.Add(1)
-		e = &localEntry{name: name, f: f, size: st.Size()}
+		// Referenced before the eviction pass: with every older entry in
+		// use, the new one would otherwise be the only candidate and be
+		// closed before it is returned.
+		e = &localEntry{name: name, f: f, size: st.Size(), refs: 1}
 		e.elem = b.lru.PushFront(e)
 		b.byName[name] = e
 		b.evictLocked()
 	} else {
 		b.lru.MoveToFront(e.elem)
+		e.refs++
 	}
-	e.refs++
 	return &localObject{be: b, entry: e, f: e.f, size: e.size}, nil
 }
 

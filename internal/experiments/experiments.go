@@ -87,10 +87,10 @@ func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), to
 			return nil, err
 		}
 		stats, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineSim, &pipeline.RunOptions{
-			Topology:     topo,
-			QueueDepth:   e.QueueDepth,
-			ComputeScale: e.ComputeScale,
-			StallTimeout: e.StallTimeout,
+			Topology:      topo,
+			SimQueueDepth: e.QueueDepth,
+			ComputeScale:  e.ComputeScale,
+			StallTimeout:  e.StallTimeout,
 		})
 		if err != nil {
 			return nil, err

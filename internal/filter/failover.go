@@ -169,17 +169,19 @@ func (rt *runtime) tolerateFailure(st *copyState, ctx *localCtx, err error) bool
 func (rt *runtime) drainDead(st *copyState, fo *failoverState, remaining int) {
 	defer rt.auxWG.Done()
 	for remaining > 0 {
-		select {
-		case m := <-st.inbox:
-			if m.eos {
-				remaining--
-				continue
-			}
-			st.pending.Add(-1)
-			fo.requeue(m)
-		case <-rt.done:
+		// take hands the buffer's queue credits back, so the producers (and
+		// remote receive loops) blocked on this dead copy's budget move on and
+		// the requeued buffer no longer counts against anyone's.
+		m, ok := st.inbox.takeWait(rt.done)
+		if !ok {
 			return
 		}
+		if m.eos {
+			remaining--
+			continue
+		}
+		st.pending.Add(-1)
+		fo.requeue(m)
 	}
 	fo.mu.Lock()
 	fo.draining--

@@ -96,7 +96,10 @@ func TestFailoverRedeliveryLocal(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			const n = 100
 			g, got := failoverGraph(n, 3, 1, 5, policy, nil)
-			rs, err := RunLocal(g, &Options{Failover: true})
+			// Queues of 32 buffers, the engine's old default: demand-driven
+			// feeds the crash copy its five only while its siblings' queues
+			// fill, which 100 eight-byte buffers never do to 16 MiB.
+			rs, err := RunLocal(g, &Options{Failover: true, QueueBytes: 32 * 8})
 			if err != nil {
 				t.Fatalf("run with failover: %v", err)
 			}
@@ -111,7 +114,7 @@ func TestFailoverRedeliveryTCP(t *testing.T) {
 	// RoundRobin (not DemandDriven): over TCP the demand-driven policy can
 	// starve the crash copy entirely, leaving the injected fault unfired.
 	g, got := failoverGraph(n, 3, 1, 5, RoundRobin, []int{0, 1, 2})
-	rs, err := RunTCP(g, &Options{Failover: true})
+	rs, err := RunTCP(g, &Options{Failover: true, QueueBytes: 32 * 8})
 	if err != nil {
 		t.Fatalf("run with failover: %v", err)
 	}

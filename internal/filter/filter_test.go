@@ -286,7 +286,7 @@ func TestErrorPropagation(t *testing.T) {
 		})
 	}})
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: RoundRobin})
-	_, err := RunLocal(g, &Options{QueueDepth: 2})
+	_, err := RunLocal(g, &Options{QueueBytes: 2 * 8})
 	if !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestEarlyConsumerExitDoesNotDeadlock(t *testing.T) {
 		})
 	}})
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: RoundRobin})
-	if _, err := RunLocal(g, &Options{QueueDepth: 4}); err != nil {
+	if _, err := RunLocal(g, &Options{QueueBytes: 4 * 8}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -444,7 +444,7 @@ func TestTCPErrorPropagation(t *testing.T) {
 		})
 	}, Nodes: []int{1}})
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: RoundRobin})
-	_, err := RunTCP(g, &Options{QueueDepth: 2})
+	_, err := RunTCP(g, &Options{QueueBytes: 2 * 8})
 	if !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
@@ -476,7 +476,7 @@ func TestDemandDrivenSkew(t *testing.T) {
 		})
 	}})
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: DemandDriven})
-	if _, err := RunLocal(g, &Options{QueueDepth: 2}); err != nil {
+	if _, err := RunLocal(g, &Options{QueueBytes: 2 * 8}); err != nil {
 		t.Fatal(err)
 	}
 	fast, slow := counts[0].Load(), counts[1].Load()

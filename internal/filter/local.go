@@ -10,13 +10,18 @@ import (
 	"time"
 
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 )
 
 // Options configures an in-process engine run.
 type Options struct {
-	// QueueDepth bounds each filter copy's input queue (stream
-	// backpressure). Default 32 buffers.
-	QueueDepth int
+	// QueueBytes bounds each filter copy's input queue (stream
+	// backpressure) in payload bytes, as Payload.SizeBytes reports them: a
+	// producer blocks while the buffers queued at its consumer, plus its own,
+	// exceed it. A buffer larger than the whole budget crosses an empty
+	// queue alone. Default readahead.BudgetBytes, the run's one byte budget.
+	QueueBytes int
 	// DisableMetrics turns off the observability layer: filters see a nil
 	// metric set, stream counters are not kept, and RunStats.Report stays
 	// nil. The default (metrics on) costs a few atomic operations per
@@ -70,11 +75,11 @@ type Probe interface {
 	Snapshot() *metrics.Snapshot
 }
 
-func (o *Options) depth() int {
-	if o == nil || o.QueueDepth <= 0 {
-		return 32
+func (o *Options) queueBytes() int {
+	if o == nil || o.QueueBytes <= 0 {
+		return readahead.BudgetBytes
 	}
-	return o.QueueDepth
+	return o.QueueBytes
 }
 
 func (o *Options) codec() Codec {
@@ -104,11 +109,70 @@ func RunLocalContext(ctx context.Context, g *Graph, opts *Options) (*RunStats, e
 	return rt.run(ctx)
 }
 
-// inMsg is one queue element: a buffer or an end-of-stream marker.
+// inMsg is one queue element: a buffer or an end-of-stream marker. size is
+// the payload's SizeBytes as its sender measured it — the credits the
+// buffer holds while queued (0 for an end-of-stream marker).
 type inMsg struct {
 	port    string
 	payload Payload
 	eos     bool
+	size    int
+}
+
+// inbox is one filter copy's input queue: first in, first out, bounded by
+// the payload bytes queued (credits, one per byte) and not by the number of
+// buffers. Many producers put; one goroutine at a time takes — the copy, then
+// whichever drainer inherits the queue.
+type inbox struct {
+	credits *sem.Sem
+	mu      sync.Mutex
+	q       []inMsg
+	head    int
+	queued  int // bytes in q, and the most there ever were; under mu
+	peak    int
+	ready   chan struct{} // holds a token whenever q may be non-empty
+}
+
+func newInbox(budget int) *inbox {
+	return &inbox{credits: sem.New(budget, budget, budget), ready: make(chan struct{}, 1)}
+}
+
+// put queues m once its bytes fit under the budget; it returns false, with
+// nothing queued, when stop closes first.
+func (in *inbox) put(m inMsg, stop <-chan struct{}) bool {
+	if !in.credits.Acquire(m.size, stop) {
+		return false
+	}
+	in.mu.Lock()
+	in.q = append(in.q, m)
+	in.queued += m.size
+	in.peak = max(in.peak, in.queued)
+	in.mu.Unlock()
+	select {
+	case in.ready <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// take removes the oldest message and returns its credits; ok is false when
+// the queue is empty, and the caller then waits on ready.
+func (in *inbox) take() (m inMsg, ok bool) {
+	in.mu.Lock()
+	if in.head == len(in.q) {
+		in.mu.Unlock()
+		return inMsg{}, false
+	}
+	m = in.q[in.head]
+	in.q[in.head] = inMsg{}
+	in.head++
+	if in.head == len(in.q) {
+		in.q, in.head = in.q[:0], 0
+	}
+	in.queued -= m.size
+	in.mu.Unlock()
+	in.credits.Release(m.size)
+	return m, true
 }
 
 // copyState is the runtime state of one filter copy.
@@ -116,7 +180,7 @@ type copyState struct {
 	filter    string
 	copyIdx   int
 	node      int
-	inbox     chan inMsg
+	inbox     *inbox
 	pending   atomic.Int64 // buffers queued + in flight
 	eosExpect map[string]int
 	stats     CopyStats
@@ -171,13 +235,14 @@ type transport interface {
 // runtime is the shared in-process engine used by both the local and TCP
 // modes.
 type runtime struct {
-	graph     *Graph
-	copies    map[string][]*copyState
-	conns     map[string]*connState // key: from + "." + fromPort
-	trans     transport
-	engine    string // "local" or "tcp", recorded in the report
-	metricsOn bool
-	stall     time.Duration // watchdog deadline; 0 = no watchdog
+	graph      *Graph
+	copies     map[string][]*copyState
+	conns      map[string]*connState // key: from + "." + fromPort
+	trans      transport
+	engine     string // "local" or "tcp", recorded in the report
+	metricsOn  bool
+	queueBytes int           // every copy's input-queue budget, payload bytes
+	stall      time.Duration // watchdog deadline; 0 = no watchdog
 	// stalled is closed by the watchdog when it trips, telling run not to
 	// wait forever on goroutines wedged inside filter code. Nil when the
 	// watchdog is off.
@@ -218,7 +283,7 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 	if opts != nil && opts.Monitor != nil && rt.metricsOn {
 		rt.monitor = opts.Monitor
 	}
-	depth := opts.depth()
+	rt.queueBytes = opts.queueBytes()
 	for _, fs := range g.Filters {
 		states := make([]*copyState, fs.Copies)
 		for i := range states {
@@ -226,7 +291,7 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 				filter:    fs.Name,
 				copyIdx:   i,
 				node:      fs.Nodes[i],
-				inbox:     make(chan inMsg, depth),
+				inbox:     newInbox(rt.queueBytes),
 				eosExpect: map[string]int{},
 			}
 			states[i].stats.Node = fs.Nodes[i]
@@ -511,6 +576,10 @@ func (rt *runtime) buildReport(elapsed time.Duration) *metrics.RunReport {
 			QueueMax:   cs.met.QueueMax.Load(),
 			SendWaits:  sw.Count,
 			SendWaitNS: sw.TotalNS,
+
+			QueuedBytesMax: queuedBytesMax(cs.consumers),
+			BudgetBytes:    int64(rt.queueBytes),
+			BufferBytesMax: cs.met.BufferMax.Load(),
 		})
 	}
 	if nr, ok := rt.trans.(netReporter); ok {
@@ -518,6 +587,18 @@ func (rt *runtime) buildReport(elapsed time.Duration) *metrics.RunReport {
 	}
 	rep.Finalize()
 	return rep
+}
+
+// queuedBytesMax is the most payload bytes ever queued at once in any one
+// of the copies' input queues.
+func queuedBytesMax(copies []*copyState) int64 {
+	peak := 0
+	for _, st := range copies {
+		st.inbox.mu.Lock()
+		peak = max(peak, st.inbox.peak)
+		st.inbox.mu.Unlock()
+	}
+	return int64(peak)
 }
 
 // drain consumes and discards leftover inbox traffic after a copy's Run has
@@ -532,15 +613,14 @@ func (rt *runtime) drain(st *copyState, ctx *localCtx) {
 		seen += n
 	}
 	for seen < expect {
-		select {
-		case m := <-st.inbox:
-			if m.eos {
-				seen++
-			} else {
-				st.pending.Add(-1)
-			}
-		case <-rt.done:
+		m, ok := st.inbox.takeWait(rt.done)
+		if !ok {
 			return
+		}
+		if m.eos {
+			seen++
+		} else {
+			st.pending.Add(-1)
 		}
 	}
 }
@@ -560,33 +640,40 @@ func (rt *runtime) deliver(from, to *copyState, m inMsg) error {
 	if !m.eos {
 		to.pending.Add(1)
 	}
+	var err error
 	if rt.trans != nil && from.node != to.node {
-		if err := rt.trans.deliver(from, to, m); err != nil {
-			if !m.eos {
-				to.pending.Add(-1)
-			}
-			return err
-		}
-		return nil
+		err = rt.trans.deliver(from, to, m)
+	} else {
+		err = rt.enqueueLocal(to, m)
 	}
-	select {
-	case to.inbox <- m:
-		return nil
-	case <-rt.done:
-		if !m.eos {
-			to.pending.Add(-1)
-		}
-		return errStopped
+	if err != nil && !m.eos {
+		to.pending.Add(-1)
 	}
+	return err
 }
 
-// enqueueLocal is used by transports on the receiving side.
+// enqueueLocal queues a message at a copy on this side of the wire, for
+// deliver and the transports' receive loops. It blocks while the queue is over
+// its byte budget, which holds the producer — across TCP by stalling its socket.
 func (rt *runtime) enqueueLocal(to *copyState, m inMsg) error {
-	select {
-	case to.inbox <- m:
-		return nil
-	case <-rt.done:
+	if !to.inbox.put(m, rt.done) {
 		return errStopped
+	}
+	return nil
+}
+
+// takeWait is take for the drainers, which have nothing else to wait for: it
+// blocks until a message arrives; ok is false once stop closes.
+func (in *inbox) takeWait(stop <-chan struct{}) (m inMsg, ok bool) {
+	for {
+		if m, ok = in.take(); ok {
+			return m, true
+		}
+		select {
+		case <-in.ready:
+		case <-stop:
+			return inMsg{}, false
+		}
 	}
 }
 
@@ -721,13 +808,15 @@ func (c *localCtx) Recv() (Msg, bool) {
 				return Msg{}, false
 			}
 		}
-		var m inMsg
-		select {
-		case m = <-c.st.inbox:
-		case <-wake: // nil (blocks forever) unless failover-eligible
+		m, ok := c.st.inbox.take()
+		if !ok {
+			select {
+			case <-c.st.inbox.ready:
+			case <-wake: // nil (blocks forever) unless failover-eligible
+			case <-c.rt.done:
+				return Msg{}, false
+			}
 			continue
-		case <-c.rt.done:
-			return Msg{}, false
 		}
 		if m.eos {
 			c.eosSeen[m.port]++
@@ -838,7 +927,7 @@ func (c *localCtx) send(cs *connState, target *copyState, port string, p Payload
 	size := int64(p.SizeBytes())
 	blockStart := c.markCompute()
 	c.st.phase.Store(phaseSend)
-	err := c.rt.deliver(c.st, target, inMsg{port: cs.spec.ToPort, payload: p})
+	err := c.rt.deliver(c.st, target, inMsg{port: cs.spec.ToPort, payload: p, size: int(size)})
 	now := time.Now()
 	c.st.stats.BlockSend += now.Sub(blockStart)
 	c.st.aBlockSend.Add(int64(now.Sub(blockStart)))

@@ -53,7 +53,7 @@ func TestLocalRunReportAccounting(t *testing.T) {
 		})
 	}})
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: DemandDriven})
-	stats, err := RunLocal(g, &Options{QueueDepth: 2})
+	stats, err := RunLocal(g, &Options{QueueBytes: 2 * 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestLocalContextCancel(t *testing.T) {
 	var stats *RunStats
 	var err error
 	go func() {
-		stats, err = RunLocalContext(ctx, g, &Options{QueueDepth: 4})
+		stats, err = RunLocalContext(ctx, g, &Options{QueueBytes: 4 * 8})
 		close(done)
 	}()
 	select {
@@ -222,7 +222,7 @@ func TestTCPContextCancel(t *testing.T) {
 	done := make(chan struct{})
 	var err error
 	go func() {
-		_, err = RunTCPContext(ctx, g, &Options{QueueDepth: 4})
+		_, err = RunTCPContext(ctx, g, &Options{QueueBytes: 4 * 8})
 		close(done)
 	}()
 	select {

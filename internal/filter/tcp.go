@@ -402,6 +402,9 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 				break
 			}
 			m := inMsg{port: env.Port, payload: env.Payload, eos: env.EOS}
+			if env.Payload != nil {
+				m.size = env.Payload.SizeBytes()
+			}
 			if err := tr.rt.enqueueLocal(copies[env.ToCopy], m); err != nil {
 				dropping = true // run aborted; drain until the connection closes
 				break

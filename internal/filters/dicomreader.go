@@ -9,7 +9,7 @@ import (
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
-	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -27,7 +27,7 @@ type DFRConfig struct {
 	ReadAhead int
 	// ReadAheadGate, when set, overrides ReadAhead with a live-resizable
 	// bound on the slices in flight over all DFR copies, moved by its maker.
-	ReadAheadGate *readahead.Gate
+	ReadAheadGate *sem.Sem
 	// FaultPolicy selects what a failed slice decode does: fault.FailFast
 	// (zero value) aborts the run; fault.SkipDegraded replaces the lost
 	// slice with DegradedPieceMsg notices. The DICOM store carries no
@@ -90,7 +90,7 @@ func NewDFR(cfg DFRConfig) func(int) filter.Filter {
 				}
 				return window, nil
 			}
-			ra, async := startReadAhead(ctx, fetch, len(slices), 2*X*Y, cfg.ReadAhead, cfg.ReadAheadGate)
+			ra, async := startReadAhead(ctx, fetch, len(slices), 2*X*Y, cfg.ReadAhead, cfg.ReadAheadGate, 0) // the study index is in memory: no latency sample
 			defer func() { met.ReadAhead(ra.Depth()); ra.Close() }()
 			for i := range slices {
 				var wait metrics.Span

@@ -1,7 +1,10 @@
 package filters
 
 import (
+	"bytes"
+	"encoding/binary"
 	"image/jpeg"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -206,6 +209,60 @@ func TestUSORoundTrip(t *testing.T) {
 			if g.Data[i] != want.Data[i] {
 				t.Fatalf("feature %v voxel %d: %v != %v", ft, i, g.Data[i], want.Data[i])
 			}
+		}
+	}
+}
+
+// TestUSORecordEncoding: the hand-rolled record encoder writes byte for byte
+// what encoding/binary.Write wrote for the same header and values — the
+// on-disk format did not move — including NaN payload bits, signed zeros,
+// negative coordinates and empty records, and its scratch buffer carries
+// nothing over from a longer record to a shorter one.
+func TestUSORecordEncoding(t *testing.T) {
+	reference := func(ft features.Feature, box volume.Box, values []float64) []byte {
+		var b bytes.Buffer
+		hdr := make([]int32, 9)
+		hdr[0] = int32(ft)
+		for k := 0; k < 4; k++ {
+			hdr[1+k] = int32(box.Lo[k])
+			hdr[5+k] = int32(box.Hi[k])
+		}
+		if err := binary.Write(&b, binary.LittleEndian, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Write(&b, binary.LittleEndian, values); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	rng := rand.New(rand.NewSource(23))
+	var scratch []byte
+	for rec := 0; rec < 200; rec++ {
+		var box volume.Box
+		for k := 0; k < 4; k++ {
+			box.Lo[k] = rng.Intn(1<<20) - 1<<10
+			box.Hi[k] = box.Lo[k] + rng.Intn(40)
+		}
+		values := make([]float64, rng.Intn(300))
+		for i := range values {
+			switch rng.Intn(6) {
+			case 0:
+				values[i] = math.Float64frombits(0x7ff8000000000000 | uint64(rng.Int63())>>12) // NaN with payload
+			case 1:
+				values[i] = math.Copysign(0, -1)
+			case 2:
+				values[i] = math.Inf(1 - 2*rng.Intn(2))
+			default:
+				values[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+		ft := features.Feature(rng.Intn(14))
+		var got bytes.Buffer
+		if err := writeUSORecord(&got, &scratch, ft, box, values); err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(ft, box, values); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("record %d (%d values): encoders disagree\n got %x\nwant %x", rec, len(values), got.Bytes(), want)
 		}
 	}
 }

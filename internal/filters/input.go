@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -49,10 +51,11 @@ type RFRConfig struct {
 	// readahead.Auto sizes each copy's depth from what it measures.
 	ReadAhead int
 	// ReadAheadGate, when set, overrides ReadAhead with a live-resizable
-	// bound on the windows in flight over all RFR copies together, moved
-	// only by its maker (autotune controller, daemon governor). It changes
-	// how far reads run ahead; emission order and content are untouched.
-	ReadAheadGate *readahead.Gate
+	// bound on the windows in flight over all RFR copies together (one
+	// credit each), moved only by its maker (the daemon's governor). It
+	// changes how far reads run ahead; emission order and content are
+	// untouched.
+	ReadAheadGate *sem.Sem
 	// FaultPolicy selects what a failed slice read does: fault.FailFast
 	// (zero value) aborts the run with the read error; fault.SkipDegraded
 	// replaces the lost window with DegradedPieceMsg notices so the rest of
@@ -89,10 +92,13 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 			if iicCopies == 0 {
 				return fmt.Errorf("filters: RFR output not connected")
 			}
+			// The index read doubles as a free latency sample of the backend.
+			indexStart := time.Now()
 			refs, err := st.NodeIndexContext(rctx, ctx.CopyIndex())
 			if err != nil {
 				return err
 			}
+			seed := time.Since(indexStart)
 			X, Y := meta.Dims[0], meta.Dims[1]
 			iox, ioy := cfg.IOChunk[0], cfg.IOChunk[1]
 			if iox <= 0 || iox > X {
@@ -165,7 +171,7 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 				}
 				return window, nil
 			}
-			ra, async := startReadAhead(ctx, fetch, len(windows), 2*iox*ioy, cfg.ReadAhead, cfg.ReadAheadGate)
+			ra, async := startReadAhead(ctx, fetch, len(windows), 2*iox*ioy, cfg.ReadAhead, cfg.ReadAheadGate, seed)
 			defer func() { met.ReadAhead(ra.Depth()); ra.Close() }()
 			for i := range windows {
 				var wait metrics.Span
@@ -204,14 +210,15 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 
 // startReadAhead opens a reader copy's prefetch stage over n windows of
 // windowBytes raw bytes each — on the run's shared gate when there is one,
-// self-sized under readahead.Auto, at the fixed depth otherwise — and
-// reports whether fetches run ahead of Next at all.
-func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n, windowBytes, depth int, gate *readahead.Gate) (*readahead.Reader[*volume.Region], bool) {
+// self-sized under readahead.Auto (seed: how long the copy's index read
+// took), at the fixed depth otherwise — and reports whether fetches run
+// ahead of Next at all.
+func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n, windowBytes, depth int, gate *sem.Sem, seed time.Duration) (*readahead.Reader[*volume.Region], bool) {
 	switch {
 	case gate != nil:
 		return readahead.NewGated(fetch, n, gate), true
 	case depth == readahead.Auto:
-		return readahead.NewAuto(fetch, n, readahead.AutoCap(ctx.NumCopies(), windowBytes)), true
+		return readahead.NewAuto(fetch, n, readahead.AutoCap(ctx.NumCopies(), windowBytes), seed), true
 	}
 	return readahead.New(fetch, n, depth), depth > 0
 }

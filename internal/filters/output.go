@@ -50,6 +50,7 @@ func NewUSO(cfg USOConfig) func(int) filter.Filter {
 	return func(copy int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
 			writers := map[features.Feature]*bufio.Writer{}
+			var record []byte // encode scratch, reused for every record of this copy
 			files := map[features.Feature]*os.File{}
 			tmps := map[features.Feature]string{}
 			defer func() {
@@ -84,7 +85,7 @@ func NewUSO(cfg USOConfig) func(int) filter.Filter {
 					if err != nil {
 						return err
 					}
-					if err := writeUSORecord(w, features.Feature(p.Feature), p.Box, p.Values); err != nil {
+					if err := writeUSORecord(w, &record, features.Feature(p.Feature), p.Box, p.Values); err != nil {
 						return err
 					}
 				}
@@ -126,7 +127,7 @@ func NewUSO(cfg USOConfig) func(int) filter.Filter {
 				if err != nil {
 					return err
 				}
-				if err := writeUSORecord(w, pm.Feature, pm.Box, pm.Values); err != nil {
+				if err := writeUSORecord(w, &record, pm.Feature, pm.Box, pm.Values); err != nil {
 					return err
 				}
 				if cfg.Journal != nil {
@@ -166,17 +167,28 @@ func NewUSO(cfg USOConfig) func(int) filter.Filter {
 	}
 }
 
-func writeUSORecord(w io.Writer, ft features.Feature, box volume.Box, values []float64) error {
-	hdr := make([]int32, 9)
-	hdr[0] = int32(ft)
+// usoHeaderBytes is a record's header: the feature and the box's eight
+// corners, one little-endian int32 each.
+const usoHeaderBytes = 9 * 4
+
+// writeUSORecord encodes one record — header, then the values as
+// little-endian IEEE 754 bit patterns — into *scratch (grown as needed and
+// kept for the next record) and hands it to w in one Write.
+func writeUSORecord(w io.Writer, scratch *[]byte, ft features.Feature, box volume.Box, values []float64) error {
+	n := usoHeaderBytes + 8*len(values)
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
+	binary.LittleEndian.PutUint32(buf, uint32(int32(ft)))
 	for k := 0; k < 4; k++ {
-		hdr[1+k] = int32(box.Lo[k])
-		hdr[5+k] = int32(box.Hi[k])
+		binary.LittleEndian.PutUint32(buf[4+4*k:], uint32(int32(box.Lo[k])))
+		binary.LittleEndian.PutUint32(buf[20+4*k:], uint32(int32(box.Hi[k])))
 	}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return fmt.Errorf("filters: %w", err)
+	for i, v := range values {
+		binary.LittleEndian.PutUint64(buf[usoHeaderBytes+8*i:], math.Float64bits(v))
 	}
-	if err := binary.Write(w, binary.LittleEndian, values); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("filters: %w", err)
 	}
 	return nil

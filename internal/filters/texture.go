@@ -3,10 +3,10 @@ package filters
 import (
 	"fmt"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/core"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -26,12 +26,12 @@ type TextureConfig struct {
 	// per chunk. Zero selects the default (4); negative values are rejected
 	// by Validate. Ignored by HMP/HPC.
 	PacketsPerChunk int
-	// Admission, when set, gates each chunk's compute behind a token from
+	// Admission, when set, gates each chunk's compute behind one credit of
 	// this live-resizable semaphore shared across the filter's copies —
-	// the autotune controller's concurrency-shedding knob. Admission only
+	// the autotune controller's and the daemon governor's concurrency knob. Admission only
 	// reorders when copies compute, never what they compute, so outputs
 	// are unchanged. Nil admits everything at no cost.
-	Admission *autotune.Tokens
+	Admission *sem.Sem
 }
 
 // Validate checks the filter-level knobs. The embedded Analysis config is
@@ -117,13 +117,13 @@ func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 					outs[i].Box = chunk.Origins
 					outs[i].Data = getFloats(n, met)
 				}
-				if !cfg.Admission.Acquire(stop) {
+				if !cfg.Admission.Acquire(1, stop) {
 					return nil // the run is aborting
 				}
 				sp := met.StartCompute()
 				err := core.AnalyzeRegionInto(chunk.Region, chunk.Origins, &acfg, nil, outs)
 				sp.End()
-				cfg.Admission.Release()
+				cfg.Admission.Release(1)
 				if err != nil {
 					return err
 				}
@@ -181,7 +181,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				for _, sub := range SplitBox(chunk.Origins, cfg.packets()) {
 					scratch := getBatchScratch(met)
 					scratch.EntryHint = entries
-					if !cfg.Admission.Acquire(stop) {
+					if !cfg.Admission.Acquire(1, stop) {
 						return nil // the run is aborting
 					}
 					sp := met.StartCompute()
@@ -193,7 +193,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 						err = core.FullBatchInto(chunk.Region, sub, &acfg, nil, scratch)
 					}
 					sp.End()
-					cfg.Admission.Release()
+					cfg.Admission.Release(1)
 					if err != nil {
 						return err
 					}
@@ -257,7 +257,7 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 					outs[i].Box = batch.Origins
 					outs[i].Data = getFloats(n, met)
 				}
-				if !cfg.Admission.Acquire(stop) {
+				if !cfg.Admission.Acquire(1, stop) {
 					return nil // the run is aborting
 				}
 				sp := met.StartCompute()
@@ -270,7 +270,7 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 						vals, err = calc.FromFull(batch.Full[k], !batch.NoSkip)
 					}
 					if err != nil {
-						cfg.Admission.Release()
+						cfg.Admission.Release(1)
 						return err
 					}
 					for i, v := range vals {
@@ -278,7 +278,7 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 					}
 				}
 				sp.End()
-				cfg.Admission.Release()
+				cfg.Admission.Release(1)
 				emit := met.StartEmit()
 				for i, fr := range outs {
 					out := newParamMsg(acfg.Features[i], fr.Box, fr.Data)

@@ -239,6 +239,7 @@ func (c *Copy) Spans() map[string]SpanStat {
 type Stream struct {
 	Buffers, Bytes Counter
 	QueueMax       MaxGauge
+	BufferMax      MaxGauge // largest single buffer, payload bytes
 	SendWait       Timer
 }
 
@@ -251,6 +252,7 @@ func (s *Stream) ObserveSend(bytes int64, wait time.Duration, depth int64) {
 	}
 	s.Buffers.Inc()
 	s.Bytes.Add(bytes)
+	s.BufferMax.Observe(bytes)
 	s.QueueMax.Observe(depth)
 	s.SendWait.Add(wait)
 }

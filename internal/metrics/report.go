@@ -83,8 +83,12 @@ type FilterReport struct {
 }
 
 // StreamReport is one stream bundle's (connection's) table entry.
-// SendWaitNS is producer time spent inside Send on this stream; under
-// demand-driven credit flow control that is the credit-wait time.
+// SendWaitNS is producer time spent inside Send on this stream: the time
+// spent waiting for queue credit. On the local and TCP engines a credit is a
+// payload byte: BudgetBytes is what one consumer copy's input queue may hold,
+// QueuedBytesMax the most any of this stream's consumer copies ever held (from
+// all its inbound streams together), BufferBytesMax the largest single buffer
+// sent — which may cross an empty queue even when it exceeds the budget.
 type StreamReport struct {
 	From       string `json:"from"`
 	FromPort   string `json:"from_port"`
@@ -96,6 +100,10 @@ type StreamReport struct {
 	QueueMax   int64  `json:"queue_max"`
 	SendWaits  int64  `json:"send_waits"`
 	SendWaitNS int64  `json:"send_wait_ns"`
+
+	QueuedBytesMax int64 `json:"queued_bytes_max,omitempty"`
+	BudgetBytes    int64 `json:"budget_bytes,omitempty"`
+	BufferBytesMax int64 `json:"buffer_bytes_max,omitempty"`
 }
 
 // ConnReport is one ordered node pair's TCP connection entry: envelopes and
@@ -293,6 +301,18 @@ func (r *RunReport) Validate() error {
 	if busy <= 0 {
 		return fmt.Errorf("metrics: report has zero total busy time")
 	}
+	// A queue holds its budget, or one buffer larger than it alone; the buffer
+	// may have come in on any stream into the same filter.
+	largest := map[string]int64{}
+	for _, s := range r.Streams {
+		largest[s.To] = max(largest[s.To], s.BufferBytesMax)
+	}
+	for _, s := range r.Streams {
+		if s.BudgetBytes > 0 && s.QueuedBytesMax > s.BudgetBytes+largest[s.To] {
+			return fmt.Errorf("metrics: stream %s.%s->%s.%s queued %d bytes, over its budget %d plus the largest buffer %d",
+				s.From, s.FromPort, s.To, s.ToPort, s.QueuedBytesMax, s.BudgetBytes, largest[s.To])
+		}
+	}
 	return nil
 }
 
@@ -340,10 +360,11 @@ func (r *RunReport) String() string {
 	}
 	if len(r.Streams) > 0 {
 		fmt.Fprintf(&b, "streams:\n")
-		fmt.Fprintf(&b, "  %-22s %-14s %8s %12s %8s %12s\n", "stream", "policy", "buffers", "bytes", "queue<=", "send-wait-ms")
+		fmt.Fprintf(&b, "  %-22s %-14s %8s %12s %8s %12s %12s %12s\n", "stream", "policy", "buffers", "bytes", "queue<=", "queued-B<=", "budget-B", "send-wait-ms")
 		for _, s := range r.Streams {
-			fmt.Fprintf(&b, "  %-22s %-14s %8d %12d %8d %12.2f\n",
-				s.From+"."+s.FromPort+"->"+s.To+"."+s.ToPort, s.Policy, s.Buffers, s.Bytes, s.QueueMax, ms(s.SendWaitNS))
+			fmt.Fprintf(&b, "  %-22s %-14s %8d %12d %8d %12d %12d %12.2f\n",
+				s.From+"."+s.FromPort+"->"+s.To+"."+s.ToPort, s.Policy, s.Buffers, s.Bytes, s.QueueMax,
+				s.QueuedBytesMax, s.BudgetBytes, ms(s.SendWaitNS))
 		}
 	}
 	if len(r.Network) > 0 {

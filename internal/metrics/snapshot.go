@@ -76,15 +76,6 @@ func (s *Snapshot) TotalMsgsOut() int64 {
 	return n
 }
 
-// SpanNS returns the summed nanoseconds of one span across all filters.
-func (s *Snapshot) SpanNS(span string) int64 {
-	var n int64
-	for _, f := range s.Filters {
-		n += f.Spans[span]
-	}
-	return n
-}
-
 // TuningDecision records one controller action: at AtNS into the run, Knob
 // moved From→To because of Trigger (the rule that fired) with the metric
 // value that justified it.

@@ -45,7 +45,7 @@ func runPipeline(t *testing.T, st *dataset.Store, engine Engine) (map[features.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(g, engine, &RunOptions{QueueDepth: 8})
+	rs, err := Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}

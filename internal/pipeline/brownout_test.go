@@ -99,7 +99,7 @@ func runBrownout(t *testing.T, dir string, bo http.RoundTripper, pol *resilience
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 8, Failover: true})
+	rs, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true})
 	if err != nil {
 		t.Fatalf("brownout run: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -48,7 +49,7 @@ func TestTCPCancelMidRun(t *testing.T) {
 			done := make(chan struct{})
 			var runErr error
 			go func() {
-				_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueDepth: 2})
+				_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 2)})
 				close(done)
 			}()
 			select {
@@ -93,7 +94,7 @@ func TestTCPCancelMidReadAhead(t *testing.T) {
 		done := make(chan struct{})
 		var runErr error
 		go func() {
-			_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueDepth: 2, WireCodec: filter.CodecBinary})
+			_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 2), WireCodec: filter.CodecBinary})
 			close(done)
 		}()
 		select {
@@ -259,14 +260,14 @@ func TestReportReadAheadDepth(t *testing.T) {
 	for _, c := range []struct {
 		name                     string
 		depth                    int
-		gate                     *readahead.Gate
+		gate                     *sem.Sem
 		loDepth, hiDepth, hiPeak int64
 		limit                    int64
 	}{
 		{"sync", 0, nil, 0, 0, 0, 0},
 		{"fixed", 3, nil, 3, 3, 3, 3},
 		{"auto", ReadAheadAuto, nil, readahead.Floor, share, share, share},
-		{"gated", ReadAheadAuto, readahead.NewGate(5, 1, 9), 5, 5, 5, 9},
+		{"gated", ReadAheadAuto, sem.New(5, 1, 9), 5, 5, 5, 9},
 	} {
 		cfg := testConfig(HMPImpl, core.SparseMatrix, filter.DemandDriven)
 		cfg.ReadAhead, cfg.ReadAheadGate = c.depth, c.gate
@@ -287,8 +288,8 @@ func TestReportReadAheadDepth(t *testing.T) {
 					c.name, row.Copy, row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit, c.loDepth, c.hiDepth, c.hiPeak, c.limit)
 			}
 		}
-		if c.gate != nil && c.gate.Depth() != 5 {
-			t.Errorf("%s: the readers moved a gate they do not own to %d", c.name, c.gate.Depth())
+		if c.gate != nil && c.gate.Limit() != 5 {
+			t.Errorf("%s: the readers moved a gate they do not own to %d", c.name, c.gate.Limit())
 		}
 	}
 }

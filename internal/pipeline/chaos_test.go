@@ -62,7 +62,7 @@ func TestChaosCombinedTCP(t *testing.T) {
 		RecvTimeout: 10 * time.Second,
 		Seed:        7,
 	}
-	rs, err := Run(g, EngineTCP, &RunOptions{QueueDepth: 8, Failover: true, Retry: retry, WrapConn: wrap})
+	rs, err := Run(g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true, Retry: retry, WrapConn: wrap})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestChaosHTTPCachedFailover(t *testing.T) {
 	}
 	hmp.New = fault.CrashAfter(hmp.New, 1, 4)
 
-	rs, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 8, Failover: true})
+	rs, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}

@@ -23,6 +23,7 @@ import (
 	"haralick4d/internal/filters"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -110,24 +111,22 @@ type Config struct {
 	// chunks it proves complete are skipped from the readers onward, and the
 	// sink is pre-seeded with the recovered portions.
 	Recovered *checkpoint.State
-	// AutoTune, when set, registers the graph's live knobs with this
-	// controller as the graph is built: the readers share a resizable
-	// prefetch gate (seeded from ReadAhead) and multi-copy texture filters
-	// share a resizable admission semaphore. Pass the same controller in
+	// AutoTune, when set, registers the graph's live knob with this
+	// controller as the graph is built: multi-copy texture filters share a
+	// resizable admission semaphore. Pass the same controller in
 	// RunOptions.AutoTune so the engines drive its feedback loop; tuning
 	// changes scheduling only, so outputs match the untuned run
 	// bit-for-bit.
 	AutoTune *autotune.Controller
 	// ReadAheadGate, when set, is the resizable prefetch bound the readers
-	// share instead of a fixed ReadAhead depth — the injection point for an
-	// external resource governor (the serve daemon partitions one global
-	// read-ahead budget across jobs through these). Mutually exclusive with
-	// AutoTune, which builds its own gate.
-	ReadAheadGate *readahead.Gate
+	// share (one credit per window in flight) instead of a ReadAhead depth
+	// of their own — the injection point for an external resource governor
+	// (the serve daemon splits one global budget across jobs through these).
+	ReadAheadGate *sem.Sem
 	// Admission, when set, is the resizable compute-admission semaphore the
 	// texture filters share — the governor's counterpart to ReadAheadGate.
-	// Mutually exclusive with AutoTune.
-	Admission *autotune.Tokens
+	// Mutually exclusive with AutoTune, which builds its own.
+	Admission *sem.Sem
 }
 
 // Validate normalizes the config and reports the first problem.
@@ -161,8 +160,8 @@ func (c *Config) Validate(datasetDims [4]int) error {
 	if c.Recovered != nil && c.Journal == nil {
 		return fmt.Errorf("pipeline: Recovered state set without a Journal to continue")
 	}
-	if c.AutoTune != nil && (c.ReadAheadGate != nil || c.Admission != nil) {
-		return fmt.Errorf("pipeline: AutoTune and an injected gate/admission would fight over the same knobs (set one)")
+	if c.AutoTune != nil && c.Admission != nil {
+		return fmt.Errorf("pipeline: AutoTune and an injected admission semaphore would fight over the same knob (set one)")
 	}
 	return nil
 }
@@ -186,37 +185,11 @@ func (c *Config) resumeSkip(chunker *volume.Chunker) (map[int]bool, error) {
 // depth (readahead.NewAuto): the default of cmd/haralick4d.
 const ReadAheadAuto = readahead.Auto
 
-// Autotune knob ranges: prefetch depth may climb to maxReadAheadDepth
-// windows per reader set; admission never drops below one token (a
-// zero-token limit would wedge the texture filters).
-const maxReadAheadDepth = 32
-
-// readAheadGate returns the resizable prefetch bound the readers share: the
-// injected governor gate when one is set, otherwise a gate registered with
-// the autotune controller, otherwise nil (ReadAhead decides, per copy). A
-// gate has one owner, so the readers never size it themselves. An autotune
-// gate starts at the configured static depth (at least 1 — a gated reader
-// is always asynchronous; readahead.Floor under ReadAheadAuto) and may be
-// resized across [1, maxReadAheadDepth] mid-run.
-func (c *Config) readAheadGate() *readahead.Gate {
-	if c.ReadAheadGate != nil {
-		return c.ReadAheadGate
-	}
-	if c.AutoTune == nil {
-		return nil
-	}
-	start := max(c.ReadAhead, 1)
-	if c.ReadAhead == ReadAheadAuto {
-		start = readahead.Floor
-	}
-	return c.AutoTune.EnableReadAhead(start, 1, maxReadAheadDepth)
-}
-
 // admission returns the compute-admission semaphore for copies compute
 // slots: the injected governor semaphore when one is set, otherwise one
 // registered with the autotune controller, otherwise nil (no admission
 // throttle; with one slot there is nothing to shed).
-func (c *Config) admission(copies int) *autotune.Tokens {
+func (c *Config) admission(copies int) *sem.Sem {
 	if c.Admission != nil {
 		return c.Admission
 	}
@@ -283,7 +256,7 @@ func Build(store *dataset.Store, cfg *Config, layout *Layout) (*filter.Graph, *f
 			GrayLevels:    cfg.Analysis.GrayLevels,
 			IOChunk:       cfg.IOChunk,
 			ReadAhead:     cfg.ReadAhead,
-			ReadAheadGate: cfg.readAheadGate(),
+			ReadAheadGate: cfg.ReadAheadGate,
 			FaultPolicy:   cfg.FaultPolicy,
 			Skip:          skip,
 		}),
@@ -340,7 +313,7 @@ func BuildDICOM(study *dicom.Study, cfg *Config, layout *Layout) (*filter.Graph,
 			Chunker:       chunker,
 			GrayLevels:    cfg.Analysis.GrayLevels,
 			ReadAhead:     cfg.ReadAhead,
-			ReadAheadGate: cfg.readAheadGate(),
+			ReadAheadGate: cfg.ReadAheadGate,
 			FaultPolicy:   cfg.FaultPolicy,
 			Skip:          skip,
 		}),
@@ -508,9 +481,13 @@ func ParseEngine(s string) (Engine, error) {
 
 // RunOptions tunes an engine run.
 type RunOptions struct {
-	QueueDepth   int
-	Topology     *cluster.Topology // EngineSim only; defaults to a uniform cluster
-	ComputeScale float64           // EngineSim only
+	// QueueBytes bounds each filter copy's input queue in payload bytes
+	// (local and TCP engines); 0 selects the run's one byte budget,
+	// readahead.BudgetBytes. See filter.Options.QueueBytes.
+	QueueBytes    int
+	Topology      *cluster.Topology // EngineSim only; defaults to a uniform cluster
+	ComputeScale  float64           // EngineSim only
+	SimQueueDepth int               // EngineSim only: the modelled queue credits (buffers) per copy, the paper's flow-control parameter
 	// DisableMetrics turns off the observability layer for the run;
 	// RunStats.Report stays nil.
 	DisableMetrics bool
@@ -583,12 +560,12 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 	switch engine {
 	case EngineLocal:
 		return filter.RunLocalContext(ctx, g, &filter.Options{
-			QueueDepth: opts.QueueDepth, DisableMetrics: opts.DisableMetrics, Failover: opts.Failover,
+			QueueBytes: opts.QueueBytes, DisableMetrics: opts.DisableMetrics, Failover: opts.Failover,
 			StallTimeout: opts.StallTimeout, Monitor: opts.monitor(),
 		})
 	case EngineTCP:
 		return filter.RunTCPContext(ctx, g, &filter.Options{
-			QueueDepth: opts.QueueDepth, DisableMetrics: opts.DisableMetrics, WireCodec: opts.WireCodec,
+			QueueBytes: opts.QueueBytes, DisableMetrics: opts.DisableMetrics, WireCodec: opts.WireCodec,
 			Failover: opts.Failover, Retry: opts.Retry, WrapConn: opts.WrapConn,
 			StallTimeout: opts.StallTimeout, Monitor: opts.monitor(),
 		})
@@ -598,7 +575,7 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 			topo = cluster.Uniform(g.NumNodes(), 1, cluster.LANLatency, cluster.FastEthernetMBps)
 		}
 		return cluster.RunContext(ctx, g, topo, &cluster.Options{
-			QueueDepth: opts.QueueDepth, ComputeScale: opts.ComputeScale, DisableMetrics: opts.DisableMetrics,
+			QueueDepth: opts.SimQueueDepth, ComputeScale: opts.ComputeScale, DisableMetrics: opts.DisableMetrics,
 		})
 	}
 	return nil, fmt.Errorf("pipeline: invalid engine %d", int(engine))

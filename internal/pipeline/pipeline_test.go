@@ -51,6 +51,15 @@ func testConfig(impl Impl, rep core.Representation, policy filter.Policy) *Confi
 	}
 }
 
+// queueBytes is the stream budget that admits n of cfg's texture chunks per
+// input queue — and so more of the readers' smaller pieces, and one parameter
+// buffer larger than that at a time: short queues, so these runs keep their
+// back-pressure, as a queue depth of n buffers used to give them.
+func queueBytes(cfg *Config, n int) int {
+	c := cfg.ChunkShape
+	return n * (80 + c[0]*c[1]*c[2]*c[3])
+}
+
 func gridsEqual(t *testing.T, label string, want, got *volume.FloatGrid) {
 	t.Helper()
 	if got == nil {
@@ -104,7 +113,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := Run(g, engine, &RunOptions{QueueDepth: 8}); err != nil {
+					if _, err := Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 8), SimQueueDepth: 8}); err != nil {
 						t.Fatal(err)
 					}
 					if err := res.Complete(cfg.Analysis.Features); err != nil {
@@ -309,7 +318,7 @@ func TestSimOnPaperTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(g, EngineSim, &RunOptions{Topology: &h.Topology, QueueDepth: 8})
+	stats, err := Run(g, EngineSim, &RunOptions{Topology: &h.Topology, SimQueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

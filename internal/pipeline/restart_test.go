@@ -44,7 +44,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 4}); err != nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Complete(cfg.Analysis.Features); err != nil {
@@ -73,7 +73,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(g2, EngineLocal, &RunOptions{QueueDepth: 4})
+	stats, err := Run(g2, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 				t.Fatal("no HMP filter in graph")
 			}
 			spec.New = fault.CrashAfter(spec.New, 0, 3)
-			if _, err := Run(g, engine, &RunOptions{QueueDepth: 4}); err == nil {
+			if _, err := Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err == nil {
 				t.Fatal("crashed run reported success")
 			}
 			if err := j.Close(); err != nil {
@@ -137,7 +137,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Run(g2, engine, &RunOptions{QueueDepth: 4}); err != nil {
+			if _, err := Run(g2, engine, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := res.Complete(cfg2.Analysis.Features); err != nil {
@@ -187,7 +187,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 		t.Fatal("no HMP filter in graph")
 	}
 	spec.New = fault.CrashAfter(spec.New, 0, 2)
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 4}); err == nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err == nil {
 		t.Fatal("crashed run reported success")
 	}
 	if err := j.Close(); err != nil {
@@ -213,7 +213,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g2, EngineLocal, &RunOptions{QueueDepth: 4}); err != nil {
+	if _, err := Run(g2, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := filters.ReadUSODir(outDir, outDims)
@@ -273,7 +273,7 @@ func TestPartialJournalSkipsRecoveredChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 4}); err != nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Complete(cfg2.Analysis.Features); err != nil {

@@ -2,10 +2,13 @@ package readahead
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"haralick4d/internal/sem"
 )
 
 // sim drives a self-sized reader on a simulated clock: every fetch takes
@@ -117,9 +120,10 @@ func (s *sim) advance(to time.Time) {
 }
 
 // run consumes every window of a self-sized reader bounded by limit and
-// returns the depth after each and the most fetches ever outstanding.
-func (s *sim) run(limit int, consume func(i int) time.Duration) (depths []int, outstanding int) {
-	r := newAsync(s.fetch, s.n, NewGate(Floor, Floor, limit), true, s.clock)
+// opened with the given latency seed, and returns the depth after each window,
+// the fetches outstanding before the first Next, and the most ever outstanding.
+func (s *sim) run(limit int, seed time.Duration, consume func(i int) time.Duration) (depths []int, opened, outstanding int) {
+	r := newAuto(s.fetch, s.n, limit, seed, s.clock)
 	defer r.Close()
 	settle := func(consumed int) {
 		d, _, _ := r.Depth()
@@ -129,6 +133,7 @@ func (s *sim) run(limit int, consume func(i int) time.Duration) (depths []int, o
 		s.mu.Unlock()
 	}
 	settle(0)
+	opened = outstanding
 	for w := 0; w < s.n; w++ {
 		s.mu.Lock()
 		if w > 0 {
@@ -169,7 +174,7 @@ func (s *sim) run(limit int, consume func(i int) time.Duration) (depths []int, o
 		s.mu.Unlock()
 		s.advance(to)
 	}
-	return depths, outstanding
+	return depths, opened, outstanding
 }
 
 func constant(d time.Duration) func(int) time.Duration {
@@ -177,23 +182,35 @@ func constant(d time.Duration) func(int) time.Duration {
 }
 
 // TestAutoSlowBackend: a 30 ms fetch against a 50 µs consumer needs hundreds
-// of windows in flight, so the reader takes one step per consumed window from
-// the floor to its cap, gets there within cap windows, and stays.
+// of windows in flight. A reader that already saw the backend take 30 ms (its
+// index read) opens at its cap, with exactly that many requests out before the
+// first Next returns; one that did not starts at the floor and is at the cap
+// no later than doubling from the floor would have put it there, two windows
+// after its two means exist. Neither ever steps back.
 func TestAutoSlowBackend(t *testing.T) {
-	for _, limit := range []int{16, 64} {
+	for _, limit := range []int{16, 64, 256} {
 		t.Run(fmt.Sprintf("cap=%d", limit), func(t *testing.T) {
-			s := newSim(t, 3*limit, constant(30*time.Millisecond))
-			depths, outstanding := s.run(limit, constant(50*time.Microsecond))
-			for w, d := range depths {
-				if w > 0 && d != depths[w-1] && d != depths[w-1]+1 {
-					t.Fatalf("window %d: depth went %d -> %d, want steps of +1", w, depths[w-1], d)
+			for _, seed := range []time.Duration{0, 30 * time.Millisecond} {
+				s := newSim(t, 2*limit, constant(30*time.Millisecond))
+				depths, opened, outstanding := s.run(limit, seed, constant(50*time.Microsecond))
+				by, wantOpen := bits.Len(uint((limit-1)/Floor))+2, Floor // ⌈log₂(limit/Floor)⌉ + 2
+				if seed > 0 {
+					by, wantOpen = 0, limit
 				}
-				if w >= limit-1 && d != limit {
-					t.Fatalf("window %d: depth %d, want the cap %d from window %d on (%v)", w, d, limit, limit-1, depths)
+				if opened != wantOpen {
+					t.Errorf("seed %v: %d requests outstanding before the first Next, want %d", seed, opened, wantOpen)
 				}
-			}
-			if outstanding != limit {
-				t.Errorf("%d fetches outstanding at most, want the cap %d: depth must be requests in flight", outstanding, limit)
+				for w, d := range depths {
+					if w > 0 && d < depths[w-1] {
+						t.Fatalf("seed %v: window %d: depth fell %d -> %d", seed, w, depths[w-1], d)
+					}
+					if w+1 >= by && d != limit {
+						t.Fatalf("seed %v: window %d: depth %d, want the cap %d once %d windows are consumed (%v)", seed, w, d, limit, by, depths[:w+1])
+					}
+				}
+				if outstanding != limit {
+					t.Errorf("seed %v: %d fetches outstanding at most, want the cap %d: depth must be requests in flight", seed, outstanding, limit)
+				}
 			}
 		})
 	}
@@ -201,30 +218,32 @@ func TestAutoSlowBackend(t *testing.T) {
 
 // TestAutoLocalBackend: a fetch that takes about as long as its window takes
 // to consume (a page-cache read; up to 7x is still "about") never leaves the
-// floor.
+// floor, whether or not the index read seeded it.
 func TestAutoLocalBackend(t *testing.T) {
 	for _, fetch := range []time.Duration{50 * time.Microsecond, 300 * time.Microsecond} {
-		s := newSim(t, 200, constant(fetch))
-		depths, outstanding := s.run(16, constant(50*time.Microsecond))
-		for w, d := range depths {
-			if d != Floor {
-				t.Fatalf("fetch %v: window %d: depth %d, want the floor %d throughout", fetch, w, d, Floor)
+		for _, seed := range []time.Duration{0, fetch} {
+			s := newSim(t, 200, constant(fetch))
+			depths, opened, outstanding := s.run(16, seed, constant(50*time.Microsecond))
+			for w, d := range depths {
+				if d != Floor {
+					t.Fatalf("fetch %v: window %d: depth %d, want the floor %d throughout", fetch, w, d, Floor)
+				}
 			}
-		}
-		if outstanding != Floor {
-			t.Errorf("fetch %v: %d fetches outstanding at most, want %d", fetch, outstanding, Floor)
+			if opened != Floor || outstanding != Floor {
+				t.Errorf("fetch %v: %d fetches outstanding at first, %d at most, want %d", fetch, opened, outstanding, Floor)
+			}
 		}
 	}
 }
 
 // TestAutoBackPressure: when the consumer starts to stall on its sends (50 ms
-// per window from window 40 on), the depth that had reached the cap walks
-// back to the floor one step per window, and climbs again once the stall is
-// over.
+// per window from window 40 on — a full downstream queue), the depth that had
+// reached the cap walks back to the floor one step per window, and is back at
+// the cap once the stall is over.
 func TestAutoBackPressure(t *testing.T) {
 	const limit = 16
 	s := newSim(t, 200, constant(30*time.Millisecond))
-	depths, _ := s.run(limit, func(w int) time.Duration {
+	depths, _, _ := s.run(limit, 0, func(w int) time.Duration {
 		if w >= 40 && w < 100 {
 			return 50 * time.Millisecond
 		}
@@ -234,8 +253,8 @@ func TestAutoBackPressure(t *testing.T) {
 		t.Fatalf("depth %d before the stall, want the cap %d", depths[39], limit)
 	}
 	for w := 41; w < 100; w++ {
-		if depths[w] > depths[w-1] {
-			t.Fatalf("window %d: depth rose %d -> %d under back-pressure", w, depths[w-1], depths[w])
+		if depths[w] > depths[w-1] || depths[w] < depths[w-1]-1 {
+			t.Fatalf("window %d: depth went %d -> %d under back-pressure, want steps of -1", w, depths[w-1], depths[w])
 		}
 	}
 	if depths[40+2*limit] != Floor || depths[99] != Floor {
@@ -247,17 +266,20 @@ func TestAutoBackPressure(t *testing.T) {
 	}
 }
 
-// TestAutoByteBudget: the cap a copy is given keeps the raw bytes of its
-// outstanding windows inside the run's byte budget whatever the window size,
-// and its share of the window budget otherwise.
+// TestAutoByteBudget: the cap a copy is given is its share of the byte budget
+// whatever the window size, clamped by its share of the requests the backend
+// keeps alive (which binds under 64 KiB) and never under the floor; and a
+// reader at that cap keeps the raw bytes of its outstanding windows inside the
+// budget.
 func TestAutoByteBudget(t *testing.T) {
 	for _, c := range []struct{ copies, windowBytes, want int }{
-		{1, 8 << 10, 64}, {1, 128 << 10, 64}, {1, 2 << 20, 8},
-		{4, 8 << 10, 16}, {4, 128 << 10, 16}, {4, 512 << 10, 8},
-		{3, 8 << 10, 21}, {0, 0, 64},
+		{1, 8 << 10, 256}, {1, 64 << 10, 256}, {1, 128 << 10, 128}, {1, 2 << 20, 8},
+		{4, 8 << 10, 64}, {4, 64 << 10, 64}, {4, 128 << 10, 32}, {4, 2 << 20, Floor},
+		{8, 8 << 10, 32}, {8, 64 << 10, 32}, {8, 128 << 10, 16}, {8, 2 << 20, Floor},
+		{3, 8 << 10, 85}, {0, 0, 256},
 		// The floor outranks both budgets: no copy reads shallower than the
 		// fixed default it replaces.
-		{4, 2 << 20, Floor}, {32, 8 << 10, Floor},
+		{128, 8 << 10, Floor},
 	} {
 		if got := AutoCap(c.copies, c.windowBytes); got != c.want {
 			t.Errorf("AutoCap(%d copies, %d bytes) = %d, want %d", c.copies, c.windowBytes, got, c.want)
@@ -265,11 +287,11 @@ func TestAutoByteBudget(t *testing.T) {
 	}
 	for _, windowBytes := range []int{8 << 10, 128 << 10, 2 << 20} {
 		limit := AutoCap(1, windowBytes)
-		s := newSim(t, 3*limit, constant(30*time.Millisecond))
-		_, outstanding := s.run(limit, constant(50*time.Microsecond))
-		if outstanding != limit || outstanding > BudgetWindows || outstanding*windowBytes > BudgetBytes {
-			t.Errorf("%d-byte windows: %d outstanding (%d bytes) under cap %d, budget %d windows / %d bytes",
-				windowBytes, outstanding, outstanding*windowBytes, limit, BudgetWindows, BudgetBytes)
+		s := newSim(t, 2*limit, constant(30*time.Millisecond))
+		_, _, outstanding := s.run(limit, 0, constant(50*time.Microsecond))
+		if outstanding != limit || outstanding > MaxRequests || outstanding*windowBytes > BudgetBytes {
+			t.Errorf("%d-byte windows: %d outstanding (%d bytes) under cap %d, budget %d requests / %d bytes",
+				windowBytes, outstanding, outstanding*windowBytes, limit, MaxRequests, BudgetBytes)
 		}
 	}
 }
@@ -277,7 +299,7 @@ func TestAutoByteBudget(t *testing.T) {
 // TestGateOwnerKeepsDepth: a gate someone else made is never moved by the
 // readers on it, however slow the fetches are against the consumer.
 func TestGateOwnerKeepsDepth(t *testing.T) {
-	g := NewGate(5, 1, 32)
+	g := sem.New(5, 1, 32)
 	var wg sync.WaitGroup
 	for k := 0; k < 2; k++ {
 		wg.Add(1)
@@ -301,17 +323,17 @@ func TestGateOwnerKeepsDepth(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if d := g.Depth(); d != 5 {
+	if d := g.Limit(); d != 5 {
 		t.Fatalf("gate depth %d after two readers streamed through it, want the owner's 5", d)
 	}
 }
 
-// TestCloseDeep: closing with 64 fetches in flight waits for them, returns
+// TestCloseDeep: closing with 256 fetches in flight waits for them, returns
 // every credit and leaves no goroutine behind.
 func TestCloseDeep(t *testing.T) {
 	before := runtime.NumGoroutine()
-	const depth = 64
-	g := NewGate(depth, 1, depth)
+	const depth = MaxRequests
+	g := sem.New(depth, 1, depth)
 	var mu sync.Mutex
 	started := 0
 	release := make(chan struct{})
@@ -347,12 +369,7 @@ func TestCloseDeep(t *testing.T) {
 	}
 	close(release)
 	<-closed
-	g.mu.Lock()
-	out := g.out
-	g.mu.Unlock()
-	if out != 0 {
-		t.Fatalf("%d credits still held after Close, want 0", out)
-	}
+	gateAtRest(t, g)
 	mu.Lock()
 	n := started
 	mu.Unlock()

@@ -15,10 +15,9 @@
 //     flight at any moment, and a fetch is in flight from the moment it
 //     holds a credit, so depth is both the number of requests the backend
 //     sees at once and the number of window buffers outstanding. The bound
-//     is a Gate credit count with one owner: fixed (New), moved by whoever
-//     made the gate (NewGated — the autotune controller, the daemon's
-//     governor), or moved by the reader itself from what it measures
-//     (NewAuto).
+//     is a sem.Sem credit count (the gate) with one owner: fixed (New), moved
+//     by whoever made the gate (NewGated — the daemon's governor), or moved
+//     by the reader itself from what it measures (NewAuto).
 //   - Synchronous degenerate case: depth ≤ 0 (and no gate) runs every fetch
 //     inline on the consumer's goroutine — no goroutine, no reordering
 //     window, no extra buffering — reproducing the pre-readahead reader
@@ -33,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"haralick4d/internal/sem"
 )
 
 // Fetch produces the item for one index. Fetches run concurrently, one
@@ -44,133 +45,27 @@ type Fetch[T any] func(index int) (T, error)
 // count, so no count flag or field can collide with it.
 const Auto = math.MinInt
 
-// A run's default read-ahead budget, split evenly over its reader copies by
-// AutoCap: windows in flight in all (also the keep-alive pool of the HTTP
-// backend and the daemon's TotalReadAhead default), raw window bytes in all
-// (the paper sizes its buffers in bytes), and the depth every copy keeps
-// whatever the split leaves it.
+// A run's staging budget, split evenly over its reader copies by AutoCap.
+// BudgetBytes is the one byte budget from sink to reader (the paper sizes its
+// buffers in bytes): the raw window bytes a run's self-sized readers may have
+// outstanding, and the payload bytes each filter copy's input queue may hold.
+// MaxRequests is what the backend keeps alive — the HTTP transport's
+// connection pool, the local backend's open-handle cache — so no request in
+// flight is redialled or evicted; 512 measured slower. Floor is the depth
+// every copy keeps whatever the split leaves it.
 const (
-	BudgetWindows = 64
-	BudgetBytes   = 16 << 20
-	Floor         = 4
+	BudgetBytes = 16 << 20
+	MaxRequests = 256
+	Floor       = 4
 )
 
-// AutoCap returns the depth one of copies self-sized readers may grow to
-// when each of its windows holds windowBytes of raw data.
+// AutoCap returns the depth one of copies self-sized readers may grow to when
+// each of its windows holds windowBytes of raw data: its share of the byte
+// budget, clamped by its share of the requests the backend keeps alive. The
+// byte budget binds for windows of 64 KiB and more, the request ceiling below.
 func AutoCap(copies, windowBytes int) int {
 	copies, windowBytes = max(copies, 1), max(windowBytes, 1)
-	return max(Floor, min(BudgetWindows/copies, BudgetBytes/copies/windowBytes))
-}
-
-// Gate is a resizable credit counter bounding the number of outstanding
-// fetches (in flight or completed-but-unconsumed). A reader's dispatcher
-// takes one credit before starting each fetch and the consumer returns it
-// when the result is consumed, so lowering the depth mid-stream stops new
-// dispatches until the surplus drains, and raising it wakes the dispatcher
-// immediately.
-//
-// One Gate may be shared by several readers (for example every RFR copy of
-// a run), making its depth a global outstanding-window budget. All methods
-// are safe for concurrent use.
-type Gate struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	depth  int
-	lo, hi int
-	out    int
-}
-
-// NewGate returns a gate with the given starting depth, clamped into
-// [lo, hi]. Bounds are normalized so that 1 <= lo <= hi: a zero-credit gate
-// would wedge its readers forever.
-func NewGate(depth, lo, hi int) *Gate {
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	g := &Gate{lo: lo, hi: hi}
-	g.cond = sync.NewCond(&g.mu)
-	g.depth = g.clamp(depth)
-	return g
-}
-
-func (g *Gate) clamp(d int) int {
-	if d < g.lo {
-		return g.lo
-	}
-	if d > g.hi {
-		return g.hi
-	}
-	return d
-}
-
-// Depth returns the current credit limit.
-func (g *Gate) Depth() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.depth
-}
-
-// Bounds returns the [lo, hi] resize range.
-func (g *Gate) Bounds() (lo, hi int) { return g.lo, g.hi }
-
-// Resize sets the credit limit, clamped into the gate's bounds, and returns
-// the applied value. Raising the limit wakes blocked dispatchers at once;
-// lowering it takes effect as outstanding fetches are consumed.
-func (g *Gate) Resize(d int) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.depth = g.clamp(d)
-	g.cond.Broadcast()
-	return g.depth
-}
-
-// acquire takes one credit, blocking while the gate is at its limit.
-// It returns false without taking a credit once stop is closed.
-func (g *Gate) acquire(stop <-chan struct{}) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.out < g.depth {
-		g.out++
-		return true
-	}
-	// Slow path: arm a watcher so a close of stop breaks the cond wait.
-	// The watcher cannot broadcast before the first Wait releases the lock,
-	// so the wake-up is never lost.
-	unarmed := make(chan struct{})
-	defer close(unarmed)
-	go func() {
-		select {
-		case <-stop:
-			g.mu.Lock()
-			g.cond.Broadcast()
-			g.mu.Unlock()
-		case <-unarmed:
-		}
-	}()
-	for g.out >= g.depth {
-		select {
-		case <-stop:
-			return false
-		default:
-		}
-		g.cond.Wait()
-	}
-	g.out++
-	return true
-}
-
-// release returns n credits.
-func (g *Gate) release(n int) {
-	if n <= 0 {
-		return
-	}
-	g.mu.Lock()
-	g.out -= n
-	g.cond.Broadcast()
-	g.mu.Unlock()
+	return max(Floor, min(BudgetBytes/copies/windowBytes, MaxRequests/copies))
 }
 
 // Reader streams the results of fetch(0..n-1) in order, prefetching up to
@@ -185,10 +80,12 @@ type Reader[T any] struct {
 	// Asynchronous mode. The dispatcher takes a gate credit per index,
 	// starts that index's fetch on a goroutine of its own, and queues the
 	// index's result slot into pending in index order; the consumer returns
-	// the credit as it consumes each result, so the gate's depth is the
-	// number of fetches in flight or waiting to be consumed. Closing done
-	// releases the dispatcher wherever it blocks.
-	gate      *Gate
+	// the credit as it consumes each result, so the gate's limit is the
+	// number of fetches in flight or waiting to be consumed: lowering it
+	// mid-stream stops new dispatches until the surplus drains, raising it
+	// wakes the dispatcher at once. Closing done releases the dispatcher
+	// wherever it blocks.
+	gate      *sem.Sem
 	held      atomic.Int64 // credits this reader holds (dispatched, unconsumed)
 	pending   chan chan result[T]
 	done      chan struct{}
@@ -222,11 +119,21 @@ func fold(mean *time.Duration, sample time.Duration) {
 	*mean += (sample - *mean) / 8
 }
 
-// step is the self-sizing rule: one step from depth toward Little's law,
+// seedOpen is the backend latency from which a self-sized reader opens at its
+// limit: longer than any emit loop in this system takes over one window (they
+// measure 10 to 60 µs), so Little's law would send it there anyway and the
+// first round trip need not be spent at the floor.
+const seedOpen = time.Millisecond
+
+// step is the self-sizing rule: from depth toward Little's law,
 // ⌈fetch/consume⌉ + 1 — the fetches that must overlap to deliver a window
 // in the time the consumer spends on one, plus the window being consumed.
-// A 30 ms GET takes a thousand emits and climbs to the cap; a consumer
-// stalled on its sends sees its time per window grow and walks back down.
+// Up, it doubles per consumed window until it is there (one window at a time
+// was five round trips from 4 to 64; straight there in one step lets a single
+// slow fetch on a busy host open dozens of requests that nothing needs).
+// Down, it takes one step per consumed window: a consumer stalled on its
+// sends sees its time per window grow and walks back down, and a stall that
+// passes has idled few connections.
 // A target under twice the floor counts as the floor: a page-cache read
 // against a fast emit loop measures 3 to 7, and more goroutines than the
 // floor buy nothing there. The gate clamps the result into [Floor, cap].
@@ -240,7 +147,7 @@ func step(depth int, fetch, consume time.Duration) int {
 	}
 	switch {
 	case target > depth:
-		return depth + 1
+		return min(target, 2*depth)
 	case target < depth:
 		return depth - 1
 	}
@@ -255,30 +162,42 @@ func New[T any](fetch Fetch[T], n, depth int) *Reader[T] {
 	if depth <= 0 {
 		return &Reader[T]{fetch: fetch, n: n}
 	}
-	return newAsync(fetch, n, NewGate(depth, depth, depth), false, time.Now)
+	return newAsync(fetch, n, sem.New(depth, depth, depth), false, 0, time.Now)
 }
 
 // NewGated returns a reader over indices [0, n) whose read-ahead bound is
-// the gate's current depth — moved mid-stream by the gate's owner, never by
-// the reader, and shared with every other reader on the same gate. A nil
-// gate falls back to a synchronous reader.
-func NewGated[T any](fetch Fetch[T], n int, g *Gate) *Reader[T] {
+// the gate's current limit — moved mid-stream by the gate's owner, never by
+// the reader, and shared with every other reader on the same gate (one
+// credit per window in flight). A nil gate falls back to a synchronous
+// reader.
+func NewGated[T any](fetch Fetch[T], n int, g *sem.Sem) *Reader[T] {
 	if g == nil {
 		return New(fetch, n, 0)
 	}
-	return newAsync(fetch, n, g, false, time.Now)
+	return newAsync(fetch, n, g, false, 0, time.Now)
 }
 
 // NewAuto returns a reader over indices [0, n) that sizes its own depth
 // inside [Floor, limit] (see AutoCap) from the fetch and consume times it
-// measures, one step per consumed window.
-func NewAuto[T any](fetch Fetch[T], n, limit int) *Reader[T] {
-	return newAsync(fetch, n, NewGate(Floor, Floor, limit), true, time.Now)
+// measures, once per consumed window. seed is a latency sample of the same
+// backend taken just before (a reader filter's node-index read; 0 when there
+// is none): the fetch mean starts from it, and a backend that slow to answer
+// (seedOpen) is read at the limit from the first window on.
+func NewAuto[T any](fetch Fetch[T], n, limit int, seed time.Duration) *Reader[T] {
+	return newAuto(fetch, n, limit, seed, time.Now)
 }
 
-func newAsync[T any](fetch Fetch[T], n int, g *Gate, auto bool, clock func() time.Time) *Reader[T] {
+func newAuto[T any](fetch Fetch[T], n, limit int, seed time.Duration, clock func() time.Time) *Reader[T] {
+	open := Floor
+	if seed >= seedOpen {
+		open = limit
+	}
+	return newAsync(fetch, n, sem.New(open, Floor, limit), true, seed, clock)
+}
+
+func newAsync[T any](fetch Fetch[T], n int, g *sem.Sem, auto bool, seed time.Duration, clock func() time.Time) *Reader[T] {
 	_, hi := g.Bounds()
-	r := &Reader[T]{fetch: fetch, n: n, gate: g, auto: auto, clock: clock, depth: g.Depth()}
+	r := &Reader[T]{fetch: fetch, n: n, gate: g, auto: auto, fetchT: seed, clock: clock, depth: g.Limit()}
 	r.peak = r.depth
 	// pending's capacity matches the gate's maximum so a dispatcher holding
 	// a credit never blocks on the slot queue.
@@ -296,7 +215,7 @@ func (r *Reader[T]) dispatch() {
 	defer r.wg.Done()
 	defer close(r.pending)
 	for i := 0; i < r.n; i++ {
-		if !r.gate.acquire(r.done) {
+		if !r.gate.Acquire(1, r.done) {
 			return
 		}
 		r.held.Add(1)
@@ -345,8 +264,8 @@ func (r *Reader[T]) Next() (v T, err error, ok bool) {
 		select {
 		case res := <-out:
 			r.held.Add(-1)
-			r.gate.release(1)
-			r.depth = r.gate.Depth()
+			r.gate.Release(1)
+			r.depth = r.gate.Limit()
 			if r.auto {
 				fold(&r.fetchT, res.took)
 				r.depth = r.gate.Resize(step(r.depth, r.fetchT, r.consume))
@@ -387,6 +306,6 @@ func (r *Reader[T]) Close() {
 	r.closeOnce.Do(func() {
 		close(r.done)
 		r.wg.Wait()
-		r.gate.release(int(r.held.Swap(0)))
+		r.gate.Release(int(r.held.Swap(0)))
 	})
 }

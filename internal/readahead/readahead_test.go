@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"haralick4d/internal/sem"
 )
 
 // TestOrderPreserved checks that results arrive in index order for every
@@ -152,7 +154,7 @@ func TestCloseMidStream(t *testing.T) {
 
 // TestGateResizeGrow checks that raising a gate's depth mid-stream lets the
 // dispatcher start more outstanding fetches without rebuilding the reader —
-// the live-tuning contract the autotune controller relies on.
+// the live-tuning contract the daemon's governor relies on.
 func TestGateResizeGrow(t *testing.T) {
 	const n = 100
 	var started atomic.Int64
@@ -162,7 +164,7 @@ func TestGateResizeGrow(t *testing.T) {
 		<-release
 		return i, nil
 	}
-	g := NewGate(2, 1, 16)
+	g := sem.New(2, 1, 16)
 	r := NewGated(fetch, n, g)
 	defer r.Close()
 	defer close(release)
@@ -174,7 +176,7 @@ func TestGateResizeGrow(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond) // give an over-dispatch bug time to show
 		if got := started.Load(); got != want {
-			t.Fatalf("%d fetches outstanding, want %d (depth=%d)", got, want, g.Depth())
+			t.Fatalf("%d fetches outstanding, want %d (depth=%d)", got, want, g.Limit())
 		}
 	}
 	waitFor(2)
@@ -193,7 +195,7 @@ func TestGateResizeShrink(t *testing.T) {
 		started.Add(1)
 		return i, nil
 	}
-	g := NewGate(6, 1, 16)
+	g := sem.New(6, 1, 16)
 	r := NewGated(fetch, n, g)
 	defer r.Close()
 
@@ -233,7 +235,7 @@ func TestGateShared(t *testing.T) {
 		<-release
 		return i, nil
 	}
-	g := NewGate(4, 1, 16)
+	g := sem.New(4, 1, 16)
 	a := NewGated(blocking, n, g)
 	b := NewGated(blocking, n, g)
 
@@ -259,20 +261,23 @@ func TestGateShared(t *testing.T) {
 	b.Close()
 }
 
-// TestGateClamp checks construction and resize both clamp into [lo, hi].
+// TestGateClamp checks a reader reports its gate's clamped limit and upper
+// bound as the owner moves it past both ends of the range.
 func TestGateClamp(t *testing.T) {
-	g := NewGate(0, 2, 8)
-	if d := g.Depth(); d != 2 {
-		t.Fatalf("NewGate(0,2,8).Depth() = %d, want 2", d)
-	}
-	if d := g.Resize(100); d != 8 {
-		t.Fatalf("Resize(100) = %d, want 8", d)
-	}
-	if d := g.Resize(-3); d != 2 {
-		t.Fatalf("Resize(-3) = %d, want 2", d)
-	}
-	if lo, hi := g.Bounds(); lo != 2 || hi != 8 {
-		t.Fatalf("Bounds() = %d,%d", lo, hi)
+	g := sem.New(0, 2, 8)
+	r := NewGated(func(i int) (int, error) { return i, nil }, 3, g)
+	defer r.Close()
+	for i, resize := range []int{0, 100, -3} {
+		if i > 0 {
+			g.Resize(resize)
+		}
+		want := min(max(resize, 2), 8)
+		if _, err, ok := r.Next(); !ok || err != nil {
+			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
+		}
+		if d, _, limit := r.Depth(); d != want || limit != 8 {
+			t.Fatalf("after Resize(%d): Depth() = %d, limit %d, want %d, limit 8", resize, d, limit, want)
+		}
 	}
 }
 

@@ -1,20 +1,19 @@
 // The resource governor: one global read-ahead and compute budget,
-// partitioned across running jobs by live-resizing each job's
-// readahead.Gate and autotune.Tokens. Admitting or releasing a job
+// partitioned across running jobs by live-resizing each job's read-ahead
+// gate and admission tokens, one sem.Sem each. Admitting or releasing a job
 // rebalances every running job's share — an even split of the global
 // budget, clamped into [1, per-job quota] — so a saturated daemon degrades
 // fairly instead of letting the first job keep everything, and a job that
 // finishes hands its credits back to the survivors immediately. The gates
 // absorb shrinks below the in-flight count by draining (outstanding work
 // completes, no new credit is issued), which is exactly the contract the
-// resize-contention tests in readahead/autotune pin down.
+// resize-contention tests in internal/sem pin down.
 package server
 
 import (
 	"sync"
 
-	"haralick4d/internal/autotune"
-	"haralick4d/internal/readahead"
+	"haralick4d/internal/sem"
 )
 
 // budgets is the governor's configuration: global pools and per-job caps.
@@ -27,8 +26,8 @@ type budgets struct {
 
 // grant is one job's slice of the budgets.
 type grant struct {
-	gate   *readahead.Gate
-	tokens *autotune.Tokens
+	gate   *sem.Sem // windows in flight over the job's readers
+	tokens *sem.Sem // chunks being computed over its texture copies
 }
 
 type governor struct {
@@ -49,8 +48,8 @@ func (g *governor) admit(id int64) *grant {
 	n := len(g.running) + 1
 	ra, w := g.share(n)
 	gr := &grant{
-		gate:   readahead.NewGate(ra, 1, g.cfg.JobReadAhead),
-		tokens: autotune.NewTokens(w, 1, g.cfg.JobWorkers),
+		gate:   sem.New(ra, 1, g.cfg.JobReadAhead),
+		tokens: sem.New(w, 1, g.cfg.JobWorkers),
 	}
 	g.running[id] = gr
 	g.rebalanceLocked()

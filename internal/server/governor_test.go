@@ -10,7 +10,7 @@ func TestGovernorFairShares(t *testing.T) {
 
 	g1 := g.admit(1)
 	// Alone: the whole pool, clamped to the per-job quota.
-	if d := g1.gate.Depth(); d != 8 {
+	if d := g1.gate.Limit(); d != 8 {
 		t.Fatalf("solo read-ahead share %d, want quota-capped 8", d)
 	}
 	if l := g1.tokens.Limit(); l != 6 {
@@ -20,7 +20,7 @@ func TestGovernorFairShares(t *testing.T) {
 	g2 := g.admit(2)
 	// Two jobs: even split, and the first job was shrunk live.
 	for i, gr := range []*grant{g1, g2} {
-		if d := gr.gate.Depth(); d != 6 {
+		if d := gr.gate.Limit(); d != 6 {
 			t.Fatalf("job %d read-ahead share %d, want 12/2=6", i+1, d)
 		}
 		if l := gr.tokens.Limit(); l != 4 {
@@ -29,14 +29,14 @@ func TestGovernorFairShares(t *testing.T) {
 	}
 
 	g3 := g.admit(3)
-	if d := g3.gate.Depth(); d != 4 {
+	if d := g3.gate.Limit(); d != 4 {
 		t.Fatalf("three-way read-ahead share %d, want 4", d)
 	}
 
 	// Releases hand credits back to survivors immediately.
 	g.release(2)
 	g.release(3)
-	if d := g1.gate.Depth(); d != 8 {
+	if d := g1.gate.Limit(); d != 8 {
 		t.Fatalf("after releases, read-ahead share %d, want 8", d)
 	}
 	if l := g1.tokens.Limit(); l != 6 {
@@ -53,7 +53,7 @@ func TestGovernorShareNeverBelowOne(t *testing.T) {
 	// Five jobs over a budget of 1-2: everyone keeps the floor of one
 	// credit (a zero share would wedge a pipeline forever).
 	for i, gr := range grants {
-		if d := gr.gate.Depth(); d < 1 {
+		if d := gr.gate.Limit(); d < 1 {
 			t.Fatalf("job %d read-ahead share %d", i+1, d)
 		}
 		if l := gr.tokens.Limit(); l < 1 {

@@ -22,7 +22,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatalf("nil options rejected: %v", err)
 	}
 	// Validate must return the same error the analysis entry points do.
-	bad := &Options{GrayLevels: 1}
+	bad := &Options{Spec: Spec{GrayLevels: 1}}
 	verr := bad.Validate()
 	if verr == nil {
 		t.Fatal("GrayLevels 1 accepted")
@@ -31,10 +31,10 @@ func TestOptionsValidate(t *testing.T) {
 	if aerr == nil || aerr.Error() != verr.Error() {
 		t.Errorf("Analyze error %q != Validate error %q", aerr, verr)
 	}
-	if err := (&Options{NDim: 5}).Validate(); err == nil {
+	if err := (&Options{Spec: Spec{NDim: 5}}).Validate(); err == nil {
 		t.Error("NDim 5 accepted")
 	}
-	if err := (&Options{Distance: -1}).Validate(); err == nil {
+	if err := (&Options{Spec: Spec{Distance: -1}}).Validate(); err == nil {
 		t.Error("negative distance accepted")
 	}
 	if err := (&Options{Kernel: KernelMode(5)}).Validate(); err == nil {
@@ -129,7 +129,7 @@ func TestAnalyzeReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Report != nil {
-			t.Errorf("Parallelism %d: Report non-nil with DisableMetrics", par)
+			t.Errorf("Texture %d: Report non-nil with DisableMetrics", par)
 		}
 	}
 }

@@ -429,7 +429,7 @@ func BenchmarkAnalyzeRegionLegacy(b *testing.B) {
 // the local pipeline with all CPUs.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	v := GeneratePhantom(PhantomConfig{Dims: [4]int{32, 32, 6, 6}, Seed: 5})
-	opts := &Options{ROI: [4]int{6, 6, 2, 2}, GrayLevels: 16}
+	opts := &Options{Spec: Spec{ROI: [4]int{6, 6, 2, 2}, GrayLevels: 16}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ import (
 func benchAnalyzeMetrics(disable bool) func(*testing.B) {
 	return func(b *testing.B) {
 		v := GeneratePhantom(PhantomConfig{Dims: [4]int{32, 32, 8, 8}, Seed: 9})
-		opts := &Options{ROI: [4]int{5, 5, 2, 2}, GrayLevels: 16, Parallelism: 4, DisableMetrics: disable}
+		opts := &Options{Spec: Spec{ROI: [4]int{5, 5, 2, 2}, GrayLevels: 16, Texture: 4}, DisableMetrics: disable}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Analyze(v, opts); err != nil {
@@ -122,7 +122,7 @@ func TestWriteMetricsBenchJSON(t *testing.T) {
 			"gomaxprocs": runtime.GOMAXPROCS(0),
 			"go":         runtime.Version(),
 		},
-		Workload:    "Analyze 32x32x8x8 phantom, ROI 5x5x2x2, G=16, 40 directions, Parallelism 4, local engine",
+		Workload:    "Analyze 32x32x8x8 phantom, ROI 5x5x2x2, G=16, 40 directions, Texture 4, local engine",
 		MetricsOn:   onNs,
 		MetricsOff:  offNs,
 		OverheadPct: overheadPct,

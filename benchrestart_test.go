@@ -27,7 +27,7 @@ func TestWriteRestartBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseOpts := func() *Options {
-		return &Options{ROI: [4]int{5, 5, 2, 2}, GrayLevels: 16, Parallelism: 3}
+		return &Options{Spec: Spec{ROI: [4]int{5, 5, 2, 2}, GrayLevels: 16, Texture: 3}}
 	}
 
 	// measure reports the min-of-3 wall time of one configuration; pipeline
@@ -57,7 +57,7 @@ func TestWriteRestartBenchJSON(t *testing.T) {
 	})
 	watchdog := measure(func(run int, o *Options) {
 		o.Checkpoint = filepath.Join(ckptDir, "bench-wd.ckpt")
-		o.StallTimeout = time.Minute
+		o.StallTimeout = Duration(time.Minute)
 	})
 
 	overhead := func(ns int64) float64 { return float64(ns)/float64(off) - 1 }
@@ -79,7 +79,7 @@ func TestWriteRestartBenchJSON(t *testing.T) {
 			"gomaxprocs": runtime.GOMAXPROCS(0),
 			"go":         runtime.Version(),
 		},
-		Workload: "48x48x8x8 phantom on 3 storage nodes, ROI 5x5x2x2, G=16, paper features, AnalyzeDataset with Parallelism 3 on the local engine",
+		Workload: "48x48x8x8 phantom on 3 storage nodes, ROI 5x5x2x2, G=16, paper features, AnalyzeDataset with Texture 3 on the local engine",
 		Results: map[string]any{
 			"checkpoint_off_ns":               off,
 			"checkpoint_on_ns":                on,

@@ -20,13 +20,15 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"syscall"
+	"time"
 
-	"haralick4d/internal/cliflags"
 	"haralick4d/internal/core"
 	"haralick4d/internal/experiments"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/runspec"
 )
 
 // validateCountFlags rejects the negative values the flag package happily
@@ -42,12 +44,26 @@ func validateCountFlags(readAhead, kernelWorkers int) error {
 	return nil
 }
 
-func parseKernel(s string) (core.KernelMode, error) {
-	k, err := core.ParseKernelMode(s)
-	if err != nil {
-		return 0, fmt.Errorf("-kernel: %w", err)
+// parseReadAhead reads -readahead: a count of windows, or "auto" for
+// readahead.Auto. Unlike a run spec's read-ahead, 0 here is synchronous
+// reads: the figures are fixed-depth ablations.
+func parseReadAhead(s string) (int, error) {
+	if s == "auto" {
+		return readahead.Auto, nil
 	}
-	return k, nil
+	return strconv.Atoi(s)
+}
+
+// bindSpecFlags registers the flags this binary shares with the run spec,
+// parsed by the spec's value types and checked by its Validate.
+func bindSpecFlags(fs *flag.FlagSet, spec *runspec.Spec) {
+	fs.IntVar(&spec.CacheBlocks, "cache-blocks", 0, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
+	fs.IntVar(&spec.CacheBlockSize, "cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
+	// Only the watchdog half of the restart surface is exposed here:
+	// resuming a half-finished figure sweep from a checkpoint would splice
+	// timings from two separate processes into one curve, so the
+	// checkpoint/-resume flags are deliberately haralick4d-only.
+	fs.TextVar(&spec.StallTimeout, "stall-timeout", spec.StallTimeout, "fail a figure's engine run if no filter makes progress for this long, e.g. 5m (0 = disabled; the simulated engine runs in virtual time and ignores it)")
 }
 
 func main() {
@@ -59,45 +75,29 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "simulation repetitions per configuration (min is reported)")
 		computeS = flag.Float64("compute-scale", experiments.DefaultComputeScale, "virtual seconds per host second on a speed-1 node")
 		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
-		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy (the kernel figure sweeps both)")
+		kernel   core.KernelMode
 		rdAhead  = 4
-		cacheBl  = flag.Int("cache-blocks", 0, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
-		cacheBS  = flag.Int("cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
+		spec     runspec.Spec
 		memoP    = flag.String("memo", "", "autotune sweep memo file recording measured cells across invocations (default: autotune-memo.json next to the dataset; \"off\" disables)")
-		// Only the watchdog half of the restart surface is exposed here:
-		// resuming a half-finished figure sweep from a checkpoint would
-		// splice timings from two separate processes into one curve, so the
-		// checkpoint/-resume flags are deliberately haralick4d-only.
-		stallS   = flag.String("stall-timeout", "", "fail a figure's engine run if no filter makes progress for this long, e.g. 5m (default: disabled; the simulated engine runs in virtual time and ignores it)")
 		metricsF = flag.Bool("metrics", false, "after each figure, print the run report of its last engine run")
 		metJSON  = flag.String("metrics-json", "", "write the last figure's run report as JSON to this file (\"-\" for stdout)")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	)
 	flag.Func("readahead", "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` (default 4: the figures are fixed-depth ablations), 0 (synchronous reads) or auto (self-sized); outputs are identical either way", func(s string) (err error) {
-		rdAhead, err = cliflags.ParseReadAhead(s)
+		rdAhead, err = parseReadAhead(s)
 		return err
 	})
+	flag.Func("kernel", "parallel-scan GLCM kernel: auto (default; blocked when supported), blocked, legacy (the kernel figure sweeps both)", func(s string) (err error) {
+		kernel, err = core.ParseKernelMode(s)
+		return err
+	})
+	bindSpecFlags(flag.CommandLine, &spec)
 	flag.Parse()
-	if err := validateCountFlags(rdAhead, *kworkers); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	err := validateCountFlags(rdAhead, *kworkers)
+	if err == nil {
+		err = spec.Validate()
 	}
-	kernel, err := parseKernel(*kernelS)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	_, stallTimeout, err := cliflags.ParseRestartFlags("", false, "", *stallS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	// The dataset location is decided later (a temp dir when -data is empty),
-	// so validate the cache sizing against a stand-in local path.
-	if _, err := cliflags.ParseBackendFlags(".", *cacheBl, *cacheBS); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -133,8 +133,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	if *cacheBl > 0 {
-		cached, err := env.Store.WithCache(*cacheBS, *cacheBl)
+	if spec.CacheBlocks > 0 {
+		cached, err := env.Store.WithCache(spec.CacheBlockSize, spec.CacheBlocks)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
@@ -151,7 +151,7 @@ func main() {
 	env.KernelWorkers = *kworkers
 	env.Kernel = kernel
 	env.ReadAhead = rdAhead
-	env.StallTimeout = stallTimeout
+	env.StallTimeout = time.Duration(spec.StallTimeout)
 	switch *memoP {
 	case "":
 		// keep Setup's default next to the dataset

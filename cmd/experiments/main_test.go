@@ -1,12 +1,14 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"haralick4d/internal/cliflags"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/runspec"
 )
 
 func TestValidateCountFlags(t *testing.T) {
@@ -34,10 +36,9 @@ func TestValidateCountFlags(t *testing.T) {
 	}
 }
 
-// TestStallTimeoutFlagShape exercises the exact invocation main forwards to
-// the shared parser: this binary exposes only -stall-timeout (no checkpoint
-// flags — resuming a figure sweep would splice timings from two processes),
-// so the checkpoint arguments are hardwired empty.
+// TestStallTimeoutFlagShape parses -stall-timeout the way main does: the run
+// spec's duration type, then the spec's Validate. 0 is "off", as on every
+// other surface.
 func TestStallTimeoutFlagShape(t *testing.T) {
 	cases := []struct {
 		stallS  string
@@ -46,20 +47,46 @@ func TestStallTimeoutFlagShape(t *testing.T) {
 	}{
 		{stallS: ""},
 		{stallS: "5m", want: 5 * time.Minute},
-		{stallS: "0s", wantErr: "-stall-timeout must be positive"},
-		{stallS: "-1m", wantErr: "-stall-timeout must be positive"},
-		{stallS: "whenever", wantErr: "invalid -stall-timeout"},
+		{stallS: "0s"},
+		{stallS: "-1m", wantErr: "stall_timeout (-stall-timeout) must not be negative"},
+		{stallS: "whenever", wantErr: `invalid value "whenever" for flag -stall-timeout`},
 	}
 	for _, c := range cases {
-		_, stall, err := cliflags.ParseRestartFlags("", false, "", c.stallS)
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var spec runspec.Spec
+		bindSpecFlags(fs, &spec)
+		var args []string
+		if c.stallS != "" {
+			args = []string{"-stall-timeout", c.stallS}
+		}
+		err := fs.Parse(args)
+		if err == nil {
+			err = spec.Validate()
+		}
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("stall-timeout %q: err = %v, want %q", c.stallS, err, c.wantErr)
 			}
 			continue
 		}
-		if err != nil || stall != c.want {
-			t.Errorf("stall-timeout %q: got (%s, %v), want %s", c.stallS, stall, err, c.want)
+		if err != nil || time.Duration(spec.StallTimeout) != c.want {
+			t.Errorf("stall-timeout %q: got (%s, %v), want %s", c.stallS, time.Duration(spec.StallTimeout), err, c.want)
+		}
+	}
+}
+
+// TestParseReadAhead: -readahead takes a count or "auto"; a negative count
+// parses (validateCountFlags rejects it) and anything else is a usage error.
+func TestParseReadAhead(t *testing.T) {
+	for in, want := range map[string]int{"auto": readahead.Auto, "0": 0, "64": 64, "-3": -3} {
+		if got, err := parseReadAhead(in); err != nil || got != want {
+			t.Errorf("parseReadAhead(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "deep", "4.5", "Auto"} {
+		if got, err := parseReadAhead(bad); err == nil {
+			t.Errorf("parseReadAhead(%q) accepted as %d", bad, got)
 		}
 	}
 }

@@ -7,11 +7,15 @@
 // execution engine (local goroutines, loopback TCP between virtual nodes,
 // or the simulated cluster).
 //
+// The flags that describe the run are the run spec's (internal/runspec),
+// the same fields and defaults as the daemon's job specs and the library's
+// Options; the rest select how an engine executes it.
+//
 // Examples:
 //
 //	haralick4d -data /data/study1 -out /tmp/maps -format jpeg
-//	haralick4d -data /data/study1 -impl split -rep sparse -texture 8 -engine tcp -out /tmp/uso -format uso
-//	haralick4d -data /data/study1 -engine sim -impl split -stats
+//	haralick4d -data /data/study1 -impl split -rep sparse -texture 8 -engine tcp -out /tmp/uso
+//	haralick4d -data /data/study1 -engine sim -impl split -format none -stats
 //
 // The serve subcommand runs the multi-job analysis daemon instead of a
 // single analysis (see internal/server):
@@ -21,13 +25,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,75 +43,141 @@ import (
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/dicom"
 	"haralick4d/internal/fault"
-	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/filters"
 	"haralick4d/internal/netdesc"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/resilience"
+	"haralick4d/internal/runspec"
 )
-
-// dicomStudy abstracts the two dataset formats behind one build call.
-type dicomStudy struct {
-	dcm *dicom.Study
-	raw *dataset.Store
-}
-
-func (s *dicomStudy) build(cfg *pipeline.Config, layout *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error) {
-	if s.dcm != nil {
-		return pipeline.BuildDICOM(s.dcm, cfg, layout)
-	}
-	return pipeline.Build(s.raw, cfg, layout)
-}
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "haralick4d: "+format+"\n", args...)
 	os.Exit(1)
 }
 
-// parseAutoTuneFlags checks the -autotune flag family and resolves the
-// sampling interval. The simulated engine replays a virtual clock and never
-// runs the live monitor, so tuning there would silently do nothing.
-func parseAutoTuneFlags(on bool, intervalS string, seed int64, engine pipeline.Engine) (time.Duration, error) {
-	var interval time.Duration
-	if intervalS != "" {
-		d, err := time.ParseDuration(intervalS)
-		if err != nil {
-			return 0, fmt.Errorf("invalid -autotune-interval %q: %v", intervalS, err)
-		}
-		if d <= 0 {
-			return 0, fmt.Errorf("-autotune-interval must be positive, got %v", d)
-		}
-		interval = d
-	}
-	if !on {
-		if intervalS != "" {
-			return 0, fmt.Errorf("-autotune-interval requires -autotune")
-		}
-		if seed != 0 {
-			return 0, fmt.Errorf("-autotune-seed requires -autotune")
-		}
-		return 0, nil
-	}
-	if engine == pipeline.EngineSim {
-		return 0, fmt.Errorf("-autotune needs a live engine (local or tcp), not sim")
-	}
-	return interval, nil
+// cli is one parsed command line: the run spec plus the options only an
+// engine run has.
+type cli struct {
+	spec runspec.Spec
+
+	data, graph  string
+	dicom        bool
+	engine       pipeline.Engine
+	codec        filter.Codec
+	retry        *filter.RetryPolicy
+	resilience   *resilience.Policy
+	iic          int
+	kernel       core.KernelMode
+	kernelBlock  int
+	checkpoint   string
+	ckptInterval time.Duration
+	resume       bool
+	autotune     bool
+	tuneInterval time.Duration
+	tuneSeed     int64
+	crashAfter   int
+	stats        bool
+	metrics      bool
+	metricsJSON  string
+	pprof        string
 }
 
-// defaultKernelWorkers is auto (all CPUs): the default run uses the parallel
-// sliding kernel, and -kernel-workers 1 asks for the sequential oracle
-// explicitly. Outputs are bit-identical either way.
-const defaultKernelWorkers = 0
-
-// validateCountFlags rejects the negative values the flag package happily
-// parses; 0 keeps each flag's documented meaning (synchronous reads, all
-// CPUs, untiled kernel rows) and -readahead auto is no count.
-func validateCountFlags(readAhead, kernelWorkers, kernelBlock int) error {
-	if readAhead < 0 && readAhead != pipeline.ReadAheadAuto {
-		return fmt.Errorf("-readahead must be >= 0, got %d", readAhead)
+// parseArgs parses and checks a command line. Every error it returns is a
+// usage error, already printed to out with the usage text: main exits 2.
+func parseArgs(args []string, out io.Writer) (*cli, error) {
+	fs := flag.NewFlagSet("haralick4d", flag.ContinueOnError)
+	fs.SetOutput(out)
+	c := &cli{codec: filter.CodecBinary}
+	c.spec.Bind(fs)
+	fs.StringVar(&c.data, "data", "", "dataset directory (see cmd/gendata); required unless -dataset-url is given")
+	fs.StringVar(&c.graph, "graph", "", "XML pipeline description (overrides the analysis/layout flags)")
+	fs.BoolVar(&c.dicom, "dicom", false, "the dataset directory is a DICOM study (see internal/dicom)")
+	fs.Func("engine", "execution engine: local (default), tcp, sim", func(s string) (err error) {
+		c.engine, err = pipeline.ParseEngine(s)
+		return err
+	})
+	fs.Func("wire-codec", "TCP wire codec: binary (default) or gob", func(s string) (err error) {
+		c.codec, err = filter.ParseCodec(s)
+		return err
+	})
+	fs.Func("retry", "TCP link retry policy \"attempts[,base[,max]]\", e.g. \"5,10ms,1s\" (empty = single-shot sends)", func(s string) (err error) {
+		c.retry, err = filter.ParseRetry(s)
+		return err
+	})
+	brkS := fs.String("breaker", "", "circuit breaker \"consec[,open-for[,window,error-rate]]\" for backend calls and TCP links, e.g. \"5,2s\" (empty = off)")
+	budgetS := fs.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" capping total retries against a sick dependency, e.g. \"10,0.1\" (empty = unbounded)")
+	hedgeS := fs.String("hedge-after", "", "launch a second backend range read if the first has not answered within this duration, e.g. 200ms (empty = off)")
+	fs.IntVar(&c.iic, "iic", 1, "explicit IIC copies")
+	fs.Func("kernel", "parallel-scan GLCM kernel: auto (default; blocked when supported), blocked, legacy", func(s string) (err error) {
+		c.kernel, err = core.ParseKernelMode(s)
+		return err
+	})
+	fs.IntVar(&c.kernelBlock, "kernel-block", 0, "x tile width of the blocked kernel's accumulation runs (0 = untiled rows)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
+	ckptIntS := fs.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
+	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
+	fs.BoolVar(&c.autotune, "autotune", false, "tune texture admission live from run metrics (engines local/tcp; needs -texture > 1 to have a knob)")
+	fs.DurationVar(&c.tuneInterval, "autotune-interval", 0, "autotune sampling cadence, e.g. 250ms (default 100ms; requires -autotune)")
+	fs.Int64Var(&c.tuneSeed, "autotune-seed", 0, "autotune tie-break seed, 0 = default (requires -autotune)")
+	fs.IntVar(&c.crashAfter, "crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")
+	fs.BoolVar(&c.stats, "stats", false, "print per-filter runtime statistics")
+	fs.BoolVar(&c.metrics, "metrics", false, "print the structured run report (per-filter spans, streams, critical path)")
+	fs.StringVar(&c.metricsJSON, "metrics-json", "", "write the run report as JSON to this file (\"-\" for stdout)")
+	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if kernelWorkers < 0 {
-		return fmt.Errorf("-kernel-workers must be >= 0, got %d", kernelWorkers)
+	err := c.check(*brkS, *budgetS, *hedgeS, *ckptIntS)
+	if err != nil {
+		fmt.Fprintf(out, "haralick4d: %v\n", err)
+		fs.Usage()
+		return nil, err
+	}
+	return c, nil
+}
+
+// check validates a parsed command line: the spec with its one Validate,
+// then the engine-run options.
+func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
+	if c.spec.Dataset == "" {
+		c.spec.Dataset = c.data
+	}
+	if c.spec.Dataset == "" {
+		return errors.New("-data or -dataset-url is required")
+	}
+	if err := c.spec.Validate(); err != nil {
+		return err
+	}
+	if err := validateCountFlags(c.iic, c.kernelBlock); err != nil {
+		return err
+	}
+	if c.ckptInterval, err = cliflags.ParseRestartFlags(c.checkpoint, c.resume, ckptIntS); err != nil {
+		return err
+	}
+	if c.resilience, err = cliflags.ParseResilienceFlags(brkS, budgetS, hedgeS); err != nil {
+		return err
+	}
+	// The simulated engine replays a virtual clock and never runs the live
+	// monitor, so tuning there would silently do nothing.
+	switch {
+	case c.tuneInterval < 0:
+		return fmt.Errorf("-autotune-interval must be positive, got %v", c.tuneInterval)
+	case !c.autotune && c.tuneInterval != 0:
+		return errors.New("-autotune-interval requires -autotune")
+	case !c.autotune && c.tuneSeed != 0:
+		return errors.New("-autotune-seed requires -autotune")
+	case c.autotune && c.engine == pipeline.EngineSim:
+		return errors.New("-autotune needs a live engine (local or tcp), not sim")
+	}
+	return nil
+}
+
+// validateCountFlags rejects the engine-run counts the flag package happily
+// parses but no run can use.
+func validateCountFlags(iic, kernelBlock int) error {
+	if iic < 1 {
+		return fmt.Errorf("-iic must be >= 1, got %d", iic)
 	}
 	if kernelBlock < 0 {
 		return fmt.Errorf("-kernel-block must be >= 0, got %d", kernelBlock)
@@ -119,298 +190,132 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
-	var (
-		data     = flag.String("data", "", "dataset directory (see cmd/gendata); required unless -dataset-url is given")
-		dataURL  = flag.String("dataset-url", "", "dataset URL: a directory path, file://dir, mem://name, or http(s)://host/prefix for a remote range-read server (overrides -data)")
-		cacheBl  = flag.Int("cache-blocks", 0, "block-cache budget between the backend and the readers, in blocks (0 = no cache)")
-		cacheBS  = flag.Int("cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
-		graph    = flag.String("graph", "", "XML pipeline description (overrides the analysis/layout flags)")
-		dicomIn  = flag.Bool("dicom", false, "the dataset directory is a DICOM study (see internal/dicom)")
-		out      = flag.String("out", "", "output directory (required unless -format none)")
-		format   = flag.String("format", "jpeg", "output format: jpeg (HIC+JIW), uso (unstitched), none (collect only)")
-		implS    = flag.String("impl", "hmp", "texture implementation: hmp or split")
-		repS     = flag.String("rep", "full", "matrix representation: full, full-noskip, sparse")
-		policyS  = flag.String("policy", "demand-driven", "buffer scheduling: round-robin or demand-driven")
-		engineS  = flag.String("engine", "local", "execution engine: local, tcp, sim")
-		rdAhead  = pipeline.ReadAheadAuto
-		codecS   = flag.String("wire-codec", "binary", "TCP wire codec: binary or gob")
-		retryS   = flag.String("retry", "", "TCP link retry policy \"attempts[,base[,max]]\", e.g. \"5,10ms,1s\" (empty = single-shot sends)")
-		faultS   = flag.String("fault-policy", "fail-fast", "degraded-slice handling: fail-fast or skip-degraded")
-		brkS     = flag.String("breaker", "", "circuit breaker \"consec[,open-for[,window,error-rate]]\" for backend calls and TCP links, e.g. \"5,2s\" (empty = off)")
-		budgetS  = flag.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" capping total retries against a sick dependency, e.g. \"10,0.1\" (empty = unbounded)")
-		hedgeS   = flag.String("hedge-after", "", "launch a second backend range read if the first has not answered within this duration, e.g. 200ms (empty = off)")
-		staleF   = flag.Bool("serve-stale", false, "while the backend breaker is open, degrade unavailable slices instead of failing the run (requires -fault-policy skip-degraded)")
-		deadS    = flag.String("deadline", "", "wall-clock budget for the whole run, e.g. 10m; propagated as a context deadline into every backend read (empty = none)")
-		texture  = flag.Int("texture", 4, "texture filter copies (HMP, or HCC+HPC pairs for split)")
-		kworkers = flag.Int("kernel-workers", defaultKernelWorkers, "intra-chunk kernel workers per texture filter copy (0 = auto: all CPUs, the sliding blocked kernel; 1 = the sequential reference kernel, the bit-exactness oracle, many times slower)")
-		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy")
-		kblock   = flag.Int("kernel-block", 0, "x tile width of the blocked kernel's accumulation runs (0 = untiled rows)")
-		iic      = flag.Int("iic", 1, "explicit IIC copies")
-		roiS     = flag.String("roi", "16x16x3x3", "ROI window XxYxZxT")
-		chunkS   = flag.String("chunk", "", "IIC-to-TEXTURE chunk shape XxYxZxT (default: auto)")
-		gray     = flag.Int("gray", 32, "gray levels G")
-		featS    = flag.String("features", "", "comma-separated feature names (default: the paper's four)")
-		ndim     = flag.Int("ndim", 4, "direction-set dimensionality (1-4)")
-		dist     = flag.Int("distance", 1, "displacement distance")
-		ckptS    = flag.String("checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
-		ckptIntS = flag.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
-		resumeF  = flag.Bool("resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
-		stallS   = flag.String("stall-timeout", "", "fail the run if no filter makes progress for this long, e.g. 2m (default: wait forever)")
-		tuneF    = flag.Bool("autotune", false, "tune texture admission live from run metrics (engines local/tcp; needs -texture > 1 to have a knob)")
-		tuneIntS = flag.String("autotune-interval", "", "autotune sampling cadence, e.g. 250ms (default 100ms; requires -autotune)")
-		tuneSeed = flag.Int64("autotune-seed", 0, "autotune tie-break seed, 0 = default (requires -autotune)")
-		crashN   = flag.Int("crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")
-		stats    = flag.Bool("stats", false, "print per-filter runtime statistics")
-		metricsF = flag.Bool("metrics", false, "print the structured run report (per-filter spans, streams, critical path)")
-		metJSON  = flag.String("metrics-json", "", "write the run report as JSON to this file (\"-\" for stdout)")
-		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	)
-	flag.Func("readahead", "I/O windows each dataset reader keeps in flight ahead of the pipeline: `N`, 0 (synchronous reads) or auto (the default: each reader sizes itself from its measured fetch and emit times)", func(s string) (err error) {
-		rdAhead, err = cliflags.ParseReadAhead(s)
-		return err
-	})
-	flag.Parse()
-	if *data == "" && *dataURL == "" {
-		fmt.Fprintln(os.Stderr, "haralick4d: -data or -dataset-url is required")
-		flag.Usage()
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if *dataURL == "" {
-		*dataURL = *data
+	if err := c.run(); err != nil {
+		fail("%v", err)
 	}
+}
 
-	impl, err := pipeline.ParseImpl(*implS)
-	if err != nil {
-		fail("%v", err)
-	}
-	rep, err := core.ParseRepresentation(*repS)
-	if err != nil {
-		fail("%v", err)
-	}
-	policy, err := filter.ParsePolicy(*policyS)
-	if err != nil {
-		fail("%v", err)
-	}
-	engine, err := pipeline.ParseEngine(*engineS)
-	if err != nil {
-		fail("%v", err)
-	}
-	codec, err := filter.ParseCodec(*codecS)
-	if err != nil {
-		fail("%v", err)
-	}
-	retry, err := filter.ParseRetry(*retryS)
-	if err != nil {
-		fail("%v", err)
-	}
-	faultPolicy, err := fault.ParsePolicy(*faultS)
-	if err != nil {
-		fail("%v", err)
-	}
-	kernel, err := core.ParseKernelMode(*kernelS)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := validateCountFlags(rdAhead, *kworkers, *kblock); err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	ckptInterval, stallTimeout, err := cliflags.ParseRestartFlags(*ckptS, *resumeF, *ckptIntS, *stallS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	uopts, err := cliflags.ParseBackendFlags(*dataURL, *cacheBl, *cacheBS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	respol, deadline, err := cliflags.ParseResilienceFlags(*brkS, *budgetS, *hedgeS, *deadS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *staleF && faultPolicy != fault.SkipDegraded {
-		fmt.Fprintln(os.Stderr, "haralick4d: -serve-stale requires -fault-policy skip-degraded (stale reads surface as degraded slices)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	uopts.ResiliencePolicy = respol
-	uopts.ServeStale = *staleF
-	if respol != nil && retry != nil {
-		// The same flag-level policy arms the TCP links: each ordered node
-		// pair gets its own breaker and retry budget.
-		retry.PairBudget = respol.Budget
-		retry.PairBreaker = respol.Breaker
-	}
-	tuneInterval, err := parseAutoTuneFlags(*tuneF, *tuneIntS, *tuneSeed, engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	var roi [4]int
-	if _, err := fmt.Sscanf(*roiS, "%dx%dx%dx%d", &roi[0], &roi[1], &roi[2], &roi[3]); err != nil {
-		fail("invalid -roi %q", *roiS)
-	}
-	var chunk [4]int
-	if *chunkS != "" {
-		if _, err := fmt.Sscanf(*chunkS, "%dx%dx%dx%d", &chunk[0], &chunk[1], &chunk[2], &chunk[3]); err != nil {
-			fail("invalid -chunk %q", *chunkS)
-		}
-	}
-	var feats []features.Feature
-	if *featS != "" {
-		for _, name := range strings.Split(*featS, ",") {
-			f, err := features.Parse(name)
-			if err != nil {
-				fail("%v", err)
-			}
-			feats = append(feats, f)
-		}
-	}
-
+// run opens the dataset, builds the pipeline the command line describes and
+// runs it on the selected engine.
+func (c *cli) run() error {
 	var (
-		cfg    *pipeline.Config
-		layout *pipeline.Layout
+		dims  [4]int
+		nodes int
+		store *dataset.Store
+		build func(*pipeline.Config, *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error)
 	)
-	var dims [4]int
-	var storageNodes int
-	var study *dicomStudy
-	if *dicomIn {
-		if *data == "" {
-			fail("-dicom requires a local -data directory")
+	if c.dicom {
+		if c.data == "" {
+			return errors.New("-dicom requires a local -data directory")
 		}
-		s, err := dicom.OpenStudy(*data)
+		study, err := dicom.OpenStudy(c.data)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		study = &dicomStudy{dcm: s}
-		dims, storageNodes = s.Dims, s.Nodes
+		dims, nodes = study.Dims, study.Nodes
+		build = func(cfg *pipeline.Config, l *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error) {
+			return pipeline.BuildDICOM(study, cfg, l)
+		}
 	} else {
-		st, err := dataset.OpenURL(context.Background(), *dataURL, uopts)
+		st, err := dataset.OpenURL(context.Background(), c.spec.Dataset, &dataset.URLOptions{
+			CacheBlocks:      c.spec.CacheBlocks,
+			CacheBlockSize:   c.spec.CacheBlockSize,
+			ResiliencePolicy: c.resilience,
+			ServeStale:       c.spec.ServeStale,
+		})
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		defer st.Close()
-		study = &dicomStudy{raw: st}
-		dims, storageNodes = st.Meta.Dims, st.Meta.Nodes
+		store, dims, nodes = st, st.Meta.Dims, st.Meta.Nodes
+		build = func(cfg *pipeline.Config, l *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error) {
+			return pipeline.Build(st, cfg, l)
+		}
 	}
 
-	if *graph != "" {
-		doc, err := netdesc.ParseFile(*graph)
+	cfg, layout, err := pipeline.ConfigFor(&c.spec, nodes)
+	if err != nil {
+		return err
+	}
+	if c.graph != "" {
+		doc, err := netdesc.ParseFile(c.graph)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		if cfg, layout, err = doc.Build(); err != nil {
-			fail("%v", err)
+		gcfg, glayout, err := doc.Build()
+		if err != nil {
+			return err
 		}
-		if *out != "" {
-			cfg.OutDir = *out
+		// The XML describes the analysis and the placement; the reading
+		// side still comes from the spec.
+		gcfg.ReadAhead, gcfg.FaultPolicy = cfg.ReadAhead, cfg.FaultPolicy
+		if c.spec.OutDir != "" {
+			gcfg.OutDir = c.spec.OutDir
 		}
+		cfg, layout = gcfg, glayout
 	} else {
-		cfg = &pipeline.Config{
-			Analysis: core.Config{
-				ROI:            roi,
-				GrayLevels:     *gray,
-				NDim:           *ndim,
-				Distance:       *dist,
-				Features:       feats,
-				Representation: rep,
-				Workers:        *kworkers,
-				Kernel:         kernel,
-				KernelBlock:    *kblock,
-			},
-			ChunkShape: chunk,
-			Impl:       impl,
-			Policy:     policy,
-			OutDir:     *out,
+		cfg.Analysis.Kernel, cfg.Analysis.KernelBlock = c.kernel, c.kernelBlock
+		// Extra IIC copies each get a node of their own after the texture
+		// nodes, which ConfigFor places last.
+		tex := layout.HMPNodes
+		if tex == nil {
+			tex = layout.HCCNodes
 		}
-		switch *format {
-		case "jpeg":
-			cfg.Output = pipeline.OutputJPEG
-		case "uso":
-			cfg.Output = pipeline.OutputUSO
-		case "none":
-			cfg.Output = pipeline.OutputCollect
-		default:
-			fail("unknown -format %q", *format)
-		}
-		// Placement: storage nodes first, then IIC, output, texture nodes.
-		next := storageNodes
-		take := func(n int) []int {
-			ids := make([]int, n)
-			for i := range ids {
-				ids[i] = next
-				next++
-			}
-			return ids
-		}
-		layout = &pipeline.Layout{
-			IICNodes:    take(*iic),
-			OutputNodes: take(1),
-		}
-		tex := take(*texture)
-		switch impl {
-		case pipeline.HMPImpl:
-			layout.HMPNodes = tex
-		case pipeline.SplitImpl:
-			layout.HCCNodes = tex
-			layout.HPCNodes = tex // co-located pairs (the paper's best layout)
+		for next := tex[len(tex)-1] + 1; len(layout.IICNodes) < c.iic; next++ {
+			layout.IICNodes = append(layout.IICNodes, next)
 		}
 	}
-	cfg.ReadAhead = rdAhead
-	cfg.FaultPolicy = faultPolicy
-	var ctrl *autotune.Controller
-	if *tuneF {
-		acfg := autotune.Config{Seed: *tuneSeed, Interval: tuneInterval}
-		if st := study.raw; st != nil {
+	if c.autotune {
+		acfg := autotune.Config{Seed: c.tuneSeed, Interval: c.tuneInterval}
+		if store != nil {
 			acfg.CacheStats = func() (hits, misses int64) {
-				s := st.Stats()
+				s := store.Stats()
 				return s.CacheHits, s.CacheMisses
 			}
 		}
-		ctrl = autotune.New(acfg)
+		cfg.AutoTune = autotune.New(acfg)
 	}
-	cfg.AutoTune = ctrl
 	if cfg.Output != pipeline.OutputCollect {
 		if cfg.OutDir == "" {
-			fail("an output directory is required (use -out)")
+			return errors.New("an output directory is required (use -out)")
 		}
 		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
 	var journal *checkpoint.Journal
-	if *ckptS != "" {
-		j, restart, err := pipeline.PrepareCheckpoint(dims, cfg, *ckptS, *resumeF, ckptInterval)
+	if c.checkpoint != "" {
+		j, restart, err := pipeline.PrepareCheckpoint(dims, cfg, c.checkpoint, c.resume, c.ckptInterval)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		journal = j
-		if *resumeF {
+		if c.resume {
 			fmt.Println(restart)
 		}
 	}
 
-	if *pprofAt != "" {
+	if c.pprof != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAt, nil); err != nil {
+			if err := http.ListenAndServe(c.pprof, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "haralick4d: pprof server: %v\n", err)
 			}
 		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAt)
+		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", c.pprof)
 	}
 
-	g, sink, outDims, err := study.build(cfg, layout)
+	g, sink, outDims, err := build(cfg, layout)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	if *crashN > 0 {
+	if c.crashAfter > 0 {
 		// Fault-injection hook for the restart smoke test: kill the first
 		// texture copy while it holds an in-flight buffer.
 		name := "HMP"
@@ -418,63 +323,69 @@ func main() {
 			name = "HCC"
 		}
 		if spec, ok := g.Filter(name); ok {
-			spec.New = fault.CrashAfter(spec.New, 0, *crashN)
+			spec.New = fault.CrashAfter(spec.New, 0, c.crashAfter)
 		}
 	}
 	fmt.Printf("dataset %v, ROI %v, G=%d, %s/%s/%s on %s engine\n",
-		dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, engine)
+		dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, c.engine)
 	// SIGTERM is what containers and orchestrators send first: treat it
 	// like ^C so the run cancels cleanly and the checkpoint journal is
 	// flushed instead of dying mid-frame.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if deadline > 0 {
+	if c.spec.Deadline > 0 {
 		// The -deadline budget rides the same context as ^C/SIGTERM, so an
 		// overrunning run cancels exactly like an interrupted one.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.spec.Deadline))
 		defer cancel()
 	}
-	rs, err := pipeline.RunContext(ctx, g, engine, &pipeline.RunOptions{
-		WireCodec:    codec,
-		Retry:        retry,
-		Failover:     faultPolicy == fault.SkipDegraded,
-		StallTimeout: stallTimeout,
-		AutoTune:     ctrl,
+	if c.resilience != nil && c.retry != nil {
+		// The same flag-level policy arms the TCP links: each ordered node
+		// pair gets its own breaker and retry budget.
+		c.retry.PairBudget = c.resilience.Budget
+		c.retry.PairBreaker = c.resilience.Breaker
+	}
+	rs, err := pipeline.RunContext(ctx, g, c.engine, &pipeline.RunOptions{
+		WireCodec:    c.codec,
+		Retry:        c.retry,
+		Failover:     cfg.FaultPolicy == fault.SkipDegraded,
+		StallTimeout: time.Duration(c.spec.StallTimeout),
+		AutoTune:     cfg.AutoTune,
 	})
 	if journal != nil {
 		// Close regardless of the run's outcome: the journal is the artifact
 		// a later -resume trusts, so whatever landed must reach the disk.
 		if cerr := journal.Close(); cerr != nil && err == nil {
-			fail("%v", cerr)
+			err = cerr
 		}
 	}
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	fmt.Printf("done in %v; output dims %v\n", rs.Elapsed, outDims)
-	ctrl.Attach(rs.Report)
-	pipeline.AttachBackendStats(rs.Report, study.raw)
-	if *stats {
+	cfg.AutoTune.Attach(rs.Report)
+	pipeline.AttachBackendStats(rs.Report, store)
+	if c.stats {
 		fmt.Print(rs.String())
 	}
-	if *metricsF || *metJSON != "" {
+	if c.metrics || c.metricsJSON != "" {
 		if err := rs.Report.Validate(); err != nil {
-			fail("run report: %v", err)
+			return fmt.Errorf("run report: %v", err)
 		}
 	}
-	if *metricsF {
+	if c.metrics {
 		fmt.Print(rs.Report.String())
 	}
-	if *metJSON != "" {
+	if c.metricsJSON != "" {
 		data, err := rs.Report.JSON()
 		if err != nil {
-			fail("run report: %v", err)
+			return fmt.Errorf("run report: %v", err)
 		}
-		if *metJSON == "-" {
+		if c.metricsJSON == "-" {
 			os.Stdout.Write(append(data, '\n'))
-		} else if err := os.WriteFile(*metJSON, append(data, '\n'), 0o644); err != nil {
-			fail("%v", err)
+		} else if err := os.WriteFile(c.metricsJSON, append(data, '\n'), 0o644); err != nil {
+			return err
 		}
 	}
 	if sink != nil {
@@ -484,4 +395,5 @@ func main() {
 		}
 		fmt.Println("results collected in memory (use -format jpeg or uso to persist)")
 	}
+	return nil
 }

@@ -1,85 +1,131 @@
 package main
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"haralick4d/internal/cliflags"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 )
 
-// The default run is the parallel kernel, not the sequential oracle.
+// The default run is the parallel kernel with self-sized read-ahead into
+// USO files, not the sequential oracle.
 func TestKernelWorkersDefaultIsAuto(t *testing.T) {
-	if defaultKernelWorkers != 0 {
-		t.Errorf("-kernel-workers defaults to %d, want 0 (auto)", defaultKernelWorkers)
+	c, err := parseArgs([]string{"-data", "study"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := validateCountFlags(4, defaultKernelWorkers, 0); err != nil {
-		t.Errorf("the default -kernel-workers is rejected: %v", err)
+	if c.spec.KernelWorkers != 0 {
+		t.Errorf("-kernel-workers defaults to %d, want 0 (auto)", c.spec.KernelWorkers)
+	}
+	cfg, _, err := pipeline.ConfigFor(&c.spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Analysis.Workers != 0 || cfg.ReadAhead != pipeline.ReadAheadAuto || cfg.Output != pipeline.OutputUSO {
+		t.Errorf("default run: workers %d, read-ahead %d, output %v; want auto, auto, USO", cfg.Analysis.Workers, cfg.ReadAhead, cfg.Output)
+	}
+	if want := (runspec.Spec{Dataset: "study"}); !reflect.DeepEqual(c.spec, want) {
+		t.Errorf("an unset flag line gave %+v, want the zero spec %+v", c.spec, want)
 	}
 }
 
 func TestValidateCountFlags(t *testing.T) {
 	cases := []struct {
-		readAhead, kernelWorkers, kernelBlock int
-		wantErr                               string
+		iic, kernelBlock int
+		wantErr          string
 	}{
-		{0, 0, 0, ""},
-		{4, 8, 16, ""},
-		{pipeline.ReadAheadAuto, 0, 0, ""}, // -readahead auto is no count
-		{-1, 0, 0, "-readahead must be >= 0, got -1"},
-		{0, -3, 0, "-kernel-workers must be >= 0, got -3"},
-		{0, 0, -4, "-kernel-block must be >= 0, got -4"},
-		{-2, -2, -2, "-readahead must be >= 0, got -2"}, // first offender wins
+		{1, 0, ""},
+		{4, 16, ""},
+		{0, 0, "-iic must be >= 1, got 0"},
+		{-2, 0, "-iic must be >= 1, got -2"},
+		{1, -4, "-kernel-block must be >= 0, got -4"},
+		{-2, -2, "-iic must be >= 1, got -2"}, // first offender wins
 	}
 	for _, c := range cases {
-		err := validateCountFlags(c.readAhead, c.kernelWorkers, c.kernelBlock)
+		err := validateCountFlags(c.iic, c.kernelBlock)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateCountFlags(%d, %d, %d) = %v, want nil", c.readAhead, c.kernelWorkers, c.kernelBlock, err)
+				t.Errorf("validateCountFlags(%d, %d) = %v, want nil", c.iic, c.kernelBlock, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateCountFlags(%d, %d, %d) = %v, want %q", c.readAhead, c.kernelWorkers, c.kernelBlock, err, c.wantErr)
+			t.Errorf("validateCountFlags(%d, %d) = %v, want %q", c.iic, c.kernelBlock, err, c.wantErr)
 		}
 	}
 }
 
-// TestRestartFlagShape exercises the invocation main forwards to the shared
-// parser for the full -checkpoint/-checkpoint-interval/-resume/-stall-timeout
-// surface; each error case is one the binary turns into an exit-2 usage
-// failure.
+// TestRestartFlagShape drives the -checkpoint/-checkpoint-interval/-resume/
+// -stall-timeout surface through the binary's own parser; each error case
+// is one main turns into an exit-2 usage failure.
 func TestRestartFlagShape(t *testing.T) {
 	cases := []struct {
-		name              string
-		checkpoint        string
-		resume            bool
-		intervalS, stallS string
-		wantInterval      time.Duration
-		wantStall         time.Duration
-		wantErr           string
+		name         string
+		args         []string
+		wantInterval time.Duration
+		wantStall    time.Duration
+		wantErr      string
 	}{
 		{name: "off"},
-		{name: "full", checkpoint: "run.ckpt", resume: true, intervalS: "500ms", stallS: "2m",
+		{name: "full", args: []string{"-checkpoint", "run.ckpt", "-resume", "-checkpoint-interval", "500ms", "-stall-timeout", "2m"},
 			wantInterval: 500 * time.Millisecond, wantStall: 2 * time.Minute},
-		{name: "resume-without-checkpoint", resume: true, wantErr: "-resume requires -checkpoint"},
-		{name: "orphan-interval", intervalS: "1s", wantErr: "-checkpoint-interval without -checkpoint"},
-		{name: "zero-interval", checkpoint: "run.ckpt", intervalS: "0s", wantErr: "-checkpoint-interval must be positive"},
-		{name: "bad-stall", stallS: "later", wantErr: "invalid -stall-timeout"},
+		{name: "resume-without-checkpoint", args: []string{"-resume"}, wantErr: "-resume requires -checkpoint"},
+		{name: "orphan-interval", args: []string{"-checkpoint-interval", "1s"}, wantErr: "-checkpoint-interval without -checkpoint"},
+		{name: "zero-interval", args: []string{"-checkpoint", "run.ckpt", "-checkpoint-interval", "0s"}, wantErr: "-checkpoint-interval must be positive"},
+		{name: "bad-stall", args: []string{"-stall-timeout", "later"}, wantErr: `invalid value "later" for flag -stall-timeout`},
+		{name: "zero-stall", args: []string{"-stall-timeout", "0s"}}, // 0 is off, as in a job spec
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			interval, stall, err := cliflags.ParseRestartFlags(c.checkpoint, c.resume, c.intervalS, c.stallS)
+			got, err := parseArgs(append([]string{"-data", "study"}, c.args...), io.Discard)
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("err = %v, want %q", err, c.wantErr)
 				}
 				return
 			}
-			if err != nil || interval != c.wantInterval || stall != c.wantStall {
-				t.Fatalf("got (%s, %s, %v), want (%s, %s)", interval, stall, err, c.wantInterval, c.wantStall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ckptInterval != c.wantInterval || time.Duration(got.spec.StallTimeout) != c.wantStall {
+				t.Fatalf("got (%s, %s), want (%s, %s)", got.ckptInterval, time.Duration(got.spec.StallTimeout), c.wantInterval, c.wantStall)
 			}
 		})
+	}
+}
+
+// TestParseArgsRejects pins command lines that used to panic or run: each
+// is a usage error now, with the message the other surfaces give.
+func TestParseArgsRejects(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-texture", "-1"}, "spec: texture (-texture) must not be negative, got -1"},
+		{[]string{"-iic", "-2"}, "-iic must be >= 1, got -2"},
+		{[]string{"-roi", "5x5x2x2junk"}, `invalid value "5x5x2x2junk" for flag -roi`},
+		{[]string{"-roi", "5x5x2"}, `invalid value "5x5x2" for flag -roi`},
+		{[]string{"-format", "tiff"}, `invalid value "tiff" for flag -format`},
+		{[]string{"-readahead", "-1"}, "spec: readahead (-readahead) must not be negative, got -1"},
+		{[]string{"-readahead", "deep"}, `invalid value "deep" for flag -readahead`},
+		{[]string{"-kernel-workers", "-1"}, "spec: kernel_workers (-kernel-workers) must not be negative, got -1"},
+		{[]string{"-serve-stale"}, "serve_stale (-serve-stale) requires fault_policy (-fault-policy) skip-degraded"},
+		{[]string{"-deadline", "-1s"}, "spec: deadline_ms (-deadline) must not be negative"},
+		{[]string{"-gray", "1"}, "gray levels 1 out of range"},
+		{[]string{"-dataset-url", "ftp://host/x"}, "unknown dataset URL scheme"},
+		{[]string{"-kernel", "vectorized"}, `invalid value "vectorized" for flag -kernel`},
+		{[]string{"-engine", "sim", "-autotune"}, "-autotune needs a live engine"},
+	}
+	for _, c := range cases {
+		if _, err := parseArgs(append([]string{"-data", "study"}, c.args...), io.Discard); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.wantErr)
+		}
+	}
+	if _, err := parseArgs(nil, io.Discard); err == nil || !strings.Contains(err.Error(), "-data or -dataset-url is required") {
+		t.Errorf("no dataset: err = %v", err)
 	}
 }

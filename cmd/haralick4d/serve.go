@@ -30,40 +30,24 @@ func serveMain(args []string) {
 		jobRA    = fs.Int("job-quota-readahead", 0, "per-job read-ahead quota cap (0 = default 16)")
 		jobWk    = fs.Int("job-quota-workers", 0, "per-job compute quota cap (0 = GOMAXPROCS)")
 		drainS   = fs.String("drain-timeout", "", "graceful-drain bound on SIGTERM/^C, e.g. 45s (default 30s)")
-		stallS   = fs.String("stall-timeout", "", "per-job stall watchdog default when a spec leaves stall_timeout empty, e.g. 2m (default: disabled)")
+		stallS   = fs.String("stall-timeout", "", "per-job stall watchdog default when a spec leaves stall_timeout 0, e.g. 2m (default: disabled)")
 		brkS     = fs.String("breaker", "", "circuit breaker \"consec[,open-for[,window,error-rate]]\" shared per backend host across jobs (empty = off)")
 		budgetS  = fs.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" per backend host (empty = unbounded)")
 		hedgeS   = fs.String("hedge-after", "", "hedge backend range reads not answered within this duration, e.g. 200ms (empty = off)")
 	)
 	fs.Parse(args)
-	sf, err := cliflags.ParseServeFlags(*addr, *stateDir,
+	cfg, err := cliflags.ParseServeFlags(*addr, *stateDir,
 		*maxJobs, *maxQueue, *totalRA, *totalWk, *jobRA, *jobWk, *drainS, *stallS)
+	if err == nil {
+		cfg.Resilience, err = cliflags.ParseResilienceFlags(*brkS, *budgetS, *hedgeS)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "haralick4d serve: %v\n", err)
 		fs.Usage()
 		os.Exit(2)
 	}
-	sf.Resilience, _, err = cliflags.ParseResilienceFlags(*brkS, *budgetS, *hedgeS, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haralick4d serve: %v\n", err)
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	s, err := server.New(server.Config{
-		Addr:           sf.Addr,
-		StateDir:       sf.StateDir,
-		MaxJobs:        sf.MaxJobs,
-		MaxQueue:       sf.MaxQueue,
-		TotalReadAhead: sf.TotalReadAhead,
-		TotalWorkers:   sf.TotalWorkers,
-		JobReadAhead:   sf.JobReadAhead,
-		JobWorkers:     sf.JobWorkers,
-		DrainTimeout:   sf.DrainTimeout,
-		StallTimeout:   sf.StallTimeout,
-		Resilience:     sf.Resilience,
-		Logf:           log.Printf,
-	})
+	cfg.Logf = log.Printf
+	s, err := server.New(*cfg)
 	if err != nil {
 		fail("serve: %v", err)
 	}

@@ -21,10 +21,10 @@ func main() {
 
 	// Analyze with an 8×8×3×3 ROI at 32 gray levels, computing the paper's
 	// four parameters over all 40 unique 4D directions, in parallel.
-	res, err := haralick4d.Analyze(study, &haralick4d.Options{
+	res, err := haralick4d.Analyze(study, &haralick4d.Options{Spec: haralick4d.Spec{
 		ROI:        [4]int{8, 8, 3, 3},
 		GrayLevels: 32,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func main() {
 
 	// Texture distinguishes tissue: compare entropy at the center (lesion
 	// territory) against a corner (background).
-	opts := &haralick4d.Options{
+	opts := &haralick4d.Options{Spec: haralick4d.Spec{
 		ROI:        [4]int{8, 8, 3, 3},
 		GrayLevels: 32,
 		Features:   []haralick4d.Feature{haralick4d.Entropy},
-	}
+	}}
 	res2, err := haralick4d.Analyze(study, opts)
 	if err != nil {
 		log.Fatal(err)

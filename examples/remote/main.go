@@ -38,11 +38,11 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("serving %s at %s\n\n", dir, srv.URL)
 
-	opts := &haralick4d.Options{
-		ROI:         [4]int{8, 8, 3, 3},
-		GrayLevels:  32,
-		Parallelism: 3,
-	}
+	opts := &haralick4d.Options{Spec: haralick4d.Spec{
+		ROI:        [4]int{8, 8, 3, 3},
+		GrayLevels: 32,
+		Texture:    3,
+	}}
 
 	run := func(label string, cacheBlocks int) {
 		o := *opts

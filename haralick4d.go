@@ -21,7 +21,6 @@ package haralick4d
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"haralick4d/internal/autotune"
@@ -34,6 +33,7 @@ import (
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -103,10 +103,6 @@ const (
 	KernelLegacy = core.KernelLegacy
 )
 
-// ReadAheadAuto as Options.ReadAhead lets every dataset reader size its own
-// read-ahead depth; the CLI's default.
-const ReadAheadAuto = pipeline.ReadAheadAuto
-
 // ParseKernelMode returns the kernel mode with the given canonical name
 // ("auto", "blocked", "legacy").
 func ParseKernelMode(s string) (KernelMode, error) { return core.ParseKernelMode(s) }
@@ -122,42 +118,40 @@ type FloatGrid = volume.FloatGrid
 // NewVolume allocates a zeroed volume with the given dimensions.
 func NewVolume(dims [4]int) *Volume { return volume.NewVolume(dims) }
 
-// Options configures an analysis. The zero value is the paper's
-// configuration: 16×16×3×3 ROI, 32 gray levels, distance-1 displacements in
-// all 40 unique 4D directions, the paper's four parameters, and the
-// optimized full-matrix representation.
+// Spec is the run description the library shares with the haralick4d CLI
+// (its flags) and the analysis daemon (its job specs): the same fields,
+// defaults and validation on every surface. The zero value of every field
+// is its default.
+type Spec = runspec.Spec
+
+// Duration is a Spec duration (StallTimeout): a time.Duration whose text
+// and JSON form is Go's duration syntax.
+type Duration = runspec.Duration
+
+// Millis is the Spec's Deadline: a time.Duration whose JSON form is a
+// number of milliseconds (deadline_ms).
+type Millis = runspec.Millis
+
+// Options configures an analysis. The zero value is the default run: the
+// paper's 16×16×3×3 ROI, 32 gray levels, distance-1 displacements in all
+// 40 unique 4D directions, the paper's four parameters and the optimized
+// full-matrix representation, on four texture copies with self-sized
+// kernel workers and read-ahead.
 type Options struct {
-	// ROI is the region-of-interest window shape (x, y, z, t).
-	// Zero value: 16×16×3×3, the paper's window.
-	ROI [4]int
-	// GrayLevels is the requantization level count G (co-occurrence
-	// matrices are G×G). Zero value: 32; valid range [2, 256].
-	GrayLevels int
-	// NDim selects the direction-set dimensionality (1–4).
-	// Zero value: 4 (all 40 unique 4D directions).
-	NDim int
-	// Distance is the voxel-pair displacement magnitude. Zero value: 1.
-	Distance int
-	// Features are the Haralick parameters to compute. Zero value (nil):
-	// the paper's four (ASM, correlation, variance, IDM).
-	Features []Feature
-	// Representation selects the matrix storage scheme. Zero value:
-	// FullMatrix, the paper's optimized full representation.
-	Representation Representation
-	// Parallelism is the number of parallel texture filter copies; 0 uses
-	// all CPUs, 1 forces the sequential reference path.
-	Parallelism int
-	// KernelWorkers bounds the intra-chunk parallelism inside each texture
-	// filter: ROI raster rows are striped across this many workers, whose
-	// per-row kernel reuses overlapping-window work (sliding-window GLCM
-	// updates). 0 uses all CPUs, 1 forces the sequential reference kernel.
-	// Outputs are bit-identical at every setting.
-	KernelWorkers int
-	// Kernel selects the GLCM accumulation kernel those workers run. The
-	// zero value, KernelAuto, enables the cache-blocked, direction-batched
-	// kernel by default; KernelLegacy restores the per-direction kernels.
-	// The sequential reference path (KernelWorkers 1) is always legacy, and
-	// outputs are bit-identical across modes.
+	// Spec describes the run (see Spec). Texture is the number of texture
+	// filter copies; Analyze runs the sequential reference path at 1.
+	// KernelWorkers 1 runs the sequential reference kernel; outputs are
+	// bit-identical at every setting. ReadAhead, FaultPolicy, CacheBlocks,
+	// CacheBlockSize, ServeStale and Deadline act on AnalyzeDataset's
+	// backend. Dataset, Output and OutDir belong to the CLI and the daemon:
+	// the library reads AnalyzeDataset's url and returns its grids in
+	// Result, so they must stay zero.
+	Spec
+	// Kernel selects the GLCM accumulation kernel the kernel workers run.
+	// The zero value, KernelAuto, enables the cache-blocked,
+	// direction-batched kernel by default; KernelLegacy restores the
+	// per-direction kernels. The sequential reference path (KernelWorkers 1)
+	// is always legacy, and outputs are bit-identical across modes.
 	Kernel KernelMode
 	// KernelBlock bounds the x extent of the blocked kernel's accumulation
 	// runs (an L1 tile width in voxels) for ROIs whose rows outgrow the
@@ -167,19 +161,6 @@ type Options struct {
 	// stays nil. Metrics are on by default and cost a few atomic operations
 	// per stream buffer.
 	DisableMetrics bool
-	// ReadAhead is the number of I/O windows each dataset reader keeps in
-	// flight (fetch + decode) ahead of the pipeline (AnalyzeDataset only).
-	// 0 — the default — reads synchronously, ReadAheadAuto self-sizes; any
-	// depth produces bit-identical outputs.
-	ReadAhead int
-	// FaultPolicy selects how AnalyzeDataset handles degraded slices —
-	// checksum mismatches, truncated or missing files. FailFast (the zero
-	// value) aborts with an error matching ErrDegradedData; SkipDegraded
-	// completes the healthy remainder of the dataset, leaves the affected
-	// output voxels zero and reports them in Result.Degraded. SkipDegraded
-	// also enables copy failover in the runtime so a crashed filter copy
-	// degrades the run instead of killing it.
-	FaultPolicy FaultPolicy
 	// Retry bounds reconnect-and-retransmit on engines with real transport
 	// faults. The local engine AnalyzeDataset uses has none, so this is
 	// carried for callers driving the TCP engine through the pipeline
@@ -200,46 +181,19 @@ type Options struct {
 	// chunks are never re-read or recomputed, and the final Result is
 	// bit-identical to an uninterrupted run. Requires Checkpoint.
 	Resume bool
-	// StallTimeout arms a watchdog over the run: if no filter copy anywhere
-	// makes progress for this long, the run fails with an error matching
-	// ErrStalled that names the wedged copies — instead of hanging forever
-	// on, say, a dead NFS mount. It is a global no-progress deadline, not a
-	// per-operation one; it must comfortably exceed the longest single
-	// read/compute the run can legitimately perform. 0 disables.
-	StallTimeout time.Duration
-	// CacheBlocks layers a fixed-size block cache between the dataset
-	// backend and the readers (AnalyzeDataset only): a shared LRU budget of
-	// this many blocks. 0 — the default — disables caching; negative is
-	// invalid. Most useful with remote (http) dataset URLs, where a hit
-	// saves a network round trip.
-	CacheBlocks int
-	// CacheBlockSize is the cache's block granularity in bytes; 0 selects
-	// the 128 KiB default. Requires CacheBlocks > 0.
-	CacheBlockSize int
 	// Resilience arms failure-control on the dataset backend (AnalyzeDataset
 	// only): a circuit breaker fast-failing calls while the backend is sick,
 	// a shared retry budget capping total retry traffic, and hedged range
 	// reads for tail latency. Nil — the default — keeps the plain retry
 	// behavior. Most useful with remote (http) dataset URLs.
 	Resilience *ResiliencePolicy
-	// ServeStale, while the backend breaker is open, converts unavailable
-	// slice reads into degraded slices (still served from cache when a
-	// block-cache holds them) instead of failing the run. Requires
-	// FaultPolicy SkipDegraded, which is what makes degraded slices
-	// survivable. AnalyzeDataset only.
-	ServeStale bool
-	// Deadline bounds the whole analysis in wall-clock time (AnalyzeDataset
-	// only): it is propagated as a context deadline into every backend read,
-	// so an overrunning run fails with context.DeadlineExceeded instead of
-	// hanging. 0 disables.
-	Deadline time.Duration
 	// AutoTune runs the online feedback controller during the pipeline run:
 	// texture compute admission (with more than one texture copy) is resized
 	// live from periodic progress snapshots (hill climbing with hysteresis),
 	// and the decisions appear in Result.Report.Tuning. Tuning changes
 	// scheduling only — outputs are bit-identical to an untuned run.
-	// Requires metrics; ignored by the sequential reference path
-	// (Parallelism 1 in Analyze), which has nothing to actuate.
+	// Requires metrics; ignored by the sequential reference path (Texture 1
+	// in Analyze), which has nothing to actuate.
 	AutoTune bool
 	// AutoTuneInterval is the controller's sampling period; 0 selects the
 	// 100 ms default. Requires AutoTune.
@@ -267,185 +221,67 @@ type Progress = metrics.Progress
 
 // DefaultProgressInterval is the Options.Progress sampling period when
 // ProgressInterval is zero.
-const DefaultProgressInterval = 500 * time.Millisecond
+const DefaultProgressInterval = pipeline.DefaultProgressInterval
 
 // Validate checks the options and reports the first problem — the same
-// error an Analyze call would return before doing any work. It does not
-// modify o; zero-valued fields are valid and select the documented
-// defaults.
+// error an Analyze call would return before doing any work: the Spec's own
+// Validate (the one the CLI and the daemon run), then the library's hooks.
+// It does not modify o; zero-valued fields are valid and select the
+// documented defaults.
 func (o *Options) Validate() error {
-	_, err := o.coreConfig()
-	if err != nil {
-		return err
-	}
-	if err := o.validateRestart(); err != nil {
-		return err
-	}
-	if err := o.validateBackend(); err != nil {
-		return err
-	}
-	if err := o.validateAutoTune(); err != nil {
-		return err
-	}
-	return o.validateProgress()
-}
-
-// validateProgress checks the live-progress option subset.
-func (o *Options) validateProgress() error {
 	if o == nil {
-		return nil
+		o = &Options{}
 	}
-	if o.ProgressInterval < 0 {
+	if err := o.Spec.Validate(); err != nil {
+		return err
+	}
+	a := o.Spec.Analysis()
+	a.Kernel, a.KernelBlock = o.Kernel, o.KernelBlock
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case o.Dataset != "" || o.Output != 0 || o.OutDir != "":
+		return fmt.Errorf("haralick4d: Dataset, Output and OutDir are the CLI's and the daemon's: the library reads AnalyzeDataset's url and returns grids in memory")
+	case o.CheckpointInterval < 0:
+		return fmt.Errorf("haralick4d: CheckpointInterval must not be negative")
+	case o.CheckpointInterval > 0 && o.Checkpoint == "":
+		return fmt.Errorf("haralick4d: CheckpointInterval set without a Checkpoint path")
+	case o.Resume && o.Checkpoint == "":
+		return fmt.Errorf("haralick4d: Resume requires a Checkpoint path")
+	case o.AutoTuneInterval < 0:
+		return fmt.Errorf("haralick4d: AutoTuneInterval must not be negative")
+	case !o.AutoTune && o.AutoTuneInterval > 0:
+		return fmt.Errorf("haralick4d: AutoTuneInterval set without AutoTune")
+	case !o.AutoTune && o.AutoTuneSeed != 0:
+		return fmt.Errorf("haralick4d: AutoTuneSeed set without AutoTune")
+	case o.AutoTune && o.DisableMetrics:
+		return fmt.Errorf("haralick4d: AutoTune needs the metrics the controller feeds on (unset DisableMetrics)")
+	case o.ProgressInterval < 0:
 		return fmt.Errorf("haralick4d: ProgressInterval must not be negative")
-	}
-	if o.Progress == nil {
-		if o.ProgressInterval > 0 {
-			return fmt.Errorf("haralick4d: ProgressInterval set without a Progress callback")
-		}
-		return nil
-	}
-	if o.DisableMetrics {
+	case o.Progress == nil && o.ProgressInterval > 0:
+		return fmt.Errorf("haralick4d: ProgressInterval set without a Progress callback")
+	case o.Progress != nil && o.DisableMetrics:
 		return fmt.Errorf("haralick4d: Progress needs the metrics it samples (unset DisableMetrics)")
 	}
 	return nil
 }
 
-// progressMonitor adapts the Progress callback into the filter runtime's
-// Monitor hook: a ticker loop sampling the live probe until the run ends.
-func (o *Options) progressMonitor() func(stop <-chan struct{}, p filter.Probe) {
-	if o == nil || o.Progress == nil {
-		return nil
+// config translates the options into the pipeline's configuration and
+// placement: the spec through pipeline.ConfigFor, then the library's hooks
+// — the in-memory sink, the kernel knobs and the tuning controller, which
+// cacheStats, when non-nil, feeds the block cache's counters.
+func (o *Options) config(storageNodes int, cacheStats func() (hits, misses int64)) (*pipeline.Config, *pipeline.Layout, error) {
+	cfg, layout, err := pipeline.ConfigFor(&o.Spec, storageNodes)
+	if err != nil {
+		return nil, nil, err
 	}
-	fn, interval := o.Progress, o.ProgressInterval
-	if interval <= 0 {
-		interval = DefaultProgressInterval
+	cfg.Output = pipeline.OutputCollect
+	cfg.Analysis.Kernel, cfg.Analysis.KernelBlock = o.Kernel, o.KernelBlock
+	if o.AutoTune {
+		cfg.AutoTune = autotune.New(autotune.Config{Seed: o.AutoTuneSeed, Interval: o.AutoTuneInterval, CacheStats: cacheStats})
 	}
-	return func(stop <-chan struct{}, p filter.Probe) {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				fn(p.Snapshot().Progress())
-			}
-		}
-	}
-}
-
-// validateAutoTune checks the online-tuning option subset.
-func (o *Options) validateAutoTune() error {
-	if o == nil {
-		return nil
-	}
-	if o.AutoTuneInterval < 0 {
-		return fmt.Errorf("haralick4d: AutoTuneInterval must not be negative")
-	}
-	if !o.AutoTune {
-		if o.AutoTuneInterval > 0 {
-			return fmt.Errorf("haralick4d: AutoTuneInterval set without AutoTune")
-		}
-		if o.AutoTuneSeed != 0 {
-			return fmt.Errorf("haralick4d: AutoTuneSeed set without AutoTune")
-		}
-		return nil
-	}
-	if o.DisableMetrics {
-		return fmt.Errorf("haralick4d: AutoTune needs the metrics the controller feeds on (unset DisableMetrics)")
-	}
-	return nil
-}
-
-// controller builds the run's autotune controller, or nil when tuning is
-// off. cacheStats, when non-nil, feeds the block-cache hit/miss counters
-// into each snapshot the controller sees.
-func (o *Options) controller(cacheStats func() (hits, misses int64)) *autotune.Controller {
-	if o == nil || !o.AutoTune {
-		return nil
-	}
-	return autotune.New(autotune.Config{
-		Seed:       o.AutoTuneSeed,
-		Interval:   o.AutoTuneInterval,
-		CacheStats: cacheStats,
-	})
-}
-
-// validateBackend checks the dataset-backend option subset.
-func (o *Options) validateBackend() error {
-	if o == nil {
-		return nil
-	}
-	if o.CacheBlocks < 0 {
-		return fmt.Errorf("haralick4d: CacheBlocks must not be negative")
-	}
-	if o.CacheBlockSize < 0 {
-		return fmt.Errorf("haralick4d: CacheBlockSize must not be negative")
-	}
-	if o.CacheBlockSize > 0 && o.CacheBlocks == 0 {
-		return fmt.Errorf("haralick4d: CacheBlockSize set without a CacheBlocks budget")
-	}
-	return nil
-}
-
-// validateResilience checks the resilience option subset.
-func (o *Options) validateResilience() error {
-	if o == nil {
-		return nil
-	}
-	if o.Deadline < 0 {
-		return fmt.Errorf("haralick4d: Deadline must not be negative")
-	}
-	if o.ServeStale && o.FaultPolicy != SkipDegraded {
-		return fmt.Errorf("haralick4d: ServeStale requires FaultPolicy SkipDegraded (stale reads surface as degraded slices)")
-	}
-	return nil
-}
-
-// validateRestart checks the checkpoint/watchdog option subset.
-func (o *Options) validateRestart() error {
-	if o == nil {
-		return nil
-	}
-	if o.CheckpointInterval < 0 {
-		return fmt.Errorf("haralick4d: CheckpointInterval must not be negative")
-	}
-	if o.CheckpointInterval > 0 && o.Checkpoint == "" {
-		return fmt.Errorf("haralick4d: CheckpointInterval set without a Checkpoint path")
-	}
-	if o.Resume && o.Checkpoint == "" {
-		return fmt.Errorf("haralick4d: Resume requires a Checkpoint path")
-	}
-	if o.StallTimeout < 0 {
-		return fmt.Errorf("haralick4d: StallTimeout must not be negative")
-	}
-	return nil
-}
-
-func (o *Options) coreConfig() (core.Config, error) {
-	var cfg core.Config
-	if o != nil {
-		cfg = core.Config{
-			ROI:            o.ROI,
-			GrayLevels:     o.GrayLevels,
-			NDim:           o.NDim,
-			Distance:       o.Distance,
-			Features:       o.Features,
-			Representation: o.Representation,
-			Workers:        o.KernelWorkers,
-			Kernel:         o.Kernel,
-			KernelBlock:    o.KernelBlock,
-		}
-	}
-	err := cfg.Validate()
-	return cfg, err
-}
-
-func (o *Options) workers() int {
-	if o == nil || o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
+	return cfg, layout, nil
 }
 
 // FaultPolicy selects how dataset-level faults are handled (see
@@ -529,7 +365,7 @@ type Result struct {
 	// OutputDims are the dimensions of every grid.
 	OutputDims [4]int
 	// Report is the run's observability report: nil only when
-	// Options.DisableMetrics is set. Sequential runs (Parallelism 1)
+	// Options.DisableMetrics is set. Sequential runs (Texture 1)
 	// report a single SEQ pseudo-filter with the whole scan as one
 	// compute span.
 	Report *RunReport
@@ -543,32 +379,26 @@ type Result struct {
 
 // Analyze runs 4D Haralick texture analysis over an in-memory volume: the
 // volume is requantized to the configured gray levels over its own
-// intensity range and raster-scanned with the configured ROI. With
-// Parallelism > 1 the work is chunked and spread over a local filter
-// pipeline; outputs are identical to the sequential path.
+// intensity range and raster-scanned with the configured ROI. With more
+// than one texture copy (Texture, default 4) the work is chunked and spread
+// over a local filter pipeline; outputs are identical to the sequential
+// path that Texture 1 runs.
 func Analyze(v *Volume, opts *Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), v, opts)
 }
 
 // AnalyzeContext is Analyze under a context: cancelling ctx makes the
 // pipeline engines stop promptly and return ctx's error. The sequential
-// path (Parallelism 1) checks the context only between setup steps — a
+// path (Texture 1) checks the context only between setup steps — a
 // running kernel scan is not interrupted.
 func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, error) {
-	cfg, err := opts.coreConfig()
-	if err != nil {
+	if opts == nil {
+		opts = &Options{}
+	}
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.validateRestart(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateAutoTune(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateProgress(); err != nil {
-		return nil, err
-	}
-	if opts != nil && opts.Checkpoint != "" {
+	if opts.Checkpoint != "" {
 		// The in-memory path holds no disk-resident inputs to re-read on a
 		// later life, so a journal could never be honoured.
 		return nil, fmt.Errorf("haralick4d: checkpointing requires a disk-resident dataset (AnalyzeDataset)")
@@ -576,8 +406,47 @@ func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	grid := volume.Requantize(v, cfg.GrayLevels)
-	return analyzeGrid(ctx, grid, cfg, opts)
+	cfg, layout, err := opts.config(1, nil)
+	if err != nil {
+		return nil, err
+	}
+	grid := volume.Requantize(v, cfg.Analysis.GrayLevels)
+	outDims, err := volume.OutputDims(grid.Dims, cfg.Analysis.ROI)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims}
+	if opts.Spec.Resolved().Texture == 1 {
+		start := time.Now()
+		grids, err := core.AnalyzeGrid(grid, &cfg.Analysis, nil)
+		if err != nil {
+			return nil, err
+		}
+		for i, f := range cfg.Analysis.Features {
+			res.Grids[f] = grids[i]
+		}
+		if !opts.DisableMetrics {
+			res.Report = sequentialReport(time.Since(start))
+		}
+		return res, nil
+	}
+	g, sink, _, err := pipeline.BuildMem(grid, cfg, layout)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions(cfg))
+	if err != nil {
+		return nil, err
+	}
+	if err := sink.Complete(cfg.Analysis.Features); err != nil {
+		return nil, err
+	}
+	for _, f := range cfg.Analysis.Features {
+		res.Grids[f] = sink.Grid(f)
+	}
+	res.Report = rs.Report
+	cfg.AutoTune.Attach(res.Report)
+	return res, nil
 }
 
 // sequentialReport wraps the reference path's timing in the report schema:
@@ -600,57 +469,19 @@ func sequentialReport(elapsed time.Duration) *RunReport {
 	return rep
 }
 
-func analyzeGrid(ctx context.Context, grid *volume.Grid, cfg core.Config, opts *Options) (*Result, error) {
-	outDims, err := volume.OutputDims(grid.Dims, cfg.ROI)
-	if err != nil {
-		return nil, err
+// runOptions is the engine run the options ask for.
+func (o *Options) runOptions(cfg *pipeline.Config) *pipeline.RunOptions {
+	return &pipeline.RunOptions{
+		DisableMetrics:   o.DisableMetrics,
+		AutoTune:         cfg.AutoTune,
+		Progress:         o.Progress,
+		ProgressInterval: o.ProgressInterval,
+		// SkipDegraded asks for a run that survives faults, so crashed
+		// copies fail over to survivors instead of aborting.
+		Failover:     o.FaultPolicy == SkipDegraded,
+		Retry:        o.Retry,
+		StallTimeout: time.Duration(o.StallTimeout),
 	}
-	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims}
-	metricsOn := opts == nil || !opts.DisableMetrics
-	if opts.workers() <= 1 {
-		start := time.Now()
-		grids, err := core.AnalyzeGrid(grid, &cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		for i, f := range cfg.Features {
-			res.Grids[f] = grids[i]
-		}
-		if metricsOn {
-			res.Report = sequentialReport(time.Since(start))
-		}
-		return res, nil
-	}
-	ctrl := opts.controller(nil)
-	pcfg := &pipeline.Config{
-		Analysis: cfg,
-		Impl:     pipeline.HMPImpl,
-		Policy:   filter.DemandDriven,
-		Output:   pipeline.OutputCollect,
-		AutoTune: ctrl,
-	}
-	layout := &pipeline.Layout{HMPNodes: make([]int, opts.workers())}
-	g, sink, _, err := pipeline.BuildMem(grid, pcfg, layout)
-	if err != nil {
-		return nil, err
-	}
-	ropts := &pipeline.RunOptions{DisableMetrics: !metricsOn, AutoTune: ctrl, Monitor: opts.progressMonitor()}
-	if opts != nil {
-		ropts.StallTimeout = opts.StallTimeout
-	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, ropts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sink.Complete(cfg.Features); err != nil {
-		return nil, err
-	}
-	for _, f := range cfg.Features {
-		res.Grids[f] = sink.Grid(f)
-	}
-	res.Report = rs.Report
-	ctrl.Attach(res.Report)
-	return res, nil
 }
 
 // WriteDataset declusters a volume across storageNodes node directories
@@ -678,82 +509,50 @@ func AnalyzeDataset(url string, opts *Options) (*Result, error) {
 // AnalyzeDatasetContext is AnalyzeDataset under a context: cancelling ctx
 // makes the pipeline engines stop promptly and return ctx's error.
 func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Result, error) {
-	cfg, err := opts.coreConfig()
-	if err != nil {
+	if opts == nil {
+		opts = &Options{}
+	}
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.validateRestart(); err != nil {
-		return nil, err
+	if opts.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(opts.Deadline))
+		defer cancel()
 	}
-	if err := opts.validateBackend(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateAutoTune(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateProgress(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateResilience(); err != nil {
-		return nil, err
-	}
-	uopts := &dataset.URLOptions{}
-	if opts != nil {
-		uopts.CacheBlocks = opts.CacheBlocks
-		uopts.CacheBlockSize = opts.CacheBlockSize
-		uopts.ResiliencePolicy = opts.Resilience
-		uopts.ServeStale = opts.ServeStale
-		if opts.Deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-			defer cancel()
-		}
-	}
-	st, err := dataset.OpenURL(ctx, url, uopts)
+	st, err := dataset.OpenURL(ctx, url, &dataset.URLOptions{
+		CacheBlocks:      opts.CacheBlocks,
+		CacheBlockSize:   opts.CacheBlockSize,
+		ResiliencePolicy: opts.Resilience,
+		ServeStale:       opts.ServeStale,
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	ctrl := opts.controller(func() (hits, misses int64) {
+	cfg, layout, err := opts.config(st.Meta.Nodes, func() (hits, misses int64) {
 		s := st.Stats()
 		return s.CacheHits, s.CacheMisses
 	})
-	pcfg := &pipeline.Config{
-		Analysis: cfg,
-		Impl:     pipeline.HMPImpl,
-		Policy:   filter.DemandDriven,
-		Output:   pipeline.OutputCollect,
-		AutoTune: ctrl,
-	}
-	if opts != nil {
-		pcfg.ReadAhead = opts.ReadAhead
-		pcfg.FaultPolicy = opts.FaultPolicy
+	if err != nil {
+		return nil, err
 	}
 	var jour *checkpoint.Journal
 	var restart *pipeline.RestartSummary
-	if opts != nil && opts.Checkpoint != "" {
-		jour, restart, err = pipeline.PrepareCheckpoint(st.Meta.Dims, pcfg, opts.Checkpoint, opts.Resume, opts.CheckpointInterval)
+	if opts.Checkpoint != "" {
+		jour, restart, err = pipeline.PrepareCheckpoint(st.Meta.Dims, cfg, opts.Checkpoint, opts.Resume, opts.CheckpointInterval)
 		if err != nil {
 			return nil, err
 		}
 	}
-	layout := &pipeline.Layout{HMPNodes: make([]int, opts.workers())}
-	g, sink, outDims, err := pipeline.Build(st, pcfg, layout)
+	g, sink, outDims, err := pipeline.Build(st, cfg, layout)
 	if err != nil {
 		if jour != nil {
 			jour.Close()
 		}
 		return nil, err
 	}
-	ropts := &pipeline.RunOptions{DisableMetrics: opts != nil && opts.DisableMetrics, AutoTune: ctrl, Monitor: opts.progressMonitor()}
-	if opts != nil {
-		// SkipDegraded asks for a run that survives faults, so crashed
-		// copies fail over to survivors instead of aborting.
-		ropts.Failover = opts.FaultPolicy == SkipDegraded
-		ropts.Retry = opts.Retry
-		ropts.StallTimeout = opts.StallTimeout
-	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, ropts)
+	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions(cfg))
 	if err != nil {
 		if jour != nil {
 			// Best-effort final sync: the journal is the artifact the next
@@ -769,16 +568,16 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 			return nil, err
 		}
 	}
-	if err := sink.Complete(cfg.Features); err != nil {
+	if err := sink.Complete(cfg.Analysis.Features); err != nil {
 		return nil, err
 	}
 	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims, Report: rs.Report}
-	ctrl.Attach(res.Report)
+	cfg.AutoTune.Attach(res.Report)
 	pipeline.AttachBackendStats(res.Report, st)
-	if opts != nil && opts.Resume {
+	if opts.Resume {
 		res.Restart = restart
 	}
-	for _, f := range cfg.Features {
+	for _, f := range cfg.Analysis.Features {
 		res.Grids[f] = sink.Grid(f)
 	}
 	if slices, rois, voxels := sink.Degraded(); voxels > 0 {

@@ -11,11 +11,11 @@ func phantom(t testing.TB) *Volume {
 }
 
 func smallOpts(par int) *Options {
-	return &Options{
-		ROI:         [4]int{5, 5, 2, 2},
-		GrayLevels:  16,
-		Parallelism: par,
-	}
+	return &Options{Spec: Spec{
+		ROI:        [4]int{5, 5, 2, 2},
+		GrayLevels: 16,
+		Texture:    par,
+	}}
 }
 
 func TestAnalyzeSequential(t *testing.T) {
@@ -76,7 +76,7 @@ func TestAnalyzeDefaultsAndErrors(t *testing.T) {
 		t.Error("default ROI larger than dataset accepted")
 	}
 	// Invalid options are rejected.
-	if _, err := Analyze(v, &Options{GrayLevels: 1}); err == nil {
+	if _, err := Analyze(v, &Options{Spec: Spec{GrayLevels: 1}}); err == nil {
 		t.Error("invalid gray levels accepted")
 	}
 }

@@ -61,6 +61,21 @@ func ParseRepresentation(s string) (Representation, error) {
 	return 0, fmt.Errorf("core: unknown representation %q", s)
 }
 
+// MarshalText implements encoding.TextMarshaler; an out-of-range
+// representation is an error.
+func (r Representation) MarshalText() ([]byte, error) {
+	if r < FullMatrix || r > SparseMatrix {
+		return nil, fmt.Errorf("core: representation %d out of range", int(r))
+	}
+	return []byte(r.String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler (ParseRepresentation).
+func (r *Representation) UnmarshalText(b []byte) (err error) {
+	*r, err = ParseRepresentation(string(b))
+	return err
+}
+
 // Config holds the texture-analysis parameters shared by the sequential
 // reference and all parallel pipelines.
 type Config struct {

@@ -60,6 +60,21 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("fault: unknown fault policy %q", s)
 }
 
+// MarshalText implements encoding.TextMarshaler; an out-of-range policy is
+// an error.
+func (p Policy) MarshalText() ([]byte, error) {
+	if p != FailFast && p != SkipDegraded {
+		return nil, fmt.Errorf("fault: fault policy %d out of range", int(p))
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler (ParsePolicy).
+func (p *Policy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParsePolicy(string(b))
+	return err
+}
+
 // ErrInjected marks every failure produced by this package's injectors, so
 // tests can tell an injected fault from a genuine one.
 var ErrInjected = errors.New("fault: injected failure")

@@ -24,6 +24,7 @@
 package netdesc
 
 import (
+	"encoding"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -32,9 +33,9 @@ import (
 	"strings"
 
 	"haralick4d/internal/core"
-	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 )
 
 // Document is the XML representation of one pipeline.
@@ -108,17 +109,6 @@ func ParseFile(path string) (*Document, error) {
 	return Parse(f)
 }
 
-func parseShape4(s string) ([4]int, error) {
-	var d [4]int
-	if s == "" {
-		return d, nil
-	}
-	if _, err := fmt.Sscanf(s, "%dx%dx%dx%d", &d[0], &d[1], &d[2], &d[3]); err != nil {
-		return d, fmt.Errorf("netdesc: invalid shape %q (want XxYxZxT)", s)
-	}
-	return d, nil
-}
-
 func parseNodes(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -137,46 +127,45 @@ func parseNodes(s string) ([]int, error) {
 }
 
 // Build converts the document into a pipeline configuration and layout.
+// Values share the run spec's parsers (internal/runspec).
 func (d *Document) Build() (*pipeline.Config, *pipeline.Layout, error) {
-	cfg := &pipeline.Config{}
-	roi, err := parseShape4(d.Analysis.ROI)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Analysis = core.Config{
-		ROI:        roi,
-		GrayLevels: d.Analysis.Gray,
-		NDim:       d.Analysis.NDim,
-		Distance:   d.Analysis.Distance,
-	}
-	if d.Analysis.Rep != "" {
-		rep, err := core.ParseRepresentation(d.Analysis.Rep)
-		if err != nil {
+	var (
+		roi, chunk runspec.Shape
+		feats      runspec.Features
+		rep        core.Representation
+		impl       pipeline.Impl
+		err        error
+	)
+	for _, p := range []struct {
+		dst  encoding.TextUnmarshaler
+		text string
+	}{
+		{&roi, d.Analysis.ROI}, {&chunk, d.Chunk.Shape}, {&feats, d.Analysis.Features},
+		{&rep, d.Analysis.Rep}, {&impl, strings.TrimSpace(d.Impl)},
+	} {
+		if p.text == "" {
+			continue
+		}
+		if err := p.dst.UnmarshalText([]byte(p.text)); err != nil {
 			return nil, nil, fmt.Errorf("netdesc: %w", err)
 		}
-		cfg.Analysis.Representation = rep
 	}
-	if d.Analysis.Features != "" {
-		for _, name := range strings.Split(d.Analysis.Features, ",") {
-			f, err := features.Parse(name)
-			if err != nil {
-				return nil, nil, fmt.Errorf("netdesc: %w", err)
-			}
-			cfg.Analysis.Features = append(cfg.Analysis.Features, f)
-		}
-	}
-	if cfg.ChunkShape, err = parseShape4(d.Chunk.Shape); err != nil {
-		return nil, nil, err
+	cfg := &pipeline.Config{
+		Analysis: core.Config{
+			ROI:            roi,
+			GrayLevels:     d.Analysis.Gray,
+			NDim:           d.Analysis.NDim,
+			Distance:       d.Analysis.Distance,
+			Features:       feats,
+			Representation: rep,
+		},
+		ChunkShape:      chunk,
+		PacketsPerChunk: d.Chunk.Packets,
+		Impl:            impl,
 	}
 	if d.Chunk.IOChunk != "" {
 		if _, err := fmt.Sscanf(d.Chunk.IOChunk, "%dx%d", &cfg.IOChunk[0], &cfg.IOChunk[1]); err != nil {
 			return nil, nil, fmt.Errorf("netdesc: invalid iochunk %q (want XxY)", d.Chunk.IOChunk)
-		}
-	}
-	cfg.PacketsPerChunk = d.Chunk.Packets
-	if d.Impl != "" {
-		if cfg.Impl, err = pipeline.ParseImpl(strings.TrimSpace(d.Impl)); err != nil {
-			return nil, nil, fmt.Errorf("netdesc: %w", err)
 		}
 	}
 	if d.Policy != "" {
@@ -222,22 +211,12 @@ func (d *Document) Build() (*pipeline.Config, *pipeline.Layout, error) {
 // Marshal renders a configuration back to the XML form (layout lists are
 // written only when non-nil), so a tuned setup can be saved and replayed.
 func Marshal(cfg *pipeline.Config, layout *pipeline.Layout) ([]byte, error) {
-	shape := func(d [4]int) string {
-		if d == ([4]int{}) {
-			return ""
-		}
-		return fmt.Sprintf("%dx%dx%dx%d", d[0], d[1], d[2], d[3])
-	}
 	nodes := func(ns []int) string {
 		parts := make([]string, len(ns))
 		for i, n := range ns {
 			parts[i] = strconv.Itoa(n)
 		}
 		return strings.Join(parts, " ")
-	}
-	featNames := make([]string, len(cfg.Analysis.Features))
-	for i, f := range cfg.Analysis.Features {
-		featNames[i] = f.String()
 	}
 	mode := map[pipeline.OutputMode]string{
 		pipeline.OutputCollect: "collect",
@@ -246,15 +225,15 @@ func Marshal(cfg *pipeline.Config, layout *pipeline.Layout) ([]byte, error) {
 	}[cfg.Output]
 	d := Document{
 		Analysis: AnalysisXML{
-			ROI:      shape(cfg.Analysis.ROI),
+			ROI:      runspec.Shape(cfg.Analysis.ROI).String(),
 			Gray:     cfg.Analysis.GrayLevels,
 			NDim:     cfg.Analysis.NDim,
 			Distance: cfg.Analysis.Distance,
 			Rep:      cfg.Analysis.Representation.String(),
-			Features: strings.Join(featNames, ","),
+			Features: runspec.Features(cfg.Analysis.Features).String(),
 		},
 		Chunk: ChunkXML{
-			Shape:   shape(cfg.ChunkShape),
+			Shape:   runspec.Shape(cfg.ChunkShape).String(),
 			Packets: cfg.PacketsPerChunk,
 		},
 		Impl:   cfg.Impl.String(),

@@ -6,6 +6,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -23,43 +24,22 @@ import (
 	"haralick4d/internal/filters"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
-// Impl selects the texture-filter decomposition.
-type Impl int
+// Impl selects the texture-filter decomposition (a run-spec value).
+type Impl = runspec.Impl
 
 const (
 	// HMPImpl performs co-occurrence matrix computation and parameter
 	// calculation inside a single filter.
-	HMPImpl Impl = iota
+	HMPImpl = runspec.HMP
 	// SplitImpl task-distributes the two operations among pipelined HCC and
 	// HPC filters.
-	SplitImpl
+	SplitImpl = runspec.Split
 )
-
-// String returns the implementation's flag name.
-func (i Impl) String() string {
-	switch i {
-	case HMPImpl:
-		return "hmp"
-	case SplitImpl:
-		return "split"
-	}
-	return fmt.Sprintf("impl(%d)", int(i))
-}
-
-// ParseImpl is the inverse of String.
-func ParseImpl(s string) (Impl, error) {
-	switch s {
-	case "hmp":
-		return HMPImpl, nil
-	case "split":
-		return SplitImpl, nil
-	}
-	return 0, fmt.Errorf("pipeline: unknown implementation %q", s)
-}
 
 // OutputMode selects the output filter set.
 type OutputMode int
@@ -92,7 +72,7 @@ type Config struct {
 	Analysis        core.Config
 	ChunkShape      [4]int // IIC-to-TEXTURE chunk voxel shape
 	IOChunk         [2]int // RFR read window; zero reads whole slices
-	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous, ReadAheadAuto = self-sized
+	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous (tests, cmd/experiments), ReadAheadAuto = self-sized
 	PacketsPerChunk int    // HCC matrix packets per chunk (default 4)
 	Impl            Impl
 	Policy          filter.Policy // buffer scheduling into texture (and HPC) copies
@@ -182,8 +162,57 @@ func (c *Config) resumeSkip(chunker *volume.Chunker) (map[int]bool, error) {
 }
 
 // ReadAheadAuto as Config.ReadAhead lets every reader copy size its own
-// depth (readahead.NewAuto): the default of cmd/haralick4d.
+// depth (readahead.NewAuto): what a run spec's default read-ahead becomes.
 const ReadAheadAuto = readahead.Auto
+
+// ConfigFor translates a run spec into the graph builder's configuration
+// and placement; it is the one place user input becomes a Config. The
+// storage nodes come first, then one IIC copy, the output copy and the
+// texture copies, a node each; split co-locates each HCC copy with an HPC
+// copy (the paper's best layout). What only an engine run has — kernel
+// mode, gates, journal, tuning — is the caller's to add.
+func ConfigFor(s *runspec.Spec, storageNodes int) (*Config, *Layout, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
+	}
+	r := s.Resolved()
+	cfg := &Config{
+		Analysis:    r.Analysis(),
+		ChunkShape:  [4]int(r.ChunkShape),
+		ReadAhead:   int(r.ReadAhead),
+		Impl:        r.Impl,
+		Policy:      r.Policy.Filter(),
+		OutDir:      r.OutDir,
+		FaultPolicy: r.FaultPolicy,
+	}
+	if cfg.ReadAhead == 0 {
+		cfg.ReadAhead = ReadAheadAuto
+	}
+	switch r.Output {
+	case runspec.OutputUSO:
+		cfg.Output = OutputUSO
+	case runspec.OutputJPEG:
+		cfg.Output = OutputJPEG
+	case runspec.OutputNone:
+		cfg.Output, cfg.OutDir = OutputCollect, ""
+	}
+	next := storageNodes
+	take := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = next
+			next++
+		}
+		return ids
+	}
+	layout := &Layout{IICNodes: take(1), OutputNodes: take(1)}
+	if tex := take(r.Texture); r.Impl == SplitImpl {
+		layout.HCCNodes, layout.HPCNodes = tex, tex
+	} else {
+		layout.HMPNodes = tex
+	}
+	return cfg, layout, nil
+}
 
 // admission returns the compute-admission semaphore for copies compute
 // slots: the injected governor semaphore when one is set, otherwise one
@@ -515,31 +544,49 @@ type RunOptions struct {
 	// with Config.AutoTune at build time; a controller with no registered
 	// knobs observes but never tunes. Requires metrics.
 	AutoTune *autotune.Controller
-	// Monitor, when non-nil, runs alongside the engine for the life of the
-	// run with a live metrics probe — the export point for progress
-	// reporting (the serve daemon streams job snapshots through it). It is
-	// called on its own goroutine and must return when stop closes.
-	// Requires metrics; composes with AutoTune.
-	Monitor func(stop <-chan struct{}, p filter.Probe)
+	// Progress, when non-nil, receives a live cumulative progress summary
+	// every ProgressInterval (0: DefaultProgressInterval) for the life of
+	// the run, on a goroutine of its own — the export point for job-status
+	// APIs (the serve daemon streams them per job). It must not block for
+	// long and may be called zero times on a short run. Local and TCP
+	// engines; requires metrics; composes with AutoTune.
+	Progress         func(metrics.Progress)
+	ProgressInterval time.Duration
 }
 
-// monitor merges the caller's Monitor hook with the autotune feedback loop
-// into the filter runtime's single Monitor slot.
+// DefaultProgressInterval is RunOptions.Progress's period when
+// ProgressInterval is zero.
+const DefaultProgressInterval = 500 * time.Millisecond
+
+// monitor merges the Progress sampler with the autotune feedback loop into
+// the filter runtime's single Monitor slot.
 func (o *RunOptions) monitor() func(stop <-chan struct{}, p filter.Probe) {
-	ctrl, user := o.AutoTune, o.Monitor
+	ctrl, fn, every := o.AutoTune, o.Progress, cmp.Or(o.ProgressInterval, DefaultProgressInterval)
+	progress := func(stop <-chan struct{}, p filter.Probe) {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				fn(p.Snapshot().Progress())
+			}
+		}
+	}
 	switch {
-	case ctrl == nil && user == nil:
+	case ctrl == nil && fn == nil:
 		return nil
 	case ctrl == nil:
-		return user
-	case user == nil:
+		return progress
+	case fn == nil:
 		return func(stop <-chan struct{}, p filter.Probe) { ctrl.Run(stop, p.Snapshot) }
 	}
 	return func(stop <-chan struct{}, p filter.Probe) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			user(stop, p)
+			progress(stop, p)
 		}()
 		ctrl.Run(stop, p.Snapshot)
 		<-done

@@ -262,12 +262,13 @@ func TestBuildValidation(t *testing.T) {
 
 func TestEnumStrings(t *testing.T) {
 	for _, i := range []Impl{HMPImpl, SplitImpl} {
-		got, err := ParseImpl(i.String())
-		if err != nil || got != i {
+		var got Impl
+		if err := got.UnmarshalText([]byte(i.String())); err != nil || got != i {
 			t.Errorf("impl round trip %v", i)
 		}
 	}
-	if _, err := ParseImpl("x"); err == nil {
+	var bad Impl
+	if err := bad.UnmarshalText([]byte("x")); err == nil {
 		t.Error("bad impl accepted")
 	}
 	for _, e := range []Engine{EngineLocal, EngineTCP, EngineSim} {

@@ -23,16 +23,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
+	"io"
 
 	"haralick4d/internal/checkpoint"
-	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/fault"
-	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 )
 
 // State is one node of the job lifecycle state machine.
@@ -63,226 +61,35 @@ func (s State) valid() bool {
 	return false
 }
 
-// Spec is the client-submitted description of one analysis job. Zero-valued
-// fields select the same defaults the haralick4d CLI documents; string
-// enums reuse the CLI's flag vocabulary so a curl body reads like a flag
-// line.
-type Spec struct {
-	// Dataset is the dataset URL (directory path, file://, mem://,
-	// http(s)://). Required.
-	Dataset string `json:"dataset"`
-	// Output selects the sink: "uso" (default; unstitched parameter files,
-	// checkpointable), "jpeg" (stitched slice series; not checkpointable, so
-	// pause/park/crash restart this job from scratch) or "none" (collect and
-	// discard — smoke tests).
-	Output string `json:"output,omitempty"`
-	// OutDir receives the output files; empty picks a per-job directory
-	// under the daemon's state dir.
-	OutDir string `json:"out_dir,omitempty"`
-
-	ROI        [4]int   `json:"roi,omitempty"`            // default 16x16x3x3
-	ChunkShape [4]int   `json:"chunk,omitempty"`          // default: auto
-	GrayLevels int      `json:"gray,omitempty"`           // default 32
-	NDim       int      `json:"ndim,omitempty"`           // default 4
-	Distance   int      `json:"distance,omitempty"`       // default 1
-	Features   []string `json:"features,omitempty"`       // default: the paper's four
-	Impl       string   `json:"impl,omitempty"`           // hmp (default) | split
-	Rep        string   `json:"rep,omitempty"`            // full (default) | full-noskip | sparse
-	Policy     string   `json:"policy,omitempty"`         // demand-driven (default) | round-robin
-	Texture    int      `json:"texture,omitempty"`        // texture filter copies, default 4
-	KernelWkrs int      `json:"kernel_workers,omitempty"` // default 1
-	ReadAhead  int      `json:"readahead,omitempty"`      // seed depth; the governor resizes it live
-
-	FaultPolicy    string `json:"fault_policy,omitempty"` // fail-fast (default) | skip-degraded
-	CacheBlocks    int    `json:"cache_blocks,omitempty"`
-	CacheBlockSize int    `json:"cache_block_size,omitempty"`
-	StallTimeout   string `json:"stall_timeout,omitempty"` // e.g. "2m"; empty = the daemon default
-	// DeadlineMS bounds the job's total runtime in milliseconds. The
-	// deadline is attached to the job's context when it is scheduled and
-	// propagates through the pipeline into every backend read; an expired
-	// job fails with error_kind "deadline_exceeded". 0 means no deadline.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// ServeStale lets a brownout of the job's HTTP backend degrade reads
-	// (served from the block cache where possible, reported as degraded
-	// ROIs otherwise) instead of failing the job. Requires fault_policy
-	// "skip-degraded".
-	ServeStale bool `json:"serve_stale,omitempty"`
-}
-
-// validate rejects a spec the runner could not execute, without touching
-// the dataset (that happens at run time and fails the job, not the submit).
-func (sp *Spec) validate() error {
-	if sp.Dataset == "" {
-		return fmt.Errorf("spec: dataset is required")
-	}
-	switch sp.Output {
-	case "", "uso", "jpeg", "none":
-	default:
-		return fmt.Errorf("spec: unknown output %q (uso, jpeg or none)", sp.Output)
-	}
-	if _, err := sp.impl(); err != nil {
-		return err
-	}
-	if sp.Rep != "" {
-		if _, err := core.ParseRepresentation(sp.Rep); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	if sp.Policy != "" {
-		if p, err := filter.ParsePolicy(sp.Policy); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		} else if p == filter.Explicit {
-			return fmt.Errorf("spec: policy must be round-robin or demand-driven")
-		}
-	}
-	if sp.FaultPolicy != "" {
-		if _, err := fault.ParsePolicy(sp.FaultPolicy); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	for _, name := range sp.Features {
-		if _, err := features.Parse(name); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
-	if sp.Texture < 0 || sp.ReadAhead < 0 || sp.KernelWkrs < 0 ||
-		sp.CacheBlocks < 0 || sp.CacheBlockSize < 0 {
-		return fmt.Errorf("spec: counts must not be negative")
-	}
-	if _, err := sp.stallTimeout(0); err != nil {
-		return err
-	}
-	if sp.DeadlineMS < 0 {
-		return fmt.Errorf("spec: deadline_ms must not be negative")
-	}
-	if sp.ServeStale {
-		if p, err := fault.ParsePolicy(sp.FaultPolicy); err != nil || p != fault.SkipDegraded {
-			return fmt.Errorf("spec: serve_stale requires fault_policy \"skip-degraded\"")
-		}
-	}
-	return nil
-}
-
-func (sp *Spec) impl() (pipeline.Impl, error) {
-	if sp.Impl == "" {
-		return pipeline.HMPImpl, nil
-	}
-	im, err := pipeline.ParseImpl(sp.Impl)
-	if err != nil {
-		return 0, fmt.Errorf("spec: %w", err)
-	}
-	return im, nil
-}
-
-func (sp *Spec) stallTimeout(def time.Duration) (time.Duration, error) {
-	if sp.StallTimeout == "" {
-		return def, nil
-	}
-	d, err := time.ParseDuration(sp.StallTimeout)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("spec: invalid stall_timeout %q", sp.StallTimeout)
-	}
-	return d, nil
-}
+// Spec is the client-submitted description of one analysis job: the run
+// spec the CLI's flags and the library's Options also describe, with the
+// same keys, defaults and validation (internal/runspec).
+type Spec = runspec.Spec
 
 // checkpointable reports whether the job's output mode supports a durable
 // progress journal (JPEG stitching holds no durable portions).
-func (sp *Spec) checkpointable() bool { return sp.Output != "jpeg" }
+func checkpointable(sp *Spec) bool { return sp.Output != runspec.OutputJPEG }
 
-// pipelineConfig translates the spec into the pipeline config and layout
-// the graph builder consumes, mirroring the CLI's placement scheme
-// (storage nodes first, then IIC, output, texture nodes).
-func (sp *Spec) pipelineConfig(storageNodes int) (*pipeline.Config, *pipeline.Layout, error) {
-	impl, err := sp.impl()
+// decodeSubmit reads a POST /jobs body: strict JSON (a misspelt key is an
+// error, not a silent default), the run spec's Validate, then what only a
+// daemon job requires — a dataset, and no fixed read-ahead depth, because
+// the governor sizes every job's depth and would ignore one. Replaying the
+// journal decodes leniently instead (see replay).
+func decodeSubmit(r io.Reader) (Spec, error) {
+	sp, err := runspec.DecodeJSON(r)
 	if err != nil {
-		return nil, nil, err
+		return sp, err
 	}
-	var rep core.Representation
-	if sp.Rep != "" {
-		rep, _ = core.ParseRepresentation(sp.Rep)
+	if err := sp.Validate(); err != nil {
+		return sp, err
 	}
-	policy := filter.DemandDriven
-	if sp.Policy != "" {
-		policy, _ = filter.ParsePolicy(sp.Policy)
+	switch {
+	case sp.Dataset == "":
+		return sp, errors.New("spec: dataset is required")
+	case sp.ReadAhead != 0:
+		return sp, fmt.Errorf("spec: readahead %d: the daemon's governor sizes every job's read-ahead (-total-readahead split under -job-quota-readahead); omit it or send \"auto\"", sp.ReadAhead)
 	}
-	var fpol fault.Policy
-	if sp.FaultPolicy != "" {
-		fpol, _ = fault.ParsePolicy(sp.FaultPolicy)
-	}
-	var feats []features.Feature
-	for _, name := range sp.Features {
-		f, _ := features.Parse(name)
-		feats = append(feats, f)
-	}
-	roi := sp.ROI
-	if roi == ([4]int{}) {
-		roi = [4]int{16, 16, 3, 3}
-	}
-	gray := sp.GrayLevels
-	if gray == 0 {
-		gray = 32
-	}
-	ndim := sp.NDim
-	if ndim == 0 {
-		ndim = 4
-	}
-	dist := sp.Distance
-	if dist == 0 {
-		dist = 1
-	}
-	kworkers := sp.KernelWkrs
-	if kworkers == 0 {
-		kworkers = 1
-	}
-	cfg := &pipeline.Config{
-		Analysis: core.Config{
-			ROI:            roi,
-			GrayLevels:     gray,
-			NDim:           ndim,
-			Distance:       dist,
-			Features:       feats,
-			Representation: rep,
-			Workers:        kworkers,
-		},
-		ChunkShape:  sp.ChunkShape,
-		ReadAhead:   sp.ReadAhead,
-		Impl:        impl,
-		Policy:      policy,
-		FaultPolicy: fpol,
-		OutDir:      sp.OutDir,
-	}
-	switch sp.Output {
-	case "", "uso":
-		cfg.Output = pipeline.OutputUSO
-	case "jpeg":
-		cfg.Output = pipeline.OutputJPEG
-	case "none":
-		cfg.Output = pipeline.OutputCollect
-		cfg.OutDir = ""
-	}
-	texture := sp.Texture
-	if texture <= 0 {
-		texture = 4
-	}
-	next := storageNodes
-	take := func(n int) []int {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = next
-			next++
-		}
-		return ids
-	}
-	layout := &pipeline.Layout{IICNodes: take(1), OutputNodes: take(1)}
-	tex := take(texture)
-	switch impl {
-	case pipeline.HMPImpl:
-		layout.HMPNodes = tex
-	case pipeline.SplitImpl:
-		layout.HCCNodes = tex
-		layout.HPCNodes = tex
-	}
-	return cfg, layout, nil
+	return sp, nil
 }
 
 // Job is one tracked analysis. All mutable fields are guarded by the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"haralick4d/internal/checkpoint"
+	"haralick4d/internal/runspec"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -20,7 +21,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal: %d jobs, next %d", len(jobs), next)
 	}
 	j1 := &Job{ID: 1, Spec: Spec{Dataset: "mem://a"}, State: StateQueued}
-	j2 := &Job{ID: 2, Spec: Spec{Dataset: "mem://b", Output: "jpeg"}, State: StateQueued}
+	j2 := &Job{ID: 2, Spec: Spec{Dataset: "mem://b", Output: runspec.OutputJPEG}, State: StateQueued}
 	for _, j := range []*Job{j1, j2} {
 		if err := appendSubmit(jour, j); err != nil {
 			t.Fatal(err)
@@ -50,7 +51,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if jobs[0].State != StateFailed || jobs[0].Err != "boom" || jobs[0].ErrKind != "stalled" || !jobs[0].Resume {
 		t.Fatalf("job 1 replayed as %+v", jobs[0])
 	}
-	if jobs[1].State != StateRunning || jobs[1].Spec.Output != "jpeg" {
+	if jobs[1].State != StateRunning || jobs[1].Spec.Output != runspec.OutputJPEG {
 		t.Fatalf("job 2 replayed as %+v", jobs[1])
 	}
 }

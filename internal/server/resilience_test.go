@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"haralick4d/internal/fault"
 	"haralick4d/internal/resilience"
+	"haralick4d/internal/runspec"
 )
 
 // TestJobDeadlineExceeded: a job with a deadline far shorter than its
@@ -23,7 +25,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxJobs: 1})
 
 	sp := testSpec(url, outDir)
-	sp.DeadlineMS = 1
+	sp.Deadline = runspec.Millis(time.Millisecond)
 	v := decodeView(t, postJSON(t, ts.URL+"/jobs", sp))
 	v = pollTerminal(t, ts.URL, v.ID, State.Terminal)
 	if v.State != StateFailed {
@@ -157,7 +159,7 @@ func TestSpecResilienceValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	bad := testSpec(url, t.TempDir())
-	bad.DeadlineMS = -5
+	bad.Deadline = runspec.Millis(-5 * time.Millisecond)
 	resp := postJSON(t, ts.URL+"/jobs", bad)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -174,7 +176,7 @@ func TestSpecResilienceValidation(t *testing.T) {
 
 	good := testSpec(url, t.TempDir())
 	good.ServeStale = true
-	good.FaultPolicy = "skip-degraded"
+	good.FaultPolicy = fault.SkipDegraded
 	resp = postJSON(t, ts.URL+"/jobs", good)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {

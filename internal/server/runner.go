@@ -8,6 +8,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"os"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
-	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
@@ -28,7 +28,7 @@ type runInput struct {
 	resume   bool   // reopen ckptPath instead of truncating it
 	outDir   string // resolved output directory ("" for output "none")
 
-	stallTimeout     time.Duration // default when the spec leaves it empty
+	stallTimeout     time.Duration // default when the spec leaves it 0
 	progressInterval time.Duration
 	onProgress       func(metrics.Progress)
 
@@ -57,10 +57,12 @@ func runJob(ctx context.Context, in runInput) (runResult, error) {
 	}
 	defer st.Close()
 
-	cfg, layout, err := in.spec.pipelineConfig(st.Meta.Nodes)
+	cfg, layout, err := pipeline.ConfigFor(&in.spec, st.Meta.Nodes)
 	if err != nil {
 		return res, err
 	}
+	// The governor owns the job's read-ahead gate and compute tokens; a
+	// gate takes precedence over any depth in the spec.
 	cfg.OutDir = in.outDir
 	cfg.ReadAheadGate = in.gate.gate
 	cfg.Admission = in.gate.tokens
@@ -96,17 +98,11 @@ func runJob(ctx context.Context, in runInput) (runResult, error) {
 		}
 		return res, err
 	}
-	stall, err := in.spec.stallTimeout(in.stallTimeout)
-	if err != nil {
-		if jour != nil {
-			jour.Close()
-		}
-		return res, err
-	}
 	ropts := &pipeline.RunOptions{
-		Failover:     cfg.FaultPolicy == fault.SkipDegraded,
-		StallTimeout: stall,
-		Monitor:      progressMonitor(in.progressInterval, in.onProgress),
+		Failover:         cfg.FaultPolicy == fault.SkipDegraded,
+		StallTimeout:     cmp.Or(time.Duration(in.spec.StallTimeout), in.stallTimeout),
+		Progress:         in.onProgress,
+		ProgressInterval: in.progressInterval,
 	}
 	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, ropts)
 	if jour != nil {
@@ -127,27 +123,4 @@ func runJob(ctx context.Context, in runInput) (runResult, error) {
 	res.report = rs.Report
 	pipeline.AttachBackendStats(res.report, st)
 	return res, nil
-}
-
-// progressMonitor builds the runtime Monitor hook sampling live snapshots
-// on the given cadence.
-func progressMonitor(interval time.Duration, fn func(metrics.Progress)) func(stop <-chan struct{}, p filter.Probe) {
-	if fn == nil {
-		return nil
-	}
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	return func(stop <-chan struct{}, p filter.Probe) {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				fn(p.Snapshot().Progress())
-			}
-		}
-	}
 }

@@ -43,6 +43,7 @@ import (
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/resilience"
+	"haralick4d/internal/runspec"
 )
 
 // Config parameterizes a daemon.
@@ -175,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 			// parked it): re-admit, resuming from the per-job checkpoint
 			// when the output mode can honour one.
 			j.State = StateQueued
-			j.Resume = j.Spec.checkpointable()
+			j.Resume = checkpointable(&j.Spec)
 			if err := appendState(s.jour, j); err != nil {
 				s.cfg.Logf("server: journal: %v", err)
 			}
@@ -291,11 +292,11 @@ func (s *Server) scheduleLocked() {
 		}
 		var ctx context.Context
 		var cancel context.CancelFunc
-		if j.Spec.DeadlineMS > 0 {
+		if j.Spec.Deadline > 0 {
 			// The job's wall-clock budget: the deadline context threads
 			// through pipeline.RunContext into every backend read, so an
 			// expired job fails with "deadline_exceeded" instead of hanging.
-			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(j.Spec.DeadlineMS)*time.Millisecond)
+			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(j.Spec.Deadline))
 		} else {
 			ctx, cancel = context.WithCancel(context.Background())
 		}
@@ -314,7 +315,7 @@ func (s *Server) scheduleLocked() {
 			progressInterval: s.cfg.ProgressInterval,
 			gate:             gr,
 		}
-		if j.Spec.checkpointable() {
+		if checkpointable(&j.Spec) {
 			in.ckptPath = filepath.Join(s.cfg.StateDir, fmt.Sprintf("job-%d.ckpt", j.ID))
 		}
 		in.res = s.resilienceFor(j.Spec.Dataset)
@@ -329,7 +330,7 @@ func (s *Server) scheduleLocked() {
 
 // outDir resolves a job's output directory.
 func (s *Server) outDir(j *Job) string {
-	if j.Spec.Output == "none" {
+	if j.Spec.Output == runspec.OutputNone {
 		return ""
 	}
 	if j.Spec.OutDir != "" {
@@ -364,15 +365,15 @@ func (s *Server) run(j *Job, ctx context.Context, in runInput) {
 	case j.reason == "pause":
 		j.State = StatePaused
 		j.Err, j.ErrKind = "", ""
-		j.Resume = j.Spec.checkpointable()
+		j.Resume = checkpointable(&j.Spec)
 	case j.reason == "park":
 		j.State = StateParked
 		j.Err, j.ErrKind = "", ""
-		j.Resume = j.Spec.checkpointable()
+		j.Resume = checkpointable(&j.Spec)
 	default:
 		j.State = StateFailed
 		j.Err, j.ErrKind = err.Error(), errKind(err)
-		j.Resume = j.Spec.checkpointable()
+		j.Resume = checkpointable(&j.Spec)
 		s.cfg.Logf("server: job %d failed (%s): %v", j.ID, j.ErrKind, err)
 	}
 	s.journalStateLocked(j)
@@ -404,13 +405,8 @@ func (s *Server) journalStateLocked(j *Job) {
 // ---- HTTP handlers ----
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	body := io.LimitReader(r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
-	}
-	if err := spec.validate(); err != nil {
+	spec, err := decodeSubmit(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -537,7 +533,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	switch j.State {
 	case StatePaused, StateParked, StateFailed:
 		j.State = StateQueued
-		j.Resume = j.Spec.checkpointable()
+		j.Resume = checkpointable(&j.Spec)
 		s.journalStateLocked(j)
 		s.queue = append(s.queue, j.ID)
 		s.scheduleLocked()

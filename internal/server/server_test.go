@@ -20,6 +20,7 @@ import (
 	"haralick4d/internal/filter"
 	"haralick4d/internal/filters"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -46,10 +47,10 @@ func writeTestDataset(t *testing.T) string {
 func testSpec(url, outDir string) Spec {
 	return Spec{
 		Dataset:    url,
-		Output:     "uso",
+		Output:     runspec.OutputUSO,
 		OutDir:     outDir,
-		ROI:        [4]int{5, 5, 2, 2},
-		ChunkShape: [4]int{12, 12, 3, 4},
+		ROI:        runspec.Shape{5, 5, 2, 2},
+		ChunkShape: runspec.Shape{12, 12, 3, 4},
 		GrayLevels: 16,
 		Texture:    2,
 	}
@@ -65,7 +66,7 @@ func oracleGrids(t *testing.T, url string) (map[features.Feature]*volume.FloatGr
 	}
 	defer st.Close()
 	sp := testSpec(url, "")
-	cfg, layout, err := sp.pipelineConfig(st.Meta.Nodes)
+	cfg, layout, err := pipeline.ConfigFor(&sp, st.Meta.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec: status %d, want 400", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/jobs", Spec{Dataset: "x", Output: "tiff"})
+	resp = postJSON(t, ts.URL+"/jobs", map[string]any{"dataset": "x", "output": "tiff"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad output: status %d, want 400", resp.StatusCode)
@@ -454,11 +455,12 @@ func TestStatsAndHealth(t *testing.T) {
 	}
 }
 
-// TestSpecDefaults pins the spec→pipeline translation against the CLI's
-// documented defaults.
+// TestSpecDefaults pins the spec→pipeline translation against the
+// documented defaults: the fast kernel and self-sized read-ahead, as on
+// every other surface.
 func TestSpecDefaults(t *testing.T) {
 	sp := Spec{Dataset: "x"}
-	cfg, layout, err := sp.pipelineConfig(3)
+	cfg, layout, err := pipeline.ConfigFor(&sp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,16 +473,19 @@ func TestSpecDefaults(t *testing.T) {
 	if cfg.Policy != filter.DemandDriven || cfg.Impl != pipeline.HMPImpl {
 		t.Fatalf("defaults: policy %v impl %v", cfg.Policy, cfg.Impl)
 	}
+	if cfg.Analysis.Workers != 0 || cfg.ReadAhead != pipeline.ReadAheadAuto {
+		t.Fatalf("defaults: kernel workers %d read-ahead %d, want auto (0) and auto", cfg.Analysis.Workers, cfg.ReadAhead)
+	}
 	if len(layout.HMPNodes) != 4 {
 		t.Fatalf("default texture copies %d, want 4", len(layout.HMPNodes))
 	}
-	if _, _, err := (&Spec{Dataset: "x", Rep: "sparse"}).pipelineConfig(1); err != nil {
+	if _, _, err := pipeline.ConfigFor(&Spec{Dataset: "x", Representation: core.SparseMatrix}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if (&Spec{Dataset: "x"}).checkpointable() != true {
+	if !checkpointable(&Spec{Dataset: "x"}) {
 		t.Fatal("uso default must be checkpointable")
 	}
-	if (&Spec{Dataset: "x", Output: "jpeg"}).checkpointable() {
+	if checkpointable(&Spec{Dataset: "x", Output: runspec.OutputJPEG}) {
 		t.Fatal("jpeg must not be checkpointable")
 	}
 	var rep core.Representation

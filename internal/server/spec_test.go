@@ -1,0 +1,129 @@
+package server
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"haralick4d/internal/core"
+	"haralick4d/internal/fault"
+	"haralick4d/internal/features"
+	"haralick4d/internal/runspec"
+)
+
+// submitRaw posts a literal body and returns the status and error text.
+func submitRaw(t *testing.T, base, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.Unmarshal(raw, &e)
+	return resp.StatusCode, e.Error
+}
+
+// TestSubmitRejectsUnknownKey: a misspelt key is a 400 naming it, not a
+// job silently run at the default (here, the kernel worker count).
+func TestSubmitRejectsUnknownKey(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, msg := submitRaw(t, ts.URL, `{"dataset": "/data/study", "kernel_worker": 2}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `"kernel_worker"`) {
+		t.Fatalf("status %d, error %q; want 400 naming kernel_worker", code, msg)
+	}
+}
+
+// TestSubmitReadAhead: the governor owns every job's read-ahead depth, so a
+// fixed depth is a 400 naming the daemon flag that sizes it; auto, 0 and an
+// absent key are accepted.
+func TestSubmitReadAhead(t *testing.T) {
+	url := writeTestDataset(t)
+	_, ts := newTestServer(t, Config{MaxJobs: 1})
+	code, msg := submitRaw(t, ts.URL, `{"dataset": "`+url+`", "readahead": 4}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "-job-quota-readahead") {
+		t.Fatalf("fixed readahead: status %d, error %q; want 400 naming -job-quota-readahead", code, msg)
+	}
+	for _, extra := range []string{``, `, "readahead": "auto"`, `, "readahead": 0`} {
+		body := `{"dataset": "` + url + `", "roi": [5,5,2,2], "gray": 16, "output": "none"` + extra + `}`
+		if code, msg := submitRaw(t, ts.URL, body); code != http.StatusAccepted {
+			t.Fatalf("%s: status %d (%s), want 202", body, code, msg)
+		}
+	}
+}
+
+// TestJournalReplayLenient: records already accepted replay even with keys
+// this version does not know or a depth the governor overrides.
+func TestJournalReplayLenient(t *testing.T) {
+	jobs, next, err := replay([][]byte{
+		[]byte(`{"type":"submit","id":1,"spec":{"dataset":"/d","kernel_worker":2,"readahead":8}}`),
+	})
+	if err != nil || len(jobs) != 1 || next != 2 {
+		t.Fatalf("replay: %d jobs, next %d, %v", len(jobs), next, err)
+	}
+	if sp := jobs[0].Spec; sp.Dataset != "/d" || sp.ReadAhead != 8 {
+		t.Fatalf("replayed spec %+v", sp)
+	}
+}
+
+// TestReplayRecordedJournal replays a job journal written by the daemon
+// before job specs became run specs (testdata/head.journal): every job,
+// state and spec field must come back, in the old string and array forms.
+func TestReplayRecordedJournal(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "head.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jour, jobs, next, err := openJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jour.Close()
+	if len(jobs) != 6 || next != 7 {
+		t.Fatalf("replayed %d jobs, next %d; want 6, 7", len(jobs), next)
+	}
+	want := []struct {
+		st     State
+		resume bool
+		spec   Spec
+	}{
+		{StateRunning, false, Spec{Dataset: "/data/serve-study", OutDir: "/out/uso-served",
+			ROI: runspec.Shape{5, 5, 2, 2}, ChunkShape: runspec.Shape{12, 12, 3, 4}, GrayLevels: 16, Texture: 2}},
+		{StateCompleted, false, Spec{Dataset: "/data/bench", Texture: 2, KernelWorkers: 2}},
+		{StateParked, true, Spec{Dataset: "http://localhost:8171/study", Output: runspec.OutputJPEG, OutDir: "/out/maps",
+			ROI: runspec.Shape{8, 8, 3, 3}, ChunkShape: runspec.Shape{16, 16, 5, 5}, GrayLevels: 32, NDim: 3, Distance: 2,
+			Features:       runspec.Features{features.ASM, features.Contrast, features.MaxCorrelationCoeff},
+			Representation: core.SparseMatrix, Impl: runspec.Split, Policy: runspec.RoundRobin, Texture: 3,
+			KernelWorkers: 1, ReadAhead: 8, FaultPolicy: fault.SkipDegraded, CacheBlocks: 64, CacheBlockSize: 4096,
+			StallTimeout: runspec.Duration(2 * time.Minute), Deadline: runspec.Millis(time.Minute), ServeStale: true}},
+		{StatePaused, true, Spec{Dataset: "http://localhost:8171", GrayLevels: 32, StallTimeout: runspec.Duration(2 * time.Minute)}},
+		{StateFailed, false, Spec{Dataset: "mem://study", Output: runspec.OutputNone, Policy: runspec.RoundRobin,
+			FaultPolicy: fault.SkipDegraded, Representation: core.FullMatrixNoSkip}},
+		{StateQueued, false, Spec{Dataset: "/data/queued"}},
+	}
+	for i, w := range want {
+		j := jobs[i]
+		if j.ID != int64(i+1) || j.State != w.st || j.Resume != w.resume || !reflect.DeepEqual(j.Spec, w.spec) {
+			t.Errorf("job %d replayed as %d %s resume=%v %+v\nwant %s resume=%v %+v", i+1, j.ID, j.State, j.Resume, j.Spec, w.st, w.resume, w.spec)
+		}
+	}
+	if jobs[4].ErrKind != "backend_unavailable" {
+		t.Errorf("failed job kind %q", jobs[4].ErrKind)
+	}
+}

@@ -100,7 +100,7 @@ func TestRestartOptionValidation(t *testing.T) {
 		{"resume-without-checkpoint", func(o *Options) { o.Resume = true }, "Resume requires"},
 		{"negative-interval", func(o *Options) { o.Checkpoint = "j"; o.CheckpointInterval = -1 }, "CheckpointInterval"},
 		{"interval-without-checkpoint", func(o *Options) { o.CheckpointInterval = 1 }, "CheckpointInterval"},
-		{"negative-stall", func(o *Options) { o.StallTimeout = -1 }, "StallTimeout"},
+		{"negative-stall", func(o *Options) { o.StallTimeout = -1 }, "stall_timeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,45 +37,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (&Options{Spec: Spec{Distance: -1}}).Validate(); err == nil {
 		t.Error("negative distance accepted")
 	}
-	if err := (&Options{Kernel: KernelMode(5)}).Validate(); err == nil {
-		t.Error("out-of-range kernel mode accepted")
-	}
-	if err := (&Options{KernelBlock: -2}).Validate(); err == nil {
-		t.Error("negative kernel block accepted")
-	}
-}
-
-// TestKernelModesIdentical pins the façade contract of the kernel knob:
-// every mode produces bit-identical parameter images.
-func TestKernelModesIdentical(t *testing.T) {
-	v := phantom(t)
-	base := smallOpts(2)
-	base.KernelWorkers = 4
-	want, err := Analyze(v, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []KernelMode{KernelBlocked, KernelLegacy} {
-		opts := smallOpts(2)
-		opts.KernelWorkers = 4
-		opts.Kernel = k
-		opts.KernelBlock = 2
-		got, err := Analyze(v, opts)
-		if err != nil {
-			t.Fatalf("kernel %v: %v", k, err)
-		}
-		for f, g := range want.Grids {
-			other := got.Grids[f]
-			if other == nil {
-				t.Fatalf("kernel %v: feature %v missing", k, f)
-			}
-			for i := range g.Data {
-				if g.Data[i] != other.Data[i] {
-					t.Fatalf("kernel %v: feature %v diverged at %d", k, f, i)
-				}
-			}
-		}
-	}
 }
 
 func TestAnalyzeReport(t *testing.T) {

@@ -131,35 +131,6 @@ func BenchmarkGLCMFull(b *testing.B) {
 	}
 }
 
-// BenchmarkGLCMSparseScratch measures the production sparse build (dense
-// scratch + touched list) for the same ROI.
-func BenchmarkGLCMSparseScratch(b *testing.B) {
-	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
-	dirs := glcm.Directions(4, 1)
-	bu := glcm.NewSparseBuilder(32)
-	s := glcm.NewSparse(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		glcm.ComputeSparseScratch(grid.Data, grid.Strides(), [4]int{}, [4]int{16, 16, 3, 3}, dirs, bu)
-		bu.Flush(s)
-	}
-}
-
-// BenchmarkGLCMSparseInsertion measures the direct sorted-insertion sparse
-// build (the build-strategy ablation baseline).
-func BenchmarkGLCMSparseInsertion(b *testing.B) {
-	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
-	dirs := glcm.Directions(4, 1)
-	s := glcm.NewSparse(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		glcm.ComputeSparse(grid.Data, grid.Strides(), [4]int{}, [4]int{16, 16, 3, 3}, dirs, s)
-	}
-}
-
 func benchMatrices(b *testing.B) ([]*glcm.Full, []*glcm.Sparse) {
 	b.Helper()
 	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
@@ -239,14 +210,14 @@ func BenchmarkFeaturesAllFourteen(b *testing.B) {
 	}
 }
 
-// ----- sliding-window and worker-pool kernel benchmarks -----
+// ----- oracle, blocked-kernel and worker-pool benchmarks -----
 //
-// These probe the parallel intra-chunk kernel (internal/core/parallel.go,
-// internal/glcm/sliding.go). Every benchmark reports pairs/s — voxel-pair
-// accumulations per second, counting *logical* pairs (pairsPerROI × ROIs) so
-// the sliding kernel's savings show up as higher throughput rather than a
-// different workload. TestWriteKernelBenchJSON records them in
-// BENCH_kernels.json.
+// These probe the oracle kernels (internal/glcm/compute.go) and the parallel
+// intra-chunk kernel (internal/core/parallel.go, internal/glcm/blocked.go).
+// Every benchmark reports pairs/s — voxel-pair accumulations per second,
+// counting *logical* pairs (pairsPerROI × ROIs) so the blocked kernel's
+// window reuse shows up as higher throughput rather than a different
+// workload.
 
 // reportPairs attaches the logical voxel-pair throughput of the timed
 // section.
@@ -256,9 +227,9 @@ func reportPairs(b *testing.B, pairsPerOp uint64) {
 	}
 }
 
-// BenchmarkComputeFull measures the full-recompute dense kernel for one
-// paper ROI (16×16×3×3, 40 directions, G=32) — the per-ROI cost the sliding
-// kernel avoids.
+// BenchmarkComputeFull measures the oracle's full-recompute dense kernel for
+// one paper ROI (16×16×3×3, 40 directions, G=32) — the per-ROI cost the
+// blocked kernel's row walk avoids.
 func BenchmarkComputeFull(b *testing.B) {
 	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
 	dirs := glcm.Directions(4, 1)
@@ -273,58 +244,29 @@ func BenchmarkComputeFull(b *testing.B) {
 	reportPairs(b, glcm.PairCount(roi, dirs))
 }
 
-// BenchmarkComputeSparse measures the full-recompute sparse kernel (dense
-// scratch + touched list, then Flush) for the same ROI.
+// BenchmarkComputeSparse measures the oracle's full-recompute sparse kernel
+// (sorted insertion) for the same ROI.
 func BenchmarkComputeSparse(b *testing.B) {
 	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
 	dirs := glcm.Directions(4, 1)
 	roi := [4]int{16, 16, 3, 3}
-	bu := glcm.NewSparseBuilder(32)
 	s := glcm.NewSparse(32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		glcm.ComputeSparseScratch(grid.Data, grid.Strides(), [4]int{}, roi, dirs, bu)
-		bu.Flush(s)
+		s.Reset()
+		glcm.ComputeSparse(grid.Data, grid.Strides(), [4]int{}, roi, dirs, s)
 	}
 	reportPairs(b, glcm.PairCount(roi, dirs))
 }
 
-// BenchmarkSlidingWindow measures one whole raster row scanned with the
-// sliding-window kernel: a full accumulation at the row start, then one
-// incremental SlideFull per remaining origin. The grid is 256 voxels wide —
-// the paper dataset's row length — so the row-start cost amortizes as it
-// does in a real scan. pairs/s counts logical pairs (pairsPerROI ×
-// positions), so it is directly comparable to BenchmarkComputeFull — the
-// gap is the overlapping-window reuse win.
-func BenchmarkSlidingWindow(b *testing.B) {
-	grid := phantomGrid(b, [4]int{256, 32, 8, 8}, 32)
-	dirs := glcm.Directions(4, 1)
-	roi := [4]int{16, 16, 3, 3}
-	if !glcm.Reusable(roi, 1, dirs) {
-		b.Fatal("paper ROI should be reusable at stride 1")
-	}
-	nx := grid.Dims[0] - roi[0] + 1
-	m := glcm.NewFull(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		glcm.ComputeFull(grid.Data, grid.Strides(), [4]int{}, roi, dirs, m)
-		for x := 0; x+1 < nx; x++ {
-			glcm.SlideFull(grid.Data, grid.Strides(), [4]int{x, 0, 0, 0}, roi, 1, dirs, m)
-		}
-	}
-	reportPairs(b, glcm.PairCount(roi, dirs)*uint64(nx))
-}
-
-// BenchmarkBlockedRow measures the same whole-raster-row scan as
-// BenchmarkSlidingWindow on the blocked, direction-batched kernel — one
-// Accumulate at the row start, one Slide per remaining origin — including a
-// merging SnapshotFull at every position (the legacy kernel's matrix is live
-// incrementally, so the snapshot is the blocked kernel's honest per-position
-// cost). pairs/s counts the same logical pairs over the same grid, so the
-// two rows compare directly.
+// BenchmarkBlockedRow measures one whole raster row scanned with the
+// blocked, direction-batched kernel — one Accumulate at the row start, one
+// Slide per remaining origin — including a merging SnapshotFull at every
+// position. The grid is 256 voxels wide — the paper dataset's row length —
+// so the row-start cost amortizes as it does in a real scan. pairs/s counts
+// logical pairs (pairsPerROI × positions), so it compares directly with
+// BenchmarkComputeFull: the gap is the overlapping-window reuse win.
 func BenchmarkBlockedRow(b *testing.B) {
 	grid := phantomGrid(b, [4]int{256, 32, 8, 8}, 32)
 	dirs := glcm.Directions(4, 1)
@@ -376,52 +318,36 @@ func BenchmarkBlockedSparseRow(b *testing.B) {
 	reportPairs(b, glcm.PairCount(roi, dirs)*uint64(nx))
 }
 
-// benchAnalyzeRegion returns an AnalyzeRegion benchmark pinned to one
-// intra-chunk worker count and kernel mode (shared by
-// BenchmarkAnalyzeRegionWorkers and the BENCH_kernels.json writer).
-func benchAnalyzeRegion(workers int, kernel core.KernelMode) func(*testing.B) {
-	return func(b *testing.B) {
-		grid := phantomGrid(b, [4]int{24, 24, 6, 6}, 32)
-		cfg := &core.Config{ROI: [4]int{8, 8, 3, 3}, GrayLevels: 32, Representation: core.SparseMatrix, Workers: workers, Kernel: kernel}
-		if err := cfg.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		outDims, err := volume.OutputDims(grid.Dims, cfg.ROI)
-		if err != nil {
-			b.Fatal(err)
-		}
-		region := &volume.Region{Box: volume.BoxAt([4]int{}, grid.Dims), Data: grid.Data}
-		origins := volume.BoxAt([4]int{}, outDims)
-		pairs := glcm.PairCount(cfg.ROI, cfg.DirectionSet()) * uint64(origins.NumVoxels())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeRegion(region, origins, cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportPairs(b, pairs)
-	}
-}
-
 // BenchmarkAnalyzeRegionWorkers sweeps the Workers knob over a full region
 // scan (matrices + paper parameters). Workers=1 is the sequential
-// full-recompute reference; workers>1 stripe raster rows across a pool
-// running the blocked direction-batched kernel (the default), so throughput
-// rises even on a single-CPU host. Outputs are bit-identical at every
-// setting (see internal/core TestParallelMatchesSequential and
-// TestKernelModesAgree).
+// full-recompute oracle; workers>1 stripe raster rows across a pool running
+// the blocked direction-batched kernel, so throughput rises even on a
+// single-CPU host. Outputs are bit-identical at every setting (see
+// internal/core TestParallelMatchesSequential).
 func BenchmarkAnalyzeRegionWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", w), benchAnalyzeRegion(w, core.KernelAuto))
-	}
-}
-
-// BenchmarkAnalyzeRegionLegacy is the same sweep with the legacy sliding
-// per-direction kernels forced — the A/B baseline for the blocked kernel.
-func BenchmarkAnalyzeRegionLegacy(b *testing.B) {
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", w), benchAnalyzeRegion(w, core.KernelLegacy))
+		b.Run(fmt.Sprintf("%d", w), func(b *testing.B) {
+			grid := phantomGrid(b, [4]int{24, 24, 6, 6}, 32)
+			cfg := &core.Config{ROI: [4]int{8, 8, 3, 3}, GrayLevels: 32, Representation: core.SparseMatrix, Workers: w}
+			if err := cfg.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			outDims, err := volume.OutputDims(grid.Dims, cfg.ROI)
+			if err != nil {
+				b.Fatal(err)
+			}
+			region := &volume.Region{Box: volume.BoxAt([4]int{}, grid.Dims), Data: grid.Data}
+			origins := volume.BoxAt([4]int{}, outDims)
+			pairs := glcm.PairCount(cfg.ROI, cfg.DirectionSet()) * uint64(origins.NumVoxels())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.AnalyzeRegion(region, origins, cfg, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPairs(b, pairs)
+		})
 	}
 }
 

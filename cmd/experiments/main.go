@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"haralick4d/internal/core"
 	"haralick4d/internal/experiments"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
@@ -75,7 +74,6 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "simulation repetitions per configuration (min is reported)")
 		computeS = flag.Float64("compute-scale", experiments.DefaultComputeScale, "virtual seconds per host second on a speed-1 node")
 		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
-		kernel   core.KernelMode
 		rdAhead  = 4
 		spec     runspec.Spec
 		memoP    = flag.String("memo", "", "autotune sweep memo file recording measured cells across invocations (default: autotune-memo.json next to the dataset; \"off\" disables)")
@@ -85,10 +83,6 @@ func main() {
 	)
 	flag.Func("readahead", "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` (default 4: the figures are fixed-depth ablations), 0 (synchronous reads) or auto (self-sized); outputs are identical either way", func(s string) (err error) {
 		rdAhead, err = parseReadAhead(s)
-		return err
-	})
-	flag.Func("kernel", "parallel-scan GLCM kernel: auto (default; blocked when supported), blocked, legacy (the kernel figure sweeps both)", func(s string) (err error) {
-		kernel, err = core.ParseKernelMode(s)
 		return err
 	})
 	bindSpecFlags(flag.CommandLine, &spec)
@@ -149,7 +143,6 @@ func main() {
 	env.Repeats = *repeats
 	env.ComputeScale = *computeS
 	env.KernelWorkers = *kworkers
-	env.Kernel = kernel
 	env.ReadAhead = rdAhead
 	env.StallTimeout = time.Duration(spec.StallTimeout)
 	switch *memoP {

@@ -39,7 +39,6 @@ import (
 	"haralick4d/internal/autotune"
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/cliflags"
-	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/dicom"
 	"haralick4d/internal/fault"
@@ -68,8 +67,6 @@ type cli struct {
 	retry        *filter.RetryPolicy
 	resilience   *resilience.Policy
 	iic          int
-	kernel       core.KernelMode
-	kernelBlock  int
 	checkpoint   string
 	ckptInterval time.Duration
 	resume       bool
@@ -109,11 +106,6 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	budgetS := fs.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" capping total retries against a sick dependency, e.g. \"10,0.1\" (empty = unbounded)")
 	hedgeS := fs.String("hedge-after", "", "launch a second backend range read if the first has not answered within this duration, e.g. 200ms (empty = off)")
 	fs.IntVar(&c.iic, "iic", 1, "explicit IIC copies")
-	fs.Func("kernel", "parallel-scan GLCM kernel: auto (default; blocked when supported), blocked, legacy", func(s string) (err error) {
-		c.kernel, err = core.ParseKernelMode(s)
-		return err
-	})
-	fs.IntVar(&c.kernelBlock, "kernel-block", 0, "x tile width of the blocked kernel's accumulation runs (0 = untiled rows)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
 	ckptIntS := fs.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
@@ -149,7 +141,7 @@ func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 	if err := c.spec.Validate(); err != nil {
 		return err
 	}
-	if err := validateCountFlags(c.iic, c.kernelBlock); err != nil {
+	if err := validateCountFlags(c.iic); err != nil {
 		return err
 	}
 	if c.ckptInterval, err = cliflags.ParseRestartFlags(c.checkpoint, c.resume, ckptIntS); err != nil {
@@ -175,12 +167,9 @@ func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 
 // validateCountFlags rejects the engine-run counts the flag package happily
 // parses but no run can use.
-func validateCountFlags(iic, kernelBlock int) error {
+func validateCountFlags(iic int) error {
 	if iic < 1 {
 		return fmt.Errorf("-iic must be >= 1, got %d", iic)
-	}
-	if kernelBlock < 0 {
-		return fmt.Errorf("-kernel-block must be >= 0, got %d", kernelBlock)
 	}
 	return nil
 }
@@ -261,7 +250,6 @@ func (c *cli) run() error {
 		}
 		cfg, layout = gcfg, glayout
 	} else {
-		cfg.Analysis.Kernel, cfg.Analysis.KernelBlock = c.kernel, c.kernelBlock
 		// Extra IIC copies each get a node of their own after the texture
 		// nodes, which ConfigFor places last.
 		tex := layout.HMPNodes

@@ -35,26 +35,24 @@ func TestKernelWorkersDefaultIsAuto(t *testing.T) {
 
 func TestValidateCountFlags(t *testing.T) {
 	cases := []struct {
-		iic, kernelBlock int
-		wantErr          string
+		iic     int
+		wantErr string
 	}{
-		{1, 0, ""},
-		{4, 16, ""},
-		{0, 0, "-iic must be >= 1, got 0"},
-		{-2, 0, "-iic must be >= 1, got -2"},
-		{1, -4, "-kernel-block must be >= 0, got -4"},
-		{-2, -2, "-iic must be >= 1, got -2"}, // first offender wins
+		{1, ""},
+		{4, ""},
+		{0, "-iic must be >= 1, got 0"},
+		{-2, "-iic must be >= 1, got -2"},
 	}
 	for _, c := range cases {
-		err := validateCountFlags(c.iic, c.kernelBlock)
+		err := validateCountFlags(c.iic)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateCountFlags(%d, %d) = %v, want nil", c.iic, c.kernelBlock, err)
+				t.Errorf("validateCountFlags(%d) = %v, want nil", c.iic, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateCountFlags(%d, %d) = %v, want %q", c.iic, c.kernelBlock, err, c.wantErr)
+			t.Errorf("validateCountFlags(%d) = %v, want %q", c.iic, err, c.wantErr)
 		}
 	}
 }
@@ -117,7 +115,8 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-deadline", "-1s"}, "spec: deadline_ms (-deadline) must not be negative"},
 		{[]string{"-gray", "1"}, "gray levels 1 out of range"},
 		{[]string{"-dataset-url", "ftp://host/x"}, "unknown dataset URL scheme"},
-		{[]string{"-kernel", "vectorized"}, `invalid value "vectorized" for flag -kernel`},
+		{[]string{"-kernel", "legacy"}, "flag provided but not defined: -kernel"},
+		{[]string{"-kernel-block", "16"}, "flag provided but not defined: -kernel-block"},
 		{[]string{"-engine", "sim", "-autotune"}, "-autotune needs a live engine"},
 	}
 	for _, c := range cases {

@@ -86,27 +86,6 @@ const (
 	SparseMatrix = core.SparseMatrix
 )
 
-// KernelMode selects the GLCM accumulation kernel of the parallel
-// intra-chunk scan (see Options.Kernel).
-type KernelMode = core.KernelMode
-
-// The three kernel modes.
-const (
-	// KernelAuto (default) uses the cache-blocked, direction-batched kernel
-	// whenever the scan geometry supports it, falling back to the legacy
-	// sliding-window kernels otherwise.
-	KernelAuto = core.KernelAuto
-	// KernelBlocked requests the blocked kernel explicitly (unsupported
-	// geometries still fall back per worker).
-	KernelBlocked = core.KernelBlocked
-	// KernelLegacy forces the per-direction legacy kernels everywhere.
-	KernelLegacy = core.KernelLegacy
-)
-
-// ParseKernelMode returns the kernel mode with the given canonical name
-// ("auto", "blocked", "legacy").
-func ParseKernelMode(s string) (KernelMode, error) { return core.ParseKernelMode(s) }
-
 // Volume is a raw 4D image dataset of 2-byte voxels with dimensions
 // (X, Y, Z, T), x varying fastest.
 type Volume = volume.Volume
@@ -147,16 +126,6 @@ type Options struct {
 	// the library reads AnalyzeDataset's url and returns its grids in
 	// Result, so they must stay zero.
 	Spec
-	// Kernel selects the GLCM accumulation kernel the kernel workers run.
-	// The zero value, KernelAuto, enables the cache-blocked,
-	// direction-batched kernel by default; KernelLegacy restores the
-	// per-direction kernels. The sequential reference path (KernelWorkers 1)
-	// is always legacy, and outputs are bit-identical across modes.
-	Kernel KernelMode
-	// KernelBlock bounds the x extent of the blocked kernel's accumulation
-	// runs (an L1 tile width in voxels) for ROIs whose rows outgrow the
-	// cache. 0 — the default — leaves rows untiled.
-	KernelBlock int
 	// DisableMetrics turns off the run's observability layer; Result.Report
 	// stays nil. Metrics are on by default and cost a few atomic operations
 	// per stream buffer.
@@ -235,11 +204,6 @@ func (o *Options) Validate() error {
 	if err := o.Spec.Validate(); err != nil {
 		return err
 	}
-	a := o.Spec.Analysis()
-	a.Kernel, a.KernelBlock = o.Kernel, o.KernelBlock
-	if err := a.Validate(); err != nil {
-		return err
-	}
 	switch {
 	case o.Dataset != "" || o.Output != 0 || o.OutDir != "":
 		return fmt.Errorf("haralick4d: Dataset, Output and OutDir are the CLI's and the daemon's: the library reads AnalyzeDataset's url and returns grids in memory")
@@ -269,15 +233,14 @@ func (o *Options) Validate() error {
 
 // config translates the options into the pipeline's configuration and
 // placement: the spec through pipeline.ConfigFor, then the library's hooks
-// — the in-memory sink, the kernel knobs and the tuning controller, which
-// cacheStats, when non-nil, feeds the block cache's counters.
+// — the in-memory sink and the tuning controller, which cacheStats, when
+// non-nil, feeds the block cache's counters.
 func (o *Options) config(storageNodes int, cacheStats func() (hits, misses int64)) (*pipeline.Config, *pipeline.Layout, error) {
 	cfg, layout, err := pipeline.ConfigFor(&o.Spec, storageNodes)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Output = pipeline.OutputCollect
-	cfg.Analysis.Kernel, cfg.Analysis.KernelBlock = o.Kernel, o.KernelBlock
 	if o.AutoTune {
 		cfg.AutoTune = autotune.New(autotune.Config{Seed: o.AutoTuneSeed, Interval: o.AutoTuneInterval, CacheStats: cacheStats})
 	}

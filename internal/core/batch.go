@@ -88,11 +88,8 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, SparseMatrix, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, SparseMatrix, workers > 1)
 		defer sc.release()
-		if workers == 1 {
-			sc.slide = false // sequential reference: full recompute per ROI
-		}
 		var st *Stats
 		if stats != nil {
 			st = &local[w]
@@ -149,11 +146,8 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, FullMatrixNoSkip, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, FullMatrixNoSkip, workers > 1)
 		defer sc.release()
-		if workers == 1 {
-			sc.slide = false // sequential reference: full recompute per ROI
-		}
 		var st *Stats
 		if stats != nil {
 			st = &local[w]

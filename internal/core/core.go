@@ -4,9 +4,13 @@
 // the configured representation, and derives the selected Haralick
 // parameters from each matrix.
 //
-// The package is deliberately sequential: it is both the reference
-// implementation that the parallel pipelines are verified against and the
-// per-chunk computation kernel executed inside the HMP/HCC/HPC filters.
+// The package is the per-chunk computation kernel executed inside the
+// HMP/HCC/HPC filters, with two GLCM paths: the sequential oracle
+// (ScanRegion, and every entry point at one worker), which recomputes each
+// ROI's matrix with glcm.ComputeFull or glcm.ComputeSparse and is what the
+// parallel pipelines are verified against; and the production path
+// (parallel.go), which stripes ROI raster rows across workers running the
+// blocked kernel, glcm.Blocked.
 package core
 
 import (
@@ -105,16 +109,6 @@ type Config struct {
 	// ROI raster rows across a worker pool whose kernel also reuses
 	// overlapping-window work along x and from row to row (glcm.Blocked).
 	Workers int
-	// Kernel selects the accumulation kernel of the parallel scan path
-	// (see KernelMode). The zero value, KernelAuto, enables the blocked
-	// kernel by default; the sequential workers=1 reference path is always
-	// legacy regardless of this knob.
-	Kernel KernelMode
-	// KernelBlock bounds the x extent of the blocked kernel's accumulation
-	// runs — an L1 tile width in voxels for ROIs whose rows outgrow the
-	// cache. 0 (the default) leaves rows untiled; the legacy kernels ignore
-	// it.
-	KernelBlock int
 }
 
 // DefaultConfig returns the paper's experimental configuration (§5.1) with
@@ -174,12 +168,6 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("core: workers %d must be >= 0 (0 selects GOMAXPROCS)", c.Workers)
 	}
-	if c.Kernel < KernelAuto || c.Kernel > KernelLegacy {
-		return fmt.Errorf("core: invalid kernel mode %d", int(c.Kernel))
-	}
-	if c.KernelBlock < 0 {
-		return fmt.Errorf("core: kernel block %d must be >= 0 (0 disables tiling)", c.KernelBlock)
-	}
 	if glcm.PairCount(c.ROI, c.DirectionSet()) == 0 {
 		return fmt.Errorf("core: ROI %v admits no voxel pairs at distance %d with %d direction(s) — every direction's displacement exceeds the ROI extent, so all matrices would be empty", c.ROI, c.Distance, len(c.DirectionSet()))
 	}
@@ -238,7 +226,8 @@ type ROIVisitor func(origin [4]int, full *glcm.Full, sparse *glcm.Sparse) error
 // (paper Fig. 1/2), computing one co-occurrence matrix per origin in the
 // configured representation and passing it to visit. Every ROI must lie
 // entirely within the region (the chunker guarantees this for chunks).
-// stats may be nil.
+// stats may be nil. Every matrix is recomputed from scratch with
+// glcm.ComputeFull or glcm.ComputeSparse: this is the verification oracle.
 func ScanRegion(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, visit ROIVisitor) error {
 	if region == nil {
 		return ErrNilRegion
@@ -246,52 +235,9 @@ func ScanRegion(region *volume.Region, origins volume.Box, cfg *Config, stats *S
 	if err := checkOrigins(region, origins, cfg); err != nil {
 		return err
 	}
-	dirs := cfg.DirectionSet()
-	shape := region.Box.Shape()
-	strides := volume.Strides(shape)
-	pairsPerROI := glcm.PairCount(cfg.ROI, dirs)
-
-	var full *glcm.Full
-	var sparse *glcm.Sparse
-	var builder *glcm.SparseBuilder
-	if cfg.Representation == SparseMatrix {
-		sparse = glcm.NewSparse(cfg.GrayLevels)
-		builder = glcm.NewSparseBuilder(cfg.GrayLevels)
-	} else {
-		full = glcm.NewFull(cfg.GrayLevels)
-	}
-
-	var p [4]int
-	for p[3] = origins.Lo[3]; p[3] < origins.Hi[3]; p[3]++ {
-		for p[2] = origins.Lo[2]; p[2] < origins.Hi[2]; p[2]++ {
-			for p[1] = origins.Lo[1]; p[1] < origins.Hi[1]; p[1]++ {
-				for p[0] = origins.Lo[0]; p[0] < origins.Hi[0]; p[0]++ {
-					rel := [4]int{p[0] - region.Box.Lo[0], p[1] - region.Box.Lo[1], p[2] - region.Box.Lo[2], p[3] - region.Box.Lo[3]}
-					if sparse != nil {
-						glcm.ComputeSparseScratch(region.Data, strides, rel, cfg.ROI, dirs, builder)
-						builder.Flush(sparse)
-						if stats != nil {
-							stats.StoredEntries += int64(sparse.NonZero())
-						}
-					} else {
-						full.Reset()
-						glcm.ComputeFull(region.Data, strides, rel, cfg.ROI, dirs, full)
-						if stats != nil {
-							stats.StoredEntries += int64(full.NonZero())
-						}
-					}
-					if stats != nil {
-						stats.ROIs++
-						stats.Pairs += pairsPerROI
-					}
-					if err := visit(p, full, sparse); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
+	sc := newRowScanner(region, origins, cfg, cfg.Representation, false)
+	shape := origins.Shape()
+	return sc.scan(0, shape[1]*shape[2]*shape[3], stats, visit)
 }
 
 // SparseBatch computes one sparse co-occurrence matrix per ROI origin of

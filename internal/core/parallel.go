@@ -14,8 +14,8 @@ import (
 // work distribution is one ROI raster row (fixed y, z, t — all origins along
 // x): rows are split into contiguous blocks, one block per worker, so the
 // per-worker results concatenate back into global raster order. Each worker
-// owns its own scratch matrix, sparse builder and feature calculator, so the
-// hot loop performs no allocation and shares no mutable state. A worker
+// owns its own kernel, scratch matrix and feature calculator, so the hot
+// loop performs no allocation and shares no mutable state. A worker
 // walks its rows with the blocked kernel (glcm.Blocked.StartRow/Step), which
 // slides the window along x within a row and — on its column path — carries
 // per-column pair histograms and gray-level bounds from one row to the row
@@ -23,15 +23,14 @@ import (
 // rebuilt, and every snapshot scans only the levels present in its ROI. The
 // zero-skipping full representation takes the kernel's sorted non-zero list
 // straight to the feature sums; only FullMatrixNoSkip and the HCC batches
-// materialise a dense matrix. Geometries the blocked planner rejects, and
-// KernelLegacy, fall back to the legacy per-direction kernels of package
-// glcm, which recompute when the window geometry admits no reuse.
+// materialise a dense matrix. Geometries the blocked planner rejects (more
+// than 64 directions, say) run the oracle kernels on every worker, one full
+// recompute per ROI.
 //
-// Workers == 1 never enters this file's machinery: it runs the untouched
-// sequential kernel (ScanRegion), which remains the verification oracle.
-// Because co-occurrence counts are integers and each matrix's features are
-// computed independently, the results are bit-identical across worker
-// counts.
+// Workers == 1 runs no blocked kernel: ScanRegion, and the batch builders'
+// single worker, recompute every ROI with the oracle kernels. Because
+// co-occurrence counts are integers and each matrix's features are computed
+// independently, the results are bit-identical across worker counts.
 
 // EffectiveWorkers resolves the Workers knob to a concrete worker count:
 // the knob itself when positive, GOMAXPROCS when zero.
@@ -99,11 +98,11 @@ func runRows(rows, workers int, fn func(w, r0, r1 int) error) error {
 }
 
 // rowScanner is one worker's kernel state: the scan geometry plus its own
-// blocked kernel, or scratch matrix and builder for the legacy kernels.
+// blocked kernel, or the scratch matrix the oracle kernels recompute per ROI.
 // Matrices handed to the visitor are reused across calls and must not be
-// retained, exactly like ScanRegion — except that with keep set the sparse
-// matrices' entries accumulate, in visiting order, in the entries arena, and
-// each visited matrix aliases its part of it.
+// retained — except that with keep set the sparse matrices' entries
+// accumulate, in visiting order, in the entries arena, and on the blocked
+// path each visited matrix aliases its part of it.
 type rowScanner struct {
 	cfg      *Config
 	dirs     []glcm.Direction
@@ -113,12 +112,10 @@ type rowScanner struct {
 	regionLo [4]int
 	sy, sz   int
 	nx       int
-	slide    bool
 	pairs    uint64 // logical pairs per matrix (Total/2)
 	full     *glcm.Full
 	sparse   *glcm.Sparse
-	builder  *glcm.SparseBuilder
-	blocked  *glcm.Blocked // non-nil when the blocked kernel is planned
+	blocked  *glcm.Blocked // nil: the oracle kernels recompute every ROI
 	entries  []glcm.Entry  // sparse entry arena
 	keep     bool
 }
@@ -128,19 +125,17 @@ type rowScanner struct {
 // builders fix the representation by API): SparseMatrix visits sparse
 // matrices, FullMatrixNoSkip dense ones, and FullMatrix — whose consumer
 // skips the zeros anyway — the blocked kernel's non-zero list as a sparse
-// matrix, falling back to dense ones on the legacy kernels. Features do not
-// depend on the representation and Full.NonZero counts a mirror pair once,
-// like the list, so the choice is invisible in results and Stats alike.
-// Consecutive raster origins are one voxel apart, so the slide stride is
-// always 1; the legacy kernels slide whenever some direction's pair box is
-// wider than that.
+// matrix, or dense ones on the oracle kernels. Features do not depend on the
+// representation and Full.NonZero counts a mirror pair once, like the list,
+// so the choice is invisible in results and Stats alike.
 //
 // When blocked is set the scanner plans the cache-blocked, direction-batched
 // kernel (pooled across chunks via glcm.GetBlocked) for rows of the box's x
 // extent — the kernel itself picks the column path or the x-slab slide from
-// the geometry; geometries the planner rejects fall back to the legacy
-// sliding-window kernels. Callers must release() the scanner when done so
-// the pooled scratch is recycled.
+// the geometry. Without it, or when the planner rejects the geometry, every
+// ROI is recomputed with glcm.ComputeFull or glcm.ComputeSparse: the oracle.
+// Callers must release() the scanner when done so the pooled scratch is
+// recycled.
 func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, rep Representation, blocked bool) *rowScanner {
 	shape := origins.Shape()
 	dirs := cfg.DirectionSet()
@@ -154,12 +149,11 @@ func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, rep R
 		sy:       shape[1],
 		sz:       shape[2],
 		nx:       shape[0],
-		slide:    glcm.Reusable(cfg.ROI, 1, dirs),
 		pairs:    glcm.PairCount(cfg.ROI, dirs),
 	}
 	if blocked {
 		k := glcm.GetBlocked(cfg.GrayLevels)
-		if k.Plan(s.strides, cfg.ROI, dirs, 1, cfg.KernelBlock) {
+		if k.Plan(s.strides, cfg.ROI, dirs, 1, 0) {
 			k.PlanRows(s.nx)
 			s.blocked = k
 		} else {
@@ -168,9 +162,6 @@ func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, rep R
 	}
 	if rep == SparseMatrix || rep == FullMatrix && s.blocked != nil {
 		s.sparse = glcm.NewSparse(cfg.GrayLevels)
-		if s.blocked == nil {
-			s.builder = glcm.NewSparseBuilder(cfg.GrayLevels)
-		}
 	} else {
 		s.full = glcm.NewFull(cfg.GrayLevels)
 	}
@@ -188,7 +179,7 @@ func (s *rowScanner) release() {
 
 // scan visits the origins of rows [r0, r1) in raster order. Stats counts
 // the pairs each matrix represents, not the accumulations performed — the
-// sliding kernel performs far fewer, and that gap is the optimization.
+// blocked kernel performs far fewer, and that gap is the optimization.
 func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 	for r := r0; r < r1; r++ {
 		p := [4]int{
@@ -200,11 +191,12 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 		for i := 0; i < s.nx; i++ {
 			p[0] = s.lo[0] + i
 			rel := [4]int{p[0] - s.regionLo[0], p[1] - s.regionLo[1], p[2] - s.regionLo[2], p[3] - s.regionLo[3]}
-			if s.blocked != nil {
-				// Blocked kernel: position on the row's first origin (carrying
-				// what the row above left, or one batched pass over all
-				// directions), step along x, then a merging snapshot — the
-				// non-zero list, or the visitor's dense matrix.
+			switch {
+			case s.blocked != nil:
+				// Position on the row's first origin (carrying what the row
+				// above left, or one batched pass over all directions), step
+				// along x, then a merging snapshot — the non-zero list, or the
+				// visitor's dense matrix.
 				if i == 0 {
 					s.blocked.StartRow(s.data, rel[0]+rel[1]*s.strides[1]+rel[2]*s.strides[2]+rel[3]*s.strides[3])
 				} else {
@@ -218,45 +210,25 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 					s.entries = s.blocked.AppendSparse(s.entries)
 					s.sparse.Entries = s.entries[off:]
 					s.sparse.Total = 2 * s.blocked.Pairs()
-					if stats != nil {
-						stats.StoredEntries += int64(s.sparse.NonZero())
-					}
 				} else {
 					s.blocked.SnapshotFull(s.full)
-					if stats != nil {
-						stats.StoredEntries += int64(s.full.NonZero())
-					}
 				}
-			} else if s.sparse != nil {
-				if i == 0 || !s.slide {
-					s.builder.Clear()
-					glcm.ComputeSparseScratch(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.builder)
-				} else {
-					prev := rel
-					prev[0]--
-					glcm.SlideSparseScratch(s.data, s.strides, prev, s.cfg.ROI, 1, s.dirs, s.builder)
-				}
-				s.builder.Snapshot(s.sparse)
+			case s.sparse != nil:
+				s.sparse.Reset()
+				glcm.ComputeSparse(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.sparse)
 				if s.keep {
 					s.entries = append(s.entries, s.sparse.Entries...)
 				}
-				if stats != nil {
-					stats.StoredEntries += int64(s.sparse.NonZero())
-				}
-			} else {
-				if i == 0 || !s.slide {
-					s.full.Reset()
-					glcm.ComputeFull(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.full)
-				} else {
-					prev := rel
-					prev[0]--
-					glcm.SlideFull(s.data, s.strides, prev, s.cfg.ROI, 1, s.dirs, s.full)
-				}
-				if stats != nil {
-					stats.StoredEntries += int64(s.full.NonZero())
-				}
+			default:
+				s.full.Reset()
+				glcm.ComputeFull(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.full)
 			}
 			if stats != nil {
+				if s.sparse != nil {
+					stats.StoredEntries += int64(s.sparse.NonZero())
+				} else {
+					stats.StoredEntries += int64(s.full.NonZero())
+				}
 				stats.ROIs++
 				stats.Pairs += s.pairs
 			}
@@ -322,7 +294,7 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, cfg.Representation, cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, cfg.Representation, true)
 		defer sc.release()
 		calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
 		var st *Stats

@@ -35,18 +35,30 @@ func randConfig(rng *rand.Rand, dims [4]int) Config {
 		Representation: Representation(rng.Intn(3)),
 		Features:       features.PaperSet(),
 	}
-	if rng.Intn(2) == 0 {
+	switch rng.Intn(3) {
+	case 0:
 		cfg.Directions = glcm.AxisDirections(4, 1)
+	case 1:
+		// 80 directions: glcm.Blocked.Plan refuses the set, so every worker
+		// runs the oracle kernels.
+		cfg.Directions = glcm.AllDirections(4, 1)
 	}
 	return cfg
 }
 
+// blockedRefuses reports whether cfg's direction set is one the blocked
+// kernel's planner refuses (more than 64 directions).
+func blockedRefuses(cfg Config) bool { return len(cfg.DirectionSet()) > 64 }
+
 // TestParallelMatchesSequential is the property test of the parallel path:
 // for randomized dims, ROI, gray levels, direction set and representation,
 // every worker count must produce bit-identical feature values and
-// identical Stats to the sequential reference (Workers = 1).
+// identical Stats to the sequential reference (Workers = 1). Direction sets
+// the blocked planner refuses pin the oracle fallback at workers > 1, in
+// every representation.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	fallback := map[Representation]bool{}
 	for iter := 0; iter < 25; iter++ {
 		cfg := Config{}
 		var region *volume.Region
@@ -66,6 +78,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		origins := volume.BoxAt([4]int{}, outDims)
+		if blockedRefuses(cfg) {
+			fallback[cfg.Representation] = true
+		}
 
 		ref := cfg
 		ref.Workers = 1
@@ -97,12 +112,85 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	if len(fallback) != 3 {
+		t.Errorf("the oracle fallback ran for representations %v, want all three", fallback)
+	}
+}
+
+// TestKernelModesAgree runs each kernel mode a worker can end up in — the
+// blocked kernel on its column path, the blocked kernel on its x-slab slide
+// (G=256: the row's column stores exceed the budget) and the oracle fallback
+// (80 directions: the planner refuses the set) — on a geometry that is
+// checked to select it, and requires feature values and Stats equal to the
+// sequential reference bit for bit in every representation.
+func TestKernelModesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cases := []struct {
+		name       string
+		dims, roi  [4]int
+		g, ndim    int
+		dirs       []glcm.Direction
+		plan, rows bool
+	}{
+		{"column", [4]int{22, 11, 4, 1}, [4]int{5, 4, 2, 1}, 8, 3, nil, true, true},
+		{"x-slab", [4]int{14, 6, 3, 1}, [4]int{5, 4, 2, 1}, 256, 3, nil, true, false},
+		{"oracle", [4]int{12, 7, 4, 4}, [4]int{4, 3, 2, 2}, 16, 4, glcm.AllDirections(4, 1), false, false},
+	}
+	for _, c := range cases {
+		region := volume.NewRegion(volume.BoxAt([4]int{}, c.dims))
+		for i := range region.Data {
+			region.Data[i] = uint8(rng.Intn(c.g))
+		}
+		outDims, err := volume.OutputDims(c.dims, c.roi)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		origins := volume.BoxAt([4]int{}, outDims)
+		for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
+			tag := fmt.Sprintf("%s %v", c.name, rep)
+			cfg := Config{ROI: c.roi, GrayLevels: c.g, NDim: c.ndim, Distance: 1, Directions: c.dirs, Representation: rep, Features: features.All()}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			k := glcm.NewBlocked(cfg.GrayLevels)
+			plan := k.Plan(volume.Strides(c.dims), cfg.ROI, cfg.DirectionSet(), 1, 0)
+			if plan != c.plan || plan && k.PlanRows(outDims[0]) != c.rows {
+				t.Fatalf("%s: the geometry does not select the mode under test", tag)
+			}
+			ref := cfg
+			ref.Workers = 1
+			var refStats Stats
+			want, err := AnalyzeRegion(region, origins, &ref, &refStats)
+			if err != nil {
+				t.Fatalf("%s: sequential: %v", tag, err)
+			}
+			pcfg := cfg
+			pcfg.Workers = 4
+			var stats Stats
+			got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if stats != refStats {
+				t.Fatalf("%s: stats %+v, want %+v", tag, stats, refStats)
+			}
+			for i := range want {
+				for j, v := range want[i].Data {
+					if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
+						t.Fatalf("%s: feature %v at %d is %v, the sequential reference's %v", tag, cfg.Features[i], j, got[i].Data[j], v)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBatchesMatchSequential checks that the batch builders produce
-// value-identical matrices (and Stats) at every worker count.
+// value-identical matrices (and Stats) at every worker count, on the blocked
+// kernel and on the oracle fallback.
 func TestBatchesMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	fallbacks := 0
 	for iter := 0; iter < 15; iter++ {
 		cfg := Config{}
 		var region *volume.Region
@@ -122,6 +210,9 @@ func TestBatchesMatchSequential(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		origins := volume.BoxAt([4]int{}, outDims)
+		if blockedRefuses(cfg) {
+			fallbacks++
+		}
 
 		ref := cfg
 		ref.Workers = 1
@@ -170,6 +261,9 @@ func TestBatchesMatchSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fallbacks == 0 {
+		t.Error("no iteration ran the oracle fallback")
 	}
 }
 

@@ -328,9 +328,9 @@ func chunkEdges(sc Scale) []int {
 
 // Kernel sweeps the intra-chunk worker count of the texture kernel (the
 // `Workers` knob of core.Config): ROI raster rows are striped across the
-// workers, and each worker's per-row scan reuses the overlapping-window
-// work with sliding GLCM updates (workers > 1 only; workers = 1 is the
-// sequential full-recompute reference). The measurement runs the real
+// workers, and each worker's blocked kernel reuses the overlapping-window
+// work along x and from row to row (workers > 1 only; workers = 1 is the
+// sequential full-recompute oracle). The measurement runs the real
 // local-engine pipeline over a one-chunk in-memory sample and reads the
 // HMP compute span from the run report — this is the one figure probing
 // the in-process kernel rather than the simulated cluster.
@@ -339,7 +339,7 @@ func Kernel(e *Env) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sliding reuse happens along consecutive x origins, so the sample must
+	// Window reuse happens along consecutive x origins, so the sample must
 	// keep whole raster rows: full x extent, y/z/t clamped (and centered)
 	// to bound the ROI count. sampleOrigins would shrink x instead and hide
 	// the reuse entirely.
@@ -358,7 +358,7 @@ func Kernel(e *Env) (*Figure, error) {
 	}
 	// Cut the voxel extent those origins cover out of the phantom; its
 	// output grid is exactly the sampled origins, and a chunk shaped like
-	// the whole sample keeps the sliding reuse unbroken.
+	// the whole sample keeps the window reuse unbroken.
 	var origin, voxShape [4]int
 	for k := 0; k < 4; k++ {
 		origin[k] = (outDims[k] - shape[k]) / 2
@@ -368,7 +368,7 @@ func Kernel(e *Env) (*Figure, error) {
 	rois := shape[0] * shape[1] * shape[2] * shape[3]
 	fig := &Figure{
 		ID:     "kernel",
-		Title:  "intra-chunk kernel workers with sliding-window GLCM reuse",
+		Title:  "intra-chunk kernel workers: blocked GLCM kernel against the oracle",
 		XLabel: "kernel workers",
 		YLabel: "ms per 100 ROIs (host time)",
 	}
@@ -408,45 +408,33 @@ func Kernel(e *Env) (*Figure, error) {
 		}
 		return float64(best.TotalNS) / 1e9, report, nil
 	}
-	// Two series over the same worker sweep: the blocked direction-batched
-	// kernel (the default) against the legacy sliding per-direction kernels.
-	// workers=1 is the shared sequential reference point of both.
-	modes := []struct {
-		label  string
-		kernel core.KernelMode
-	}{
-		{"blocked kernel (default)", core.KernelAuto},
-		{"legacy sliding kernel", core.KernelLegacy},
-	}
-	for _, mode := range modes {
-		s := Series{Label: mode.label + ", sparse matrix + paper parameters"}
-		var base float64
-		for _, w := range []int{1, 2, 4, 8} {
-			analysis := e.analysis(core.SparseMatrix)
-			analysis.Workers = w
-			analysis.Kernel = mode.kernel
-			sec, report, err := measure(analysis)
-			if err != nil {
-				return nil, fmt.Errorf("kernel %s workers=%d: %w", mode.kernel, w, err)
-			}
-			e.LastReport = report
-			s.X = append(s.X, float64(w))
-			s.Y = append(s.Y, sec*1000/float64(rois)*100)
-			pairs := float64(rois) * float64(glcm.PairCount(e.Scale.ROI, analysis.DirectionSet()))
-			if w == 1 {
-				base = sec
-			}
-			fig.Notes = append(fig.Notes, fmt.Sprintf(
-				"%s workers=%d: %.2f Mpairs/s over %d ROIs (%.2fx vs workers=1)",
-				mode.kernel, w, pairs/sec/1e6, rois, base/sec))
+	// One series: workers=1 is the sequential oracle (full recompute per
+	// ROI), workers>1 the blocked kernel's row walk.
+	s := Series{Label: "blocked kernel, sparse matrix + paper parameters"}
+	var base float64
+	for _, w := range []int{1, 2, 4, 8} {
+		analysis := e.analysis(core.SparseMatrix)
+		analysis.Workers = w
+		sec, report, err := measure(analysis)
+		if err != nil {
+			return nil, fmt.Errorf("kernel workers=%d: %w", w, err)
 		}
-		fig.Series = append(fig.Series, s)
+		e.LastReport = report
+		s.X = append(s.X, float64(w))
+		s.Y = append(s.Y, sec*1000/float64(rois)*100)
+		pairs := float64(rois) * float64(glcm.PairCount(e.Scale.ROI, analysis.DirectionSet()))
+		if w == 1 {
+			base = sec
+		}
+		fig.Notes = append(fig.Notes, fmt.Sprintf(
+			"workers=%d: %.2f Mpairs/s over %d ROIs (%.2fx vs workers=1)",
+			w, pairs/sec/1e6, rois, base/sec))
 	}
+	fig.Series = append(fig.Series, s)
 	fig.Notes = append(fig.Notes,
 		"timings are the HMP compute span of the run report (local engine, one chunk, one texture copy)",
-		"workers=1 is the sequential reference kernel (full recompute per ROI) in both series; workers>1 add window reuse, so single-CPU hosts still gain",
-		"the blocked series batches all directions into one raster pass with a dense private scratch (internal/glcm/blocked.go); legacy slides each direction separately",
-		"outputs are bit-identical at every worker count and kernel mode (property-tested in internal/core)")
+		"workers=1 is the sequential oracle kernel (full recompute per ROI); workers>1 run the blocked kernel (internal/glcm/blocked.go), which batches all directions into one raster pass and reuses window work along x and from row to row, so single-CPU hosts still gain",
+		"outputs are bit-identical at every worker count (property-tested in internal/core)")
 	return fig, nil
 }
 

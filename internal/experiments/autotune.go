@@ -13,11 +13,10 @@ import (
 )
 
 // AutoTuneSweep (figure id "autotune") is the cross-run half of the
-// autotune design. The knobs the live controller cannot turn mid-run —
-// texture copy count and the blocked kernel's tile width, both baked into
-// the graph at build time — are tuned the only honest way: repeated real
-// trials of the local-engine pipeline over the disk-resident phantom, best
-// of Repeats per cell.
+// autotune design. The knob the live controller cannot turn mid-run — the
+// texture copy count, baked into the graph at build time — is tuned the only
+// honest way: repeated real trials of the local-engine pipeline over the
+// disk-resident phantom, best of Repeats per cell.
 //
 // Every measured cell is journaled in the Env's Memo under a
 // (config fingerprint, parameter cell) key. The fingerprint is the
@@ -28,7 +27,6 @@ import (
 // reports the split (CI asserts recomputed=0 on the second invocation).
 func AutoTuneSweep(e *Env) (*Figure, error) {
 	copiesSweep := []int{1, 2, 4}
-	kblocks := []int{0, 16}
 	repeats := e.Repeats
 	if repeats < 1 {
 		repeats = 1
@@ -80,9 +78,8 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 	}
 	recomputed, cached := 0, 0
 
-	measure := func(copies, kblock int) (float64, error) {
-		cell := fmt.Sprintf("impl=hmp,workers=%d,ra=%d,copies=%d,kblock=%d",
-			analysis.Workers, e.ReadAhead, copies, kblock)
+	measure := func(copies int) (float64, error) {
+		cell := fmt.Sprintf("impl=hmp,workers=%d,ra=%d,copies=%d", analysis.Workers, e.ReadAhead, copies)
 		if memo != nil {
 			if c, ok := memo.Get(autotune.Key(fp, cell)); ok {
 				cached++
@@ -92,10 +89,8 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 		recomputed++
 		var best time.Duration
 		for r := 0; r < repeats; r++ {
-			acfg := analysis
-			acfg.KernelBlock = kblock
 			cfg := &pipeline.Config{
-				Analysis:   acfg,
+				Analysis:   analysis,
 				ChunkShape: e.Scale.ChunkShape,
 				Impl:       pipeline.HMPImpl,
 				Policy:     filter.DemandDriven,
@@ -126,34 +121,32 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 
 	fig := &Figure{
 		ID:     "autotune",
-		Title:  "cross-run tuning sweep: texture copies × kernel tile width (memoized)",
+		Title:  "cross-run tuning sweep: texture copies (memoized)",
 		XLabel: "texture copies",
 		YLabel: "execution time (host s)",
 	}
-	bestSec, bestCell := 0.0, ""
-	for _, kblock := range kblocks {
-		s := Series{Label: fmt.Sprintf("kernel-block=%d", kblock)}
-		for _, copies := range copiesSweep {
-			sec, err := measure(copies, kblock)
-			if err != nil {
-				return nil, fmt.Errorf("autotune copies=%d kblock=%d: %w", copies, kblock, err)
-			}
-			s.X = append(s.X, float64(copies))
-			s.Y = append(s.Y, sec)
-			if bestCell == "" || sec < bestSec {
-				bestSec, bestCell = sec, fmt.Sprintf("copies=%d,kblock=%d", copies, kblock)
-			}
+	bestSec, bestCopies := 0.0, 0
+	s := Series{Label: "blocked kernel, 2 workers"}
+	for _, copies := range copiesSweep {
+		sec, err := measure(copies)
+		if err != nil {
+			return nil, fmt.Errorf("autotune copies=%d: %w", copies, err)
 		}
-		fig.Series = append(fig.Series, s)
+		s.X = append(s.X, float64(copies))
+		s.Y = append(s.Y, sec)
+		if bestCopies == 0 || sec < bestSec {
+			bestSec, bestCopies = sec, copies
+		}
 	}
+	fig.Series = append(fig.Series, s)
 	memoPath := e.MemoPath
 	if memoPath == "" {
 		memoPath = "(disabled)"
 	}
 	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("best cell: %s (%.3f s, best of %d repeats per cell)", bestCell, bestSec, repeats),
+		fmt.Sprintf("best cell: copies=%d (%.3f s, best of %d repeats per cell)", bestCopies, bestSec, repeats),
 		fmt.Sprintf("memo: cells=%d recomputed=%d cached=%d path=%s",
-			len(copiesSweep)*len(kblocks), recomputed, cached, memoPath),
+			len(copiesSweep), recomputed, cached, memoPath),
 		fmt.Sprintf("config fingerprint %s (checkpoint header digest: the changes that invalidate a resume journal invalidate these cells)", fp),
 		"real local-engine runs over the disk-resident phantom; outputs are bit-identical across all cells, only timing differs")
 	return fig, nil

@@ -131,11 +131,6 @@ type Env struct {
 	// figure's shape exactly as the paper's single-threaded filters produce
 	// it. The `kernel` figure sweeps this knob explicitly.
 	KernelWorkers int
-	// Kernel selects the accumulation kernel of the parallel scan path.
-	// The zero value (core.KernelAuto) uses the blocked kernel whenever the
-	// worker count exceeds one; core.KernelLegacy restores the sliding
-	// per-direction kernels. The `kernel` figure sweeps both.
-	Kernel core.KernelMode
 	// MemoPath is the cross-run result journal of the autotune sweep
 	// (internal/autotune.Memo): repeated invocations reuse measured cells
 	// instead of recomputing them. Setup defaults it to a file next to the
@@ -235,6 +230,5 @@ func (e *Env) analysis(rep core.Representation) core.Config {
 		Directions:     glcm.AxisDirections(4, 1),
 		Representation: rep,
 		Workers:        workers,
-		Kernel:         e.Kernel,
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file contains the cache-blocked, direction-batched accumulation
 // kernel — the production hot path for parallel scans. It restructures the
-// per-direction kernels of compute.go/sliding.go around three ideas the CUDA
+// per-direction oracle kernels of compute.go around three ideas the CUDA
 // GLCM literature gets its wins from, all of which translate to Go:
 //
 //   - Direction batching: all canonical directions accumulate into one
@@ -30,16 +30,15 @@ import (
 //     cannot change the merged sum). The symmetric matrix the rest of the
 //     system expects is produced once per ROI by a merging snapshot that
 //     folds the banks and the two mirror cells together with additive row
-//     decoding (no '/' or '%'). The snapshot also derives the sparse entry
-//     list directly from the scratch scan, eliminating the touched-key
-//     bookkeeping (two data-dependent branches per pair) of SparseBuilder
-//     entirely.
+//     decoding (no '/' or '%'). The snapshot also derives the sorted sparse
+//     entry list directly from the scratch scan, with no per-pair key lookup
+//     or insertion.
 //
 //   - Quantization lookup table: the row-base product a·G is read from a
 //     256-entry LUT filled once per kernel, so the inner loop performs no
 //     multiplies. The LUT is exact (mul[v] = v·G), so out-of-range gray
 //     levels still panic on the scratch bounds check exactly like the
-//     legacy kernels.
+//     oracle kernels.
 //
 // Row walks add a structural zero-skip (the paper's own compute result: real
 // matrices are ≈ 1 % non-zero): the column path keeps per-x-column pair
@@ -51,10 +50,10 @@ import (
 // slice headers re-sliced to a common length so the compiler's bounds-check
 // elimination fires for the voxel and LUT loads (verified with
 // -gcflags=-d=ssa/check_bce; the scratch store keeps its check because its
-// index is data-dependent — same as the legacy kernels). All counts are
-// integers, so every snapshot is bit-identical to the legacy kernels'
-// output; the sequential workers=1 path never uses this file and remains
-// the verification oracle.
+// index is data-dependent — same as the oracle kernels). All counts are
+// integers, so every snapshot is bit-identical to ComputeFull/ComputeSparse
+// at that origin; the sequential workers=1 path never uses this file and
+// remains the verification oracle.
 
 // dirPlan is one direction's precomputed geometry: the neighbor offset and
 // the valid pair-anchor interval per coordinate (from pairBounds).
@@ -211,6 +210,16 @@ func (p *dirPlan) appendPairs(pk []int64, strides [4]int, x0, x1, y0, y1 int) []
 	return pk
 }
 
+// slabX returns the half-open x ranges (relative to the ROI origin) of the
+// departing and entering slabs when a pair box spanning [lo0, hi0) along x
+// is shifted by stride: the old box is [lo0, hi0), the new box is
+// [lo0+stride, hi0+stride), so [lo0, min(hi0, lo0+stride)) departs and
+// [max(hi0, lo0+stride), hi0+stride) enters. The two slabs always have
+// equal width, so the matrix total is invariant across a slide.
+func slabX(lo0, hi0, stride int) (subLo, subHi, addLo, addHi int) {
+	return lo0, min(hi0, lo0+stride), max(hi0, lo0+stride), hi0 + stride
+}
+
 // Plan prepares the kernel for scans of ROIs with the given shape on a grid
 // with the given strides, accumulating the given directions, sliding by
 // stride voxels along x. block bounds the x extent of each accumulation run
@@ -222,7 +231,7 @@ func (p *dirPlan) appendPairs(pk []int64, strides [4]int, x0, x1, y0, y1 int) []
 // is), the flat voxel offsets must fit the program's int32 entries, and the
 // direction set must be no larger than the canonical families (oversized
 // sets gain nothing from batching). When it returns false the caller falls
-// back to the legacy kernels, which accept anything.
+// back to the oracle kernels, which accept anything.
 func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block int) bool {
 	if strides[0] != 1 || stride < 1 || block < 0 || len(dirs) > 64 {
 		return false

@@ -17,7 +17,7 @@ func oracleFull(data []uint8, strides [4]int, origin, shape [4]int, dirs []Direc
 
 // checkBlockedRow plans a blocked kernel and walks a full raster row of ROI
 // origins (accumulate at the row start, slide afterwards), checking every
-// position's dense and sparse snapshots against the legacy oracles.
+// position's dense and sparse snapshots against the oracle kernels.
 func checkBlockedRow(t *testing.T, tag string, data []uint8, dims [4]int, origin, shape [4]int, dirs []Direction, g, stride, block int) {
 	t.Helper()
 	strides := Strides(dims)
@@ -28,7 +28,6 @@ func checkBlockedRow(t *testing.T, tag string, data []uint8, dims [4]int, origin
 	}
 	full := NewFull(g)
 	sparse := NewSparse(g)
-	builder := NewSparseBuilder(g)
 	wantSparse := NewSparse(g)
 	for first := true; origin[0]+shape[0] <= dims[0]; origin[0] += stride {
 		base := origin[0]*strides[0] + origin[1]*strides[1] + origin[2]*strides[2] + origin[3]*strides[3]
@@ -51,11 +50,10 @@ func checkBlockedRow(t *testing.T, tag string, data []uint8, dims [4]int, origin
 		if err := sparse.Validate(); err != nil {
 			t.Fatalf("%s: sparse snapshot at %v invalid: %v", tag, origin, err)
 		}
-		builder.Clear()
-		ComputeSparseScratch(data, strides, origin, shape, dirs, builder)
-		builder.Flush(wantSparse)
+		wantSparse.Reset()
+		ComputeSparse(data, strides, origin, shape, dirs, wantSparse)
 		if sparse.Total != wantSparse.Total || !reflect.DeepEqual(sparse.Entries, wantSparse.Entries) {
-			t.Fatalf("%s: sparse snapshot at %v diverged from SparseBuilder.Flush", tag, origin)
+			t.Fatalf("%s: sparse snapshot at %v diverged from ComputeSparse", tag, origin)
 		}
 	}
 }
@@ -74,7 +72,7 @@ func TestBlockedMatchesOracleProperty(t *testing.T) {
 		distance := 1 + rng.Intn(2)
 		dirs := Directions(ndim, distance)
 		dims := [4]int{5 + rng.Intn(12), 3 + rng.Intn(6), 1 + rng.Intn(4), 1 + rng.Intn(4)}
-		data := randData(rng, dims, g)
+		data := randomGrid(rng, dims, g)
 		if g == 256 {
 			// Touch the top gray level so the packed uint16 key i*g+j can
 			// reach its maximum value 65535 (i = j = 255).
@@ -108,13 +106,14 @@ func TestBlockedMatchesOracleProperty(t *testing.T) {
 func TestBlockedPaperGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dims := [4]int{24, 20, 4, 4}
-	data := randData(rng, dims, 32)
+	data := randomGrid(rng, dims, 32)
 	checkBlockedRow(t, "paper", data, dims, [4]int{0, 1, 0, 1}, [4]int{16, 16, 3, 3}, Directions(4, 1), 32, 1, 0)
 }
 
 // TestBlockedPlanFallback covers the geometries Plan must refuse: y-fastest
 // strides, a non-positive stride and direction sets that overflow the 64-bit
-// row masks. Refusal is what routes the scan back to the legacy kernels.
+// row masks. Refusal routes the scan to the oracle kernels, ComputeFull and
+// ComputeSparse.
 func TestBlockedPlanFallback(t *testing.T) {
 	k := NewBlocked(16)
 	dims := [4]int{8, 8, 2, 2}
@@ -173,16 +172,17 @@ func TestBlockedPoolReuse(t *testing.T) {
 	PutBlocked(k3)
 }
 
-// TestBuilderMaxKeyG256 pins the G=256 edge of the legacy sparse builder
-// used as the comparison oracle: the packed uint16 touched key for the
-// (255, 255) cell is exactly 65535, the type's maximum value.
+// TestBuilderMaxKeyG256 pins the G=256 edge of the sparse builder, Sparse.Add,
+// which the oracle kernel ComputeSparse accumulates through: the packed uint16
+// sort key of the (255, 255) cell is exactly 65535, the type's maximum value,
+// and a matrix holding every one of the 32896 upper-triangle cells keeps its
+// uint16 index positions in range. The blocked kernel's sparse snapshot of a
+// grid touching both ends of the gray range must agree with it.
 func TestBuilderMaxKeyG256(t *testing.T) {
-	b := NewSparseBuilder(256)
-	b.Add(255, 255)
-	b.Add(255, 255)
-	b.Add(0, 255)
 	s := NewSparse(256)
-	b.Flush(s)
+	s.Add(255, 255)
+	s.Add(255, 255)
+	s.Add(0, 255)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,39 @@ func TestBuilderMaxKeyG256(t *testing.T) {
 	}
 	if got := s.At(0, 255); got != 1 {
 		t.Errorf("cell (0,255) = %d, want 1", got)
+	}
+
+	s.Reset()
+	for i := 0; i < 256; i++ {
+		for j := i; j < 256; j++ {
+			s.Add(uint8(j), uint8(i))
+		}
+	}
+	s.Add(255, 255)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.NonZero(); n != 256*257/2 {
+		t.Fatalf("%d entries, want every upper-triangle cell (%d)", n, 256*257/2)
+	}
+	if got := s.At(255, 255); got != 4 {
+		t.Errorf("full matrix: cell (255,255) = %d, want 4", got)
+	}
+	if got := s.At(255, 0); got != 1 {
+		t.Errorf("full matrix: cell (255,0) = %d, want 1", got)
+	}
+
+	dims := [4]int{6, 3, 1, 1}
+	data := []uint8{
+		255, 255, 0, 255, 255, 255,
+		0, 255, 255, 255, 0, 255,
+		255, 255, 255, 0, 255, 255,
+	}
+	checkBlockedRow(t, "g256", data, dims, [4]int{}, [4]int{3, 3, 1, 1}, Directions(2, 1), 256, 1, 0)
+	want := NewSparse(256)
+	ComputeSparse(data, Strides(dims), [4]int{}, [4]int{3, 3, 1, 1}, Directions(2, 1), want)
+	if want.At(255, 255) == 0 || want.At(0, 255) == 0 {
+		t.Errorf("the grid did not reach the (255,255) and (0,255) cells: %+v", want.Entries)
 	}
 }
 

@@ -150,7 +150,7 @@ func checkWindow(t *testing.T, tag string, k *Blocked, data []uint8, origin [4]i
 // "outlier" is near-constant with one far voxel that enters and leaves ROIs
 // along x and y, "const" is a single level.
 func rowData(rng *rand.Rand, kind string, dims [4]int, g int) []uint8 {
-	data := randData(rng, dims, g)
+	data := randomGrid(rng, dims, g)
 	for i := range data {
 		x, y := i%dims[0], i/dims[0]%dims[1]
 		switch kind {
@@ -257,7 +257,7 @@ func TestBlockedRowsPaperGeometry(t *testing.T) {
 	if !k.Plan(Strides(dims), w.shape, w.dirs, 1, 0) || !k.PlanRows(w.nx) {
 		t.Fatal("the planner does not take the column path for the paper geometry")
 	}
-	checkRowWalk(t, "paper", randData(rng, dims, 32), w, false)
+	checkRowWalk(t, "paper", randomGrid(rng, dims, 32), w, false)
 }
 
 // TestBlockedRowsPlanner pins the planner's choices that do not depend on
@@ -289,7 +289,7 @@ func TestBlockedRowsPlanner(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	data := randData(rng, dims, 256)
+	data := randomGrid(rng, dims, 256)
 	w := rowWalk{dims: dims, shape: shape, dirs: dirs, g: 256, nx: 25, rows: rasterRows(0, 0, 0, 3, 2, 0, 5)}
 	if 2*(w.nx+shape[0]-1)*4*256*256 <= colBudget {
 		t.Fatal("scenario is not over budget")

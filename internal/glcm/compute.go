@@ -1,7 +1,9 @@
 package glcm
 
-// This file contains the accumulation kernels that raster a region of
-// interest (ROI) of a requantized 4D grid into a co-occurrence matrix.
+// This file contains the oracle accumulation kernels that raster a region of
+// interest (ROI) of a requantized 4D grid into a co-occurrence matrix, one
+// ROI at a time. They are the sequential reference every faster path is
+// verified against (blocked.go is the production kernel).
 //
 // The grid is addressed through explicit strides so the same kernels work on
 // whole volumes and on chunk sub-views without copying. For each direction
@@ -47,13 +49,12 @@ func ComputeFull(data []uint8, strides, origin, shape [4]int, dirs []Direction, 
 	m.Total += added
 }
 
-// ComputeSparse accumulates the same pair set as ComputeFull directly into
-// the sparse representation. The common case (the gray pair already has an
+// ComputeSparse is the oracle's sparse kernel: it accumulates the same pair
+// set as ComputeFull directly into the sparse representation, keeping the
+// entries sorted. Like ComputeFull it does not reset s first; call s.Reset()
+// between independent ROIs. The common case (the gray pair already has an
 // entry) is inlined against the builder index; only genuinely new cells take
-// the slow sorted-insertion path. This keeps the sparse build within a small
-// factor of the dense build — the residual overhead is what the paper found
-// to be a net loss in the combined HMP filter but a net win for the split
-// HCC→HPC configuration (smaller messages).
+// the sorted-insertion path.
 func ComputeSparse(data []uint8, strides, origin, shape [4]int, dirs []Direction, s *Sparse) {
 	s.ensureIndex()
 	g := s.G

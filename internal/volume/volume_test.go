@@ -1,7 +1,7 @@
 package volume
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -229,46 +229,72 @@ func TestChunkerGeometry(t *testing.T) {
 	}
 }
 
-// Property: chunk origin boxes tile the output space exactly — every ROI
-// origin is owned by exactly one chunk, and OwnerOf agrees.
+// TestChunkerTilingProperty enumerates chunk plans instead of sampling
+// them: along each axis in turn, every dataset extent 1..10, every ROI extent
+// up to it and every chunk extent from the ROI's to the dataset's (220
+// geometries per axis, 880 in all), the other three axes fixed at a 3-voxel
+// extent, a 2-voxel ROI and 2-voxel chunks. In each plan every ROI origin is
+// owned by exactly one chunk and OwnerOf agrees, and every chunk's voxel box
+// lies in the dataset and is its origin box plus the ROI − 1 halo.
 func TestChunkerTilingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var dims, roi, cs [4]int
+	plans := 0
+	for axis := 0; axis < 4; axis++ {
+		for dim := 1; dim <= 10; dim++ {
+			for r := 1; r <= dim; r++ {
+				for cs := r; cs <= dim; cs++ {
+					dims, roi, chunk := [4]int{3, 3, 3, 3}, [4]int{2, 2, 2, 2}, [4]int{2, 2, 2, 2}
+					dims[axis], roi[axis], chunk[axis] = dim, r, cs
+					checkTiling(t, dims, chunk, roi)
+					plans++
+				}
+			}
+		}
+	}
+	if plans != 880 {
+		t.Errorf("enumerated %d plans, want 880", plans)
+	}
+}
+
+func checkTiling(t *testing.T, dims, chunk, roi [4]int) {
+	t.Helper()
+	c, err := NewChunker(dims, chunk, roi)
+	if err != nil {
+		t.Fatalf("dims %v chunk %v ROI %v: %v", dims, chunk, roi, err)
+	}
+	dataset := BoxAt([4]int{}, dims)
+	owned := make(map[[4]int]bool)
+	for _, ch := range c.Chunks() {
+		tag := fmt.Sprintf("dims %v chunk %v ROI %v: chunk %d", dims, chunk, roi, ch.Index)
+		if !dataset.ContainsBox(ch.Voxels) {
+			t.Fatalf("%s: voxels %v outside the dataset", tag, ch.Voxels)
+		}
 		for k := 0; k < 4; k++ {
-			dims[k] = 3 + rng.Intn(10)
-			roi[k] = 1 + rng.Intn(dims[k])
-			maxCS := dims[k]
-			cs[k] = roi[k] + rng.Intn(maxCS-roi[k]+1)
+			if ch.Origins.Lo[k] >= ch.Origins.Hi[k] {
+				t.Fatalf("%s: empty origin box %v", tag, ch.Origins)
+			}
+			if ch.Voxels.Lo[k] != ch.Origins.Lo[k] || ch.Voxels.Hi[k] != ch.Origins.Hi[k]+roi[k]-1 {
+				t.Fatalf("%s: voxels %v are not origins %v plus the ROI - 1 halo", tag, ch.Voxels, ch.Origins)
+			}
 		}
-		c, err := NewChunker(dims, cs, roi)
-		if err != nil {
-			return false
-		}
-		owner := make(map[[4]int]int)
-		for _, ch := range c.Chunks() {
-			var p [4]int
-			for p[3] = ch.Origins.Lo[3]; p[3] < ch.Origins.Hi[3]; p[3]++ {
-				for p[2] = ch.Origins.Lo[2]; p[2] < ch.Origins.Hi[2]; p[2]++ {
-					for p[1] = ch.Origins.Lo[1]; p[1] < ch.Origins.Hi[1]; p[1]++ {
-						for p[0] = ch.Origins.Lo[0]; p[0] < ch.Origins.Hi[0]; p[0]++ {
-							if _, dup := owner[p]; dup {
-								return false // origin owned twice
-							}
-							owner[p] = ch.Index
-							if c.OwnerOf(p) != ch.Index {
-								return false
-							}
+		var p [4]int
+		for p[3] = ch.Origins.Lo[3]; p[3] < ch.Origins.Hi[3]; p[3]++ {
+			for p[2] = ch.Origins.Lo[2]; p[2] < ch.Origins.Hi[2]; p[2]++ {
+				for p[1] = ch.Origins.Lo[1]; p[1] < ch.Origins.Hi[1]; p[1]++ {
+					for p[0] = ch.Origins.Lo[0]; p[0] < ch.Origins.Hi[0]; p[0]++ {
+						if owned[p] {
+							t.Fatalf("%s: origin %v owned twice", tag, p)
+						}
+						owned[p] = true
+						if o := c.OwnerOf(p); o != ch.Index {
+							t.Fatalf("%s: OwnerOf(%v) = %d", tag, p, o)
 						}
 					}
 				}
 			}
 		}
-		out := c.OutputDims()
-		return len(owner) == NumVoxels(out)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	if out := c.OutputDims(); len(owned) != NumVoxels(out) {
+		t.Fatalf("dims %v chunk %v ROI %v: %d origins owned, want %d", dims, chunk, roi, len(owned), NumVoxels(out))
 	}
 }
 

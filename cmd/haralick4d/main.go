@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/cliflags"
 	"haralick4d/internal/dataset"
@@ -70,9 +69,6 @@ type cli struct {
 	checkpoint   string
 	ckptInterval time.Duration
 	resume       bool
-	autotune     bool
-	tuneInterval time.Duration
-	tuneSeed     int64
 	crashAfter   int
 	stats        bool
 	metrics      bool
@@ -109,9 +105,6 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
 	ckptIntS := fs.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
-	fs.BoolVar(&c.autotune, "autotune", false, "tune texture admission live from run metrics (engines local/tcp; needs -texture > 1 to have a knob)")
-	fs.DurationVar(&c.tuneInterval, "autotune-interval", 0, "autotune sampling cadence, e.g. 250ms (default 100ms; requires -autotune)")
-	fs.Int64Var(&c.tuneSeed, "autotune-seed", 0, "autotune tie-break seed, 0 = default (requires -autotune)")
 	fs.IntVar(&c.crashAfter, "crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")
 	fs.BoolVar(&c.stats, "stats", false, "print per-filter runtime statistics")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the structured run report (per-filter spans, streams, critical path)")
@@ -147,22 +140,8 @@ func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 	if c.ckptInterval, err = cliflags.ParseRestartFlags(c.checkpoint, c.resume, ckptIntS); err != nil {
 		return err
 	}
-	if c.resilience, err = cliflags.ParseResilienceFlags(brkS, budgetS, hedgeS); err != nil {
-		return err
-	}
-	// The simulated engine replays a virtual clock and never runs the live
-	// monitor, so tuning there would silently do nothing.
-	switch {
-	case c.tuneInterval < 0:
-		return fmt.Errorf("-autotune-interval must be positive, got %v", c.tuneInterval)
-	case !c.autotune && c.tuneInterval != 0:
-		return errors.New("-autotune-interval requires -autotune")
-	case !c.autotune && c.tuneSeed != 0:
-		return errors.New("-autotune-seed requires -autotune")
-	case c.autotune && c.engine == pipeline.EngineSim:
-		return errors.New("-autotune needs a live engine (local or tcp), not sim")
-	}
-	return nil
+	c.resilience, err = cliflags.ParseResilienceFlags(brkS, budgetS, hedgeS)
+	return err
 }
 
 // validateCountFlags rejects the engine-run counts the flag package happily
@@ -260,16 +239,6 @@ func (c *cli) run() error {
 			layout.IICNodes = append(layout.IICNodes, next)
 		}
 	}
-	if c.autotune {
-		acfg := autotune.Config{Seed: c.tuneSeed, Interval: c.tuneInterval}
-		if store != nil {
-			acfg.CacheStats = func() (hits, misses int64) {
-				s := store.Stats()
-				return s.CacheHits, s.CacheMisses
-			}
-		}
-		cfg.AutoTune = autotune.New(acfg)
-	}
 	if cfg.Output != pipeline.OutputCollect {
 		if cfg.OutDir == "" {
 			return errors.New("an output directory is required (use -out)")
@@ -339,7 +308,6 @@ func (c *cli) run() error {
 		Retry:        c.retry,
 		Failover:     cfg.FaultPolicy == fault.SkipDegraded,
 		StallTimeout: time.Duration(c.spec.StallTimeout),
-		AutoTune:     cfg.AutoTune,
 	})
 	if journal != nil {
 		// Close regardless of the run's outcome: the journal is the artifact
@@ -352,7 +320,6 @@ func (c *cli) run() error {
 		return err
 	}
 	fmt.Printf("done in %v; output dims %v\n", rs.Elapsed, outDims)
-	cfg.AutoTune.Attach(rs.Report)
 	pipeline.AttachBackendStats(rs.Report, store)
 	if c.stats {
 		fmt.Print(rs.String())

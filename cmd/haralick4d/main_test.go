@@ -117,7 +117,9 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-dataset-url", "ftp://host/x"}, "unknown dataset URL scheme"},
 		{[]string{"-kernel", "legacy"}, "flag provided but not defined: -kernel"},
 		{[]string{"-kernel-block", "16"}, "flag provided but not defined: -kernel-block"},
-		{[]string{"-engine", "sim", "-autotune"}, "-autotune needs a live engine"},
+		{[]string{"-autotune"}, "flag provided but not defined: -autotune"},
+		{[]string{"-autotune-interval", "5ms"}, "flag provided but not defined: -autotune-interval"},
+		{[]string{"-autotune-seed", "7"}, "flag provided but not defined: -autotune-seed"},
 	}
 	for _, c := range cases {
 		if _, err := parseArgs(append([]string{"-data", "study"}, c.args...), io.Discard); err == nil || !strings.Contains(err.Error(), c.wantErr) {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
@@ -156,21 +155,6 @@ type Options struct {
 	// reads for tail latency. Nil — the default — keeps the plain retry
 	// behavior. Most useful with remote (http) dataset URLs.
 	Resilience *ResiliencePolicy
-	// AutoTune runs the online feedback controller during the pipeline run:
-	// texture compute admission (with more than one texture copy) is resized
-	// live from periodic progress snapshots (hill climbing with hysteresis),
-	// and the decisions appear in Result.Report.Tuning. Tuning changes
-	// scheduling only — outputs are bit-identical to an untuned run.
-	// Requires metrics; ignored by the sequential reference path (Texture 1
-	// in Analyze), which has nothing to actuate.
-	AutoTune bool
-	// AutoTuneInterval is the controller's sampling period; 0 selects the
-	// 100 ms default. Requires AutoTune.
-	AutoTuneInterval time.Duration
-	// AutoTuneSeed fixes the controller's tie-break RNG so a given metric
-	// trace reproduces the same decisions; 0 selects seed 1. Requires
-	// AutoTune.
-	AutoTuneSeed int64
 	// Progress, when non-nil, is called with a live cumulative progress
 	// summary every ProgressInterval while a pipeline run is in flight —
 	// the export point for job-status APIs (the serve daemon streams these
@@ -213,14 +197,6 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("haralick4d: CheckpointInterval set without a Checkpoint path")
 	case o.Resume && o.Checkpoint == "":
 		return fmt.Errorf("haralick4d: Resume requires a Checkpoint path")
-	case o.AutoTuneInterval < 0:
-		return fmt.Errorf("haralick4d: AutoTuneInterval must not be negative")
-	case !o.AutoTune && o.AutoTuneInterval > 0:
-		return fmt.Errorf("haralick4d: AutoTuneInterval set without AutoTune")
-	case !o.AutoTune && o.AutoTuneSeed != 0:
-		return fmt.Errorf("haralick4d: AutoTuneSeed set without AutoTune")
-	case o.AutoTune && o.DisableMetrics:
-		return fmt.Errorf("haralick4d: AutoTune needs the metrics the controller feeds on (unset DisableMetrics)")
 	case o.ProgressInterval < 0:
 		return fmt.Errorf("haralick4d: ProgressInterval must not be negative")
 	case o.Progress == nil && o.ProgressInterval > 0:
@@ -232,18 +208,13 @@ func (o *Options) Validate() error {
 }
 
 // config translates the options into the pipeline's configuration and
-// placement: the spec through pipeline.ConfigFor, then the library's hooks
-// — the in-memory sink and the tuning controller, which cacheStats, when
-// non-nil, feeds the block cache's counters.
-func (o *Options) config(storageNodes int, cacheStats func() (hits, misses int64)) (*pipeline.Config, *pipeline.Layout, error) {
+// placement: the spec through pipeline.ConfigFor, with the in-memory sink.
+func (o *Options) config(storageNodes int) (*pipeline.Config, *pipeline.Layout, error) {
 	cfg, layout, err := pipeline.ConfigFor(&o.Spec, storageNodes)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Output = pipeline.OutputCollect
-	if o.AutoTune {
-		cfg.AutoTune = autotune.New(autotune.Config{Seed: o.AutoTuneSeed, Interval: o.AutoTuneInterval, CacheStats: cacheStats})
-	}
 	return cfg, layout, nil
 }
 
@@ -369,7 +340,7 @@ func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, layout, err := opts.config(1, nil)
+	cfg, layout, err := opts.config(1)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +368,7 @@ func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions(cfg))
+	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +379,6 @@ func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, err
 		res.Grids[f] = sink.Grid(f)
 	}
 	res.Report = rs.Report
-	cfg.AutoTune.Attach(res.Report)
 	return res, nil
 }
 
@@ -433,10 +403,9 @@ func sequentialReport(elapsed time.Duration) *RunReport {
 }
 
 // runOptions is the engine run the options ask for.
-func (o *Options) runOptions(cfg *pipeline.Config) *pipeline.RunOptions {
+func (o *Options) runOptions() *pipeline.RunOptions {
 	return &pipeline.RunOptions{
 		DisableMetrics:   o.DisableMetrics,
-		AutoTune:         cfg.AutoTune,
 		Progress:         o.Progress,
 		ProgressInterval: o.ProgressInterval,
 		// SkipDegraded asks for a run that survives faults, so crashed
@@ -493,10 +462,7 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		return nil, err
 	}
 	defer st.Close()
-	cfg, layout, err := opts.config(st.Meta.Nodes, func() (hits, misses int64) {
-		s := st.Stats()
-		return s.CacheHits, s.CacheMisses
-	})
+	cfg, layout, err := opts.config(st.Meta.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +481,7 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		}
 		return nil, err
 	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions(cfg))
+	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions())
 	if err != nil {
 		if jour != nil {
 			// Best-effort final sync: the journal is the artifact the next
@@ -535,7 +501,6 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		return nil, err
 	}
 	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims, Report: rs.Report}
-	cfg.AutoTune.Attach(res.Report)
 	pipeline.AttachBackendStats(res.Report, st)
 	if opts.Resume {
 		res.Restart = restart

@@ -108,9 +108,9 @@ func (h *Header) encode() []byte {
 }
 
 // Fingerprint returns a short stable hex digest of the header — the same
-// byte encoding resume compares, folded through FNV-64a. The autotune memo
-// uses it as the config half of its (fingerprint, cell) keys, so memoized
-// sweep results are invalidated by exactly the changes that would
+// byte encoding resume compares, folded through FNV-64a. The experiments'
+// sweep memo uses it as the config half of its (fingerprint, cell) keys, so
+// memoized sweep results are invalidated by exactly the changes that would
 // invalidate a checkpoint journal.
 func (h *Header) Fingerprint() string {
 	sum := fnv.New64a()

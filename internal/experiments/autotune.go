@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/core"
 	"haralick4d/internal/filter"
@@ -12,13 +11,12 @@ import (
 	"haralick4d/internal/volume"
 )
 
-// AutoTuneSweep (figure id "autotune") is the cross-run half of the
-// autotune design. The knob the live controller cannot turn mid-run — the
-// texture copy count, baked into the graph at build time — is tuned the only
-// honest way: repeated real trials of the local-engine pipeline over the
-// disk-resident phantom, best of Repeats per cell.
+// AutoTuneSweep (figure id "autotune") tunes the texture copy count — baked
+// into the graph at build time — the only honest way: repeated real trials of
+// the local-engine pipeline over the disk-resident phantom, best of Repeats
+// per cell.
 //
-// Every measured cell is journaled in the Env's Memo under a
+// Every measured cell is journaled in the Env's memo file under a
 // (config fingerprint, parameter cell) key. The fingerprint is the
 // checkpoint header's digest of the analysis geometry, so exactly the
 // configuration changes that would invalidate a resume journal also
@@ -69,9 +67,9 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 	}
 	fp := hdr.Fingerprint()
 
-	var memo *autotune.Memo
+	var memo *memoFile
 	if e.MemoPath != "" {
-		memo, err = autotune.OpenMemo(e.MemoPath)
+		memo, err = openMemo(e.MemoPath)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +79,7 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 	measure := func(copies int) (float64, error) {
 		cell := fmt.Sprintf("impl=hmp,workers=%d,ra=%d,copies=%d", analysis.Workers, e.ReadAhead, copies)
 		if memo != nil {
-			if c, ok := memo.Get(autotune.Key(fp, cell)); ok {
+			if c, ok := memo.get(memoKey(fp, cell)); ok {
 				cached++
 				return float64(c.ElapsedNS) / 1e9, nil
 			}
@@ -112,7 +110,7 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 			}
 		}
 		if memo != nil {
-			if err := memo.Put(autotune.Key(fp, cell), autotune.Cell{ElapsedNS: best.Nanoseconds()}); err != nil {
+			if err := memo.put(memoKey(fp, cell), memoCell{ElapsedNS: best.Nanoseconds()}); err != nil {
 				return 0, err
 			}
 		}

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/glcm"
@@ -132,7 +131,7 @@ type Env struct {
 	// it. The `kernel` figure sweeps this knob explicitly.
 	KernelWorkers int
 	// MemoPath is the cross-run result journal of the autotune sweep
-	// (internal/autotune.Memo): repeated invocations reuse measured cells
+	// (memoFile): repeated invocations reuse measured cells
 	// instead of recomputing them. Setup defaults it to a file next to the
 	// dataset; empty disables memoization.
 	MemoPath string
@@ -170,19 +169,19 @@ func Setup(scale Scale, dir string) (*Env, error) {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	genPath := filepath.Join(dir, "gen.memo.json")
-	genKey := autotune.Key(autotune.FingerprintBytes([]byte(fmt.Sprintf(
+	genKey := memoKey(fingerprintBytes([]byte(fmt.Sprintf(
 		"gendata dims=%v seed=%d nodes=%d", scale.Dims, scale.Seed, scale.StorageNodes))), "gendata")
-	genMemo, err := autotune.OpenMemo(genPath)
+	genMemo, err := openMemo(genPath)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := genMemo.Get(genKey); !ok {
+	if _, ok := genMemo.get(genKey); !ok {
 		// The directory holds exactly one dataset, so a stale marker for a
 		// different configuration must not survive the rewrite.
 		if err := os.Remove(genPath); err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		genMemo, err = autotune.OpenMemo(genPath)
+		genMemo, err = openMemo(genPath)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +190,7 @@ func Setup(scale Scale, dir string) (*Env, error) {
 		if _, err := dataset.Write(dir, v, scale.StorageNodes); err != nil {
 			return nil, err
 		}
-		if err := genMemo.Put(genKey, autotune.Cell{ElapsedNS: time.Since(start).Nanoseconds()}); err != nil {
+		if err := genMemo.put(genKey, memoCell{ElapsedNS: time.Since(start).Nanoseconds()}); err != nil {
 			return nil, err
 		}
 	}

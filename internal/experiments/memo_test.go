@@ -1,4 +1,4 @@
-package autotune
+package experiments
 
 import (
 	"os"
@@ -10,34 +10,33 @@ import (
 // separate fingerprints from cells.
 func TestMemoRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "memo.json")
-	m, err := OpenMemo(path)
+	m, err := openMemo(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 0 {
-		t.Fatalf("fresh memo has %d cells", m.Len())
+	if len(m.cells) != 0 {
+		t.Fatalf("fresh memo has %d cells", len(m.cells))
 	}
-	fp := FingerprintBytes([]byte("config-a"))
-	cell := Cell{ElapsedNS: 1234, Metrics: map[string]float64{"rate": 7.5}}
-	if err := m.Put(Key(fp, "copies=2,kblock=16"), cell); err != nil {
+	fp := fingerprintBytes([]byte("config-a"))
+	if err := m.put(memoKey(fp, "copies=2,workers=2"), memoCell{ElapsedNS: 1234}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put(Key(fp, "copies=4,kblock=0"), Cell{ElapsedNS: 99}); err != nil {
+	if err := m.put(memoKey(fp, "copies=4,workers=2"), memoCell{ElapsedNS: 99}); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := OpenMemo(path)
+	re, err := openMemo(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("reopened memo has %d cells, want 2", re.Len())
+	if len(re.cells) != 2 {
+		t.Fatalf("reopened memo has %d cells, want 2", len(re.cells))
 	}
-	got, ok := re.Get(Key(fp, "copies=2,kblock=16"))
-	if !ok || got.ElapsedNS != 1234 || got.Metrics["rate"] != 7.5 {
+	got, ok := re.get(memoKey(fp, "copies=2,workers=2"))
+	if !ok || got.ElapsedNS != 1234 {
 		t.Fatalf("round-trip cell = %+v ok=%v", got, ok)
 	}
-	if _, ok := re.Get(Key(FingerprintBytes([]byte("config-b")), "copies=2,kblock=16")); ok {
+	if _, ok := re.get(memoKey(fingerprintBytes([]byte("config-b")), "copies=2,workers=2")); ok {
 		t.Fatal("different fingerprint must not hit the same cell")
 	}
 }
@@ -49,18 +48,18 @@ func TestMemoCorruptIsError(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMemo(path); err == nil {
-		t.Fatal("OpenMemo accepted a corrupt file")
+	if _, err := openMemo(path); err == nil {
+		t.Fatal("openMemo accepted a corrupt file")
 	}
 }
 
 // TestFingerprintBytesStable pins the digest so memo files stay valid across
 // releases.
 func TestFingerprintBytesStable(t *testing.T) {
-	if got := FingerprintBytes([]byte("abc")); got != "e71fa2190541574b" {
-		t.Fatalf("FingerprintBytes(abc) = %s (fnv-64a changed?)", got)
+	if got := fingerprintBytes([]byte("abc")); got != "e71fa2190541574b" {
+		t.Fatalf("fingerprintBytes(abc) = %s (fnv-64a changed?)", got)
 	}
-	if len(FingerprintBytes(nil)) != 16 {
+	if len(fingerprintBytes(nil)) != 16 {
 		t.Fatal("fingerprint must be 16 hex digits")
 	}
 }

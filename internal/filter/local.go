@@ -63,8 +63,8 @@ type Options struct {
 	// Monitor, when set, runs on its own goroutine for the duration of the
 	// run with a Probe over the live runtime. stop is closed when the run
 	// finishes (or aborts); the engine waits for Monitor to return before
-	// building the final report. The autotune controller attaches here.
-	// Requires metrics (ignored when DisableMetrics is set).
+	// building the final report. The pipeline's progress sampler attaches
+	// here. Requires metrics (ignored when DisableMetrics is set).
 	Monitor func(stop <-chan struct{}, p Probe)
 }
 
@@ -357,10 +357,9 @@ func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
 		defer close(finished)
 		go rt.watchdog(rt.stall, finished)
 	}
-	// Launch the monitor (autotune controller) before the copies so it
-	// observes the run from the first tick. stopMonitor is idempotent and
-	// waits for the monitor goroutine, so the final report sees the
-	// controller's complete decision log.
+	// Launch the monitor before the copies so it observes the run from the
+	// first tick. stopMonitor is idempotent and waits for the monitor
+	// goroutine, so no sample is taken after the final report is built.
 	stopMonitor := func() {}
 	if rt.monitor != nil {
 		monStop := make(chan struct{})

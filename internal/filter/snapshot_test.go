@@ -65,8 +65,8 @@ func collectSnapshots(t *testing.T, sinkCopies int) []*metrics.Snapshot {
 	return snaps
 }
 
-// TestSnapshotDeltasMonotonic is the live-snapshot contract the autotune
-// controller differentiates: across consecutive snapshots of one run, the
+// TestSnapshotDeltasMonotonic is the live-snapshot contract progress
+// consumers difference: across consecutive snapshots of one run, the
 // wall clock advances and every per-copy counter and span total is
 // monotonically non-decreasing.
 func TestSnapshotDeltasMonotonic(t *testing.T) {

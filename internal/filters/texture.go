@@ -28,9 +28,9 @@ type TextureConfig struct {
 	PacketsPerChunk int
 	// Admission, when set, gates each chunk's compute behind one credit of
 	// this live-resizable semaphore shared across the filter's copies —
-	// the autotune controller's and the daemon governor's concurrency knob. Admission only
-	// reorders when copies compute, never what they compute, so outputs
-	// are unchanged. Nil admits everything at no cost.
+	// the daemon governor's concurrency knob. Admission only reorders when
+	// copies compute, never what they compute, so outputs are unchanged.
+	// Nil admits everything at no cost.
 	Admission *sem.Sem
 }
 

@@ -1,7 +1,7 @@
 // Compact progress views.
 //
-// A Snapshot carries every copy of every filter — the autotune controller
-// needs that resolution, but a job-status API does not. Progress collapses
+// A Snapshot carries every copy of every filter; a job-status API does not
+// need that resolution. Progress collapses
 // one snapshot into the handful of monotonic totals a client polls for:
 // elapsed wall time, buffers produced, and the busy/blocked/stalled time
 // split that says where the pipeline is spending its life. The serve
@@ -15,18 +15,13 @@ package metrics
 // Progress values of the same run are valid rates.
 type Progress struct {
 	WallNS int64 `json:"wall_ns"`
-	// MsgsOut sums buffers produced across every copy of every filter —
-	// the same progress measure the autotune controller uses.
+	// MsgsOut sums buffers produced across every copy of every filter.
 	MsgsOut int64 `json:"msgs_out"`
 	// BusyNS/BlockedNS/StalledNS sum compute service time, input wait and
 	// downstream-credit wait across all copies.
 	BusyNS    int64 `json:"busy_ns"`
 	BlockedNS int64 `json:"blocked_ns"`
 	StalledNS int64 `json:"stalled_ns"`
-	// CacheHits/CacheMisses mirror the block-cache counters when a cached
-	// backend is attached; both zero otherwise.
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
 }
 
 // Progress collapses the snapshot into its compact summary. Safe on a nil
@@ -35,12 +30,7 @@ func (s *Snapshot) Progress() Progress {
 	if s == nil {
 		return Progress{}
 	}
-	p := Progress{
-		WallNS:      s.WallNS,
-		MsgsOut:     s.TotalMsgsOut(),
-		CacheHits:   s.CacheHits,
-		CacheMisses: s.CacheMisses,
-	}
+	p := Progress{WallNS: s.WallNS, MsgsOut: s.TotalMsgsOut()}
 	for _, f := range s.Filters {
 		for _, c := range f.Copies {
 			p.BusyNS += c.BusyNS

@@ -195,10 +195,7 @@ type RunReport struct {
 	Streams   []StreamReport  `json:"streams,omitempty"`
 	Network   []ConnReport    `json:"network,omitempty"`
 	Backends  []BackendReport `json:"backends,omitempty"`
-	// Tuning describes the autotune controller's decisions when live
-	// tuning was enabled for the run; nil otherwise.
-	Tuning  *TuningReport `json:"tuning,omitempty"`
-	Summary Summary       `json:"summary"`
+	Summary   Summary         `json:"summary"`
 }
 
 // Elapsed returns the run's end-to-end time.
@@ -399,9 +396,6 @@ func (r *RunReport) String() string {
 					be.RetryBudgetSpent, be.RetryBudgetDenied, be.HedgedReads, be.HedgeWins, be.StaleReads)
 			}
 		}
-	}
-	if r.Tuning != nil {
-		r.Tuning.render(&b)
 	}
 	if len(r.Summary.Entries) > 0 {
 		fmt.Fprintf(&b, "critical path (per-copy mean shares of elapsed):\n")

@@ -1,13 +1,13 @@
-// Live snapshots and tuning records.
+// Live snapshots.
 //
-// RunReport is built once, after a run finishes. The autotune controller
+// RunReport is built once, after a run finishes. Live progress reporting
 // instead needs a consistent mid-run view, sampled every tick without
 // perturbing the copies it observes. Snapshot is that view: every field is
 // read from an atomic the hot path already maintains (span timers, service
 // counters, the blocked/stalled mirrors), so taking one costs a few dozen
 // atomic loads and no locks shared with filter goroutines.
 //
-// The contract the controller depends on (pinned by the snapshot-delta
+// The contract progress consumers depend on (pinned by the snapshot-delta
 // tests in internal/filter):
 //
 //   - Counters and span nanoseconds are monotonic non-decreasing between
@@ -16,12 +16,6 @@
 //     the graph and copy index never changes, so delta(snap2, snap1) can be
 //     computed position-wise.
 package metrics
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // CopySnap is the live counterpart of CopyReport, restricted to fields the
 // runtime maintains atomically.
@@ -52,20 +46,14 @@ type FilterSnap struct {
 
 // Snapshot is a consistent-enough mid-run view of pipeline progress: each
 // field is individually race-free (atomic), though the set is not a global
-// atomic cut — good enough for rate estimation, which is all the
-// controller does with it.
+// atomic cut — good enough for progress rates, which is all it is used for.
 type Snapshot struct {
 	WallNS  int64        `json:"wall_ns"`
 	Filters []FilterSnap `json:"filters"`
-
-	// CacheHits/CacheMisses mirror the block-cache counters when a cached
-	// backend is attached; both zero otherwise.
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
 }
 
 // TotalMsgsOut sums MsgsOut across every copy of every filter — the
-// controller's progress measure (work completed, wherever it happens).
+// progress measure (work completed, wherever it happens).
 func (s *Snapshot) TotalMsgsOut() int64 {
 	var n int64
 	for _, f := range s.Filters {
@@ -74,47 +62,4 @@ func (s *Snapshot) TotalMsgsOut() int64 {
 		}
 	}
 	return n
-}
-
-// TuningDecision records one controller action: at AtNS into the run, Knob
-// moved From→To because of Trigger (the rule that fired) with the metric
-// value that justified it.
-type TuningDecision struct {
-	AtNS    int64   `json:"at_ns"`
-	Knob    string  `json:"knob"`
-	From    int     `json:"from"`
-	To      int     `json:"to"`
-	Trigger string  `json:"trigger"`
-	Metric  float64 `json:"metric"`
-}
-
-// TuningReport is the RunReport section describing what the autotune
-// controller did during the run.
-type TuningReport struct {
-	Seed       int64            `json:"seed"`
-	IntervalNS int64            `json:"interval_ns"`
-	Decisions  []TuningDecision `json:"decisions"`
-
-	// Final knob values when the run ended, keyed by knob name.
-	Final map[string]int `json:"final,omitempty"`
-}
-
-func (t *TuningReport) render(b *strings.Builder) {
-	fmt.Fprintf(b, "tuning: seed=%d interval=%.0fms decisions=%d\n", t.Seed, ms(t.IntervalNS), len(t.Decisions))
-	for _, d := range t.Decisions {
-		fmt.Fprintf(b, "  %10.1fms  %-12s %3d -> %-3d  %s (%.3f)\n",
-			ms(d.AtNS), d.Knob, d.From, d.To, d.Trigger, d.Metric)
-	}
-	if len(t.Final) > 0 {
-		keys := make([]string, 0, len(t.Final))
-		for k := range t.Final {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(b, "  final:")
-		for _, k := range keys {
-			fmt.Fprintf(b, " %s=%d", k, t.Final[k])
-		}
-		fmt.Fprintf(b, "\n")
-	}
 }

@@ -12,7 +12,6 @@ import (
 	"net"
 	"time"
 
-	"haralick4d/internal/autotune"
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/cluster"
 	"haralick4d/internal/core"
@@ -91,13 +90,6 @@ type Config struct {
 	// chunks it proves complete are skipped from the readers onward, and the
 	// sink is pre-seeded with the recovered portions.
 	Recovered *checkpoint.State
-	// AutoTune, when set, registers the graph's live knob with this
-	// controller as the graph is built: multi-copy texture filters share a
-	// resizable admission semaphore. Pass the same controller in
-	// RunOptions.AutoTune so the engines drive its feedback loop; tuning
-	// changes scheduling only, so outputs match the untuned run
-	// bit-for-bit.
-	AutoTune *autotune.Controller
 	// ReadAheadGate, when set, is the resizable prefetch bound the readers
 	// share (one credit per window in flight) instead of a ReadAhead depth
 	// of their own — the injection point for an external resource governor
@@ -105,7 +97,7 @@ type Config struct {
 	ReadAheadGate *sem.Sem
 	// Admission, when set, is the resizable compute-admission semaphore the
 	// texture filters share — the governor's counterpart to ReadAheadGate.
-	// Mutually exclusive with AutoTune, which builds its own.
+	// Nil admits every chunk at once.
 	Admission *sem.Sem
 }
 
@@ -140,9 +132,6 @@ func (c *Config) Validate(datasetDims [4]int) error {
 	if c.Recovered != nil && c.Journal == nil {
 		return fmt.Errorf("pipeline: Recovered state set without a Journal to continue")
 	}
-	if c.AutoTune != nil && c.Admission != nil {
-		return fmt.Errorf("pipeline: AutoTune and an injected admission semaphore would fight over the same knob (set one)")
-	}
 	return nil
 }
 
@@ -170,7 +159,7 @@ const ReadAheadAuto = readahead.Auto
 // storage nodes come first, then one IIC copy, the output copy and the
 // texture copies, a node each; split co-locates each HCC copy with an HPC
 // copy (the paper's best layout). What only an engine run has — kernel
-// mode, gates, journal, tuning — is the caller's to add.
+// mode, gates, journal — is the caller's to add.
 func ConfigFor(s *runspec.Spec, storageNodes int) (*Config, *Layout, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
@@ -212,20 +201,6 @@ func ConfigFor(s *runspec.Spec, storageNodes int) (*Config, *Layout, error) {
 		layout.HMPNodes = tex
 	}
 	return cfg, layout, nil
-}
-
-// admission returns the compute-admission semaphore for copies compute
-// slots: the injected governor semaphore when one is set, otherwise one
-// registered with the autotune controller, otherwise nil (no admission
-// throttle; with one slot there is nothing to shed).
-func (c *Config) admission(copies int) *sem.Sem {
-	if c.Admission != nil {
-		return c.Admission
-	}
-	if c.AutoTune == nil || copies <= 1 {
-		return nil
-	}
-	return c.AutoTune.EnableAdmission(copies, 1, copies)
 }
 
 // defaultChunkShape picks a chunk covering the full x–y extent and a
@@ -409,21 +384,20 @@ func addTextureAndOutput(g *filter.Graph, src string, cfg *Config, layout *Layou
 		Analysis:        cfg.Analysis,
 		PacketsPerChunk: cfg.PacketsPerChunk,
 		RouteByFeature:  cfg.Output == OutputJPEG,
+		// One admission pool across every texture copy (both halves of the
+		// split stage): its limit is the stage's total compute concurrency.
+		Admission: cfg.Admission,
 	}
 	var paramProducer string
 	switch cfg.Impl {
 	case HMPImpl:
 		nodes := nodesOrDefault(layout.HMPNodes, 1)
-		tcfg.Admission = cfg.admission(len(nodes))
 		g.AddFilter(filter.FilterSpec{Name: "HMP", Copies: len(nodes), New: filters.NewHMP(tcfg), Nodes: nodes})
 		g.Connect(filter.ConnSpec{From: src, FromPort: filters.PortOut, To: "HMP", ToPort: filters.PortIn, Policy: cfg.Policy})
 		paramProducer = "HMP"
 	case SplitImpl:
 		hccNodes := nodesOrDefault(layout.HCCNodes, 1)
 		hpcNodes := nodesOrDefault(layout.HPCNodes, 1)
-		// One admission pool across both halves: its limit is the total
-		// compute concurrency of the split stage.
-		tcfg.Admission = cfg.admission(len(hccNodes) + len(hpcNodes))
 		g.AddFilter(filter.FilterSpec{Name: "HCC", Copies: len(hccNodes), New: filters.NewHCC(tcfg), Nodes: hccNodes})
 		g.AddFilter(filter.FilterSpec{Name: "HPC", Copies: len(hpcNodes), New: filters.NewHPC(tcfg), Nodes: hpcNodes})
 		g.Connect(filter.ConnSpec{From: src, FromPort: filters.PortOut, To: "HCC", ToPort: filters.PortIn, Policy: cfg.Policy})
@@ -538,18 +512,12 @@ type RunOptions struct {
 	// fails with a filter.StallError naming the wedged copies. 0 disables.
 	// The simulated cluster runs in virtual time and ignores it.
 	StallTimeout time.Duration
-	// AutoTune drives this controller's feedback loop from the engine's
-	// live snapshots (local and TCP engines; the simulated cluster runs in
-	// virtual time and ignores it). Use the controller already registered
-	// with Config.AutoTune at build time; a controller with no registered
-	// knobs observes but never tunes. Requires metrics.
-	AutoTune *autotune.Controller
 	// Progress, when non-nil, receives a live cumulative progress summary
 	// every ProgressInterval (0: DefaultProgressInterval) for the life of
 	// the run, on a goroutine of its own — the export point for job-status
 	// APIs (the serve daemon streams them per job). It must not block for
 	// long and may be called zero times on a short run. Local and TCP
-	// engines; requires metrics; composes with AutoTune.
+	// engines; requires metrics.
 	Progress         func(metrics.Progress)
 	ProgressInterval time.Duration
 }
@@ -558,11 +526,14 @@ type RunOptions struct {
 // ProgressInterval is zero.
 const DefaultProgressInterval = 500 * time.Millisecond
 
-// monitor merges the Progress sampler with the autotune feedback loop into
-// the filter runtime's single Monitor slot.
+// monitor is the Progress sampler in the filter runtime's Monitor slot, or
+// nil when no one asked for progress.
 func (o *RunOptions) monitor() func(stop <-chan struct{}, p filter.Probe) {
-	ctrl, fn, every := o.AutoTune, o.Progress, cmp.Or(o.ProgressInterval, DefaultProgressInterval)
-	progress := func(stop <-chan struct{}, p filter.Probe) {
+	fn, every := o.Progress, cmp.Or(o.ProgressInterval, DefaultProgressInterval)
+	if fn == nil {
+		return nil
+	}
+	return func(stop <-chan struct{}, p filter.Probe) {
 		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
@@ -573,23 +544,6 @@ func (o *RunOptions) monitor() func(stop <-chan struct{}, p filter.Probe) {
 				fn(p.Snapshot().Progress())
 			}
 		}
-	}
-	switch {
-	case ctrl == nil && fn == nil:
-		return nil
-	case ctrl == nil:
-		return progress
-	case fn == nil:
-		return func(stop <-chan struct{}, p filter.Probe) { ctrl.Run(stop, p.Snapshot) }
-	}
-	return func(stop <-chan struct{}, p filter.Probe) {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			progress(stop, p)
-		}()
-		ctrl.Run(stop, p.Snapshot)
-		<-done
 	}
 }
 

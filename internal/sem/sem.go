@@ -2,8 +2,8 @@
 // bounded resource of a run: a reader's windows in flight (one credit per
 // request), a filter copy's input queue (one credit per payload byte), and the
 // texture filters' compute admission (one credit per chunk being computed).
-// The owner of a Sem moves its limit mid-run — a self-sized reader, the
-// autotune controller, the serve daemon's governor; holders only block.
+// The owner of a Sem moves its limit mid-run — a self-sized reader, the serve
+// daemon's governor; holders only block.
 package sem
 
 import (

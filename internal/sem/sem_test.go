@@ -108,50 +108,76 @@ func TestWeighted(t *testing.T) {
 // what is already held: nothing is revoked, new admissions stop entirely, and
 // they resume only once the surplus has drained under the new limit. (The
 // daemon's governor does this to every running job when one more is admitted.)
+// The 8 credits are held as 8 unit requests (one per chunk being computed, as
+// the texture filters take them) and as 4 requests of 2.
 func TestShrinkBelowInFlight(t *testing.T) {
-	s := New(8, 1, 16)
-	for i := 0; i < 4; i++ {
-		if !s.Acquire(2, nil) {
-			t.Fatal("acquire within the limit blocked")
-		}
+	for _, tc := range []struct {
+		name string
+		w    int
+	}{{"unit", 1}, {"weight-2", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(8, 1, 16)
+			for i := 0; i < 8/tc.w; i++ {
+				if !s.Acquire(tc.w, nil) {
+					t.Fatal("acquire within the limit blocked")
+				}
+			}
+			if d := s.Resize(2); d != 2 {
+				t.Fatalf("Resize(2) = %d", d)
+			}
+			got := later(s, 1, nil)
+			parked(t, s, 1)
+			still(t, s, 1, got, "8 held, limit 2")
+			s.Release(6) // drains to exactly the new limit: still no free credit
+			still(t, s, 1, got, "2 held, limit 2")
+			s.Release(1)
+			admitted(t, got, "1 held, limit 2")
+			s.Release(2)
+			atRest(t, s)
+		})
 	}
-	if d := s.Resize(2); d != 2 {
-		t.Fatalf("Resize(2) = %d", d)
-	}
-	got := later(s, 1, nil)
-	parked(t, s, 1)
-	still(t, s, 1, got, "8 held, limit 2")
-	s.Release(6) // drains to exactly the new limit: still no free credit
-	still(t, s, 1, got, "2 held, limit 2")
-	s.Release(1)
-	admitted(t, got, "1 held, limit 2")
-	s.Release(2)
-	atRest(t, s)
 }
 
-// TestGrowWakesAllBlocked parks several acquirers on a full semaphore and
-// grows it: every newly minted credit goes to a waiter, not just the first.
+// TestGrowWakesAllBlocked parks acquirers on a full semaphore and grows it:
+// every newly minted credit goes to a waiter, not just the first. The
+// one-waiter case is a texture pool at its limit of 2 that the governor
+// raises to 3.
 func TestGrowWakesAllBlocked(t *testing.T) {
-	s := New(1, 1, 16)
-	if !s.Acquire(1, nil) {
-		t.Fatal("first acquire blocked")
-	}
-	const waiters = 5
-	var got []<-chan bool
-	for i := 0; i < waiters; i++ {
-		got = append(got, later(s, 1, nil))
-	}
-	parked(t, s, waiters)
-	s.Resize(waiters) // one held: room for all but one waiter
-	if _, w := state(s); w != 1 {
-		t.Fatalf("%d acquirers still queued after the grow, want 1", w)
-	}
-	s.Resize(1 + waiters)
-	for _, g := range got {
-		admitted(t, g, "waiter after grow")
-	}
-	s.Release(1 + waiters)
-	atRest(t, s)
+	t.Run("one-waiter", func(t *testing.T) {
+		s := New(2, 1, 4)
+		if !s.Acquire(1, nil) || !s.Acquire(1, nil) {
+			t.Fatal("two acquires within the limit blocked")
+		}
+		got := later(s, 1, nil)
+		parked(t, s, 1)
+		still(t, s, 1, got, "2 held, limit 2")
+		s.Resize(3)
+		admitted(t, got, "2 held, limit 3")
+		s.Release(3)
+		atRest(t, s)
+	})
+	t.Run("five-waiters", func(t *testing.T) {
+		s := New(1, 1, 16)
+		if !s.Acquire(1, nil) {
+			t.Fatal("first acquire blocked")
+		}
+		const waiters = 5
+		var got []<-chan bool
+		for i := 0; i < waiters; i++ {
+			got = append(got, later(s, 1, nil))
+		}
+		parked(t, s, waiters)
+		s.Resize(waiters) // one held: room for all but one waiter
+		if _, w := state(s); w != 1 {
+			t.Fatalf("%d acquirers still queued after the grow, want 1", w)
+		}
+		s.Resize(1 + waiters)
+		for _, g := range got {
+			admitted(t, g, "waiter after grow")
+		}
+		s.Release(1 + waiters)
+		atRest(t, s)
+	})
 }
 
 // TestOversizeWhenEmpty: a request larger than the limit is admitted exactly
@@ -246,99 +272,117 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// weightings are the request sizes the traffic tests give their workers: one
+// credit per request, as the texture filters take them, and a mix of 1 to 3.
+var weightings = []struct {
+	name   string
+	weight func(worker int) int
+}{
+	{"unit", func(int) int { return 1 }},
+	{"weighted", func(w int) int { return 1 + w%3 }},
+}
+
 // TestResizeDuringDrain closes stop in the middle of a resize storm: every
 // blocked acquirer must abort with false, none may stay queued, and every
 // credit must come home. (The workers also poll stop after each release: a
 // request that fits is admitted without checking stop, so a worker that keeps
 // winning credits would otherwise never observe the drain.)
 func TestResizeDuringDrain(t *testing.T) {
-	s := New(2, 1, 8)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		n := 1 + i%3
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s.Acquire(n, stop) {
-				runtime.Gosched()
-				s.Release(n)
-				select {
-				case <-stop:
-					return
-				default:
+	for _, tc := range weightings {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(2, 1, 8)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				n := tc.weight(i)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s.Acquire(n, stop) {
+						runtime.Gosched()
+						s.Release(n)
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			resizerDone := make(chan struct{})
+			go func() {
+				defer close(resizerDone)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Resize(1 + i%8)
+					runtime.Gosched()
 				}
+			}()
+			for i := 0; i < 2000; i++ {
+				runtime.Gosched()
 			}
-		}()
-	}
-	resizerDone := make(chan struct{})
-	go func() {
-		defer close(resizerDone)
-		for i := 0; ; i++ {
+			close(stop)
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
 			select {
-			case <-stop:
-				return
-			default:
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("an acquirer stayed wedged after stop closed mid-resize")
 			}
-			s.Resize(1 + i%8)
-			runtime.Gosched()
-		}
-	}()
-	for i := 0; i < 2000; i++ {
-		runtime.Gosched()
+			<-resizerDone
+			atRest(t, s)
+		})
 	}
-	close(stop)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("an acquirer stayed wedged after stop closed mid-resize")
-	}
-	<-resizerDone
-	atRest(t, s)
 }
 
 // TestConcurrentResizeStress whipsaws the limit across its whole range under
-// oversubscribed weighted traffic and checks the invariant no interleaving
-// may break: the credits held at once never exceed the upper bound, and the
+// 2x oversubscribed traffic and checks the invariant no interleaving may
+// break: the credits held at once never exceed the upper bound, and the
 // semaphore is at rest when the traffic stops.
 func TestConcurrentResizeStress(t *testing.T) {
 	const hi = 8
-	s := New(hi, 1, hi)
-	stop := make(chan struct{})
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 2*hi; w++ {
-		n := int64(1 + w%3)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s.Acquire(int(n), stop) {
-				c := cur.Add(n)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
+	for _, tc := range weightings {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(hi, 1, hi)
+			stop := make(chan struct{})
+			var cur, peak atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < 2*hi; w++ {
+				n := int64(tc.weight(w))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s.Acquire(int(n), stop) {
+						c := cur.Add(n)
+						for {
+							p := peak.Load()
+							if c <= p || peak.CompareAndSwap(p, c) {
+								break
+							}
+						}
+						cur.Add(-n)
+						s.Release(int(n))
+						select {
+						case <-stop:
+							return
+						default:
+						}
 					}
-				}
-				cur.Add(-n)
-				s.Release(int(n))
-				select {
-				case <-stop:
-					return
-				default:
-				}
+				}()
 			}
-		}()
+			for i := 0; i < 500; i++ {
+				s.Resize(1 + i%hi)
+			}
+			close(stop)
+			wg.Wait()
+			if p := peak.Load(); p > hi {
+				t.Fatalf("observed %d credits held at once, upper bound is %d", p, hi)
+			}
+			atRest(t, s)
+		})
 	}
-	for i := 0; i < 500; i++ {
-		s.Resize(1 + i%hi)
-	}
-	close(stop)
-	wg.Wait()
-	if p := peak.Load(); p > hi {
-		t.Fatalf("observed %d credits held at once, upper bound is %d", p, hi)
-	}
-	atRest(t, s)
 }

@@ -11,7 +11,6 @@ import (
 
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/dicom"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/filters"
@@ -73,32 +72,24 @@ func TestWriteIOBenchJSON(t *testing.T) {
 	}
 	dims := [4]int{48, 48, 8, 8}
 	v := synthetic.Generate(synthetic.Config{Dims: dims, Seed: 11})
-	rawDir := filepath.Join(t.TempDir(), "raw")
-	if _, err := dataset.Write(rawDir, v, 3); err != nil {
-		t.Fatal(err)
-	}
-	store, err := dataset.Open(rawDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcmDir := filepath.Join(t.TempDir(), "dicom")
-	if err := dicom.WriteStudy(dcmDir, v, 3); err != nil {
-		t.Fatal(err)
-	}
-	study, err := dicom.OpenStudy(dcmDir)
-	if err != nil {
-		t.Fatal(err)
+	stores := map[string]*dataset.Store{}
+	for _, layout := range []string{"raw", "dicom"} {
+		enc, err := dataset.ParseEncoding(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), layout)
+		if _, err := dataset.WriteDistributed(dir, v, 3, dataset.RoundRobinDist, enc); err != nil {
+			t.Fatal(err)
+		}
+		if stores[layout], err = dataset.Open(dir); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	build := func(layout string, cfg *pipeline.Config) *filter.Graph {
 		t.Helper()
-		var g *filter.Graph
-		var err error
-		if layout == "dicom" {
-			g, _, _, err = pipeline.BuildDICOM(study, cfg, ioBenchLayout)
-		} else {
-			g, _, _, err = pipeline.Build(store, cfg, ioBenchLayout)
-		}
+		g, _, _, err := pipeline.Build(stores[layout], cfg, ioBenchLayout)
 		if err != nil {
 			t.Fatal(err)
 		}

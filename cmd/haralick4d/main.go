@@ -39,10 +39,8 @@ import (
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/cliflags"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/dicom"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
-	"haralick4d/internal/filters"
 	"haralick4d/internal/netdesc"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
@@ -60,7 +58,6 @@ type cli struct {
 	spec runspec.Spec
 
 	data, graph  string
-	dicom        bool
 	engine       pipeline.Engine
 	codec        filter.Codec
 	retry        *filter.RetryPolicy
@@ -85,7 +82,6 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	c.spec.Bind(fs)
 	fs.StringVar(&c.data, "data", "", "dataset directory (see cmd/gendata); required unless -dataset-url is given")
 	fs.StringVar(&c.graph, "graph", "", "XML pipeline description (overrides the analysis/layout flags)")
-	fs.BoolVar(&c.dicom, "dicom", false, "the dataset directory is a DICOM study (see internal/dicom)")
 	fs.Func("engine", "execution engine: local (default), tcp, sim", func(s string) (err error) {
 		c.engine, err = pipeline.ParseEngine(s)
 		return err
@@ -173,42 +169,19 @@ func main() {
 // run opens the dataset, builds the pipeline the command line describes and
 // runs it on the selected engine.
 func (c *cli) run() error {
-	var (
-		dims  [4]int
-		nodes int
-		store *dataset.Store
-		build func(*pipeline.Config, *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error)
-	)
-	if c.dicom {
-		if c.data == "" {
-			return errors.New("-dicom requires a local -data directory")
-		}
-		study, err := dicom.OpenStudy(c.data)
-		if err != nil {
-			return err
-		}
-		dims, nodes = study.Dims, study.Nodes
-		build = func(cfg *pipeline.Config, l *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error) {
-			return pipeline.BuildDICOM(study, cfg, l)
-		}
-	} else {
-		st, err := dataset.OpenURL(context.Background(), c.spec.Dataset, &dataset.URLOptions{
-			CacheBlocks:      c.spec.CacheBlocks,
-			CacheBlockSize:   c.spec.CacheBlockSize,
-			ResiliencePolicy: c.resilience,
-			ServeStale:       c.spec.ServeStale,
-		})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		store, dims, nodes = st, st.Meta.Dims, st.Meta.Nodes
-		build = func(cfg *pipeline.Config, l *pipeline.Layout) (*filter.Graph, *filters.Results, [4]int, error) {
-			return pipeline.Build(st, cfg, l)
-		}
+	store, err := dataset.OpenURL(context.Background(), c.spec.Dataset, &dataset.URLOptions{
+		CacheBlocks:      c.spec.CacheBlocks,
+		CacheBlockSize:   c.spec.CacheBlockSize,
+		ResiliencePolicy: c.resilience,
+		ServeStale:       c.spec.ServeStale,
+	})
+	if err != nil {
+		return err
 	}
+	defer store.Close()
+	dims := store.Meta.Dims
 
-	cfg, layout, err := pipeline.ConfigFor(&c.spec, nodes)
+	cfg, layout, err := pipeline.ConfigFor(&c.spec, store.Meta.Nodes)
 	if err != nil {
 		return err
 	}
@@ -268,7 +241,7 @@ func (c *cli) run() error {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", c.pprof)
 	}
 
-	g, sink, outDims, err := build(cfg, layout)
+	g, sink, outDims, err := pipeline.Build(store, cfg, layout)
 	if err != nil {
 		return err
 	}

@@ -120,6 +120,7 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-autotune"}, "flag provided but not defined: -autotune"},
 		{[]string{"-autotune-interval", "5ms"}, "flag provided but not defined: -autotune-interval"},
 		{[]string{"-autotune-seed", "7"}, "flag provided but not defined: -autotune-seed"},
+		{[]string{"-dicom"}, "flag provided but not defined: -dicom"},
 	}
 	for _, c := range cases {
 		if _, err := parseArgs(append([]string{"-data", "study"}, c.args...), io.Discard); err == nil || !strings.Contains(err.Error(), c.wantErr) {

@@ -11,6 +11,10 @@
 //	node000/slice_t0000_z0000.raw X·Y little-endian uint16 values, x fastest
 //	node001/...
 //
+// The header's encoding field says how a slice is stored: absent is raw, as
+// above; "dicom" stores each slice as one Part-10 object,
+// node000/slice_t0000_z0000.dcm (see Encoding). Nothing else differs.
+//
 // A "storage node" is a subdirectory; in a genuinely distributed deployment
 // each subdirectory lives on a different machine's local disk, but the
 // format (and all readers) only ever touch one node directory at a time, so
@@ -118,6 +122,8 @@ type Meta struct {
 	// checksums existed read fine: the field is absent and whole-slice reads
 	// simply skip verification.
 	Checksums bool `json:"checksums,omitempty"`
+	// Encoding is how each slice object stores its pixels; absent is raw.
+	Encoding Encoding `json:"encoding,omitempty"`
 }
 
 // SliceRef locates one 2D image slice within a storage node.
@@ -148,22 +154,23 @@ func OwnerNode(meta *Meta, z, t int) int {
 	}
 }
 
-// SliceFileName returns the canonical file name for slice (z, t).
-func SliceFileName(z, t int) string { return fmt.Sprintf("slice_t%04d_z%04d.raw", t, z) }
+// SliceFileName returns the canonical file name for raw slice (z, t).
+func SliceFileName(z, t int) string { return sliceFileName(z, t, EncodingRaw) }
 
 func nodeDirName(node int) string { return fmt.Sprintf("node%03d", node) }
 
 // Write declusters the volume across nodes storage-node subdirectories of
 // dir with the paper's round-robin policy, creating the directory tree,
 // slice files, per-node index files and the dataset header. It returns the
-// header.
+// header. Slices are raw.
 func Write(dir string, v *volume.Volume, nodes int) (*Meta, error) {
-	return WriteDistributed(dir, v, nodes, RoundRobinDist)
+	return WriteDistributed(dir, v, nodes, RoundRobinDist, EncodingRaw)
 }
 
-// WriteDistributed is Write with an explicit declustering policy.
-func WriteDistributed(dir string, v *volume.Volume, nodes int, dist Distribution) (*Meta, error) {
-	return writeDataset(dirWriter{dir: dir}, v, nodes, dist)
+// WriteDistributed is Write with an explicit declustering policy and slice
+// encoding.
+func WriteDistributed(dir string, v *volume.Volume, nodes int, dist Distribution, enc Encoding) (*Meta, error) {
+	return writeDataset(dirWriter{dir: dir}, v, nodes, dist, enc)
 }
 
 // blobWriter is the write half of the storage abstraction: the dataset
@@ -187,34 +194,38 @@ func (w dirWriter) WriteFile(name string, data []byte) error {
 }
 
 // writeDataset declusters the volume onto any blob writer in the canonical
-// layout: slice files, per-node index files with checksum columns, and the
-// header last (a crash at any earlier point leaves a root without
-// dataset.json, which Open rejects outright instead of serving a partial
-// dataset).
-func writeDataset(w blobWriter, v *volume.Volume, nodes int, dist Distribution) (*Meta, error) {
+// layout: slice files in the given encoding, per-node index files with
+// checksum columns over each file's bytes, and the header last (a crash at
+// any earlier point leaves a root without dataset.json, which Open rejects
+// outright instead of serving a partial dataset).
+func writeDataset(w blobWriter, v *volume.Volume, nodes int, dist Distribution, enc Encoding) (*Meta, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("dataset: node count %d must be >= 1", nodes)
 	}
 	if dist < RoundRobinDist || dist > SliceModDist {
 		return nil, fmt.Errorf("dataset: invalid distribution %d", int(dist))
 	}
+	if err := enc.check(); err != nil {
+		return nil, err
+	}
 	lo, hi := v.MinMax()
-	meta := &Meta{Version: FormatVersion, Dims: v.Dims, Nodes: nodes, Min: lo, Max: hi, Dist: dist, Checksums: true}
+	meta := &Meta{Version: FormatVersion, Dims: v.Dims, Nodes: nodes, Min: lo, Max: hi, Dist: dist, Checksums: true, Encoding: enc}
 
 	indexes := make([][]SliceRef, nodes)
 	X, Y := v.Dims[0], v.Dims[1]
-	buf := make([]byte, 2*X*Y)
 	for t := 0; t < v.Dims[3]; t++ {
 		for z := 0; z < v.Dims[2]; z++ {
 			node := OwnerNode(meta, z, t)
-			ref := SliceRef{File: SliceFileName(z, t), T: t, Z: z}
-			sl := v.Slice(z, t)
-			for i, val := range sl {
-				binary.LittleEndian.PutUint16(buf[2*i:], val)
+			ref := SliceRef{File: sliceFileName(z, t, enc), T: t, Z: z}
+			pix := make([]byte, 2*X*Y)
+			for i, val := range v.Slice(z, t) {
+				binary.LittleEndian.PutUint16(pix[2*i:], val)
 			}
-			ref.CRC, ref.HasCRC = crc32.Checksum(buf, castagnoli), true
-			data := make([]byte, len(buf))
-			copy(data, buf)
+			data, err := encodeSlice(meta, z, t, pix)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: encoding slice: %w", err)
+			}
+			ref.CRC, ref.HasCRC = crc32.Checksum(data, castagnoli), true
 			if err := w.WriteFile(nodeDirName(node)+"/"+ref.File, data); err != nil {
 				return nil, fmt.Errorf("dataset: writing slice: %w", err)
 			}
@@ -311,6 +322,9 @@ func OpenBackend(ctx context.Context, be Backend) (*Store, error) {
 	}
 	if meta.Nodes < 1 || volume.NumVoxels(meta.Dims) <= 0 {
 		return nil, fmt.Errorf("dataset: corrupt header: %+v", meta)
+	}
+	if err := meta.Encoding.check(); err != nil {
+		return nil, err
 	}
 	return &Store{Dir: localDirOf(be), Meta: meta, be: be}, nil
 }
@@ -496,10 +510,10 @@ func (s *Store) ReadSliceContext(ctx context.Context, node int, ref SliceRef) ([
 //
 // When ref carries a checksum (datasets written with Meta.Checksums), the
 // file's bytes are verified against it, so silent bit corruption surfaces as
-// an ErrDegradedData-wrapped error — as do missing, truncated and
-// short-read slices. Note that only whole-slice reads verify checksums; the
-// positioned window reads of ReadSliceRegionInto detect truncation but not
-// bit flips.
+// an ErrDegradedData-wrapped error — as do missing, truncated, short-read
+// and (in a DICOM dataset) undecodable or wrong-geometry slices. Note that
+// only whole-slice reads verify checksums; the positioned window reads of
+// ReadSliceRegionInto on a raw dataset detect truncation but not bit flips.
 func (s *Store) ReadSliceInto(node int, ref SliceRef, out []uint16) error {
 	return s.ReadSliceIntoContext(context.Background(), node, ref, out)
 }
@@ -515,23 +529,28 @@ func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef
 		return sliceReadErr("slice %s: %w", ref.File, err)
 	}
 	defer obj.Close()
-	raw := getRawBuf(2 * X * Y)
+	raw := getRawBuf(s.Meta.maxObjectSize())
 	defer putRawBuf(raw)
 	// The read itself checks the length, so a wrong-sized slice costs one
 	// backend request like a healthy one: the object must end (io.EOF)
-	// exactly where raw does.
+	// inside raw, and a raw slice exactly where raw does.
 	n, err := obj.ReadAt(ctx, raw, 0)
 	if err != nil && err != io.EOF {
 		return sliceReadErr("reading %s: %w", ref.File, err)
-	} else if n != len(raw) || err == nil {
+	} else if err == nil || (n != len(raw) && s.Meta.Encoding == EncodingRaw) {
 		return degradedf("slice %s is not %d bytes long (read %d, at its end: %t)", ref.File, len(raw), n, err != nil)
 	}
+	raw = raw[:n]
 	if ref.HasCRC {
 		if got := crc32.Checksum(raw, castagnoli); got != ref.CRC {
 			return degradedf("slice %s checksum mismatch: got %08x, want %08x", ref.File, got, ref.CRC)
 		}
 	}
-	DecodeUint16s(out, raw)
+	pix, err := slicePixels(&s.Meta, ref, raw)
+	if err != nil {
+		return err
+	}
+	DecodeUint16s(out, pix)
 	return nil
 }
 
@@ -571,6 +590,18 @@ func (s *Store) ReadSliceRegionIntoContext(ctx context.Context, node int, ref Sl
 	w := x1 - x0
 	if len(out) != w*(y1-y0) {
 		return fmt.Errorf("dataset: region buffer holds %d values, want %d", len(out), w*(y1-y0))
+	}
+	if s.Meta.Encoding == EncodingDICOM {
+		// A DICOM object has no fixed pixel offset to seek to: decode the
+		// whole slice and crop the window. Correct, not fast.
+		full := make([]uint16, X*Y)
+		if err := s.ReadSliceIntoContext(ctx, node, ref, full); err != nil {
+			return err
+		}
+		for y := y0; y < y1; y++ {
+			copy(out[(y-y0)*w:(y-y0+1)*w], full[y*X+x0:y*X+x1])
+		}
+		return nil
 	}
 	obj, err := s.be.Open(ctx, nodeObjectName(node, ref.File))
 	if err != nil {

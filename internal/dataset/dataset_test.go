@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,12 +149,47 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Error("zero dims accepted")
 	}
+	os.WriteFile(filepath.Join(dir, "dataset.json"), []byte(`{"version":1,"dims":[1,1,1,1],"nodes":1,"encoding":"tiff"}`), 0o644)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), `unknown slice encoding "tiff"`) {
+		t.Errorf("unknown encoding: err = %v", err)
+	}
 }
 
 func TestWriteErrors(t *testing.T) {
 	v := randomVolume(4, [4]int{2, 2, 1, 1})
-	if _, err := Write(t.TempDir(), v, 0); err == nil {
-		t.Error("zero nodes accepted")
+	for _, enc := range []Encoding{EncodingRaw, EncodingDICOM} {
+		if _, err := WriteDistributed(t.TempDir(), v, 0, RoundRobinDist, enc); err == nil {
+			t.Errorf("%v: zero nodes accepted", enc)
+		}
+	}
+	if _, err := WriteDistributed(t.TempDir(), v, 1, RoundRobinDist, Encoding("tiff")); err == nil {
+		t.Error("unknown encoding accepted")
+	}
+}
+
+// TestEncodingHeader: a raw header carries no encoding key, so raw headers
+// stay byte-identical to those written before encodings existed; a DICOM
+// header names its encoding, and the format names round-trip.
+func TestEncodingHeader(t *testing.T) {
+	v := randomVolume(8, [4]int{3, 2, 2, 1})
+	for _, enc := range []Encoding{EncodingRaw, EncodingDICOM} {
+		dir := t.TempDir()
+		if _, err := WriteDistributed(dir, v, 1, RoundRobinDist, enc); err != nil {
+			t.Fatal(err)
+		}
+		hdr, err := os.ReadFile(filepath.Join(dir, "dataset.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(hdr), `"encoding"`); got != (enc == EncodingDICOM) {
+			t.Errorf("%v header %s", enc, hdr)
+		}
+		if back, err := ParseEncoding(enc.String()); err != nil || back != enc {
+			t.Errorf("ParseEncoding(%q) = %q, %v", enc.String(), back, err)
+		}
+	}
+	if _, err := ParseEncoding("tiff"); err == nil {
+		t.Error("unknown format name accepted")
 	}
 }
 
@@ -224,7 +260,7 @@ func TestDistributions(t *testing.T) {
 	v := randomVolume(11, [4]int{4, 4, 3, 4}) // 12 slices
 	for _, dist := range []Distribution{RoundRobinDist, BlockDist, SliceModDist} {
 		dir := t.TempDir()
-		meta, err := WriteDistributed(dir, v, 3, dist)
+		meta, err := WriteDistributed(dir, v, 3, dist, EncodingRaw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +284,7 @@ func TestDistributions(t *testing.T) {
 			}
 		}
 	}
-	if _, err := WriteDistributed(t.TempDir(), v, 2, Distribution(9)); err == nil {
+	if _, err := WriteDistributed(t.TempDir(), v, 2, Distribution(9), EncodingRaw); err == nil {
 		t.Error("invalid distribution accepted")
 	}
 }

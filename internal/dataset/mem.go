@@ -173,14 +173,14 @@ func LookupMem(name string) (*MemBackend, bool) {
 // disk. Open the result with OpenBackend, or RegisterMem it and open
 // "mem://name".
 func WriteMemDataset(v *volume.Volume, nodes int) (*MemBackend, *Meta, error) {
-	return WriteMemDatasetDistributed(v, nodes, RoundRobinDist)
+	return WriteMemDatasetDistributed(v, nodes, RoundRobinDist, EncodingRaw)
 }
 
 // WriteMemDatasetDistributed is WriteMemDataset with an explicit
-// declustering policy.
-func WriteMemDatasetDistributed(v *volume.Volume, nodes int, dist Distribution) (*MemBackend, *Meta, error) {
+// declustering policy and slice encoding.
+func WriteMemDatasetDistributed(v *volume.Volume, nodes int, dist Distribution, enc Encoding) (*MemBackend, *Meta, error) {
 	b := NewMemBackend()
-	meta, err := writeDataset(b, v, nodes, dist)
+	meta, err := writeDataset(b, v, nodes, dist, enc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,10 @@
-// Package dicom implements the small DICOM subset needed to store and read
-// DCE-MRI studies as standard-format image files — the paper's named
-// extension point ("the filter developed to read raw DCE-MRI data may be
-// easily replaced by a filter which reads DICOM format images", §4.3).
+// Package dicom implements the DICOM slice encoding of the dataset layout:
+// one Part-10 object per 2D slice, the paper's named extension point ("the
+// filter developed to read raw DCE-MRI data may be easily replaced by a
+// filter which reads DICOM format images", §4.3). The dataset package
+// stores and reads these objects through the same backends, node indexes
+// and checksums as raw slices; this package only encodes and decodes one
+// object.
 //
 // Supported: DICOM Part 10 files (preamble + DICM magic + file meta group)
 // holding a single-frame monochrome image in the Explicit VR Little Endian
@@ -14,22 +17,36 @@ package dicom
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
-
-	"haralick4d/internal/dataset"
 )
 
 // ExplicitVRLittleEndian is the only transfer syntax this package handles.
 const ExplicitVRLittleEndian = "1.2.840.10008.1.2.1"
 
+// HeaderAllowance bounds the bytes an encoded slice carries besides its
+// pixel data. A reader sizes its one read of a slice to 2·Rows·Cols plus
+// this, and an object that does not end inside that read is not a slice of
+// the expected geometry. Encode's own header stays under 400 bytes.
+const HeaderAllowance = 1024
+
+// ErrFormat marks every Decode failure: the bytes are not a Part-10 object
+// of the supported subset, or they are cut short.
+var ErrFormat = errors.New("dicom: malformed object")
+
+// formatErrf builds an ErrFormat-wrapped error.
+func formatErrf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrFormat}, args...)...)
+}
+
 // Tag identifies a DICOM data element (group, element).
 type Tag struct{ Group, Element uint16 }
 
-// The tags used by the study reader/writer.
+// The tags the slice encoding writes and reads.
 var (
 	TagFileMetaLength  = Tag{0x0002, 0x0000}
 	TagTransferSyntax  = Tag{0x0002, 0x0010}
@@ -53,7 +70,8 @@ var (
 // String formats the tag in the conventional (gggg,eeee) form.
 func (t Tag) String() string { return fmt.Sprintf("(%04X,%04X)", t.Group, t.Element) }
 
-// Element is one decoded data element.
+// Element is one decoded data element. Decode's elements alias the bytes
+// they were decoded from.
 type Element struct {
 	Tag   Tag
 	VR    string
@@ -63,7 +81,7 @@ type Element struct {
 // Uint16 decodes a US value.
 func (e *Element) Uint16() (uint16, error) {
 	if len(e.Value) < 2 {
-		return 0, fmt.Errorf("dicom: element %v too short for US", e.Tag)
+		return 0, formatErrf("element %v too short for US", e.Tag)
 	}
 	return binary.LittleEndian.Uint16(e.Value), nil
 }
@@ -72,7 +90,7 @@ func (e *Element) Uint16() (uint16, error) {
 func (e *Element) Int() (int, error) {
 	v, err := strconv.Atoi(strings.TrimSpace(string(e.Value)))
 	if err != nil {
-		return 0, fmt.Errorf("dicom: element %v: %w", e.Tag, err)
+		return 0, formatErrf("element %v: %w", e.Tag, err)
 	}
 	return v, nil
 }
@@ -81,7 +99,7 @@ func (e *Element) Int() (int, error) {
 func (e *Element) Float() (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSpace(string(e.Value)), 64)
 	if err != nil {
-		return 0, fmt.Errorf("dicom: element %v: %w", e.Tag, err)
+		return 0, formatErrf("element %v: %w", e.Tag, err)
 	}
 	return v, nil
 }
@@ -129,39 +147,42 @@ func writeElement(w io.Writer, e Element) error {
 	return err
 }
 
-// readElement decodes one element in Explicit VR Little Endian.
-func readElement(r io.Reader) (Element, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return Element{}, err // io.EOF at a clean boundary
+// elements walks Explicit VR Little Endian elements over b. Every length is
+// checked against the bytes left before it is used, and every value is a
+// subslice of b: a claimed length costs nothing until bytes back it.
+type elements struct{ b []byte }
+
+// next decodes the next element; io.EOF reports a clean end.
+func (p *elements) next() (Element, error) {
+	if len(p.b) == 0 {
+		return Element{}, io.EOF
+	}
+	if len(p.b) < 8 {
+		return Element{}, formatErrf("truncated element header (%d bytes)", len(p.b))
 	}
 	e := Element{
-		Tag: Tag{binary.LittleEndian.Uint16(head[0:2]), binary.LittleEndian.Uint16(head[2:4])},
-		VR:  string(head[4:6]),
-	}
-	var length uint32
-	if longVRs[e.VR] {
-		var ext [4]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Element{}, fmt.Errorf("dicom: truncated element %v: %w", e.Tag, err)
-		}
-		length = binary.LittleEndian.Uint32(ext[:])
-	} else {
-		length = uint32(binary.LittleEndian.Uint16(head[6:8]))
-	}
-	if length == 0xFFFFFFFF {
-		return Element{}, fmt.Errorf("dicom: element %v has undefined length (sequences unsupported)", e.Tag)
-	}
-	if length > 1<<30 {
-		return Element{}, fmt.Errorf("dicom: element %v implausibly large (%d bytes)", e.Tag, length)
+		Tag: Tag{binary.LittleEndian.Uint16(p.b[0:2]), binary.LittleEndian.Uint16(p.b[2:4])},
+		VR:  string(p.b[4:6]),
 	}
 	if !vrPlausible(e.VR) {
-		return Element{}, fmt.Errorf("dicom: element %v has implausible VR %q (implicit VR unsupported)", e.Tag, e.VR)
+		return Element{}, formatErrf("element %v has implausible VR %q (implicit VR unsupported)", e.Tag, e.VR)
 	}
-	e.Value = make([]byte, length)
-	if _, err := io.ReadFull(r, e.Value); err != nil {
-		return Element{}, fmt.Errorf("dicom: truncated element %v: %w", e.Tag, err)
+	head, length := 8, uint64(binary.LittleEndian.Uint16(p.b[6:8]))
+	if longVRs[e.VR] {
+		if len(p.b) < 12 {
+			return Element{}, formatErrf("truncated element %v", e.Tag)
+		}
+		head, length = 12, uint64(binary.LittleEndian.Uint32(p.b[8:12]))
+		if length == 0xFFFFFFFF {
+			return Element{}, formatErrf("element %v has undefined length (sequences unsupported)", e.Tag)
+		}
 	}
+	if left := uint64(len(p.b) - head); length > left {
+		return Element{}, formatErrf("element %v claims %d bytes, %d left", e.Tag, length, left)
+	}
+	end := head + int(length)
+	e.Value = p.b[head:end:end]
+	p.b = p.b[end:]
 	return e, nil
 }
 
@@ -174,14 +195,14 @@ func vrPlausible(vr string) bool {
 	return true
 }
 
-// Image is one decoded single-frame monochrome DICOM image plus the
-// metadata the pipeline needs.
+// Image is one single-frame monochrome DICOM image plus the metadata the
+// pipeline writes.
 type Image struct {
 	Rows, Cols     int
-	Pixels         []uint16 // row-major, Cols fastest
-	InstanceNumber int      // global slice id
-	Acquisition    int      // time step t
-	SliceLocation  float64  // slice index z
+	Pixels         []byte  // Rows·Cols little-endian uint16 values, row-major, Cols fastest
+	InstanceNumber int     // global slice id
+	Acquisition    int     // time step t
+	SliceLocation  float64 // slice index z
 	WindowCenter   float64
 	WindowWidth    float64
 }
@@ -193,8 +214,9 @@ var dicmMagic = []byte("DICM")
 
 // Encode writes the image as a DICOM Part 10 file body.
 func Encode(w io.Writer, img *Image) error {
-	if img.Rows < 1 || img.Cols < 1 || len(img.Pixels) != img.Rows*img.Cols {
-		return fmt.Errorf("dicom: image geometry %dx%d does not match %d pixels", img.Cols, img.Rows, len(img.Pixels))
+	if img.Rows < 1 || img.Cols < 1 || img.Rows > math.MaxUint16 || img.Cols > math.MaxUint16 ||
+		len(img.Pixels) != 2*img.Rows*img.Cols {
+		return fmt.Errorf("dicom: image geometry %dx%d does not match %d pixel bytes", img.Cols, img.Rows, len(img.Pixels))
 	}
 	if _, err := w.Write(make([]byte, preambleLen)); err != nil {
 		return err
@@ -217,10 +239,6 @@ func Encode(w io.Writer, img *Image) error {
 		return err
 	}
 
-	pix := make([]byte, 2*len(img.Pixels))
-	for i, v := range img.Pixels {
-		binary.LittleEndian.PutUint16(pix[2*i:], v)
-	}
 	us := func(v uint16) []byte {
 		b := make([]byte, 2)
 		binary.LittleEndian.PutUint16(b, v)
@@ -245,7 +263,7 @@ func Encode(w io.Writer, img *Image) error {
 		{Tag: TagPixelRep, VR: "US", Value: us(0)},
 		{Tag: TagWindowCenter, VR: "DS", Value: ds(img.WindowCenter)},
 		{Tag: TagWindowWidth, VR: "DS", Value: ds(img.WindowWidth)},
-		{Tag: TagPixelData, VR: "OW", Value: pix},
+		{Tag: TagPixelData, VR: "OW", Value: img.Pixels},
 	}
 	for _, e := range elems {
 		if err := writeElement(w, e); err != nil {
@@ -255,50 +273,40 @@ func Encode(w io.Writer, img *Image) error {
 	return nil
 }
 
-// Decode parses a DICOM Part 10 file produced by Encode (or any conforming
-// Explicit-VR-LE single-frame 16-bit monochrome file carrying the tags the
-// pipeline needs). headerOnly stops before materializing pixel data, for
-// cheap index scans.
-func Decode(r io.Reader, headerOnly bool) (*Image, error) {
-	return decode(r, headerOnly, nil)
-}
-
-// DecodeInto is Decode with the pixel values written into the caller's
-// buffer (which must hold exactly Rows·Cols values) instead of a fresh
-// allocation — the streaming reader's steady-state path. The returned
-// Image's Pixels aliases pixels.
-func DecodeInto(r io.Reader, pixels []uint16) (*Image, error) {
-	return decode(r, false, pixels)
-}
-
-func decode(r io.Reader, headerOnly bool, dst []uint16) (*Image, error) {
-	pre := make([]byte, preambleLen+4)
-	if _, err := io.ReadFull(r, pre); err != nil {
-		return nil, fmt.Errorf("dicom: truncated preamble: %w", err)
+// Decode parses one DICOM Part 10 object held in b: a file Encode produced,
+// or any conforming Explicit-VR-LE single-frame 16-bit monochrome file
+// carrying the tags the pipeline needs. The returned Image's Pixels aliases
+// b, so nothing is allocated in proportion to what the object claims. Every
+// error wraps ErrFormat.
+func Decode(b []byte) (*Image, error) {
+	if len(b) < preambleLen+len(dicmMagic) {
+		return nil, formatErrf("truncated preamble (%d bytes)", len(b))
 	}
-	if !bytes.Equal(pre[preambleLen:], dicmMagic) {
-		return nil, fmt.Errorf("dicom: missing DICM magic")
+	if !bytes.Equal(b[preambleLen:preambleLen+len(dicmMagic)], dicmMagic) {
+		return nil, formatErrf("missing DICM magic")
 	}
+	p := &elements{b: b[preambleLen+len(dicmMagic):]}
+
 	// File meta group.
-	metaLenElem, err := readElement(r)
+	first, err := p.next()
+	if err == io.EOF {
+		err = formatErrf("no file meta group")
+	}
 	if err != nil {
-		return nil, fmt.Errorf("dicom: reading file meta length: %w", err)
+		return nil, err
 	}
-	if metaLenElem.Tag != TagFileMetaLength || len(metaLenElem.Value) != 4 {
-		return nil, fmt.Errorf("dicom: expected %v first, got %v", TagFileMetaLength, metaLenElem.Tag)
+	if first.Tag != TagFileMetaLength || len(first.Value) != 4 {
+		return nil, formatErrf("expected %v first, got %v", TagFileMetaLength, first.Tag)
 	}
-	metaLen := binary.LittleEndian.Uint32(metaLenElem.Value)
-	if metaLen > 1<<20 {
-		return nil, fmt.Errorf("dicom: implausible file meta length %d", metaLen)
+	metaLen := uint64(binary.LittleEndian.Uint32(first.Value))
+	if metaLen > uint64(len(p.b)) {
+		return nil, formatErrf("file meta group claims %d bytes, %d left", metaLen, len(p.b))
 	}
-	metaRaw := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, metaRaw); err != nil {
-		return nil, fmt.Errorf("dicom: truncated file meta group: %w", err)
-	}
+	meta := &elements{b: p.b[:metaLen]}
+	p.b = p.b[metaLen:]
 	syntax := ""
-	metaR := bytes.NewReader(metaRaw)
 	for {
-		e, err := readElement(metaR)
+		e, err := meta.next()
 		if err == io.EOF {
 			break
 		}
@@ -310,13 +318,13 @@ func decode(r io.Reader, headerOnly bool, dst []uint16) (*Image, error) {
 		}
 	}
 	if syntax != ExplicitVRLittleEndian {
-		return nil, fmt.Errorf("dicom: unsupported transfer syntax %q (only explicit VR little endian)", syntax)
+		return nil, formatErrf("unsupported transfer syntax %q (only explicit VR little endian)", syntax)
 	}
 
 	img := &Image{}
 	bitsAllocated := 16
 	for {
-		e, err := readElement(r)
+		e, err := p.next()
 		if err == io.EOF {
 			break
 		}
@@ -363,32 +371,18 @@ func decode(r io.Reader, headerOnly bool, dst []uint16) (*Image, error) {
 				return nil, err
 			}
 		case TagPixelData:
-			if headerOnly {
-				return img, nil
-			}
-			if bitsAllocated != 16 {
-				return nil, fmt.Errorf("dicom: unsupported bits allocated %d", bitsAllocated)
-			}
-			want := img.Rows * img.Cols * 2
-			if len(e.Value) != want {
-				return nil, fmt.Errorf("dicom: pixel data is %d bytes, want %d for %dx%d", len(e.Value), want, img.Cols, img.Rows)
-			}
-			if dst != nil {
-				if len(dst) != img.Rows*img.Cols {
-					return nil, fmt.Errorf("dicom: pixel buffer holds %d values, want %d", len(dst), img.Rows*img.Cols)
-				}
-				img.Pixels = dst
-			} else {
-				img.Pixels = make([]uint16, img.Rows*img.Cols)
-			}
-			dataset.DecodeUint16s(img.Pixels, e.Value)
+			img.Pixels = e.Value
 		}
 	}
-	if img.Rows == 0 || img.Cols == 0 {
-		return nil, fmt.Errorf("dicom: file carries no image geometry")
-	}
-	if !headerOnly && img.Pixels == nil {
-		return nil, fmt.Errorf("dicom: file carries no pixel data")
+	switch {
+	case img.Rows == 0 || img.Cols == 0:
+		return nil, formatErrf("file carries no image geometry")
+	case img.Pixels == nil:
+		return nil, formatErrf("file carries no pixel data")
+	case bitsAllocated != 16:
+		return nil, formatErrf("unsupported bits allocated %d", bitsAllocated)
+	case len(img.Pixels) != 2*img.Rows*img.Cols:
+		return nil, formatErrf("pixel data is %d bytes, want %d for %dx%d", len(img.Pixels), 2*img.Rows*img.Cols, img.Cols, img.Rows)
 	}
 	return img, nil
 }

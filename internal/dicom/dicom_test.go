@@ -2,40 +2,42 @@ package dicom
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"haralick4d/internal/volume"
 )
 
 func testImage(seed int64, cols, rows int) *Image {
 	rng := rand.New(rand.NewSource(seed))
 	img := &Image{
 		Rows: rows, Cols: cols,
-		Pixels:         make([]uint16, rows*cols),
+		Pixels:         make([]byte, 2*rows*cols),
 		InstanceNumber: 17,
 		Acquisition:    3,
 		SliceLocation:  5,
 		WindowCenter:   2048,
 		WindowWidth:    4096,
 	}
-	for i := range img.Pixels {
-		img.Pixels[i] = uint16(rng.Intn(4096))
-	}
+	rng.Read(img.Pixels)
 	return img
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	img := testImage(1, 13, 9) // odd sizes exercise padding
+func encode(t testing.TB, img *Image) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, img); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()), false)
+	return buf.Bytes()
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	img := testImage(1, 13, 9) // odd sizes exercise padding
+	got, err := Decode(encode(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,58 +47,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		got.WindowCenter != img.WindowCenter || got.WindowWidth != img.WindowWidth {
 		t.Fatalf("metadata mismatch: %+v vs %+v", got, img)
 	}
-	for i := range img.Pixels {
-		if got.Pixels[i] != img.Pixels[i] {
-			t.Fatalf("pixel %d: %d != %d", i, got.Pixels[i], img.Pixels[i])
-		}
+	if !bytes.Equal(got.Pixels, img.Pixels) {
+		t.Fatal("pixel bytes differ")
 	}
 }
 
 // Property: encode/decode round-trips arbitrary geometries and pixel
-// contents.
+// contents, and every encoded header fits the readers' allowance.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, colsRaw, rowsRaw uint8) bool {
 		cols := int(colsRaw%40) + 1
 		rows := int(rowsRaw%40) + 1
 		img := testImage(seed, cols, rows)
 		var buf bytes.Buffer
-		if Encode(&buf, img) != nil {
+		if Encode(&buf, img) != nil || buf.Len() > 2*rows*cols+HeaderAllowance {
 			return false
 		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()), false)
+		got, err := Decode(buf.Bytes())
 		if err != nil {
 			return false
 		}
-		if got.Rows != rows || got.Cols != cols {
-			return false
-		}
-		for i := range img.Pixels {
-			if got.Pixels[i] != img.Pixels[i] {
-				return false
-			}
-		}
-		return true
+		return got.Rows == rows && got.Cols == cols && bytes.Equal(got.Pixels, img.Pixels)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDecodeHeaderOnly(t *testing.T) {
-	img := testImage(2, 32, 32)
-	var buf bytes.Buffer
-	if err := Encode(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Pixels != nil {
-		t.Error("header-only decode materialized pixels")
-	}
-	if got.Rows != 32 || got.InstanceNumber != 17 {
-		t.Error("header fields missing")
 	}
 }
 
@@ -105,161 +79,94 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"empty":     {},
 		"short":     make([]byte, 64),
 		"bad magic": append(make([]byte, 128), []byte("NOPE")...),
+		"no meta":   append(make([]byte, 128), []byte("DICM")...),
 	}
 	for name, data := range cases {
-		if _, err := Decode(bytes.NewReader(data), false); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := Decode(data); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
 }
 
 func TestDecodeRejectsWrongSyntax(t *testing.T) {
-	img := testImage(3, 8, 8)
-	var buf bytes.Buffer
-	if err := Encode(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(t, testImage(3, 8, 8))
 	// Corrupt the transfer syntax UID in place.
 	i := bytes.Index(raw, []byte(ExplicitVRLittleEndian))
 	if i < 0 {
 		t.Fatal("syntax UID not found")
 	}
 	raw[i+len(ExplicitVRLittleEndian)-1] = '9'
-	if _, err := Decode(bytes.NewReader(raw), false); err == nil || !strings.Contains(err.Error(), "transfer syntax") {
+	if _, err := Decode(raw); err == nil || !strings.Contains(err.Error(), "transfer syntax") {
 		t.Errorf("wrong syntax accepted: %v", err)
 	}
 }
 
 func TestDecodeTruncatedPixelData(t *testing.T) {
-	img := testImage(4, 16, 16)
-	var buf bytes.Buffer
-	if err := Encode(&buf, img); err != nil {
-		t.Fatal(err)
+	raw := encode(t, testImage(4, 16, 16))
+	if _, err := Decode(raw[:len(raw)-40]); !errors.Is(err, ErrFormat) {
+		t.Errorf("truncated pixel data: err = %v, want ErrFormat", err)
 	}
-	raw := buf.Bytes()[:buf.Len()-40]
-	if _, err := Decode(bytes.NewReader(raw), false); err == nil {
-		t.Error("truncated pixel data accepted")
+}
+
+// hugeClaim is a 338-byte object whose pixel element claims 1 GiB: the
+// header of a 16×16 image, cut after the pixel element's length field,
+// with that field rewritten.
+func hugeClaim(t testing.TB) []byte {
+	raw := encode(t, testImage(5, 16, 16))
+	head := raw[:len(raw)-2*16*16]
+	binary.LittleEndian.PutUint32(head[len(head)-4:], 1<<30)
+	return head
+}
+
+// TestDecodeHugeClaimAllocatesLittle pins the length check: an element's
+// claimed length is checked against the bytes that exist before anything is
+// allocated, so a tiny remote object cannot make a reader allocate 1 GiB.
+func TestDecodeHugeClaimAllocatesLittle(t *testing.T) {
+	in := hugeClaim(t)
+	if len(in) != 338 {
+		t.Fatalf("input is %d bytes, want 338", len(in))
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(in)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "claims 1073741824 bytes") {
+		t.Errorf("err = %v, want the pixel element's claim rejected", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoding a %d-byte object allocated %d bytes", len(in), got)
+	}
+}
+
+// FuzzDecode: any input decodes to an image whose pixel bytes match its
+// geometry, or fails with ErrFormat; never a panic.
+func FuzzDecode(f *testing.F) {
+	f.Add(encode(f, testImage(6, 3, 2)))
+	f.Add(encode(f, testImage(7, 1, 1)))
+	f.Add(hugeClaim(f))
+	f.Add(append(make([]byte, 128), []byte("DICM")...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		img, err := Decode(b)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if img.Rows < 1 || img.Cols < 1 || len(img.Pixels) != 2*img.Rows*img.Cols {
+			t.Fatalf("decoded %dx%d with %d pixel bytes", img.Cols, img.Rows, len(img.Pixels))
+		}
+	})
 }
 
 func TestEncodeRejectsBadGeometry(t *testing.T) {
-	img := &Image{Rows: 4, Cols: 4, Pixels: make([]uint16, 3)}
-	if err := Encode(&bytes.Buffer{}, img); err == nil {
-		t.Error("mismatched geometry accepted")
-	}
-}
-
-func randomStudyVolume(seed int64, dims [4]int) *volume.Volume {
-	rng := rand.New(rand.NewSource(seed))
-	v := volume.NewVolume(dims)
-	for i := range v.Data {
-		v.Data[i] = uint16(rng.Intn(3000) + 50)
-	}
-	return v
-}
-
-func TestStudyRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	v := randomStudyVolume(5, [4]int{10, 8, 3, 4})
-	if err := WriteStudy(dir, v, 3); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStudy(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Dims != v.Dims || st.Nodes != 3 {
-		t.Fatalf("study geometry %+v", st)
-	}
-	lo, hi := v.MinMax()
-	if st.Min > lo || st.Max < hi {
-		t.Errorf("window range [%d, %d] does not cover data range [%d, %d]", st.Min, st.Max, lo, hi)
-	}
-	back, err := st.ReadVolume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v.Data {
-		if back.Data[i] != v.Data[i] {
-			t.Fatalf("voxel %d: %d != %d", i, back.Data[i], v.Data[i])
+	for _, img := range []*Image{
+		{Rows: 4, Cols: 4, Pixels: make([]byte, 30)},
+		{Rows: 1 << 16, Cols: 1, Pixels: make([]byte, 2<<16)},
+	} {
+		if err := Encode(&bytes.Buffer{}, img); err == nil {
+			t.Errorf("%dx%d with %d pixel bytes accepted", img.Cols, img.Rows, len(img.Pixels))
 		}
-	}
-}
-
-func TestOpenStudyErrors(t *testing.T) {
-	if _, err := OpenStudy(t.TempDir()); err == nil {
-		t.Error("empty dir accepted")
-	}
-	// A study with a missing slice is rejected.
-	dir := t.TempDir()
-	v := randomStudyVolume(6, [4]int{6, 6, 2, 2})
-	if err := WriteStudy(dir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	var victim string
-	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && strings.HasSuffix(p, ".dcm") && victim == "" {
-			victim = p
-		}
-		return nil
-	})
-	os.Remove(victim)
-	if _, err := OpenStudy(dir); err == nil {
-		t.Error("incomplete study accepted")
-	}
-}
-
-func TestOpenStudyRejectsMixedGeometry(t *testing.T) {
-	dir := t.TempDir()
-	v := randomStudyVolume(7, [4]int{6, 6, 1, 2})
-	if err := WriteStudy(dir, v, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Add a slice with different geometry claiming a new time step.
-	odd := testImage(8, 12, 12)
-	odd.Acquisition = 2
-	odd.SliceLocation = 0
-	f, err := os.Create(filepath.Join(dir, "node000", "odd.dcm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(f, odd); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenStudy(dir); err == nil {
-		t.Error("mixed-geometry study accepted")
-	}
-}
-
-func TestNodeSlicesBounds(t *testing.T) {
-	dir := t.TempDir()
-	v := randomStudyVolume(9, [4]int{4, 4, 1, 2})
-	if err := WriteStudy(dir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStudy(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.NodeSlices(-1); err == nil {
-		t.Error("negative node accepted")
-	}
-	if _, err := st.NodeSlices(2); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	s0, _ := st.NodeSlices(0)
-	s1, _ := st.NodeSlices(1)
-	if len(s0)+len(s1) != 2 {
-		t.Errorf("slice counts %d + %d", len(s0), len(s1))
-	}
-}
-
-func TestWriteStudyBadNodes(t *testing.T) {
-	v := randomStudyVolume(10, [4]int{2, 2, 1, 1})
-	if err := WriteStudy(t.TempDir(), v, 0); err == nil {
-		t.Error("zero nodes accepted")
 	}
 }
 

@@ -499,7 +499,7 @@ func Declustering(e *Env) (*Figure, error) {
 			return nil, fmt.Errorf("decluster: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		if _, err := dataset.WriteDistributed(dir, v, e.Scale.StorageNodes, dist); err != nil {
+		if _, err := dataset.WriteDistributed(dir, v, e.Scale.StorageNodes, dist, dataset.EncodingRaw); err != nil {
 			return nil, err
 		}
 		st, err := dataset.Open(dir)

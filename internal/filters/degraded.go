@@ -44,7 +44,7 @@ func init() {
 // emitDegraded is the SkipDegraded counterpart of emitPieces: it announces a
 // failed read window to every IIC copy owning a chunk the window would have
 // fed, dropping chunks in the resume skip-set (their fate — assembled or
-// degraded — is already journaled). Shared by RFR and DFR.
+// degraded — is already journaled).
 func emitDegraded(ctx filter.Context, chunker *volume.Chunker, z, t, slice int, window volume.Box, iicCopies int, skip map[int]bool) error {
 	met := ctx.Metrics()
 	for _, ch := range chunker.SliceChunks(z, t) {

@@ -34,7 +34,8 @@ func runContext(ctx filter.Context) context.Context {
 func chunkOwnerIIC(chunk, iicCopies int) int { return chunk % iicCopies }
 
 // RFRConfig configures the RAWFileReader filter. One RFR copy runs per
-// storage node; copy index i serves storage node i.
+// storage node; copy index i serves storage node i. The store decodes the
+// dataset's slice encoding (raw or DICOM), so the filter reads both.
 type RFRConfig struct {
 	Store   *dataset.Store
 	Chunker *volume.Chunker
@@ -225,8 +226,7 @@ func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n
 
 // emitPieces cuts a filled window into the pieces needed by each texture
 // chunk intersecting its slice plane and routes each to the IIC copy owning
-// that chunk, dropping chunks in the resume skip-set. Shared by RFR and
-// DFR.
+// that chunk, dropping chunks in the resume skip-set.
 func emitPieces(ctx filter.Context, chunker *volume.Chunker, z, t int, window *volume.Region, iicCopies int, skip map[int]bool) error {
 	met := ctx.Metrics()
 	for _, ch := range chunker.SliceChunks(z, t) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/dicom"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/readahead"
 	"haralick4d/internal/volume"
@@ -65,60 +64,38 @@ func compareChunkSets(t *testing.T, ck *volume.Chunker, base map[int]*volume.Reg
 
 // TestRFRReadAheadInvariance checks the tentpole contract: any read-ahead
 // depth, fixed or self-sized, produces chunk data identical to the
-// synchronous reader, for both whole-slice and positioned sub-window reads.
+// synchronous reader, for both whole-slice and positioned sub-window reads,
+// in every slice encoding.
 func TestRFRReadAheadInvariance(t *testing.T) {
-	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
 	v := volume.NewVolume([4]int{16, 12, 3, 3})
 	for i := range v.Data {
 		v.Data[i] = uint16(rng.Intn(2000))
 	}
-	if _, err := dataset.Write(dir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := dataset.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ck, err := volume.NewChunker(v.Dims, [4]int{10, 10, 2, 2}, [4]int{3, 3, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ioChunk := range [][2]int{{0, 0}, {5, 4}} {
-		run := func(depth int) map[int]*volume.Region {
-			return collectChunks(t, "RFR", 2, NewRFR(RFRConfig{
-				Store: st, Chunker: ck, GrayLevels: 16, IOChunk: ioChunk, ReadAhead: depth,
-			}), ck)
-		}
-		sync0 := run(0)
-		compareChunkSets(t, ck, sync0, run(1), run(4), run(64), run(readahead.Auto))
+	for _, enc := range []dataset.Encoding{dataset.EncodingRaw, dataset.EncodingDICOM} {
+		t.Run(enc.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := dataset.WriteDistributed(dir, v, 2, dataset.RoundRobinDist, enc); err != nil {
+				t.Fatal(err)
+			}
+			st, err := dataset.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, ioChunk := range [][2]int{{0, 0}, {5, 4}} {
+				run := func(depth int) map[int]*volume.Region {
+					return collectChunks(t, "RFR", 2, NewRFR(RFRConfig{
+						Store: st, Chunker: ck, GrayLevels: 16, IOChunk: ioChunk, ReadAhead: depth,
+					}), ck)
+				}
+				sync0 := run(0)
+				compareChunkSets(t, ck, sync0, run(1), run(4), run(64), run(readahead.Auto))
+			}
+		})
 	}
-}
-
-// TestDFRReadAheadInvariance is the DICOM-layout counterpart.
-func TestDFRReadAheadInvariance(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(8))
-	v := volume.NewVolume([4]int{12, 10, 3, 3})
-	for i := range v.Data {
-		v.Data[i] = uint16(rng.Intn(2000))
-	}
-	if err := dicom.WriteStudy(dir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	study, err := dicom.OpenStudy(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := volume.NewChunker(v.Dims, [4]int{8, 8, 2, 2}, [4]int{3, 3, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(depth int) map[int]*volume.Region {
-		return collectChunks(t, "DFR", 2, NewDFR(DFRConfig{
-			Study: study, Chunker: ck, GrayLevels: 16, ReadAhead: depth,
-		}), ck)
-	}
-	sync0 := run(0)
-	compareChunkSets(t, ck, sync0, run(1), run(4), run(64), run(readahead.Auto))
 }

@@ -94,8 +94,8 @@ func (s Span) End() {
 // Span names used by the filters; the RunReport spans tables are keyed by
 // these.
 const (
-	SpanRead     = "read"      // disk/DICOM read + requantization (RFR, DFR, SRC)
-	SpanReadWait = "read-wait" // emit loop waiting on the read-ahead stage (RFR, DFR)
+	SpanRead     = "read"      // slice read + decode (raw or DICOM) + requantization (RFR, SRC)
+	SpanReadWait = "read-wait" // emit loop waiting on the read-ahead stage (RFR)
 	SpanAssemble = "assemble"  // chunk/image stitching (IIC, HIC)
 	SpanCompute  = "compute"   // texture kernel time (HMP, HCC, HPC)
 	SpanEmit     = "emit"      // Send/SendTo call time, including stream backpressure

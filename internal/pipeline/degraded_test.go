@@ -11,7 +11,9 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
+	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/filters"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -25,10 +27,17 @@ var degradedDims = [4]int{24, 20, 6, 8}
 // 3 victims: one byte flip (checksum-detected), one truncation, one
 // deletion.
 func corruptDataset(t *testing.T) (string, []string) {
+	return corruptEncoded(t, dataset.EncodingRaw)
+}
+
+// corruptEncoded is corruptDataset in the given slice encoding; the damage
+// schedule depends only on the corruption seed, so it hits the same slices
+// in every encoding.
+func corruptEncoded(t *testing.T, enc dataset.Encoding) (string, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	v := synthetic.Generate(synthetic.Config{Dims: degradedDims, Seed: 17})
-	if _, err := dataset.Write(dir, v, 3); err != nil {
+	if _, err := dataset.WriteDistributed(dir, v, 3, dataset.RoundRobinDist, enc); err != nil {
 		t.Fatal(err)
 	}
 	damaged, err := dataset.CorruptSlices(dir, 0.07, 5)
@@ -44,7 +53,7 @@ func damagedIDs(t *testing.T, st *dataset.Store, damaged []string) []int {
 	var ids []int
 	for _, f := range damaged {
 		var tt, z int
-		if _, err := fmt.Sscanf(filepath.Base(f), "slice_t%04d_z%04d.raw", &tt, &z); err != nil {
+		if _, err := fmt.Sscanf(filepath.Base(f), "slice_t%04d_z%04d", &tt, &z); err != nil {
 			t.Fatalf("damaged file %q: %v", f, err)
 		}
 		ids = append(ids, dataset.SliceID(&st.Meta, z, tt))
@@ -191,5 +200,41 @@ func TestSkipDegradedMatchesCleanOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSkipDegradedDICOMMatchesRaw: the same damage schedule on a raw and a
+// DICOM copy of one study loses the same slices under SkipDegraded, and the
+// two runs' outputs are identical, healthy voxels and zeroed ones alike.
+func TestSkipDegradedDICOMMatchesRaw(t *testing.T) {
+	run := func(enc dataset.Encoding) ([]int, *filters.Results) {
+		dir, damaged := corruptEncoded(t, enc)
+		st, err := dataset.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cfg := testConfig(SplitImpl, core.SparseMatrix, filter.DemandDriven)
+		cfg.FaultPolicy = fault.SkipDegraded
+		g, res, _, err := Build(st, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(g, EngineLocal, nil); err != nil {
+			t.Fatalf("%v: %v", enc, err)
+		}
+		slices, _, _ := res.Degraded()
+		if want := damagedIDs(t, st, damaged); !reflect.DeepEqual(slices, want) {
+			t.Errorf("%v: degraded slices = %v, want %v", enc, slices, want)
+		}
+		return slices, res
+	}
+	rawSlices, raw := run(dataset.EncodingRaw)
+	dcmSlices, dcm := run(dataset.EncodingDICOM)
+	if !reflect.DeepEqual(rawSlices, dcmSlices) {
+		t.Fatalf("lost slices: raw %v, DICOM %v", rawSlices, dcmSlices)
+	}
+	for _, f := range features.PaperSet() {
+		gridsEqual(t, f.String(), raw.Grid(f), dcm.Grid(f))
 	}
 }

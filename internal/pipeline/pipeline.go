@@ -16,7 +16,6 @@ import (
 	"haralick4d/internal/cluster"
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/dicom"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
@@ -274,63 +273,6 @@ func Build(store *dataset.Store, cfg *Config, layout *Layout) (*filter.Graph, *f
 		Nodes:  iicNodes,
 	})
 	g.Connect(filter.ConnSpec{From: "RFR", FromPort: filters.PortOut, To: "IIC", ToPort: filters.PortIn, Policy: filter.Explicit})
-
-	res, err := addTextureAndOutput(g, "IIC", cfg, layout, outDims)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-	return g, res, outDims, nil
-}
-
-// BuildDICOM constructs the filter graph over a DICOM study directory (see
-// internal/dicom): identical to Build except that the input stage is the
-// DICOMFileReader filter, the paper's named RFR replacement. The study's
-// window center/width supplies the requantization range.
-func BuildDICOM(study *dicom.Study, cfg *Config, layout *Layout) (*filter.Graph, *filters.Results, [4]int, error) {
-	var outDims [4]int
-	if layout == nil {
-		layout = &Layout{}
-	}
-	if err := cfg.Validate(study.Dims); err != nil {
-		return nil, nil, outDims, err
-	}
-	srcNodes := nodesOrDefault(layout.SourceNodes, study.Nodes)
-	if len(srcNodes) != study.Nodes {
-		return nil, nil, outDims, fmt.Errorf("pipeline: %d DFR copies for %d storage nodes", len(srcNodes), study.Nodes)
-	}
-	chunker, err := volume.NewChunker(study.Dims, cfg.ChunkShape, cfg.Analysis.ROI)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-	outDims = chunker.OutputDims()
-	skip, err := cfg.resumeSkip(chunker)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-
-	g := filter.NewGraph()
-	g.AddFilter(filter.FilterSpec{
-		Name:   "DFR",
-		Copies: len(srcNodes),
-		New: filters.NewDFR(filters.DFRConfig{
-			Study:         study,
-			Chunker:       chunker,
-			GrayLevels:    cfg.Analysis.GrayLevels,
-			ReadAhead:     cfg.ReadAhead,
-			ReadAheadGate: cfg.ReadAheadGate,
-			FaultPolicy:   cfg.FaultPolicy,
-			Skip:          skip,
-		}),
-		Nodes: srcNodes,
-	})
-	iicNodes := nodesOrDefault(layout.IICNodes, 1)
-	g.AddFilter(filter.FilterSpec{
-		Name:   "IIC",
-		Copies: len(iicNodes),
-		New:    filters.NewIIC(filters.IICConfig{Chunker: chunker}),
-		Nodes:  iicNodes,
-	})
-	g.Connect(filter.ConnSpec{From: "DFR", FromPort: filters.PortOut, To: "IIC", ToPort: filters.PortIn, Policy: filter.Explicit})
 
 	res, err := addTextureAndOutput(g, "IIC", cfg, layout, outDims)
 	if err != nil {

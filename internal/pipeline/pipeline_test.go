@@ -11,7 +11,6 @@ import (
 	"haralick4d/internal/cluster"
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/dicom"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/filters"
@@ -334,64 +333,58 @@ func TestSimOnPaperTopology(t *testing.T) {
 	}
 }
 
-// TestDICOMPipelineMatchesRaw verifies the paper's named extension: the
-// DICOMFileReader front end produces bit-identical results to the raw RFR
-// front end over the same study.
+// TestDICOMPipelineMatchesRaw verifies the paper's named extension: a study
+// stored as DICOM slices runs through the same Build and RFR as the raw
+// layout and produces bit-identical results, on both in-process engines,
+// for both representations and both texture decompositions. The constant
+// study (every voxel 500) pins the one requantization range, the header's
+// Min/Max, whatever the encoding: sum-average tells gray level 0 from G−1.
 func TestDICOMPipelineMatchesRaw(t *testing.T) {
-	rawDir, dcmDir := t.TempDir(), t.TempDir()
-	v := synthetic.Generate(synthetic.Config{Dims: [4]int{24, 20, 4, 6}, Seed: 17})
-	if _, err := dataset.Write(rawDir, v, 3); err != nil {
-		t.Fatal(err)
+	constant := volume.NewVolume([4]int{24, 20, 4, 6})
+	for i := range constant.Data {
+		constant.Data[i] = 500
 	}
-	if err := dicom.WriteStudy(dcmDir, v, 3); err != nil {
-		t.Fatal(err)
+	studies := map[string]*volume.Volume{
+		"phantom":  synthetic.Generate(synthetic.Config{Dims: [4]int{24, 20, 4, 6}, Seed: 17}),
+		"constant": constant,
 	}
-	st, err := dataset.Open(rawDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	study, err := dicom.OpenStudy(dcmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if study.Dims != st.Meta.Dims {
-		t.Fatalf("geometry mismatch: %v vs %v", study.Dims, st.Meta.Dims)
-	}
-
-	cfg := testConfig(SplitImpl, core.SparseMatrix, filter.DemandDriven)
-	gRaw, resRaw, _, err := Build(st, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(gRaw, EngineLocal, nil); err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := testConfig(SplitImpl, core.SparseMatrix, filter.DemandDriven)
-	gDcm, resDcm, _, err := BuildDICOM(study, cfg2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(gDcm, EngineLocal, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range cfg.Analysis.Features {
-		gridsEqual(t, f.String(), resRaw.Grid(f), resDcm.Grid(f))
-	}
-}
-
-func TestBuildDICOMValidation(t *testing.T) {
-	dcmDir := t.TempDir()
-	v := synthetic.Generate(synthetic.Config{Dims: [4]int{16, 16, 2, 2}, Seed: 1})
-	if err := dicom.WriteStudy(dcmDir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	study, err := dicom.OpenStudy(dcmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin)
-	cfg.ChunkShape = [4]int{12, 12, 2, 2}
-	if _, _, _, err := BuildDICOM(study, cfg, &Layout{SourceNodes: []int{0}}); err == nil {
-		t.Error("wrong DFR copy count accepted")
+	for name, v := range studies {
+		stores := map[dataset.Encoding]*dataset.Store{}
+		for _, enc := range []dataset.Encoding{dataset.EncodingRaw, dataset.EncodingDICOM} {
+			dir := t.TempDir()
+			if _, err := dataset.WriteDistributed(dir, v, 3, dataset.RoundRobinDist, enc); err != nil {
+				t.Fatal(err)
+			}
+			st, err := dataset.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			stores[enc] = st
+		}
+		for _, engine := range []Engine{EngineLocal, EngineTCP} {
+			for _, impl := range []Impl{HMPImpl, SplitImpl} {
+				for _, rep := range []core.Representation{core.FullMatrix, core.SparseMatrix} {
+					t.Run(fmt.Sprintf("%s-%v-%v-%v", name, engine, impl, rep), func(t *testing.T) {
+						results := map[dataset.Encoding]*filters.Results{}
+						for enc, st := range stores {
+							cfg := testConfig(impl, rep, filter.DemandDriven)
+							cfg.Analysis.Features = features.All()
+							g, res, _, err := Build(st, cfg, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := Run(g, engine, nil); err != nil {
+								t.Fatalf("%v: %v", enc, err)
+							}
+							results[enc] = res
+						}
+						for _, f := range features.All() {
+							gridsEqual(t, f.String(), results[dataset.EncodingRaw].Grid(f), results[dataset.EncodingDICOM].Grid(f))
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package readahead provides the bounded, order-preserving prefetch stage
-// the reader filters (RFR, DFR) put in front of their emit loops: the
-// per-window fetch function — positioned reads plus uint16→gray-level
-// decode — runs up to K windows ahead of the consumer, one goroutine per
-// window in flight, so the disk or the remote backend keeps streaming while
-// pieces are cut and sent. This is the staging idea of Region Templates
-// applied to the paper's §4.3 reader filters.
+// the reader filter (RFR) puts in front of its emit loop: the per-window
+// fetch function — positioned reads plus uint16→gray-level decode — runs
+// up to K windows ahead of the consumer, one goroutine per window in
+// flight, so the disk or the remote backend keeps streaming while pieces
+// are cut and sent. This is the staging idea of Region Templates applied
+// to the paper's §4.3 reader filter.
 //
 // The contract is deliberately strict:
 //

@@ -36,9 +36,14 @@ func testVolume() *volume.Volume {
 
 // writeTestDataset writes the fixture study to disk and returns its URL.
 func writeTestDataset(t *testing.T) string {
+	return writeEncodedDataset(t, dataset.EncodingRaw)
+}
+
+// writeEncodedDataset is writeTestDataset in the given slice encoding.
+func writeEncodedDataset(t *testing.T, enc dataset.Encoding) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "data")
-	if _, err := dataset.Write(dir, testVolume(), 3); err != nil {
+	if _, err := dataset.WriteDistributed(dir, testVolume(), 3, dataset.RoundRobinDist, enc); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -153,41 +158,48 @@ func pollTerminal(t *testing.T, base string, id int64, settled func(State) bool)
 	return view{}
 }
 
+// TestSubmitRunsToCompletion: a job runs to completion and its USO output
+// is bit-identical to the in-process run over the raw study, whatever the
+// study's slice encoding.
 func TestSubmitRunsToCompletion(t *testing.T) {
-	url := writeTestDataset(t)
-	outDir := filepath.Join(t.TempDir(), "out")
-	_, ts := newTestServer(t, Config{MaxJobs: 2})
+	want, outDims := oracleGrids(t, writeTestDataset(t))
+	for _, enc := range []dataset.Encoding{dataset.EncodingRaw, dataset.EncodingDICOM} {
+		t.Run(enc.String(), func(t *testing.T) {
+			url := writeEncodedDataset(t, enc)
+			outDir := filepath.Join(t.TempDir(), "out")
+			_, ts := newTestServer(t, Config{MaxJobs: 2})
 
-	v := decodeView(t, postJSON(t, ts.URL+"/jobs", testSpec(url, outDir)))
-	if v.ID != 1 || v.State == "" {
-		t.Fatalf("submit returned %+v", v)
-	}
-	final := pollTerminal(t, ts.URL, v.ID, State.Terminal)
-	if final.State != StateCompleted {
-		t.Fatalf("job finished %s (%s: %s)", final.State, final.ErrKind, final.Error)
-	}
-	if final.Report == nil {
-		t.Fatal("completed job carries no run report")
-	}
-
-	want, outDims := oracleGrids(t, url)
-	got, err := filters.ReadUSODir(outDir, outDims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f, wg := range want {
-		gg := got[f]
-		if gg == nil {
-			t.Fatalf("feature %v missing from USO output", f)
-		}
-		if len(gg.Data) != len(wg.Data) {
-			t.Fatalf("feature %v: %d values, want %d", f, len(gg.Data), len(wg.Data))
-		}
-		for i := range wg.Data {
-			if gg.Data[i] != wg.Data[i] {
-				t.Fatalf("feature %v voxel %d: %v != %v (daemon output not bit-identical)", f, i, gg.Data[i], wg.Data[i])
+			v := decodeView(t, postJSON(t, ts.URL+"/jobs", testSpec(url, outDir)))
+			if v.ID != 1 || v.State == "" {
+				t.Fatalf("submit returned %+v", v)
 			}
-		}
+			final := pollTerminal(t, ts.URL, v.ID, State.Terminal)
+			if final.State != StateCompleted {
+				t.Fatalf("job finished %s (%s: %s)", final.State, final.ErrKind, final.Error)
+			}
+			if final.Report == nil {
+				t.Fatal("completed job carries no run report")
+			}
+
+			got, err := filters.ReadUSODir(outDir, outDims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for f, wg := range want {
+				gg := got[f]
+				if gg == nil {
+					t.Fatalf("feature %v missing from USO output", f)
+				}
+				if len(gg.Data) != len(wg.Data) {
+					t.Fatalf("feature %v: %d values, want %d", f, len(gg.Data), len(wg.Data))
+				}
+				for i := range wg.Data {
+					if gg.Data[i] != wg.Data[i] {
+						t.Fatalf("feature %v voxel %d: %v != %v (daemon output not bit-identical)", f, i, gg.Data[i], wg.Data[i])
+					}
+				}
+			}
+		})
 	}
 }
 

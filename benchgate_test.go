@@ -177,7 +177,7 @@ func TestResilienceBenchGate(t *testing.T) {
 
 	open := func(rt http.RoundTripper, pol *resilience.Policy) *dataset.Store {
 		t.Helper()
-		uopts := &dataset.URLOptions{ResiliencePolicy: pol}
+		uopts := &dataset.URLOptions{Resilience: pol.NewSet()}
 		if rt != nil {
 			uopts.HTTPClient = &http.Client{Transport: rt}
 		}

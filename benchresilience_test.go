@@ -106,7 +106,7 @@ func TestWriteResilienceBenchJSON(t *testing.T) {
 
 	open := func(rt http.RoundTripper, pol *resilience.Policy) *dataset.Store {
 		t.Helper()
-		uopts := &dataset.URLOptions{ResiliencePolicy: pol}
+		uopts := &dataset.URLOptions{Resilience: pol.NewSet()}
 		if rt != nil {
 			uopts.HTTPClient = &http.Client{Transport: rt}
 		}

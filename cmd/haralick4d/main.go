@@ -60,7 +60,6 @@ type cli struct {
 	data, graph  string
 	engine       pipeline.Engine
 	codec        filter.Codec
-	retry        *filter.RetryPolicy
 	resilience   *resilience.Policy
 	iic          int
 	checkpoint   string
@@ -90,10 +89,7 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 		c.codec, err = filter.ParseCodec(s)
 		return err
 	})
-	fs.Func("retry", "TCP link retry policy \"attempts[,base[,max]]\", e.g. \"5,10ms,1s\" (empty = single-shot sends)", func(s string) (err error) {
-		c.retry, err = filter.ParseRetry(s)
-		return err
-	})
+	retryS := fs.String("retry", "", "retry schedule \"attempts[,base[,max]]\" for backend calls and TCP links, e.g. \"5,10ms,1s\" (empty = 3 backend attempts, single-shot TCP sends)")
 	brkS := fs.String("breaker", "", "circuit breaker \"consec[,open-for[,window,error-rate]]\" for backend calls and TCP links, e.g. \"5,2s\" (empty = off)")
 	budgetS := fs.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" capping total retries against a sick dependency, e.g. \"10,0.1\" (empty = unbounded)")
 	hedgeS := fs.String("hedge-after", "", "launch a second backend range read if the first has not answered within this duration, e.g. 200ms (empty = off)")
@@ -109,7 +105,7 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	err := c.check(*brkS, *budgetS, *hedgeS, *ckptIntS)
+	err := c.check(*retryS, *brkS, *budgetS, *hedgeS, *ckptIntS)
 	if err != nil {
 		fmt.Fprintf(out, "haralick4d: %v\n", err)
 		fs.Usage()
@@ -120,7 +116,7 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 
 // check validates a parsed command line: the spec with its one Validate,
 // then the engine-run options.
-func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
+func (c *cli) check(retryS, brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 	if c.spec.Dataset == "" {
 		c.spec.Dataset = c.data
 	}
@@ -136,7 +132,7 @@ func (c *cli) check(brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 	if c.ckptInterval, err = cliflags.ParseRestartFlags(c.checkpoint, c.resume, ckptIntS); err != nil {
 		return err
 	}
-	c.resilience, err = cliflags.ParseResilienceFlags(brkS, budgetS, hedgeS)
+	c.resilience, err = cliflags.ParseResilienceFlags(retryS, brkS, budgetS, hedgeS)
 	return err
 }
 
@@ -170,10 +166,10 @@ func main() {
 // runs it on the selected engine.
 func (c *cli) run() error {
 	store, err := dataset.OpenURL(context.Background(), c.spec.Dataset, &dataset.URLOptions{
-		CacheBlocks:      c.spec.CacheBlocks,
-		CacheBlockSize:   c.spec.CacheBlockSize,
-		ResiliencePolicy: c.resilience,
-		ServeStale:       c.spec.ServeStale,
+		CacheBlocks:    c.spec.CacheBlocks,
+		CacheBlockSize: c.spec.CacheBlockSize,
+		Resilience:     c.resilience.NewSet(),
+		ServeStale:     c.spec.ServeStale,
 	})
 	if err != nil {
 		return err
@@ -270,15 +266,9 @@ func (c *cli) run() error {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.spec.Deadline))
 		defer cancel()
 	}
-	if c.resilience != nil && c.retry != nil {
-		// The same flag-level policy arms the TCP links: each ordered node
-		// pair gets its own breaker and retry budget.
-		c.retry.PairBudget = c.resilience.Budget
-		c.retry.PairBreaker = c.resilience.Breaker
-	}
 	rs, err := pipeline.RunContext(ctx, g, c.engine, &pipeline.RunOptions{
 		WireCodec:    c.codec,
-		Retry:        c.retry,
+		Resilience:   c.resilience,
 		Failover:     cfg.FaultPolicy == fault.SkipDegraded,
 		StallTimeout: time.Duration(c.spec.StallTimeout),
 	})

@@ -1,14 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"haralick4d/internal/dataset"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
+	"haralick4d/internal/synthetic"
 )
 
 // The default run is the parallel kernel with self-sized read-ahead into
@@ -121,6 +127,8 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-autotune-interval", "5ms"}, "flag provided but not defined: -autotune-interval"},
 		{[]string{"-autotune-seed", "7"}, "flag provided but not defined: -autotune-seed"},
 		{[]string{"-dicom"}, "flag provided but not defined: -dicom"},
+		{[]string{"-retry", "0,5ms"}, "-retry: resilience: invalid retry attempts"},
+		{[]string{"-retry-budget", "10,0"}, "-retry-budget: resilience: invalid budget replenish ratio"},
 	}
 	for _, c := range cases {
 		if _, err := parseArgs(append([]string{"-data", "study"}, c.args...), io.Discard); err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -129,5 +137,46 @@ func TestParseArgsRejects(t *testing.T) {
 	}
 	if _, err := parseArgs(nil, io.Discard); err == nil || !strings.Contains(err.Error(), "-data or -dataset-url is required") {
 		t.Errorf("no dataset: err = %v", err)
+	}
+}
+
+// TestBreakerArmsTCPLinksWithoutRetry: -breaker and -retry-budget are one
+// policy with -retry, so a breaker alone arms one on every node pair the
+// TCP engine uses, with single-shot sends.
+func TestBreakerArmsTCPLinksWithoutRetry(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := dataset.Write(filepath.Join(dir, "data"), synthetic.Generate(synthetic.Config{Dims: [4]int{12, 12, 3, 3}, Seed: 3}), 2); err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(dir, "report.json")
+	c, err := parseArgs([]string{"-data", filepath.Join(dir, "data"), "-engine", "tcp", "-breaker", "5,1s",
+		"-roi", "4x4x2x2", "-gray", "8", "-texture", "2", "-format", "none", "-metrics-json", report}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Network []struct {
+			FromNode     int    `json:"from_node"`
+			ToNode       int    `json:"to_node"`
+			BreakerState string `json:"breaker_state"`
+		} `json:"network"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Network) == 0 {
+		t.Fatal("TCP run reported no node links")
+	}
+	for _, l := range rep.Network {
+		if l.BreakerState != resilience.StateClosed {
+			t.Errorf("link %d->%d breaker state %q, want %q", l.FromNode, l.ToNode, l.BreakerState, resilience.StateClosed)
+		}
 	}
 }

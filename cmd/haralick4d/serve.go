@@ -39,7 +39,7 @@ func serveMain(args []string) {
 	cfg, err := cliflags.ParseServeFlags(*addr, *stateDir,
 		*maxJobs, *maxQueue, *totalRA, *totalWk, *jobRA, *jobWk, *drainS, *stallS)
 	if err == nil {
-		cfg.Resilience, err = cliflags.ParseResilienceFlags(*brkS, *budgetS, *hedgeS)
+		cfg.Resilience, err = cliflags.ParseResilienceFlags("", *brkS, *budgetS, *hedgeS)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "haralick4d serve: %v\n", err)

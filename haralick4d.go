@@ -129,11 +129,6 @@ type Options struct {
 	// stays nil. Metrics are on by default and cost a few atomic operations
 	// per stream buffer.
 	DisableMetrics bool
-	// Retry bounds reconnect-and-retransmit on engines with real transport
-	// faults. The local engine AnalyzeDataset uses has none, so this is
-	// carried for callers driving the TCP engine through the pipeline
-	// package; nil keeps single-shot sends.
-	Retry *RetryPolicy
 	// Checkpoint is the path of a durable progress journal (AnalyzeDataset
 	// only): every assembled output portion is recorded there as it lands,
 	// so a crashed or killed run can be continued with Resume instead of
@@ -150,10 +145,11 @@ type Options struct {
 	// bit-identical to an uninterrupted run. Requires Checkpoint.
 	Resume bool
 	// Resilience arms failure-control on the dataset backend (AnalyzeDataset
-	// only): a circuit breaker fast-failing calls while the backend is sick,
-	// a shared retry budget capping total retry traffic, and hedged range
-	// reads for tail latency. Nil — the default — keeps the plain retry
-	// behavior. Most useful with remote (http) dataset URLs.
+	// only): the retry schedule, a circuit breaker fast-failing calls while
+	// the backend is sick, a shared retry budget capping total retry
+	// traffic, and hedged range reads for tail latency. Nil — the default —
+	// keeps the default retry schedule. Most useful with remote (http)
+	// dataset URLs.
 	Resilience *ResiliencePolicy
 	// Progress, when non-nil, is called with a live cumulative progress
 	// summary every ProgressInterval while a pipeline run is in flight —
@@ -230,13 +226,10 @@ const (
 	SkipDegraded = fault.SkipDegraded
 )
 
-// RetryPolicy bounds transport retries (see internal/filter.RetryPolicy).
-type RetryPolicy = filter.RetryPolicy
-
-// ResiliencePolicy configures the failure-control primitives — circuit
-// breaker, shared retry budget, hedged reads (see
+// ResiliencePolicy configures the failure-control primitives — retry
+// schedule, circuit breaker, shared retry budget, hedged reads (see
 // internal/resilience.Policy). Parse flag-style specs with
-// resilience.ParseBreaker / resilience.ParseBudget.
+// resilience.ParseRetry / ParseBreaker / ParseBudget.
 type ResiliencePolicy = resilience.Policy
 
 // Typed failures an analysis can return; match with errors.Is.
@@ -411,7 +404,6 @@ func (o *Options) runOptions() *pipeline.RunOptions {
 		// SkipDegraded asks for a run that survives faults, so crashed
 		// copies fail over to survivors instead of aborting.
 		Failover:     o.FaultPolicy == SkipDegraded,
-		Retry:        o.Retry,
 		StallTimeout: time.Duration(o.StallTimeout),
 	}
 }
@@ -453,10 +445,10 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		defer cancel()
 	}
 	st, err := dataset.OpenURL(ctx, url, &dataset.URLOptions{
-		CacheBlocks:      opts.CacheBlocks,
-		CacheBlockSize:   opts.CacheBlockSize,
-		ResiliencePolicy: opts.Resilience,
-		ServeStale:       opts.ServeStale,
+		CacheBlocks:    opts.CacheBlocks,
+		CacheBlockSize: opts.CacheBlockSize,
+		Resilience:     opts.Resilience.NewSet(),
+		ServeStale:     opts.ServeStale,
 	})
 	if err != nil {
 		return nil, err

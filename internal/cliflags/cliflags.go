@@ -35,13 +35,17 @@ func ParseRestartFlags(checkpoint string, resume bool, intervalS string) (time.D
 	return d, nil
 }
 
-// ParseResilienceFlags validates the resilience flag subset shared by the
-// analysis CLI and the daemon: -breaker "consec[,open-for[,window,rate]]",
-// -retry-budget "tokens[,ratio]" and the -hedge-after duration. Empty
-// strings disable each primitive; a policy with nothing enabled comes back
-// nil so callers can pass it straight through. Violations are usage errors.
-func ParseResilienceFlags(breakerS, budgetS, hedgeS string) (pol *resilience.Policy, err error) {
+// ParseResilienceFlags validates the resilience flags: the analysis CLI's
+// -retry "attempts[,base[,max]]", and -breaker
+// "consec[,open-for[,window,rate]]", -retry-budget "tokens[,ratio]" and the
+// -hedge-after duration, which the daemon shares (it passes "" for -retry).
+// Empty strings keep each default; a policy with nothing set comes back nil
+// so callers can pass it straight through. Violations are usage errors.
+func ParseResilienceFlags(retryS, breakerS, budgetS, hedgeS string) (pol *resilience.Policy, err error) {
 	var p resilience.Policy
+	if p.Retry, err = resilience.ParseRetry(retryS); err != nil {
+		return nil, fmt.Errorf("-retry: %v", err)
+	}
 	if p.Breaker, err = resilience.ParseBreaker(breakerS); err != nil {
 		return nil, fmt.Errorf("-breaker: %v", err)
 	}

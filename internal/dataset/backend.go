@@ -95,7 +95,7 @@ type Stats struct {
 	CacheEvictions  int64 `json:"cache_evictions,omitempty"`
 	CacheFetchBytes int64 `json:"cache_fetch_bytes,omitempty"`
 	// Resilience counters, populated when the backend carries a
-	// resilience.Set (URLOptions.Resilience / ResiliencePolicy): circuit
+	// resilience.Set (URLOptions.Resilience): circuit
 	// breaker state and transition counts, shared-retry-budget spend, and
 	// hedged-read outcomes. StaleReads counts unavailable reads converted
 	// to degraded by the serve-stale layer.

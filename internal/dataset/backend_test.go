@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"haralick4d/internal/fault"
+	"haralick4d/internal/resilience"
 )
 
 func TestParseURL(t *testing.T) {
@@ -486,7 +487,7 @@ func TestHTTPBackendUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serveDataset(t, dir)
-	st, err := OpenURL(context.Background(), srv.URL, &URLOptions{HTTPAttempts: 2})
+	st, err := OpenURL(context.Background(), srv.URL, &URLOptions{Resilience: &resilience.Set{Retry: resilience.Retry{Attempts: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +578,7 @@ func TestHTTPBackendCancellation(t *testing.T) {
 
 	t.Run("pre-canceled", func(t *testing.T) {
 		flaky := &fault.FlakyTransport{}
-		be, err := NewHTTPBackend(srv.URL, &http.Client{Transport: flaky}, 3)
+		be, err := NewHTTPBackend(srv.URL, &http.Client{Transport: flaky}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +602,7 @@ func TestHTTPBackendCancellation(t *testing.T) {
 			cancel()
 			return resp, rerr
 		})
-		be, err := NewHTTPBackend(srv.URL, &http.Client{Transport: tr}, 3)
+		be, err := NewHTTPBackend(srv.URL, &http.Client{Transport: tr}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,7 +624,7 @@ func TestHTTPBackendCancellation(t *testing.T) {
 			<-r.Context().Done()
 		}))
 		defer slow.Close()
-		be, err := NewHTTPBackend(slow.URL, nil, 1)
+		be, err := NewHTTPBackend(slow.URL, nil, &resilience.Set{Retry: resilience.Retry{Attempts: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +650,7 @@ func TestHTTPBackendCancellation(t *testing.T) {
 			<-r.Context().Done()
 		}))
 		defer slow.Close()
-		be, err := NewHTTPBackend(slow.URL, nil, 1)
+		be, err := NewHTTPBackend(slow.URL, nil, &resilience.Set{Retry: resilience.Retry{Attempts: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,9 +16,10 @@ import (
 	"haralick4d/internal/resilience"
 )
 
-// DefaultHTTPAttempts is the per-request try budget of the HTTP backend:
-// transient transport failures and server errors are retried with a short
-// linear backoff before the read is reported ErrBackendUnavailable.
+// DefaultHTTPAttempts is the HTTP backend's tries per request when its
+// resilience set names no retry schedule: transient transport failures and
+// server errors are retried after 10ms and 20ms before the read is reported
+// ErrBackendUnavailable.
 const DefaultHTTPAttempts = 3
 
 // maxServerBackoff bounds a server-directed Retry-After wait when the
@@ -39,65 +42,36 @@ const httpConns = readahead.MaxRequests
 // checksums travel in the index files unchanged, so CRC verification catches
 // remote bit rot exactly as it does local.
 type HTTPBackend struct {
-	base     *url.URL
-	client   *http.Client
-	owned    *http.Transport // non-nil when the backend built its own transport
-	attempts int
-	c        counters
-	// res is the backend's resilience set: breaker gating every request,
-	// shared budget funding retries, hedger racing slow range reads. Nil
-	// leaves the plain retry loop untouched.
+	base   *url.URL
+	client *http.Client
+	owned  *http.Transport // non-nil when the backend built its own transport
+	c      counters
+	// res is the backend's resilience set: retry schedule, breaker gating
+	// every request, shared budget funding retries, hedger racing slow range
+	// reads. Nil runs the default schedule and nothing else.
 	res *resilience.Set
 }
 
-// SetResilience attaches a resilience set to the backend. Call before
-// serving reads. The set may be shared across backends hitting the same
-// host — the daemon's per-host registry does exactly that, so one sick host
-// is capped by one breaker and one retry budget no matter how many jobs
-// read from it.
-func (b *HTTPBackend) SetResilience(s *resilience.Set) { b.res = s }
-
-func (b *HTTPBackend) breaker() *resilience.Breaker {
-	if b.res == nil {
-		return nil
+// retry is the backend's schedule: the set's, with DefaultHTTPAttempts when
+// it names no count.
+func (b *HTTPBackend) retry() resilience.Retry {
+	var r resilience.Retry
+	if b.res != nil {
+		r = b.res.Retry
 	}
-	return b.res.Breaker
-}
-
-func (b *HTTPBackend) budget() *resilience.RetryBudget {
-	if b.res == nil {
-		return nil
-	}
-	return b.res.Budget
-}
-
-func (b *HTTPBackend) hedger() *resilience.Hedger {
-	if b.res == nil {
-		return nil
-	}
-	return b.res.Hedger
-}
-
-// record reports one answered-or-failed request to the breaker — under the
-// token its Allow granted — and, on success, credits the retry budget.
-func (b *HTTPBackend) record(tok resilience.Token, err error) {
-	if b.res == nil {
-		return
-	}
-	if b.res.Breaker != nil {
-		b.res.Breaker.Record(tok, err)
-	}
-	if err == nil {
-		b.res.Budget.Deposit()
-	}
+	r.Attempts = cmp.Or(r.Attempts, DefaultHTTPAttempts)
+	return r
 }
 
 // NewHTTPBackend returns a Backend rooted at baseURL (the directory that
 // holds dataset.json). client nil gives the backend a transport of its own
 // (a clone of http.DefaultTransport with a pool of httpConns connections),
 // which Close shuts down; a caller-supplied client stays the
-// caller's. attempts <= 0 selects DefaultHTTPAttempts.
-func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBackend, error) {
+// caller's. res may be nil, or shared across backends hitting the same
+// host — the daemon's per-host registry does exactly that, so one sick host
+// is capped by one breaker and one retry budget no matter how many jobs
+// read from it.
+func NewHTTPBackend(baseURL string, client *http.Client, res *resilience.Set) (*HTTPBackend, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: invalid backend URL %q: %w", baseURL, err)
@@ -123,10 +97,7 @@ func NewHTTPBackend(baseURL string, client *http.Client, attempts int) (*HTTPBac
 		owned.MaxIdleConns = httpConns
 		client = &http.Client{Transport: owned}
 	}
-	if attempts <= 0 {
-		attempts = DefaultHTTPAttempts
-	}
-	return &HTTPBackend{base: u, client: client, owned: owned, attempts: attempts}, nil
+	return &HTTPBackend{base: u, client: client, owned: owned, res: res}, nil
 }
 
 // Scheme implements Backend.
@@ -159,117 +130,81 @@ func retryAfterWait(resp *http.Response) time.Duration {
 	return 0
 }
 
-// do issues one GET with the retry budget. On success the caller owns the
-// response body. want lists the statuses that count as success. Transport
-// errors, 5xx and 429 shedding are transient and retried; 404/410 report the
-// object missing; any other status is definitive and fails the request.
+// do issues one GET under the backend's retry schedule. On success the
+// caller owns the response body. want lists the statuses that count as
+// success. Transport errors, 5xx and 429 shedding are transient and retried;
+// 404/410 report the object missing; any other status is definitive and
+// fails the request.
 //
-// With a resilience set attached, every request first asks the breaker
-// (open ⇒ immediate ErrBackendUnavailable wrapping resilience.ErrOpen),
-// every retry is funded by the shared budget (empty ⇒ the attempt loop is
-// abandoned as budget-exhausted), and a 429/503 Retry-After header replaces
-// the linear backoff, capped at maxServerBackoff and the context deadline.
+// Every request first asks the breaker (open ⇒ immediate
+// ErrBackendUnavailable wrapping resilience.ErrOpen), and a 429/503
+// Retry-After header replaces the backoff, capped at maxServerBackoff; the
+// loop itself (resilience.Retry.Do) funds retries from the shared budget and
+// bounds its sleeps by the context deadline. A canceled context surfaces
+// ctx.Err() unmarked: cancellation is the caller's decision, not a backend
+// failure, and must not trip the failover taxonomy.
 func (b *HTTPBackend) do(ctx context.Context, u, rangeHdr string, want ...int) (*http.Response, error) {
-	var lastErr error
-	var wait time.Duration // server-directed backoff from Retry-After
-	for attempt := 0; attempt < b.attempts; attempt++ {
-		// A canceled context aborts the budget immediately and surfaces
-		// ctx.Err() unmarked: cancellation is the caller's decision, not a
-		// backend failure, and must not trip the failover taxonomy.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if attempt > 0 {
-			// An open breaker rejects the request at Allow anyway; fail fast
-			// before spending a shared budget token and sleeping the backoff,
-			// so a brownout doesn't drain the budget on doomed attempts. A
-			// probe-due breaker (ProbeIn elapsed) falls through so this retry
-			// can perform the half-open probe.
-			if br := b.breaker(); br != nil {
-				if bs := br.Snapshot(); bs.State == resilience.StateOpen && bs.ProbeIn > 0 {
-					return nil, backendErrf("GET %s: %w after %d attempts, last: %v",
-						u, resilience.ErrOpen, attempt, lastErr)
-				}
-			}
-			if !b.budget().Withdraw() {
-				return nil, backendErrf("GET %s: %w after %d attempts, last: %v",
-					u, resilience.ErrBudgetExhausted, attempt, lastErr)
-			}
-			// Server-directed wait when the last response carried
-			// Retry-After, otherwise a deterministic linear backoff: long
-			// enough to skate over a broken keep-alive connection, short
-			// enough for tests.
-			d := wait
-			if d <= 0 {
-				d = time.Duration(attempt) * 10 * time.Millisecond
-			} else if d > maxServerBackoff {
-				d = maxServerBackoff
-			}
-			// ctx.Done bounds the sleep at the deadline. Clamping d to the
-			// time left instead would race the two timers, and a retry that
-			// won would reach the server with no time to be answered.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(d):
-			}
-		}
-		wait = 0
+	var resp *http.Response
+	var final error // a definitive outcome, already in the backend's taxonomy
+	stop := func(err error) (time.Duration, error) {
+		final = err
+		return 0, resilience.Permanent(err)
+	}
+	err := b.retry().Do(ctx, b.res, nil, nil, func(int) (time.Duration, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
-			return nil, backendErrf("GET %s: %w", u, err)
+			return stop(backendErrf("GET %s: %w", u, err))
 		}
 		if rangeHdr != "" {
 			req.Header.Set("Range", rangeHdr)
 		}
-		var tok resilience.Token
-		if br := b.breaker(); br != nil {
-			var aerr error
-			if tok, aerr = br.Allow(); aerr != nil {
-				return nil, backendErrf("GET %s: %w", u, aerr)
-			}
+		tok, err := b.res.Allow()
+		if err != nil {
+			return stop(backendErrf("GET %s: %w", u, err))
 		}
-		resp, err := b.client.Do(req)
+		r, err := b.client.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Release a granted probe without a verdict: caller-side
 				// cancellation says nothing about the dependency.
-				if br := b.breaker(); br != nil {
-					br.Cancel(tok)
-				}
-				return nil, ctx.Err()
+				b.res.Cancel(tok)
+				return stop(ctx.Err())
 			}
-			b.record(tok, err)
-			lastErr = err
-			continue
+			b.res.Record(tok, err)
+			return 0, err
 		}
 		// The server answered: 5xx and 429 count against the breaker,
 		// anything else (including 404) is evidence of health.
-		transient := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		if transient {
-			b.record(tok, fmt.Errorf("%s", resp.Status))
-		} else {
-			b.record(tok, nil)
+		var status error
+		if r.StatusCode >= 500 || r.StatusCode == http.StatusTooManyRequests {
+			status = errors.New(r.Status)
 		}
+		b.res.Record(tok, status)
 		for _, w := range want {
-			if resp.StatusCode == w {
-				return resp, nil
+			if r.StatusCode == w {
+				resp = r
+				return 0, nil
 			}
 		}
-		wait = retryAfterWait(resp)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
+		wait := min(retryAfterWait(r), maxServerBackoff)
+		io.Copy(io.Discard, io.LimitReader(r.Body, 4096))
+		r.Body.Close()
 		switch {
-		case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusGone:
-			return nil, notExistf("dataset: GET %s: %s", u, resp.Status)
-		case transient:
-			lastErr = fmt.Errorf("%s", resp.Status)
-			continue
+		case r.StatusCode == http.StatusNotFound || r.StatusCode == http.StatusGone:
+			return stop(notExistf("dataset: GET %s: %s", u, r.Status))
+		case status != nil:
+			return wait, status
 		default:
-			return nil, backendErrf("GET %s: unexpected status %s", u, resp.Status)
+			return stop(backendErrf("GET %s: unexpected status %s", u, r.Status))
 		}
+	})
+	// Transient failures come back from the loop raw — after its attempts,
+	// or cut short by the breaker or the budget — and mean the backend is
+	// unavailable. Wrapping them once here keeps the retry path lean.
+	if err != nil && err != final && err != ctx.Err() {
+		err = backendErrf("GET %s: %w", u, err)
 	}
-	return nil, backendErrf("GET %s: %d attempts failed, last: %w", u, b.attempts, lastErr)
+	return resp, err
 }
 
 // Open implements Backend without touching the network: a missing object or
@@ -311,16 +246,10 @@ func (b *HTTPBackend) List(ctx context.Context, dir string) ([]string, error) {
 // Stats implements Backend.
 func (b *HTTPBackend) Stats() Stats {
 	s := b.c.stats(b.Scheme(), b.URL())
-	if b.res != nil {
-		rs := b.res.Snapshot()
-		s.BreakerState = rs.BreakerState
-		s.BreakerTrips = rs.BreakerTrips
-		s.BreakerProbes = rs.BreakerProbes
-		s.RetryBudgetSpent = rs.BudgetSpent
-		s.RetryBudgetDenied = rs.BudgetDenied
-		s.HedgedReads = rs.Hedges
-		s.HedgeWins = rs.HedgeWins
-	}
+	rs := b.res.Snapshot()
+	s.BreakerState, s.BreakerTrips, s.BreakerProbes = rs.BreakerState, rs.BreakerTrips, rs.BreakerProbes
+	s.RetryBudgetSpent, s.RetryBudgetDenied = rs.BudgetSpent, rs.BudgetDenied
+	s.HedgedReads, s.HedgeWins = rs.Hedges, rs.HedgeWins
 	return s
 }
 
@@ -359,8 +288,7 @@ func parseContentRange(h string) (start, total int64, err error) {
 // a second identical GET; the attempts write private buffers so the loser
 // can finish (or be canceled) without touching the winner's result.
 func (o *httpObject) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	h := o.be.hedger()
-	if h == nil {
+	if o.be.res == nil || o.be.res.Hedger == nil {
 		return o.readAt(ctx, p, off, &o.be.c)
 	}
 	type ranged struct {
@@ -369,7 +297,7 @@ func (o *httpObject) ReadAt(ctx context.Context, p []byte, off int64) (int, erro
 		err error     // io.EOF rides along with valid short reads
 		io  *counters // the attempt's private I/O tally
 	}
-	r, err := resilience.Hedge(ctx, h, func(ctx context.Context) (ranged, error) {
+	r, err := resilience.Hedge(ctx, o.be.res.Hedger, func(ctx context.Context) (ranged, error) {
 		buf := make([]byte, len(p))
 		var c counters
 		n, err := o.readAt(ctx, buf, off, &c)

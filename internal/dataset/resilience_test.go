@@ -16,7 +16,7 @@ import (
 // TestHTTPRetryAfterHonored is the regression test for Retry-After
 // handling: a server that sheds the first request with 503 + Retry-After
 // must see the client come back after the advertised wait, not after the
-// 10ms linear backoff.
+// 10ms backoff.
 func TestHTTPRetryAfterHonored(t *testing.T) {
 	var calls atomic.Int64
 	var times [2]time.Time
@@ -35,7 +35,7 @@ func TestHTTPRetryAfterHonored(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 3)
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestHTTPRetryAfterCappedByDeadline(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 3)
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHTTP429Retried(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 3)
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestHTTPBreakerFastFail(t *testing.T) {
 	defer srv.Close()
 
 	set := (&resilience.Policy{
+		Retry:   resilience.Retry{Attempts: 1},
 		Breaker: &resilience.BreakerConfig{ConsecFails: 3, OpenFor: time.Hour},
 	}).NewSet()
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 1)
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be.SetResilience(set)
 
 	for i := 0; i < 3; i++ {
 		if _, err := be.ReadFile(context.Background(), "dataset.json"); !errors.Is(err, ErrBackendUnavailable) {
@@ -149,13 +149,13 @@ func TestHTTPBudgetBoundsRetries(t *testing.T) {
 	defer srv.Close()
 
 	set := (&resilience.Policy{
+		Retry:  resilience.Retry{Attempts: 10},
 		Budget: &resilience.BudgetConfig{Tokens: 2, Ratio: 0.1},
 	}).NewSet()
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 10)
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be.SetResilience(set)
 
 	_, err = be.ReadFile(context.Background(), "dataset.json")
 	if !errors.Is(err, ErrBackendUnavailable) {
@@ -195,12 +195,11 @@ func TestHTTPHedgedRead(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	set := (&resilience.Policy{HedgeAfter: 20 * time.Millisecond}).NewSet()
-	be, err := NewHTTPBackend(srv.URL, srv.Client(), 1)
+	set := (&resilience.Policy{Retry: resilience.Retry{Attempts: 1}, HedgeAfter: 20 * time.Millisecond}).NewSet()
+	be, err := NewHTTPBackend(srv.URL, srv.Client(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be.SetResilience(set)
 
 	obj, err := be.Open(context.Background(), "slice.raw")
 	if err != nil {
@@ -234,7 +233,7 @@ func TestServeStaleConvertsUnavailable(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	be, err := NewBackend(srv.URL, &URLOptions{HTTPAttempts: 1, ServeStale: true})
+	be, err := NewBackend(srv.URL, &URLOptions{Resilience: &resilience.Set{Retry: resilience.Retry{Attempts: 1}}, ServeStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,22 +25,16 @@ type URLOptions struct {
 	// HTTPClient overrides http.DefaultClient for http(s) backends — the
 	// seam for transport fault injection and custom TLS/timeouts.
 	HTTPClient *http.Client
-	// HTTPAttempts bounds tries per HTTP request; 0 selects
-	// DefaultHTTPAttempts.
-	HTTPAttempts int
 	// LocalMaxOpen bounds the local backend's file-descriptor cache; 0
 	// selects DefaultMaxOpenFiles, negative disables handle reuse.
 	LocalMaxOpen int
-	// Resilience attaches a pre-built — possibly shared — resilience set
-	// (circuit breaker, retry budget, hedger) to http(s) backends. The
-	// daemon passes per-host sets here so every job reading one host
-	// shares one breaker and one storm-proof retry budget.
+	// Resilience attaches a resilience set (retry schedule, circuit
+	// breaker, retry budget, hedger) to http(s) backends. The daemon passes
+	// per-host sets here so every job reading one host shares one breaker
+	// and one storm-proof retry budget; the CLI a private one built from
+	// its policy (Policy.NewSet). Nil runs the backend's default retry
+	// schedule and nothing else.
 	Resilience *resilience.Set
-	// ResiliencePolicy builds a private set for this backend when
-	// Resilience is nil — the CLI path, parsed from -breaker,
-	// -retry-budget and -hedge-after. Nil (with Resilience nil) leaves the
-	// backend's plain retry loop untouched.
-	ResiliencePolicy *resilience.Policy
 	// ServeStale converts transport-unavailable positioned reads into
 	// ErrDegradedData, so a run with fault-policy skip-degraded rides out
 	// a backend brownout on cached blocks and reports the unreachable ROIs
@@ -108,16 +102,9 @@ func NewBackend(rawurl string, o *URLOptions) (Backend, error) {
 		}
 		be = mb
 	default: // http, https — ParseURL admits nothing else
-		hb, err := NewHTTPBackend(rest, o.HTTPClient, o.HTTPAttempts)
-		if err != nil {
+		if be, err = NewHTTPBackend(rest, o.HTTPClient, o.Resilience); err != nil {
 			return nil, err
 		}
-		if o.Resilience != nil {
-			hb.SetResilience(o.Resilience)
-		} else if s := o.ResiliencePolicy.NewSet(); s != nil {
-			hb.SetResilience(s)
-		}
-		be = hb
 	}
 	if o.CacheBlocks > 0 {
 		cb, err := NewCachedBackend(be, o.CacheBlockSize, o.CacheBlocks)

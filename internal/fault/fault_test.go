@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"haralick4d/internal/filter"
+	"haralick4d/internal/resilience"
 )
 
 func TestPolicyParseRoundTrip(t *testing.T) {
@@ -193,15 +194,12 @@ func TestCrashAfterWithoutFailoverFails(t *testing.T) {
 	}
 }
 
-func retryPolicy() *filter.RetryPolicy {
-	return &filter.RetryPolicy{
-		MaxAttempts: 6,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		SendTimeout: 2 * time.Second,
-		RecvTimeout: 2 * time.Second,
-		Seed:        42,
-	}
+func retryPolicy() *resilience.Policy {
+	return &resilience.Policy{Retry: resilience.Retry{
+		Attempts: 6,
+		Base:     time.Millisecond,
+		Max:      20 * time.Millisecond,
+	}}
 }
 
 func TestFlakyTCPLinkWithRetry(t *testing.T) {
@@ -214,10 +212,12 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 	}
 	g, got := chaosGraph(n, forward, []int{0, 1, 2})
 	rs, err := filter.RunTCP(g, &filter.Options{
-		WireCodec: filter.CodecBinary,
-		Failover:  true,
-		Retry:     retryPolicy(),
-		WrapConn:  wrap,
+		WireCodec:   filter.CodecBinary,
+		Failover:    true,
+		Resilience:  retryPolicy(),
+		SendTimeout: 2 * time.Second,
+		RecvTimeout: 2 * time.Second,
+		WrapConn:    wrap,
 	})
 	if err != nil {
 		t.Fatalf("run with retry: %v", err)

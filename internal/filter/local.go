@@ -11,6 +11,7 @@ import (
 
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/resilience"
 	"haralick4d/internal/sem"
 )
 
@@ -40,13 +41,22 @@ type Options struct {
 	// (ErrCopyFailed / ErrAllCopiesDead). Default off: a copy failure aborts
 	// the run, the original behaviour.
 	Failover bool
-	// Retry hardens the TCP transport (ignored by the pure local engine):
-	// dial and send attempts are retried with exponential backoff and seeded
-	// jitter, deadlines bound sends and frame-body receives, and sequence
+	// Resilience hardens the TCP transport's node links (ignored by the
+	// pure local engine). Its Retry schedule retries dials and sends with
+	// exponential backoff and jitter seeded from the node pair, and sequence
 	// numbers on the wire let the receiver drop duplicates created by
-	// retransmission. Nil disables retries (single attempt, the original
-	// behaviour).
-	Retry *RetryPolicy
+	// retransmission; a zero schedule keeps single-shot sends with no
+	// sequence numbers. Its breaker and budget are instantiated once per
+	// ordered node pair and shared by every copy sending over that link.
+	// Nil: single-shot sends and nothing else.
+	Resilience *resilience.Policy
+	// SendTimeout is the per-attempt write deadline on envelope sends; zero
+	// leaves writes unbounded.
+	SendTimeout time.Duration
+	// RecvTimeout bounds how long the receiver waits for the body of a frame
+	// whose header has already arrived (binary codec only) — a torn frame
+	// from a failed sender is detected instead of hanging. Zero disables it.
+	RecvTimeout time.Duration
 	// WrapConn, when set, wraps every outbound TCP connection right after a
 	// successful dial — the hook used by fault injection (fault.FlakyConn) in
 	// chaos tests. The arguments are the producer and consumer node indices.

@@ -53,8 +53,8 @@ func RunTCPContext(ctx context.Context, g *Graph, opts *Options) (*RunStats, err
 
 // envelope is the wire format of one buffer crossing nodes. FromNode lets
 // the receiver attribute wire traffic to the ordered node pair. Seq is the
-// per-ordered-node-pair sequence number, stamped only when a RetryPolicy is
-// active (Seq 0 means no duplicate suppression): a retransmitted envelope
+// per-ordered-node-pair sequence number, stamped only when the link retries
+// (Seq 0 means no duplicate suppression): a retransmitted envelope
 // keeps its number, so the receiver drops the copy it already enqueued.
 type envelope struct {
 	FromNode int
@@ -99,7 +99,9 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 type tcpTransport struct {
 	rt        *runtime
 	codec     Codec
-	retry     *RetryPolicy // nil: single-attempt sends, no deadlines
+	retry     resilience.Retry // zero: single-attempt sends
+	send      time.Duration    // per-attempt write deadline; 0 = none
+	recv      time.Duration    // frame-body read deadline; 0 = none
 	wrap      func(net.Conn, int, int) net.Conn
 	listeners []net.Listener
 	addrs     []string
@@ -123,9 +125,10 @@ type tcpTransport struct {
 	mets  map[[2]int]*metrics.Conn
 
 	// Per ordered node pair resilience state (breaker + shared retry
-	// budget), created lazily when the retry policy configures either.
-	resMu sync.Mutex
-	res   map[[2]int]*resilience.Set
+	// budget), keyed by pairKey; nil when no policy was given. The set is
+	// shared by every copy sending over the link, and by dial and envelope
+	// retries alike — that sharing is what makes the retry cap storm-proof.
+	res *resilience.Registry
 
 	recvWG   sync.WaitGroup
 	closed   bool
@@ -144,7 +147,7 @@ type tcpConn struct {
 	met *metrics.Conn   // nil when metrics are disabled
 	res *resilience.Set // pair breaker/budget; nil when not configured
 	seq uint64          // last stamped sequence number (retry mode)
-	rng *rand.Rand      // seeded backoff jitter, used under mu
+	rng *rand.Rand      // pair-seeded backoff jitter, used under mu
 }
 
 func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, error) {
@@ -154,10 +157,13 @@ func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, erro
 		conns:   map[[2]int]*tcpConn{},
 		mets:    map[[2]int]*metrics.Conn{},
 		streams: map[[2]int]*pairStream{},
-		res:     map[[2]int]*resilience.Set{},
 	}
 	if opts != nil {
-		tr.retry = opts.Retry
+		if p := opts.Resilience; p != nil {
+			tr.retry = p.Retry
+			tr.res = resilience.NewRegistry(p)
+		}
+		tr.send, tr.recv = opts.SendTimeout, opts.RecvTimeout
 		tr.wrap = opts.WrapConn
 	}
 	for i := 0; i < nodes; i++ {
@@ -191,32 +197,11 @@ func (tr *tcpTransport) connMetric(from, to int) *metrics.Conn {
 	return m
 }
 
-// pairRes returns the ordered node pair's shared resilience set, created on
-// first use, or nil when the retry policy configures neither a pair budget
-// nor a pair breaker. The set is shared by every copy sending over the
-// link, and by dial and envelope retries alike — that sharing is what makes
-// the retry cap storm-proof.
-func (tr *tcpTransport) pairRes(from, to int) *resilience.Set {
-	p := tr.retry
-	if p == nil || (p.PairBudget == nil && p.PairBreaker == nil) {
-		return nil
-	}
-	key := [2]int{from, to}
-	tr.resMu.Lock()
-	defer tr.resMu.Unlock()
-	s, ok := tr.res[key]
-	if !ok {
-		s = &resilience.Set{}
-		if p.PairBreaker != nil {
-			s.Breaker = resilience.NewBreaker(*p.PairBreaker)
-		}
-		if p.PairBudget != nil {
-			s.Budget = resilience.NewRetryBudget(p.PairBudget.Tokens, p.PairBudget.Ratio)
-		}
-		tr.res[key] = s
-	}
-	return s
-}
+// pairKey names an ordered node pair in the resilience registry.
+func pairKey(from, to int) string { return fmt.Sprintf("%d->%d", from, to) }
+
+// retrying reports whether the links retry, and so stamp sequence numbers.
+func (tr *tcpTransport) retrying() bool { return tr.retry.Attempts > 1 }
 
 // netReport snapshots per-connection activity for the run report, ordered by
 // (from, to) node pair.
@@ -233,6 +218,7 @@ func (tr *tcpTransport) netReport() []metrics.ConnReport {
 		}
 		return keys[i][1] < keys[j][1]
 	})
+	sets := tr.res.Snapshot()
 	out := make([]metrics.ConnReport, 0, len(keys))
 	for _, k := range keys {
 		m := tr.mets[k]
@@ -250,17 +236,9 @@ func (tr *tcpTransport) netReport() []metrics.ConnReport {
 			DupsDropped:  m.DupsDropped.Load(),
 			RecvErrors:   m.RecvErrors.Load(),
 		}
-		tr.resMu.Lock()
-		set := tr.res[k]
-		tr.resMu.Unlock()
-		if set != nil {
-			rs := set.Snapshot()
-			cr.BreakerState = rs.BreakerState
-			cr.BreakerTrips = rs.BreakerTrips
-			cr.BreakerProbes = rs.BreakerProbes
-			cr.BudgetSpent = rs.BudgetSpent
-			cr.BudgetDenied = rs.BudgetDenied
-		}
+		rs := sets[pairKey(k[0], k[1])]
+		cr.BreakerState, cr.BreakerTrips, cr.BreakerProbes = rs.BreakerState, rs.BreakerTrips, rs.BreakerProbes
+		cr.BudgetSpent, cr.BudgetDenied = rs.BudgetSpent, rs.BudgetDenied
 		out = append(out, cr)
 	}
 	return out
@@ -342,8 +320,8 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 	var dec envelopeDecoder
 	if tr.codec == CodecBinary {
 		bd := &binaryEnvelopeDecoder{r: cr}
-		if tr.retry != nil && tr.retry.RecvTimeout > 0 {
-			bd.conn, bd.bodyTimeout = conn, tr.retry.RecvTimeout
+		if tr.recv > 0 {
+			bd.conn, bd.bodyTimeout = conn, tr.recv
 		}
 		dec = bd
 	} else {
@@ -357,7 +335,7 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 		env, err := dec.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !tr.isClosed() && !dropping {
-				if tr.retry.enabled() {
+				if tr.retrying() {
 					// A torn frame from a broken sender: drop this socket and
 					// rely on the sender's retransmission over a fresh one —
 					// the pair resequencer drops anything already delivered.
@@ -471,64 +449,56 @@ func (tr *tcpTransport) sequence(from, to int, env envelope) (ready []envelope, 
 	return ready, false
 }
 
-// pairRNG seeds the backoff-jitter source deterministically from the policy
-// seed and the ordered node pair, so chaos runs reproduce exactly.
-func (tr *tcpTransport) pairRNG(from, to int) *rand.Rand {
-	if !tr.retry.enabled() {
-		return nil
+// retry runs one link operation — a dial or an envelope send — under the
+// links' retry schedule, funded by the pair's shared set and jittered by the
+// pair's source. A run abort ends it with errStopped.
+func (c *tcpConn) retry(try func(attempt int) error) error {
+	err := c.tr.retry.Do(doneCtx{done: c.tr.rt.done}, c.res, c.rng, func() {
+		if c.met != nil {
+			c.met.Retries.Inc()
+		}
+	}, func(attempt int) (time.Duration, error) { return 0, try(attempt) })
+	if errors.Is(err, context.Canceled) {
+		return errStopped
 	}
-	seed := tr.retry.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return rand.New(rand.NewSource(seed<<16 ^ int64(from)<<8 ^ int64(to)))
+	return err
 }
 
-// dial establishes the raw socket for an ordered node pair, retrying with
-// backoff per the retry policy, and applies the fault-injection hook. Dial
-// retries draw from the same pair budget as envelope retransmissions, and
-// each attempt's outcome feeds the pair breaker.
-func (tr *tcpTransport) dial(from, to int, rng *rand.Rand, met *metrics.Conn) (net.Conn, error) {
-	set := tr.pairRes(from, to)
-	attempts := 1
-	if tr.retry.enabled() {
-		attempts = tr.retry.MaxAttempts
+// dial establishes the link's socket under the retry schedule. Each
+// attempt's outcome feeds the pair breaker.
+func (c *tcpConn) dial() error {
+	var conn net.Conn
+	err := c.retry(func(int) (err error) {
+		conn, err = c.dialOnce()
+		c.res.Record(resilience.Token{}, err)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("filter: tcp dial node %d: %w", c.to, err)
 	}
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			if set != nil && !set.Budget.Withdraw() {
-				lastErr = fmt.Errorf("%w, last: %v", resilience.ErrBudgetExhausted, lastErr)
-				break
-			}
-			if met != nil {
-				met.Retries.Inc()
-			}
-			select {
-			case <-time.After(tr.retry.backoff(a-1, rng)):
-			case <-tr.rt.done:
-				return nil, errStopped
-			}
-		}
-		conn, err := net.Dial("tcp", tr.addrs[to])
-		if err == nil {
-			if set != nil {
-				if set.Breaker != nil {
-					set.Breaker.Record(resilience.Token{}, nil)
-				}
-				set.Budget.Deposit()
-			}
-			if tr.wrap != nil {
-				conn = tr.wrap(conn, from, to)
-			}
-			return conn, nil
-		}
-		if set != nil && set.Breaker != nil {
-			set.Breaker.Record(resilience.Token{}, err)
-		}
-		lastErr = err
+	c.cw = &countingWriter{}
+	c.attach(conn)
+	return nil
+}
+
+// dialOnce makes one dial attempt and applies the fault-injection hook.
+func (c *tcpConn) dialOnce() (net.Conn, error) {
+	conn, err := net.Dial("tcp", c.tr.addrs[c.to])
+	if err == nil && c.tr.wrap != nil {
+		conn = c.tr.wrap(conn, c.from, c.to)
 	}
-	return nil, fmt.Errorf("filter: tcp dial node %d: %w", to, lastErr)
+	return conn, err
+}
+
+// attach makes conn the link's socket. The counting writer is retargeted in
+// place (cumulative byte counts continue) and the gob encoder is rebuilt,
+// which starts the type-descriptor handshake on the new stream.
+func (c *tcpConn) attach(conn net.Conn) {
+	c.c = conn
+	c.cw.w = conn
+	if c.tr.codec != CodecBinary {
+		c.enc = gob.NewEncoder(c.cw)
+	}
 }
 
 // connTo returns (dialing if necessary) the connection from one node to
@@ -548,26 +518,22 @@ func (tr *tcpTransport) connTo(from, to int) (*tcpConn, error) {
 	}
 	tr.mu.Unlock()
 
-	met := tr.connMetric(from, to)
-	rng := tr.pairRNG(from, to)
-	conn, err := tr.dial(from, to, rng, met)
-	if err != nil {
-		return nil, err
+	c := &tcpConn{tr: tr, from: from, to: to, met: tr.connMetric(from, to), res: tr.res.For(pairKey(from, to))}
+	if tr.retrying() {
+		c.rng = resilience.Jitter(from, to)
 	}
-	cw := &countingWriter{w: conn}
-	c := &tcpConn{tr: tr, from: from, to: to, c: conn, cw: cw, met: met, res: tr.pairRes(from, to), rng: rng}
-	if tr.codec != CodecBinary {
-		c.enc = gob.NewEncoder(cw)
+	if err := c.dial(); err != nil {
+		return nil, err
 	}
 	tr.mu.Lock()
 	if tr.closed {
 		tr.mu.Unlock()
-		conn.Close()
+		c.c.Close()
 		return nil, errStopped
 	}
 	if prev, ok := tr.conns[key]; ok { // lost a concurrent dial race
 		tr.mu.Unlock()
-		conn.Close()
+		c.c.Close()
 		return prev, nil
 	}
 	tr.conns[key] = c
@@ -588,14 +554,11 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 	// receiver's resequencer to wait on. An open link fails the send
 	// immediately — the copy dies and failover redistributes its work —
 	// instead of burning redials against a dead peer.
-	var tok resilience.Token
-	if c.res != nil && c.res.Breaker != nil {
-		var aerr error
-		if tok, aerr = c.res.Breaker.Allow(); aerr != nil {
-			return fmt.Errorf("filter: tcp link node %d->%d: %w", c.from, c.to, aerr)
-		}
+	tok, err := c.res.Allow()
+	if err != nil {
+		return fmt.Errorf("filter: tcp link node %d->%d: %w", c.from, c.to, err)
 	}
-	if tr.retry.enabled() {
+	if tr.retrying() {
 		c.seq++
 		env.Seq = c.seq
 	}
@@ -615,12 +578,13 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 	return nil
 }
 
-// writeEnvelope encodes and writes one envelope under c.mu. With retries
-// enabled a failed write closes the socket, backs off, redials, and
-// retransmits the same envelope (same sequence number) over the fresh
-// connection; the receiver's pair resequencer drops any duplicate.
+// writeEnvelope encodes and writes one envelope under c.mu. When the link
+// retries, a failed write closes the socket, and the next attempt redials
+// and retransmits the same envelope (same sequence number) over the fresh
+// connection; the receiver's pair resequencer drops any duplicate. The
+// envelope's one outcome goes to the pair breaker under the token deliver
+// was granted.
 func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Token) error {
-	p := c.tr.retry
 	binary := c.tr.codec == CodecBinary
 	if binary {
 		// The binary frame is encoded once and retransmitted byte-identically;
@@ -632,76 +596,39 @@ func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Tok
 		}
 		c.buf = buf // keep the grown scratch for the next message
 	}
-	attempts := 1
-	if p.enabled() {
-		attempts = p.MaxAttempts
-	}
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			// Every retransmission is funded by the pair's shared budget:
-			// when copies across the node have drained it, the send fails
-			// now rather than adding to the storm.
-			if c.res != nil && !c.res.Budget.Withdraw() {
-				lastErr = fmt.Errorf("%w, last: %v", resilience.ErrBudgetExhausted, lastErr)
-				break
-			}
-			if c.met != nil {
-				c.met.Retries.Inc()
-			}
-			select {
-			case <-time.After(p.backoff(a-1, c.rng)):
-			case <-c.tr.rt.done:
-				// Shutdown verdicts say nothing about the link; release a
-				// granted half-open probe without recording an outcome.
-				if c.res != nil && c.res.Breaker != nil {
-					c.res.Breaker.Cancel(tok)
-				}
-				return errStopped
-			}
+	err := c.retry(func(attempt int) error {
+		if attempt > 0 {
 			if err := c.redial(); err != nil {
-				lastErr = err
-				continue
+				return err
 			}
 		}
 		if err := c.writeOnce(env, binary); err != nil {
-			lastErr = err
 			c.c.Close() // poison the socket so the next attempt redials
-			continue
+			return err
 		}
-		c.recordLink(tok, nil)
 		return nil
+	})
+	if err == errStopped {
+		// Shutdown verdicts say nothing about the link; release a granted
+		// half-open probe without recording an outcome.
+		c.res.Cancel(tok)
+		return err
 	}
-	c.recordLink(tok, lastErr)
-	verb := "write"
-	if !binary {
-		verb = "encode"
+	c.res.Record(tok, err)
+	if err != nil {
+		verb := "write"
+		if !binary {
+			verb = "encode"
+		}
+		return fmt.Errorf("filter: tcp %s to %s[%d]: %w", verb, to.filter, to.copyIdx, err)
 	}
-	if attempts > 1 {
-		return fmt.Errorf("filter: tcp send to %s[%d] failed after %d attempts: %w", to.filter, to.copyIdx, attempts, lastErr)
-	}
-	return fmt.Errorf("filter: tcp %s to %s[%d]: %w", verb, to.filter, to.copyIdx, lastErr)
+	return nil
 }
 
-// recordLink reports the envelope's final outcome to the pair breaker —
-// matching the Allow granted in deliver — and refunds the budget on
-// success.
-func (c *tcpConn) recordLink(tok resilience.Token, err error) {
-	if c.res == nil {
-		return
-	}
-	if c.res.Breaker != nil {
-		c.res.Breaker.Record(tok, err)
-	}
-	if err == nil {
-		c.res.Budget.Deposit()
-	}
-}
-
-// writeOnce performs a single framed write under the policy's send deadline.
+// writeOnce performs a single framed write under the link's send deadline.
 func (c *tcpConn) writeOnce(env *envelope, binary bool) error {
-	if p := c.tr.retry; p != nil && p.SendTimeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(p.SendTimeout))
+	if d := c.tr.send; d > 0 {
+		c.c.SetWriteDeadline(time.Now().Add(d))
 		defer c.c.SetWriteDeadline(time.Time{})
 	}
 	if binary {
@@ -711,23 +638,14 @@ func (c *tcpConn) writeOnce(env *envelope, binary bool) error {
 	return c.enc.Encode(*env)
 }
 
-// redial replaces the broken socket with a fresh one. The counting writer is
-// retargeted in place (cumulative byte counts continue) and the gob encoder
-// is rebuilt, which restarts the type-descriptor handshake on the new stream.
+// redial replaces the broken socket with a fresh one.
 func (c *tcpConn) redial() error {
-	conn, err := net.Dial("tcp", c.tr.addrs[c.to])
+	conn, err := c.dialOnce()
 	if err != nil {
 		return fmt.Errorf("filter: tcp redial node %d: %w", c.to, err)
 	}
-	if c.tr.wrap != nil {
-		conn = c.tr.wrap(conn, c.from, c.to)
-	}
 	c.c.Close()
-	c.c = conn
-	c.cw.w = conn
-	if c.tr.codec != CodecBinary {
-		c.enc = gob.NewEncoder(c.cw)
-	}
+	c.attach(conn)
 	if c.met != nil {
 		c.met.Redials.Inc()
 	}

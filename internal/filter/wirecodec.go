@@ -194,6 +194,9 @@ func decodeEnvelope(frame []byte) (envelope, error) {
 		return env, nil
 	}
 	if flags&flagGobPayload != 0 {
+		if !gobFits(rest) {
+			return env, fmt.Errorf("filter: wire gob fallback: message length exceeds the frame")
+		}
 		dec := gob.NewDecoder(bytes.NewReader(rest))
 		if err := dec.Decode(&env.Payload); err != nil {
 			return env, fmt.Errorf("filter: wire gob fallback decode: %w", err)
@@ -214,4 +217,30 @@ func decodeEnvelope(frame []byte) (envelope, error) {
 	}
 	env.Payload = p
 	return env, nil
+}
+
+// gobFits reports whether every message of the gob stream b fits in b. The
+// gob decoder sizes a message's buffer from its length prefix before reading
+// it, so an unchecked prefix would let a few bytes claim gigabytes.
+func gobFits(b []byte) bool {
+	for len(b) > 0 {
+		n := uint64(b[0])
+		b = b[1:]
+		if n >= 0x80 { // the negated count of big-endian length bytes
+			k := 256 - int(n)
+			if k > 8 || k > len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[:k] {
+				n = n<<8 | uint64(c)
+			}
+			b = b[k:]
+		}
+		if n > uint64(len(b)) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }

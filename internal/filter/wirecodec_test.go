@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -172,4 +173,42 @@ func TestParseCodec(t *testing.T) {
 	if _, err := ParseCodec("protobuf"); err == nil {
 		t.Fatal("unknown codec parsed")
 	}
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	fn()
+	goruntime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeEnvelope: any frame body decodes to an envelope whose payload
+// size is computable, or fails with an error — never a panic, and never an
+// allocation far beyond the frame. The fixed slack covers the gob
+// fallback's decoder state and the fuzz worker's own goroutines (the
+// allocation count is process-wide).
+func FuzzDecodeEnvelope(f *testing.F) {
+	for _, env := range []envelope{
+		{FromNode: 1, ToFilter: "HMP", ToCopy: 2, Port: "in", Seq: 9, Payload: &wireTestPayload{N: 7, Blob: []byte("abc")}},
+		{FromNode: 3, ToFilter: "OUT", Port: "in", Payload: &gobOnlyPayload{Name: "x", Vals: []float64{1, 2}}},
+		{ToFilter: "USO", Port: "in", EOS: true},
+	} {
+		buf, err := appendEnvelope(nil, &env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf[4:])
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var env envelope
+		var err error
+		if n := allocated(func() { env, err = decodeEnvelope(frame) }); n > 64*uint64(len(frame))+1<<20 {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(frame), n)
+		}
+		if err == nil && env.Payload != nil {
+			_ = env.Payload.SizeBytes()
+		}
+	})
 }

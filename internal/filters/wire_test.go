@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"haralick4d/internal/filter"
@@ -274,4 +275,44 @@ func BenchmarkGobEncodeMatrixBatch(b *testing.B) {
 		}
 		blob.Reset()
 	}
+}
+
+// FuzzWireDecoders drives the four registered payload decoders; the first
+// byte picks one. Any input decodes to a payload whose SizeBytes is
+// computable, or fails with an error — never a panic, and never an
+// allocation far beyond the input. The allocation count is process-wide, so
+// the bound carries a fixed slack for the fuzz worker's own goroutines.
+func FuzzWireDecoders(f *testing.F) {
+	decoders := []filter.WireDecoder{decodePieceMsg, decodeChunkMsg, decodeMatrixBatchMsg, decodeParamMsg}
+	rng := rand.New(rand.NewSource(5))
+	box := volume.Box{Lo: [4]int{1, 1, 0, 0}, Hi: [4]int{3, 3, 1, 1}}
+	for i, m := range []filter.WirePayload{
+		&PieceMsg{Chunk: 12, Region: randRegion(rng, volume.Box{Lo: [4]int{2, 3, 4, 5}, Hi: [4]int{5, 5, 5, 6}})},
+		&ChunkMsg{Chunk: 4, Origins: box, Region: randRegion(rng, box)},
+		&MatrixBatchMsg{Chunk: 3, Origins: box, G: 16, Sparse: []*glcm.Sparse{
+			{G: 16, Total: 40, Entries: []glcm.Entry{{I: 0, J: 1, Count: 10}, {I: 3, J: 3, Count: 30}}},
+		}},
+		&ParamMsg{Feature: 5, Box: box, Values: []float64{0.25, -3.5, 1e-300, 7}},
+	} {
+		f.Add(append([]byte{byte(i)}, m.AppendWire(nil)...))
+	}
+	f.Add(append([]byte{2}, (&MatrixBatchMsg{G: 2, Full: []*glcm.Full{{G: 2, Total: 3, Counts: []uint32{1, 0, 0, 2}}}}).AppendWire(nil)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		dec, data := decoders[int(in[0])%len(decoders)], in[1:]
+		var p filter.Payload
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err = dec(data)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(in))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(in), n)
+		}
+		if err == nil {
+			_ = p.SizeBytes()
+		}
+	})
 }

@@ -266,10 +266,10 @@ type Conn struct {
 	MsgsIn, WireBytesIn   Counter
 	Recv                  Timer
 
-	// Fault-tolerance counters, active when the transport runs with a
-	// RetryPolicy: envelope retransmissions, successful reconnects, duplicate
-	// envelopes dropped by the receiver's sequence filter, and receive-side
-	// decode failures recovered by retransmission.
+	// Fault-tolerance counters, active when the transport's links retry:
+	// dial retries and envelope retransmissions, successful reconnects,
+	// duplicate envelopes dropped by the receiver's sequence filter, and
+	// receive-side decode failures recovered by retransmission.
 	Retries, Redials        Counter
 	DupsDropped, RecvErrors Counter
 }

@@ -118,10 +118,10 @@ type ConnReport struct {
 	MsgsIn       int64 `json:"msgs_in"`
 	WireBytesIn  int64 `json:"wire_bytes_in"`
 	RecvNS       int64 `json:"recv_ns"`
-	// Fault-tolerance counters, populated when a RetryPolicy is active:
-	// envelope retransmissions, successful reconnects, duplicate envelopes
-	// dropped by the sequence filter, and receive-side decode failures
-	// recovered by retransmission.
+	// Fault-tolerance counters, populated when the links retry: dial
+	// retries and envelope retransmissions, successful reconnects,
+	// duplicate envelopes dropped by the sequence filter, and receive-side
+	// decode failures recovered by retransmission.
 	Retries     int64 `json:"retries,omitempty"`
 	Redials     int64 `json:"redials,omitempty"`
 	DupsDropped int64 `json:"dups_dropped,omitempty"`

@@ -83,9 +83,9 @@ func runBrownout(t *testing.T, dir string, bo http.RoundTripper, pol *resilience
 	srv := httptest.NewServer(http.FileServer(http.Dir(dir)))
 	defer srv.Close()
 	st, err := dataset.OpenURL(context.Background(), srv.URL, &dataset.URLOptions{
-		HTTPClient:       &http.Client{Transport: bo},
-		ResiliencePolicy: pol,
-		ServeStale:       true,
+		HTTPClient: &http.Client{Transport: bo},
+		Resilience: pol.NewSet(),
+		ServeStale: true,
 	})
 	if err != nil {
 		t.Fatal(err)

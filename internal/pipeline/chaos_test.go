@@ -12,6 +12,7 @@ import (
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/resilience"
 	"haralick4d/internal/synthetic"
 )
 
@@ -54,15 +55,12 @@ func TestChaosCombinedTCP(t *testing.T) {
 	wrap := func(c net.Conn, from, to int) net.Conn {
 		return &fault.FlakyConn{Conn: c, FailAt: 25}
 	}
-	retry := &filter.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		SendTimeout: 10 * time.Second,
-		RecvTimeout: 10 * time.Second,
-		Seed:        7,
-	}
-	rs, err := Run(g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true, Retry: retry, WrapConn: wrap})
+	retry := &resilience.Policy{Retry: resilience.Retry{
+		Attempts: 8,
+		Base:     time.Millisecond,
+		Max:      20 * time.Millisecond,
+	}}
+	rs, err := Run(g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true, Resilience: retry, WrapConn: wrap})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}

@@ -22,6 +22,7 @@ import (
 	"haralick4d/internal/filters"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
+	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
 	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
@@ -443,9 +444,12 @@ type RunOptions struct {
 	// over the un-acked buffers of a crashed copy (local and TCP engines;
 	// the simulated cluster models fault-free hardware and ignores it).
 	Failover bool
-	// Retry enables bounded reconnect-and-retransmit on the TCP engine's
-	// node links; nil or MaxAttempts <= 1 keeps single-shot sends.
-	Retry *filter.RetryPolicy
+	// Resilience arms the TCP engine's node links: its Retry schedule
+	// enables bounded reconnect-and-retransmit (a zero schedule keeps
+	// single-shot sends), and its breaker and budget guard each ordered node
+	// pair. It is the same policy the CLI hands the dataset backend. TCP
+	// engine only; nil keeps single-shot sends and nothing else.
+	Resilience *resilience.Policy
 	// WrapConn, when non-nil, wraps every outbound TCP node link — the fault
 	// injection hook (see internal/fault.FlakyConn). TCP engine only.
 	WrapConn func(c net.Conn, fromNode, toNode int) net.Conn
@@ -509,7 +513,7 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 	case EngineTCP:
 		return filter.RunTCPContext(ctx, g, &filter.Options{
 			QueueBytes: opts.QueueBytes, DisableMetrics: opts.DisableMetrics, WireCodec: opts.WireCodec,
-			Failover: opts.Failover, Retry: opts.Retry, WrapConn: opts.WrapConn,
+			Failover: opts.Failover, Resilience: opts.Resilience, WrapConn: opts.WrapConn,
 			StallTimeout: opts.StallTimeout, Monitor: opts.monitor(),
 		})
 	case EngineSim:

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -21,11 +22,15 @@ type BudgetConfig struct {
 // retries are denied until successes replenish it — so during a total
 // outage the aggregate retry traffic is capped at the bucket capacity no
 // matter how many readers are blocked on the dependency.
+//
+// The balance is kept in whole milli-tokens, so ten deposits at ratio 0.1
+// add up to exactly one token; a float balance would fall short by one ulp
+// and refuse the retry they bought.
 type RetryBudget struct {
 	mu       sync.Mutex
-	tokens   float64
-	capacity float64
-	ratio    float64
+	milli    int64 // balance
+	capacity int64 // milli-tokens
+	ratio    int64 // milli-tokens per deposit, at least 1
 
 	spent  atomic.Int64
 	denied atomic.Int64
@@ -40,8 +45,12 @@ func NewRetryBudget(capacity, ratio float64) *RetryBudget {
 	if ratio <= 0 || ratio > 1 {
 		ratio = 0.1
 	}
-	return &RetryBudget{tokens: capacity, capacity: capacity, ratio: ratio}
+	c := int64(math.Round(capacity * milliToken))
+	return &RetryBudget{milli: c, capacity: c, ratio: max(int64(math.Round(ratio*milliToken)), 1)}
 }
+
+// milliToken is one token in the balance's unit.
+const milliToken = 1000
 
 // Withdraw takes one token for a retry. It reports false — and counts a
 // denial — when less than a whole token remains.
@@ -50,9 +59,9 @@ func (b *RetryBudget) Withdraw() bool {
 		return true
 	}
 	b.mu.Lock()
-	ok := b.tokens >= 1
+	ok := b.milli >= milliToken
 	if ok {
-		b.tokens--
+		b.milli -= milliToken
 	}
 	b.mu.Unlock()
 	if ok {
@@ -69,10 +78,7 @@ func (b *RetryBudget) Deposit() {
 		return
 	}
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.capacity {
-		b.tokens = b.capacity
-	}
+	b.milli = min(b.milli+b.ratio, b.capacity)
 	b.mu.Unlock()
 }
 
@@ -83,7 +89,7 @@ func (b *RetryBudget) Tokens() float64 {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.tokens
+	return float64(b.milli) / milliToken
 }
 
 // Spent counts granted withdrawals (retries actually attempted).

@@ -33,6 +33,25 @@ func TestBudgetExhaustThenReplenish(t *testing.T) {
 	}
 }
 
+// TestBudgetTenthsAddUpExactly: at the default ratio 0.1, ten successes buy
+// back exactly one retry — not eleven, as a float balance short by one ulp
+// would need.
+func TestBudgetTenthsAddUpExactly(t *testing.T) {
+	b := NewRetryBudget(1, 0.1)
+	if !b.Withdraw() {
+		t.Fatal("full bucket denied")
+	}
+	for i := 0; i < 10; i++ {
+		b.Deposit()
+	}
+	if got := b.Tokens(); got != 1 {
+		t.Fatalf("tokens after ten deposits at 0.1 = %v, want exactly 1", got)
+	}
+	if !b.Withdraw() {
+		t.Fatal("ten deposits at ratio 0.1 did not buy back one retry")
+	}
+}
+
 func TestBudgetCapacityCap(t *testing.T) {
 	b := NewRetryBudget(2, 1)
 	for i := 0; i < 10; i++ {
@@ -109,6 +128,7 @@ func TestParseBudget(t *testing.T) {
 		{in: "10,0.2", want: &BudgetConfig{Tokens: 10, Ratio: 0.2}},
 		{in: "0.5", err: true},
 		{in: "10,2", err: true},
+		{in: "10,0", err: true}, // a zero ratio would silently run the 0.1 default
 		{in: "10,0.2,3", err: true},
 		{in: "x", err: true},
 	} {

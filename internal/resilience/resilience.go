@@ -13,8 +13,11 @@
 //   - Hedger: tail-latency insurance for range reads. When a request has
 //     not answered within a threshold a second identical request is
 //     launched; the first response wins and the loser is canceled.
+//   - Retry: the one retry schedule, and Retry.Do the one retry loop, that
+//     the HTTP backend's requests and the TCP links' dials and sends run
+//     under, gated by the breaker and funded by the budget.
 //
-// All three are deterministic given their configuration and an injectable
+// All of them are deterministic given their configuration and an injectable
 // clock, so chaos tests reproduce bit-identically under -race.
 package resilience
 
@@ -39,17 +42,19 @@ var ErrOpen = errors.New("resilience: circuit open")
 var ErrBudgetExhausted = errors.New("resilience: retry budget exhausted")
 
 // Policy is the parsed flag-level configuration of one dependency's
-// resilience set. Nil sub-configs disable the corresponding primitive, so
-// the zero value is a no-op policy.
+// resilience set. Nil sub-configs disable the corresponding primitive and a
+// zero Retry keeps each caller's default schedule, so the zero value is a
+// no-op policy.
 type Policy struct {
+	Retry      Retry
 	Breaker    *BreakerConfig
 	Budget     *BudgetConfig
 	HedgeAfter time.Duration
 }
 
-// Enabled reports whether the policy asks for any primitive at all.
+// Enabled reports whether the policy asks for anything at all.
 func (p *Policy) Enabled() bool {
-	return p != nil && (p.Breaker != nil || p.Budget != nil || p.HedgeAfter > 0)
+	return p != nil && (p.Retry != Retry{} || p.Breaker != nil || p.Budget != nil || p.HedgeAfter > 0)
 }
 
 // NewSet instantiates the policy's primitives. A nil or empty policy
@@ -58,7 +63,7 @@ func (p *Policy) NewSet() *Set {
 	if !p.Enabled() {
 		return nil
 	}
-	s := &Set{}
+	s := &Set{Retry: p.Retry}
 	if p.Breaker != nil {
 		s.Breaker = NewBreaker(*p.Breaker)
 	}
@@ -71,12 +76,54 @@ func (p *Policy) NewSet() *Set {
 	return s
 }
 
-// Set is one dependency's live resilience state: at most one breaker, one
-// shared retry budget and one hedger. Any field may be nil.
+// Set is one dependency's live resilience state: its retry schedule, at
+// most one breaker, one shared retry budget and one hedger. Any pointer may
+// be nil, and every method is safe on a nil set.
 type Set struct {
+	Retry   Retry
 	Breaker *Breaker
 	Budget  *RetryBudget
 	Hedger  *Hedger
+}
+
+// Allow asks the set's breaker, if any, to admit one call (see
+// Breaker.Allow).
+func (s *Set) Allow() (Token, error) {
+	if s == nil || s.Breaker == nil {
+		return Token{}, nil
+	}
+	return s.Breaker.Allow()
+}
+
+// Record reports one call's outcome to the breaker under the token its
+// Allow granted and, on success, credits the retry budget.
+func (s *Set) Record(tok Token, err error) {
+	if s == nil {
+		return
+	}
+	if s.Breaker != nil {
+		s.Breaker.Record(tok, err)
+	}
+	if err == nil {
+		s.Budget.Deposit()
+	}
+}
+
+// Cancel releases a granted Allow without a verdict (see Breaker.Cancel).
+func (s *Set) Cancel(tok Token) {
+	if s != nil && s.Breaker != nil {
+		s.Breaker.Cancel(tok)
+	}
+}
+
+// ProbeIn is how long until an open breaker admits its next probe: zero
+// with no breaker, when it is not open, or when the probe is due. While it
+// is positive, Allow rejects every call.
+func (s *Set) ProbeIn() time.Duration {
+	if s == nil || s.Breaker == nil {
+		return 0
+	}
+	return s.Breaker.Snapshot().ProbeIn
 }
 
 // SetStats is a JSON-ready snapshot of a Set, surfaced on the daemon's
@@ -230,10 +277,40 @@ func ParseBudget(s string) (*BudgetConfig, error) {
 	cfg.Tokens = tokens
 	if len(fields) > 1 {
 		ratio, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || ratio < 0 || ratio > 1 {
-			return nil, fmt.Errorf("resilience: invalid budget replenish ratio %q (want 0 <= ratio <= 1)", fields[1])
+		if err != nil || ratio <= 0 || ratio > 1 {
+			return nil, fmt.Errorf("resilience: invalid budget replenish ratio %q (want 0 < ratio <= 1)", fields[1])
 		}
 		cfg.Ratio = ratio
 	}
 	return &cfg, nil
+}
+
+// ParseRetry parses the CLI retry spec "attempts[,base[,max]]" — e.g. "5",
+// "5,20ms", "5,20ms,2s" — into a schedule. attempts counts every try, the
+// first included, so "1" is single-shot. "" and "0" give the zero schedule:
+// each caller's default.
+func ParseRetry(s string) (Retry, error) {
+	if s == "" || s == "0" {
+		return Retry{}, nil
+	}
+	fields := strings.Split(s, ",")
+	if len(fields) > 3 {
+		return Retry{}, fmt.Errorf("resilience: retry spec %q: want attempts[,base[,max]]", s)
+	}
+	n, err := strconv.Atoi(fields[0])
+	if err != nil || n < 1 {
+		return Retry{}, fmt.Errorf("resilience: invalid retry attempts %q (want >= 1)", fields[0])
+	}
+	r := Retry{Attempts: n}
+	if len(fields) > 1 {
+		if r.Base, err = time.ParseDuration(fields[1]); err != nil || r.Base < 0 {
+			return Retry{}, fmt.Errorf("resilience: invalid retry base delay %q", fields[1])
+		}
+	}
+	if len(fields) > 2 {
+		if r.Max, err = time.ParseDuration(fields[2]); err != nil || r.Max < 0 {
+			return Retry{}, fmt.Errorf("resilience: invalid retry max delay %q", fields[2])
+		}
+	}
+	return r, nil
 }

@@ -673,12 +673,8 @@ func (s *Server) resilienceFor(rawurl string) *resilience.Set {
 // open, and if so how many whole seconds remain until its next probe (at
 // least 1, for a Retry-After header).
 func (s *Server) breakerOpenFor(rawurl string) (afterSec int, open bool) {
-	set := s.resilienceFor(rawurl)
-	if set == nil || set.Breaker == nil {
-		return 0, false
-	}
-	bs := set.Breaker.Snapshot()
-	if bs.State != resilience.StateOpen || bs.ProbeIn <= 0 {
+	in := s.resilienceFor(rawurl).ProbeIn()
+	if in <= 0 {
 		// Closed/half-open — or open with the probe due. An elapsed-open
 		// breaker reports "open" until an Allow promotes it, and the only
 		// Allow callers are admitted jobs' backend reads: once nothing is
@@ -687,11 +683,7 @@ func (s *Server) breakerOpenFor(rawurl string) (afterSec int, open bool) {
 		// first read performs the half-open probe.
 		return 0, false
 	}
-	after := int(bs.ProbeIn / time.Second)
-	if after < 1 {
-		after = 1
-	}
-	return after, true
+	return max(int(in/time.Second), 1), true
 }
 
 // ---- small helpers ----

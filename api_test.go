@@ -41,19 +41,32 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestAnalyzeReport(t *testing.T) {
 	v := phantom(t)
-	// Sequential path: a single SEQ pseudo-filter covering the whole scan.
+	// One texture copy is the same pipeline with one HMP copy: the readers'
+	// and the sink's spans are real, and the in-memory dataset shows up in
+	// the backends table.
 	seq, err := Analyze(v, smallOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Report == nil {
-		t.Fatal("sequential run has no report")
+		t.Fatal("one-copy run has no report")
 	}
 	if err := seq.Report.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if seq.Report.Engine != "direct" || seq.Report.Filter("SEQ") == nil {
-		t.Errorf("sequential report: engine %q, filters %v", seq.Report.Engine, len(seq.Report.Filters))
+	if seq.Report.Engine != "local" {
+		t.Errorf("one-copy report engine = %q, want local", seq.Report.Engine)
+	}
+	for _, name := range []string{"RFR", "IIC", "HMP", "OUT"} {
+		if seq.Report.Filter(name) == nil {
+			t.Errorf("one-copy report lacks filter %s", name)
+		}
+	}
+	if hmp := seq.Report.Filter("HMP"); hmp != nil && len(hmp.Copies) != 1 {
+		t.Errorf("one-copy report: %d HMP copies, want 1", len(hmp.Copies))
+	}
+	if b := seq.Report.Backends; len(b) != 1 || b[0].Scheme != "mem" {
+		t.Errorf("one-copy report backends = %+v, want one mem entry", b)
 	}
 	// Parallel path: the pipeline's filters with their spans.
 	par, err := Analyze(v, smallOpts(3))
@@ -81,7 +94,7 @@ func TestAnalyzeReport(t *testing.T) {
 	if !strings.Contains(string(data), `"HMP"`) {
 		t.Error("serialized report lacks the HMP filter")
 	}
-	// DisableMetrics leaves Report nil on both paths.
+	// DisableMetrics leaves Report nil at every copy count.
 	for _, par := range []int{1, 3} {
 		opts := smallOpts(par)
 		opts.DisableMetrics = true

@@ -1,12 +1,14 @@
 package haralick4d
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
 
 	"haralick4d/internal/core"
+	"haralick4d/internal/dataset"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/pipeline"
@@ -65,7 +67,15 @@ func TestWriteMetricsBenchJSON(t *testing.T) {
 	// stalled should cover the elapsed wall time. A saturated pipeline —
 	// many chunks, shallow queues — keeps every copy alive for the whole
 	// run, so the per-copy sums are directly comparable to the elapsed time.
-	grid := synthetic.GenerateGrid(synthetic.Config{Dims: [4]int{32, 32, 8, 8}, Seed: 9}, 16)
+	mb, _, err := dataset.WriteMemDataset(synthetic.Generate(synthetic.Config{Dims: [4]int{32, 32, 8, 8}, Seed: 9}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenBackend(context.Background(), mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	pcfg := &pipeline.Config{
 		Analysis: core.Config{
 			ROI:            [4]int{5, 5, 2, 2},
@@ -80,7 +90,7 @@ func TestWriteMetricsBenchJSON(t *testing.T) {
 		Policy:     filter.DemandDriven,
 		Output:     pipeline.OutputCollect,
 	}
-	g, _, _, err := pipeline.BuildMem(grid, pcfg, &pipeline.Layout{HMPNodes: make([]int, 4)})
+	g, _, _, err := pipeline.Build(st, pcfg, &pipeline.Layout{HMPNodes: make([]int, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

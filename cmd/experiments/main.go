@@ -159,8 +159,8 @@ func main() {
 		ids = []string{*fig}
 	}
 	// jsonReport tracks the most recent engine run across figures: the
-	// in-process figures (density, zeroskip, dirs) never run an engine and
-	// leave no report.
+	// in-process figures (density, zeroskip, dirs, kernel) never run an
+	// engine and leave no report.
 	var jsonReport *metrics.RunReport
 	for _, id := range ids {
 		env.LastReport = nil

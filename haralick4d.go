@@ -117,11 +117,11 @@ type Millis = runspec.Millis
 // kernel workers and read-ahead.
 type Options struct {
 	// Spec describes the run (see Spec). Texture is the number of texture
-	// filter copies; Analyze runs the sequential reference path at 1.
-	// KernelWorkers 1 runs the sequential reference kernel; outputs are
-	// bit-identical at every setting. ReadAhead, FaultPolicy, CacheBlocks,
-	// CacheBlockSize, ServeStale and Deadline act on AnalyzeDataset's
-	// backend. Dataset, Output and OutDir belong to the CLI and the daemon:
+	// filter copies on both entry points. KernelWorkers 1 runs the
+	// sequential reference kernel; outputs are bit-identical at every
+	// setting. Deadline bounds both entry points; CacheBlocks,
+	// CacheBlockSize and ServeStale act on AnalyzeDataset's backend only.
+	// Dataset, Output and OutDir belong to the CLI and the daemon:
 	// the library reads AnalyzeDataset's url and returns its grids in
 	// Result, so they must stay zero.
 	Spec
@@ -156,8 +156,7 @@ type Options struct {
 	// the export point for job-status APIs (the serve daemon streams these
 	// per job). Calls happen on a dedicated goroutine; the callback must
 	// not block for long and must tolerate being called zero times on very
-	// short runs. Requires metrics; ignored by the sequential reference
-	// path, which has no live counters to sample.
+	// short runs. Requires metrics.
 	Progress func(Progress)
 	// ProgressInterval is the sampling period; 0 selects the 500 ms
 	// default. Requires Progress.
@@ -292,9 +291,7 @@ type Result struct {
 	// OutputDims are the dimensions of every grid.
 	OutputDims [4]int
 	// Report is the run's observability report: nil only when
-	// Options.DisableMetrics is set. Sequential runs (Texture 1)
-	// report a single SEQ pseudo-filter with the whole scan as one
-	// compute span.
+	// Options.DisableMetrics is set.
 	Report *RunReport
 	// Degraded summarizes data a SkipDegraded run skipped; nil when the run
 	// was clean (and always nil under FailFast, which errors instead).
@@ -305,107 +302,31 @@ type Result struct {
 }
 
 // Analyze runs 4D Haralick texture analysis over an in-memory volume: the
-// volume is requantized to the configured gray levels over its own
-// intensity range and raster-scanned with the configured ROI. With more
-// than one texture copy (Texture, default 4) the work is chunked and spread
-// over a local filter pipeline; outputs are identical to the sequential
-// path that Texture 1 runs.
+// volume is laid out in memory as a one-node dataset (the paper's
+// whole-study-in-RAM case) and run through the same RFR→IIC→texture
+// pipeline as AnalyzeDataset, requantized to the configured gray levels
+// over the volume's own intensity range and raster-scanned with the
+// configured ROI. Outputs are bit-identical at every Texture and
+// KernelWorkers setting.
 func Analyze(v *Volume, opts *Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), v, opts)
 }
 
 // AnalyzeContext is Analyze under a context: cancelling ctx makes the
-// pipeline engines stop promptly and return ctx's error. The sequential
-// path (Texture 1) checks the context only between setup steps — a
-// running kernel scan is not interrupted.
+// pipeline stop promptly and return ctx's error.
 func AnalyzeContext(ctx context.Context, v *Volume, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Checkpoint != "" {
-		// The in-memory path holds no disk-resident inputs to re-read on a
-		// later life, so a journal could never be honoured.
-		return nil, fmt.Errorf("haralick4d: checkpointing requires a disk-resident dataset (AnalyzeDataset)")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg, layout, err := opts.config(1)
-	if err != nil {
-		return nil, err
-	}
-	grid := volume.Requantize(v, cfg.Analysis.GrayLevels)
-	outDims, err := volume.OutputDims(grid.Dims, cfg.Analysis.ROI)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims}
-	if opts.Spec.Resolved().Texture == 1 {
-		start := time.Now()
-		grids, err := core.AnalyzeGrid(grid, &cfg.Analysis, nil)
+	return analyze(ctx, opts, func(ctx context.Context, o *Options) (*dataset.Store, error) {
+		if o.Checkpoint != "" {
+			// The in-memory path holds no disk-resident inputs to re-read on a
+			// later life, so a journal could never be honoured.
+			return nil, fmt.Errorf("haralick4d: checkpointing requires a disk-resident dataset (AnalyzeDataset)")
+		}
+		mb, _, err := dataset.WriteMemDataset(v, 1)
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range cfg.Analysis.Features {
-			res.Grids[f] = grids[i]
-		}
-		if !opts.DisableMetrics {
-			res.Report = sequentialReport(time.Since(start))
-		}
-		return res, nil
-	}
-	g, sink, _, err := pipeline.BuildMem(grid, cfg, layout)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions())
-	if err != nil {
-		return nil, err
-	}
-	if err := sink.Complete(cfg.Analysis.Features); err != nil {
-		return nil, err
-	}
-	for _, f := range cfg.Analysis.Features {
-		res.Grids[f] = sink.Grid(f)
-	}
-	res.Report = rs.Report
-	return res, nil
-}
-
-// sequentialReport wraps the reference path's timing in the report schema:
-// one SEQ pseudo-filter whose single copy was busy for the whole scan.
-func sequentialReport(elapsed time.Duration) *RunReport {
-	rep := &metrics.RunReport{
-		Engine:    "direct",
-		ElapsedNS: int64(elapsed),
-		Filters: []metrics.FilterReport{{
-			Name: "SEQ",
-			Copies: []metrics.CopyReport{{
-				BusyNS: int64(elapsed),
-				Spans: map[string]metrics.SpanStat{
-					metrics.SpanCompute: {Count: 1, TotalNS: int64(elapsed), MaxNS: int64(elapsed)},
-				},
-			}},
-		}},
-	}
-	rep.Finalize()
-	return rep
-}
-
-// runOptions is the engine run the options ask for.
-func (o *Options) runOptions() *pipeline.RunOptions {
-	return &pipeline.RunOptions{
-		DisableMetrics:   o.DisableMetrics,
-		Progress:         o.Progress,
-		ProgressInterval: o.ProgressInterval,
-		// SkipDegraded asks for a run that survives faults, so crashed
-		// copies fail over to survivors instead of aborting.
-		Failover:     o.FaultPolicy == SkipDegraded,
-		StallTimeout: time.Duration(o.StallTimeout),
-	}
+		return dataset.OpenBackend(ctx, mb)
+	})
 }
 
 // WriteDataset declusters a volume across storageNodes node directories
@@ -433,6 +354,20 @@ func AnalyzeDataset(url string, opts *Options) (*Result, error) {
 // AnalyzeDatasetContext is AnalyzeDataset under a context: cancelling ctx
 // makes the pipeline engines stop promptly and return ctx's error.
 func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Result, error) {
+	return analyze(ctx, opts, func(ctx context.Context, o *Options) (*dataset.Store, error) {
+		return dataset.OpenURL(ctx, url, &dataset.URLOptions{
+			CacheBlocks:    o.CacheBlocks,
+			CacheBlockSize: o.CacheBlockSize,
+			Resilience:     o.Resilience.NewSet(),
+			ServeStale:     o.ServeStale,
+		})
+	})
+}
+
+// analyze is the one body behind both entry points: validate the options,
+// bound the run by their Deadline, open the dataset, and run the local
+// pipeline over it into the in-memory sink.
+func analyze(ctx context.Context, opts *Options, open func(context.Context, *Options) (*dataset.Store, error)) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -444,12 +379,7 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(opts.Deadline))
 		defer cancel()
 	}
-	st, err := dataset.OpenURL(ctx, url, &dataset.URLOptions{
-		CacheBlocks:    opts.CacheBlocks,
-		CacheBlockSize: opts.CacheBlockSize,
-		Resilience:     opts.Resilience.NewSet(),
-		ServeStale:     opts.ServeStale,
-	})
+	st, err := open(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -509,6 +439,19 @@ func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Res
 		res.Degraded = sum
 	}
 	return res, nil
+}
+
+// runOptions is the engine run the options ask for.
+func (o *Options) runOptions() *pipeline.RunOptions {
+	return &pipeline.RunOptions{
+		DisableMetrics:   o.DisableMetrics,
+		Progress:         o.Progress,
+		ProgressInterval: o.ProgressInterval,
+		// SkipDegraded asks for a run that survives faults, so crashed
+		// copies fail over to survivors instead of aborting.
+		Failover:     o.FaultPolicy == SkipDegraded,
+		StallTimeout: time.Duration(o.StallTimeout),
+	}
 }
 
 // PhantomConfig parameterizes a synthetic DCE-MRI study (see

@@ -1,8 +1,15 @@
 package haralick4d
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+
+	"haralick4d/internal/core"
+	"haralick4d/internal/runspec"
+	"haralick4d/internal/volume"
 )
 
 func phantom(t testing.TB) *Volume {
@@ -48,23 +55,55 @@ func TestAnalyzeSequential(t *testing.T) {
 	}
 }
 
-func TestAnalyzeParallelMatchesSequential(t *testing.T) {
+// TestAnalyzeMatchesOracle checks the façade against the sequential
+// reference scan — core.AnalyzeGrid at one worker over the volume
+// requantized by its own range — bit for bit, for all fourteen features,
+// both matrix representations, both texture decompositions, and one and
+// several texture copies.
+func TestAnalyzeMatchesOracle(t *testing.T) {
 	v := phantom(t)
-	seq, err := Analyze(v, smallOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Analyze(v, smallOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range PaperFeatures() {
-		a, b := seq.Grids[f], par.Grids[f]
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("%v voxel %d: %v != %v", f, i, a.Data[i], b.Data[i])
+	for _, rep := range []Representation{FullMatrix, SparseMatrix} {
+		for _, impl := range []runspec.Impl{runspec.HMP, runspec.Split} {
+			for _, tex := range []int{1, 3} {
+				opts := smallOpts(tex)
+				opts.Features = AllFeatures()
+				opts.Representation = rep
+				opts.Impl = impl
+				t.Run(fmt.Sprintf("%v-%v-texture%d", impl, rep, tex), func(t *testing.T) {
+					acfg := opts.Resolved().Analysis()
+					acfg.Workers = 1
+					want, err := core.AnalyzeGrid(volume.Requantize(v, acfg.GrayLevels), &acfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Analyze(v, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, f := range acfg.Features {
+						a, b := want[i], got.Grids[f]
+						if b == nil || a.Dims != b.Dims {
+							t.Fatalf("%v: grid %v, want dims %v", f, b, a.Dims)
+						}
+						for k := range a.Data {
+							if math.Float64bits(a.Data[k]) != math.Float64bits(b.Data[k]) {
+								t.Fatalf("%v voxel %d: oracle %v, Analyze %v", f, k, a.Data[k], b.Data[k])
+							}
+						}
+					}
+				})
 			}
 		}
+	}
+}
+
+// TestAnalyzeDeadline checks that Options.Deadline bounds the in-memory
+// entry point as it bounds AnalyzeDataset.
+func TestAnalyzeDeadline(t *testing.T) {
+	opts := smallOpts(1)
+	opts.Deadline = 1 // 1 ns: expired before the run starts
+	if _, err := Analyze(phantom(t), opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/glcm"
-	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/volume"
 )
@@ -330,10 +329,10 @@ func chunkEdges(sc Scale) []int {
 // `Workers` knob of core.Config): ROI raster rows are striped across the
 // workers, and each worker's blocked kernel reuses the overlapping-window
 // work along x and from row to row (workers > 1 only; workers = 1 is the
-// sequential full-recompute oracle). The measurement runs the real
-// local-engine pipeline over a one-chunk in-memory sample and reads the
-// HMP compute span from the run report — this is the one figure probing
-// the in-process kernel rather than the simulated cluster.
+// sequential full-recompute oracle). The measurement times
+// core.AnalyzeGrid — the call an HMP copy's compute span wraps — over a
+// one-chunk sample of the requantized phantom; it runs no engine, so the
+// figure leaves no run report.
 func Kernel(e *Env) (*Figure, error) {
 	grid, err := e.sampleGrid()
 	if err != nil {
@@ -376,37 +375,23 @@ func Kernel(e *Env) (*Figure, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	// measure runs the one-chunk local-engine pipeline and returns the best
-	// HMP compute span (seconds) across the repeats.
-	measure := func(analysis core.Config) (float64, *metrics.RunReport, error) {
-		var best metrics.SpanStat
-		var report *metrics.RunReport
+	// measure returns the best wall time (seconds) of the kernel scan over
+	// the sample across the repeats.
+	measure := func(analysis core.Config) (float64, error) {
+		var best float64
 		for r := 0; r < repeats; r++ {
-			cfg := &pipeline.Config{
-				Analysis:   analysis,
-				ChunkShape: sample.Dims,
-				Impl:       pipeline.HMPImpl,
-				Policy:     filter.DemandDriven,
-				Output:     pipeline.OutputCollect,
+			if err := e.ctx().Err(); err != nil {
+				return 0, err
 			}
-			layout := &pipeline.Layout{SourceNodes: []int{0}, OutputNodes: []int{0}, HMPNodes: []int{0}}
-			g, _, _, err := pipeline.BuildMem(sample, cfg, layout)
-			if err != nil {
-				return 0, nil, err
+			start := time.Now()
+			if _, err := core.AnalyzeGrid(sample, &analysis, nil); err != nil {
+				return 0, err
 			}
-			rs, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineLocal, &pipeline.RunOptions{StallTimeout: e.StallTimeout})
-			if err != nil {
-				return 0, nil, err
-			}
-			comp := rs.Report.Span("HMP", metrics.SpanCompute)
-			if comp.Count == 0 {
-				return 0, nil, fmt.Errorf("run report carries no HMP compute span")
-			}
-			if r == 0 || comp.TotalNS < best.TotalNS {
-				best, report = comp, rs.Report
+			if el := time.Since(start).Seconds(); r == 0 || el < best {
+				best = el
 			}
 		}
-		return float64(best.TotalNS) / 1e9, report, nil
+		return best, nil
 	}
 	// One series: workers=1 is the sequential oracle (full recompute per
 	// ROI), workers>1 the blocked kernel's row walk.
@@ -415,11 +400,10 @@ func Kernel(e *Env) (*Figure, error) {
 	for _, w := range []int{1, 2, 4, 8} {
 		analysis := e.analysis(core.SparseMatrix)
 		analysis.Workers = w
-		sec, report, err := measure(analysis)
+		sec, err := measure(analysis)
 		if err != nil {
 			return nil, fmt.Errorf("kernel workers=%d: %w", w, err)
 		}
-		e.LastReport = report
 		s.X = append(s.X, float64(w))
 		s.Y = append(s.Y, sec*1000/float64(rois)*100)
 		pairs := float64(rois) * float64(glcm.PairCount(e.Scale.ROI, analysis.DirectionSet()))
@@ -432,7 +416,7 @@ func Kernel(e *Env) (*Figure, error) {
 	}
 	fig.Series = append(fig.Series, s)
 	fig.Notes = append(fig.Notes,
-		"timings are the HMP compute span of the run report (local engine, one chunk, one texture copy)",
+		"timings are the best wall time of core.AnalyzeGrid over a one-chunk sample, the call an HMP copy's compute span wraps; no engine runs, so the figure carries no run report",
 		"workers=1 is the sequential oracle kernel (full recompute per ROI); workers>1 run the blocked kernel (internal/glcm/blocked.go), which batches all directions into one raster pass and reuses window work along x and from row to row, so single-CPU hosts still gain",
 		"outputs are bit-identical at every worker count (property-tested in internal/core)")
 	return fig, nil

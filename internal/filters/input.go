@@ -343,43 +343,3 @@ func NewIIC(cfg IICConfig) func(int) filter.Filter {
 		})
 	}
 }
-
-// GridSourceConfig configures the in-memory dataset source used when the
-// data already resides in memory (the paper's footnote-1 optimization) or
-// in library/API use.
-type GridSourceConfig struct {
-	Grid    *volume.Grid
-	Chunker *volume.Chunker
-	// Skip lists chunks whose outputs a resumed run already holds; they are
-	// not emitted.
-	Skip map[int]bool
-}
-
-// NewGridSource returns a source that emits complete IIC-to-TEXTURE chunks
-// straight from an in-memory grid, bypassing RFR and IIC. Chunks are dealt
-// across source copies so multiple copies partition the work.
-func NewGridSource(cfg GridSourceConfig) func(int) filter.Filter {
-	return func(copy int) filter.Filter {
-		return filter.Func(func(ctx filter.Context) error {
-			met := ctx.Metrics()
-			n := cfg.Chunker.Count()
-			for i := ctx.CopyIndex(); i < n; i += ctx.NumCopies() {
-				if cfg.Skip[i] {
-					continue
-				}
-				ch := cfg.Chunker.Chunk(i)
-				sp := met.StartRead()
-				region := volume.ExtractRegion(cfg.Grid, ch.Voxels)
-				sp.End()
-				msg := &ChunkMsg{Chunk: ch.Index, Origins: ch.Origins, Region: region}
-				emit := met.StartEmit()
-				err := ctx.Send(PortOut, msg)
-				emit.End()
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-}

@@ -23,50 +23,6 @@ func testChunker(t *testing.T, dims, chunk, roi [4]int) *volume.Chunker {
 	return ck
 }
 
-func TestGridSourcePartitionsChunks(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	grid := volume.NewGrid([4]int{16, 16, 4, 4}, 8)
-	for i := range grid.Data {
-		grid.Data[i] = uint8(rng.Intn(8))
-	}
-	ck := testChunker(t, grid.Dims, [4]int{8, 8, 3, 3}, [4]int{3, 3, 2, 2})
-
-	var mu sync.Mutex
-	seen := map[int]int{}
-	g := filter.NewGraph()
-	g.AddFilter(filter.FilterSpec{Name: "src", Copies: 3,
-		New: NewGridSource(GridSourceConfig{Grid: grid, Chunker: ck})})
-	g.AddFilter(filter.FilterSpec{Name: "sink", Copies: 1, New: func(int) filter.Filter {
-		return filter.Func(func(ctx filter.Context) error {
-			for {
-				m, ok := ctx.Recv()
-				if !ok {
-					return nil
-				}
-				cm := m.Payload.(*ChunkMsg)
-				mu.Lock()
-				seen[cm.Chunk]++
-				mu.Unlock()
-				if cm.Region.Box != ck.Chunk(cm.Chunk).Voxels {
-					t.Errorf("chunk %d region box %v", cm.Chunk, cm.Region.Box)
-				}
-			}
-		})
-	}})
-	g.Connect(filter.ConnSpec{From: "src", FromPort: PortOut, To: "sink", ToPort: PortIn, Policy: filter.RoundRobin})
-	if _, err := filter.RunLocal(g, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != ck.Count() {
-		t.Fatalf("saw %d distinct chunks, want %d", len(seen), ck.Count())
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Errorf("chunk %d emitted %d times", id, n)
-		}
-	}
-}
-
 func TestIICRejectsMisroutedPiece(t *testing.T) {
 	ck := testChunker(t, [4]int{8, 8, 2, 2}, [4]int{8, 8, 2, 2}, [4]int{3, 3, 1, 1})
 	g := filter.NewGraph()

@@ -6,9 +6,10 @@
 //	output:   USO (UnstitchedOutput), HIC (HaralickImageConstructor),
 //	          JIW (JPGImageWriter)
 //
-// plus two auxiliaries that the paper's toolkit would provide out of band: a
-// GridSource for in-memory datasets and a Collector that assembles results
-// in memory for verification and library use.
+// plus one auxiliary that the paper's toolkit would provide out of band: a
+// Collector that assembles results in memory for verification and library
+// use. In-memory datasets need no source of their own: they are laid out in
+// a dataset.MemBackend and read by RFR like any other.
 //
 // All filters are engine-agnostic: the same code runs under the local
 // goroutine engine, the loopback-TCP engine and the simulated-cluster

@@ -3,6 +3,7 @@ package netdesc
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,4 +152,46 @@ func TestDefaultsAreZeroValues(t *testing.T) {
 	if layout.SourceNodes != nil {
 		t.Error("empty layout should stay nil")
 	}
+}
+
+// FuzzNetdesc feeds arbitrary documents to the parser: every input gives
+// an error or a (Config, Layout), never a panic, and a document that
+// builds survives Marshal → Parse → Build with an equal config and layout.
+func FuzzNetdesc(f *testing.F) {
+	f.Add(sampleXML)
+	f.Add(`<pipeline/>`)
+	f.Add(`<pipeline><analysis roi="5x5x2x2" gray="16" features=""/><chunk iochunk="8x8"/><impl> hmp </impl><policy>rr</policy><output mode="uso" dir="a&amp;b"/><layout><source nodes="0 0"/><hmp nodes=" 1 2 "/><jiw nodes="3"/></layout></pipeline>`)
+	f.Add(`<pipeline><analysis roi="0x0x0x0" rep="full-noskip"/><chunk shape="1x2x3" packets="-1"/></pipeline>`)
+	f.Add("not xml at all")
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		cfg, layout, err := d.Build()
+		if err != nil {
+			return
+		}
+		if cfg == nil || layout == nil {
+			t.Fatal("Build returned no error and no config")
+		}
+		out, err := Marshal(cfg, layout)
+		if err != nil {
+			t.Fatalf("Marshal of a built document: %v", err)
+		}
+		d2, err := Parse(strings.NewReader(string(out)))
+		if err != nil {
+			t.Fatalf("re-parse: %v\n%s", err, out)
+		}
+		cfg2, layout2, err := d2.Build()
+		if err != nil {
+			t.Fatalf("re-build: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(cfg, cfg2) {
+			t.Errorf("config changed over the round trip:\n%+v\n%+v\n%s", cfg, cfg2, out)
+		}
+		if !reflect.DeepEqual(layout, layout2) {
+			t.Errorf("layout changed over the round trip:\n%+v\n%+v\n%s", layout, layout2, out)
+		}
+	})
 }

@@ -24,7 +24,7 @@ import (
 // deadlocked sender, no leaked receive loop — for both implementations.
 // Run with -race to also check the pools under cancellation.
 func TestTCPCancelMidRun(t *testing.T) {
-	grid := synthetic.GenerateGrid(synthetic.Config{Dims: [4]int{32, 32, 6, 6}, Seed: 5}, 16)
+	v := synthetic.Generate(synthetic.Config{Dims: [4]int{32, 32, 6, 6}, Seed: 5})
 	for _, impl := range []Impl{HMPImpl, SplitImpl} {
 		t.Run(impl.String(), func(t *testing.T) {
 			cfg := testConfig(impl, core.SparseMatrix, filter.DemandDriven)
@@ -37,7 +37,7 @@ func TestTCPCancelMidRun(t *testing.T) {
 				HPCNodes:    []int{2},
 				OutputNodes: []int{0},
 			}
-			g, _, _, err := BuildMem(grid, cfg, layout)
+			g, _, _, err := Build(memStore(t, v, 1), cfg, layout)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,7 +57,7 @@ const (
 // copy count of that filter. A nil slice defaults to one copy on node 0
 // (RFR defaults to one copy per storage node, all on node 0).
 type Layout struct {
-	SourceNodes []int // RFR copies (must equal the dataset's storage nodes) or GridSource copies
+	SourceNodes []int // RFR copies (must equal the dataset's storage nodes)
 	IICNodes    []int // explicit IIC copies
 	HMPNodes    []int // texture copies for HMPImpl
 	HCCNodes    []int // split implementation
@@ -275,45 +275,7 @@ func Build(store *dataset.Store, cfg *Config, layout *Layout) (*filter.Graph, *f
 	})
 	g.Connect(filter.ConnSpec{From: "RFR", FromPort: filters.PortOut, To: "IIC", ToPort: filters.PortIn, Policy: filter.Explicit})
 
-	res, err := addTextureAndOutput(g, "IIC", cfg, layout, outDims)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-	return g, res, outDims, nil
-}
-
-// BuildMem constructs the graph over an in-memory grid (no RFR/IIC stage;
-// a GridSource emits complete chunks).
-func BuildMem(grid *volume.Grid, cfg *Config, layout *Layout) (*filter.Graph, *filters.Results, [4]int, error) {
-	var outDims [4]int
-	if layout == nil {
-		layout = &Layout{}
-	}
-	if err := cfg.Validate(grid.Dims); err != nil {
-		return nil, nil, outDims, err
-	}
-	if grid.G != cfg.Analysis.GrayLevels {
-		return nil, nil, outDims, fmt.Errorf("pipeline: grid has %d gray levels, config %d", grid.G, cfg.Analysis.GrayLevels)
-	}
-	chunker, err := volume.NewChunker(grid.Dims, cfg.ChunkShape, cfg.Analysis.ROI)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-	outDims = chunker.OutputDims()
-	skip, err := cfg.resumeSkip(chunker)
-	if err != nil {
-		return nil, nil, outDims, err
-	}
-
-	srcNodes := nodesOrDefault(layout.SourceNodes, 1)
-	g := filter.NewGraph()
-	g.AddFilter(filter.FilterSpec{
-		Name:   "SRC",
-		Copies: len(srcNodes),
-		New:    filters.NewGridSource(filters.GridSourceConfig{Grid: grid, Chunker: chunker, Skip: skip}),
-		Nodes:  srcNodes,
-	})
-	res, err := addTextureAndOutput(g, "SRC", cfg, layout, outDims)
+	res, err := addTextureAndOutput(g, cfg, layout, outDims)
 	if err != nil {
 		return nil, nil, outDims, err
 	}
@@ -321,8 +283,8 @@ func BuildMem(grid *volume.Grid, cfg *Config, layout *Layout) (*filter.Graph, *f
 }
 
 // addTextureAndOutput wires the texture-analysis and output filter sets
-// behind the chunk producer named src.
-func addTextureAndOutput(g *filter.Graph, src string, cfg *Config, layout *Layout, outDims [4]int) (*filters.Results, error) {
+// behind IIC, the chunk producer.
+func addTextureAndOutput(g *filter.Graph, cfg *Config, layout *Layout, outDims [4]int) (*filters.Results, error) {
 	tcfg := filters.TextureConfig{
 		Analysis:        cfg.Analysis,
 		PacketsPerChunk: cfg.PacketsPerChunk,
@@ -336,14 +298,14 @@ func addTextureAndOutput(g *filter.Graph, src string, cfg *Config, layout *Layou
 	case HMPImpl:
 		nodes := nodesOrDefault(layout.HMPNodes, 1)
 		g.AddFilter(filter.FilterSpec{Name: "HMP", Copies: len(nodes), New: filters.NewHMP(tcfg), Nodes: nodes})
-		g.Connect(filter.ConnSpec{From: src, FromPort: filters.PortOut, To: "HMP", ToPort: filters.PortIn, Policy: cfg.Policy})
+		g.Connect(filter.ConnSpec{From: "IIC", FromPort: filters.PortOut, To: "HMP", ToPort: filters.PortIn, Policy: cfg.Policy})
 		paramProducer = "HMP"
 	case SplitImpl:
 		hccNodes := nodesOrDefault(layout.HCCNodes, 1)
 		hpcNodes := nodesOrDefault(layout.HPCNodes, 1)
 		g.AddFilter(filter.FilterSpec{Name: "HCC", Copies: len(hccNodes), New: filters.NewHCC(tcfg), Nodes: hccNodes})
 		g.AddFilter(filter.FilterSpec{Name: "HPC", Copies: len(hpcNodes), New: filters.NewHPC(tcfg), Nodes: hpcNodes})
-		g.Connect(filter.ConnSpec{From: src, FromPort: filters.PortOut, To: "HCC", ToPort: filters.PortIn, Policy: cfg.Policy})
+		g.Connect(filter.ConnSpec{From: "IIC", FromPort: filters.PortOut, To: "HCC", ToPort: filters.PortIn, Policy: cfg.Policy})
 		g.Connect(filter.ConnSpec{From: "HCC", FromPort: filters.PortOut, To: "HPC", ToPort: filters.PortIn, Policy: cfg.Policy})
 		paramProducer = "HPC"
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +31,22 @@ func testStore(t testing.TB) *dataset.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// memStore lays the volume out as an in-memory dataset across the given
+// number of storage nodes and opens it.
+func memStore(t testing.TB, v *volume.Volume, nodes int) *dataset.Store {
+	t.Helper()
+	mb, _, err := dataset.WriteMemDataset(v, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenBackend(context.Background(), mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -128,15 +145,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestMemPipelineMatchesSequential(t *testing.T) {
-	grid := synthetic.GenerateGrid(synthetic.Config{Dims: [4]int{20, 20, 4, 5}, Seed: 4}, 16)
+	v := synthetic.Generate(synthetic.Config{Dims: [4]int{20, 20, 4, 5}, Seed: 4})
 	cfg := testConfig(SplitImpl, core.SparseMatrix, filter.DemandDriven)
 	cfg.ChunkShape = [4]int{10, 10, 4, 4}
-	ref, err := SequentialGrid(grid, cfg)
+	// The oracle requantizes over the volume's own range; the dataset header
+	// carries that range, so the readers requantize the same way.
+	ref, err := SequentialGrid(volume.Requantize(v, cfg.Analysis.GrayLevels), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout := &Layout{SourceNodes: []int{0, 0}, HCCNodes: []int{1, 2}, HPCNodes: []int{2}}
-	g, res, _, err := BuildMem(grid, cfg, layout)
+	g, res, _, err := Build(memStore(t, v, 2), cfg, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +268,6 @@ func TestBuildValidation(t *testing.T) {
 	cfg.ChunkShape = [4]int{2, 2, 1, 1}
 	if _, _, _, err := Build(st, cfg, nil); err == nil {
 		t.Error("tiny chunk accepted")
-	}
-	// Gray-level mismatch in BuildMem.
-	grid := volume.NewGrid([4]int{8, 8, 2, 2}, 32)
-	cfg = testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin)
-	cfg.ChunkShape = [4]int{8, 8, 2, 2}
-	if _, _, _, err := BuildMem(grid, cfg, nil); err == nil {
-		t.Error("gray-level mismatch accepted")
 	}
 }
 

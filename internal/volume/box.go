@@ -196,13 +196,15 @@ func (r *FloatRegion) StoreInto(g *FloatGrid) {
 	if !ok {
 		return
 	}
+	runLen := inter.Hi[0] - inter.Lo[0]
 	var p [4]int
+	p[0] = inter.Lo[0]
 	for p[3] = inter.Lo[3]; p[3] < inter.Hi[3]; p[3]++ {
 		for p[2] = inter.Lo[2]; p[2] < inter.Hi[2]; p[2]++ {
 			for p[1] = inter.Lo[1]; p[1] < inter.Hi[1]; p[1]++ {
-				for p[0] = inter.Lo[0]; p[0] < inter.Hi[0]; p[0]++ {
-					g.Set(p[0], p[1], p[2], p[3], r.At(p))
-				}
+				di := Index(g.Dims, p[0], p[1], p[2], p[3])
+				si := r.index(p)
+				copy(g.Data[di:di+runLen], r.Data[si:si+runLen])
 			}
 		}
 	}

@@ -180,6 +180,32 @@ func TestFloatRegionStoreInto(t *testing.T) {
 	if lo != -1.25 || hi != 3.5 {
 		t.Errorf("MinMax = %v, %v", lo, hi)
 	}
+	// A region sticking out of the grid on every axis stores only the
+	// overlap, each voxel at its absolute position.
+	dims := [4]int{5, 4, 3, 3}
+	fg = NewFloatGrid(dims)
+	fr = NewFloatRegion(BoxAt([4]int{2, -1, 1, -2}, [4]int{4, 3, 3, 4}))
+	for i := range fr.Data {
+		fr.Data[i] = float64(i + 1)
+	}
+	fr.StoreInto(fg)
+	inter, _ := BoxAt([4]int{}, dims).Intersect(fr.Box)
+	var p [4]int
+	for p[3] = 0; p[3] < dims[3]; p[3]++ {
+		for p[2] = 0; p[2] < dims[2]; p[2]++ {
+			for p[1] = 0; p[1] < dims[1]; p[1]++ {
+				for p[0] = 0; p[0] < dims[0]; p[0]++ {
+					want := 0.0
+					if inter.Contains(p) {
+						want = fr.At(p)
+					}
+					if got := fg.At(p[0], p[1], p[2], p[3]); got != want {
+						t.Fatalf("grid %v = %v, want %v", p, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestOutputDims(t *testing.T) {

@@ -4,35 +4,29 @@
 // instant — mid-write included — can be resumed with its completed work
 // trusted and its torn tail discarded.
 //
-// File format: a sequence of length-prefixed frames,
+// File format: a Log (log.go) of CRC-framed payloads whose first byte is
+// the record type. The first record is always a header carrying the run
+// fingerprint (dataset dimensions, ROI, chunk shape, gray levels, direction
+// set, feature list, representation); a resume against a journal written
+// under any other configuration is refused, because portion records are
+// only meaningful in the geometry that produced them. Portion records carry
+// one feature's values for one output box; degraded records mark chunks a
+// SkipDegraded run surrendered.
 //
-//	u32le payload length | u32le CRC-32C(payload) | payload
-//
-// where the payload's first byte is the record type. The first record is
-// always a header carrying the run fingerprint (dataset dimensions, ROI,
-// chunk shape, gray levels, direction set, feature list, representation);
-// a resume against a journal written under any other configuration is
-// refused, because portion records are only meaningful in the geometry that
-// produced them. Portion records carry one feature's values for one output
-// box; degraded records mark chunks a SkipDegraded run surrendered.
-//
-// Crash safety follows from append-only writes plus per-record checksums:
-// the only damage a crash can cause is an incomplete or corrupt final
-// frame, which Resume detects, reports and truncates away. Records are
-// written through to the operating system on every append (so an aborted
-// process loses nothing) and fsync'd on a configurable interval (bounding
-// what a machine death can lose).
+// Crash safety is the Log's: the only damage a crash can cause is an
+// incomplete or corrupt final frame, which Resume reports and truncates
+// away. Records are written through to the operating system on every
+// append (so an aborted process loses nothing) and fsync'd on a
+// configurable interval (bounding what a machine death can lose).
 package checkpoint
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,18 +41,7 @@ const (
 	recHeader   = byte(1)
 	recPortion  = byte(2)
 	recDegraded = byte(3)
-
-	// maxRecord rejects absurd frame lengths when scanning a damaged file,
-	// so a corrupt length field cannot trigger a huge allocation.
-	maxRecord = 1 << 28
-
-	// DefaultSyncInterval is the fsync cadence when the caller passes 0.
-	DefaultSyncInterval = time.Second
 )
-
-// castagnoli is the CRC-32C table, the same polynomial the dataset layer
-// uses for per-slice checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrMismatch marks a resume against a journal whose header fingerprint
 // does not match the current run configuration.
@@ -160,126 +143,53 @@ type portionKey struct {
 	box     volume.Box
 }
 
-// Journal is an open progress journal. Append methods are safe for
-// concurrent use (several sink copies may share one journal).
+// Journal is an open progress journal: a typed client of Log whose frames
+// are the header record and validated portion and degraded records. Append
+// methods are safe for concurrent use (several sink copies may share one
+// journal).
 type Journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	interval time.Duration
-	lastSync time.Time
-	closed   bool
+	log *Log
+
+	mu sync.Mutex
 	// known dedupes appends: failover redelivery and resumed replays may
 	// offer the same portion twice, and an idempotent journal keeps the
 	// loader trivial. Bounded by the journal's own record count.
 	known    map[portionKey]bool
 	knownDeg map[int]bool
-	buf      []byte // reusable frame-encoding scratch
+	buf      []byte // reusable record-encoding scratch
 }
 
 // Create truncates (or creates) the journal at path and writes the header
-// record. syncInterval bounds data loss on machine death: appends are
-// fsync'd whenever that much time has passed since the last sync (0 selects
-// DefaultSyncInterval). The parent directory is fsync'd once so the file's
-// existence itself is durable.
+// record; syncInterval is CreateLog's.
 func Create(path string, hdr Header, syncInterval time.Duration) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	l, err := CreateLog(path, hdr.encode(), syncInterval)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j := newJournal(f, path, syncInterval)
-	if err := j.append(hdr.encode()); err != nil {
-		f.Close()
 		return nil, err
 	}
-	if err := j.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	syncDir(filepath.Dir(path))
-	return j, nil
+	return &Journal{log: l, known: map[portionKey]bool{}, knownDeg: map[int]bool{}}, nil
 }
 
 // Resume reopens an existing journal, verifies its header against hdr,
 // loads and validates every intact record, truncates any torn tail, and
 // returns the journal positioned for further appends together with the
-// recovered state.
+// recovered state. Checksummed records that fail semantic validation are
+// reported as corruption: a torn append cannot produce them.
 func Resume(path string, hdr Header, syncInterval time.Duration) (*Journal, *State, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j := newJournal(f, path, syncInterval)
-	st, err := j.load(hdr)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return j, st, nil
-}
-
-func newJournal(f *os.File, path string, syncInterval time.Duration) *Journal {
-	if syncInterval <= 0 {
-		syncInterval = DefaultSyncInterval
-	}
-	return &Journal{
-		f:        f,
-		path:     path,
-		interval: syncInterval,
-		lastSync: time.Now(),
-		known:    map[portionKey]bool{},
-		knownDeg: map[int]bool{},
-	}
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// load scans the whole file, stopping at the first frame that is short,
-// oversized or fails its checksum (the torn tail), and truncates the file
-// back to the last intact record. Checksummed records that fail semantic
-// validation are reported as corruption instead: a torn append cannot
-// produce them.
-func (j *Journal) load(hdr Header) (*State, error) {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
+	j := &Journal{known: map[portionKey]bool{}, knownDeg: map[int]bool{}}
 	st := &State{}
-	featOK := map[int]bool{}
-	for _, f := range hdr.Features {
-		featOK[f] = true
-	}
-	off := 0
-	sawHeader := false
-	for {
-		payload, next, ok := nextFrame(data, off)
-		if !ok {
-			break
-		}
-		if !sawHeader {
-			if payload[0] != recHeader {
-				return nil, fmt.Errorf("%w: first record has type %d, want header", ErrCorrupt, payload[0])
-			}
-			want := hdr.encode()
-			if len(payload) != len(want) || string(payload) != string(want) {
-				return nil, fmt.Errorf("%w (run fingerprint differs: dataset dims, ROI, chunking, gray levels, directions, features and representation must all match)", ErrMismatch)
-			}
-			sawHeader = true
-			off = next
-			continue
-		}
+	out := volume.Box{Hi: hdr.OutDims}
+	visit := func(payload []byte) error {
 		switch payload[0] {
 		case recPortion:
 			p, err := decodePortion(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if !featOK[p.Feature] {
-				return nil, fmt.Errorf("%w: portion for feature %d not in the run's feature set", ErrCorrupt, p.Feature)
+			if !slices.Contains(hdr.Features, p.Feature) {
+				return fmt.Errorf("%w: portion for feature %d not in the run's feature set", ErrCorrupt, p.Feature)
 			}
-			if !outBox(hdr.OutDims).ContainsBox(p.Box) || p.Box.Empty() {
-				return nil, fmt.Errorf("%w: portion box %v outside output %v", ErrCorrupt, p.Box, hdr.OutDims)
+			if !out.ContainsBox(p.Box) || p.Box.Empty() {
+				return fmt.Errorf("%w: portion box %v outside output %v", ErrCorrupt, p.Box, hdr.OutDims)
 			}
 			key := portionKey{p.Feature, p.Box}
 			if !j.known[key] {
@@ -289,66 +199,39 @@ func (j *Journal) load(hdr Header) (*State, error) {
 		case recDegraded:
 			d, err := decodeDegraded(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if !outBox(hdr.OutDims).ContainsBox(d.Origins) || d.Origins.Empty() {
-				return nil, fmt.Errorf("%w: degraded box %v outside output %v", ErrCorrupt, d.Origins, hdr.OutDims)
+			if !out.ContainsBox(d.Origins) || d.Origins.Empty() {
+				return fmt.Errorf("%w: degraded box %v outside output %v", ErrCorrupt, d.Origins, hdr.OutDims)
 			}
 			if !j.knownDeg[d.Chunk] {
 				j.knownDeg[d.Chunk] = true
 				st.Degraded = append(st.Degraded, d)
 			}
 		default:
-			return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, payload[0])
+			return fmt.Errorf("%w: unknown record type %d", ErrCorrupt, payload[0])
 		}
-		off = next
+		return nil
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("%w: no intact header record", ErrCorrupt)
+	l, truncated, err := OpenLog(path, hdr.encode(), syncInterval, visit)
+	if errors.Is(err, ErrMismatch) {
+		err = fmt.Errorf("%w (run fingerprint differs: dataset dims, ROI, chunking, gray levels, directions, features and representation must all match)", ErrMismatch)
 	}
-	st.TruncatedBytes = int64(len(data) - off)
-	if st.TruncatedBytes > 0 {
-		if err := j.f.Truncate(int64(off)); err != nil {
-			return nil, fmt.Errorf("checkpoint: truncating torn tail: %w", err)
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := j.f.Seek(int64(off), 0); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return st, nil
+	j.log, st.TruncatedBytes = l, truncated
+	return j, st, nil
 }
 
-// encodeFrame wraps one payload in the journal's on-disk frame:
-// u32le length | u32le CRC-32C | payload.
-func encodeFrame(payload []byte) []byte {
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...)
-}
+// Path returns the journal's file path.
+func (j *Journal) Path() string { return j.log.Path() }
 
-// nextFrame returns the payload of the frame at off and the offset of the
-// next one; ok is false when the bytes from off on do not form an intact
-// frame (end of file or torn tail).
-func nextFrame(data []byte, off int) (payload []byte, next int, ok bool) {
-	if off+8 > len(data) {
-		return nil, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if n < 1 || n > maxRecord || off+8+n > len(data) {
-		return nil, 0, false
-	}
-	payload = data[off+8 : off+8+n]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return nil, 0, false
-	}
-	return payload, off + 8 + n, true
-}
+// Sync forces an fsync of everything appended so far.
+func (j *Journal) Sync() error { return j.log.Sync() }
 
-func outBox(outDims [4]int) volume.Box {
-	return volume.Box{Hi: outDims}
-}
+// Close fsyncs and closes the journal. Safe to call twice.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // AppendPortion journals one completed output portion. Duplicates of
 // already-journaled portions (failover redelivery, resumed replays) are
@@ -372,7 +255,7 @@ func (j *Journal) AppendPortion(feature int, box volume.Box, values []float64) e
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	j.buf = buf
-	if err := j.appendLocked(buf); err != nil {
+	if err := j.log.Append(buf); err != nil {
 		return err
 	}
 	j.known[key] = true
@@ -396,68 +279,10 @@ func (j *Journal) AppendDegraded(chunk int, origins volume.Box, slices []int) er
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 	}
 	j.buf = buf
-	if err := j.appendLocked(buf); err != nil {
+	if err := j.log.Append(buf); err != nil {
 		return err
 	}
 	j.knownDeg[chunk] = true
-	return nil
-}
-
-func (j *Journal) append(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(payload)
-}
-
-// appendLocked frames and writes one record. The write goes straight to the
-// file (no user-space buffering), so a process death after the call loses
-// nothing; fsync happens on the interval to bound machine-death loss.
-func (j *Journal) appendLocked(payload []byte) error {
-	if j.closed {
-		return fmt.Errorf("checkpoint: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(encodeFrame(payload)); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if time.Since(j.lastSync) >= j.interval {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		j.lastSync = time.Now()
-	}
-	return nil
-}
-
-// Sync forces an fsync of everything appended so far.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	j.lastSync = time.Now()
-	return nil
-}
-
-// Close fsyncs and closes the journal. Safe to call twice.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	if serr != nil {
-		return fmt.Errorf("checkpoint: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("checkpoint: %w", cerr)
-	}
 	return nil
 }
 
@@ -503,6 +328,17 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// count reads an element count and checks it against the bytes left in
+// the record, so a corrupt count cannot make the caller allocate more than
+// the record could hold.
+func (d *decoder) count(elemSize int) int {
+	n := int(d.u32())
+	if d.err == nil && n > (len(d.data)-d.off)/elemSize {
+		d.err = fmt.Errorf("%w: record claims %d elements, %d bytes remain", ErrCorrupt, n, len(d.data)-d.off)
+	}
+	return n
+}
+
 func (d *decoder) box() volume.Box {
 	var b volume.Box
 	for k := 0; k < 4; k++ {
@@ -529,9 +365,9 @@ func decodePortion(payload []byte) (Portion, error) {
 	var p Portion
 	p.Feature = int(int32(d.u32()))
 	p.Box = d.box()
-	n := int(d.u32())
+	n := d.count(8)
 	if d.err == nil {
-		if want := p.Box.NumVoxels(); n != want || n < 0 {
+		if want := p.Box.NumVoxels(); n != want {
 			return p, fmt.Errorf("%w: portion has %d values, box holds %d", ErrCorrupt, n, want)
 		}
 		p.Values = make([]float64, n)
@@ -547,11 +383,8 @@ func decodeDegraded(payload []byte) (DegradedChunk, error) {
 	var dc DegradedChunk
 	dc.Chunk = int(int32(d.u32()))
 	dc.Origins = d.box()
-	n := int(d.u32())
+	n := d.count(4)
 	if d.err == nil {
-		if n < 0 || n > maxRecord/4 {
-			return dc, fmt.Errorf("%w: degraded record claims %d slices", ErrCorrupt, n)
-		}
 		dc.Slices = make([]int, n)
 		for i := range dc.Slices {
 			dc.Slices[i] = int(int32(d.u32()))
@@ -618,15 +451,4 @@ func CompleteChunks(st *State, ck *volume.Chunker, feats []int) (map[int]bool, e
 		complete[d.Chunk] = true
 	}
 	return complete, nil
-}
-
-// syncDir best-effort fsyncs a directory so a freshly created journal file
-// survives a machine death (ignored on filesystems that refuse it).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

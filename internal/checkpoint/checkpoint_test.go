@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"haralick4d/internal/volume"
@@ -105,6 +108,78 @@ func TestResumeHeaderMismatch(t *testing.T) {
 	if _, _, err := Resume(path, other, 0); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("Resume with different gray levels: err = %v, want ErrMismatch", err)
 	}
+	// A log whose first frame is some other record is not this run's
+	// journal either.
+	l, err := CreateLog(path, []byte{recPortion, 0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, _, err := Resume(path, testHeader(), 0); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Resume of a foreign log: err = %v, want ErrMismatch", err)
+	}
+}
+
+// recordedRun is what testdata/run.journal holds. The file was written by
+// Journal before it became a client of Log, with the writes below (a
+// duplicate portion offer between the degraded notices was dropped).
+func recordedRun() *State {
+	vals := func(b volume.Box, seed float64) []float64 {
+		v := make([]float64, b.NumVoxels())
+		for i := range v {
+			v[i] = seed + float64(i)*0.125
+		}
+		return v
+	}
+	b1 := volume.Box{Lo: [4]int{0, 0, 0, 0}, Hi: [4]int{2, 2, 1, 1}}
+	b2 := volume.Box{Lo: [4]int{2, 0, 0, 0}, Hi: [4]int{4, 1, 1, 1}}
+	b3 := volume.Box{Lo: [4]int{10, 12, 3, 5}, Hi: [4]int{11, 14, 4, 7}}
+	return &State{
+		Portions: []Portion{
+			{Feature: 0, Box: b1, Values: vals(b1, -3)},
+			{Feature: 1, Box: b1, Values: vals(b1, 1e-300)},
+			{Feature: 3, Box: b2, Values: vals(b2, 42.5)},
+			{Feature: 2, Box: b3, Values: vals(b3, -0.0625)},
+		},
+		Degraded: []DegradedChunk{
+			{Chunk: 1, Origins: volume.Box{Lo: [4]int{12, 0, 0, 0}, Hi: [4]int{20, 12, 3, 3}}, Slices: []int{4, 9}},
+			{Chunk: 5, Origins: volume.Box{Lo: [4]int{12, 0, 3, 0}, Hi: [4]int{20, 12, 5, 3}}, Slices: []int{}},
+		},
+	}
+}
+
+// frameEnds returns the offset just past each whole frame of data.
+func frameEnds(data []byte) []int {
+	var ends []int
+	for off := 0; off+8 <= len(data); {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if off > len(data) {
+			break
+		}
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestResumeRecordedJournal: a journal written before Journal became a
+// client of Log resumes with every portion and degraded notice.
+func TestResumeRecordedJournal(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, st, err := Resume(path, testHeader(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if want := recordedRun(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("resumed %+v\nwant %+v", st, want)
+	}
 }
 
 func TestResumeTruncatedTail(t *testing.T) {
@@ -160,6 +235,108 @@ func TestResumeTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestResumeCutAtEveryByte cuts the recorded journal at every byte offset:
+// each reopen recovers exactly the records of the whole frames before the
+// cut and reports the rest as the torn tail; a cut inside the header frame
+// leaves no journal to resume.
+func TestResumeCutAtEveryByte(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, ends := recordedRun(), frameEnds(raw)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	for cut := 0; cut <= len(raw); cut++ {
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, st, err := Resume(path, testHeader(), 0)
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		if whole == 0 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("cut %d inside the header: err = %v, want ErrCorrupt", cut, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		np, nd := 0, 0
+		for _, end := range ends[:whole-1] {
+			if raw[end+8] == recPortion {
+				np++
+			} else {
+				nd++
+			}
+		}
+		want := &State{
+			Portions:       append([]Portion(nil), full.Portions[:np]...),
+			Degraded:       append([]DegradedChunk(nil), full.Degraded[:nd]...),
+			TruncatedBytes: int64(cut - ends[whole-1]),
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatalf("cut %d: resumed %d portions, %d degraded, %d torn bytes; want %d, %d, %d",
+				cut, len(st.Portions), len(st.Degraded), st.TruncatedBytes, np, nd, want.TruncatedBytes)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(ends[whole-1]) {
+			t.Fatalf("cut %d: reopened file not truncated to %d bytes (%v)", cut, ends[whole-1], err)
+		}
+		// An append after the cut lands on the frame boundary.
+		if err := j.AppendDegraded(99, volume.Box{Hi: [4]int{1, 1, 1, 1}}, []int{7}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		j, st, err = Resume(path, testHeader(), 0)
+		if err != nil {
+			t.Fatalf("cut %d, reopened after an append: %v", cut, err)
+		}
+		j.Close()
+		if st.TruncatedBytes != 0 || len(st.Portions) != np || len(st.Degraded) != nd+1 || st.Degraded[nd].Chunk != 99 {
+			t.Fatalf("cut %d, reopened after an append: %d portions, %d degraded, %d torn bytes", cut, len(st.Portions), len(st.Degraded), st.TruncatedBytes)
+		}
+	}
+}
+
+// TestDecodersBoundAllocation: a checksummed record whose element count
+// claims more than the record holds is corrupt before anything is
+// allocated for it.
+func TestDecodersBoundAllocation(t *testing.T) {
+	huge := volume.Box{Hi: [4]int{1 << 13, 1 << 13, 1, 1}} // 2^26 voxels
+	for name, rec := range map[string][]byte{
+		"portion":  appendU32(appendBox(appendU32([]byte{recPortion}, 0), huge), uint32(huge.NumVoxels())),
+		"degraded": appendU32(appendBox(appendU32([]byte{recDegraded}, 0), huge), 1<<26),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.journal")
+			j, err := Create(path, testHeader(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			if n := allocated(func() { _, _, err = Resume(path, testHeader(), 0) }); n > 1<<20 {
+				t.Errorf("a %d-byte record made Resume allocate %d bytes", len(rec), n)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 func TestResumeCorruptMidFileStopsAtDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	hdr := testHeader()
@@ -170,7 +347,8 @@ func TestResumeCorruptMidFileStopsAtDamage(t *testing.T) {
 	b1 := volume.Box{Lo: [4]int{0, 0, 0, 0}, Hi: [4]int{4, 4, 2, 2}}
 	b2 := volume.Box{Lo: [4]int{4, 0, 0, 0}, Hi: [4]int{8, 4, 2, 2}}
 	j.AppendPortion(0, b1, boxVals(b1))
-	off, _ := j.f.Seek(0, 1) // end of the intact prefix
+	fi, _ := os.Stat(path) // end of the intact prefix: appends write through
+	off := fi.Size()
 	j.AppendPortion(0, b2, boxVals(b2))
 	j.Close()
 
@@ -216,7 +394,7 @@ func TestResumeRejectsInvalidRecords(t *testing.T) {
 			for i := 0; i < c.box.NumVoxels(); i++ {
 				buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 			}
-			if err := j.append(buf); err != nil {
+			if err := j.log.Append(buf); err != nil {
 				t.Fatal(err)
 			}
 			j.Close()

@@ -1,22 +1,22 @@
-// Job model: the submitted analysis spec, the job state machine and the
+// Job model: the submitted analysis spec, the job lifecycle and the
 // failure taxonomy the daemon reports instead of dying.
 //
-// States and transitions:
+// The lifecycle is one table, transitions below; every state change the
+// daemon makes is one of its edges, applied by transitionLocked:
 //
-//	          submit                 slot free
+//	          submit               start (slot free)
 //	(client) ───────▶ queued ─────────────────────▶ running
-//	                    │  cancel                      │
-//	                    ▼                              │ run returns
-//	                canceled ◀── reason=cancel ────────┤
-//	                 paused  ◀── reason=pause ─────────┤   (resume ▶ queued)
-//	                 parked  ◀── reason=park (drain) ──┤   (restart/resume ▶ queued)
-//	               completed ◀── err == nil ───────────┤
-//	                  failed ◀── otherwise ────────────┘   (resume ▶ queued)
+//	                   │ cancel, pause                 │ done, fail, cancel,
+//	                   ▼                               ▼ pause, park (drain)
+//	          canceled, paused        completed, failed, canceled, paused, parked
 //
-// completed, failed and canceled are terminal for the daemon's scheduler;
-// failed, paused and parked can be re-queued by POST /jobs/{id}/resume, and
-// non-terminal jobs found in the journal on startup are re-admitted
-// automatically (paused ones stay paused — that state was asked for).
+// resume moves paused, parked and failed jobs back to queued; recover does
+// the same for running and parked jobs found in the journal on startup
+// (queued ones are re-queued as they are, paused ones stay paused — that
+// state was asked for). completed and canceled have no way out; failed
+// leaves only by a client's resume. A running job asked to stop is not
+// moved by the request: the request records why and cancels the run, and
+// the run's end applies the edge.
 package server
 
 import (
@@ -52,11 +52,48 @@ func (s State) Terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCanceled
 }
 
-// valid reports whether s is one of the seven states (journal replay guard).
-func (s State) valid() bool {
-	switch s {
-	case StateQueued, StateRunning, StatePaused, StateParked, StateCompleted, StateFailed, StateCanceled:
-		return true
+// event is one edge label of the lifecycle table.
+type event string
+
+const (
+	evStart   event = "start"   // the scheduler gave the job a run slot
+	evDone    event = "done"    // the run returned nil
+	evFail    event = "fail"    // the run returned an error nobody asked for
+	evCancel  event = "cancel"  // a client cancel
+	evPause   event = "pause"   // a client pause
+	evPark    event = "park"    // a drain stopped the run
+	evResume  event = "resume"  // a client resume
+	evRecover event = "recover" // startup found the job in flight
+)
+
+// transitions is the job lifecycle: transitions[from][ev] is the state ev
+// moves a job in from to; a missing entry means ev does not apply.
+var transitions = map[State]map[event]State{
+	StateQueued: {evStart: StateRunning, evCancel: StateCanceled, evPause: StatePaused},
+	StateRunning: {evDone: StateCompleted, evFail: StateFailed, evCancel: StateCanceled,
+		evPause: StatePaused, evPark: StateParked, evRecover: StateQueued},
+	StatePaused: {evCancel: StateCanceled, evResume: StateQueued},
+	StateParked: {evCancel: StateCanceled, evResume: StateQueued, evRecover: StateQueued},
+	StateFailed: {evResume: StateQueued},
+}
+
+// reachable reports whether a job in from can be in to after zero or more
+// edges. Replay accepts a state record only if its state is reachable from
+// the job's replayed one: appends are not fatal (journalStateLocked), so a
+// record may be missing, but none can lead back out of completed or
+// canceled.
+func reachable(from, to State) bool {
+	seen := map[State]bool{from: true}
+	for frontier := []State{from}; len(frontier) > 0; frontier = frontier[1:] {
+		if frontier[0] == to {
+			return true
+		}
+		for _, next := range transitions[frontier[0]] {
+			if !seen[next] {
+				seen[next] = true
+				frontier = append(frontier, next)
+			}
+		}
 	}
 	return false
 }
@@ -113,7 +150,7 @@ type Job struct {
 
 	// Runtime control, set while State is running.
 	cancel context.CancelFunc
-	reason string // "", "cancel", "pause", "park": why cancel() was called
+	reason event // evCancel, evPause or evPark: why cancel() was called
 }
 
 // view is the JSON shape of a job in API responses.
@@ -167,4 +204,44 @@ func errKind(err error) string {
 		return "canceled"
 	}
 	return "error"
+}
+
+// transitionLocked applies the edge ev to j, if the table has one, and
+// reports whether it did. It keeps the job's fields, the admission queue,
+// the journal and the event stream in step with the new state: Resume is
+// cleared into completed and canceled and set to checkpointable into
+// paused, parked, failed and (by resume or recover) queued; an edge out of
+// running records the run's error (runErr, for fail and cancel) or clears
+// it. Caller holds the server mutex.
+func (s *Server) transitionLocked(j *Job, ev event, runErr error) bool {
+	from := j.State
+	to, ok := transitions[from][ev]
+	if !ok {
+		return false
+	}
+	j.State = to
+	switch to {
+	case StateCompleted, StateCanceled:
+		j.Resume = false
+	case StatePaused, StateParked, StateFailed, StateQueued:
+		j.Resume = checkpointable(&j.Spec)
+	}
+	if from == StateRunning {
+		j.Err, j.ErrKind = "", ""
+		switch {
+		case runErr == nil:
+		case ev == evFail:
+			j.Err, j.ErrKind = runErr.Error(), errKind(runErr)
+		case ev == evCancel:
+			j.Err, j.ErrKind = runErr.Error(), "canceled"
+		}
+	}
+	if from == StateQueued {
+		s.dequeueLocked(j.ID)
+	}
+	if to == StateQueued {
+		s.queue = append(s.queue, j.ID)
+	}
+	s.journalStateLocked(j)
+	return true
 }

@@ -47,52 +47,57 @@ func openJournal(path string, syncInterval time.Duration) (*checkpoint.Log, []*J
 		}
 		return l, nil, 1, nil
 	}
-	l, payloads, _, err := checkpoint.OpenLog(path, hdr, syncInterval)
+	r := newReplay()
+	l, _, err := checkpoint.OpenLog(path, hdr, syncInterval, r.apply)
 	if err != nil {
 		return nil, nil, 1, err
 	}
-	jobs, nextID, err := replay(payloads)
-	if err != nil {
-		l.Close()
-		return nil, nil, 1, err
-	}
-	return l, jobs, nextID, nil
+	return l, r.jobs, r.nextID, nil
 }
 
-// replay folds the journal records into per-job final states.
-func replay(payloads [][]byte) ([]*Job, int64, error) {
-	byID := map[int64]*Job{}
-	var order []*Job
-	nextID := int64(1)
-	for i, p := range payloads {
-		var r record
-		if err := json.Unmarshal(p, &r); err != nil {
-			return nil, 1, fmt.Errorf("%w: job journal record %d: %v", checkpoint.ErrCorrupt, i, err)
-		}
-		switch r.Type {
-		case "submit":
-			if r.Spec == nil || r.ID <= 0 || byID[r.ID] != nil {
-				return nil, 1, fmt.Errorf("%w: job journal record %d: bad submit", checkpoint.ErrCorrupt, i)
-			}
-			j := &Job{ID: r.ID, Spec: *r.Spec, State: StateQueued}
-			byID[r.ID] = j
-			order = append(order, j)
-			if r.ID >= nextID {
-				nextID = r.ID + 1
-			}
-		case "state":
-			j := byID[r.ID]
-			if j == nil || !r.State.valid() {
-				return nil, 1, fmt.Errorf("%w: job journal record %d: state for unknown job or unknown state", checkpoint.ErrCorrupt, i)
-			}
-			j.State = r.State
-			j.Err, j.ErrKind = r.Err, r.Kind
-			j.Resume = r.Resume
-		default:
-			return nil, 1, fmt.Errorf("%w: job journal record %d: unknown type %q", checkpoint.ErrCorrupt, i, r.Type)
-		}
+// replay folds journal records into per-job final states.
+type replay struct {
+	byID   map[int64]*Job
+	jobs   []*Job // submission order
+	nextID int64
+	n      int // records folded so far
+}
+
+func newReplay() *replay { return &replay{byID: map[int64]*Job{}, nextID: 1} }
+
+// apply folds one record. A state record must name a known job and a
+// state the table can reach from the job's replayed one.
+func (rp *replay) apply(p []byte) error {
+	i := rp.n
+	rp.n++
+	var r record
+	if err := json.Unmarshal(p, &r); err != nil {
+		return fmt.Errorf("%w: job journal record %d: %v", checkpoint.ErrCorrupt, i, err)
 	}
-	return order, nextID, nil
+	switch r.Type {
+	case "submit":
+		if r.Spec == nil || r.ID <= 0 || rp.byID[r.ID] != nil {
+			return fmt.Errorf("%w: job journal record %d: bad submit", checkpoint.ErrCorrupt, i)
+		}
+		j := &Job{ID: r.ID, Spec: *r.Spec, State: StateQueued}
+		rp.byID[r.ID] = j
+		rp.jobs = append(rp.jobs, j)
+		rp.nextID = max(rp.nextID, r.ID+1)
+	case "state":
+		j := rp.byID[r.ID]
+		if j == nil {
+			return fmt.Errorf("%w: job journal record %d: state for unknown job %d", checkpoint.ErrCorrupt, i, r.ID)
+		}
+		if !reachable(j.State, r.State) {
+			return fmt.Errorf("%w: job journal record %d: job %d cannot go from %s to %q", checkpoint.ErrCorrupt, i, r.ID, j.State, r.State)
+		}
+		j.State = r.State
+		j.Err, j.ErrKind = r.Err, r.Kind
+		j.Resume = r.Resume
+	default:
+		return fmt.Errorf("%w: job journal record %d: unknown type %q", checkpoint.ErrCorrupt, i, r.Type)
+	}
+	return nil
 }
 
 // appendSubmit journals a new job's spec.

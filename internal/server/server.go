@@ -170,19 +170,12 @@ func New(cfg Config) (*Server, error) {
 	for _, j := range recovered {
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		switch j.State {
-		case StateRunning, StateParked:
-			// In flight when the last life ended (SIGKILL, or a drain that
-			// parked it): re-admit, resuming from the per-job checkpoint
-			// when the output mode can honour one.
-			j.State = StateQueued
-			j.Resume = checkpointable(&j.Spec)
-			if err := appendState(s.jour, j); err != nil {
-				s.cfg.Logf("server: journal: %v", err)
-			}
-			s.queue = append(s.queue, j.ID)
+		// In flight when the last life ended (SIGKILL, or a drain that
+		// parked it): re-admit, resuming from the per-job checkpoint when
+		// the output mode can honour one.
+		if s.transitionLocked(j, evRecover, nil) {
 			s.cfg.Logf("server: recovered job %d (re-queued, resume=%v)", j.ID, j.Resume)
-		case StateQueued:
+		} else if j.State == StateQueued {
 			s.queue = append(s.queue, j.ID)
 			s.cfg.Logf("server: recovered job %d (queued)", j.ID)
 		}
@@ -198,8 +191,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("POST /jobs/{id}/pause", s.handlePause)
+	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleStop(evCancel))
+	mux.HandleFunc("POST /jobs/{id}/pause", s.handleStop(evPause))
 	mux.HandleFunc("POST /jobs/{id}/resume", s.handleResume)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
@@ -243,7 +236,7 @@ func (s *Server) Drain() error {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.State == StateRunning && j.cancel != nil {
-			j.reason = "park"
+			j.reason = evPark
 			j.cancel()
 		}
 	}
@@ -285,9 +278,9 @@ func (s *Server) closeJournal() error {
 func (s *Server) scheduleLocked() {
 	for !s.draining && s.running < s.cfg.MaxJobs && len(s.queue) > 0 {
 		id := s.queue[0]
-		s.queue = s.queue[1:]
 		j := s.jobs[id]
-		if j == nil || j.State != StateQueued {
+		if !s.transitionLocked(j, evStart, nil) {
+			s.queue = s.queue[1:] // not queued any more; cannot happen
 			continue
 		}
 		var ctx context.Context
@@ -300,11 +293,9 @@ func (s *Server) scheduleLocked() {
 		} else {
 			ctx, cancel = context.WithCancel(context.Background())
 		}
-		j.State = StateRunning
 		j.reason = ""
 		j.cancel = cancel
 		j.Progress = metrics.Progress{}
-		s.journalStateLocked(j)
 		s.running++
 		gr := s.gov.admit(j.ID)
 		in := runInput{
@@ -349,34 +340,19 @@ func (s *Server) run(j *Job, ctx context.Context, in runInput) {
 	s.running--
 	s.gov.release(j.ID)
 	j.cancel = nil
+	ev := j.reason
 	switch {
 	case err == nil:
-		j.State = StateCompleted
-		j.Err, j.ErrKind = "", ""
-		j.Resume = false
+		ev = evDone
 		j.Report = res.report
 		if res.restart != nil {
 			j.Restart = res.restart
 		}
-	case j.reason == "cancel":
-		j.State = StateCanceled
-		j.Err, j.ErrKind = err.Error(), "canceled"
-		j.Resume = false
-	case j.reason == "pause":
-		j.State = StatePaused
-		j.Err, j.ErrKind = "", ""
-		j.Resume = checkpointable(&j.Spec)
-	case j.reason == "park":
-		j.State = StateParked
-		j.Err, j.ErrKind = "", ""
-		j.Resume = checkpointable(&j.Spec)
-	default:
-		j.State = StateFailed
-		j.Err, j.ErrKind = err.Error(), errKind(err)
-		j.Resume = checkpointable(&j.Spec)
-		s.cfg.Logf("server: job %d failed (%s): %v", j.ID, j.ErrKind, err)
+	case ev == "":
+		ev = evFail
+		s.cfg.Logf("server: job %d failed (%s): %v", j.ID, errKind(err), err)
 	}
-	s.journalStateLocked(j)
+	s.transitionLocked(j, ev, err)
 	s.scheduleLocked()
 }
 
@@ -470,52 +446,27 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch j.State {
-	case StateQueued:
-		s.dequeueLocked(j.ID)
-		j.State = StateCanceled
-		s.journalStateLocked(j)
-		writeJSONLocked(w, http.StatusOK, j.snapshotView())
-	case StateRunning:
-		j.reason = "cancel"
-		j.cancel()
-		writeJSONLocked(w, http.StatusAccepted, j.snapshotView())
-	case StatePaused, StateParked:
-		j.State = StateCanceled
-		j.Resume = false
-		s.journalStateLocked(j)
-		writeJSONLocked(w, http.StatusOK, j.snapshotView())
-	default:
-		httpError(w, http.StatusConflict, "job %d is %s", j.ID, j.State)
-	}
-}
-
-func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch j.State {
-	case StateQueued:
-		s.dequeueLocked(j.ID)
-		j.State = StatePaused
-		s.journalStateLocked(j)
-		writeJSONLocked(w, http.StatusOK, j.snapshotView())
-	case StateRunning:
-		j.reason = "pause"
-		j.cancel()
-		writeJSONLocked(w, http.StatusAccepted, j.snapshotView())
-	default:
-		httpError(w, http.StatusConflict, "job %d is %s", j.ID, j.State)
+// handleStop answers a cancel or pause. A running job is asked to stop —
+// its run's end applies the edge (202); any other job takes the edge at
+// once (200) or has none (409).
+func (s *Server) handleStop(ev event) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.lookup(w, r)
+		if !ok {
+			return
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		switch {
+		case j.State == StateRunning:
+			j.reason = ev
+			j.cancel()
+			writeJSON(w, http.StatusAccepted, j.snapshotView())
+		case s.transitionLocked(j, ev, nil):
+			writeJSON(w, http.StatusOK, j.snapshotView())
+		default:
+			httpError(w, http.StatusConflict, "job %d is %s", j.ID, j.State)
+		}
 	}
 }
 
@@ -530,17 +481,12 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining: no new admissions")
 		return
 	}
-	switch j.State {
-	case StatePaused, StateParked, StateFailed:
-		j.State = StateQueued
-		j.Resume = checkpointable(&j.Spec)
-		s.journalStateLocked(j)
-		s.queue = append(s.queue, j.ID)
-		s.scheduleLocked()
-		writeJSONLocked(w, http.StatusAccepted, j.snapshotView())
-	default:
+	if !s.transitionLocked(j, evResume, nil) {
 		httpError(w, http.StatusConflict, "job %d is %s", j.ID, j.State)
+		return
 	}
+	s.scheduleLocked()
+	writeJSON(w, http.StatusAccepted, j.snapshotView())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -722,10 +668,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 }
-
-// writeJSONLocked is writeJSON for call sites holding the server mutex —
-// the value is already a snapshot, the name just documents the invariant.
-func writeJSONLocked(w http.ResponseWriter, code int, v any) { writeJSON(w, code, v) }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})

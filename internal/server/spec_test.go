@@ -67,7 +67,7 @@ func TestSubmitReadAhead(t *testing.T) {
 // TestJournalReplayLenient: records already accepted replay even with keys
 // this version does not know or a depth the governor overrides.
 func TestJournalReplayLenient(t *testing.T) {
-	jobs, next, err := replay([][]byte{
+	jobs, next, err := replayAll([][]byte{
 		[]byte(`{"type":"submit","id":1,"spec":{"dataset":"/d","kernel_worker":2,"readahead":8}}`),
 	})
 	if err != nil || len(jobs) != 1 || next != 2 {

@@ -15,6 +15,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"haralick4d/internal/glcm"
@@ -86,143 +87,99 @@ func PaperSet() []Feature {
 	return []Feature{ASM, Correlation, Variance, IDM}
 }
 
-// need describes which intermediate quantities a feature set requires, so
-// that the per-cell work scales with the request.
+// need describes the work a feature set requires beyond the exact integer
+// sums every matrix pays for.
 type need struct {
-	basic    bool // ASM, IDM, Σij·p
-	entropy  bool // −Σ p·log p (f9, f12, f13): the only per-cell math.Log
-	marginal bool // px, py (correlation, variance, f12–f14)
-	sumDiff  bool // p_{x+y}, p_{x−y} histograms (f2, f6–f8, f10, f11)
-	hxy      bool // second pass for HXY1/HXY2 (f12, f13)
-	q        bool // Q-matrix eigenproblem (f14)
+	entropy bool // HXY = −Σ p·log p over the entries (f9, f12, f13): the only per-entry math.Log
+	levels  bool // the marginal and C_{x+y} histograms (f8, f12–f14)
+	q       bool // Q-matrix eigenproblem (f14)
 }
 
 func analyze(req []Feature) need {
 	var n need
 	for _, f := range req {
 		switch f {
-		case ASM, IDM:
-			n.basic = true
 		case Entropy:
 			n.entropy = true
-		case Contrast, SumAverage, SumVariance, SumEntropy, DifferenceVariance, DifferenceEntropy:
-			n.sumDiff = true
-		case Correlation, Variance:
-			n.basic = true
-			n.marginal = true
+		case SumEntropy:
+			n.levels = true
 		case InfoCorrelation1, InfoCorrelation2:
-			n.entropy = true
-			n.marginal = true
-			n.hxy = true
+			n.entropy, n.levels = true, true
 		case MaxCorrelationCoeff:
-			n.marginal = true
-			n.q = true
+			n.levels, n.q = true, true
 		default:
-			panic(fmt.Sprintf("features: invalid feature %d", int(f)))
+			if f < 0 || int(f) >= NumFeatures {
+				panic(fmt.Sprintf("features: invalid feature %d", int(f)))
+			}
 		}
 	}
 	return n
 }
 
-// acc carries the single-pass accumulations shared by both representations.
-type acc struct {
-	g       int
-	asm     float64
-	idm     float64
-	entropy float64
-	sumIJ   float64 // ΣΣ i·j·p(i,j)
-	px, py  []float64
-	psum    []float64 // p_{x+y}, index i+j in [0, 2G−2]
-	pdiff   []float64 // p_{x−y}, index |i−j| in [0, G−1]
+// u128 is an unsigned 128-bit integer: a product of two exact sums.
+type u128 struct{ hi, lo uint64 }
+
+func mul(a, b uint64) u128 {
+	hi, lo := bits.Mul64(a, b)
+	return u128{hi, lo}
 }
 
-func (a *acc) init(g int, n need) {
-	a.g = g
-	a.asm, a.idm, a.entropy, a.sumIJ = 0, 0, 0, 0
-	a.px, a.py, a.psum, a.pdiff = nil, nil, nil, nil
-	if n.marginal || n.hxy || n.q {
-		a.px = make([]float64, g)
-		a.py = make([]float64, g)
-	}
-	if n.sumDiff {
-		a.psum = make([]float64, 2*g-1)
-		a.pdiff = make([]float64, g)
-	}
+func (x u128) add(y u128) u128 {
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	return u128{x.hi + y.hi + carry, lo}
 }
 
-// reset clears the accumulator for another matrix with the same shape.
-func (a *acc) reset() {
-	a.asm, a.idm, a.entropy, a.sumIJ = 0, 0, 0, 0
-	for i := range a.px {
-		a.px[i] = 0
-		a.py[i] = 0
-	}
-	for i := range a.psum {
-		a.psum[i] = 0
-	}
-	for i := range a.pdiff {
-		a.pdiff[i] = 0
-	}
+func (x u128) sub(y u128) u128 {
+	lo, borrow := bits.Sub64(x.lo, y.lo, 0)
+	return u128{x.hi - y.hi - borrow, lo}
 }
 
-// cell folds one dense cell (i, j) with probability p into the accumulator.
-// weight is 1 for a cell visited directly and 2 when a sparse off-diagonal
-// entry stands for both mirror cells (every term below is symmetric in i, j).
-func (a *acc) cell(i, j int, p, weight float64, n need) {
-	wp := weight * p
-	if n.basic {
-		a.asm += wp * p
-		d := i - j
-		a.idm += wp / float64(1+d*d)
-		a.sumIJ += wp * float64(i) * float64(j)
-	}
-	if n.entropy {
-		a.entropy -= wp * safeLog(p)
-	}
-	if a.px != nil {
-		a.px[i] += p
-		a.py[j] += p
-		if weight == 2 {
-			a.px[j] += p
-			a.py[i] += p
-		}
-	}
-	if n.sumDiff {
-		a.psum[i+j] += wp
-		d := i - j
-		if d < 0 {
-			d = -d
-		}
-		a.pdiff[d] += wp
-	}
-}
+// quarter returns x/4, which must be exact and below 2⁶⁴.
+func (x u128) quarter() uint64 { return x.hi<<62 | x.lo>>2 }
 
-func safeLog(p float64) float64 {
-	if p <= 0 {
-		return 0
+func (x u128) float() float64 { return float64(x.hi)*0x1p64 + float64(x.lo) }
+
+// signed returns x − y, which may be negative, as a float64.
+func signed(x, y u128) float64 {
+	if x.hi < y.hi || x.hi == y.hi && x.lo < y.lo {
+		return -y.sub(x).float()
 	}
-	return math.Log(p)
+	return x.sub(y).float()
 }
 
 // Calculator computes feature vectors from co-occurrence matrices, reusing
-// its internal accumulation buffers across matrices. The texture filters
-// process tens of thousands of matrices per chunk, so the per-matrix
-// allocations of the one-shot FromFull/FromSparse helpers matter; a
-// Calculator amortizes them away. Not safe for concurrent use.
+// its scratch across matrices. The texture filters process tens of
+// thousands of matrices per chunk, so the per-matrix allocations of the
+// one-shot FromFull/FromSparse helpers matter; a Calculator amortizes them
+// away. Not safe for concurrent use.
 type Calculator struct {
 	g    int
 	req  []Feature
 	n    need
-	a    acc
 	ents []glcm.Entry // FromFull's upper-triangle entry list
 	out  []float64
+
+	// Level histograms of the current matrix's counts, all zero between
+	// calls: C_{x−y}(k), and for need.levels the marginal cx(k) and C_{x+y}(k).
+	cx, csum, cdiff []uint64
+
+	// f14's scratch: the support's compact indices, B and M = B·Bᵀ.
+	qidx []int
+	qb   []float64
+	qm   linalg.Sym
 }
 
 // NewCalculator returns a calculator for matrices with g gray levels
 // producing the given feature set.
 func NewCalculator(g int, req []Feature) *Calculator {
 	c := &Calculator{g: g, req: append([]Feature(nil), req...), n: analyze(req)}
-	c.a.init(g, c.n)
+	c.cdiff = make([]uint64, g)
+	if c.n.levels {
+		c.cx, c.csum = make([]uint64, g), make([]uint64, 2*g-1)
+	}
+	if c.n.q {
+		c.qidx, c.qb, c.qm.Data = make([]int, g), make([]float64, g*g), make([]float64, g*g)
+	}
 	c.out = make([]float64, len(req))
 	return c
 }
@@ -272,79 +229,176 @@ func (c *Calculator) FromSparse(s *glcm.Sparse) ([]float64, error) {
 	return c.fromEntries(s.Entries, s.Total)
 }
 
-// fromEntries is the one feature arithmetic: the features are a function of
-// the (i ≤ j)-sorted upper-triangular entry list and the matrix total, an
-// off-diagonal entry standing for both mirror cells with weight 2.
-func (c *Calculator) fromEntries(entries []glcm.Entry, total uint64) ([]float64, error) {
-	n := c.n
-	out := c.out
-	for i := range out {
-		out[i] = 0
-	}
-	if total == 0 {
-		return out, nil
-	}
-	a := &c.a
-	a.reset()
-	inv := 1 / float64(total)
-	for _, e := range entries {
-		p := float64(e.Count) * inv
-		w := 2.0
-		if e.I == e.J {
-			w = 1.0
-		}
-		a.cell(int(e.I), int(e.J), p, w, n)
-	}
-	var hxy1, hxy2 float64
-	if n.hxy {
-		for _, e := range entries {
-			p := float64(e.Count) * inv
-			i, j := int(e.I), int(e.J)
-			hxy1 -= p * safeLog(a.px[i]*a.py[j])
-			if i != j {
-				hxy1 -= p * safeLog(a.px[j]*a.py[i])
-			}
-		}
-		hxy2 = hxy2Term(a.px, a.py)
-	}
-	var lambda2 float64
-	if n.q {
-		var err error
-		lambda2, err = qSecondEigenvalue(func(yield func(i, j int, p float64)) {
-			for _, e := range entries {
-				if e.Count == 0 {
-					continue
-				}
-				p := float64(e.Count) * inv
-				yield(int(e.I), int(e.J), p)
-				if e.I != e.J {
-					yield(int(e.J), int(e.I), p)
-				}
-			}
-		}, a.px, a.py, c.g)
-		if err != nil {
-			return nil, err
-		}
-	}
-	finish(a, n, hxy1, hxy2, lambda2, c.req, out)
-	return out, nil
+// sums are one matrix's exact integer sums over its dense cells C(i, j).
+type sums struct {
+	a1     uint64 // Σ C·(i+j), C_{x+y}'s first moment: 2·S1
+	a2     u128   // Σ C·(i+j)², C_{x+y}'s second moment: 2·(S2 + Σ C·i·j)
+	sq     u128   // Σ C²
+	dmax   int    // the largest j − i, where C_{x−y} ends
+	lo, hi int    // the level range of cx and C_{x+y}, when need.levels filled them
 }
 
-// hxy2Term computes HXY2 = −ΣΣ px(i)py(j)·log(px(i)py(j)) over the marginal
-// support. This term depends only on the marginals, so zero-skip does not
-// apply to it.
-func hxy2Term(px, py []float64) float64 {
-	h := 0.0
-	for _, pi := range px {
-		if pi == 0 {
-			continue
+// fromEntries is the one feature arithmetic: the features are a function of
+// the upper-triangular (i ≤ j) entry list and the matrix total T, an
+// off-diagonal entry standing for both mirror cells. One pass of integer
+// multiply-adds folds the entries into exact sums — C_{x−y} and the sums
+// above — that depend neither on the entries' order nor on zero entries, so
+// every representation and every kernel gives the same bits; finish derives
+// each parameter from them. T is the dense cells' sum, as every glcm matrix
+// keeps it: with counts below 2³² and at most 2¹⁶ cells, T < 2⁴⁸, so every
+// sum linear in the counts fits a uint64 except Σ C·(i+j)² (at most
+// 510²·T), and every product of two fits 128 bits.
+func (c *Calculator) fromEntries(entries []glcm.Entry, total uint64) ([]float64, error) {
+	clear(c.out)
+	if total == 0 || len(entries) == 0 {
+		return c.out, nil
+	}
+	cdiff := c.cdiff
+	var a1, dmax uint64
+	var a2, sq u128
+	for _, e := range entries {
+		i, j, n := uint64(e.I), uint64(e.J), uint64(e.Count)
+		wn := 2 * n // the count of the entry's cells: n on the diagonal, 2n off it
+		if i == j {
+			wn = n
 		}
-		for _, pj := range py {
-			if pj == 0 {
-				continue
+		cdiff[j-i] += wn
+		k := wn * (i + j)
+		a1 += k
+		a2 = a2.add(u128{lo: k * (i + j)})
+		sq = sq.add(mul(n, wn))
+		dmax = max(dmax, j-i)
+	}
+	s := sums{a1: a1, a2: a2, sq: sq, dmax: int(dmax)}
+	var lambda2 float64
+	var err error
+	if c.n.levels {
+		s.lo, s.hi = c.histograms(entries)
+		if c.n.q {
+			lambda2, err = c.qSecondEigenvalue(entries, s.lo, s.hi)
+		}
+	}
+	if err == nil {
+		c.finish(entries, total, &s, lambda2)
+	}
+	clear(cdiff[:s.dmax+1])
+	if c.n.levels {
+		clear(c.cx[s.lo : s.hi+1])
+		clear(c.csum[2*s.lo : 2*s.hi+1])
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.out, nil
+}
+
+// histograms fills the marginal cx(k) = Σ_j C(k, j) — the matrix is
+// symmetric, so it is the column marginal too — and C_{x+y}, and returns
+// the entries' level range.
+func (c *Calculator) histograms(entries []glcm.Entry) (lo, hi int) {
+	lo, hi = int(entries[0].I), int(entries[0].J)
+	for _, e := range entries {
+		i, j, n := int(e.I), int(e.J), uint64(e.Count)
+		c.cx[i] += n
+		c.csum[i+j] += n
+		if i != j {
+			c.cx[j] += n
+			c.csum[i+j] += n
+		}
+		lo, hi = min(lo, i), max(hi, j)
+	}
+	return lo, hi
+}
+
+// finish derives the requested parameters from the sums. With D1, D2 the
+// moments of C_{x−y}, the marginal's moments are S1 = A1/2 and S2 =
+// (A2 + D2)/4, and Σ C·i·j = (A2 − D2)/4. The second moments are exact
+// integer numerators over T², each rounded once: variance T·S2 − S1²,
+// correlation's covariance T·Σ C·i·j − S1², difference variance T·D2 − D1²
+// and sum variance T·A2 − A1². ASM, contrast and sum average are one
+// division of an exact sum. IDM and the entropies round per level; HXY and
+// f14 are the only float work per entry.
+func (c *Calculator) finish(entries []glcm.Entry, total uint64, s *sums, lambda2 float64) {
+	cdiff := c.cdiff[:s.dmax+1]
+	var d1, d2 uint64
+	for d, n := range cdiff {
+		d1 += uint64(d) * n
+		d2 += uint64(d*d) * n
+	}
+	t, t2 := float64(total), mul(total, total).float()
+	s1 := s.a1 / 2
+	s2, sij := s.a2.add(u128{lo: d2}).quarter(), s.a2.sub(u128{lo: d2}).quarter()
+	s1s1, tsij := mul(s1, s1), mul(total, sij)
+	variance := mul(total, s2).sub(s1s1).float()
+	var hxy, hx float64
+	if c.n.entropy {
+		for _, e := range entries {
+			if e.Count != 0 {
+				p := float64(e.Count) / t
+				w := 2.0
+				if e.I == e.J {
+					w = 1
+				}
+				hxy -= w * p * math.Log(p)
 			}
-			q := pi * pj
-			h -= q * math.Log(q)
+		}
+		if c.n.levels {
+			hx = entropy(c.cx[s.lo:s.hi+1], t)
+		}
+	}
+	for o, f := range c.req {
+		var v float64
+		switch f {
+		case ASM:
+			v = s.sq.float() / t2
+		case Contrast:
+			v = float64(d2) / t
+		case Correlation:
+			if variance > 0 {
+				v = signed(tsij, s1s1) / variance
+			}
+		case Variance:
+			// Haralick's f4 with μ the mean of the marginal.
+			v = variance / t2
+		case IDM:
+			for d, n := range cdiff {
+				v += float64(n) / float64(1+d*d)
+			}
+			v /= t
+		case SumAverage:
+			v = float64(s.a1) / t
+		case SumVariance:
+			v = mul(total, s2).add(tsij).sub(s1s1.add(s1s1)).float() * 2 / t2
+		case SumEntropy:
+			v = entropy(c.csum[2*s.lo:2*s.hi+1], t)
+		case Entropy:
+			v = hxy
+		case DifferenceVariance:
+			v = mul(total, d2).sub(mul(d1, d1)).float() / t2
+		case DifferenceEntropy:
+			v = entropy(cdiff, t)
+		case InfoCorrelation1:
+			// HXY1 = −Σ p·log(px·py) = HX + HY, and HY = HX for a symmetric matrix.
+			if hx > 0 {
+				v = (hxy - 2*hx) / hx
+			}
+		case InfoCorrelation2:
+			// HXY2, the entropy of px·py, is HX + HY too.
+			v = math.Sqrt(max(0, -math.Expm1(-2*(2*hx-hxy))))
+		case MaxCorrelationCoeff:
+			v = math.Sqrt(max(0, lambda2))
+		}
+		c.out[o] = v
+	}
+}
+
+// entropy returns −Σ p·log p over p = n/t for the non-zero counts n.
+func entropy(counts []uint64, t float64) float64 {
+	h := 0.0
+	for _, n := range counts {
+		if n != 0 {
+			p := float64(n) / t
+			h -= p * math.Log(p)
 		}
 	}
 	return h
@@ -352,146 +406,44 @@ func hxy2Term(px, py []float64) float64 {
 
 // qSecondEigenvalue computes the second largest eigenvalue of the Q matrix,
 // Q(i,j) = Σ_k p(i,k)p(j,k)/(px(i)py(k)), needed by f14. Q is similar to the
-// symmetric PSD matrix M = B·Bᵀ with B(i,j) = p(i,j)/√(px(i)·py(j)) (the
-// similarity is D^(−1/2)·M·D^(1/2) with D = diag(px)), so its eigenvalues are
-// real and computable by the Jacobi solver on M, restricted to the support
-// of the marginals. cells must yield every non-zero dense cell exactly once.
-func qSecondEigenvalue(cells func(yield func(i, j int, p float64)), px, py []float64, g int) (float64, error) {
-	// Map gray levels with non-zero marginal mass to compact indices.
-	idx := make([]int, g)
-	sup := 0
-	for i := 0; i < g; i++ {
-		if px[i] > 0 {
-			idx[i] = sup
+// symmetric PSD matrix M = B·Bᵀ with B(i,j) = p(i,j)/√(px(i)·py(j)) =
+// C(i,j)/√(cx(i)·cx(j)) (the similarity is D^(−1/2)·M·D^(1/2) with D =
+// diag(px)), so its eigenvalues are real and computable by the Jacobi solver
+// on M, restricted to the levels of [lo, hi] with non-zero marginal mass.
+func (c *Calculator) qSecondEigenvalue(entries []glcm.Entry, lo, hi int) (float64, error) {
+	idx, sup := c.qidx, 0
+	for k := lo; k <= hi; k++ {
+		idx[k] = -1
+		if c.cx[k] != 0 {
+			idx[k] = sup
 			sup++
-		} else {
-			idx[i] = -1
 		}
 	}
 	if sup < 2 {
 		return 0, nil
 	}
-	// Build B over the support (for a symmetric GLCM, py has the same
-	// support as px).
-	b := make([][]float64, sup)
-	for i := range b {
-		b[i] = make([]float64, sup)
-	}
-	cells(func(i, j int, p float64) {
-		bi, bj := idx[i], idx[j]
-		if bi < 0 || bj < 0 {
-			return
+	b := c.qb[:sup*sup]
+	clear(b)
+	for _, e := range entries {
+		if e.Count != 0 {
+			i, j := int(e.I), int(e.J)
+			v := float64(e.Count) / math.Sqrt(float64(c.cx[i])*float64(c.cx[j]))
+			b[idx[i]*sup+idx[j]] = v
+			b[idx[j]*sup+idx[i]] = v
 		}
-		b[bi][bj] = p / math.Sqrt(px[i]*py[j])
-	})
-	m := linalg.NewSym(sup)
+	}
+	m := &c.qm
+	m.N, m.Data = sup, m.Data[:sup*sup]
 	for i := 0; i < sup; i++ {
 		for j := i; j < sup; j++ {
 			sum := 0.0
 			for k := 0; k < sup; k++ {
-				sum += b[i][k] * b[j][k]
+				sum += b[i*sup+k] * b[j*sup+k]
 			}
 			m.Set(i, j, sum)
 		}
 	}
 	return linalg.SecondLargestEigenvalue(m)
-}
-
-// finish derives the requested feature values from the accumulations.
-func finish(a *acc, n need, hxy1, hxy2, lambda2 float64, req []Feature, out []float64) {
-	var mux, muy, sigx, sigy float64
-	if a.px != nil {
-		for i, p := range a.px {
-			mux += float64(i) * p
-			muy += float64(i) * a.py[i]
-		}
-		for i, p := range a.px {
-			d := float64(i) - mux
-			sigx += d * d * p
-			d = float64(i) - muy
-			sigy += d * d * a.py[i]
-		}
-		sigx = math.Sqrt(sigx)
-		sigy = math.Sqrt(sigy)
-	}
-	var sumAvg, sumVar, sumEnt, contrast, diffEnt, diffMean, diffVar float64
-	if n.sumDiff {
-		for k, p := range a.psum {
-			sumAvg += float64(k) * p
-			sumEnt -= p * safeLog(p)
-		}
-		for k, p := range a.psum {
-			d := float64(k) - sumAvg
-			sumVar += d * d * p
-		}
-		for k, p := range a.pdiff {
-			contrast += float64(k*k) * p
-			diffEnt -= p * safeLog(p)
-			diffMean += float64(k) * p
-		}
-		for k, p := range a.pdiff {
-			d := float64(k) - diffMean
-			diffVar += d * d * p
-		}
-	}
-	for o, f := range req {
-		switch f {
-		case ASM:
-			out[o] = a.asm
-		case Contrast:
-			out[o] = contrast
-		case Correlation:
-			if sigx > 0 && sigy > 0 {
-				out[o] = (a.sumIJ - mux*muy) / (sigx * sigy)
-			}
-		case Variance:
-			// Haralick's f4 with μ the mean of the x-marginal.
-			v := 0.0
-			for i, p := range a.px {
-				d := float64(i) - mux
-				v += d * d * p
-			}
-			out[o] = v
-		case IDM:
-			out[o] = a.idm
-		case SumAverage:
-			out[o] = sumAvg
-		case SumVariance:
-			out[o] = sumVar
-		case SumEntropy:
-			out[o] = sumEnt
-		case Entropy:
-			out[o] = a.entropy
-		case DifferenceVariance:
-			out[o] = diffVar
-		case DifferenceEntropy:
-			out[o] = diffEnt
-		case InfoCorrelation1:
-			hx, hy := marginalEntropy(a.px), marginalEntropy(a.py)
-			if h := math.Max(hx, hy); h > 0 {
-				out[o] = (a.entropy - hxy1) / h
-			}
-		case InfoCorrelation2:
-			d := 1 - math.Exp(-2*(hxy2-a.entropy))
-			if d < 0 {
-				d = 0 // numerical guard; analytically ≥ 0
-			}
-			out[o] = math.Sqrt(d)
-		case MaxCorrelationCoeff:
-			if lambda2 < 0 {
-				lambda2 = 0
-			}
-			out[o] = math.Sqrt(lambda2)
-		}
-	}
-}
-
-func marginalEntropy(p []float64) float64 {
-	h := 0.0
-	for _, v := range p {
-		h -= v * safeLog(v)
-	}
-	return h
 }
 
 // FromFull is the one-shot convenience form of Calculator.FromFull: it

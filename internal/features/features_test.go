@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"haralick4d/internal/glcm"
+	"haralick4d/internal/linalg"
+	"haralick4d/internal/synthetic"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -371,35 +376,326 @@ func TestInvalidFeaturePanics(t *testing.T) {
 	_, _ = FromFull(glcm.NewFull(4), []Feature{Feature(42)}, false)
 }
 
+// phantom holds the co-occurrence matrices of a paper-shaped scan, built once
+// per test binary: a synthetic DCE-MRI phantom requantized to G = 32, the 40
+// 4D directions at distance 1 and a 16×16×3×3 ROI, walked by the blocked
+// kernel along every eighth raster row of origins, as production walks a row.
+var phantom struct {
+	once   sync.Once
+	full   []*glcm.Full
+	sparse []*glcm.Sparse
+}
+
+func phantomMatrices() ([]*glcm.Full, []*glcm.Sparse) {
+	phantom.once.Do(func() {
+		const g = 32
+		roi := [4]int{16, 16, 3, 3}
+		grid := synthetic.GenerateGrid(synthetic.Config{Dims: [4]int{112, 112, 4, 4}, Seed: 23}, g)
+		strides := grid.Strides()
+		k := glcm.NewBlocked(g)
+		if !k.Plan(strides, roi, glcm.Directions(4, 1), 1, 0) {
+			panic("blocked kernel rejects the paper geometry")
+		}
+		var n [4]int
+		for a := range n {
+			n[a] = grid.Dims[a] - roi[a] + 1
+		}
+		k.PlanRows(n[0])
+		for t := 0; t < n[3]; t++ {
+			for z := 0; z < n[2]; z++ {
+				for y := 0; y < n[1]; y += 8 {
+					for x := 0; x < n[0]; x++ {
+						if x == 0 {
+							k.StartRow(grid.Data, y*strides[1]+z*strides[2]+t*strides[3])
+						} else {
+							k.Step(grid.Data)
+						}
+						m := glcm.NewFull(g)
+						k.SnapshotFull(m)
+						phantom.full = append(phantom.full, m)
+						phantom.sparse = append(phantom.sparse, m.Sparse())
+					}
+				}
+			}
+		}
+	})
+	return phantom.full, phantom.sparse
+}
+
+// The feature micros time the arithmetic alone: one Calculator, reused over
+// the phantom's matrices as the texture filters reuse theirs, for the
+// paper's four parameters and for all fourteen. One op is one matrix, so
+// ns/op and allocs/op are per matrix.
 func BenchmarkFromFullNoSkip(b *testing.B)   { benchFeatures(b, "full") }
 func BenchmarkFromFullZeroSkip(b *testing.B) { benchFeatures(b, "skip") }
 func BenchmarkFromSparse(b *testing.B)       { benchFeatures(b, "sparse") }
 
 func benchFeatures(b *testing.B, mode string) {
-	// A sparse-ish matrix typical of a requantized MRI ROI: ~12 distinct
-	// gray pairs at G=32.
-	rng := rand.New(rand.NewSource(9))
-	m := glcm.NewFull(32)
-	for k := 0; k < 700; k++ {
-		base := rng.Intn(6) + 10
-		m.Add(uint8(base), uint8(base+rng.Intn(3)))
+	full, sparse := phantomMatrices()
+	for _, set := range []struct {
+		name string
+		req  []Feature
+	}{{"paper", PaperSet()}, {"all", All()}} {
+		b.Run(set.name, func(b *testing.B) {
+			calc := NewCalculator(full[0].G, set.req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(full)
+				var err error
+				switch mode {
+				case "full":
+					_, err = calc.FromFull(full[k], false)
+				case "skip":
+					_, err = calc.FromFull(full[k], true)
+				case "sparse":
+					_, err = calc.FromSparse(sparse[k])
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	sp := m.Sparse()
-	req := PaperSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		switch mode {
-		case "full":
-			_, err = FromFull(m, req, false)
-		case "skip":
-			_, err = FromFull(m, req, true)
-		case "sparse":
-			_, err = FromSparse(sp, req)
+}
+
+// TestCalculatorAllocs pins a reused Calculator at zero allocations per
+// matrix for all fourteen features, f14's eigenproblem included.
+func TestCalculatorAllocs(t *testing.T) {
+	_, sparse := phantomMatrices()
+	calc := NewCalculator(sparse[0].G, All())
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		must(calc.FromSparse(sparse[k%len(sparse)]))
+		k += 7
+	})
+	if allocs != 0 {
+		t.Errorf("FromSparse with all fourteen features: %v allocations per matrix, want 0", allocs)
+	}
+}
+
+// definition computes all fourteen features of m straight from Haralick's
+// definitions, in dense float64 over the full G×G matrix: p, px, py,
+// p_{x+y}, p_{x−y}, HXY1 and HXY2 cell by cell, and f14 from the Q matrix
+// itself (only when f14 is in req). It shares no arithmetic with the
+// Calculator beyond linalg's eigensolver. The second moments use the
+// centered two-pass forms, which stay accurate where Σ i·j·p − μx·μy
+// cancels. The result is indexed by Feature.
+func definition(m *glcm.Full, req []Feature) []float64 {
+	g := m.G
+	out := make([]float64, NumFeatures)
+	if m.Total == 0 {
+		return out
+	}
+	p := make([]float64, g*g)
+	for k, c := range m.Counts {
+		p[k] = float64(c) / float64(m.Total)
+	}
+	px, py := make([]float64, g), make([]float64, g)
+	psum, pdiff := make([]float64, 2*g-1), make([]float64, g)
+	for i := 0; i < g; i++ {
+		for j := 0; j < g; j++ {
+			v := p[i*g+j]
+			px[i] += v
+			py[j] += v
+			psum[i+j] += v
+			pdiff[max(i-j, j-i)] += v
 		}
-		if err != nil {
-			b.Fatal(err)
+	}
+	xlogx := func(v float64) float64 {
+		if v == 0 {
+			return 0
+		}
+		return v * math.Log(v)
+	}
+	var mux, muy, vx, vy, hx, hy float64
+	for i := 0; i < g; i++ {
+		mux += float64(i) * px[i]
+		muy += float64(i) * py[i]
+		hx -= xlogx(px[i])
+		hy -= xlogx(py[i])
+	}
+	for i := 0; i < g; i++ {
+		vx += (float64(i) - mux) * (float64(i) - mux) * px[i]
+		vy += (float64(i) - muy) * (float64(i) - muy) * py[i]
+	}
+	var asm, contrast, cov, idm, hxy, hxy1, hxy2 float64
+	for i := 0; i < g; i++ {
+		for j := 0; j < g; j++ {
+			v, d := p[i*g+j], float64(i-j)
+			asm += v * v
+			contrast += d * d * v
+			cov += (float64(i) - mux) * (float64(j) - muy) * v
+			idm += v / (1 + d*d)
+			hxy -= xlogx(v)
+			if v > 0 {
+				hxy1 -= v * math.Log(px[i]*py[j])
+			}
+			hxy2 -= xlogx(px[i] * py[j])
+		}
+	}
+	var sumAvg, sumVar, sumEnt, diffMean, diffVar, diffEnt float64
+	for k, v := range psum {
+		sumAvg += float64(k) * v
+		sumEnt -= xlogx(v)
+	}
+	for k, v := range psum {
+		sumVar += (float64(k) - sumAvg) * (float64(k) - sumAvg) * v
+	}
+	for k, v := range pdiff {
+		diffMean += float64(k) * v
+		diffEnt -= xlogx(v)
+	}
+	for k, v := range pdiff {
+		diffVar += (float64(k) - diffMean) * (float64(k) - diffMean) * v
+	}
+	out[ASM], out[Contrast], out[Variance], out[IDM] = asm, contrast, vx, idm
+	if vx > 0 && vy > 0 {
+		out[Correlation] = cov / math.Sqrt(vx*vy)
+	}
+	out[SumAverage], out[SumVariance], out[SumEntropy], out[Entropy] = sumAvg, sumVar, sumEnt, hxy
+	out[DifferenceVariance], out[DifferenceEntropy] = diffVar, diffEnt
+	if h := math.Max(hx, hy); h > 0 {
+		out[InfoCorrelation1] = (hxy - hxy1) / h
+	}
+	out[InfoCorrelation2] = math.Sqrt(math.Max(0, 1-math.Exp(-2*(hxy2-hxy))))
+	if slices.Contains(req, MaxCorrelationCoeff) {
+		out[MaxCorrelationCoeff] = math.Sqrt(math.Max(0, qLambda2(p, px, py, g)))
+	}
+	return out
+}
+
+// qLambda2 returns the second largest eigenvalue of Haralick's Q(i,j) =
+// Σ_k p(i,k)·p(j,k)/(px(i)·py(k)), formed over the full G. Q's rows and
+// columns outside the marginal's support are zero, each adding an eigenvalue
+// 0; on the support Q is similar to the symmetric S = D^½·Q·D^−½ (D =
+// diag(px)), whose eigenvalues the Jacobi solver finds.
+func qLambda2(p, px, py []float64, g int) float64 {
+	q := make([]float64, g*g)
+	for i := 0; i < g; i++ {
+		for k := 0; k < g; k++ {
+			if p[i*g+k] == 0 {
+				continue
+			}
+			for j := 0; j < g; j++ {
+				q[i*g+j] += p[i*g+k] * p[j*g+k] / (px[i] * py[k])
+			}
+		}
+	}
+	var sup []int
+	for i := 0; i < g; i++ {
+		if px[i] > 0 {
+			sup = append(sup, i)
+		}
+	}
+	s := linalg.NewSym(len(sup))
+	for a, i := range sup {
+		for b, j := range sup[:a+1] {
+			sij := math.Sqrt(px[i]) * q[i*g+j] / math.Sqrt(px[j])
+			sji := math.Sqrt(px[j]) * q[j*g+i] / math.Sqrt(px[i])
+			s.Set(a, b, (sij+sji)/2)
+		}
+	}
+	eig, err := linalg.EigenSym(s)
+	if err != nil {
+		panic(err)
+	}
+	eig = append(eig, make([]float64, g-len(sup))...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
+	return eig[1]
+}
+
+// checkDefinition compares the three representation routes with the
+// definition on the features req: within 1e-12 of the value, or
+// absolutely for values below 1, where features that cancel toward 0 (f3,
+// f12) carry their terms' absolute rounding. f13 and f14 are square roots
+// of quantities that reach 0, where √ turns an absolute rounding ε into √ε,
+// so their squares are compared, within 1e-9.
+func checkDefinition(t *testing.T, tag string, m *glcm.Full, req []Feature) {
+	t.Helper()
+	want := definition(m, req)
+	calc := NewCalculator(m.G, req)
+	for _, path := range []struct {
+		name string
+		vals func() ([]float64, error)
+	}{
+		{"full", func() ([]float64, error) { return calc.FromFull(m, false) }},
+		{"full+skip", func() ([]float64, error) { return calc.FromFull(m, true) }},
+		{"sparse", func() ([]float64, error) { return calc.FromSparse(m.Sparse()) }},
+	} {
+		got := must(path.vals())
+		for o, f := range req {
+			g, w, tol := got[o], want[f], 1e-12
+			if f == InfoCorrelation2 || f == MaxCorrelationCoeff {
+				g, w, tol = g*g, w*w, 1e-9
+			}
+			if math.Abs(g-w) > tol*math.Max(1, math.Abs(w)) {
+				t.Errorf("%s: %s %v = %v, definition %v", tag, path.name, f, got[o], want[f])
+			}
+		}
+	}
+}
+
+// maxCells returns a G×G matrix whose listed upper-triangle cells, and their
+// mirrors, hold 2³²−1: the largest count a cell can carry.
+func maxCells(g int, cells ...[2]int) *glcm.Full {
+	m := glcm.NewFull(g)
+	for _, c := range cells {
+		m.Counts[c[0]*g+c[1]] = math.MaxUint32
+		m.Counts[c[1]*g+c[0]] = math.MaxUint32
+	}
+	for _, c := range m.Counts {
+		m.Total += uint64(c)
+	}
+	return m
+}
+
+// TestAllFeaturesAgainstDefinition checks all fourteen features on every
+// route against the dense float64 definition: seeded random matrices at each
+// G class, a constant region (where ASM is exactly 1), a single mirror pair,
+// and cells at the largest count, which pin the integer sums' overflow
+// bound. A dense matrix of them is the largest total a matrix can have; at
+// G = 256 it is checked on the parameters of the integer sums only, because
+// its HXY sums 32 896 equal terms, whose summation order alone moves f12
+// by 10⁻¹², where the definition's cell-by-cell HXY1 cancels exactly.
+func TestAllFeaturesAgainstDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range []int{2, 8, 32, 256} {
+		check := func(tag string, m *glcm.Full) { checkDefinition(t, fmt.Sprintf("G=%d %s", g, tag), m, All()) }
+		sizes := []int{1, 5, 60, 400}
+		if g == 256 {
+			sizes = sizes[:3] // 400 pairs make four 200-level eigenproblems: a minute under -race
+		}
+		for _, pairs := range sizes {
+			check(fmt.Sprintf("%d pairs", pairs), randomMatrix(rng, g, pairs))
+		}
+		constant := glcm.NewFull(g)
+		for k := 0; k < 7; k++ {
+			constant.Add(uint8(g/2), uint8(g/2))
+		}
+		check("constant", constant)
+		for _, v := range [][]float64{must(FromFull(constant, All(), false)), must(FromSparse(constant.Sparse(), All()))} {
+			if v[ASM] != 1 {
+				t.Errorf("G=%d constant region: ASM = %v, want exactly 1", g, v[ASM])
+			}
+		}
+		pair := glcm.NewFull(g)
+		pair.Add(0, uint8(g-1))
+		check("mirror pair", pair)
+		top := g - 1
+		check("max mirror pair", maxCells(g, [2]int{0, top}))
+		check("max cells", maxCells(g, [2]int{0, 0}, [2]int{0, top}, [2]int{top / 2, top}, [2]int{top, top}))
+		var all [][2]int
+		for i := 0; i < g; i++ {
+			for j := i; j < g; j++ {
+				all = append(all, [2]int{i, j})
+			}
+		}
+		dense := maxCells(g, all...)
+		if g < 256 {
+			check("dense max", dense)
+		} else {
+			checkDefinition(t, "G=256 dense max", dense, []Feature{ASM, Contrast, Correlation, Variance, SumAverage, SumVariance, DifferenceVariance})
 		}
 	}
 }
@@ -455,19 +751,30 @@ func TestRepresentationsBitIdentical(t *testing.T) {
 }
 
 // FuzzFeatureRepresentations builds a symmetric matrix from the payload —
-// gray pairs taken two bytes at a time, G from the selector — and checks the
-// three routes bit for bit.
+// gray pairs taken two bytes at a time, G from the selector, every count
+// then multiplied by 1 + mult·2²⁴ and capped at 2³²−1, so cells reach the
+// largest count — checks the three routes bit for bit and compares them
+// with the definition.
 func FuzzFeatureRepresentations(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{3, 3}, uint8(1))
-	f.Add([]byte{0, 7, 7, 0, 2, 5, 5, 5, 1, 6}, uint8(1))
-	f.Add([]byte{0, 255, 255, 255, 17, 200, 17, 200, 31, 30}, uint8(3))
-	f.Fuzz(func(t *testing.T, raw []byte, gsel uint8) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{3, 3}, uint8(1), uint8(0))
+	f.Add([]byte{0, 7, 7, 0, 2, 5, 5, 5, 1, 6}, uint8(1), uint8(0))
+	f.Add([]byte{0, 255, 255, 255, 17, 200, 17, 200, 31, 30}, uint8(3), uint8(0))
+	f.Add([]byte{0, 7, 7, 7, 7, 7, 2, 5}, uint8(1), uint8(255))
+	f.Add([]byte{0, 255, 255, 255, 255, 255, 40, 41}, uint8(3), uint8(200))
+	f.Fuzz(func(t *testing.T, raw []byte, gsel, mult uint8) {
 		g := []int{2, 8, 32, 256}[int(gsel)%4]
 		m := glcm.NewFull(g)
 		for i := 0; i+1 < len(raw); i += 2 {
 			m.Add(uint8(int(raw[i])%g), uint8(int(raw[i+1])%g))
 		}
-		checkRepresentations(t, fmt.Sprintf("G=%d", g), m)
+		m.Total = 0
+		for k, c := range m.Counts {
+			m.Counts[k] = uint32(min(uint64(c)*(1+uint64(mult)<<24), math.MaxUint32))
+			m.Total += uint64(m.Counts[k])
+		}
+		tag := fmt.Sprintf("G=%d ×%d", g, mult)
+		checkRepresentations(t, tag, m)
+		checkDefinition(t, tag, m, All())
 	})
 }

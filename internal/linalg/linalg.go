@@ -85,12 +85,19 @@ const (
 // Jacobi rotations. The input is not modified. Eigenvalues are returned in
 // descending order. The tolerance is relative to the Frobenius norm of a.
 func EigenSym(a *Sym) ([]float64, error) {
-	n := a.N
-	if n == 0 {
+	if a.N == 0 {
 		return nil, nil
 	}
 	w := a.Clone()
+	if err := jacobi(w); err != nil {
+		return nil, err
+	}
+	return sortedDiag(w), nil
+}
 
+// jacobi diagonalizes w in place, leaving its eigenvalues on the diagonal.
+func jacobi(w *Sym) error {
+	n := w.N
 	// Scale tolerance by the matrix norm so that tiny matrices converge.
 	norm := 0.0
 	for _, v := range w.Data {
@@ -98,13 +105,13 @@ func EigenSym(a *Sym) ([]float64, error) {
 	}
 	norm = math.Sqrt(norm)
 	if norm == 0 {
-		return make([]float64, n), nil
+		return nil
 	}
 	tol := jacobiTol * norm
 
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		if w.offDiagNorm() <= tol {
-			return sortedDiag(w), nil
+			return nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -129,9 +136,9 @@ func EigenSym(a *Sym) ([]float64, error) {
 		}
 	}
 	if w.offDiagNorm() <= tol*10 {
-		return sortedDiag(w), nil
+		return nil
 	}
-	return nil, ErrNoConvergence
+	return ErrNoConvergence
 }
 
 // applyRotation applies the similarity transform Jᵀ W J where J is the Givens
@@ -165,16 +172,24 @@ func sortedDiag(w *Sym) []float64 {
 }
 
 // SecondLargestEigenvalue returns the second largest eigenvalue of a, or 0
-// for matrices smaller than 2×2.
+// for matrices smaller than 2×2. It diagonalizes a in place — a holds no
+// useful values afterwards — and allocates nothing.
 func SecondLargestEigenvalue(a *Sym) (float64, error) {
 	if a.N < 2 {
 		return 0, nil
 	}
-	eig, err := EigenSym(a)
-	if err != nil {
+	if err := jacobi(a); err != nil {
 		return 0, err
 	}
-	return eig[1], nil
+	first, second := math.Inf(-1), math.Inf(-1)
+	for i := 0; i < a.N; i++ {
+		if v := a.At(i, i); v > first {
+			first, second = v, first
+		} else if v > second {
+			second = v
+		}
+	}
+	return second, nil
 }
 
 // MatVec computes y = A·x for the symmetric matrix a.

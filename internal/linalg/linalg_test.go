@@ -206,6 +206,18 @@ func TestSecondLargestEigenvalue(t *testing.T) {
 	if v, _ := SecondLargestEigenvalue(NewSym(1)); v != 0 {
 		t.Errorf("1x1 second eigenvalue = %v, want 0", v)
 	}
+	// In place, it is the same Jacobi run as EigenSym's: the same bits.
+	rng := rand.New(rand.NewSource(3))
+	for n := 2; n <= 9; n++ {
+		a := randomSym(rng, n)
+		eig, err := EigenSym(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := SecondLargestEigenvalue(a.Clone()); err != nil || v != eig[1] {
+			t.Errorf("n=%d: second eigenvalue %v (%v), EigenSym says %v", n, v, err, eig[1])
+		}
+	}
 }
 
 func TestMatVecDotNorm(t *testing.T) {

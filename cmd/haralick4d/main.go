@@ -34,11 +34,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/cliflags"
-	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/netdesc"
@@ -57,19 +54,17 @@ func fail(format string, args ...any) {
 type cli struct {
 	spec runspec.Spec
 
-	data, graph  string
-	engine       pipeline.Engine
-	codec        filter.Codec
-	resilience   *resilience.Policy
-	iic          int
-	checkpoint   string
-	ckptInterval time.Duration
-	resume       bool
-	crashAfter   int
-	stats        bool
-	metrics      bool
-	metricsJSON  string
-	pprof        string
+	data, graph string
+	engine      pipeline.Engine
+	codec       filter.Codec
+	resilience  *resilience.Policy
+	iic         int
+	checkpoint  pipeline.Checkpoint
+	crashAfter  int
+	stats       bool
+	metrics     bool
+	metricsJSON string
+	pprof       string
 }
 
 // parseArgs parses and checks a command line. Every error it returns is a
@@ -94,9 +89,9 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	budgetS := fs.String("retry-budget", "", "shared retry budget \"tokens[,ratio]\" capping total retries against a sick dependency, e.g. \"10,0.1\" (empty = unbounded)")
 	hedgeS := fs.String("hedge-after", "", "launch a second backend range read if the first has not answered within this duration, e.g. 200ms (empty = off)")
 	fs.IntVar(&c.iic, "iic", 1, "explicit IIC copies")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
+	fs.StringVar(&c.checkpoint.Path, "checkpoint", "", "durable progress journal path; makes the run resumable after a crash (formats uso/none)")
 	ckptIntS := fs.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
-	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
+	fs.BoolVar(&c.checkpoint.Resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
 	fs.IntVar(&c.crashAfter, "crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")
 	fs.BoolVar(&c.stats, "stats", false, "print per-filter runtime statistics")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the structured run report (per-filter spans, streams, critical path)")
@@ -129,7 +124,7 @@ func (c *cli) check(retryS, brkS, budgetS, hedgeS, ckptIntS string) (err error) 
 	if err := validateCountFlags(c.iic); err != nil {
 		return err
 	}
-	if c.ckptInterval, err = cliflags.ParseRestartFlags(c.checkpoint, c.resume, ckptIntS); err != nil {
+	if c.checkpoint.Interval, err = cliflags.ParseRestartFlags(c.checkpoint.Path, c.checkpoint.Resume, ckptIntS); err != nil {
 		return err
 	}
 	c.resilience, err = cliflags.ParseResilienceFlags(retryS, brkS, budgetS, hedgeS)
@@ -162,70 +157,29 @@ func main() {
 	}
 }
 
-// run opens the dataset, builds the pipeline the command line describes and
+// run opens the dataset, prepares the run the command line describes and
 // runs it on the selected engine.
 func (c *cli) run() error {
-	store, err := dataset.OpenURL(context.Background(), c.spec.Dataset, &dataset.URLOptions{
-		CacheBlocks:    c.spec.CacheBlocks,
-		CacheBlockSize: c.spec.CacheBlockSize,
-		Resilience:     c.resilience.NewSet(),
-		ServeStale:     c.spec.ServeStale,
-	})
+	// SIGTERM is what containers and orchestrators send first: treat it
+	// like ^C so the run cancels cleanly and the checkpoint journal is
+	// flushed instead of dying mid-frame. The -deadline budget rides the
+	// same context from the dataset open on, so an overrunning run cancels
+	// exactly like an interrupted one.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, cancel := pipeline.WithDeadline(ctx, &c.spec)
+	defer cancel()
+	store, err := pipeline.OpenDataset(ctx, &c.spec, c.resilience.NewSet())
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-	dims := store.Meta.Dims
-
-	cfg, layout, err := pipeline.ConfigFor(&c.spec, store.Meta.Nodes)
+	p, err := pipeline.Prepare(store, &c.spec, c.checkpoint, c.place)
 	if err != nil {
 		return err
 	}
-	if c.graph != "" {
-		doc, err := netdesc.ParseFile(c.graph)
-		if err != nil {
-			return err
-		}
-		gcfg, glayout, err := doc.Build()
-		if err != nil {
-			return err
-		}
-		// The XML describes the analysis and the placement; the reading
-		// side still comes from the spec.
-		gcfg.ReadAhead, gcfg.FaultPolicy = cfg.ReadAhead, cfg.FaultPolicy
-		if c.spec.OutDir != "" {
-			gcfg.OutDir = c.spec.OutDir
-		}
-		cfg, layout = gcfg, glayout
-	} else {
-		// Extra IIC copies each get a node of their own after the texture
-		// nodes, which ConfigFor places last.
-		tex := layout.HMPNodes
-		if tex == nil {
-			tex = layout.HCCNodes
-		}
-		for next := tex[len(tex)-1] + 1; len(layout.IICNodes) < c.iic; next++ {
-			layout.IICNodes = append(layout.IICNodes, next)
-		}
-	}
-	if cfg.Output != pipeline.OutputCollect {
-		if cfg.OutDir == "" {
-			return errors.New("an output directory is required (use -out)")
-		}
-		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
-			return err
-		}
-	}
-	var journal *checkpoint.Journal
-	if c.checkpoint != "" {
-		j, restart, err := pipeline.PrepareCheckpoint(dims, cfg, c.checkpoint, c.resume, c.ckptInterval)
-		if err != nil {
-			return err
-		}
-		journal = j
-		if c.resume {
-			fmt.Println(restart)
-		}
+	if p.Restart != nil {
+		fmt.Println(p.Restart)
 	}
 
 	if c.pprof != "" {
@@ -237,10 +191,7 @@ func (c *cli) run() error {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", c.pprof)
 	}
 
-	g, sink, outDims, err := pipeline.Build(store, cfg, layout)
-	if err != nil {
-		return err
-	}
+	cfg := p.Config
 	if c.crashAfter > 0 {
 		// Fault-injection hook for the restart smoke test: kill the first
 		// texture copy while it holds an in-flight buffer.
@@ -248,42 +199,17 @@ func (c *cli) run() error {
 		if cfg.Impl == pipeline.SplitImpl {
 			name = "HCC"
 		}
-		if spec, ok := g.Filter(name); ok {
+		if spec, ok := p.Graph.Filter(name); ok {
 			spec.New = fault.CrashAfter(spec.New, 0, c.crashAfter)
 		}
 	}
 	fmt.Printf("dataset %v, ROI %v, G=%d, %s/%s/%s on %s engine\n",
-		dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, c.engine)
-	// SIGTERM is what containers and orchestrators send first: treat it
-	// like ^C so the run cancels cleanly and the checkpoint journal is
-	// flushed instead of dying mid-frame.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if c.spec.Deadline > 0 {
-		// The -deadline budget rides the same context as ^C/SIGTERM, so an
-		// overrunning run cancels exactly like an interrupted one.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.spec.Deadline))
-		defer cancel()
-	}
-	rs, err := pipeline.RunContext(ctx, g, c.engine, &pipeline.RunOptions{
-		WireCodec:    c.codec,
-		Resilience:   c.resilience,
-		Failover:     cfg.FaultPolicy == fault.SkipDegraded,
-		StallTimeout: time.Duration(c.spec.StallTimeout),
-	})
-	if journal != nil {
-		// Close regardless of the run's outcome: the journal is the artifact
-		// a later -resume trusts, so whatever landed must reach the disk.
-		if cerr := journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+		store.Meta.Dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, c.engine)
+	rs, degraded, err := p.Run(ctx, c.engine, &pipeline.RunOptions{WireCodec: c.codec, Resilience: c.resilience})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("done in %v; output dims %v\n", rs.Elapsed, outDims)
-	pipeline.AttachBackendStats(rs.Report, store)
+	fmt.Printf("done in %v; output dims %v\n", rs.Elapsed, p.OutDims)
 	if c.stats {
 		fmt.Print(rs.String())
 	}
@@ -306,12 +232,48 @@ func (c *cli) run() error {
 			return err
 		}
 	}
-	if sink != nil {
-		if slices, rois, voxels := sink.Degraded(); voxels > 0 {
-			fmt.Printf("degraded: skipped %d slices poisoning %d chunks (%d output voxels left zero); lost slice ids %v\n",
-				len(slices), len(rois), voxels, slices)
+	if p.Results != nil {
+		if degraded != nil {
+			fmt.Println(degraded)
 		}
 		fmt.Println("results collected in memory (use -format jpeg or uso to persist)")
+	}
+	return nil
+}
+
+// place applies the layout flags to the spec's configuration and placement:
+// -graph replaces the analysis and placement with the XML's, -iic adds IIC
+// copies.
+func (c *cli) place(cfg *pipeline.Config, layout *pipeline.Layout) error {
+	if c.graph != "" {
+		doc, err := netdesc.ParseFile(c.graph)
+		if err != nil {
+			return err
+		}
+		gcfg, glayout, err := doc.Build()
+		if err != nil {
+			return err
+		}
+		// The XML describes the analysis and the placement; the reading
+		// side still comes from the spec.
+		gcfg.ReadAhead, gcfg.FaultPolicy = cfg.ReadAhead, cfg.FaultPolicy
+		if c.spec.OutDir != "" {
+			gcfg.OutDir = c.spec.OutDir
+		}
+		*cfg, *layout = *gcfg, *glayout
+	} else {
+		// Extra IIC copies each get a node of their own after the texture
+		// nodes, which ConfigFor places last.
+		tex := layout.HMPNodes
+		if tex == nil {
+			tex = layout.HCCNodes
+		}
+		for next := tex[len(tex)-1] + 1; len(layout.IICNodes) < c.iic; next++ {
+			layout.IICNodes = append(layout.IICNodes, next)
+		}
+	}
+	if cfg.Output != pipeline.OutputCollect && cfg.OutDir == "" {
+		return errors.New("an output directory is required (use -out)")
 	}
 	return nil
 }

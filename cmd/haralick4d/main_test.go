@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,8 +99,8 @@ func TestRestartFlagShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.ckptInterval != c.wantInterval || time.Duration(got.spec.StallTimeout) != c.wantStall {
-				t.Fatalf("got (%s, %s), want (%s, %s)", got.ckptInterval, time.Duration(got.spec.StallTimeout), c.wantInterval, c.wantStall)
+			if got.checkpoint.Interval != c.wantInterval || time.Duration(got.spec.StallTimeout) != c.wantStall {
+				t.Fatalf("got (%s, %s), want (%s, %s)", got.checkpoint.Interval, time.Duration(got.spec.StallTimeout), c.wantInterval, c.wantStall)
 			}
 		})
 	}
@@ -178,5 +182,35 @@ func TestBreakerArmsTCPLinksWithoutRetry(t *testing.T) {
 		if l.BreakerState != resilience.StateClosed {
 			t.Errorf("link %d->%d breaker state %q, want %q", l.FromNode, l.ToNode, l.BreakerState, resilience.StateClosed)
 		}
+	}
+}
+
+// TestDeadlineBoundsTheOpen: -deadline bounds the whole run from the
+// dataset open on, as deadline_ms does for the library and the daemon, so a
+// backend that stalls the header fetch fails the run with
+// context.DeadlineExceeded instead of hanging.
+func TestDeadlineBoundsTheOpen(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // never answer: the client gives up, or the test ends
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(stalled.Close)
+	t.Cleanup(func() { close(release) })
+	c, err := parseArgs([]string{"-dataset-url", stalled.URL, "-deadline", "100ms", "-format", "none"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.run() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run outlived its 100ms deadline by 10s")
 	}
 }

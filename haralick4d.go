@@ -202,17 +202,6 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// config translates the options into the pipeline's configuration and
-// placement: the spec through pipeline.ConfigFor, with the in-memory sink.
-func (o *Options) config(storageNodes int) (*pipeline.Config, *pipeline.Layout, error) {
-	cfg, layout, err := pipeline.ConfigFor(&o.Spec, storageNodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Output = pipeline.OutputCollect
-	return cfg, layout, nil
-}
-
 // FaultPolicy selects how dataset-level faults are handled (see
 // Options.FaultPolicy).
 type FaultPolicy = fault.Policy
@@ -261,18 +250,10 @@ var (
 // (see Result.Restart).
 type RestartSummary = pipeline.RestartSummary
 
-// DegradedSummary reports what a SkipDegraded analysis had to drop.
-type DegradedSummary struct {
-	// Slices are the global slice ids (t·Z + z) that failed to read, sorted.
-	Slices []int
-	// Chunks is the number of texture chunks poisoned by those slices.
-	Chunks int
-	// ROIs are the [Lo, Hi) output boxes left zero, one per degraded chunk
-	// in chunk order.
-	ROIs [][2][4]int
-	// Voxels is the total output voxel count left zero per feature.
-	Voxels int
-}
+// DegradedSummary reports what a SkipDegraded analysis had to drop: the
+// lost slice ids, the poisoned chunks, the output boxes left zero and their
+// voxel count.
+type DegradedSummary = pipeline.DegradedSummary
 
 // RunReport is the structured observability report of one analysis run:
 // per-filter busy/blocked/stalled times and span decompositions (read,
@@ -355,18 +336,15 @@ func AnalyzeDataset(url string, opts *Options) (*Result, error) {
 // makes the pipeline engines stop promptly and return ctx's error.
 func AnalyzeDatasetContext(ctx context.Context, url string, opts *Options) (*Result, error) {
 	return analyze(ctx, opts, func(ctx context.Context, o *Options) (*dataset.Store, error) {
-		return dataset.OpenURL(ctx, url, &dataset.URLOptions{
-			CacheBlocks:    o.CacheBlocks,
-			CacheBlockSize: o.CacheBlockSize,
-			Resilience:     o.Resilience.NewSet(),
-			ServeStale:     o.ServeStale,
-		})
+		s := o.Spec
+		s.Dataset = url
+		return pipeline.OpenDataset(ctx, &s, o.Resilience.NewSet())
 	})
 }
 
-// analyze is the one body behind both entry points: validate the options,
-// bound the run by their Deadline, open the dataset, and run the local
-// pipeline over it into the in-memory sink.
+// analyze is what the library adds to the one run body (pipeline.Prepare
+// and Run) behind both entry points: validate the options, bound the run by
+// their Deadline, open the dataset, and return the in-memory sink's grids.
 func analyze(ctx context.Context, opts *Options, open func(context.Context, *Options) (*dataset.Store, error)) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -374,84 +352,32 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(opts.Deadline))
-		defer cancel()
-	}
+	ctx, cancel := pipeline.WithDeadline(ctx, &opts.Spec)
+	defer cancel()
 	st, err := open(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	cfg, layout, err := opts.config(st.Meta.Nodes)
+	spec := opts.Spec
+	spec.Output = runspec.OutputNone // the in-memory sink
+	p, err := pipeline.Prepare(st, &spec, pipeline.Checkpoint{Path: opts.Checkpoint, Resume: opts.Resume, Interval: opts.CheckpointInterval}, nil)
 	if err != nil {
 		return nil, err
 	}
-	var jour *checkpoint.Journal
-	var restart *pipeline.RestartSummary
-	if opts.Checkpoint != "" {
-		jour, restart, err = pipeline.PrepareCheckpoint(st.Meta.Dims, cfg, opts.Checkpoint, opts.Resume, opts.CheckpointInterval)
-		if err != nil {
-			return nil, err
-		}
-	}
-	g, sink, outDims, err := pipeline.Build(st, cfg, layout)
+	rs, degraded, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
+		DisableMetrics:   opts.DisableMetrics,
+		Progress:         opts.Progress,
+		ProgressInterval: opts.ProgressInterval,
+	})
 	if err != nil {
-		if jour != nil {
-			jour.Close()
-		}
 		return nil, err
 	}
-	rs, err := pipeline.RunContext(ctx, g, pipeline.EngineLocal, opts.runOptions())
-	if err != nil {
-		if jour != nil {
-			// Best-effort final sync: the journal is the artifact the next
-			// life resumes from, so keep whatever landed before the failure.
-			jour.Close()
-		}
-		return nil, err
-	}
-	if jour != nil {
-		// Close errors matter on the success path: a journal that could not
-		// be made durable must not be reported as a completed checkpoint.
-		if err := jour.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if err := sink.Complete(cfg.Analysis.Features); err != nil {
-		return nil, err
-	}
-	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: outDims, Report: rs.Report}
-	pipeline.AttachBackendStats(res.Report, st)
-	if opts.Resume {
-		res.Restart = restart
-	}
-	for _, f := range cfg.Analysis.Features {
-		res.Grids[f] = sink.Grid(f)
-	}
-	if slices, rois, voxels := sink.Degraded(); voxels > 0 {
-		sum := &DegradedSummary{Slices: slices, Chunks: len(rois), Voxels: voxels}
-		sum.ROIs = make([][2][4]int, len(rois))
-		for i, b := range rois {
-			sum.ROIs[i] = [2][4]int{b.Lo, b.Hi}
-		}
-		res.Degraded = sum
+	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: p.OutDims, Report: rs.Report, Degraded: degraded, Restart: p.Restart}
+	for _, f := range p.Config.Analysis.Features {
+		res.Grids[f] = p.Results.Grid(f)
 	}
 	return res, nil
-}
-
-// runOptions is the engine run the options ask for.
-func (o *Options) runOptions() *pipeline.RunOptions {
-	return &pipeline.RunOptions{
-		DisableMetrics:   o.DisableMetrics,
-		Progress:         o.Progress,
-		ProgressInterval: o.ProgressInterval,
-		// SkipDegraded asks for a run that survives faults, so crashed
-		// copies fail over to survivors instead of aborting.
-		Failover:     o.FaultPolicy == SkipDegraded,
-		StallTimeout: time.Duration(o.StallTimeout),
-	}
 }
 
 // PhantomConfig parameterizes a synthetic DCE-MRI study (see

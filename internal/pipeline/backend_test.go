@@ -56,7 +56,7 @@ func runPipeline(t *testing.T, st *dataset.Store, engine Engine) (map[features.F
 	if rep == nil {
 		t.Fatal("run produced no report")
 	}
-	AttachBackendStats(rep, st)
+	attachBackendStats(rep, st)
 	grids := map[features.Feature]*volume.FloatGrid{}
 	for _, f := range cfg.Analysis.Features {
 		grids[f] = res.Grid(f)

@@ -107,7 +107,7 @@ func runBrownout(t *testing.T, dir string, bo http.RoundTripper, pol *resilience
 		t.Fatalf("degraded accounting: %v", err)
 	}
 	// The resilience counters must flow into the run report's backend row.
-	AttachBackendStats(rs.Report, st)
+	attachBackendStats(rs.Report, st)
 	if len(rs.Report.Backends) != 1 {
 		t.Fatalf("report has %d backend entries, want 1", len(rs.Report.Backends))
 	}

@@ -245,7 +245,7 @@ func TestChaosHTTPCachedFailover(t *testing.T) {
 			t.Errorf("HMP CopyFailures = %d, Redelivered = %d, want 1 and >= 1", fr.CopyFailures, fr.Redelivered)
 		}
 	}
-	AttachBackendStats(rs.Report, st)
+	attachBackendStats(rs.Report, st)
 	if len(rs.Report.Backends) != 1 {
 		t.Fatalf("report has %d backend entries, want 1", len(rs.Report.Backends))
 	}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/volume"
@@ -24,26 +23,23 @@ func (s *RestartSummary) String() string {
 		s.Portions, s.Voxels, s.SkippedChunks, s.TotalChunks, s.TruncatedBytes)
 }
 
-// PrepareCheckpoint opens (resume=false) or reopens (resume=true) the
-// progress journal at path and attaches it to cfg: it validates cfg against
+// prepareCheckpoint opens the journal ck names, or reopens it on resume,
+// and attaches it to cfg as cfg.Journal: it validates cfg against
 // datasetDims, derives the run fingerprint that guards the journal against
 // configuration drift, and on resume loads and verifies the prior run's
-// records, leaving cfg.Journal and cfg.Recovered set so the graph builders
-// prune completed chunks and pre-seed the sink. The caller owns the returned
-// journal and must Close it after the run.
-func PrepareCheckpoint(datasetDims [4]int, cfg *Config, path string, resume bool, syncInterval time.Duration) (*checkpoint.Journal, *RestartSummary, error) {
-	if cfg.Journal != nil || cfg.Recovered != nil {
-		return nil, nil, fmt.Errorf("pipeline: config already carries a journal")
-	}
+// records into cfg.Recovered, so the graph builders prune completed chunks
+// and pre-seed the sink, and returns what it recovered (nil otherwise). The
+// caller must Close cfg.Journal after the run; Prepare and Run do.
+func prepareCheckpoint(datasetDims [4]int, cfg *Config, ck Checkpoint) (*RestartSummary, error) {
 	if cfg.Output == OutputJPEG {
-		return nil, nil, fmt.Errorf("pipeline: checkpointing requires OutputCollect or OutputUSO (JPEG stitching holds no durable portions)")
+		return nil, fmt.Errorf("pipeline: checkpointing requires OutputCollect or OutputUSO (JPEG stitching holds no durable portions)")
 	}
 	if err := cfg.Validate(datasetDims); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	chunker, err := volume.NewChunker(datasetDims, cfg.ChunkShape, cfg.Analysis.ROI)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	feats := make([]int, len(cfg.Analysis.Features))
 	for i, f := range cfg.Analysis.Features {
@@ -60,29 +56,25 @@ func PrepareCheckpoint(datasetDims [4]int, cfg *Config, path string, resume bool
 		Representation: int(cfg.Analysis.Representation),
 		Features:       feats,
 	}
-	sum := &RestartSummary{TotalChunks: chunker.Count()}
-	if !resume {
-		j, err := checkpoint.Create(path, hdr, syncInterval)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Journal = j
-		return j, sum, nil
+	if !ck.Resume {
+		cfg.Journal, err = checkpoint.Create(ck.Path, hdr, ck.Interval)
+		return nil, err
 	}
-	j, st, err := checkpoint.Resume(path, hdr, syncInterval)
+	j, st, err := checkpoint.Resume(ck.Path, hdr, ck.Interval)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	skip, err := checkpoint.CompleteChunks(st, chunker, feats)
 	if err != nil {
 		j.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	cfg.Journal = j
-	cfg.Recovered = st
-	sum.Portions = len(st.Portions)
-	sum.Voxels = st.RecoveredVoxels()
-	sum.SkippedChunks = len(skip)
-	sum.TruncatedBytes = st.TruncatedBytes
-	return j, sum, nil
+	cfg.Journal, cfg.Recovered = j, st
+	return &RestartSummary{
+		Portions:       len(st.Portions),
+		Voxels:         st.RecoveredVoxels(),
+		SkippedChunks:  len(skip),
+		TotalChunks:    chunker.Count(),
+		TruncatedBytes: st.TruncatedBytes,
+	}, nil
 }

@@ -84,7 +84,7 @@ type Config struct {
 	FaultPolicy fault.Policy
 	// Journal, when set, receives a durable record of every parameter
 	// portion the sink persists, making the run resumable after a crash.
-	// Usually opened by PrepareCheckpoint. OutputCollect and OutputUSO only.
+	// Opened by Prepare from its Checkpoint. OutputCollect and OutputUSO only.
 	Journal *checkpoint.Journal
 	// Recovered is the verified state loaded from an earlier run's journal;
 	// chunks it proves complete are skipped from the readers onward, and the
@@ -490,35 +490,18 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 	return nil, fmt.Errorf("pipeline: invalid engine %d", int(engine))
 }
 
-// AttachBackendStats folds the store's backend I/O and cache counters into
-// the run report's backends table. Call it after the run completes; a nil
+// attachBackendStats folds the store's backend I/O and cache counters into
+// the run report's backends table. Run calls it after the engine run; a nil
 // report (metrics disabled) or nil store is a no-op. Counters are cumulative
 // over the store's lifetime, so use a fresh store per run for per-run
 // numbers.
-func AttachBackendStats(rep *metrics.RunReport, store *dataset.Store) {
+func attachBackendStats(rep *metrics.RunReport, store *dataset.Store) {
 	if rep == nil || store == nil {
 		return
 	}
-	s := store.Stats()
-	rep.Backends = append(rep.Backends, metrics.BackendReport{
-		Scheme:            s.Scheme,
-		URL:               s.URL,
-		Opens:             s.Opens,
-		Reads:             s.Reads,
-		ReadBytes:         s.ReadBytes,
-		CacheHits:         s.CacheHits,
-		CacheMisses:       s.CacheMisses,
-		CacheEvictions:    s.CacheEvictions,
-		CacheFetchBytes:   s.CacheFetchBytes,
-		BreakerState:      s.BreakerState,
-		BreakerTrips:      s.BreakerTrips,
-		BreakerProbes:     s.BreakerProbes,
-		RetryBudgetSpent:  s.RetryBudgetSpent,
-		RetryBudgetDenied: s.RetryBudgetDenied,
-		HedgedReads:       s.HedgedReads,
-		HedgeWins:         s.HedgeWins,
-		StaleReads:        s.StaleReads,
-	})
+	// The report row is the store's counter set under the report's JSON
+	// tags.
+	rep.Backends = append(rep.Backends, metrics.BackendReport(store.Stats()))
 }
 
 // Sequential is the single-workstation reference implementation: read the

@@ -20,6 +20,12 @@ func restartConfig() *Config {
 	return testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin)
 }
 
+// openCheckpoint is prepareCheckpoint returning the journal it attached.
+func openCheckpoint(dims [4]int, cfg *Config, path string, resume bool, interval time.Duration) (*checkpoint.Journal, *RestartSummary, error) {
+	sum, err := prepareCheckpoint(dims, cfg, Checkpoint{Path: path, Resume: resume, Interval: interval})
+	return cfg.Journal, sum, err
+}
+
 // TestResumeCleanJournalSkipsEverything runs a full checkpointed run, then
 // resumes against the complete journal: every chunk must be skipped, the
 // readers must emit nothing, and the restored output must still be exact.
@@ -33,12 +39,12 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	}
 
 	cfg := restartConfig()
-	j, sum, err := PrepareCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
+	j, sum, err := openCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.TotalChunks == 0 || sum.Portions != 0 || sum.SkippedChunks != 0 {
-		t.Fatalf("fresh checkpoint summary %+v", sum)
+	if sum != nil {
+		t.Fatalf("fresh checkpoint reported a restart: %+v", sum)
 	}
 	g, res, _, err := Build(st, cfg, nil)
 	if err != nil {
@@ -55,7 +61,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	}
 
 	cfg2 := restartConfig()
-	j2, sum2, err := PrepareCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
+	j2, sum2, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 			}
 
 			cfg := restartConfig()
-			j, _, err := PrepareCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
+			j, _, err := openCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +132,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 			}
 
 			cfg2 := restartConfig()
-			j2, sum, err := PrepareCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
+			j2, sum, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +180,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 	}
 
 	cfg := usoConfig()
-	j, _, err := PrepareCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
+	j, _, err := openCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +210,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 	}
 
 	cfg2 := usoConfig()
-	j2, _, err := PrepareCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
+	j2, _, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestPartialJournalSkipsRecoveredChunk(t *testing.T) {
 	}
 
 	cfg := restartConfig()
-	j, _, err := PrepareCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
+	j, _, err := openCheckpoint(st.Meta.Dims, cfg, path, false, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +264,7 @@ func TestPartialJournalSkipsRecoveredChunk(t *testing.T) {
 	}
 
 	cfg2 := restartConfig()
-	j2, sum, err := PrepareCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
+	j2, sum, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +314,8 @@ func TestCheckpointRejectsJPEGOutput(t *testing.T) {
 	cfg := restartConfig()
 	cfg.Output = OutputJPEG
 	cfg.OutDir = t.TempDir()
-	if _, _, err := PrepareCheckpoint(st.Meta.Dims, cfg, filepath.Join(cfg.OutDir, "j"), false, 0); err == nil {
-		t.Fatal("PrepareCheckpoint accepted JPEG output")
+	if _, _, err := openCheckpoint(st.Meta.Dims, cfg, filepath.Join(cfg.OutDir, "j"), false, 0); err == nil {
+		t.Fatal("prepareCheckpoint accepted JPEG output")
 	}
 	cfg2 := restartConfig()
 	cfg2.Output = OutputJPEG
@@ -326,7 +332,7 @@ func TestResumeConfigMismatch(t *testing.T) {
 	st := testStore(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := restartConfig()
-	j, _, err := PrepareCheckpoint(st.Meta.Dims, cfg, path, false, 0)
+	j, _, err := openCheckpoint(st.Meta.Dims, cfg, path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +341,7 @@ func TestResumeConfigMismatch(t *testing.T) {
 	}
 	cfg2 := restartConfig()
 	cfg2.Analysis.GrayLevels = 8
-	if _, _, err := PrepareCheckpoint(st.Meta.Dims, cfg2, path, true, 0); !errors.Is(err, checkpoint.ErrMismatch) {
+	if _, _, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, 0); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume with changed config: err = %v, want ErrMismatch", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"haralick4d/internal/core"
+	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/features"
 )
@@ -222,4 +223,55 @@ func TestReadmeListsEveryFlag(t *testing.T) {
 			t.Errorf("README.md does not document the %q job-spec key", key)
 		}
 	}
+}
+
+// FuzzDatasetURL holds dataset.ParseURL, as Spec.Validate runs it, to its
+// contract: any dataset string is refused with an ErrInvalid error, or
+// parses to one of the four schemes with a rest that obeys that scheme's
+// rule. It never panics.
+func FuzzDatasetURL(f *testing.F) {
+	for _, seed := range []string{
+		"", "/data/study1", "study", "file:///data/study1", "file://", "mem://phantom", "mem://", "mem://a/b",
+		"http://localhost:7000/prefix", "https://h", "http://", "http:///x", "ftp://h/x", "://", "a://b://c", "\x00://\xff",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		s := Spec{Dataset: raw}
+		err := s.Validate()
+		scheme, rest, perr := dataset.ParseURL(raw)
+		if raw == "" {
+			// No dataset is the front end's business, not the spec's.
+			if err != nil || perr == nil {
+				t.Fatalf("empty dataset: Validate %v, ParseURL %v", err, perr)
+			}
+			return
+		}
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) || perr == nil {
+				t.Fatalf("%q: Validate %v (ErrInvalid %v), ParseURL %v", raw, err, errors.Is(err, ErrInvalid), perr)
+			}
+			return
+		}
+		if perr != nil {
+			t.Fatalf("%q: Validate accepted what ParseURL refuses: %v", raw, perr)
+		}
+		after, hasSep := strings.CutPrefix(raw, scheme+"://")
+		switch scheme {
+		case "file":
+			if rest == "" || (hasSep && rest != after) || (!hasSep && (rest != raw || strings.Contains(raw, "://"))) {
+				t.Fatalf("%q: file rest %q", raw, rest)
+			}
+		case "mem":
+			if !hasSep || rest != after || rest == "" || strings.Contains(rest, "/") {
+				t.Fatalf("%q: mem rest %q", raw, rest)
+			}
+		case "http", "https":
+			if !hasSep || rest != raw || after == "" || strings.HasPrefix(after, "/") {
+				t.Fatalf("%q: %s rest %q", raw, scheme, rest)
+			}
+		default:
+			t.Fatalf("%q: scheme %q", raw, scheme)
+		}
+	})
 }

@@ -42,8 +42,8 @@ import (
 
 	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
-	"haralick4d/internal/runspec"
 )
 
 // Config parameterizes a daemon.
@@ -283,57 +283,28 @@ func (s *Server) scheduleLocked() {
 			s.queue = s.queue[1:] // not queued any more; cannot happen
 			continue
 		}
-		var ctx context.Context
-		var cancel context.CancelFunc
-		if j.Spec.Deadline > 0 {
-			// The job's wall-clock budget: the deadline context threads
-			// through pipeline.RunContext into every backend read, so an
-			// expired job fails with "deadline_exceeded" instead of hanging.
-			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(j.Spec.Deadline))
-		} else {
-			ctx, cancel = context.WithCancel(context.Background())
-		}
+		// The job's wall-clock budget covers its whole run, from the dataset
+		// open on, so an expired job fails with "deadline_exceeded" instead
+		// of hanging.
+		ctx, cancel := pipeline.WithDeadline(context.Background(), &j.Spec)
 		j.reason = ""
 		j.cancel = cancel
 		j.Progress = metrics.Progress{}
 		s.running++
 		gr := s.gov.admit(j.ID)
-		in := runInput{
-			spec:             j.Spec,
-			resume:           j.Resume,
-			outDir:           s.outDir(j),
-			stallTimeout:     s.cfg.StallTimeout,
-			progressInterval: s.cfg.ProgressInterval,
-			gate:             gr,
-		}
-		if checkpointable(&j.Spec) {
-			in.ckptPath = filepath.Join(s.cfg.StateDir, fmt.Sprintf("job-%d.ckpt", j.ID))
-		}
-		in.res = s.resilienceFor(j.Spec.Dataset)
-		in.onProgress = func(p metrics.Progress) { s.setProgress(id, p) }
+		spec, resume := j.Spec, j.Resume
 		s.wg.Add(1)
 		go func() {
 			defer cancel() // release the deadline timer once the run ends
-			s.run(j, ctx, in)
+			s.run(j, ctx, spec, resume, gr)
 		}()
 	}
 }
 
-// outDir resolves a job's output directory.
-func (s *Server) outDir(j *Job) string {
-	if j.Spec.Output == runspec.OutputNone {
-		return ""
-	}
-	if j.Spec.OutDir != "" {
-		return j.Spec.OutDir
-	}
-	return filepath.Join(s.cfg.StateDir, "out", fmt.Sprintf("job-%d", j.ID))
-}
-
 // run hosts one job's runner goroutine and records its final transition.
-func (s *Server) run(j *Job, ctx context.Context, in runInput) {
+func (s *Server) run(j *Job, ctx context.Context, spec Spec, resume bool, gr *grant) {
 	defer s.wg.Done()
-	res, err := runJob(ctx, in)
+	report, restart, err := s.runJob(ctx, j.ID, spec, resume, gr)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,9 +315,9 @@ func (s *Server) run(j *Job, ctx context.Context, in runInput) {
 	switch {
 	case err == nil:
 		ev = evDone
-		j.Report = res.report
-		if res.restart != nil {
-			j.Restart = res.restart
+		j.Report = report
+		if restart != nil {
+			j.Restart = restart
 		}
 	case ev == "":
 		ev = evFail

@@ -107,9 +107,9 @@ func TestWriteIOBenchJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := ioBenchResult{ElapsedNS: int64(rs.Elapsed)}
-			if rs.Report != nil {
-				for _, c := range rs.Report.Network {
+			r := ioBenchResult{ElapsedNS: int64(rs.Elapsed())}
+			if rs != nil {
+				for _, c := range rs.Network {
 					r.SendNS += c.SendNS
 					r.WireBytesOut += c.WireBytesOut
 				}

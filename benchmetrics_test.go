@@ -98,7 +98,7 @@ func TestWriteMetricsBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := rs.Report
+	rep := rs
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //
 //	haralick4d -data /data/study1 -out /tmp/maps -format jpeg
 //	haralick4d -data /data/study1 -impl split -rep sparse -texture 8 -engine tcp -out /tmp/uso
-//	haralick4d -data /data/study1 -engine sim -impl split -format none -stats
+//	haralick4d -data /data/study1 -engine sim -impl split -format none -metrics
 //
 // The serve subcommand runs the multi-job analysis daemon instead of a
 // single analysis (see internal/server):
@@ -61,7 +61,6 @@ type cli struct {
 	iic         int
 	checkpoint  pipeline.Checkpoint
 	crashAfter  int
-	stats       bool
 	metrics     bool
 	metricsJSON string
 	pprof       string
@@ -93,7 +92,6 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	ckptIntS := fs.String("checkpoint-interval", "", "journal fsync cadence, e.g. 500ms (default 1s; requires -checkpoint)")
 	fs.BoolVar(&c.checkpoint.Resume, "resume", false, "resume from the -checkpoint journal of an interrupted run of the same configuration")
 	fs.IntVar(&c.crashAfter, "crash-after", 0, "TESTING: crash texture copy 0 after receiving this many buffers (0 = never)")
-	fs.BoolVar(&c.stats, "stats", false, "print per-filter runtime statistics")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the structured run report (per-filter spans, streams, critical path)")
 	fs.StringVar(&c.metricsJSON, "metrics-json", "", "write the run report as JSON to this file (\"-\" for stdout)")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
@@ -205,24 +203,21 @@ func (c *cli) run() error {
 	}
 	fmt.Printf("dataset %v, ROI %v, G=%d, %s/%s/%s on %s engine\n",
 		store.Meta.Dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, c.engine)
-	rs, degraded, err := p.Run(ctx, c.engine, &pipeline.RunOptions{WireCodec: c.codec, Resilience: c.resilience})
+	rep, degraded, err := p.Run(ctx, c.engine, &pipeline.RunOptions{WireCodec: c.codec, Resilience: c.resilience})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("done in %v; output dims %v\n", rs.Elapsed, p.OutDims)
-	if c.stats {
-		fmt.Print(rs.String())
-	}
+	fmt.Printf("done in %v; output dims %v\n", rep.Elapsed(), p.OutDims)
 	if c.metrics || c.metricsJSON != "" {
-		if err := rs.Report.Validate(); err != nil {
+		if err := rep.Validate(); err != nil {
 			return fmt.Errorf("run report: %v", err)
 		}
 	}
 	if c.metrics {
-		fmt.Print(rs.Report.String())
+		fmt.Print(rep.String())
 	}
 	if c.metricsJSON != "" {
-		data, err := rs.Report.JSON()
+		data, err := rep.JSON()
 		if err != nil {
 			return fmt.Errorf("run report: %v", err)
 		}
@@ -255,8 +250,9 @@ func (c *cli) place(cfg *pipeline.Config, layout *pipeline.Layout) error {
 			return err
 		}
 		// The XML describes the analysis and the placement; the reading
-		// side still comes from the spec.
+		// side and the kernel's worker count still come from the spec.
 		gcfg.ReadAhead, gcfg.FaultPolicy = cfg.ReadAhead, cfg.FaultPolicy
+		gcfg.Analysis.Workers = cfg.Analysis.Workers
 		if c.spec.OutDir != "" {
 			gcfg.OutDir = c.spec.OutDir
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"haralick4d/internal/dataset"
+	"haralick4d/internal/netdesc"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
@@ -212,5 +213,38 @@ func TestDeadlineBoundsTheOpen(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the run outlived its 100ms deadline by 10s")
+	}
+}
+
+// TestGraphKeepsKernelWorkers: -graph replaces the analysis and placement
+// with the XML's, but the kernel's worker count still comes from the spec,
+// so -kernel-workers 1 runs the sequential oracle under -graph too.
+func TestGraphKeepsKernelWorkers(t *testing.T) {
+	spec := runspec.Spec{Dataset: "study", Output: runspec.OutputNone}
+	cfg, layout, err := pipeline.ConfigFor(&spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := netdesc.Marshal(cfg, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.xml")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseArgs([]string{"-data", "study", "-format", "none", "-graph", path, "-kernel-workers", "1"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, layout, err = pipeline.ConfigFor(&c.spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.place(cfg, layout); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Analysis.Workers != 1 {
+		t.Errorf("-graph -kernel-workers 1 runs %d kernel workers, want 1", cfg.Analysis.Workers)
 	}
 }

@@ -72,11 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("running the texture-analysis pipeline...")
-	stats, err := pipeline.Run(g, pipeline.EngineLocal, nil)
+	report, err := pipeline.Run(g, pipeline.EngineLocal, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pipeline finished in %v; parameter maps are %v\n", stats.Elapsed, outDims)
+	fmt.Printf("pipeline finished in %v; parameter maps are %v\n", report.Elapsed(), outDims)
 
 	entries, err := os.ReadDir(mapsDir)
 	if err != nil {

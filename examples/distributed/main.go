@@ -62,15 +62,15 @@ func main() {
 	}
 
 	fmt.Println("running the split HCC+HPC pipeline across 8 TCP-connected nodes...")
-	stats, err := pipeline.Run(g, pipeline.EngineTCP, nil)
+	report, err := pipeline.Run(g, pipeline.EngineTCP, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := sink.Complete(cfg.Analysis.Features); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("completed in %v; output dims %v\n\nper-filter activity:\n%s",
-		stats.Elapsed, outDims, stats.String())
+	fmt.Printf("completed in %v; output dims %v\n\n%s",
+		report.Elapsed(), outDims, report.String())
 
 	fmt.Println("note: RFR→IIC and IIC→HCC buffers crossed real sockets; each")
 	fmt.Println("co-located HCC→HPC hand-off stayed in memory (pointer copy).")

@@ -18,6 +18,7 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/synthetic"
 )
@@ -72,7 +73,7 @@ func main() {
 		// Three repetitions, keeping the fastest: the simulation charges
 		// real host time as virtual compute, so host jitter (GC pauses)
 		// must be filtered out like in any benchmark.
-		var stats *filter.RunStats
+		var best *metrics.RunReport
 		for rep := 0; rep < 3; rep++ {
 			g, _, _, err := pipeline.Build(st, cfg, layout)
 			if err != nil {
@@ -86,12 +87,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if stats == nil || s.Elapsed < stats.Elapsed {
-				stats = s
+			if best == nil || s.Elapsed() < best.Elapsed() {
+				best = s
 			}
 		}
 		var xeonBufs, opteronBufs int64
-		for _, c := range stats.Copies["HCC"] {
+		for _, c := range best.Filter("HCC").Copies {
 			if h.ClusterOf(c.Node) == 0 {
 				xeonBufs += c.MsgsIn
 			} else {
@@ -99,7 +100,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  %-14s execution time %10v   chunks to XEON HCCs: %3d, to OPTERON HCCs: %3d\n",
-			policy, stats.Elapsed.Round(1e6), xeonBufs, opteronBufs)
+			policy, best.Elapsed().Round(1e6), xeonBufs, opteronBufs)
 	}
 	fmt.Println("demand-driven shifts chunks toward the faster, better-placed OPTERON copies (paper Fig. 11).")
 }

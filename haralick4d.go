@@ -365,7 +365,7 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 	if err != nil {
 		return nil, err
 	}
-	rs, degraded, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
+	rep, degraded, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
 		DisableMetrics:   opts.DisableMetrics,
 		Progress:         opts.Progress,
 		ProgressInterval: opts.ProgressInterval,
@@ -373,7 +373,10 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: p.OutDims, Report: rs.Report, Degraded: degraded, Restart: p.Restart}
+	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: p.OutDims, Degraded: degraded, Restart: p.Restart}
+	if !opts.DisableMetrics {
+		res.Report = rep
+	}
 	for _, f := range p.Config.Analysis.Features {
 		res.Grids[f] = p.Results.Grid(f)
 	}

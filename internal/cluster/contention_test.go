@@ -36,9 +36,9 @@ func TestCPUContentionOnSharedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(shared.Elapsed) / float64(separate.Elapsed)
+	ratio := float64(shared.Elapsed()) / float64(separate.Elapsed())
 	if ratio < 1.5 {
-		t.Errorf("co-located busy filters only %.2fx slower (%v vs %v)", ratio, shared.Elapsed, separate.Elapsed)
+		t.Errorf("co-located busy filters only %.2fx slower (%v vs %v)", ratio, shared.Elapsed(), separate.Elapsed())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestDualCPUBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(sameNode.Elapsed)/float64(stats.Elapsed) < 1.5 {
-		t.Errorf("dual-CPU box did not parallelize: box %v vs single cpu %v", stats.Elapsed, sameNode.Elapsed)
+	if float64(sameNode.Elapsed())/float64(stats.Elapsed()) < 1.5 {
+		t.Errorf("dual-CPU box did not parallelize: box %v vs single cpu %v", stats.Elapsed(), sameNode.Elapsed())
 	}
 	if counts[0] != 8 || counts[1] != 8 {
 		t.Errorf("lost buffers: %v", counts)

@@ -25,7 +25,8 @@ type Options struct {
 	// payload (headers, serialization framing). Default 64.
 	MsgOverheadBytes int
 	// DisableMetrics turns off the observability layer: filters see a nil
-	// metric set and RunStats.Report stays nil.
+	// metric set, and the run report holds only the elapsed time and the
+	// per-copy ledgers.
 	DisableMetrics bool
 }
 
@@ -50,20 +51,20 @@ func (o *Options) overhead() int {
 	return o.MsgOverheadBytes
 }
 
-// Run executes the graph on the virtual cluster and returns statistics in
-// virtual time. Filter code executes for real (outputs are real), one copy
+// Run executes the graph on the virtual cluster and returns its run report
+// in virtual time. Filter code executes for real (outputs are real), one copy
 // at a time; the wall time of each compute segment is scaled by the node's
 // speed, and every cross-node buffer pays latency plus bytes/bandwidth on
 // its link, with transfers on the same link serialized.
-func Run(g *filter.Graph, topo *Topology, opts *Options) (*filter.RunStats, error) {
+func Run(g *filter.Graph, topo *Topology, opts *Options) (*metrics.RunReport, error) {
 	return RunContext(context.Background(), g, topo, opts)
 }
 
 // RunContext is Run under a context. The simulation checks for cancellation
 // between scheduler events: a running compute segment finishes (filter code
 // executes for real and cannot be interrupted), then the run aborts and
-// returns ctx's error with the statistics gathered so far.
-func RunContext(ctx context.Context, g *filter.Graph, topo *Topology, opts *Options) (*filter.RunStats, error) {
+// returns ctx's error with the report of what ran so far.
+func RunContext(ctx context.Context, g *filter.Graph, topo *Topology, opts *Options) (*metrics.RunReport, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,9 +96,8 @@ func RunContext(ctx context.Context, g *filter.Graph, topo *Topology, opts *Opti
 				resume:    make(chan grant),
 				eosExpect: map[string]int{},
 			}
-			p.stats.Node = p.node
 			if e.metricsOn {
-				p.met = &metrics.Copy{}
+				p.led.Met = &metrics.Copy{}
 			}
 			procs[i] = p
 			e.procs = append(e.procs, p)
@@ -123,62 +123,13 @@ func RunContext(ctx context.Context, g *filter.Graph, topo *Topology, opts *Opti
 		}
 	}
 	e.runLoop()
-	stats := &filter.RunStats{Elapsed: e.clock, Copies: map[string][]filter.CopyStats{}}
-	for name, procs := range e.byName {
-		out := make([]filter.CopyStats, len(procs))
-		for i, p := range procs {
-			out[i] = p.stats
-		}
-		stats.Copies[name] = out
-	}
-	if e.metricsOn {
-		stats.Report = e.buildReport()
-	}
-	return stats, e.failErr
-}
-
-// buildReport assembles the structured run report. Engine-measured times
-// (busy, blocked, stalled, stream send waits) are virtual; filter-recorded
-// spans and pool counters are host wall time — see the metrics package docs.
-func (e *engine) buildReport() *metrics.RunReport {
-	rep := &metrics.RunReport{Engine: "sim", ElapsedNS: int64(e.clock)}
-	for _, fs := range e.graph.Filters {
-		fr := metrics.FilterReport{Name: fs.Name}
-		for _, p := range e.byName[fs.Name] {
-			cr := metrics.CopyReport{
-				Copy:          p.copyIdx,
-				Node:          p.node,
-				BusyNS:        int64(p.stats.Compute),
-				BlockedRecvNS: int64(p.stats.BlockRecv),
-				StalledSendNS: int64(p.stats.BlockSend),
-				MsgsIn:        p.stats.MsgsIn,
-				MsgsOut:       p.stats.MsgsOut,
-				BytesIn:       p.stats.BytesIn,
-				BytesOut:      p.stats.BytesOut,
-			}
-			p.met.Fill(&cr)
-			fr.Copies = append(fr.Copies, cr)
-		}
-		rep.Filters = append(rep.Filters, fr)
-	}
-	for _, c := range e.graph.Conns {
-		sc := e.conns[c.From+"."+c.FromPort]
-		if sc == nil || sc.met == nil {
-			continue
-		}
-		sw := sc.met.SendWait.Stat()
-		rep.Streams = append(rep.Streams, metrics.StreamReport{
-			From: c.From, FromPort: c.FromPort, To: c.To, ToPort: c.ToPort,
-			Policy:     c.Policy.String(),
-			Buffers:    sc.met.Buffers.Load(),
-			Bytes:      sc.met.Bytes.Load(),
-			QueueMax:   sc.met.QueueMax.Load(),
-			SendWaits:  sw.Count,
-			SendWaitNS: sw.TotalNS,
-		})
-	}
-	rep.Finalize()
-	return rep
+	// Engine-measured times (busy, blocked, stalled, stream send waits) are
+	// virtual; filter-recorded spans and pool counters are host wall time —
+	// see the metrics package docs.
+	rep := filter.BuildReport("sim", e.clock, g,
+		func(name string, i int) *metrics.Ledger { return &e.byName[name][i].led },
+		func(c filter.ConnSpec) *metrics.Stream { return e.conns[c.From+"."+c.FromPort].met })
+	return rep, e.failErr
 }
 
 // simMsg is one buffer (or EOS marker) in the virtual system.
@@ -205,8 +156,7 @@ type proc struct {
 	speed   float64
 	resume  chan grant
 	done    bool
-	stats   filter.CopyStats
-	met     *metrics.Copy // nil when metrics are disabled
+	led     metrics.Ledger
 
 	// consumer-side state, touched only by the scheduler
 	queue       []simMsg
@@ -375,7 +325,7 @@ func (e *engine) resumeProc(re readyEntry) {
 	// the two filters and its power has to be shared").
 	wall := time.Since(o.p.wallStart)
 	charge := time.Duration(float64(wall) * e.scale / o.p.speed)
-	o.p.stats.Compute += charge
+	o.p.led.Busy.Add(int64(charge))
 	if charge > 0 {
 		start := e.clock
 		if busy := e.cpuBusy[o.p.node]; busy > start {
@@ -457,8 +407,8 @@ func (e *engine) resolveTarget(o op) (*proc, error) {
 		// scheduler has no view of the network's instantaneous state.
 		score := func(p *proc) time.Duration {
 			var svc time.Duration
-			if p.stats.MsgsIn > 0 {
-				svc = p.stats.Compute / time.Duration(p.stats.MsgsIn)
+			if n := p.led.MsgsIn.Load(); n > 0 {
+				svc = time.Duration(p.led.Busy.Load() / n)
 			}
 			if svc <= 0 {
 				svc = 1 // unmeasured: order by queue length and transfer
@@ -513,7 +463,7 @@ func (e *engine) deliver(to *proc, m simMsg, t time.Duration) {
 	if to.recvWaiting {
 		to.recvWaiting = false
 		to.pending--
-		to.stats.BlockRecv += t - to.recvStart
+		to.led.BlockedRecv.Add(int64(t - to.recvStart))
 		e.processWaiters(to, t)
 		e.readyPush(to, grant{msg: m, ok: true})
 		return
@@ -526,7 +476,7 @@ func (e *engine) processWaiters(to *proc, t time.Duration) {
 	for to.pending < e.depth && len(to.sendWaiters) > 0 {
 		w := to.sendWaiters[0]
 		to.sendWaiters = to.sendWaiters[1:]
-		w.from.stats.BlockSend += t - w.start
+		w.from.led.StalledSend.Add(int64(t - w.start))
 		e.accept(w.from, to, w.msg, t)
 		if !w.msg.eos {
 			// The credit wait is virtual time, like every engine-measured
@@ -609,7 +559,7 @@ func (c *simCtx) FilterName() string     { return c.p.name }
 func (c *simCtx) CopyIndex() int         { return c.p.copyIdx }
 func (c *simCtx) NumCopies() int         { return len(c.e.byName[c.p.name]) }
 func (c *simCtx) Node() int              { return c.p.node }
-func (c *simCtx) Metrics() *metrics.Copy { return c.p.met }
+func (c *simCtx) Metrics() *metrics.Copy { return c.p.led.Met }
 
 func (c *simCtx) ConsumerCopies(port string) int {
 	cs, ok := c.e.conns[c.p.name+"."+port]
@@ -653,8 +603,8 @@ func (c *simCtx) Recv() (filter.Msg, bool) {
 			}
 			continue
 		}
-		c.p.stats.MsgsIn++
-		c.p.stats.BytesIn += int64(m.bytes)
+		c.p.led.MsgsIn.Inc()
+		c.p.led.BytesIn.Add(int64(m.bytes))
 		return filter.Msg{Port: m.port, Payload: m.payload}, true
 	}
 	return filter.Msg{}, false
@@ -692,8 +642,8 @@ func (c *simCtx) sendCommon(port string, copy int, p filter.Payload) error {
 	if !c.sendRaw(cs, copy, m) {
 		return fmt.Errorf("cluster: run aborted")
 	}
-	c.p.stats.MsgsOut++
-	c.p.stats.BytesOut += int64(size)
+	c.p.led.MsgsOut.Inc()
+	c.p.led.BytesOut.Add(int64(size))
 	return nil
 }
 

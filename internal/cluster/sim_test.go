@@ -84,11 +84,11 @@ func TestSimDeliversEverything(t *testing.T) {
 	if total != 90 {
 		t.Fatalf("total %d", total)
 	}
-	if stats.Elapsed <= 0 {
+	if stats.Elapsed() <= 0 {
 		t.Error("non-positive virtual elapsed time")
 	}
 	var in int64
-	for _, c := range stats.Copies["sink"] {
+	for _, c := range stats.Filter("sink").Copies {
 		in += c.MsgsIn
 	}
 	if in != 90 {
@@ -105,8 +105,8 @@ func TestSimNetworkCostDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Elapsed < 5*time.Second {
-		t.Errorf("remote elapsed %v, want >= 5s", rs.Elapsed)
+	if rs.Elapsed() < 5*time.Second {
+		t.Errorf("remote elapsed %v, want >= 5s", rs.Elapsed())
 	}
 	counts[0] = 0
 	local := pipelineGraph(50, 1<<20, 1, filter.RoundRobin, 0, []int{0}, counts)
@@ -114,8 +114,8 @@ func TestSimNetworkCostDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.Elapsed > rs.Elapsed/10 {
-		t.Errorf("co-located elapsed %v not far below remote %v", ls.Elapsed, rs.Elapsed)
+	if ls.Elapsed() > rs.Elapsed()/10 {
+		t.Errorf("co-located elapsed %v not far below remote %v", ls.Elapsed(), rs.Elapsed())
 	}
 }
 
@@ -127,8 +127,8 @@ func TestSimLatencyCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Elapsed < 500*time.Millisecond {
-		t.Errorf("elapsed %v, want >= 500ms latency", stats.Elapsed)
+	if stats.Elapsed() < 500*time.Millisecond {
+		t.Errorf("elapsed %v, want >= 500ms latency", stats.Elapsed())
 	}
 }
 
@@ -156,8 +156,8 @@ func TestSimSpeedScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowT := slow.FilterCompute("sink")
-	fastT := fast.FilterCompute("sink")
+	slowT := slow.Filter("sink").BusyNS
+	fastT := fast.Filter("sink").BusyNS
 	if fastT <= 0 || slowT <= 0 {
 		t.Fatalf("non-positive compute times %v, %v", slowT, fastT)
 	}
@@ -186,7 +186,7 @@ func TestSimComputeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(scaled.FilterCompute("sink")) / float64(base.FilterCompute("sink"))
+	ratio := float64(scaled.Filter("sink").BusyNS) / float64(base.Filter("sink").BusyNS)
 	if ratio < 4 {
 		t.Errorf("ComputeScale=10 only scaled compute by %.1fx", ratio)
 	}
@@ -216,7 +216,7 @@ func TestSimDemandDrivenBeatsRoundRobinHeterogeneous(t *testing.T) {
 		if policy == filter.DemandDriven && counts[1] <= counts[0] {
 			t.Errorf("demand-driven did not favor the fast node: %v", counts)
 		}
-		return stats.Elapsed
+		return stats.Elapsed()
 	}
 	rr := run(filter.RoundRobin)
 	dd := run(filter.DemandDriven)
@@ -254,9 +254,9 @@ func TestSimSharedTrunkSerializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(s1.Elapsed) / float64(s2.Elapsed)
+	ratio := float64(s1.Elapsed()) / float64(s2.Elapsed())
 	if ratio < 1.5 {
-		t.Errorf("shared trunk only %.2fx slower (%v vs %v)", ratio, s1.Elapsed, s2.Elapsed)
+		t.Errorf("shared trunk only %.2fx slower (%v vs %v)", ratio, s1.Elapsed(), s2.Elapsed())
 	}
 }
 
@@ -475,7 +475,7 @@ func TestSimMsgOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 messages × 100 KB over a 1 KB/s link ≈ 1000 s of occupancy.
-	if stats.Elapsed < 100*time.Second {
-		t.Errorf("overhead bytes not charged: %v", stats.Elapsed)
+	if stats.Elapsed() < 100*time.Second {
+		t.Errorf("overhead bytes not charged: %v", stats.Elapsed())
 	}
 }

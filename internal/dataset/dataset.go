@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -315,18 +316,48 @@ func OpenBackend(ctx context.Context, be Backend) (*Store, error) {
 	}
 	var meta Meta
 	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("dataset: invalid header: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadHeader, err)
 	}
-	if meta.Version != FormatVersion {
-		return nil, fmt.Errorf("dataset: unsupported format version %d", meta.Version)
-	}
-	if meta.Nodes < 1 || volume.NumVoxels(meta.Dims) <= 0 {
-		return nil, fmt.Errorf("dataset: corrupt header: %+v", meta)
-	}
-	if err := meta.Encoding.check(); err != nil {
-		return nil, err
+	if err := meta.check(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadHeader, err)
 	}
 	return &Store{Dir: localDirOf(be), Meta: meta, be: be}, nil
+}
+
+// ErrBadHeader marks a dataset header that describes no readable study:
+// malformed JSON, an unknown format version or encoding, no storage node,
+// or a geometry whose sizes are not positive or would not fit in memory.
+// OpenBackend fails with it before anything is sized from the header.
+var ErrBadHeader = errors.New("dataset: bad header")
+
+// maxSliceBytes bounds one slice object (maxObjectSize), the buffer every
+// slice read leases: 256 MiB, an 8192×16384 slice of 2-byte voxels.
+const maxSliceBytes = 1 << 28
+
+// check rejects a header whose geometry the readers cannot size: every dim
+// must be at least 1, the voxel count (in bytes) must fit in an int, and a
+// slice object must fit in maxSliceBytes.
+func (m *Meta) check() error {
+	if m.Version != FormatVersion {
+		return fmt.Errorf("unsupported format version %d", m.Version)
+	}
+	if m.Nodes < 1 {
+		return fmt.Errorf("node count %d must be >= 1", m.Nodes)
+	}
+	size := 2
+	for i, d := range m.Dims {
+		if d < 1 {
+			return fmt.Errorf("dims %v: dim %d is not positive", m.Dims, i)
+		}
+		if size > math.MaxInt/d {
+			return fmt.Errorf("dims %v: the volume's size overflows", m.Dims)
+		}
+		size *= d
+	}
+	if m.Dims[0] > maxSliceBytes/2/m.Dims[1] || m.maxObjectSize() > maxSliceBytes {
+		return fmt.Errorf("dims %v: a slice exceeds %d bytes", m.Dims, maxSliceBytes)
+	}
+	return m.Encoding.check()
 }
 
 // Backend returns the store's storage backend.

@@ -193,18 +193,12 @@ func IICScaling(e *Env) (*Figure, error) {
 	}
 	s := Series{Label: "IIC"}
 	for _, copies := range []int{1, 2, 4, 8} {
-		stats, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, 8, true, filter.DemandDriven, copies)
+		report, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, 8, true, filter.DemandDriven, copies)
 		if err != nil {
 			return nil, fmt.Errorf("iic copies=%d: %w", copies, err)
 		}
-		var maxC time.Duration
-		for _, c := range stats.Copies["IIC"] {
-			if c.Compute > maxC {
-				maxC = c.Compute
-			}
-		}
 		s.X = append(s.X, float64(copies))
-		s.Y = append(s.Y, seconds(maxC))
+		s.Y = append(s.Y, seconds(maxBusy(report, "IIC")))
 	}
 	fig.Series = []Series{s}
 	fig.Notes = append(fig.Notes, "paper: per-copy IIC processing time decreases almost linearly with copies")
@@ -275,7 +269,7 @@ func ChunkShape(e *Env) (*Figure, error) {
 	for _, edge := range chunkEdges(e.Scale) {
 		cs := [4]int{edge, edge, e.Scale.ChunkShape[2], e.Scale.ChunkShape[3]}
 		plan := newHomPlan(e.Scale.StorageNodes, 1, 8)
-		stats, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
+		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
 			cfg := &pipeline.Config{
 				Analysis:   e.analysis(core.FullMatrix),
 				ChunkShape: cs,
@@ -295,8 +289,8 @@ func ChunkShape(e *Env) (*Figure, error) {
 			return nil, fmt.Errorf("chunk edge=%d: %w", edge, err)
 		}
 		s.X = append(s.X, float64(edge))
-		s.Y = append(s.Y, seconds(stats.Elapsed))
-		in := stats.BytesSent("RFR")
+		s.Y = append(s.Y, seconds(report.Elapsed()))
+		in := report.Filter("RFR").BytesOut
 		notes = append(notes, fmt.Sprintf("edge %d: %.1f MB read-and-sent by RFR (overlap duplication)", edge, float64(in)/1e6))
 	}
 	fig.Series = []Series{s}
@@ -493,7 +487,7 @@ func Declustering(e *Env) (*Figure, error) {
 		plan := newHomPlan(e.Scale.StorageNodes, 4, 8)
 		saved := e.Store
 		e.Store = st
-		stats, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
+		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
 			cfg := &pipeline.Config{
 				Analysis:   e.analysis(core.FullMatrix),
 				ChunkShape: e.Scale.ChunkShape,
@@ -515,7 +509,7 @@ func Declustering(e *Env) (*Figure, error) {
 		}
 		// Read balance: bytes sent per RFR copy.
 		var lo, hi int64 = -1, 0
-		for _, c := range stats.Copies["RFR"] {
+		for _, c := range report.Filter("RFR").Copies {
 			if lo < 0 || c.BytesOut < lo {
 				lo = c.BytesOut
 			}
@@ -523,7 +517,7 @@ func Declustering(e *Env) (*Figure, error) {
 				hi = c.BytesOut
 			}
 		}
-		fig.Series = append(fig.Series, Series{Label: dist.String(), Y: []float64{seconds(stats.Elapsed)}})
+		fig.Series = append(fig.Series, Series{Label: dist.String(), Y: []float64{seconds(report.Elapsed())}})
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: per-reader output %d..%d KB", dist, lo/1000, hi/1000))
 	}
 	fig.Notes = append(fig.Notes,

@@ -104,9 +104,9 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			e.LastReport = rs.Report
-			if r == 0 || rs.Elapsed < best {
-				best = rs.Elapsed
+			e.LastReport = rs
+			if r == 0 || rs.Elapsed() < best {
+				best = rs.Elapsed()
 			}
 		}
 		if memo != nil {

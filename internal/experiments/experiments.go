@@ -9,6 +9,7 @@ import (
 	"haralick4d/internal/cluster"
 	"haralick4d/internal/core"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 )
 
@@ -64,14 +65,14 @@ func hccHPCSplit(textureNodes []int) (hcc, hpc []int) {
 }
 
 // simulate builds and runs a configuration Repeats times on the simulated
-// cluster, reporting the run with the smallest virtual elapsed time (the
-// one least polluted by host jitter).
-func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), topo *cluster.Topology) (*filter.RunStats, error) {
+// cluster, returning the report of the run with the smallest virtual elapsed
+// time (the one least polluted by host jitter).
+func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), topo *cluster.Topology) (*metrics.RunReport, error) {
 	reps := e.Repeats
 	if reps < 1 {
 		reps = 1
 	}
-	var best *filter.RunStats
+	var best *metrics.RunReport
 	for r := 0; r < reps; r++ {
 		// Normalize the collector's state so that garbage from earlier
 		// experiments is not charged to this run's filters (the emulation
@@ -86,7 +87,7 @@ func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), to
 		if err != nil {
 			return nil, err
 		}
-		stats, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineSim, &pipeline.RunOptions{
+		report, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineSim, &pipeline.RunOptions{
 			Topology:      topo,
 			SimQueueDepth: e.QueueDepth,
 			ComputeScale:  e.ComputeScale,
@@ -95,18 +96,18 @@ func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), to
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || stats.Elapsed < best.Elapsed {
-			best = stats
+		if best == nil || report.Elapsed() < best.Elapsed() {
+			best = report
 		}
 	}
-	e.LastReport = best.Report
+	e.LastReport = best
 	return best, nil
 }
 
 // runHomogeneous executes one homogeneous-cluster configuration on the
-// simulated PIII cluster and returns the run statistics (virtual time).
+// simulated PIII cluster and returns its run report (virtual time).
 func (e *Env) runHomogeneous(impl pipeline.Impl, rep core.Representation, textureNodes int,
-	overlap bool, policy filter.Policy, iicCopies int) (*filter.RunStats, error) {
+	overlap bool, policy filter.Policy, iicCopies int) (*metrics.RunReport, error) {
 	plan := newHomPlan(e.Scale.StorageNodes, iicCopies, textureNodes)
 	mk := func() (*pipeline.Config, *pipeline.Layout, error) {
 		cfg := &pipeline.Config{
@@ -155,12 +156,12 @@ func Fig7a(e *Env) (*Figure, error) {
 	for _, rep := range []core.Representation{core.FullMatrix, core.SparseMatrix} {
 		s := Series{Label: "HMP " + rep.String()}
 		for _, n := range TextureNodeSweep {
-			stats, err := e.runHomogeneous(pipeline.HMPImpl, rep, n, false, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(pipeline.HMPImpl, rep, n, false, filter.DemandDriven, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig7a n=%d rep=%v: %w", n, rep, err)
 			}
 			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, seconds(stats.Elapsed))
+			s.Y = append(s.Y, seconds(report.Elapsed()))
 		}
 		fig.Series = append(fig.Series, s)
 	}
@@ -181,12 +182,12 @@ func Fig7b(e *Env) (*Figure, error) {
 	for _, rep := range []core.Representation{core.FullMatrix, core.SparseMatrix} {
 		s := Series{Label: "HCC+HPC " + rep.String()}
 		for _, n := range TextureNodeSweep {
-			stats, err := e.runHomogeneous(pipeline.SplitImpl, rep, n, false, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(pipeline.SplitImpl, rep, n, false, filter.DemandDriven, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig7b n=%d rep=%v: %w", n, rep, err)
 			}
 			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, seconds(stats.Elapsed))
+			s.Y = append(s.Y, seconds(report.Elapsed()))
 		}
 		fig.Series = append(fig.Series, s)
 	}
@@ -218,12 +219,12 @@ func Fig8(e *Env) (*Figure, error) {
 	} {
 		s := Series{Label: v.label}
 		for _, n := range TextureNodeSweep {
-			stats, err := e.runHomogeneous(v.impl, v.rep, n, v.overlap, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(v.impl, v.rep, n, v.overlap, filter.DemandDriven, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s n=%d: %w", v.label, n, err)
 			}
 			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, seconds(stats.Elapsed))
+			s.Y = append(s.Y, seconds(report.Elapsed()))
 		}
 		fig.Series = append(fig.Series, s)
 	}
@@ -249,19 +250,13 @@ func Fig9(e *Env) (*Figure, error) {
 		series[i].Label = n
 	}
 	for _, n := range TextureNodeSweep {
-		stats, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, n, false, filter.DemandDriven, 1)
+		report, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, n, false, filter.DemandDriven, 1)
 		if err != nil {
 			return nil, fmt.Errorf("fig9 n=%d: %w", n, err)
 		}
 		for i, name := range names {
-			var maxC time.Duration
-			for _, c := range stats.Copies[name] {
-				if c.Compute > maxC {
-					maxC = c.Compute
-				}
-			}
 			series[i].X = append(series[i].X, float64(n))
-			series[i].Y = append(series[i].Y, seconds(maxC))
+			series[i].Y = append(series[i].Y, seconds(maxBusy(report, name)))
 		}
 	}
 	fig.Series = series
@@ -336,7 +331,7 @@ func Fig10(e *Env) (*Figure, error) {
 		{"HCC+HPC", pipeline.SplitImpl, core.SparseMatrix, splitLayout},
 	} {
 		v := v
-		stats, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
+		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
 			cfg := &pipeline.Config{
 				Analysis:   e.analysis(v.rep),
 				ChunkShape: e.Scale.ChunkShape,
@@ -350,7 +345,7 @@ func Fig10(e *Env) (*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", v.label, err)
 		}
-		fig.Series = append(fig.Series, Series{Label: v.label, Y: []float64{seconds(stats.Elapsed)}})
+		fig.Series = append(fig.Series, Series{Label: v.label, Y: []float64{seconds(report.Elapsed())}})
 	}
 	fig.Notes = append(fig.Notes, "paper: the split implementation achieves better performance across the slow inter-cluster link")
 	return fig, nil
@@ -394,7 +389,7 @@ func Fig11(e *Env) (*Figure, error) {
 	defer func() { e.QueueDepth, e.Repeats = savedDepth, savedReps }()
 	for _, policy := range []filter.Policy{filter.RoundRobin, filter.DemandDriven} {
 		policy := policy
-		stats, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
+		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
 			cfg := &pipeline.Config{
 				Analysis:   e.analysis(core.SparseMatrix),
 				ChunkShape: e.Scale.ChunkShape,
@@ -407,9 +402,21 @@ func Fig11(e *Env) (*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %v: %w", policy, err)
 		}
-		fig.Series = append(fig.Series, Series{Label: policy.String(), Y: []float64{seconds(stats.Elapsed)}})
+		fig.Series = append(fig.Series, Series{Label: policy.String(), Y: []float64{seconds(report.Elapsed())}})
 	}
 	fig.Notes = append(fig.Notes, "paper: the demand driven method performs better than the round robin method",
 		fmt.Sprintf("buffer pool depth %d (shallow pools give the scheduler feedback; see §5.3)", 4))
 	return fig, nil
+}
+
+// maxBusy is the largest per-copy busy time of the named filter in a run
+// report: the paper's per-filter processing time (Fig. 9).
+func maxBusy(report *metrics.RunReport, name string) time.Duration {
+	var most int64
+	if f := report.Filter(name); f != nil {
+		for _, c := range f.Copies {
+			most = max(most, c.BusyNS)
+		}
+	}
+	return time.Duration(most)
 }

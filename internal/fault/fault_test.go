@@ -232,11 +232,11 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 			t.Fatalf("message %d delivered as %d: duplicates or loss", i, v)
 		}
 	}
-	if rs.Report == nil {
+	if rs == nil {
 		t.Fatal("run report missing")
 	}
 	var retries, redials int64
-	for _, c := range rs.Report.Network {
+	for _, c := range rs.Network {
 		retries += c.Retries
 		redials += c.Redials
 	}

@@ -189,16 +189,16 @@ func TestQueueOversizeBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rs.Report.Streams[0]
+	s := rs.Streams[0]
 	if s.QueuedBytesMax != 10_000 || s.BudgetBytes != 100 || s.BufferBytesMax != 10_000 {
 		t.Errorf("stream row queued %d, budget %d, largest %d; want 10000, 100, 10000", s.QueuedBytesMax, s.BudgetBytes, s.BufferBytesMax)
 	}
-	if err := rs.Report.Validate(); err != nil {
+	if err := rs.Validate(); err != nil {
 		t.Errorf("report with an oversize buffer does not validate: %v", err)
 	}
 	s.QueuedBytesMax = 10_200
-	rs.Report.Streams[0] = s
-	if err := rs.Report.Validate(); err == nil {
+	rs.Streams[0] = s
+	if err := rs.Validate(); err == nil {
 		t.Error("a queue over its budget plus its largest buffer validated")
 	}
 }

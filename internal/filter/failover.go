@@ -135,8 +135,7 @@ func (rt *runtime) tolerateFailure(st *copyState, ctx *localCtx, err error) bool
 		return false
 	}
 	st.dead.Store(true)
-	st.stats.Failed = true
-	st.failMsg = err.Error()
+	st.led.Fail(err)
 	if ctx.hasInflight {
 		fo.requeued = append(fo.requeued, ctx.inflight)
 		fo.redelivered++

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"haralick4d/internal/metrics"
 )
 
 // crashyForward forwards every buffer, except that crashCopy panics while
@@ -59,12 +61,12 @@ func checkExactlyOnce(t *testing.T, got []int, n int) {
 	}
 }
 
-func checkFailoverReport(t *testing.T, rs *RunStats) {
+func checkFailoverReport(t *testing.T, rs *metrics.RunReport) {
 	t.Helper()
-	if rs.Report == nil {
+	if rs == nil {
 		t.Fatal("run report missing")
 	}
-	for _, f := range rs.Report.Filters {
+	for _, f := range rs.Filters {
 		if f.Name != "work" {
 			continue
 		}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"haralick4d/internal/metrics"
 )
 
 // intPayload is a trivial payload for middleware tests.
@@ -115,7 +117,7 @@ func TestNumNodes(t *testing.T) {
 	}
 }
 
-func runPipe(t *testing.T, n, copies int, policy Policy, run func(*Graph, *Options) (*RunStats, error)) (*RunStats, []int) {
+func runPipe(t *testing.T, n, copies int, policy Policy, run func(*Graph, *Options) (*metrics.RunReport, error)) (*metrics.RunReport, []int) {
 	t.Helper()
 	g := NewGraph()
 	g.AddFilter(FilterSpec{Name: "src", Copies: 1, New: source(n)})
@@ -361,28 +363,28 @@ func TestEarlyConsumerExitDoesNotDeadlock(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	stats, got := runPipe(t, 64, 2, RoundRobin, RunLocal)
 	checkAllReceived(t, got, 64)
-	src := stats.Copies["src"]
+	src := stats.Filter("src").Copies
 	if len(src) != 1 || src[0].MsgsOut != 64 || src[0].BytesOut != 64*8 {
 		t.Errorf("src stats wrong: %+v", src)
 	}
 	var in int64
-	for _, c := range stats.Copies["sink"] {
+	for _, c := range stats.Filter("sink").Copies {
 		in += c.MsgsIn
 	}
 	if in != 64 {
 		t.Errorf("sink MsgsIn = %d", in)
 	}
-	if stats.FilterCompute("sink") < 0 || stats.MeanCompute("sink") < 0 {
+	if sink := stats.Filter("sink"); sink.BusyNS < 0 || sink.BusyNS/int64(len(sink.Copies)) < 0 {
 		t.Error("negative compute")
 	}
-	if stats.BytesSent("src") != 64*8 {
-		t.Errorf("BytesSent = %d", stats.BytesSent("src"))
+	if got := stats.Filter("src").BytesOut; got != 64*8 {
+		t.Errorf("BytesOut = %d", got)
 	}
 	if stats.String() == "" {
 		t.Error("empty stats string")
 	}
-	if stats.MeanCompute("missing") != 0 {
-		t.Error("MeanCompute of unknown filter")
+	if stats.Filter("missing") != nil {
+		t.Error("report row of unknown filter")
 	}
 }
 

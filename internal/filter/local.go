@@ -24,9 +24,9 @@ type Options struct {
 	// queue alone. Default readahead.BudgetBytes, the run's one byte budget.
 	QueueBytes int
 	// DisableMetrics turns off the observability layer: filters see a nil
-	// metric set, stream counters are not kept, and RunStats.Report stays
-	// nil. The default (metrics on) costs a few atomic operations per
-	// buffer.
+	// metric set and stream counters are not kept, so the run report holds
+	// only the elapsed time and the engine's per-copy ledgers. The default
+	// (metrics on) costs a few atomic operations per buffer.
 	DisableMetrics bool
 	// WireCodec selects the serialization of buffers crossing nodes on the
 	// TCP engine (ignored by the pure local engine). The zero value is
@@ -78,11 +78,13 @@ type Options struct {
 	Monitor func(stop <-chan struct{}, p Probe)
 }
 
-// Probe is the live view a Monitor gets of a running engine. Snapshot is
-// safe to call at any time from the monitor goroutine: every field it reads
-// is maintained atomically by the copies' hot paths.
+// Probe is the live view a Monitor gets of a running engine. Report is safe
+// to call at any time from the monitor goroutine: it builds the run report
+// as it stands from counters the copies' hot paths maintain atomically.
+// Filters appear in the graph's spec order and copies in index order, so
+// per-copy identity is stable and deltas can be taken position-wise.
 type Probe interface {
-	Snapshot() *metrics.Snapshot
+	Report() *metrics.RunReport
 }
 
 func (o *Options) queueBytes() int {
@@ -102,15 +104,15 @@ func (o *Options) codec() Codec {
 // RunLocal executes the graph with every filter copy as a goroutine and all
 // streams as in-memory queues — full shared-memory parallelism, the
 // configuration DataCutter uses for co-located filters. Placement is
-// recorded in the stats but has no performance meaning locally.
-func RunLocal(g *Graph, opts *Options) (*RunStats, error) {
+// recorded in the report but has no performance meaning locally.
+func RunLocal(g *Graph, opts *Options) (*metrics.RunReport, error) {
 	return RunLocalContext(context.Background(), g, opts)
 }
 
 // RunLocalContext is RunLocal under a context: when ctx is cancelled every
 // blocked Recv/Send returns immediately, all copies wind down, and the run
-// returns ctx's error alongside the statistics gathered so far.
-func RunLocalContext(ctx context.Context, g *Graph, opts *Options) (*RunStats, error) {
+// returns ctx's error alongside the report of what ran so far.
+func RunLocalContext(ctx context.Context, g *Graph, opts *Options) (*metrics.RunReport, error) {
 	rt, err := newRuntime(g, opts, nil)
 	if err != nil {
 		return nil, err
@@ -193,34 +195,14 @@ type copyState struct {
 	inbox     *inbox
 	pending   atomic.Int64 // buffers queued + in flight
 	eosExpect map[string]int
-	stats     CopyStats
-	met       *metrics.Copy // nil when metrics are disabled
+	led       metrics.Ledger
 
 	// dead marks a copy whose failure was tolerated by failover; producers
-	// skip dead copies when picking targets. failMsg records the failure for
-	// the report (written once at death, read after the run's WaitGroup).
-	dead    atomic.Bool
-	failMsg string
-
-	// Stall-watchdog state: beats counts engine-level progress events
-	// (buffers accepted and delivered), phase labels what the copy is doing
-	// (see watchdog.go). Both are written on the hot path and sampled by the
-	// watchdog goroutine.
-	beats atomic.Int64
+	// skip dead copies when picking targets.
+	dead atomic.Bool
+	// phase labels what the copy is doing for the stall watchdog (see
+	// watchdog.go): written on the hot path, sampled by the watchdog.
 	phase atomic.Int32
-
-	// Consumption-rate observations for demand-driven scheduling, updated
-	// by the consumer goroutine and read by producers.
-	svcCompute atomic.Int64 // total compute ns
-	svcMsgs    atomic.Int64 // messages consumed
-
-	// Atomic mirrors of the single-goroutine stats fields, maintained so a
-	// Monitor can snapshot blocked/stalled/output mid-run without racing
-	// the copy's own goroutine (svcCompute and svcMsgs already mirror
-	// Compute and MsgsIn).
-	aBlockRecv atomic.Int64
-	aBlockSend atomic.Int64
-	aMsgsOut   atomic.Int64
 }
 
 // connState is the runtime state of one connection.
@@ -263,8 +245,8 @@ type runtime struct {
 	// auxWG tracks dead-copy inbox drainers, waited after the copies finish.
 	auxWG sync.WaitGroup
 
-	// Monitor plumbing: start anchors Snapshot's wall clock; monitor is the
-	// Options hook (nil when unset or metrics are off).
+	// Monitor plumbing: start anchors the report's wall clock; monitor is
+	// the Options hook (nil when unset or metrics are off).
 	start   time.Time
 	monitor func(stop <-chan struct{}, p Probe)
 
@@ -304,9 +286,8 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 				inbox:     newInbox(rt.queueBytes),
 				eosExpect: map[string]int{},
 			}
-			states[i].stats.Node = fs.Nodes[i]
 			if rt.metricsOn {
-				states[i].met = &metrics.Copy{}
+				states[i].led.Met = &metrics.Copy{}
 			}
 		}
 		rt.copies[fs.Name] = states
@@ -347,7 +328,7 @@ var errStopped = errors.New("filter: run aborted")
 // run executes every filter copy and waits for completion. Cancelling ctx
 // aborts the run: every blocked Recv/Send observes the closed done channel
 // and returns, and the run's error is ctx.Err().
-func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
+func (rt *runtime) run(ctx context.Context) (*metrics.RunReport, error) {
 	if ctx.Done() != nil {
 		watchStop := make(chan struct{})
 		defer close(watchStop)
@@ -360,8 +341,7 @@ func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
 			}
 		}()
 	}
-	start := time.Now()
-	rt.start = start
+	rt.start = time.Now()
 	if rt.stall > 0 {
 		finished := make(chan struct{})
 		defer close(finished)
@@ -461,8 +441,8 @@ func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
 			// rt.done, but a goroutine truly wedged inside filter code (a
 			// hung read, an endless loop) cannot be interrupted — after a
 			// grace period, abandon it and return the diagnostic rather
-			// than hang. The leaked goroutines still share the copy stats,
-			// so no report is built on this path.
+			// than hang. The report reads only atomics, so it is built
+			// on this path too.
 			grace := rt.stall
 			if grace > 2*time.Second {
 				grace = 2 * time.Second
@@ -476,7 +456,7 @@ func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
 				rt.errMu.Lock()
 				err := rt.firstErr
 				rt.errMu.Unlock()
-				return &RunStats{Elapsed: time.Since(start), Copies: map[string][]CopyStats{}}, err
+				return rt.Report(), err
 			}
 		}
 	}
@@ -486,53 +466,7 @@ func (rt *runtime) run(ctx context.Context) (*RunStats, error) {
 		}
 	}
 	stopMonitor()
-	stats := &RunStats{Elapsed: time.Since(start), Copies: map[string][]CopyStats{}}
-	for name, states := range rt.copies {
-		out := make([]CopyStats, len(states))
-		for i, st := range states {
-			out[i] = st.stats
-		}
-		stats.Copies[name] = out
-	}
-	if rt.metricsOn {
-		stats.Report = rt.buildReport(stats.Elapsed)
-	}
-	if rt.firstErr != nil {
-		return stats, rt.firstErr
-	}
-	return stats, nil
-}
-
-// Snapshot implements Probe: a mid-run view assembled entirely from the
-// atomics the copies maintain on their hot paths (service counters, the
-// blocked/stalled mirrors, span timers). Filters appear in the graph's spec
-// order and copies in index order, so per-copy identity is stable across
-// snapshots and deltas can be taken position-wise.
-func (rt *runtime) Snapshot() *metrics.Snapshot {
-	s := &metrics.Snapshot{WallNS: int64(time.Since(rt.start))}
-	for _, fs := range rt.graph.Filters {
-		fsnap := metrics.FilterSnap{Name: fs.Name}
-		for _, st := range rt.copies[fs.Name] {
-			fsnap.Copies = append(fsnap.Copies, metrics.CopySnap{
-				Copy:          st.copyIdx,
-				Node:          st.node,
-				BusyNS:        st.svcCompute.Load(),
-				BlockedRecvNS: st.aBlockRecv.Load(),
-				StalledSendNS: st.aBlockSend.Load(),
-				MsgsIn:        st.svcMsgs.Load(),
-				MsgsOut:       st.aMsgsOut.Load(),
-				QueueLen:      st.pending.Load(),
-			})
-			for name, stat := range st.met.Spans() {
-				if fsnap.Spans == nil {
-					fsnap.Spans = map[string]int64{}
-				}
-				fsnap.Spans[name] += stat.TotalNS
-			}
-		}
-		s.Filters = append(s.Filters, fsnap)
-	}
-	return s
+	return rt.Report(), rt.firstErr
 }
 
 // netReporter is implemented by transports that track per-connection network
@@ -541,60 +475,29 @@ type netReporter interface {
 	netReport() []metrics.ConnReport
 }
 
-// buildReport assembles the structured run report from the engine-measured
-// copy stats, the filter-recorded span timers, and the per-stream counters.
-func (rt *runtime) buildReport(elapsed time.Duration) *metrics.RunReport {
-	rep := &metrics.RunReport{Engine: rt.engine, ElapsedNS: int64(elapsed)}
-	for _, fs := range rt.graph.Filters {
-		fr := metrics.FilterReport{Name: fs.Name}
-		for _, st := range rt.copies[fs.Name] {
-			cr := metrics.CopyReport{
-				Copy:          st.copyIdx,
-				Node:          st.node,
-				BusyNS:        int64(st.stats.Compute),
-				BlockedRecvNS: int64(st.stats.BlockRecv),
-				StalledSendNS: int64(st.stats.BlockSend),
-				MsgsIn:        st.stats.MsgsIn,
-				MsgsOut:       st.stats.MsgsOut,
-				BytesIn:       st.stats.BytesIn,
-				BytesOut:      st.stats.BytesOut,
-			}
-			st.met.Fill(&cr)
-			cr.Failed = st.stats.Failed
-			cr.Failure = st.failMsg
-			fr.Copies = append(fr.Copies, cr)
-		}
-		if fo := rt.failover[fs.Name]; fo != nil {
+// Report is the run report as the copies' counters stand: the Probe a
+// Monitor samples mid-run, and the run's result once every copy is done.
+// To the shared builder's rows it adds failover redeliveries, the streams'
+// queue bytes and the TCP network table.
+func (rt *runtime) Report() *metrics.RunReport {
+	rep := BuildReport(rt.engine, time.Since(rt.start), rt.graph,
+		func(name string, i int) *metrics.Ledger { return &rt.copies[name][i].led },
+		func(c ConnSpec) *metrics.Stream { return rt.conns[c.From+"."+c.FromPort].met })
+	for i := range rep.Filters {
+		if fo := rt.failover[rep.Filters[i].Name]; fo != nil {
 			fo.mu.Lock()
-			fr.Redelivered = fo.redelivered
+			rep.Filters[i].Redelivered = fo.redelivered
 			fo.mu.Unlock()
 		}
-		rep.Filters = append(rep.Filters, fr)
 	}
-	for _, c := range rt.graph.Conns {
-		cs := rt.conns[c.From+"."+c.FromPort]
-		if cs == nil || cs.met == nil {
-			continue
-		}
-		sw := cs.met.SendWait.Stat()
-		rep.Streams = append(rep.Streams, metrics.StreamReport{
-			From: c.From, FromPort: c.FromPort, To: c.To, ToPort: c.ToPort,
-			Policy:     c.Policy.String(),
-			Buffers:    cs.met.Buffers.Load(),
-			Bytes:      cs.met.Bytes.Load(),
-			QueueMax:   cs.met.QueueMax.Load(),
-			SendWaits:  sw.Count,
-			SendWaitNS: sw.TotalNS,
-
-			QueuedBytesMax: queuedBytesMax(cs.consumers),
-			BudgetBytes:    int64(rt.queueBytes),
-			BufferBytesMax: cs.met.BufferMax.Load(),
-		})
+	for i := range rep.Streams {
+		s := &rep.Streams[i]
+		s.QueuedBytesMax = queuedBytesMax(rt.conns[s.From+"."+s.FromPort].consumers)
+		s.BudgetBytes = int64(rt.queueBytes)
 	}
 	if nr, ok := rt.trans.(netReporter); ok {
 		rep.Network = nr.netReport()
 	}
-	rep.Finalize()
 	return rep
 }
 
@@ -747,7 +650,7 @@ func (c *localCtx) FilterName() string     { return c.st.filter }
 func (c *localCtx) CopyIndex() int         { return c.st.copyIdx }
 func (c *localCtx) NumCopies() int         { return len(c.rt.copies[c.st.filter]) }
 func (c *localCtx) Node() int              { return c.st.node }
-func (c *localCtx) Metrics() *metrics.Copy { return c.st.met }
+func (c *localCtx) Metrics() *metrics.Copy { return c.st.led.Met }
 
 func (c *localCtx) ConsumerCopies(port string) int {
 	cs, ok := c.rt.conns[c.st.filter+"."+port]
@@ -761,9 +664,7 @@ func (c *localCtx) ConsumerCopies(port string) int {
 // time, which the caller uses to time the blocking section.
 func (c *localCtx) markCompute() time.Time {
 	now := time.Now()
-	d := now.Sub(c.lastMark)
-	c.st.stats.Compute += d
-	c.st.svcCompute.Add(int64(d))
+	c.st.led.Busy.Add(int64(now.Sub(c.lastMark)))
 	return now
 }
 
@@ -786,8 +687,7 @@ func (c *localCtx) Recv() (Msg, bool) {
 	c.st.phase.Store(phaseRecv)
 	defer func() {
 		now := time.Now()
-		c.st.stats.BlockRecv += now.Sub(blockStart)
-		c.st.aBlockRecv.Add(int64(now.Sub(blockStart)))
+		c.st.led.BlockedRecv.Add(int64(now.Sub(blockStart)))
 		c.lastMark = now
 		c.st.phase.Store(phaseRun)
 	}()
@@ -839,13 +739,11 @@ func (c *localCtx) Recv() (Msg, bool) {
 	}
 }
 
-// accept records the consumption stats for a buffer and marks it in flight
-// until the next Recv.
+// accept counts a consumed buffer in the copy's ledger and marks it in
+// flight until the next Recv.
 func (c *localCtx) accept(m inMsg) (Msg, bool) {
-	c.st.stats.MsgsIn++
-	c.st.beats.Add(1)
-	c.st.svcMsgs.Add(1)
-	c.st.stats.BytesIn += int64(m.payload.SizeBytes())
+	c.st.led.MsgsIn.Inc()
+	c.st.led.BytesIn.Add(int64(m.payload.SizeBytes()))
 	if c.fo != nil {
 		c.inflight = m
 		c.hasInflight = true
@@ -915,8 +813,8 @@ func (c *localCtx) SendTo(port string, copy int, p Payload) error {
 // no history score by queue length alone.
 func ddScore(cand *copyState, fromNode int) int64 {
 	svc := int64(1)
-	if n := cand.svcMsgs.Load(); n > 0 {
-		if s := cand.svcCompute.Load() / n; s > svc {
+	if n := cand.led.MsgsIn.Load(); n > 0 {
+		if s := cand.led.Busy.Load() / n; s > svc {
 			svc = s
 		}
 	}
@@ -938,17 +836,14 @@ func (c *localCtx) send(cs *connState, target *copyState, port string, p Payload
 	c.st.phase.Store(phaseSend)
 	err := c.rt.deliver(c.st, target, inMsg{port: cs.spec.ToPort, payload: p, size: int(size)})
 	now := time.Now()
-	c.st.stats.BlockSend += now.Sub(blockStart)
-	c.st.aBlockSend.Add(int64(now.Sub(blockStart)))
+	c.st.led.StalledSend.Add(int64(now.Sub(blockStart)))
 	c.lastMark = now
 	c.st.phase.Store(phaseRun)
 	if err != nil {
 		return err
 	}
-	c.st.stats.MsgsOut++
-	c.st.aMsgsOut.Add(1)
-	c.st.beats.Add(1)
-	c.st.stats.BytesOut += size
+	c.st.led.MsgsOut.Inc()
+	c.st.led.BytesOut.Add(size)
 	// The deliver block time is the producer's wait for queue credit on this
 	// stream; the pending load right after delivery approximates the depth
 	// the consumer's queue reached.

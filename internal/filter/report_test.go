@@ -57,9 +57,9 @@ func TestLocalRunReportAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := stats.Report
+	rep := stats
 	if rep == nil {
-		t.Fatal("RunStats.Report is nil with metrics enabled")
+		t.Fatal("no report with metrics enabled")
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
@@ -135,8 +135,16 @@ func TestLocalMetricsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Report != nil {
-		t.Error("Report non-nil with DisableMetrics")
+	// The report keeps the elapsed time and the engine's ledgers, and
+	// nothing the metrics layer records.
+	if stats == nil || stats.ElapsedNS <= 0 {
+		t.Fatalf("report %+v without an elapsed time under DisableMetrics", stats)
+	}
+	if got := stats.Filter("sink").MsgsIn; got != 5 {
+		t.Errorf("sink MsgsIn = %d under DisableMetrics, want 5", got)
+	}
+	if len(stats.Streams) != 0 || stats.Filter("sink").Spans != nil {
+		t.Errorf("streams %v or spans %v under DisableMetrics", stats.Streams, stats.Filter("sink").Spans)
 	}
 }
 
@@ -159,7 +167,7 @@ func TestLocalContextCancel(t *testing.T) {
 		cancel()
 	}()
 	done := make(chan struct{})
-	var stats *RunStats
+	var stats *metrics.RunReport
 	var err error
 	go func() {
 		stats, err = RunLocalContext(ctx, g, &Options{QueueBytes: 4 * 8})
@@ -238,7 +246,7 @@ func TestTCPContextCancel(t *testing.T) {
 func TestTCPRunReportNetwork(t *testing.T) {
 	stats, got := runPipe(t, 200, 4, RoundRobin, RunTCP)
 	checkAllReceived(t, got, 200)
-	rep := stats.Report
+	rep := stats
 	if rep == nil {
 		t.Fatal("no report from TCP run")
 	}

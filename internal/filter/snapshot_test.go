@@ -25,9 +25,9 @@ func slowSource(n int, delay time.Duration) func(int) Filter {
 }
 
 // collectSnapshots runs a src→sink pipeline with a Monitor that samples the
-// probe on a tight ticker, returning every snapshot taken plus one final
-// sample at stop time.
-func collectSnapshots(t *testing.T, sinkCopies int) []*metrics.Snapshot {
+// probe's mid-run report on a tight ticker, returning every report taken
+// plus one final sample at stop time.
+func collectSnapshots(t *testing.T, sinkCopies int) []*metrics.RunReport {
 	t.Helper()
 	g := NewGraph()
 	g.AddFilter(FilterSpec{Name: "src", Copies: 1, New: slowSource(150, 300*time.Microsecond)})
@@ -36,7 +36,7 @@ func collectSnapshots(t *testing.T, sinkCopies int) []*metrics.Snapshot {
 	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: DemandDriven})
 
 	var mu sync.Mutex
-	var snaps []*metrics.Snapshot
+	var snaps []*metrics.RunReport
 	opts := &Options{Monitor: func(stop <-chan struct{}, p Probe) {
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
@@ -44,12 +44,12 @@ func collectSnapshots(t *testing.T, sinkCopies int) []*metrics.Snapshot {
 			select {
 			case <-stop:
 				mu.Lock()
-				snaps = append(snaps, p.Snapshot())
+				snaps = append(snaps, p.Report())
 				mu.Unlock()
 				return
 			case <-tick.C:
 				mu.Lock()
-				snaps = append(snaps, p.Snapshot())
+				snaps = append(snaps, p.Report())
 				mu.Unlock()
 			}
 		}
@@ -73,8 +73,8 @@ func TestSnapshotDeltasMonotonic(t *testing.T) {
 	snaps := collectSnapshots(t, 3)
 	for i := 1; i < len(snaps); i++ {
 		prev, cur := snaps[i-1], snaps[i]
-		if cur.WallNS < prev.WallNS {
-			t.Fatalf("snapshot %d: wall went backwards (%d → %d)", i, prev.WallNS, cur.WallNS)
+		if cur.ElapsedNS < prev.ElapsedNS {
+			t.Fatalf("snapshot %d: wall went backwards (%d → %d)", i, prev.ElapsedNS, cur.ElapsedNS)
 		}
 		if len(cur.Filters) != len(prev.Filters) {
 			t.Fatalf("snapshot %d: filter count changed (%d → %d)", i, len(prev.Filters), len(cur.Filters))
@@ -101,8 +101,8 @@ func TestSnapshotDeltasMonotonic(t *testing.T) {
 				}
 			}
 			for span, ptot := range pf.Spans {
-				if ctot := cf.Spans[span]; ctot < ptot {
-					t.Fatalf("snapshot %d: %s span %q total went backwards (%d → %d)", i, cf.Name, span, ptot, ctot)
+				if ctot := cf.Spans[span]; ctot.TotalNS < ptot.TotalNS {
+					t.Fatalf("snapshot %d: %s span %q total went backwards (%d → %d)", i, cf.Name, span, ptot.TotalNS, ctot.TotalNS)
 				}
 			}
 		}
@@ -142,12 +142,12 @@ func TestSnapshotIdentitiesStable(t *testing.T) {
 func TestSnapshotSeesProgress(t *testing.T) {
 	snaps := collectSnapshots(t, 2)
 	last := snaps[len(snaps)-1]
-	if got := last.TotalMsgsOut(); got < 150 {
+	if got := last.Progress().MsgsOut; got < 150 {
 		t.Fatalf("final snapshot reports %d total messages out, want >= 150", got)
 	}
 	var partial bool
 	for _, s := range snaps[:len(snaps)-1] {
-		if out := s.TotalMsgsOut(); out > 0 && out < last.TotalMsgsOut() {
+		if out := s.Progress().MsgsOut; out > 0 && out < last.Progress().MsgsOut {
 			partial = true
 			break
 		}

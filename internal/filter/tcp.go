@@ -27,15 +27,15 @@ import (
 // separate OS process), so the engine exercises real serialization and
 // kernel socket behaviour while remaining a single testable binary. Payload
 // types crossing nodes must be registered with encoding/gob.
-func RunTCP(g *Graph, opts *Options) (*RunStats, error) {
+func RunTCP(g *Graph, opts *Options) (*metrics.RunReport, error) {
 	return RunTCPContext(context.Background(), g, opts)
 }
 
 // RunTCPContext is RunTCP under a context: on cancellation every copy winds
 // down, receive loops drain their sockets so no sender stays blocked inside
-// a partial write, and the run returns ctx's error with the statistics
-// gathered so far.
-func RunTCPContext(ctx context.Context, g *Graph, opts *Options) (*RunStats, error) {
+// a partial write, and the run returns ctx's error with the report of what
+// ran so far.
+func RunTCPContext(ctx context.Context, g *Graph, opts *Options) (*metrics.RunReport, error) {
 	rt, err := newRuntime(g, opts, nil)
 	if err != nil {
 		return nil, err
@@ -46,9 +46,9 @@ func RunTCPContext(ctx context.Context, g *Graph, opts *Options) (*RunStats, err
 	}
 	rt.trans = tr
 	rt.engine = "tcp"
-	stats, err := rt.run(ctx)
+	rep, err := rt.run(ctx)
 	tr.wait()
-	return stats, err
+	return rep, err
 }
 
 // envelope is the wire format of one buffer crossing nodes. FromNode lets

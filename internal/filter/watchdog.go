@@ -91,14 +91,6 @@ func phaseName(p int32) string {
 	}
 }
 
-// progress returns the copy's heartbeat: engine-level message activity plus
-// the filter-recorded metrics spans. Any instrumented step — a buffer
-// accepted, a delivery completed, a read/assemble/compute/write span closed
-// — advances it.
-func (st *copyState) progress() int64 {
-	return st.beats.Load() + st.met.Progress()
-}
-
 // watchdog aborts the run with a StallError when no copy anywhere makes
 // progress for longer than timeout. It watches the sum of all heartbeats —
 // a global deadline, so ordinary backpressure chains (everyone waiting on
@@ -121,7 +113,7 @@ func (rt *runtime) watchdog(timeout time.Duration, finished <-chan struct{}) {
 	now := time.Now()
 	var total int64
 	for i, st := range all {
-		last[i] = st.progress()
+		last[i] = st.led.Progress()
 		seen[i] = now
 		total += last[i]
 	}
@@ -138,7 +130,7 @@ func (rt *runtime) watchdog(timeout time.Duration, finished <-chan struct{}) {
 		}
 		total = 0
 		for i, st := range all {
-			p := st.progress()
+			p := st.led.Progress()
 			if p != last[i] {
 				last[i] = p
 				seen[i] = now

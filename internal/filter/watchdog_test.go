@@ -13,6 +13,7 @@ import (
 
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
+	"haralick4d/internal/metrics"
 )
 
 type wdPayload int
@@ -65,7 +66,7 @@ func wedgedReaderGraph(t *testing.T, delay time.Duration) *filter.Graph {
 }
 
 func TestWatchdogNamesWedgedReader(t *testing.T) {
-	engines := map[string]func(*filter.Graph, *filter.Options) (*filter.RunStats, error){
+	engines := map[string]func(*filter.Graph, *filter.Options) (*metrics.RunReport, error){
 		"local": filter.RunLocal,
 		"tcp":   filter.RunTCP,
 	}

@@ -1,7 +1,8 @@
 // Package metrics is the observability layer of the filter-stream runtime:
 // cheap atomic counters, high-water gauges and wall-clock span timers that
-// the engines and filters update on the hot path, plus the structured
-// RunReport (report.go) every engine assembles at the end of a run.
+// the engines and filters update on the hot path, one Ledger of engine
+// counters per filter copy, and the structured RunReport (report.go) every
+// engine run returns.
 //
 // The paper's entire evaluation (§6, Figs. 6–12) is built from per-filter
 // timing decompositions — read time vs. chunk assembly vs. texture compute
@@ -10,9 +11,10 @@
 // timers.
 //
 // Concurrency: all primitives are safe for concurrent use. A filter copy's
-// Copy set is written by that copy's goroutine only, but the report builder
-// reads it after the run, and pool counters may be bumped from kernel
-// worker goroutines, so everything stays atomic.
+// Ledger and Copy set are written by that copy's goroutine (and its engine)
+// only, but the scheduler, the watchdog and the mid-run report read them
+// while it runs, and pool counters may be bumped from kernel worker
+// goroutines, so everything stays atomic.
 package metrics
 
 import (
@@ -102,8 +104,49 @@ const (
 	SpanWrite    = "write"     // output persistence (USO records, JPEG encode, Collector)
 )
 
+// Ledger is one filter copy's engine counters, kept on every run: the time
+// the copy spent busy in filter code, blocked on empty inputs and stalled on
+// full outputs (nanoseconds; virtual under the simulated cluster), the
+// messages and payload bytes it took in and sent out, and the failure
+// failover tolerated. The engine writes each counter once per event, and
+// everyone else reads the same set: the demand-driven scheduler, the stall
+// watchdog, the mid-run probe and the run report.
+type Ledger struct {
+	Busy, BlockedRecv, StalledSend     Counter
+	MsgsIn, MsgsOut, BytesIn, BytesOut Counter
+	failure                            atomic.Pointer[string]
+	// Met is what the filter records itself; nil when metrics are disabled.
+	Met *Copy
+}
+
+// Fail records the copy's failure, tolerated by failover.
+func (l *Ledger) Fail(err error) {
+	msg := err.Error()
+	l.failure.Store(&msg)
+}
+
+// Progress is the copy's heartbeat for the stall watchdog: it grows with
+// every buffer accepted or delivered and every span the filter closes.
+func (l *Ledger) Progress() int64 {
+	return l.MsgsIn.Load() + l.MsgsOut.Load() + l.Met.Progress()
+}
+
+// Row is the copy's row of the run report as its counters stand now.
+func (l *Ledger) Row(copy, node int) CopyReport {
+	cr := CopyReport{
+		Copy: copy, Node: node,
+		BusyNS: l.Busy.Load(), BlockedRecvNS: l.BlockedRecv.Load(), StalledSendNS: l.StalledSend.Load(),
+		MsgsIn: l.MsgsIn.Load(), MsgsOut: l.MsgsOut.Load(), BytesIn: l.BytesIn.Load(), BytesOut: l.BytesOut.Load(),
+	}
+	if f := l.failure.Load(); f != nil {
+		cr.Failed, cr.Failure = true, *f
+	}
+	l.Met.Fill(&cr)
+	return cr
+}
+
 // Copy collects one filter copy's instrumented activity beyond what the
-// engine measures on its own (busy/blocked/stalled, messages, bytes). All
+// engine measures on its own in its Ledger. All
 // methods are nil-receiver safe: a nil *Copy records nothing, so filters
 // run unchanged when metrics are disabled.
 type Copy struct {
@@ -199,10 +242,9 @@ func (c *Copy) Pool(hit bool) {
 
 // Progress returns a monotone heartbeat derived from the span timers and
 // pool counters: it grows whenever the copy completes any instrumented
-// activity. The stall watchdog samples it (together with the engine's own
-// message counters) to distinguish a slow-but-working filter from a wedged
-// one. Nil-receiver safe: a nil *Copy reports 0, leaving the engine
-// counters as the only heartbeat when metrics are disabled.
+// activity. It is the filter's share of Ledger.Progress. Nil-receiver safe:
+// a nil *Copy reports 0, leaving the engine counters as the only heartbeat
+// when metrics are disabled.
 func (c *Copy) Progress() int64 {
 	if c == nil {
 		return 0

@@ -1,8 +1,8 @@
 // Compact progress views.
 //
-// A Snapshot carries every copy of every filter; a job-status API does not
-// need that resolution. Progress collapses
-// one snapshot into the handful of monotonic totals a client polls for:
+// A run report carries every copy of every filter; a job-status API does
+// not need that resolution. Progress collapses one report, usually one
+// built mid-run, into the handful of monotonic totals a client polls for:
 // elapsed wall time, buffers produced, and the busy/blocked/stalled time
 // split that says where the pipeline is spending its life. The serve
 // daemon attaches one Progress per job status response and event-stream
@@ -10,7 +10,7 @@
 
 package metrics
 
-// Progress is the compact, JSON-stable summary of one live Snapshot. All
+// Progress is the compact, JSON-stable summary of one run report. All
 // counters are cumulative since the run started, so deltas between two
 // Progress values of the same run are valid rates.
 type Progress struct {
@@ -24,19 +24,18 @@ type Progress struct {
 	StalledNS int64 `json:"stalled_ns"`
 }
 
-// Progress collapses the snapshot into its compact summary. Safe on a nil
+// Progress collapses the report into its compact summary. Safe on a nil
 // receiver (returns the zero Progress).
-func (s *Snapshot) Progress() Progress {
-	if s == nil {
+func (r *RunReport) Progress() Progress {
+	if r == nil {
 		return Progress{}
 	}
-	p := Progress{WallNS: s.WallNS, MsgsOut: s.TotalMsgsOut()}
-	for _, f := range s.Filters {
-		for _, c := range f.Copies {
-			p.BusyNS += c.BusyNS
-			p.BlockedNS += c.BlockedRecvNS
-			p.StalledNS += c.StalledSendNS
-		}
+	p := Progress{WallNS: r.ElapsedNS}
+	for _, f := range r.Filters {
+		p.MsgsOut += f.MsgsOut
+		p.BusyNS += f.BusyNS
+		p.BlockedNS += f.BlockedRecvNS
+		p.StalledNS += f.StalledSendNS
 	}
 	return p
 }

@@ -52,7 +52,7 @@ func runPipeline(t *testing.T, st *dataset.Store, engine Engine) (map[features.F
 	if err := res.Complete(cfg.Analysis.Features); err != nil {
 		t.Fatal(err)
 	}
-	rep := rs.Report
+	rep := rs
 	if rep == nil {
 		t.Fatal("run produced no report")
 	}

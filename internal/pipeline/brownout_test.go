@@ -107,11 +107,11 @@ func runBrownout(t *testing.T, dir string, bo http.RoundTripper, pol *resilience
 		t.Fatalf("degraded accounting: %v", err)
 	}
 	// The resilience counters must flow into the run report's backend row.
-	attachBackendStats(rs.Report, st)
-	if len(rs.Report.Backends) != 1 {
-		t.Fatalf("report has %d backend entries, want 1", len(rs.Report.Backends))
+	attachBackendStats(rs, st)
+	if len(rs.Backends) != 1 {
+		t.Fatalf("report has %d backend entries, want 1", len(rs.Backends))
 	}
-	be := rs.Report.Backends[0]
+	be := rs.Backends[0]
 	if be.BreakerTrips < 1 || be.BreakerState == "" {
 		t.Errorf("report backend breaker state %q trips %d, want a tripped breaker", be.BreakerState, be.BreakerTrips)
 	}

@@ -205,7 +205,7 @@ func TestPipelineRunReport(t *testing.T) {
 	if err := res.Complete(cfg.Analysis.Features); err != nil {
 		t.Fatal(err)
 	}
-	rep := rs.Report
+	rep := rs
 	if rep == nil {
 		t.Fatal("no report")
 	}
@@ -279,10 +279,10 @@ func TestReportReadAheadDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rs.Report.Validate(); err != nil {
+		if err := rs.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for _, row := range rs.Report.Filter("RFR").Copies {
+		for _, row := range rs.Filter("RFR").Copies {
 			if row.ReadAheadDepth < c.loDepth || row.ReadAheadDepth > c.hiDepth || row.ReadAheadPeak > c.hiPeak || row.ReadAheadLimit != c.limit {
 				t.Errorf("%s: RFR[%d] depth %d peak %d limit %d, want depth in [%d, %d], peak <= %d, limit %d",
 					c.name, row.Copy, row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit, c.loDepth, c.hiDepth, c.hiPeak, c.limit)

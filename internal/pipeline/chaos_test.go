@@ -107,10 +107,10 @@ func TestChaosCombinedTCP(t *testing.T) {
 	}
 	// The report must show all three faults being survived: the copy crash
 	// with redelivery, and the link breaks with retries and redials.
-	if rs.Report == nil {
+	if rs == nil {
 		t.Fatal("run report missing")
 	}
-	for _, fr := range rs.Report.Filters {
+	for _, fr := range rs.Filters {
 		if fr.Name != "HMP" {
 			continue
 		}
@@ -119,7 +119,7 @@ func TestChaosCombinedTCP(t *testing.T) {
 		}
 	}
 	var retries, redials int64
-	for _, c := range rs.Report.Network {
+	for _, c := range rs.Network {
 		retries += c.Retries
 		redials += c.Redials
 	}
@@ -234,10 +234,10 @@ func TestChaosHTTPCachedFailover(t *testing.T) {
 	if flaky.Failures() == 0 {
 		t.Errorf("injector killed no requests over %d calls", flaky.Calls())
 	}
-	if rs.Report == nil {
+	if rs == nil {
 		t.Fatal("run report missing")
 	}
-	for _, fr := range rs.Report.Filters {
+	for _, fr := range rs.Filters {
 		if fr.Name != "HMP" {
 			continue
 		}
@@ -245,11 +245,11 @@ func TestChaosHTTPCachedFailover(t *testing.T) {
 			t.Errorf("HMP CopyFailures = %d, Redelivered = %d, want 1 and >= 1", fr.CopyFailures, fr.Redelivered)
 		}
 	}
-	attachBackendStats(rs.Report, st)
-	if len(rs.Report.Backends) != 1 {
-		t.Fatalf("report has %d backend entries, want 1", len(rs.Report.Backends))
+	attachBackendStats(rs, st)
+	if len(rs.Backends) != 1 {
+		t.Fatalf("report has %d backend entries, want 1", len(rs.Backends))
 	}
-	be := rs.Report.Backends[0]
+	be := rs.Backends[0]
 	if be.Scheme != "http" {
 		t.Errorf("backend scheme = %q, want http", be.Scheme)
 	}

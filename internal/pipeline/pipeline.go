@@ -396,8 +396,8 @@ type RunOptions struct {
 	Topology      *cluster.Topology // EngineSim only; defaults to a uniform cluster
 	ComputeScale  float64           // EngineSim only
 	SimQueueDepth int               // EngineSim only: the modelled queue credits (buffers) per copy, the paper's flow-control parameter
-	// DisableMetrics turns off the observability layer for the run;
-	// RunStats.Report stays nil.
+	// DisableMetrics turns off the observability layer for the run; the
+	// report then holds only the elapsed time and the per-copy ledgers.
 	DisableMetrics bool
 	// WireCodec selects the serialization for buffers crossing nodes on the
 	// TCP engine; the zero value keeps the original gob streams.
@@ -449,20 +449,21 @@ func (o *RunOptions) monitor() func(stop <-chan struct{}, p filter.Probe) {
 			case <-stop:
 				return
 			case <-t.C:
-				fn(p.Snapshot().Progress())
+				fn(p.Report().Progress())
 			}
 		}
 	}
 }
 
-// Run executes a built graph on the selected engine.
-func Run(g *filter.Graph, engine Engine, opts *RunOptions) (*filter.RunStats, error) {
+// Run executes a built graph on the selected engine and returns its run
+// report.
+func Run(g *filter.Graph, engine Engine, opts *RunOptions) (*metrics.RunReport, error) {
 	return RunContext(context.Background(), g, engine, opts)
 }
 
 // RunContext is Run under a context: cancellation aborts the run promptly on
 // every engine and surfaces ctx's error.
-func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOptions) (*filter.RunStats, error) {
+func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOptions) (*metrics.RunReport, error) {
 	if opts == nil {
 		opts = &RunOptions{}
 	}
@@ -492,11 +493,11 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 
 // attachBackendStats folds the store's backend I/O and cache counters into
 // the run report's backends table. Run calls it after the engine run; a nil
-// report (metrics disabled) or nil store is a no-op. Counters are cumulative
+// store is a no-op. Counters are cumulative
 // over the store's lifetime, so use a fresh store per run for per-run
 // numbers.
 func attachBackendStats(rep *metrics.RunReport, store *dataset.Store) {
-	if rep == nil || store == nil {
+	if store == nil {
 		return
 	}
 	// The report row is the store's counter set under the report's JSON

@@ -334,11 +334,11 @@ func TestSimOnPaperTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Elapsed <= 0 {
+	if stats.Elapsed() <= 0 {
 		t.Error("no virtual time elapsed")
 	}
-	if stats.Elapsed > time.Hour {
-		t.Errorf("implausible virtual elapsed %v", stats.Elapsed)
+	if stats.Elapsed() > time.Hour {
+		t.Errorf("implausible virtual elapsed %v", stats.Elapsed())
 	}
 	for _, f := range cfg.Analysis.Features {
 		gridsEqual(t, f.String(), ref[f], res.Grid(f))

@@ -83,7 +83,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cs := range stats.Copies["RFR"] {
+	for _, cs := range stats.Filter("RFR").Copies {
 		if cs.MsgsOut != 0 {
 			t.Fatalf("resumed run re-read data: RFR sent %d msgs", cs.MsgsOut)
 		}

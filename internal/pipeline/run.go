@@ -11,6 +11,7 @@ import (
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/filters"
+	"haralick4d/internal/metrics"
 	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
 )
@@ -100,7 +101,7 @@ func Prepare(st *dataset.Store, s *runspec.Spec, ck Checkpoint, place func(*Conf
 // journal that did not reach the disk is no checkpoint. A collect sink must
 // be complete; what a SkipDegraded run skipped into it comes back as a
 // summary (nil when nothing was). The backend's counters join the report.
-func (p *Prepared) Run(ctx context.Context, engine Engine, opts *RunOptions) (*filter.RunStats, *DegradedSummary, error) {
+func (p *Prepared) Run(ctx context.Context, engine Engine, opts *RunOptions) (*metrics.RunReport, *DegradedSummary, error) {
 	var ro RunOptions
 	if opts != nil {
 		ro = *opts
@@ -128,7 +129,7 @@ func (p *Prepared) Run(ctx context.Context, engine Engine, opts *RunOptions) (*f
 			}
 		}
 	}
-	attachBackendStats(rs.Report, p.store)
+	attachBackendStats(rs, p.store)
 	return rs, degraded, nil
 }
 

@@ -110,7 +110,7 @@ func TestRunClosesJournalAndReportsBackend(t *testing.T) {
 	if p.Results == nil || degraded != nil {
 		t.Fatalf("collect run: results %v, degraded %v", p.Results, degraded)
 	}
-	if b := rs.Report.Backends; len(b) != 1 || b[0].Scheme != "file" {
+	if b := rs.Backends; len(b) != 1 || b[0].Scheme != "file" {
 		t.Fatalf("report backends %+v, want one file row", b)
 	}
 	p, err = Prepare(st, &spec, Checkpoint{Path: path, Resume: true}, nil)

@@ -194,6 +194,8 @@ func errKind(err error) string {
 		return "backend_unavailable"
 	case errors.Is(err, dataset.ErrDegradedData):
 		return "degraded_data"
+	case errors.Is(err, dataset.ErrBadHeader):
+		return "bad_header"
 	case errors.Is(err, checkpoint.ErrMismatch):
 		return "checkpoint_mismatch"
 	case errors.Is(err, checkpoint.ErrCorrupt):

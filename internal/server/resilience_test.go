@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
@@ -33,6 +34,22 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	}
 	if v.ErrKind != "deadline_exceeded" {
 		t.Fatalf("error_kind = %q, want \"deadline_exceeded\" (error: %s)", v.ErrKind, v.Error)
+	}
+}
+
+// TestJobBadHeader: a dataset whose header declares negative dims fails the
+// job at the open with error_kind "bad_header", its own kind.
+func TestJobBadHeader(t *testing.T) {
+	b := dataset.NewMemBackend()
+	b.WriteFile("dataset.json", []byte(`{"version":1,"dims":[-112,-112,9,9],"nodes":4}`))
+	dataset.RegisterMem("server-bad-header", b)
+	defer dataset.UnregisterMem("server-bad-header")
+	_, ts := newTestServer(t, Config{MaxJobs: 1})
+
+	v := decodeView(t, postJSON(t, ts.URL+"/jobs", testSpec("mem://server-bad-header", filepath.Join(t.TempDir(), "out"))))
+	v = pollTerminal(t, ts.URL, v.ID, State.Terminal)
+	if v.State != StateFailed || v.ErrKind != "bad_header" {
+		t.Fatalf("state %s, error_kind %q, want failed and \"bad_header\" (error: %s)", v.State, v.ErrKind, v.Error)
 	}
 }
 

@@ -41,7 +41,7 @@ func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool, g
 	if err != nil {
 		return nil, nil, err
 	}
-	rs, _, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
+	rep, _, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
 		StallTimeout:     s.cfg.StallTimeout,
 		Progress:         func(pr metrics.Progress) { s.setProgress(id, pr) },
 		ProgressInterval: s.cfg.ProgressInterval,
@@ -49,5 +49,5 @@ func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool, g
 	if err != nil {
 		return nil, nil, err
 	}
-	return rs.Report, p.Restart, nil
+	return rep, p.Restart, nil
 }

@@ -59,8 +59,8 @@ var ioBenchLayout = &pipeline.Layout{
 }
 
 // TestWriteIOBenchJSON measures the I/O fast path end to end — read-ahead
-// off + gob codec (the seed behaviour) against read-ahead 4 + binary codec
-// (the CLI defaults) — over both dataset layouts and both in-process
+// off against read-ahead 4, both over the binary wire codec (the TCP
+// engine's only one) — over both dataset layouts and both in-process
 // engines, and writes the numbers to the path in HARALICK4D_BENCH_IO_OUT;
 // used to produce the committed BENCH_io.json:
 //
@@ -97,13 +97,12 @@ func TestWriteIOBenchJSON(t *testing.T) {
 	}
 	// measure reports the min-of-3 run for one configuration; pipeline wall
 	// times carry scheduler noise that a single run does not suppress.
-	measure := func(layout string, engine pipeline.Engine, readAhead int, codec filter.Codec) ioBenchResult {
+	measure := func(layout string, engine pipeline.Engine, readAhead int) ioBenchResult {
 		t.Helper()
 		var best ioBenchResult
 		for i := 0; i < 3; i++ {
 			runtime.GC()
-			rs, err := pipeline.Run(build(layout, ioBenchConfig(readAhead)), engine,
-				&pipeline.RunOptions{WireCodec: codec})
+			rs, err := pipeline.Run(build(layout, ioBenchConfig(readAhead)), engine, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,15 +159,15 @@ func TestWriteIOBenchJSON(t *testing.T) {
 	t.Logf("piece encode: binary %.0f ns/op, gob %.0f ns/op (%.1fx)", binaryEncNs, gobEncNs, gobEncNs/binaryEncNs)
 
 	type pair struct {
-		Before  ioBenchResult `json:"before"` // readahead 0, gob
-		After   ioBenchResult `json:"after"`  // readahead 4, binary
+		Before  ioBenchResult `json:"before"` // readahead 0
+		After   ioBenchResult `json:"after"`  // readahead 4
 		Speedup float64       `json:"speedup"`
 	}
 	results := map[string]pair{}
 	for _, layout := range []string{"raw", "dicom"} {
 		for _, eng := range []pipeline.Engine{pipeline.EngineLocal, pipeline.EngineTCP} {
-			before := measure(layout, eng, 0, filter.CodecGob)
-			after := measure(layout, eng, 4, filter.CodecBinary)
+			before := measure(layout, eng, 0)
+			after := measure(layout, eng, 4)
 			p := pair{Before: before, After: after,
 				Speedup: float64(before.ElapsedNS) / float64(after.ElapsedNS)}
 			key := layout + "-" + eng.String()
@@ -201,11 +200,10 @@ func TestWriteIOBenchJSON(t *testing.T) {
 			"encode_speedup":                gobEncNs / binaryEncNs,
 		},
 		Notes: []string{
-			"before = the seed behaviour: synchronous reads (ReadAhead 0) and per-connection gob streams",
-			"after = the CLI defaults: ReadAhead 4 with the length-prefixed binary wire codec",
+			"before = synchronous reads (ReadAhead 0); after = ReadAhead 4; both over the length-prefixed binary wire codec, the TCP engine's only one (the per-connection gob stream mode the committed file's before arm used is gone)",
 			"elapsed_ns is the min of 3 end-to-end runs; send_ns and wire_bytes_out sum the TCP engine's per-connection Send timer and counting-writer bytes (zero on the local engine, which moves pointers); the Send timer includes socket backpressure, so the codec block carries the clean encode-only comparison",
 			"outputs are bit-identical across all four configurations per layout (TestTCPWireCodecEquivalence, TestRFRReadAheadInvariance)",
-			"on a single-CPU host (gomaxprocs 1) the read-ahead workers cannot overlap with compute, so the local-engine pairs measure mostly run-to-run noise; the TCP pairs still gain from the codec, and multi-core hosts see the read-ahead overlap on top",
+			"on a single-CPU host (gomaxprocs 1) the read-ahead workers cannot overlap with compute, so the pairs measure mostly run-to-run noise; multi-core hosts see the read-ahead overlap",
 		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

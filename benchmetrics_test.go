@@ -94,7 +94,7 @@ func TestWriteMetricsBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := pipeline.Run(g, pipeline.EngineLocal, &pipeline.RunOptions{QueueBytes: 2 * (80 + 12*12*4*4)}) // two chunks per input queue
+	rs, err := pipeline.Run(g, pipeline.EngineLocal, &pipeline.RunOptions{Options: filter.Options{QueueBytes: 2 * (80 + 12*12*4*4)}}) // two chunks per input queue
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func bindSpecFlags(fs *flag.FlagSet, spec *runspec.Spec) {
 	// resuming a half-finished figure sweep from a checkpoint would splice
 	// timings from two separate processes into one curve, so the
 	// checkpoint/-resume flags are deliberately haralick4d-only.
-	fs.TextVar(&spec.StallTimeout, "stall-timeout", spec.StallTimeout, "fail a figure's engine run if no filter makes progress for this long, e.g. 5m (0 = disabled; the simulated engine runs in virtual time and ignores it)")
+	fs.TextVar(&spec.StallTimeout, "stall-timeout", spec.StallTimeout, "fail a figure's engine run if no filter makes progress for this long, e.g. 5m (0 = disabled; virtual time on the simulated engine)")
 }
 
 func main() {

@@ -56,7 +56,6 @@ type cli struct {
 
 	data, graph string
 	engine      pipeline.Engine
-	codec       filter.Codec
 	resilience  *resilience.Policy
 	iic         int
 	checkpoint  pipeline.Checkpoint
@@ -71,16 +70,12 @@ type cli struct {
 func parseArgs(args []string, out io.Writer) (*cli, error) {
 	fs := flag.NewFlagSet("haralick4d", flag.ContinueOnError)
 	fs.SetOutput(out)
-	c := &cli{codec: filter.CodecBinary}
+	c := &cli{}
 	c.spec.Bind(fs)
 	fs.StringVar(&c.data, "data", "", "dataset directory (see cmd/gendata); required unless -dataset-url is given")
 	fs.StringVar(&c.graph, "graph", "", "XML pipeline description (overrides the analysis/layout flags)")
 	fs.Func("engine", "execution engine: local (default), tcp, sim", func(s string) (err error) {
 		c.engine, err = pipeline.ParseEngine(s)
-		return err
-	})
-	fs.Func("wire-codec", "TCP wire codec: binary (default) or gob", func(s string) (err error) {
-		c.codec, err = filter.ParseCodec(s)
 		return err
 	})
 	retryS := fs.String("retry", "", "retry schedule \"attempts[,base[,max]]\" for backend calls and TCP links, e.g. \"5,10ms,1s\" (empty = 3 backend attempts, single-shot TCP sends)")
@@ -203,7 +198,7 @@ func (c *cli) run() error {
 	}
 	fmt.Printf("dataset %v, ROI %v, G=%d, %s/%s/%s on %s engine\n",
 		store.Meta.Dims, cfg.Analysis.ROI, cfg.Analysis.GrayLevels, cfg.Impl, cfg.Analysis.Representation, cfg.Policy, c.engine)
-	rep, degraded, err := p.Run(ctx, c.engine, &pipeline.RunOptions{WireCodec: c.codec, Resilience: c.resilience})
+	rep, degraded, err := p.Run(ctx, c.engine, &pipeline.RunOptions{Options: filter.Options{Resilience: c.resilience}})
 	if err != nil {
 		return err
 	}

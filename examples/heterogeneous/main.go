@@ -80,9 +80,13 @@ func main() {
 				log.Fatal(err)
 			}
 			s, err := pipeline.Run(g, pipeline.EngineSim, &pipeline.RunOptions{
-				Topology:      &h.Topology,
-				SimQueueDepth: 16,
-				ComputeScale:  2.5,
+				// A shallow pool, four chunks' bytes per copy (a 16×16×5×5
+				// chunk message is 6 544 payload bytes), so the scheduler
+				// sees consumption feedback while chunks are still
+				// unassigned (paper §5.3).
+				Options:      filter.Options{QueueBytes: 4 * 6544},
+				Topology:     &h.Topology,
+				ComputeScale: 2.5,
 			})
 			if err != nil {
 				log.Fatal(err)

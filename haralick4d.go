@@ -366,7 +366,7 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 		return nil, err
 	}
 	rep, degraded, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
-		DisableMetrics:   opts.DisableMetrics,
+		Options:          filter.Options{DisableMetrics: opts.DisableMetrics},
 		Progress:         opts.Progress,
 		ProgressInterval: opts.ProgressInterval,
 	})

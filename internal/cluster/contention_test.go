@@ -28,11 +28,11 @@ func TestCPUContentionOnSharedNode(t *testing.T) {
 		Speeds: []float64{1, 1, 1},
 		LinkOf: func(a, b int) Link { return Link{ID: b, MBPerSecond: 1000} },
 	}
-	shared, err := Run(workerPair(1, 1, make([]int, 2)), topo, nil)
+	shared, err := run(workerPair(1, 1, make([]int, 2)), topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	separate, err := Run(workerPair(1, 2, make([]int, 2)), topo, nil)
+	separate, err := run(workerPair(1, 2, make([]int, 2)), topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestDualCPUBox(t *testing.T) {
 	}
 	// Same-box processors do not contend for CPU.
 	counts := make([]int, 2)
-	stats, err := Run(workerPair(1, 2, counts), &h.Topology, nil)
+	stats, err := run(workerPair(1, 2, counts), &h.Topology, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameNode, err := Run(workerPair(1, 1, make([]int, 2)), &h.Topology, nil)
+	sameNode, err := run(workerPair(1, 1, make([]int, 2)), &h.Topology, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,12 @@ func reportGraph() *filter.Graph {
 	return g
 }
 
-// TestEnginesShareOneReport: the local engine and the simulated cluster
-// build their reports with the one builder from the one per-copy ledger, so
-// on the same graph both validate and agree on the filters, the copy counts
-// and every copy's message counts — with metrics on and off. With metrics
-// on, the local report's copy rows are exactly what the mid-run probe reads
-// once the last copy has finished.
+// TestEnginesShareOneReport: the local engine and the simulated cluster are
+// one runtime on two clocks, so on the same graph both reports validate and
+// agree on the filters, the copy counts and every copy's message and payload
+// byte counts, and each stream's two ends count the same bytes — with
+// metrics on and off. With metrics on, the local report's copy rows are
+// exactly what the mid-run probe reads once the last copy has finished.
 func TestEnginesShareOneReport(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		var mu sync.Mutex
@@ -59,7 +59,7 @@ func TestEnginesShareOneReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := Run(reportGraph(), Uniform(3, 1, LANLatency, FastEthernetMBps), &Options{DisableMetrics: disable})
+		sim, err := run(reportGraph(), Uniform(3, 1, LANLatency, FastEthernetMBps), &filter.Options{DisableMetrics: disable})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +84,20 @@ func TestEnginesShareOneReport(t *testing.T) {
 				if l.MsgsIn != s.MsgsIn || l.MsgsOut != s.MsgsOut {
 					t.Errorf("%s copy %d: local in/out %d/%d, sim %d/%d", lf.Name, c, l.MsgsIn, l.MsgsOut, s.MsgsIn, s.MsgsOut)
 				}
+				if l.BytesIn != s.BytesIn || l.BytesOut != s.BytesOut {
+					t.Errorf("%s copy %d: local bytes in/out %d/%d, sim %d/%d", lf.Name, c, l.BytesIn, l.BytesOut, s.BytesIn, s.BytesOut)
+				}
 				if disable && (l.Spans != nil || s.Spans != nil) {
 					t.Errorf("%s copy %d: spans recorded with metrics off", lf.Name, c)
+				}
+			}
+		}
+		// Every stream here is its producer's only output and its consumer's
+		// only input, so the two ends count the same payload bytes.
+		for _, rep := range []*metrics.RunReport{local, sim} {
+			for _, c := range reportGraph().Conns {
+				if out, in := rep.Filter(c.From).BytesOut, rep.Filter(c.To).BytesIn; out != in {
+					t.Errorf("%s engine: %s sent %d bytes, %s received %d", rep.Engine, c.From, out, c.To, in)
 				}
 			}
 		}

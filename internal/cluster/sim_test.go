@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -8,7 +9,13 @@ import (
 	"time"
 
 	"haralick4d/internal/filter"
+	"haralick4d/internal/metrics"
 )
+
+// run executes g on the simulated cluster topo at compute scale 1.
+func run(g *filter.Graph, topo *Topology, opts *filter.Options) (*metrics.RunReport, error) {
+	return filter.RunSim(context.Background(), g, topo, 1, opts)
+}
 
 type bytesPayload int
 
@@ -70,7 +77,7 @@ func pipelineGraph(n, size, consumers int, policy filter.Policy, srcNode int, si
 func TestSimDeliversEverything(t *testing.T) {
 	counts := make([]int, 3)
 	g := pipelineGraph(90, 100, 3, filter.RoundRobin, 0, []int{1, 2, 3}, counts)
-	stats, err := Run(g, Uniform(4, 1, time.Millisecond, 10), nil)
+	stats, err := run(g, Uniform(4, 1, time.Millisecond, 10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestSimNetworkCostDominates(t *testing.T) {
 	// time; the same transfer co-located must be orders of magnitude less.
 	counts := make([]int, 1)
 	remote := pipelineGraph(50, 1<<20, 1, filter.RoundRobin, 0, []int{1}, counts)
-	rs, err := Run(remote, Uniform(2, 1, 0, 10), nil)
+	rs, err := run(remote, Uniform(2, 1, 0, 10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +117,7 @@ func TestSimNetworkCostDominates(t *testing.T) {
 	}
 	counts[0] = 0
 	local := pipelineGraph(50, 1<<20, 1, filter.RoundRobin, 0, []int{0}, counts)
-	ls, err := Run(local, Uniform(2, 1, 0, 10), nil)
+	ls, err := run(local, Uniform(2, 1, 0, 10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +130,7 @@ func TestSimLatencyCharged(t *testing.T) {
 	// One tiny buffer over a high-latency link: elapsed ≈ latency.
 	counts := make([]int, 1)
 	g := pipelineGraph(1, 1, 1, filter.RoundRobin, 0, []int{1}, counts)
-	stats, err := Run(g, Uniform(2, 1, 500*time.Millisecond, 1000), nil)
+	stats, err := run(g, Uniform(2, 1, 500*time.Millisecond, 1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +149,14 @@ func TestSimSpeedScaling(t *testing.T) {
 		g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
 		return g
 	}
-	slow, err := Run(mkGraph(make([]int, 1)), &Topology{
+	slow, err := run(mkGraph(make([]int, 1)), &Topology{
 		Speeds: []float64{1, 1},
 		LinkOf: func(a, b int) Link { return Link{ID: b, MBPerSecond: 1000} },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(mkGraph(make([]int, 1)), &Topology{
+	fast, err := run(mkGraph(make([]int, 1)), &Topology{
 		Speeds: []float64{1, 8},
 		LinkOf: func(a, b int) Link { return Link{ID: b, MBPerSecond: 1000} },
 	}, nil)
@@ -173,7 +180,7 @@ func TestSimComputeScale(t *testing.T) {
 	g.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: srcFilter(3, 1, 0)})
 	g.AddFilter(filter.FilterSpec{Name: "sink", Copies: 1, New: sinkFilter(counts, 2*time.Millisecond, nil)})
 	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
-	base, err := Run(g, Uniform(1, 1, 0, 1000), nil)
+	base, err := run(g, Uniform(1, 1, 0, 1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestSimComputeScale(t *testing.T) {
 	g2.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: srcFilter(3, 1, 0)})
 	g2.AddFilter(filter.FilterSpec{Name: "sink", Copies: 1, New: sinkFilter(counts, 2*time.Millisecond, nil)})
 	g2.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
-	scaled, err := Run(g2, Uniform(1, 1, 0, 1000), &Options{ComputeScale: 10})
+	scaled, err := filter.RunSim(context.Background(), g2, Uniform(1, 1, 0, 1000), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestSimDemandDrivenBeatsRoundRobinHeterogeneous(t *testing.T) {
 	// Two consumers, one on a 4x faster node. Demand-driven should finish
 	// sooner than round-robin, which forces half the buffers to the slow
 	// copy (paper Fig. 11).
-	run := func(policy filter.Policy) time.Duration {
+	elapsed := func(policy filter.Policy) time.Duration {
 		counts := make([]int, 2)
 		g := filter.NewGraph()
 		g.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: srcFilter(40, 1, 0), Nodes: []int{0}})
@@ -206,7 +213,7 @@ func TestSimDemandDrivenBeatsRoundRobinHeterogeneous(t *testing.T) {
 			Speeds: []float64{1, 1, 4},
 			LinkOf: func(a, b int) Link { return Link{ID: b, MBPerSecond: 1000} },
 		}
-		stats, err := Run(g, topo, &Options{QueueDepth: 2})
+		stats, err := run(g, topo, &filter.Options{QueueBytes: 2}) // two buffers
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +225,8 @@ func TestSimDemandDrivenBeatsRoundRobinHeterogeneous(t *testing.T) {
 		}
 		return stats.Elapsed()
 	}
-	rr := run(filter.RoundRobin)
-	dd := run(filter.DemandDriven)
+	rr := elapsed(filter.RoundRobin)
+	dd := elapsed(filter.DemandDriven)
 	if dd >= rr {
 		t.Errorf("demand-driven (%v) not faster than round-robin (%v)", dd, rr)
 	}
@@ -245,12 +252,12 @@ func TestSimSharedTrunkSerializes(t *testing.T) {
 		LinkOf: func(a, b int) Link { return Link{ID: a*4 + b, MBPerSecond: 20} },
 	}
 	g1, _ := mk()
-	s1, err := Run(g1, shared, nil)
+	s1, err := run(g1, shared, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2, _ := mk()
-	s2, err := Run(g2, separate, nil)
+	s2, err := run(g2, separate, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,9 +291,18 @@ func TestSimDeadlockDetected(t *testing.T) {
 	g.AddFilter(filter.FilterSpec{Name: "b", Copies: 1, New: mk("b", "in")})
 	g.Connect(filter.ConnSpec{From: "a", FromPort: "out", To: "b", ToPort: "in", Policy: filter.RoundRobin})
 	g.Connect(filter.ConnSpec{From: "b", FromPort: "out", To: "a", ToPort: "in", Policy: filter.RoundRobin})
-	_, err := Run(g, Uniform(1, 1, 0, 1000), &Options{QueueDepth: 1})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("deadlock not detected: %v", err)
+	_, err := run(g, Uniform(1, 1, 0, 1000), &filter.Options{QueueBytes: 1}) // one buffer
+	var se *filter.StallError
+	if !errors.As(err, &se) || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("deadlock not detected: %v", err)
+	}
+	if len(se.Stalled) != 2 {
+		t.Fatalf("stalled copies %+v, want a and b", se.Stalled)
+	}
+	for _, c := range se.Stalled {
+		if c.State != "send-wait" {
+			t.Errorf("%s[%d] is %s, want send-wait (each holds the other's queue full)", c.Filter, c.Copy, c.State)
+		}
 	}
 }
 
@@ -301,7 +317,7 @@ func TestSimErrorAborts(t *testing.T) {
 		})
 	}, Nodes: []int{1}})
 	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
-	_, err := Run(g, Uniform(2, 1, 0, 1000), &Options{QueueDepth: 2})
+	_, err := run(g, Uniform(2, 1, 0, 1000), &filter.Options{QueueBytes: 20}) // two buffers
 	if !errors.Is(err, boom) {
 		t.Errorf("error = %v, want boom", err)
 	}
@@ -312,7 +328,7 @@ func TestSimPanicSurfaces(t *testing.T) {
 	g.AddFilter(filter.FilterSpec{Name: "p", Copies: 1, New: func(int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error { panic("kaboom") })
 	}})
-	_, err := Run(g, Uniform(1, 1, 0, 1000), nil)
+	_, err := run(g, Uniform(1, 1, 0, 1000), nil)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Errorf("panic not surfaced: %v", err)
 	}
@@ -337,7 +353,7 @@ func TestSimExplicitRouting(t *testing.T) {
 	}})
 	g.AddFilter(filter.FilterSpec{Name: "sink", Copies: 3, New: sinkFilter(counts, 0, &mu), Nodes: []int{0, 0, 0}})
 	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.Explicit})
-	if _, err := Run(g, Uniform(1, 1, 0, 1000), nil); err != nil {
+	if _, err := run(g, Uniform(1, 1, 0, 1000), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range counts {
@@ -435,7 +451,7 @@ func TestSimSendErrors(t *testing.T) {
 	counts := make([]int, 1)
 	g.AddFilter(filter.FilterSpec{Name: "sink", Copies: 1, New: sinkFilter(counts, 0, nil)})
 	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
-	if _, err := Run(g, Uniform(1, 1, 0, 1000), nil); err != nil {
+	if _, err := run(g, Uniform(1, 1, 0, 1000), nil); err != nil {
 		t.Fatal(err)
 	}
 	if counts[0] != 1 {
@@ -453,7 +469,7 @@ func TestSimSendToOutOfRangeAborts(t *testing.T) {
 	counts := make([]int, 1)
 	g.AddFilter(filter.FilterSpec{Name: "sink", Copies: 1, New: sinkFilter(counts, 0, nil)})
 	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.Explicit})
-	if _, err := Run(g, Uniform(1, 1, 0, 1000), nil); err == nil {
+	if _, err := run(g, Uniform(1, 1, 0, 1000), nil); err == nil {
 		t.Error("out-of-range SendTo did not fail the run")
 	}
 }
@@ -461,7 +477,7 @@ func TestSimSendToOutOfRangeAborts(t *testing.T) {
 func TestSimTopologyTooSmall(t *testing.T) {
 	g := filter.NewGraph()
 	g.AddFilter(filter.FilterSpec{Name: "a", Copies: 1, New: srcFilter(1, 1, 0), Nodes: []int{3}})
-	if _, err := Run(g, Uniform(2, 1, 0, 10), nil); err == nil {
+	if _, err := run(g, Uniform(2, 1, 0, 10), nil); err == nil {
 		t.Error("undersized topology accepted")
 	}
 }
@@ -470,12 +486,16 @@ func TestSimMsgOverhead(t *testing.T) {
 	// A zero-byte payload still pays the per-message overhead on the wire.
 	counts := make([]int, 1)
 	g := pipelineGraph(10, 0, 1, filter.RoundRobin, 0, []int{1}, counts)
-	stats, err := Run(g, Uniform(2, 1, 0, 0.001), &Options{MsgOverheadBytes: 100000})
+	stats, err := run(g, Uniform(2, 1, 0, 0.0001), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 messages × 100 KB over a 1 KB/s link ≈ 1000 s of occupancy.
-	if stats.Elapsed() < 100*time.Second {
-		t.Errorf("overhead bytes not charged: %v", stats.Elapsed())
+	// 10 messages and the end-of-stream marker, each LinkOverheadBytes over a
+	// 100 B/s link, serialized on it.
+	if want := 11 * filter.LinkOverheadBytes * time.Second / 100; stats.Elapsed() < want {
+		t.Errorf("overhead bytes not charged: %v, want >= %v", stats.Elapsed(), want)
+	}
+	if in := stats.Filter("sink").BytesIn; in != 0 {
+		t.Errorf("sink counted %d bytes in; the overhead costs link time only", in)
 	}
 }

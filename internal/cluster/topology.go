@@ -1,13 +1,13 @@
-// Package cluster provides a simulated-cluster execution engine for the
-// filter-stream middleware: filter copies run their real computation on one
-// host while the engine maps them onto virtual nodes with relative CPU
-// speeds and virtual network links with latency and bandwidth, advancing a
-// discrete-event virtual clock.
+// Package cluster describes the simulated cluster the filter runtime's
+// virtual clock runs on (filter.RunSim): virtual nodes with relative CPU
+// speeds and virtual network links with latency and bandwidth. Filter copies
+// run their real computation on one host while the virtual clock charges it
+// to these nodes and links.
 //
 // This is the substitution for the paper's physical testbeds (a 24-node
 // Pentium III cluster on switched FastEthernet, plus dual-Xeon and
 // dual-Opteron clusters on Gigabit, interconnected through a shared
-// 100 Mbit/s uplink). The engine preserves what the paper's experiments
+// 100 Mbit/s uplink). The model preserves what the paper's experiments
 // measure — the ratio of computation to communication on every stream and
 // the relative speed of heterogeneous nodes — while running as a single
 // deterministic-ordering process.
@@ -47,6 +47,16 @@ type Topology struct {
 
 // NumNodes returns the node count.
 func (t *Topology) NumNodes() int { return len(t.Speeds) }
+
+// Speed returns a node's relative CPU speed (filter.Machine).
+func (t *Topology) Speed(node int) float64 { return t.Speeds[node] }
+
+// Transfer returns the link a transfer of n bytes from node a to node b
+// occupies, its latency and the bytes' occupancy of it (filter.Machine).
+func (t *Topology) Transfer(a, b, n int) (link int, latency, occupancy time.Duration) {
+	l := t.LinkOf(a, b)
+	return l.ID, l.Latency, l.transferTime(n)
+}
 
 // Validate checks the topology is usable for a graph with n nodes.
 func (t *Topology) Validate(n int) error {

@@ -200,17 +200,15 @@ func (w dirWriter) WriteFile(name string, data []byte) error {
 // any earlier point leaves a root without dataset.json, which Open rejects
 // outright instead of serving a partial dataset).
 func writeDataset(w blobWriter, v *volume.Volume, nodes int, dist Distribution, enc Encoding) (*Meta, error) {
-	if nodes < 1 {
-		return nil, fmt.Errorf("dataset: node count %d must be >= 1", nodes)
-	}
 	if dist < RoundRobinDist || dist > SliceModDist {
 		return nil, fmt.Errorf("dataset: invalid distribution %d", int(dist))
 	}
-	if err := enc.check(); err != nil {
-		return nil, err
-	}
 	lo, hi := v.MinMax()
 	meta := &Meta{Version: FormatVersion, Dims: v.Dims, Nodes: nodes, Min: lo, Max: hi, Dist: dist, Checksums: true, Encoding: enc}
+	// Write nothing a reader would refuse.
+	if err := meta.check(); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
 
 	indexes := make([][]SliceRef, nodes)
 	X, Y := v.Dims[0], v.Dims[1]
@@ -356,6 +354,11 @@ func (m *Meta) check() error {
 	}
 	if m.Dims[0] > maxSliceBytes/2/m.Dims[1] || m.maxObjectSize() > maxSliceBytes {
 		return fmt.Errorf("dims %v: a slice exceeds %d bytes", m.Dims, maxSliceBytes)
+	}
+	// A node holds at least one slice: one reader copy runs per node, so the
+	// node count would otherwise size the graph.
+	if slices := m.Dims[2] * m.Dims[3]; m.Nodes > slices {
+		return fmt.Errorf("node count %d exceeds the %d slices", m.Nodes, slices)
 	}
 	return m.Encoding.check()
 }

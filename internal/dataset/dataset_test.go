@@ -165,6 +165,10 @@ func TestWriteErrors(t *testing.T) {
 	if _, err := WriteDistributed(t.TempDir(), v, 1, RoundRobinDist, Encoding("tiff")); err == nil {
 		t.Error("unknown encoding accepted")
 	}
+	// The writer refuses what the reader would: more nodes than slices.
+	if _, err := WriteDistributed(t.TempDir(), v, 2, RoundRobinDist, EncodingRaw); err == nil {
+		t.Error("two nodes for one slice accepted")
+	}
 }
 
 // TestEncodingHeader: a raw header carries no encoding key, so raw headers

@@ -46,7 +46,7 @@ func (e Encoding) String() string {
 // check rejects an encoding this package cannot write or read.
 func (e Encoding) check() error {
 	if e != EncodingRaw && e != EncodingDICOM {
-		return fmt.Errorf("dataset: unknown slice encoding %q", string(e))
+		return fmt.Errorf("unknown slice encoding %q", string(e))
 	}
 	return nil
 }

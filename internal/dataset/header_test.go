@@ -26,6 +26,8 @@ func TestOpenRejectsBadHeaders(t *testing.T) {
 		{"slice over the object bound", `{"version":1,"dims":[16384,16385,1,1],"nodes":1}`},
 		{"slice product overflows", `{"version":1,"dims":[4294967296,4294967296,1,1],"nodes":1}`},
 		{"no node", `{"version":1,"dims":[4,4,1,1],"nodes":0}`},
+		{"more nodes than slices", `{"version":1,"dims":[4,4,2,3],"nodes":7}`},
+		{"millions of nodes", `{"version":1,"dims":[112,112,9,36],"nodes":4000000}`},
 		{"wrong version", `{"version":99,"dims":[4,4,1,1],"nodes":1}`},
 		{"unknown encoding", `{"version":1,"dims":[4,4,1,1],"nodes":1,"encoding":"tiff"}`},
 		{"malformed JSON", `{"version":1,"dims":[4,4`},
@@ -52,6 +54,7 @@ func FuzzOpenHeader(f *testing.F) {
 	f.Add([]byte(`{"version":1,"dims":[112,112,3037000500,3037000500],"nodes":4}`))
 	f.Add([]byte(`{"version":1,"dims":[-112,-112,9,9],"nodes":4,"encoding":"dicom"}`))
 	f.Add([]byte(`{"version":1,"dims":[1,1,1,1],"nodes":1,"dist":2}`))
+	f.Add([]byte(`{"version":1,"dims":[112,112,9,36],"nodes":4000000}`))
 	f.Fuzz(func(t *testing.T, hdr []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -75,7 +78,7 @@ func FuzzOpenHeader(f *testing.F) {
 			}
 			voxels *= d
 		}
-		if voxels <= 0 || m.Nodes < 1 || m.maxObjectSize() > maxSliceBytes {
+		if voxels <= 0 || m.Nodes < 1 || m.Nodes > m.Dims[2]*m.Dims[3] || m.maxObjectSize() > maxSliceBytes {
 			t.Fatalf("store opened with %+v", m)
 		}
 		// The store is usable: its readers fail cleanly on the missing index.

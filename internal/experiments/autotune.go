@@ -100,7 +100,7 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			rs, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineLocal, &pipeline.RunOptions{StallTimeout: e.StallTimeout})
+			rs, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineLocal, &pipeline.RunOptions{Options: filter.Options{StallTimeout: e.StallTimeout}})
 			if err != nil {
 				return 0, err
 			}

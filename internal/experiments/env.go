@@ -20,9 +20,11 @@ import (
 
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
+	"haralick4d/internal/filters"
 	"haralick4d/internal/glcm"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/synthetic"
+	"haralick4d/internal/volume"
 )
 
 // Scale bundles the dataset and analysis geometry of an experiment run.
@@ -34,6 +36,17 @@ type Scale struct {
 	ChunkShape   [4]int // IIC-to-TEXTURE chunk
 	StorageNodes int
 	Seed         int64
+}
+
+// chunkBytes is the payload size of one of the scale's full texture chunks
+// (a filters.ChunkMsg of ChunkShape voxels, halo included), the unit the
+// simulated queues are budgeted in.
+func (s Scale) chunkBytes() int {
+	n := 1
+	for _, c := range s.ChunkShape {
+		n *= c
+	}
+	return (&filters.ChunkMsg{Region: &volume.Region{Data: make([]uint8, n)}}).SizeBytes()
 }
 
 // TinyScale is sized for unit tests and testing.B benchmarks: a full
@@ -109,7 +122,11 @@ type Env struct {
 	Scale        Scale
 	Store        *dataset.Store
 	ComputeScale float64
-	QueueDepth   int
+	// QueueBytes is each filter copy's input-queue budget in payload bytes
+	// on the simulated cluster (filter.Options.QueueBytes; buffers on the
+	// wire count against it). Setup sizes it to 16 of the scale's texture
+	// chunks.
+	QueueBytes int
 	// Ctx cancels the figures' engine runs: cmd/experiments wires it to
 	// SIGTERM/^C so an unattended sweep killed by an orchestrator unwinds
 	// through the filter runtime instead of dying mid-write. Nil means
@@ -137,8 +154,8 @@ type Env struct {
 	MemoPath string
 	// StallTimeout arms the filter runtime's no-progress watchdog on the
 	// figures' engine runs, so an unattended sweep fails with a diagnostic
-	// instead of hanging. The simulated cluster runs in virtual time and
-	// ignores it; the local-engine ablations honour it. 0 disables.
+	// instead of hanging: virtual time on the simulated cluster, wall time
+	// on the local-engine ablations. 0 disables.
 	StallTimeout time.Duration
 	// LastReport is the observability report of the most recent engine run
 	// an experiment performed (the best repetition of the last simulated
@@ -202,7 +219,7 @@ func Setup(scale Scale, dir string) (*Env, error) {
 		Scale:         scale,
 		Store:         st,
 		ComputeScale:  DefaultComputeScale,
-		QueueDepth:    16,
+		QueueBytes:    16 * scale.chunkBytes(),
 		Repeats:       3,
 		KernelWorkers: 1,
 		MemoPath:      filepath.Join(dir, "autotune-memo.json"),

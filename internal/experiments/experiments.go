@@ -88,10 +88,9 @@ func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), to
 			return nil, err
 		}
 		report, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineSim, &pipeline.RunOptions{
-			Topology:      topo,
-			SimQueueDepth: e.QueueDepth,
-			ComputeScale:  e.ComputeScale,
-			StallTimeout:  e.StallTimeout,
+			Options:      filter.Options{QueueBytes: e.QueueBytes, StallTimeout: e.StallTimeout},
+			Topology:     topo,
+			ComputeScale: e.ComputeScale,
 		})
 		if err != nil {
 			return nil, err
@@ -381,12 +380,12 @@ func Fig11(e *Env) (*Figure, error) {
 	// while buffers are still unassigned, so this experiment uses a shallow
 	// buffer pool (the paper notes the buffer-size sensitivity in its §5.3
 	// discussion). Extra repetitions tighten the bar comparison.
-	savedDepth, savedReps := e.QueueDepth, e.Repeats
-	e.QueueDepth = 4
+	savedBytes, savedReps := e.QueueBytes, e.Repeats
+	e.QueueBytes = 4 * e.Scale.chunkBytes()
 	if e.Repeats < 7 {
 		e.Repeats = 7
 	}
-	defer func() { e.QueueDepth, e.Repeats = savedDepth, savedReps }()
+	defer func() { e.QueueBytes, e.Repeats = savedBytes, savedReps }()
 	for _, policy := range []filter.Policy{filter.RoundRobin, filter.DemandDriven} {
 		policy := policy
 		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
@@ -405,7 +404,7 @@ func Fig11(e *Env) (*Figure, error) {
 		fig.Series = append(fig.Series, Series{Label: policy.String(), Y: []float64{seconds(report.Elapsed())}})
 	}
 	fig.Notes = append(fig.Notes, "paper: the demand driven method performs better than the round robin method",
-		fmt.Sprintf("buffer pool depth %d (shallow pools give the scheduler feedback; see §5.3)", 4))
+		fmt.Sprintf("buffer pool %d bytes per copy, 4 texture chunks (shallow pools give the scheduler feedback; see §5.3)", 4*e.Scale.chunkBytes()))
 	return fig, nil
 }
 

@@ -90,7 +90,7 @@ func (fo *failoverState) release() {
 // the filter's stream is fully quiescent (every copy parked or dead, no
 // drains pending, nothing requeued). The returned channel wakes c on the
 // next state change.
-func (fo *failoverState) poll(c *localCtx) (m inMsg, ok, done bool, wake chan struct{}) {
+func (fo *failoverState) poll(c *copyCtx) (m inMsg, ok, done bool, wake chan struct{}) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
 	if len(fo.requeued) > 0 {
@@ -121,7 +121,7 @@ func (fo *failoverState) poll(c *localCtx) (m inMsg, ok, done bool, wake chan st
 // downstream as if the copy had finished. Otherwise it records the terminal
 // run error (typed: ErrCopyFailed, or ErrAllCopiesDead when this was the
 // filter's last copy) and returns false.
-func (rt *runtime) tolerateFailure(st *copyState, ctx *localCtx, err error) bool {
+func (rt *runtime) tolerateFailure(st *copyState, ctx *copyCtx, err error) bool {
 	fo := rt.failover[st.filter]
 	if fo == nil {
 		rt.fail(fmt.Errorf("filter %s[%d]: %w: %w", st.filter, st.copyIdx, ErrCopyFailed, err))
@@ -148,42 +148,7 @@ func (rt *runtime) tolerateFailure(st *copyState, ctx *localCtx, err error) bool
 	fo.broadcastLocked()
 	fo.mu.Unlock()
 
-	expect := 0
-	for _, n := range st.eosExpect {
-		expect += n
-	}
-	seen := 0
-	for _, n := range ctx.eosSeen {
-		seen += n
-	}
-	rt.auxWG.Add(1)
-	go rt.drainDead(st, fo, expect-seen)
+	left := ctx.eosLeft()
+	rt.clk.spawn(st, func() { rt.drain(st, left, fo) })
 	return true
-}
-
-// drainDead consumes a dead copy's inbox on its behalf: data buffers are
-// requeued to the survivors, end-of-stream markers are counted until every
-// producer has signed off, keeping producers (and remote receive loops)
-// unblocked.
-func (rt *runtime) drainDead(st *copyState, fo *failoverState, remaining int) {
-	defer rt.auxWG.Done()
-	for remaining > 0 {
-		// take hands the buffer's queue credits back, so the producers (and
-		// remote receive loops) blocked on this dead copy's budget move on and
-		// the requeued buffer no longer counts against anyone's.
-		m, ok := st.inbox.takeWait(rt.done)
-		if !ok {
-			return
-		}
-		if m.eos {
-			remaining--
-			continue
-		}
-		st.pending.Add(-1)
-		fo.requeue(m)
-	}
-	fo.mu.Lock()
-	fo.draining--
-	fo.broadcastLocked()
-	fo.mu.Unlock()
 }

@@ -1,10 +1,12 @@
 package filter
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"haralick4d/internal/metrics"
 )
@@ -122,6 +124,25 @@ func TestFailoverRedeliveryTCP(t *testing.T) {
 	}
 	checkExactlyOnce(t, got(), n)
 	checkFailoverReport(t, rs)
+}
+
+// TestFailoverRedeliverySim: failover under the virtual clock — the dead
+// copy's drainer is a task like the copies, and survivors take over its
+// buffers exactly once.
+func TestFailoverRedeliverySim(t *testing.T) {
+	for _, policy := range []Policy{RoundRobin, DemandDriven} {
+		t.Run(policy.String(), func(t *testing.T) {
+			const n = 100
+			g, got := failoverGraph(n, 3, 1, 5, policy, []int{1, 2, 3})
+			rs, err := RunSim(context.Background(), g, flatMachine{nodes: 4, latency: time.Millisecond}, 1,
+				&Options{Failover: true, QueueBytes: 32 * 8})
+			if err != nil {
+				t.Fatalf("run with failover: %v", err)
+			}
+			checkExactlyOnce(t, got(), n)
+			checkFailoverReport(t, rs)
+		})
+	}
 }
 
 func TestFailoverAllCopiesDead(t *testing.T) {

@@ -8,14 +8,17 @@
 // buffers among them round-robin or demand-driven, or explicit copies that
 // the producer addresses directly. Buffers exchanged between co-located
 // filter copies are handed over by pointer; buffers crossing nodes are
-// serialized — over real TCP sockets in this package's TCP engine, or
-// through a modeled network in the simulated-cluster engine (package
-// cluster).
+// serialized over real TCP sockets (RunTCP), or charged to the modeled
+// links of a simulated cluster (RunSim over a cluster.Topology).
 //
-// The same Filter implementations run unmodified under every engine.
+// Every engine is one runtime on one of two clocks: the wall clock, with
+// every filter copy a goroutine, or the simulated cluster's virtual clock,
+// which runs one copy at a time (see clock.go). The same Filter
+// implementations run unmodified under every engine.
 package filter
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -24,8 +27,8 @@ import (
 
 // Payload is the body of a data buffer exchanged on a stream. SizeBytes
 // reports the approximate serialized size; the schedulers and the network
-// models use it. Concrete payload types crossing TCP must be registered
-// with encoding/gob by the package defining them.
+// models use it. Concrete payload types crossing TCP implement WirePayload
+// or are registered with encoding/gob by the package defining them.
 type Payload interface {
 	SizeBytes() int
 }
@@ -50,8 +53,8 @@ type Func func(ctx Context) error
 // Run implements Filter.
 func (f Func) Run(ctx Context) error { return f(ctx) }
 
-// Context is the runtime interface handed to each filter copy. It is
-// implemented by every engine (local goroutines, TCP, simulated cluster).
+// Context is the runtime interface handed to each filter copy: the one
+// runtime's, under every engine (local goroutines, TCP, simulated cluster).
 type Context interface {
 	// FilterName returns the logical filter name.
 	FilterName() string
@@ -78,6 +81,14 @@ type Context interface {
 	// the returned set are nil-receiver safe, so filters may use it
 	// unconditionally.
 	Metrics() *metrics.Copy
+	// Aborting reports whether the runtime is tearing the run down after a
+	// failure: an end-of-stream a filter observes then is a side effect of
+	// the abort, not completion. Sinks that finalize durable artifacts on
+	// clean end-of-stream (filters.NewUSO) check it.
+	Aborting() bool
+	// RunContext is cancelled when the run aborts — the bridge between the
+	// runtime and context-aware I/O (backend reads, HTTP range requests).
+	RunContext() context.Context
 }
 
 // Policy selects how a connection distributes buffers among the consumer's

@@ -15,23 +15,23 @@ import (
 	"haralick4d/internal/sem"
 )
 
-// Options configures an in-process engine run.
+// Options configures an engine run.
 type Options struct {
 	// QueueBytes bounds each filter copy's input queue (stream
 	// backpressure) in payload bytes, as Payload.SizeBytes reports them: a
 	// producer blocks while the buffers queued at its consumer, plus its own,
-	// exceed it. A buffer larger than the whole budget crosses an empty
-	// queue alone. Default readahead.BudgetBytes, the run's one byte budget.
+	// exceed it. Under the simulated cluster a buffer holds its bytes from
+	// the send, through the link, until the consumer takes it. A buffer
+	// larger than the whole budget crosses an empty queue alone. Default
+	// readahead.BudgetBytes, the run's one byte budget.
 	QueueBytes int
 	// DisableMetrics turns off the observability layer: filters see a nil
 	// metric set and stream counters are not kept, so the run report holds
 	// only the elapsed time and the engine's per-copy ledgers. The default
 	// (metrics on) costs a few atomic operations per buffer.
 	DisableMetrics bool
-	// WireCodec selects the serialization of buffers crossing nodes on the
-	// TCP engine (ignored by the pure local engine). The zero value is
-	// CodecGob, the original transport; CodecBinary uses the length-prefixed
-	// framing with direct backing-array writes for registered payload types.
+	// WireCodec names the TCP engine's serialization of buffers crossing
+	// nodes. CodecBinary, the zero value, is the only one.
 	WireCodec Codec
 	// Failover lets surviving transparent copies inherit the un-acked buffers
 	// of a failed copy instead of aborting the run. It applies to filters
@@ -42,7 +42,8 @@ type Options struct {
 	// the run, the original behaviour.
 	Failover bool
 	// Resilience hardens the TCP transport's node links (ignored by the
-	// pure local engine). Its Retry schedule retries dials and sends with
+	// local engine and the simulated cluster). Its Retry schedule retries
+	// dials and sends with
 	// exponential backoff and jitter seeded from the node pair, and sequence
 	// numbers on the wire let the receiver drop duplicates created by
 	// retransmission; a zero schedule keeps single-shot sends with no
@@ -51,11 +52,11 @@ type Options struct {
 	// Nil: single-shot sends and nothing else.
 	Resilience *resilience.Policy
 	// SendTimeout is the per-attempt write deadline on envelope sends; zero
-	// leaves writes unbounded.
+	// leaves writes unbounded. TCP engine only.
 	SendTimeout time.Duration
 	// RecvTimeout bounds how long the receiver waits for the body of a frame
-	// whose header has already arrived (binary codec only) — a torn frame
-	// from a failed sender is detected instead of hanging. Zero disables it.
+	// whose header has already arrived — a torn frame from a failed sender
+	// is detected instead of hanging. Zero disables it. TCP engine only.
 	RecvTimeout time.Duration
 	// WrapConn, when set, wraps every outbound TCP connection right after a
 	// successful dial — the hook used by fault injection (fault.FlakyConn) in
@@ -67,7 +68,9 @@ type Options struct {
 	// StallError naming the unfinished copies instead of hanging forever.
 	// The deadline is global, so backpressure behind a slow-but-working
 	// filter never trips it; it must exceed the longest time a single
-	// buffer can legitimately spend inside one filter call. 0 (the default)
+	// buffer can legitimately spend inside one filter call. Under the
+	// simulated cluster it counts virtual time, and a graph in which no copy
+	// can run fails with a StallError at once, armed or not. 0 (the default)
 	// disables the watchdog.
 	StallTimeout time.Duration
 	// Monitor, when set, runs on its own goroutine for the duration of the
@@ -92,13 +95,6 @@ func (o *Options) queueBytes() int {
 		return readahead.BudgetBytes
 	}
 	return o.QueueBytes
-}
-
-func (o *Options) codec() Codec {
-	if o == nil {
-		return CodecGob
-	}
-	return o.WireCodec
 }
 
 // RunLocal executes the graph with every filter copy as a goroutine and all
@@ -133,7 +129,7 @@ type inMsg struct {
 
 // inbox is one filter copy's input queue: first in, first out, bounded by
 // the payload bytes queued (credits, one per byte) and not by the number of
-// buffers. Many producers put; one goroutine at a time takes — the copy, then
+// buffers. Many producers put; one task at a time takes — the copy, then
 // whichever drainer inherits the queue.
 type inbox struct {
 	credits *sem.Sem
@@ -150,11 +146,18 @@ func newInbox(budget int) *inbox {
 }
 
 // put queues m once its bytes fit under the budget; it returns false, with
-// nothing queued, when stop closes first.
-func (in *inbox) put(m inMsg, stop <-chan struct{}) bool {
-	if !in.credits.Acquire(m.size, stop) {
+// nothing queued, when stop closes first. wait is the clock's, nil for the
+// wall clock (see runtime.semWait).
+func (in *inbox) put(m inMsg, stop <-chan struct{}, wait func(ready, stop <-chan struct{}) bool) bool {
+	if !in.credits.AcquireWith(m.size, stop, wait) {
 		return false
 	}
+	in.push(m)
+	return true
+}
+
+// push queues m, whose credits its sender already holds.
+func (in *inbox) push(m inMsg) {
 	in.mu.Lock()
 	in.q = append(in.q, m)
 	in.queued += m.size
@@ -164,7 +167,6 @@ func (in *inbox) put(m inMsg, stop <-chan struct{}) bool {
 	case in.ready <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // take removes the oldest message and returns its credits; ok is false when
@@ -214,39 +216,43 @@ type connState struct {
 }
 
 // transport delivers a message to a consumer copy that is placed on a
-// different node than the producer. A nil transport (pure local engine)
+// different node than the producer. A nil transport (the local engine)
 // delivers everything through memory.
 type transport interface {
-	// deliver must block until the message is queued at the consumer
-	// (providing backpressure) and return an error on transport failure.
+	// deliver must block until the message holds its credits at the
+	// consumer (providing backpressure) and return an error on transport
+	// failure.
 	deliver(from *copyState, to *copyState, m inMsg) error
+	// transfer is the demand-driven score's cost of moving a buffer of
+	// the given payload bytes from node a to node b.
+	transfer(a, b, bytes int) time.Duration
 	// close tears the transport down after the run.
 	close() error
 }
 
-// runtime is the shared in-process engine used by both the local and TCP
-// modes.
+// runtime is the one filter runtime every engine runs on: the local engine
+// (no transport, wall clock), the TCP engine (TCP transport, wall clock) and
+// the simulated cluster (simulated links, virtual clock).
 type runtime struct {
 	graph      *Graph
 	copies     map[string][]*copyState
 	conns      map[string]*connState // key: from + "." + fromPort
 	trans      transport
-	engine     string // "local" or "tcp", recorded in the report
+	engine     string // "local", "tcp" or "sim", recorded in the report
 	metricsOn  bool
 	queueBytes int           // every copy's input-queue budget, payload bytes
 	stall      time.Duration // watchdog deadline; 0 = no watchdog
-	// stalled is closed by the watchdog when it trips, telling run not to
-	// wait forever on goroutines wedged inside filter code. Nil when the
-	// watchdog is off.
-	stalled chan struct{}
 	// failover has an entry per failover-eligible filter (nil map when the
 	// option is off).
 	failover map[string]*failoverState
-	// auxWG tracks dead-copy inbox drainers, waited after the copies finish.
-	auxWG sync.WaitGroup
 
-	// Monitor plumbing: start anchors the report's wall clock; monitor is
-	// the Options hook (nil when unset or metrics are off).
+	// clk is how tasks block and how time is read; run makes a wall clock
+	// when the engine set none. semWait is its wait for the queues' credit
+	// semaphores, nil under the wall clock (a plain select).
+	clk     clock
+	semWait func(ready, stop <-chan struct{}) bool
+	// start is the host time the run began: the stall diagnosis's anchor
+	// for absolute timestamps.
 	start   time.Time
 	monitor func(stop <-chan struct{}, p Probe)
 
@@ -270,7 +276,6 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 	}
 	if opts != nil && opts.StallTimeout > 0 {
 		rt.stall = opts.StallTimeout
-		rt.stalled = make(chan struct{})
 	}
 	if opts != nil && opts.Monitor != nil && rt.metricsOn {
 		rt.monitor = opts.Monitor
@@ -342,10 +347,8 @@ func (rt *runtime) run(ctx context.Context) (*metrics.RunReport, error) {
 		}()
 	}
 	rt.start = time.Now()
-	if rt.stall > 0 {
-		finished := make(chan struct{})
-		defer close(finished)
-		go rt.watchdog(rt.stall, finished)
+	if rt.clk == nil {
+		rt.clk = &wallClock{start: rt.start, done: rt.done}
 	}
 	// Launch the monitor before the copies so it observes the run from the
 	// first tick. stopMonitor is idempotent and waits for the monitor
@@ -367,98 +370,23 @@ func (rt *runtime) run(ctx context.Context) (*metrics.RunReport, error) {
 		}
 		defer stopMonitor()
 	}
-	var wg sync.WaitGroup
 	for _, fs := range rt.graph.Filters {
-		fs := fs
-		for i := 0; i < fs.Copies; i++ {
-			st := rt.copies[fs.Name][i]
-			ctx := &localCtx{rt: rt, st: st, fo: rt.failover[fs.Name]}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ctx.lastMark = time.Now()
-				err := func() (err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							err = fmt.Errorf("filter: %s[%d] panicked: %v", st.filter, st.copyIdx, r)
-						}
-					}()
-					return fs.New(st.copyIdx).Run(ctx)
-				}()
-				ctx.closeCompute()
-				// The copy leaves the watchdog's suspect set: whatever happens
-				// from here (EOS delivery, draining) blocks only on copies
-				// that are still live and will be named instead.
-				st.phase.Store(phaseDone)
-				if err != nil && !errors.Is(err, errStopped) {
-					if !rt.tolerateFailure(st, ctx, err) {
-						return
-					}
-					// Tolerated: the drainer owns this copy's inbox from here;
-					// fall through to sign off downstream streams as if the
-					// copy had finished.
-				} else if ctx.fo != nil && !ctx.finalWaited {
-					// Finished (or was stopped) without consuming all input:
-					// retire the processing slot so survivors in the final
-					// wait don't wait for us.
-					ctx.fo.release()
-				}
-				// Signal end-of-stream on every outgoing connection.
-				for _, c := range rt.graph.ConnsFrom(st.filter) {
-					cs := rt.conns[c.From+"."+c.FromPort]
-					for _, consumer := range cs.consumers {
-						if derr := rt.deliver(st, consumer, inMsg{port: c.ToPort, eos: true}); derr != nil {
-							if !errors.Is(derr, errStopped) {
-								rt.fail(derr)
-							}
-							return
-						}
-					}
-				}
-				// Drain any input this copy chose not to consume, so that
-				// upstream producers blocked on our full inbox make
-				// progress (a filter may legitimately finish early). A dead
-				// copy's inbox is drained (and requeued) by its drainer.
-				if !st.dead.Load() {
-					rt.drain(st, ctx)
-				}
-			}()
+		for _, st := range rt.copies[fs.Name] {
+			rt.clk.spawn(st, rt.copyMain(fs, st))
 		}
 	}
-	wgDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		rt.auxWG.Wait()
-		close(wgDone)
-	}()
-	if rt.stalled == nil {
-		<-wgDone
-	} else {
-		select {
-		case <-wgDone:
-		case <-rt.stalled:
-			// The watchdog tripped. Copies blocked on streams unwind via
-			// rt.done, but a goroutine truly wedged inside filter code (a
-			// hung read, an endless loop) cannot be interrupted — after a
-			// grace period, abandon it and return the diagnostic rather
-			// than hang. The report reads only atomics, so it is built
-			// on this path too.
-			grace := rt.stall
-			if grace > 2*time.Second {
-				grace = 2 * time.Second
-			}
-			select {
-			case <-wgDone:
-			case <-time.After(grace):
-				if rt.trans != nil {
-					rt.trans.close() // unblock the transport's receive loops
-				}
-				rt.errMu.Lock()
-				err := rt.firstErr
-				rt.errMu.Unlock()
-				return rt.Report(), err
-			}
+	if !rt.clk.drive(rt) {
+		// The watchdog tripped and tasks wedged inside filter code did not
+		// unwind within its grace period: abandon them and return the
+		// diagnostic rather than hang. The report reads only atomics, so it
+		// is built on this path too.
+		if rt.trans != nil {
+			rt.trans.close() // unblock the transport's receive loops
 		}
+		rt.errMu.Lock()
+		err := rt.firstErr
+		rt.errMu.Unlock()
+		return rt.Report(), err
 	}
 	if rt.trans != nil {
 		if cerr := rt.trans.close(); cerr != nil && rt.firstErr == nil {
@@ -467,6 +395,56 @@ func (rt *runtime) run(ctx context.Context) (*metrics.RunReport, error) {
 	}
 	stopMonitor()
 	return rt.Report(), rt.firstErr
+}
+
+// copyMain is the task of one filter copy: run the filter, sign off
+// downstream, drain what it left unconsumed.
+func (rt *runtime) copyMain(fs FilterSpec, st *copyState) func() {
+	return func() {
+		ctx := &copyCtx{rt: rt, st: st, fo: rt.failover[fs.Name], lastMark: rt.clk.now()}
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("filter: %s[%d] panicked: %v", st.filter, st.copyIdx, r)
+				}
+			}()
+			return fs.New(st.copyIdx).Run(ctx)
+		}()
+		ctx.markCompute()
+		// The copy leaves the watchdog's suspect set: whatever happens from
+		// here (EOS delivery, draining) blocks only on copies that are still
+		// live and will be named instead.
+		st.phase.Store(phaseDone)
+		if err != nil && !errors.Is(err, errStopped) {
+			if !rt.tolerateFailure(st, ctx, err) {
+				return
+			}
+			// Tolerated: the drainer owns this copy's inbox from here; fall
+			// through to sign off downstream streams as if the copy had
+			// finished.
+		} else if ctx.fo != nil && !ctx.finalWaited {
+			// Finished (or was stopped) without consuming all input: retire
+			// the processing slot so survivors in the final wait don't wait
+			// for us.
+			ctx.fo.release()
+		}
+		// Signal end-of-stream on every outgoing connection.
+		for _, c := range rt.graph.ConnsFrom(st.filter) {
+			cs := rt.conns[c.From+"."+c.FromPort]
+			for _, consumer := range cs.consumers {
+				if derr := rt.deliver(st, consumer, inMsg{port: c.ToPort, eos: true}); derr != nil {
+					if !errors.Is(derr, errStopped) {
+						rt.fail(derr)
+					}
+					return
+				}
+			}
+		}
+		// A dead copy's queue is drained (and requeued) by its drainer.
+		if !st.dead.Load() {
+			rt.drain(st, ctx.eosLeft(), nil)
+		}
+	}
 }
 
 // netReporter is implemented by transports that track per-connection network
@@ -480,7 +458,7 @@ type netReporter interface {
 // To the shared builder's rows it adds failover redeliveries, the streams'
 // queue bytes and the TCP network table.
 func (rt *runtime) Report() *metrics.RunReport {
-	rep := BuildReport(rt.engine, time.Since(rt.start), rt.graph,
+	rep := BuildReport(rt.engine, rt.clk.now(), rt.graph,
 		func(name string, i int) *metrics.Ledger { return &rt.copies[name][i].led },
 		func(c ConnSpec) *metrics.Stream { return rt.conns[c.From+"."+c.FromPort].met })
 	for i := range rep.Filters {
@@ -513,26 +491,43 @@ func queuedBytesMax(copies []*copyState) int64 {
 	return int64(peak)
 }
 
-// drain consumes and discards leftover inbox traffic after a copy's Run has
-// returned, until every expected end-of-stream marker has arrived.
-func (rt *runtime) drain(st *copyState, ctx *localCtx) {
-	expect := 0
-	for _, n := range st.eosExpect {
-		expect += n
-	}
-	seen := 0
-	for _, n := range ctx.eosSeen {
-		seen += n
-	}
-	for seen < expect {
-		m, ok := st.inbox.takeWait(rt.done)
+// drain takes what is left in a copy's queue until its last end-of-stream
+// marker: discarded after the copy finished, so producers blocked on its
+// budget move on (a filter may legitimately finish early), or requeued to
+// the survivors of fo when the copy died. take hands each buffer's credits
+// back, so the requeued buffer no longer counts against anyone's.
+func (rt *runtime) drain(st *copyState, left int, fo *failoverState) {
+	for left > 0 {
+		m, ok := rt.takeWait(st.inbox)
 		if !ok {
 			return
 		}
 		if m.eos {
-			seen++
-		} else {
-			st.pending.Add(-1)
+			left--
+			continue
+		}
+		st.pending.Add(-1)
+		if fo != nil {
+			fo.requeue(m)
+		}
+	}
+	if fo != nil {
+		fo.mu.Lock()
+		fo.draining--
+		fo.broadcastLocked()
+		fo.mu.Unlock()
+	}
+}
+
+// takeWait is take for the drainers, which have nothing else to wait for: it
+// blocks until a message arrives; ok is false once the run aborts.
+func (rt *runtime) takeWait(in *inbox) (m inMsg, ok bool) {
+	for {
+		if m, ok = in.take(); ok {
+			return m, true
+		}
+		if !rt.clk.wait(in.ready, nil) {
+			return inMsg{}, false
 		}
 	}
 }
@@ -568,41 +563,26 @@ func (rt *runtime) deliver(from, to *copyState, m inMsg) error {
 // deliver and the transports' receive loops. It blocks while the queue is over
 // its byte budget, which holds the producer — across TCP by stalling its socket.
 func (rt *runtime) enqueueLocal(to *copyState, m inMsg) error {
-	if !to.inbox.put(m, rt.done) {
+	if !to.inbox.put(m, rt.done, rt.semWait) {
 		return errStopped
 	}
 	return nil
 }
 
-// takeWait is take for the drainers, which have nothing else to wait for: it
-// blocks until a message arrives; ok is false once stop closes.
-func (in *inbox) takeWait(stop <-chan struct{}) (m inMsg, ok bool) {
-	for {
-		if m, ok = in.take(); ok {
-			return m, true
-		}
-		select {
-		case <-in.ready:
-		case <-stop:
-			return inMsg{}, false
-		}
-	}
-}
-
-// localCtx implements Context for the in-process engines.
-type localCtx struct {
+// copyCtx implements Context for every engine.
+type copyCtx struct {
 	rt *runtime
 	st *copyState
 	fo *failoverState // nil unless this filter is failover-eligible
 
-	lastMark time.Time // start of the current compute segment
+	lastMark time.Duration // start of the current compute segment, on rt.clk
 	eosSeen  map[string]int
 	openIn   int // ports still expecting data; -1 = uninitialized
 
 	// inflight is the last buffer handed to the filter, un-acked until the
 	// next Recv call: if the copy dies in between, failover redelivers it to
-	// a sibling. Same-goroutine access only (tolerateFailure runs on the
-	// copy's own goroutine).
+	// a sibling. Same-task access only (tolerateFailure runs on the copy's
+	// own task).
 	inflight    inMsg
 	hasInflight bool
 	// finalWaited is true while this copy is parked in the failover final
@@ -610,11 +590,7 @@ type localCtx struct {
 	finalWaited bool
 }
 
-// Aborting reports whether the runtime is tearing the run down after a
-// failure: an end-of-stream a filter observes then is a side effect of the
-// abort, not completion. Sink filters that finalize durable artifacts on
-// clean end-of-stream (filters.NewUSO) discover it by type assertion.
-func (c *localCtx) Aborting() bool {
+func (c *copyCtx) Aborting() bool {
 	select {
 	case <-c.rt.done:
 		return true
@@ -623,12 +599,7 @@ func (c *localCtx) Aborting() bool {
 	}
 }
 
-// RunContext returns a context.Context that is cancelled when the run aborts
-// — the bridge between the engine's done channel and context-aware I/O
-// (backend reads, HTTP range requests). Filters discover it by type
-// assertion, like Aborting; engines without one (the simulation) leave the
-// filters on context.Background.
-func (c *localCtx) RunContext() context.Context { return doneCtx{done: c.rt.done} }
+func (c *copyCtx) RunContext() context.Context { return doneCtx{done: c.rt.done} }
 
 // doneCtx adapts the runtime's done channel to the context.Context interface
 // without spawning a propagation goroutine per copy.
@@ -646,13 +617,13 @@ func (d doneCtx) Err() error {
 }
 func (d doneCtx) Value(key any) any { return nil }
 
-func (c *localCtx) FilterName() string     { return c.st.filter }
-func (c *localCtx) CopyIndex() int         { return c.st.copyIdx }
-func (c *localCtx) NumCopies() int         { return len(c.rt.copies[c.st.filter]) }
-func (c *localCtx) Node() int              { return c.st.node }
-func (c *localCtx) Metrics() *metrics.Copy { return c.st.led.Met }
+func (c *copyCtx) FilterName() string     { return c.st.filter }
+func (c *copyCtx) CopyIndex() int         { return c.st.copyIdx }
+func (c *copyCtx) NumCopies() int         { return len(c.rt.copies[c.st.filter]) }
+func (c *copyCtx) Node() int              { return c.st.node }
+func (c *copyCtx) Metrics() *metrics.Copy { return c.st.led.Met }
 
-func (c *localCtx) ConsumerCopies(port string) int {
+func (c *copyCtx) ConsumerCopies(port string) int {
 	cs, ok := c.rt.conns[c.st.filter+"."+port]
 	if !ok {
 		return 0
@@ -660,17 +631,12 @@ func (c *localCtx) ConsumerCopies(port string) int {
 	return len(cs.consumers)
 }
 
-// markCompute closes the current compute segment and returns the current
-// time, which the caller uses to time the blocking section.
-func (c *localCtx) markCompute() time.Time {
-	now := time.Now()
-	c.st.led.Busy.Add(int64(now.Sub(c.lastMark)))
-	return now
-}
+// markCompute closes the current compute segment, charging it to the copy's
+// busy time, and returns the clock's time, which the caller uses to time the
+// blocking section.
+func (c *copyCtx) markCompute() time.Duration { return c.rt.clk.compute(c.st, c.lastMark) }
 
-func (c *localCtx) closeCompute() { c.markCompute() }
-
-func (c *localCtx) Recv() (Msg, bool) {
+func (c *copyCtx) Recv() (Msg, bool) {
 	if c.eosSeen == nil {
 		c.eosSeen = map[string]int{}
 		c.openIn = 0
@@ -686,8 +652,8 @@ func (c *localCtx) Recv() (Msg, bool) {
 	blockStart := c.markCompute()
 	c.st.phase.Store(phaseRecv)
 	defer func() {
-		now := time.Now()
-		c.st.led.BlockedRecv.Add(int64(now.Sub(blockStart)))
+		now := c.rt.clk.now()
+		c.st.led.BlockedRecv.Add(int64(now - blockStart))
 		c.lastMark = now
 		c.st.phase.Store(phaseRun)
 	}()
@@ -707,22 +673,15 @@ func (c *localCtx) Recv() (Msg, bool) {
 			wake = ch
 		}
 		if c.openIn == 0 {
-			if c.fo == nil {
+			if c.fo == nil || !c.rt.clk.wait(wake, nil) {
 				return Msg{}, false
 			}
-			select {
-			case <-wake:
-				continue
-			case <-c.rt.done:
-				return Msg{}, false
-			}
+			continue
 		}
 		m, ok := c.st.inbox.take()
 		if !ok {
-			select {
-			case <-c.st.inbox.ready:
-			case <-wake: // nil (blocks forever) unless failover-eligible
-			case <-c.rt.done:
+			// wake is nil (never ready) unless failover-eligible.
+			if !c.rt.clk.wait(c.st.inbox.ready, wake) {
 				return Msg{}, false
 			}
 			continue
@@ -739,9 +698,18 @@ func (c *localCtx) Recv() (Msg, bool) {
 	}
 }
 
+// eosLeft is the number of end-of-stream markers the copy has still to take.
+func (c *copyCtx) eosLeft() int {
+	left := 0
+	for port, n := range c.st.eosExpect {
+		left += n - c.eosSeen[port]
+	}
+	return left
+}
+
 // accept counts a consumed buffer in the copy's ledger and marks it in
 // flight until the next Recv.
-func (c *localCtx) accept(m inMsg) (Msg, bool) {
+func (c *copyCtx) accept(m inMsg) (Msg, bool) {
 	c.st.led.MsgsIn.Inc()
 	c.st.led.BytesIn.Add(int64(m.payload.SizeBytes()))
 	if c.fo != nil {
@@ -751,14 +719,53 @@ func (c *localCtx) accept(m inMsg) (Msg, bool) {
 	return Msg{Port: m.port, Payload: m.payload}, true
 }
 
-func (c *localCtx) Send(port string, p Payload) error {
+func (c *copyCtx) Send(port string, p Payload) error {
+	cs, err := c.out(port, p)
+	if err != nil {
+		return err
+	}
+	if cs.spec.Policy == Explicit {
+		return fmt.Errorf("filter: port %s.%s is explicit; use SendTo", c.st.filter, port)
+	}
+	return c.send(cs, -1, p)
+}
+
+func (c *copyCtx) SendTo(port string, copy int, p Payload) error {
+	cs, err := c.out(port, p)
+	if err != nil {
+		return err
+	}
+	if copy < 0 || copy >= len(cs.consumers) {
+		return fmt.Errorf("filter: %s.%s copy %d out of range [0, %d)", c.st.filter, port, copy, len(cs.consumers))
+	}
+	return c.send(cs, copy, p)
+}
+
+// out resolves a send's connection.
+func (c *copyCtx) out(port string, p Payload) (*connState, error) {
 	cs, ok := c.rt.conns[c.st.filter+"."+port]
 	if !ok {
-		return fmt.Errorf("filter: %s has no connection on port %q", c.st.filter, port)
+		return nil, fmt.Errorf("filter: %s has no connection on port %q", c.st.filter, port)
 	}
+	if p == nil {
+		return nil, fmt.Errorf("filter: %s sent nil payload on %q", c.st.filter, port)
+	}
+	return cs, nil
+}
+
+// send closes the compute segment, picks the consumer copy — copy, or by the
+// connection's policy when copy is -1 — and delivers the buffer to it.
+func (c *copyCtx) send(cs *connState, copy int, p Payload) error {
+	// Size the payload before the delivery: once delivered the consumer owns
+	// it and may recycle its buffers (see filters.ParamMsg.Recycle).
+	size := p.SizeBytes()
+	blockStart := c.markCompute()
+	c.st.phase.Store(phaseSend)
 	var target *copyState
-	switch cs.spec.Policy {
-	case RoundRobin:
+	switch {
+	case copy >= 0:
+		target = cs.consumers[copy]
+	case cs.spec.Policy == RoundRobin:
 		// Advance past dead copies (failover): the n-bounded scan keeps the
 		// no-failure path identical to plain modulo round-robin.
 		n := len(cs.consumers)
@@ -768,85 +775,69 @@ func (c *localCtx) Send(port string, p Payload) error {
 				break
 			}
 		}
-	case DemandDriven:
-		// DataCutter's demand-driven scheduler assigns each buffer based on
-		// the copies' buffer consumption rates. Estimate each copy's
-		// completion time for this buffer as (queue+1) × its observed mean
-		// service time, preferring a co-located copy on ties (it receives
-		// the buffer by pointer hand-off). Dead copies are not candidates.
-		var best *copyState
-		var bestScore int64
-		for _, cand := range cs.consumers {
-			if cand.dead.Load() {
-				continue
-			}
-			if s := ddScore(cand, c.st.node); best == nil || s < bestScore {
-				best, bestScore = cand, s
-			}
-		}
-		target = best
-	case Explicit:
-		return fmt.Errorf("filter: port %s.%s is explicit; use SendTo", c.st.filter, port)
+	default:
+		target = c.rt.demandTarget(cs.consumers, c.st.node, size)
 	}
-	if target == nil {
-		err := fmt.Errorf("filter: %s: %w", cs.spec.To, ErrAllCopiesDead)
-		c.rt.fail(err)
-		return errStopped
+	err := errStopped
+	if target != nil {
+		err = c.rt.deliver(c.st, target, inMsg{port: cs.spec.ToPort, payload: p, size: size})
+	} else {
+		c.rt.fail(fmt.Errorf("filter: %s: %w", cs.spec.To, ErrAllCopiesDead))
 	}
-	return c.send(cs, target, port, p)
-}
-
-func (c *localCtx) SendTo(port string, copy int, p Payload) error {
-	cs, ok := c.rt.conns[c.st.filter+"."+port]
-	if !ok {
-		return fmt.Errorf("filter: %s has no connection on port %q", c.st.filter, port)
-	}
-	if copy < 0 || copy >= len(cs.consumers) {
-		return fmt.Errorf("filter: %s.%s copy %d out of range [0, %d)", c.st.filter, port, copy, len(cs.consumers))
-	}
-	return c.send(cs, cs.consumers[copy], port, p)
-}
-
-// ddScore estimates a copy's completion time for one more buffer:
-// (queue+1) × mean observed service time, in nanoseconds, doubled so that a
-// one-unit remote penalty acts purely as a locality tie-break. Copies with
-// no history score by queue length alone.
-func ddScore(cand *copyState, fromNode int) int64 {
-	svc := int64(1)
-	if n := cand.led.MsgsIn.Load(); n > 0 {
-		if s := cand.led.Busy.Load() / n; s > svc {
-			svc = s
-		}
-	}
-	score := (cand.pending.Load() + 1) * svc * 2
-	if cand.node != fromNode {
-		score++
-	}
-	return score
-}
-
-func (c *localCtx) send(cs *connState, target *copyState, port string, p Payload) error {
-	if p == nil {
-		return fmt.Errorf("filter: %s sent nil payload on %q", c.st.filter, port)
-	}
-	// Size the payload before the delivery: once delivered the consumer owns
-	// it and may recycle its buffers (see filters.ParamMsg.Recycle).
-	size := int64(p.SizeBytes())
-	blockStart := c.markCompute()
-	c.st.phase.Store(phaseSend)
-	err := c.rt.deliver(c.st, target, inMsg{port: cs.spec.ToPort, payload: p, size: int(size)})
-	now := time.Now()
-	c.st.led.StalledSend.Add(int64(now.Sub(blockStart)))
+	now := c.rt.clk.now()
+	c.st.led.StalledSend.Add(int64(now - blockStart))
 	c.lastMark = now
 	c.st.phase.Store(phaseRun)
 	if err != nil {
 		return err
 	}
 	c.st.led.MsgsOut.Inc()
-	c.st.led.BytesOut.Add(size)
+	c.st.led.BytesOut.Add(int64(size))
 	// The deliver block time is the producer's wait for queue credit on this
 	// stream; the pending load right after delivery approximates the depth
 	// the consumer's queue reached.
-	cs.met.ObserveSend(size, now.Sub(blockStart), target.pending.Load())
+	cs.met.ObserveSend(int64(size), now-blockStart, target.pending.Load())
 	return nil
+}
+
+// demandTarget is DataCutter's demand-driven choice, which assigns each
+// buffer based on the copies' buffer consumption rates: the live copy with
+// the lowest ddScore, the first in index order among equals; nil when every
+// copy is dead.
+func (rt *runtime) demandTarget(consumers []*copyState, from, size int) *copyState {
+	var best *copyState
+	var bestScore int64
+	for _, cand := range consumers {
+		if cand.dead.Load() {
+			continue
+		}
+		var transfer time.Duration
+		if rt.trans != nil && cand.node != from {
+			transfer = rt.trans.transfer(from, cand.node, size)
+		}
+		if s := ddScore(cand, from, transfer); best == nil || s < bestScore {
+			best, bestScore = cand, s
+		}
+	}
+	return best
+}
+
+// ddScore estimates when a copy would finish one more buffer: (queue+1) ×
+// its mean observed service time, plus the transfer that reaches it, in
+// nanoseconds — doubled, so that a one-unit remote penalty acts purely as a
+// tie-break in favour of a co-located copy (it receives the buffer by
+// pointer hand-off). A copy with no history serves in 1 ns, so it is scored
+// by its queue and the transfer alone.
+func ddScore(cand *copyState, from int, transfer time.Duration) int64 {
+	svc := int64(1)
+	if n := cand.led.MsgsIn.Load(); n > 0 {
+		if s := cand.led.Busy.Load() / n; s > svc {
+			svc = s
+		}
+	}
+	score := ((cand.pending.Load()+1)*svc + int64(transfer)) * 2
+	if cand.node != from {
+		score++
+	}
+	return score
 }

@@ -2,7 +2,6 @@ package filter
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,15 +17,15 @@ import (
 
 // RunTCP executes the graph with one loopback TCP endpoint per node:
 // buffers between co-located filter copies are handed over by pointer
-// exactly as in RunLocal, while buffers crossing nodes are serialized with
-// the configured wire codec (Options.WireCodec, gob by default) and travel
-// through real TCP sockets — the transport split DataCutter makes between
-// co-located and remote filters.
+// exactly as in RunLocal, while buffers crossing nodes are serialized in
+// length-headed binary frames and travel through real TCP sockets — the
+// transport split DataCutter makes between co-located and remote filters.
 //
 // All filter copies still run in this process (each node is a router, not a
 // separate OS process), so the engine exercises real serialization and
 // kernel socket behaviour while remaining a single testable binary. Payload
-// types crossing nodes must be registered with encoding/gob.
+// types crossing nodes carry a binary encoding (WirePayload) or are
+// registered with encoding/gob for the per-message fallback.
 func RunTCP(g *Graph, opts *Options) (*metrics.RunReport, error) {
 	return RunTCPContext(context.Background(), g, opts)
 }
@@ -36,6 +35,9 @@ func RunTCP(g *Graph, opts *Options) (*metrics.RunReport, error) {
 // a partial write, and the run returns ctx's error with the report of what
 // ran so far.
 func RunTCPContext(ctx context.Context, g *Graph, opts *Options) (*metrics.RunReport, error) {
+	if opts != nil && opts.WireCodec != CodecBinary {
+		return nil, fmt.Errorf("filter: unknown wire codec %d", int(opts.WireCodec))
+	}
 	rt, err := newRuntime(g, opts, nil)
 	if err != nil {
 		return nil, err
@@ -65,8 +67,6 @@ type envelope struct {
 	Seq      uint64
 	Payload  Payload
 }
-
-func init() { gob.Register(envelope{}) }
 
 // countingWriter counts bytes written through it. It is used under the
 // owning tcpConn's mutex, so a plain int64 suffices.
@@ -98,7 +98,6 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // graph actually uses, created lazily on first send.
 type tcpTransport struct {
 	rt        *runtime
-	codec     Codec
 	retry     resilience.Retry // zero: single-attempt sends
 	send      time.Duration    // per-attempt write deadline; 0 = none
 	recv      time.Duration    // frame-body read deadline; 0 = none
@@ -142,8 +141,7 @@ type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn // replaced in place on redial, under mu
 	cw  *countingWriter
-	enc *gob.Encoder    // CodecGob only; rebuilt on redial (the re-handshake)
-	buf []byte          // CodecBinary frame scratch, reused under mu
+	buf []byte          // frame scratch, reused under mu
 	met *metrics.Conn   // nil when metrics are disabled
 	res *resilience.Set // pair breaker/budget; nil when not configured
 	seq uint64          // last stamped sequence number (retry mode)
@@ -153,7 +151,6 @@ type tcpConn struct {
 func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, error) {
 	tr := &tcpTransport{
 		rt:      rt,
-		codec:   opts.codec(),
 		conns:   map[[2]int]*tcpConn{},
 		mets:    map[[2]int]*metrics.Conn{},
 		streams: map[[2]int]*pairStream{},
@@ -256,28 +253,13 @@ func (tr *tcpTransport) acceptLoop(ln net.Listener, node int) {
 	}
 }
 
-// envelopeDecoder reads one envelope per call from a connection, in the
-// codec's wire format. io.EOF between envelopes means a clean close.
-type envelopeDecoder interface {
-	next() (envelope, error)
-}
-
-// gobEnvelopeDecoder is the CodecGob receive side: one gob stream per
-// connection.
-type gobEnvelopeDecoder struct{ dec *gob.Decoder }
-
-func (d gobEnvelopeDecoder) next() (envelope, error) {
-	var env envelope
-	err := d.dec.Decode(&env)
-	return env, err
-}
-
-// binaryEnvelopeDecoder is the CodecBinary receive side: a u32 length prefix
-// followed by the frame body, read with exactly two ReadFull calls so the
-// counting reader's per-message byte attribution stays exact. When a receive
-// timeout is configured, the frame body is read under a deadline — a torn
-// frame from a dead sender surfaces as an error instead of hanging the loop.
-type binaryEnvelopeDecoder struct {
+// frameDecoder reads one envelope per call from a connection: a u32 length
+// prefix followed by the frame body, read with exactly two ReadFull calls so
+// the counting reader's per-message byte attribution stays exact. io.EOF
+// between envelopes means a clean close. When a receive timeout is
+// configured, the frame body is read under a deadline — a torn frame from a
+// dead sender surfaces as an error instead of hanging the loop.
+type frameDecoder struct {
 	r           io.Reader
 	conn        net.Conn // deadline control; nil when timeouts are off
 	bodyTimeout time.Duration
@@ -285,7 +267,7 @@ type binaryEnvelopeDecoder struct {
 	buf         []byte // frame scratch, reused across messages
 }
 
-func (d *binaryEnvelopeDecoder) next() (envelope, error) {
+func (d *frameDecoder) next() (envelope, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return envelope{}, err
 	}
@@ -317,15 +299,9 @@ func (d *binaryEnvelopeDecoder) next() (envelope, error) {
 func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 	defer tr.recvWG.Done()
 	cr := &countingReader{r: conn}
-	var dec envelopeDecoder
-	if tr.codec == CodecBinary {
-		bd := &binaryEnvelopeDecoder{r: cr}
-		if tr.recv > 0 {
-			bd.conn, bd.bodyTimeout = conn, tr.recv
-		}
-		dec = bd
-	} else {
-		dec = gobEnvelopeDecoder{dec: gob.NewDecoder(cr)}
+	dec := &frameDecoder{r: cr}
+	if tr.recv > 0 {
+		dec.conn, dec.bodyTimeout = conn, tr.recv
 	}
 	var met *metrics.Conn
 	var lastBytes int64
@@ -491,14 +467,10 @@ func (c *tcpConn) dialOnce() (net.Conn, error) {
 }
 
 // attach makes conn the link's socket. The counting writer is retargeted in
-// place (cumulative byte counts continue) and the gob encoder is rebuilt,
-// which starts the type-descriptor handshake on the new stream.
+// place, so cumulative byte counts continue.
 func (c *tcpConn) attach(conn net.Conn) {
 	c.c = conn
 	c.cw.w = conn
-	if c.tr.codec != CodecBinary {
-		c.enc = gob.NewEncoder(c.cw)
-	}
 }
 
 // connTo returns (dialing if necessary) the connection from one node to
@@ -585,24 +557,19 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 // envelope's one outcome goes to the pair breaker under the token deliver
 // was granted.
 func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Token) error {
-	binary := c.tr.codec == CodecBinary
-	if binary {
-		// The binary frame is encoded once and retransmitted byte-identically;
-		// gob re-encodes per attempt because every reconnect restarts the gob
-		// stream (the re-handshake).
-		buf, err := appendEnvelope(c.buf[:0], env)
-		if err != nil {
-			return fmt.Errorf("filter: tcp encode to %s[%d]: %w", to.filter, to.copyIdx, err)
-		}
-		c.buf = buf // keep the grown scratch for the next message
+	// The frame is encoded once and retransmitted byte-identically.
+	buf, err := appendEnvelope(c.buf[:0], env)
+	if err != nil {
+		return fmt.Errorf("filter: tcp encode to %s[%d]: %w", to.filter, to.copyIdx, err)
 	}
-	err := c.retry(func(attempt int) error {
+	c.buf = buf // keep the grown scratch for the next message
+	err = c.retry(func(attempt int) error {
 		if attempt > 0 {
 			if err := c.redial(); err != nil {
 				return err
 			}
 		}
-		if err := c.writeOnce(env, binary); err != nil {
+		if err := c.writeOnce(); err != nil {
 			c.c.Close() // poison the socket so the next attempt redials
 			return err
 		}
@@ -616,26 +583,19 @@ func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Tok
 	}
 	c.res.Record(tok, err)
 	if err != nil {
-		verb := "write"
-		if !binary {
-			verb = "encode"
-		}
-		return fmt.Errorf("filter: tcp %s to %s[%d]: %w", verb, to.filter, to.copyIdx, err)
+		return fmt.Errorf("filter: tcp write to %s[%d]: %w", to.filter, to.copyIdx, err)
 	}
 	return nil
 }
 
 // writeOnce performs a single framed write under the link's send deadline.
-func (c *tcpConn) writeOnce(env *envelope, binary bool) error {
+func (c *tcpConn) writeOnce() error {
 	if d := c.tr.send; d > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(d))
 		defer c.c.SetWriteDeadline(time.Time{})
 	}
-	if binary {
-		_, err := c.cw.Write(c.buf)
-		return err
-	}
-	return c.enc.Encode(*env)
+	_, err := c.cw.Write(c.buf)
+	return err
 }
 
 // redial replaces the broken socket with a fresh one.
@@ -651,6 +611,10 @@ func (c *tcpConn) redial() error {
 	}
 	return nil
 }
+
+// transfer is zero: a demand-driven choice over TCP weighs queues and
+// service times, and locality only as a tie-break.
+func (tr *tcpTransport) transfer(a, b, bytes int) time.Duration { return 0 }
 
 func (tr *tcpTransport) close() error {
 	tr.mu.Lock()

@@ -9,8 +9,9 @@ import (
 )
 
 // ErrStalled marks a run aborted by the stall watchdog: no filter copy in
-// the whole pipeline made progress for longer than Options.StallTimeout.
-// Use errors.As with *StallError for the per-copy diagnosis.
+// the whole pipeline made progress for longer than Options.StallTimeout, or,
+// under the simulated cluster, none could run at all. Use errors.As with
+// *StallError for the per-copy diagnosis.
 var ErrStalled = errors.New("filter: pipeline stalled")
 
 // StalledCopy describes one filter copy that had not progressed when the
@@ -30,16 +31,20 @@ type StalledCopy struct {
 	// LastProgress is the wall-clock time the copy's heartbeat last
 	// advanced — when reading a daemon log long after the fact, the
 	// absolute timestamp correlates with backend/peer events in a way the
-	// relative Idle cannot.
+	// relative Idle cannot. Under the virtual clock it is the run's host
+	// start plus the virtual offset.
 	LastProgress time.Time
 }
 
-// StallError is the diagnostic the watchdog fails the run with. The most
+// StallError is the diagnostic the watchdog fails the run with, and the
+// error of a simulated run in which no copy can run (a deadlock). The most
 // suspicious copies come first: a copy stuck inside filter code outranks
 // one blocked sending (its consumer is wedged), which outranks one merely
 // starved of input — so Stalled[0] usually names the culprit rather than a
 // victim of backpressure.
 type StallError struct {
+	// Timeout is the deadline that tripped; 0 for a deadlock, which the
+	// virtual clock detects at once.
 	Timeout time.Duration
 	Stalled []StalledCopy
 }
@@ -49,7 +54,11 @@ func (e *StallError) Unwrap() error { return ErrStalled }
 
 func (e *StallError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "filter: pipeline stalled: no progress for %v", e.Timeout)
+	if e.Timeout > 0 {
+		fmt.Fprintf(&b, "filter: pipeline stalled: no progress for %v", e.Timeout)
+	} else {
+		b.WriteString("filter: pipeline stalled: deadlock, no copy can run")
+	}
 	if len(e.Stalled) == 0 {
 		b.WriteString(" (every copy reports done; the run is wedged outside filter code)")
 		return b.String()
@@ -92,32 +101,14 @@ func phaseName(p int32) string {
 }
 
 // watchdog aborts the run with a StallError when no copy anywhere makes
-// progress for longer than timeout. It watches the sum of all heartbeats —
-// a global deadline, so ordinary backpressure chains (everyone waiting on
-// one busy filter that IS progressing) never trip it; only a truly wedged
-// pipeline does. finished is closed when all copies have wound down.
-func (rt *runtime) watchdog(timeout time.Duration, finished <-chan struct{}) {
-	tick := timeout / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	var all []*copyState
-	for _, fs := range rt.graph.Filters {
-		all = append(all, rt.copies[fs.Name]...)
-	}
-	last := make([]int64, len(all))
-	seen := make([]time.Time, len(all))
-	now := time.Now()
-	var total int64
-	for i, st := range all {
-		last[i] = st.led.Progress()
-		seen[i] = now
-		total += last[i]
-	}
-	lastTotal, lastChange := total, now
+// progress for longer than the timeout, and then closes stalled. Any
+// heartbeat that moves resets it — a global deadline, so ordinary backpressure
+// chains (everyone waiting on one busy filter that IS progressing) never
+// trip it; only a truly wedged pipeline does. finished is closed when all
+// tasks have wound down.
+func (rt *runtime) watchdog(clk clock, stalled chan<- struct{}, finished <-chan struct{}) {
+	tick := min(max(rt.stall/8, time.Millisecond), time.Second)
+	w := newStallWatch(rt, clk.now())
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -126,46 +117,84 @@ func (rt *runtime) watchdog(timeout time.Duration, finished <-chan struct{}) {
 			return
 		case <-rt.done:
 			return
-		case now = <-t.C:
+		case <-t.C:
 		}
-		total = 0
-		for i, st := range all {
-			p := st.led.Progress()
-			if p != last[i] {
-				last[i] = p
-				seen[i] = now
-			}
-			total += p
-		}
-		if total != lastTotal {
-			lastTotal, lastChange = total, now
+		now := clk.now()
+		if w.observe(now) <= rt.stall {
 			continue
 		}
-		if now.Sub(lastChange) <= timeout {
-			continue
-		}
-		e := &StallError{Timeout: timeout}
-		for i, st := range all {
-			ph := st.phase.Load()
-			if ph == phaseDone || st.dead.Load() {
-				continue
-			}
-			e.Stalled = append(e.Stalled, StalledCopy{
-				Filter: st.filter, Copy: st.copyIdx, Node: st.node,
-				State: phaseName(ph), Idle: now.Sub(seen[i]), LastProgress: seen[i],
-			})
-		}
-		sort.SliceStable(e.Stalled, func(a, b int) bool {
-			ra, rb := stateRankName(e.Stalled[a].State), stateRankName(e.Stalled[b].State)
-			if ra != rb {
-				return ra < rb
-			}
-			return e.Stalled[a].Idle > e.Stalled[b].Idle
-		})
-		rt.fail(e)
-		close(rt.stalled)
+		w.trip(rt.stall, now)
+		close(stalled)
 		return
 	}
+}
+
+// stallWatch follows every copy's heartbeat (metrics.Ledger.Progress) for
+// the watchdog of either clock, and names the unfinished copies when it
+// trips.
+type stallWatch struct {
+	rt     *runtime
+	copies []*copyState
+	index  map[*copyState]int
+	last   []int64         // each copy's heartbeat when last sampled
+	seen   []time.Duration // when each copy's heartbeat last moved
+	change time.Duration   // when any heartbeat last moved
+}
+
+func newStallWatch(rt *runtime, now time.Duration) *stallWatch {
+	w := &stallWatch{rt: rt, index: map[*copyState]int{}, change: now}
+	for _, fs := range rt.graph.Filters {
+		w.copies = append(w.copies, rt.copies[fs.Name]...)
+	}
+	w.last = make([]int64, len(w.copies))
+	w.seen = make([]time.Duration, len(w.copies))
+	for i, st := range w.copies {
+		w.index[st] = i
+		w.last[i] = st.led.Progress()
+		w.seen[i] = now
+	}
+	return w
+}
+
+// observe samples every heartbeat at now and returns how long the whole
+// graph has gone without progress.
+func (w *stallWatch) observe(now time.Duration) time.Duration {
+	for _, st := range w.copies {
+		w.note(st, now)
+	}
+	return now - w.change
+}
+
+// note samples one copy's heartbeat at now.
+func (w *stallWatch) note(st *copyState, now time.Duration) {
+	i := w.index[st]
+	if p := st.led.Progress(); p != w.last[i] {
+		w.last[i], w.seen[i], w.change = p, now, now
+	}
+}
+
+// trip fails the run with a StallError at now, the most suspicious copies
+// first. timeout 0 marks a deadlock found by the virtual clock.
+func (w *stallWatch) trip(timeout, now time.Duration) {
+	e := &StallError{Timeout: timeout}
+	for i, st := range w.copies {
+		ph := st.phase.Load()
+		if ph == phaseDone || st.dead.Load() {
+			continue
+		}
+		e.Stalled = append(e.Stalled, StalledCopy{
+			Filter: st.filter, Copy: st.copyIdx, Node: st.node,
+			State: phaseName(ph), Idle: now - w.seen[i], LastProgress: w.rt.start.Add(w.seen[i]),
+		})
+	}
+	sort.SliceStable(e.Stalled, func(a, b int) bool {
+		ra, rb := stateRankName(e.Stalled[a].State), stateRankName(e.Stalled[b].State)
+		if ra != rb {
+			return ra < rb
+		}
+		return e.Stalled[a].Idle > e.Stalled[b].Idle
+	})
+	w.rt.fail(e)
 }
 
 func stateRankName(s string) int {

@@ -3,6 +3,7 @@
 package filter_test
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"haralick4d/internal/cluster"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
@@ -69,6 +71,11 @@ func TestWatchdogNamesWedgedReader(t *testing.T) {
 	engines := map[string]func(*filter.Graph, *filter.Options) (*metrics.RunReport, error){
 		"local": filter.RunLocal,
 		"tcp":   filter.RunTCP,
+		// Under the virtual clock the wedged segment is seen when its host
+		// time alone would be charged past the deadline.
+		"sim": func(g *filter.Graph, opts *filter.Options) (*metrics.RunReport, error) {
+			return filter.RunSim(context.Background(), g, cluster.Uniform(1, 1, 0, 1000), 1, opts)
+		},
 	}
 	for name, run := range engines {
 		t.Run(name, func(t *testing.T) {

@@ -7,46 +7,18 @@ import (
 	"fmt"
 )
 
-// Codec selects the serialization of buffers crossing nodes on the TCP
-// engine.
+// Codec names the serialization of buffers crossing nodes on the TCP
+// engine. There is one: CodecBinary.
 type Codec int
 
-const (
-	// CodecGob streams every envelope through one encoding/gob stream per
-	// connection — the original transport and the zero-value default, so
-	// existing library callers are unaffected.
-	CodecGob Codec = iota
-	// CodecBinary frames each envelope with a length prefix and writes the
-	// hot payload types' backing arrays directly (see WirePayload). Payload
-	// types without a registered binary encoding fall back to a per-message
-	// gob blob inside the frame, so the codec is transparent to new types.
-	CodecBinary
-)
-
-// String returns the codec's flag name.
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("codec(%d)", int(c))
-}
-
-// ParseCodec is the inverse of String.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "gob":
-		return CodecGob, nil
-	case "binary":
-		return CodecBinary, nil
-	}
-	return 0, fmt.Errorf("filter: unknown wire codec %q", s)
-}
+// CodecBinary frames each envelope with a length prefix and writes the hot
+// payload types' backing arrays directly (see WirePayload). Payload types
+// without a registered binary encoding fall back to a per-message gob blob
+// inside the frame, so the codec is transparent to new types.
+const CodecBinary Codec = 0
 
 // WirePayload is implemented by payload types carrying their own binary
-// encoding for CodecBinary. WireID identifies the type on the wire (one
+// encoding. WireID identifies the type on the wire (one
 // byte, process-wide unique, stable across both ends of a run); AppendWire
 // appends the encoded payload to buf and returns the extended slice,
 // writing backing arrays with bulk appends rather than per-element

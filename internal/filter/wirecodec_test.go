@@ -163,15 +163,11 @@ func TestBinaryEnvelopeDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for _, c := range []Codec{CodecGob, CodecBinary} {
-		got, err := ParseCodec(c.String())
-		if err != nil || got != c {
-			t.Fatalf("ParseCodec(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Fatal("unknown codec parsed")
+// TestTCPRefusesUnknownCodec: the binary framing is the TCP engine's one
+// codec, so any other WireCodec value fails the run before it starts.
+func TestTCPRefusesUnknownCodec(t *testing.T) {
+	if _, err := RunTCP(NewGraph(), &Options{WireCodec: CodecBinary + 1}); err == nil || !strings.Contains(err.Error(), "wire codec") {
+		t.Fatalf("RunTCP with codec 1: %v, want an unknown-codec error", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package filters
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -14,18 +13,6 @@ import (
 	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
-
-// runContext returns the engine run's context when the engine exposes one
-// (the in-process engines cancel it on abort, so backend reads — local,
-// in-memory or HTTP — unblock promptly), falling back to the background
-// context on engines that don't (the simulation). Discovered by type
-// assertion, the same optional-capability idiom as Aborting.
-func runContext(ctx filter.Context) context.Context {
-	if rc, ok := ctx.(interface{ RunContext() context.Context }); ok {
-		return rc.RunContext()
-	}
-	return context.Background()
-}
 
 // chunkOwnerIIC returns the IIC copy responsible for assembling the given
 // texture chunk: chunks are dealt round-robin across the explicit IIC
@@ -88,7 +75,7 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
 			st := cfg.Store
 			meta := &st.Meta
-			rctx := runContext(ctx)
+			rctx := ctx.RunContext()
 			iicCopies := ctx.ConsumerCopies(PortOut)
 			if iicCopies == 0 {
 				return fmt.Errorf("filters: RFR output not connected")

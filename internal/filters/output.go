@@ -98,9 +98,7 @@ func NewUSO(cfg USOConfig) func(int) filter.Filter {
 					// after a failure elsewhere, which closes streams the same
 					// way. Only a genuinely clean end may finalize the record
 					// files; an aborted run leaves its temporaries untrusted.
-					if ab, hasAb := ctx.(interface{ Aborting() bool }); hasAb && ab.Aborting() {
-						aborted = true
-					}
+					aborted = ctx.Aborting()
 					break
 				}
 				if dm, isDegraded := m.Payload.(*DegradedChunkMsg); isDegraded {

@@ -95,7 +95,7 @@ func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 			for i := range outs {
 				outs[i] = &volume.FloatRegion{}
 			}
-			stop := runContext(ctx).Done()
+			stop := ctx.RunContext().Done()
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
@@ -158,7 +158,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				return err
 			}
 			sparse := acfg.Representation == core.SparseMatrix
-			stop := runContext(ctx).Done()
+			stop := ctx.RunContext().Done()
 			entries := 0 // sparse entries of the previous packet
 			for {
 				m, ok := ctx.Recv()
@@ -231,7 +231,7 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 			for i := range outs {
 				outs[i] = &volume.FloatRegion{}
 			}
-			stop := runContext(ctx).Done()
+			stop := ctx.RunContext().Done()
 			for {
 				m, ok := ctx.Recv()
 				if !ok {

@@ -13,8 +13,8 @@ import (
 	"haralick4d/internal/volume"
 )
 
-// gobTrip pushes a payload through the gob path (what CodecGob and the
-// binary codec's fallback do) and returns the materialized copy.
+// gobTrip pushes a payload through the gob path (what the binary codec's
+// per-message fallback does) and returns the materialized copy.
 func gobTrip(t testing.TB, p filter.Payload) filter.Payload {
 	t.Helper()
 	var blob bytes.Buffer
@@ -218,9 +218,9 @@ func benchBatch() *MatrixBatchMsg {
 	return m
 }
 
-// BenchmarkWireEncodePiece and friends measure the binary codec against the
-// per-connection gob stream it replaces; the CI io-bench step runs each once
-// as a smoke check.
+// BenchmarkWireEncodePiece and friends measure the binary codec against gob
+// encoding of the same payload; the CI io-bench step runs each once as a
+// smoke check.
 func BenchmarkWireEncodePiece(b *testing.B) {
 	m := benchPiece()
 	var buf []byte

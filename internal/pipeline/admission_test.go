@@ -65,7 +65,7 @@ func TestAdmissionWhipsawMatchesOracle(t *testing.T) {
 					}()
 					// A credit that never comes home wedges the run: the
 					// watchdog turns that into a failure instead of a hang.
-					_, err = Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 4), StallTimeout: 10 * time.Second})
+					_, err = Run(g, engine, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4), StallTimeout: 10 * time.Second}})
 					close(stop)
 					<-done
 					if err != nil {

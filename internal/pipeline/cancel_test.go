@@ -49,7 +49,7 @@ func TestTCPCancelMidRun(t *testing.T) {
 			done := make(chan struct{})
 			var runErr error
 			go func() {
-				_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 2)})
+				_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 2)}})
 				close(done)
 			}()
 			select {
@@ -94,7 +94,7 @@ func TestTCPCancelMidReadAhead(t *testing.T) {
 		done := make(chan struct{})
 		var runErr error
 		go func() {
-			_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 2), WireCodec: filter.CodecBinary})
+			_, runErr = RunContext(ctx, g, EngineTCP, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 2)}})
 			close(done)
 		}()
 		select {
@@ -117,13 +117,13 @@ func TestTCPCancelMidReadAhead(t *testing.T) {
 }
 
 // TestTCPWireCodecEquivalence runs the same disk-backed pipeline on the TCP
-// engine under both wire codecs — with the binary run also using read-ahead
-// — and requires results identical to the local engine's synchronous
-// baseline. This is the tentpole's off-switch contract: codec and read-ahead
-// change only how bytes move, never what arrives.
+// engine through the binary wire codec, synchronously and with read-ahead,
+// and requires results identical to the local engine's synchronous
+// baseline: the codec and read-ahead change only how bytes move, never what
+// arrives.
 func TestTCPWireCodecEquivalence(t *testing.T) {
 	st := testStore(t)
-	run := func(engine Engine, codec filter.Codec, readAhead int) map[features.Feature]*volume.FloatGrid {
+	run := func(engine Engine, readAhead int) map[features.Feature]*volume.FloatGrid {
 		t.Helper()
 		cfg := testConfig(HMPImpl, core.SparseMatrix, filter.DemandDriven)
 		cfg.ReadAhead = readAhead
@@ -135,7 +135,7 @@ func TestTCPWireCodecEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunContext(context.Background(), g, engine, &RunOptions{WireCodec: codec}); err != nil {
+		if _, err := RunContext(context.Background(), g, engine, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Complete(cfg.Analysis.Features); err != nil {
@@ -147,17 +147,17 @@ func TestTCPWireCodecEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	want := run(EngineLocal, filter.CodecGob, 0)
-	gob := run(EngineTCP, filter.CodecGob, 0)
-	bin := run(EngineTCP, filter.CodecBinary, 4)
+	want := run(EngineLocal, 0)
+	sync := run(EngineTCP, 0)
+	ahead := run(EngineTCP, 4)
 	for f := range want {
-		gridsEqual(t, "tcp-gob/"+f.String(), want[f], gob[f])
-		gridsEqual(t, "tcp-binary/"+f.String(), want[f], bin[f])
+		gridsEqual(t, "tcp/"+f.String(), want[f], sync[f])
+		gridsEqual(t, "tcp-readahead/"+f.String(), want[f], ahead[f])
 	}
 }
 
 // TestTCPBinaryCodecGobFallback drives an AssembledMsg — deliberately left
-// without a binary encoding — across a real socket under CodecBinary via the
+// without a binary encoding — across a real socket via the
 // JPEG output stage (HIC on one node, JIW on another), exercising the
 // codec's per-message gob fallback end to end.
 func TestTCPBinaryCodecGobFallback(t *testing.T) {
@@ -175,7 +175,7 @@ func TestTCPBinaryCodecGobFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunContext(context.Background(), g, EngineTCP, &RunOptions{WireCodec: filter.CodecBinary}); err != nil {
+	if _, err := RunContext(context.Background(), g, EngineTCP, nil); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(outDir, "*.jpg"))

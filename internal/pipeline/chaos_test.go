@@ -60,7 +60,7 @@ func TestChaosCombinedTCP(t *testing.T) {
 		Base:     time.Millisecond,
 		Max:      20 * time.Millisecond,
 	}}
-	rs, err := Run(g, EngineTCP, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true, Resilience: retry, WrapConn: wrap})
+	rs, err := Run(g, EngineTCP, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 8), Failover: true, Resilience: retry, WrapConn: wrap}})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestChaosHTTPCachedFailover(t *testing.T) {
 	}
 	hmp.New = fault.CrashAfter(hmp.New, 1, 4)
 
-	rs, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 8), Failover: true})
+	rs, err := Run(g, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 8), Failover: true}})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}

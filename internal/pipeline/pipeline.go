@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"net"
 	"time"
 
 	"haralick4d/internal/checkpoint"
@@ -22,7 +21,6 @@ import (
 	"haralick4d/internal/filters"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
-	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
 	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
@@ -387,45 +385,22 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("pipeline: unknown engine %q", s)
 }
 
-// RunOptions tunes an engine run.
+// RunOptions tunes an engine run: the filter runtime's options, plus what
+// only the simulated cluster or the progress export needs.
 type RunOptions struct {
-	// QueueBytes bounds each filter copy's input queue in payload bytes
-	// (local and TCP engines); 0 selects the run's one byte budget,
-	// readahead.BudgetBytes. See filter.Options.QueueBytes.
-	QueueBytes    int
-	Topology      *cluster.Topology // EngineSim only; defaults to a uniform cluster
-	ComputeScale  float64           // EngineSim only
-	SimQueueDepth int               // EngineSim only: the modelled queue credits (buffers) per copy, the paper's flow-control parameter
-	// DisableMetrics turns off the observability layer for the run; the
-	// report then holds only the elapsed time and the per-copy ledgers.
-	DisableMetrics bool
-	// WireCodec selects the serialization for buffers crossing nodes on the
-	// TCP engine; the zero value keeps the original gob streams.
-	WireCodec filter.Codec
-	// Failover lets surviving copies of transparently-routed filters take
-	// over the un-acked buffers of a crashed copy (local and TCP engines;
-	// the simulated cluster models fault-free hardware and ignores it).
-	Failover bool
-	// Resilience arms the TCP engine's node links: its Retry schedule
-	// enables bounded reconnect-and-retransmit (a zero schedule keeps
-	// single-shot sends), and its breaker and budget guard each ordered node
-	// pair. It is the same policy the CLI hands the dataset backend. TCP
-	// engine only; nil keeps single-shot sends and nothing else.
-	Resilience *resilience.Policy
-	// WrapConn, when non-nil, wraps every outbound TCP node link — the fault
-	// injection hook (see internal/fault.FlakyConn). TCP engine only.
-	WrapConn func(c net.Conn, fromNode, toNode int) net.Conn
-	// StallTimeout arms the filter runtime's stall watchdog (local and TCP
-	// engines): if no copy anywhere makes progress for this long the run
-	// fails with a filter.StallError naming the wedged copies. 0 disables.
-	// The simulated cluster runs in virtual time and ignores it.
-	StallTimeout time.Duration
+	filter.Options
+	// Topology is the simulated cluster EngineSim runs on; nil is a uniform
+	// cluster of speed-1 nodes on FastEthernet.
+	Topology *cluster.Topology
+	// ComputeScale converts host compute time into virtual time on a
+	// speed-1 node under EngineSim (see filter.RunSim); 0 means 1.
+	ComputeScale float64
 	// Progress, when non-nil, receives a live cumulative progress summary
 	// every ProgressInterval (0: DefaultProgressInterval) for the life of
 	// the run, on a goroutine of its own — the export point for job-status
 	// APIs (the serve daemon streams them per job). It must not block for
-	// long and may be called zero times on a short run. Local and TCP
-	// engines; requires metrics.
+	// long and may be called zero times on a short run. It takes the
+	// runtime's Monitor slot, and requires metrics.
 	Progress         func(metrics.Progress)
 	ProgressInterval time.Duration
 }
@@ -467,26 +442,21 @@ func RunContext(ctx context.Context, g *filter.Graph, engine Engine, opts *RunOp
 	if opts == nil {
 		opts = &RunOptions{}
 	}
+	fo := opts.Options
+	if m := opts.monitor(); m != nil {
+		fo.Monitor = m
+	}
 	switch engine {
 	case EngineLocal:
-		return filter.RunLocalContext(ctx, g, &filter.Options{
-			QueueBytes: opts.QueueBytes, DisableMetrics: opts.DisableMetrics, Failover: opts.Failover,
-			StallTimeout: opts.StallTimeout, Monitor: opts.monitor(),
-		})
+		return filter.RunLocalContext(ctx, g, &fo)
 	case EngineTCP:
-		return filter.RunTCPContext(ctx, g, &filter.Options{
-			QueueBytes: opts.QueueBytes, DisableMetrics: opts.DisableMetrics, WireCodec: opts.WireCodec,
-			Failover: opts.Failover, Resilience: opts.Resilience, WrapConn: opts.WrapConn,
-			StallTimeout: opts.StallTimeout, Monitor: opts.monitor(),
-		})
+		return filter.RunTCPContext(ctx, g, &fo)
 	case EngineSim:
 		topo := opts.Topology
 		if topo == nil {
 			topo = cluster.Uniform(g.NumNodes(), 1, cluster.LANLatency, cluster.FastEthernetMBps)
 		}
-		return cluster.RunContext(ctx, g, topo, &cluster.Options{
-			QueueDepth: opts.SimQueueDepth, ComputeScale: opts.ComputeScale, DisableMetrics: opts.DisableMetrics,
-		})
+		return filter.RunSim(ctx, g, topo, opts.ComputeScale, &fo)
 	}
 	return nil, fmt.Errorf("pipeline: invalid engine %d", int(engine))
 }

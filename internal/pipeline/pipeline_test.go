@@ -129,7 +129,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 8), SimQueueDepth: 8}); err != nil {
+					if _, err := Run(g, engine, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 8)}}); err != nil {
 						t.Fatal(err)
 					}
 					if err := res.Complete(cfg.Analysis.Features); err != nil {
@@ -330,7 +330,7 @@ func TestSimOnPaperTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(g, EngineSim, &RunOptions{Topology: &h.Topology, SimQueueDepth: 8})
+	stats, err := Run(g, EngineSim, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 8)}, Topology: &h.Topology})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Complete(cfg.Analysis.Features); err != nil {
@@ -79,7 +79,7 @@ func TestResumeCleanJournalSkipsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(g2, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)})
+	stats, err := Run(g2, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 				t.Fatal("no HMP filter in graph")
 			}
 			spec.New = fault.CrashAfter(spec.New, 0, 3)
-			if _, err := Run(g, engine, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err == nil {
+			if _, err := Run(g, engine, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err == nil {
 				t.Fatal("crashed run reported success")
 			}
 			if err := j.Close(); err != nil {
@@ -143,7 +143,7 @@ func TestCrashThenResumeMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Run(g2, engine, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
+			if _, err := Run(g2, engine, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := res.Complete(cfg2.Analysis.Features); err != nil {
@@ -193,7 +193,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 		t.Fatal("no HMP filter in graph")
 	}
 	spec.New = fault.CrashAfter(spec.New, 0, 2)
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err == nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err == nil {
 		t.Fatal("crashed run reported success")
 	}
 	if err := j.Close(); err != nil {
@@ -219,7 +219,7 @@ func TestCrashThenResumeUSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g2, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
+	if _, err := Run(g2, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := filters.ReadUSODir(outDir, outDims)
@@ -279,7 +279,7 @@ func TestPartialJournalSkipsRecoveredChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, EngineLocal, &RunOptions{QueueBytes: queueBytes(cfg, 4)}); err != nil {
+	if _, err := Run(g, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Complete(cfg2.Analysis.Features); err != nil {

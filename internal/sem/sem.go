@@ -96,7 +96,13 @@ func (s *Sem) grantLocked() {
 // earlier acquirers are still waiting. It returns false, holding nothing, once
 // stop is closed while it waits; a request that fits at once is admitted
 // without looking at stop. Zero or fewer credits are always granted.
-func (s *Sem) Acquire(n int, stop <-chan struct{}) bool {
+func (s *Sem) Acquire(n int, stop <-chan struct{}) bool { return s.AcquireWith(n, stop, nil) }
+
+// AcquireWith is Acquire with its one wait done by wait, which blocks until
+// ready or stop is closed and reports whether ready was: a caller that
+// schedules its goroutines itself (the filter runtime's virtual clock) parks
+// them there. A nil wait is a plain select.
+func (s *Sem) AcquireWith(n int, stop <-chan struct{}, wait func(ready, stop <-chan struct{}) bool) bool {
 	if s == nil || n <= 0 {
 		return true
 	}
@@ -109,10 +115,14 @@ func (s *Sem) Acquire(n int, stop <-chan struct{}) bool {
 	w := &waiter{n: n, ready: make(chan struct{})}
 	e := s.waiters.PushBack(w)
 	s.mu.Unlock()
-	select {
-	case <-w.ready:
+	if wait == nil {
+		select {
+		case <-w.ready:
+			return true
+		case <-stop:
+		}
+	} else if wait(w.ready, stop) {
 		return true
-	case <-stop:
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

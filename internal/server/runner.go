@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
 )
@@ -42,7 +43,7 @@ func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool, g
 		return nil, nil, err
 	}
 	rep, _, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
-		StallTimeout:     s.cfg.StallTimeout,
+		Options:          filter.Options{StallTimeout: s.cfg.StallTimeout},
 		Progress:         func(pr metrics.Progress) { s.setProgress(id, pr) },
 		ProgressInterval: s.cfg.ProgressInterval,
 	})

@@ -216,7 +216,7 @@ func runAsCLI(t *testing.T, s runspec.Spec) map[Feature]*FloatGrid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{WireCodec: filter.CodecBinary}); err != nil {
+	if _, _, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{Options: filter.Options{WireCodec: filter.CodecBinary}}); err != nil {
 		t.Fatal(err)
 	}
 	grids, err := filters.ReadUSODir(s.OutDir, p.OutDims)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -128,6 +129,15 @@ func TestAnalyzeDatasetReport(t *testing.T) {
 		if res.Report.Filter(name) == nil {
 			t.Errorf("filter %s missing from report", name)
 		}
+	}
+	// OutputJPEG writes the stitched slice series instead of returning grids.
+	opts := smallOpts(2)
+	opts.Output, opts.OutDir = OutputJPEG, filepath.Join(dir, "maps")
+	if res, err = AnalyzeDataset(dir, opts); err != nil || len(res.Grids) != 0 || res.Report.Filter("JIW") == nil {
+		t.Fatalf("jpeg run: %v, %d grids", err, len(res.Grids))
+	}
+	if jpegs, _ := filepath.Glob(filepath.Join(dir, "maps", "*.jpg")); len(jpegs) == 0 {
+		t.Error("jpeg run wrote no JPEG")
 	}
 }
 

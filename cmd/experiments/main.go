@@ -20,44 +20,21 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"syscall"
-	"time"
 
 	"haralick4d/internal/experiments"
 	"haralick4d/internal/metrics"
-	"haralick4d/internal/readahead"
 	"haralick4d/internal/runspec"
 )
 
-// validateCountFlags rejects the negative values the flag package happily
-// parses; 0 keeps each flag's documented meaning (synchronous reads, all
-// CPUs) and -readahead auto is no count.
-func validateCountFlags(readAhead, kernelWorkers int) error {
-	if readAhead < 0 && readAhead != readahead.Auto {
-		return fmt.Errorf("-readahead must be >= 0, got %d", readAhead)
-	}
-	if kernelWorkers < 0 {
-		return fmt.Errorf("-kernel-workers must be >= 0, got %d", kernelWorkers)
-	}
-	return nil
-}
-
-// parseReadAhead reads -readahead: a count of windows, or "auto" for
-// readahead.Auto. Unlike a run spec's read-ahead, 0 here is synchronous
-// reads: the figures are fixed-depth ablations.
-func parseReadAhead(s string) (int, error) {
-	if s == "auto" {
-		return readahead.Auto, nil
-	}
-	return strconv.Atoi(s)
-}
-
-// bindSpecFlags registers the flags this binary shares with the run spec,
-// parsed by the spec's value types and checked by its Validate.
+// bindSpecFlags registers the engine flags the figures share with the run
+// spec on spec's fields, parsed by the spec's value types and checked by its
+// Validate; their defaults are spec's values.
 func bindSpecFlags(fs *flag.FlagSet, spec *runspec.Spec) {
-	fs.IntVar(&spec.CacheBlocks, "cache-blocks", 0, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
-	fs.IntVar(&spec.CacheBlockSize, "cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
+	fs.IntVar(&spec.KernelWorkers, "kernel-workers", spec.KernelWorkers, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
+	fs.TextVar(&spec.ReadAhead, "readahead", spec.ReadAhead, "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` or auto (0 is auto: each reader sizes itself); outputs are identical either way")
+	fs.IntVar(&spec.CacheBlocks, "cache-blocks", spec.CacheBlocks, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
+	fs.IntVar(&spec.CacheBlockSize, "cache-block-size", spec.CacheBlockSize, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
 	// Only the watchdog half of the restart surface is exposed here:
 	// resuming a half-finished figure sweep from a checkpoint would splice
 	// timings from two separate processes into one curve, so the
@@ -73,25 +50,15 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each figure's series as CSV into this directory")
 		repeats  = flag.Int("repeats", 3, "simulation repetitions per configuration (min is reported)")
 		computeS = flag.Float64("compute-scale", experiments.DefaultComputeScale, "virtual seconds per host second on a speed-1 node")
-		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
-		rdAhead  = 4
-		spec     runspec.Spec
+		spec     = experiments.BaseSpec() // the engine flags' values
 		memoP    = flag.String("memo", "", "autotune sweep memo file recording measured cells across invocations (default: autotune-memo.json next to the dataset; \"off\" disables)")
 		metricsF = flag.Bool("metrics", false, "after each figure, print the run report of its last engine run")
 		metJSON  = flag.String("metrics-json", "", "write the last figure's run report as JSON to this file (\"-\" for stdout)")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	)
-	flag.Func("readahead", "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` (default 4: the figures are fixed-depth ablations), 0 (synchronous reads) or auto (self-sized); outputs are identical either way", func(s string) (err error) {
-		rdAhead, err = parseReadAhead(s)
-		return err
-	})
 	bindSpecFlags(flag.CommandLine, &spec)
 	flag.Parse()
-	err := validateCountFlags(rdAhead, *kworkers)
-	if err == nil {
-		err = spec.Validate()
-	}
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -127,14 +94,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	if spec.CacheBlocks > 0 {
-		cached, err := env.Store.WithCache(spec.CacheBlockSize, spec.CacheBlocks)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		env.Store = cached
-	}
+	env.Spec.KernelWorkers, env.Spec.ReadAhead, env.Spec.StallTimeout = spec.KernelWorkers, spec.ReadAhead, spec.StallTimeout
+	env.Spec.CacheBlocks, env.Spec.CacheBlockSize = spec.CacheBlocks, spec.CacheBlockSize
 	// ^C and SIGTERM (what containers and orchestrators send first) cancel
 	// the figures' engine runs cleanly; a second signal kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -142,9 +103,6 @@ func main() {
 	env.Ctx = ctx
 	env.Repeats = *repeats
 	env.ComputeScale = *computeS
-	env.KernelWorkers = *kworkers
-	env.ReadAhead = rdAhead
-	env.StallTimeout = time.Duration(spec.StallTimeout)
 	switch *memoP {
 	case "":
 		// keep Setup's default next to the dataset

@@ -7,38 +7,46 @@ import (
 	"testing"
 	"time"
 
-	"haralick4d/internal/readahead"
+	"haralick4d/internal/experiments"
 	"haralick4d/internal/runspec"
 )
 
-func TestValidateCountFlags(t *testing.T) {
-	cases := []struct {
-		readAhead, kernelWorkers int
-		wantErr                  string
-	}{
-		{0, 0, ""},
-		{4, 1, ""},
-		{readahead.Auto, 1, ""}, // -readahead auto is no count
-		{-1, 1, "-readahead must be >= 0, got -1"},
-		{4, -1, "-kernel-workers must be >= 0, got -1"},
+// parseSpecFlags parses args the way main does: the engine flags bound on
+// the base Spec, then the spec's one Validate.
+func parseSpecFlags(args ...string) (runspec.Spec, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec := experiments.BaseSpec()
+	bindSpecFlags(fs, &spec)
+	err := fs.Parse(args)
+	if err == nil {
+		err = spec.Validate()
 	}
-	for _, c := range cases {
-		err := validateCountFlags(c.readAhead, c.kernelWorkers)
-		if c.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateCountFlags(%d, %d) = %v, want nil", c.readAhead, c.kernelWorkers, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateCountFlags(%d, %d) = %v, want %q", c.readAhead, c.kernelWorkers, err, c.wantErr)
+	return spec, err
+}
+
+// TestValidateCountFlags: the count flags refuse what the run spec refuses,
+// with its messages; 0 is each flag's auto.
+func TestValidateCountFlags(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-readahead", "0", "-kernel-workers", "0"}, ""},
+		{[]string{"-readahead", "4", "-kernel-workers", "1"}, ""},
+		{[]string{"-readahead", "-1"}, "readahead (-readahead) must not be negative, got -1"},
+		{[]string{"-kernel-workers", "-1"}, "kernel_workers (-kernel-workers) must not be negative, got -1"},
+		{[]string{"-cache-block-size", "4096"}, "cache_block_size (-cache-block-size) set without a cache_blocks"},
+	} {
+		_, err := parseSpecFlags(c.args...)
+		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.wantErr)
 		}
 	}
 }
 
-// TestStallTimeoutFlagShape parses -stall-timeout the way main does: the run
-// spec's duration type, then the spec's Validate. 0 is "off", as on every
-// other surface.
+// TestStallTimeoutFlagShape: -stall-timeout takes the run spec's duration
+// type; 0 is "off", as on every other surface.
 func TestStallTimeoutFlagShape(t *testing.T) {
 	cases := []struct {
 		stallS  string
@@ -52,18 +60,11 @@ func TestStallTimeoutFlagShape(t *testing.T) {
 		{stallS: "whenever", wantErr: `invalid value "whenever" for flag -stall-timeout`},
 	}
 	for _, c := range cases {
-		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		var spec runspec.Spec
-		bindSpecFlags(fs, &spec)
 		var args []string
 		if c.stallS != "" {
 			args = []string{"-stall-timeout", c.stallS}
 		}
-		err := fs.Parse(args)
-		if err == nil {
-			err = spec.Validate()
-		}
+		spec, err := parseSpecFlags(args...)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("stall-timeout %q: err = %v, want %q", c.stallS, err, c.wantErr)
@@ -76,17 +77,21 @@ func TestStallTimeoutFlagShape(t *testing.T) {
 	}
 }
 
-// TestParseReadAhead: -readahead takes a count or "auto"; a negative count
-// parses (validateCountFlags rejects it) and anything else is a usage error.
+// TestParseReadAhead: -readahead defaults to 4 windows and takes a count or
+// auto, and 0 is auto as in every run spec; anything else is a usage error.
 func TestParseReadAhead(t *testing.T) {
-	for in, want := range map[string]int{"auto": readahead.Auto, "0": 0, "64": 64, "-3": -3} {
-		if got, err := parseReadAhead(in); err != nil || got != want {
-			t.Errorf("parseReadAhead(%q) = %d, %v; want %d", in, got, err, want)
+	for in, want := range map[string]runspec.ReadAhead{"": 4, "auto": 0, "0": 0, "64": 64} {
+		args := []string{"-readahead", in}
+		if in == "" {
+			args = nil
+		}
+		if spec, err := parseSpecFlags(args...); err != nil || spec.ReadAhead != want {
+			t.Errorf("-readahead %q = %d, %v; want %d", in, spec.ReadAhead, err, want)
 		}
 	}
 	for _, bad := range []string{"", "deep", "4.5", "Auto"} {
-		if got, err := parseReadAhead(bad); err == nil {
-			t.Errorf("parseReadAhead(%q) accepted as %d", bad, got)
+		if spec, err := parseSpecFlags("-readahead", bad); err == nil {
+			t.Errorf("-readahead %q accepted as %d", bad, spec.ReadAhead)
 		}
 	}
 }

@@ -55,6 +55,7 @@ type cli struct {
 	spec runspec.Spec
 
 	data, graph string
+	placement   *netdesc.Placement // the -graph document's; nil without one
 	engine      pipeline.Engine
 	resilience  *resilience.Policy
 	iic         int
@@ -73,7 +74,7 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	c := &cli{}
 	c.spec.Bind(fs)
 	fs.StringVar(&c.data, "data", "", "dataset directory (see cmd/gendata); required unless -dataset-url is given")
-	fs.StringVar(&c.graph, "graph", "", "XML pipeline description (overrides the analysis/layout flags)")
+	fs.StringVar(&c.graph, "graph", "", "XML pipeline description: what it holds overrides the flags, what it omits keeps them")
 	fs.Func("engine", "execution engine: local (default), tcp, sim", func(s string) (err error) {
 		c.engine, err = pipeline.ParseEngine(s)
 		return err
@@ -102,14 +103,23 @@ func parseArgs(args []string, out io.Writer) (*cli, error) {
 	return c, nil
 }
 
-// check validates a parsed command line: the spec with its one Validate,
-// then the engine-run options.
+// check validates a parsed command line: the -graph document decoded onto
+// the spec, the spec with its one Validate, then the engine-run options.
 func (c *cli) check(retryS, brkS, budgetS, hedgeS, ckptIntS string) (err error) {
 	if c.spec.Dataset == "" {
 		c.spec.Dataset = c.data
 	}
 	if c.spec.Dataset == "" {
 		return errors.New("-data or -dataset-url is required")
+	}
+	if c.graph != "" {
+		doc, err := netdesc.ParseFile(c.graph)
+		if err != nil {
+			return err
+		}
+		if c.placement, err = doc.Decode(&c.spec); err != nil {
+			return err
+		}
 	}
 	if err := c.spec.Validate(); err != nil {
 		return err
@@ -231,37 +241,21 @@ func (c *cli) run() error {
 	return nil
 }
 
-// place applies the layout flags to the spec's configuration and placement:
-// -graph replaces the analysis and placement with the XML's, -iic adds IIC
-// copies.
+// place applies the placement flags to the spec's configuration and
+// layout: -iic adds IIC copies, then the -graph document's node lists and
+// values replace what they name.
 func (c *cli) place(cfg *pipeline.Config, layout *pipeline.Layout) error {
-	if c.graph != "" {
-		doc, err := netdesc.ParseFile(c.graph)
-		if err != nil {
-			return err
-		}
-		gcfg, glayout, err := doc.Build()
-		if err != nil {
-			return err
-		}
-		// The XML describes the analysis and the placement; the reading
-		// side and the kernel's worker count still come from the spec.
-		gcfg.ReadAhead, gcfg.FaultPolicy = cfg.ReadAhead, cfg.FaultPolicy
-		gcfg.Analysis.Workers = cfg.Analysis.Workers
-		if c.spec.OutDir != "" {
-			gcfg.OutDir = c.spec.OutDir
-		}
-		*cfg, *layout = *gcfg, *glayout
-	} else {
-		// Extra IIC copies each get a node of their own after the texture
-		// nodes, which ConfigFor places last.
-		tex := layout.HMPNodes
-		if tex == nil {
-			tex = layout.HCCNodes
-		}
-		for next := tex[len(tex)-1] + 1; len(layout.IICNodes) < c.iic; next++ {
-			layout.IICNodes = append(layout.IICNodes, next)
-		}
+	// Extra IIC copies each get a node of their own after the texture
+	// nodes, which ConfigFor places last.
+	tex := layout.HMPNodes
+	if tex == nil {
+		tex = layout.HCCNodes
+	}
+	for next := tex[len(tex)-1] + 1; len(layout.IICNodes) < c.iic; next++ {
+		layout.IICNodes = append(layout.IICNodes, next)
+	}
+	if c.placement != nil {
+		c.placement.Place(cfg, layout)
 	}
 	if cfg.Output != pipeline.OutputCollect && cfg.OutDir == "" {
 		return errors.New("an output directory is required (use -out)")

@@ -14,8 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
-	"haralick4d/internal/netdesc"
+	"haralick4d/internal/filter"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/resilience"
 	"haralick4d/internal/runspec"
@@ -216,35 +217,46 @@ func TestDeadlineBoundsTheOpen(t *testing.T) {
 	}
 }
 
-// TestGraphKeepsKernelWorkers: -graph replaces the analysis and placement
-// with the XML's, but the kernel's worker count still comes from the spec,
-// so -kernel-workers 1 runs the sequential oracle under -graph too.
-func TestGraphKeepsKernelWorkers(t *testing.T) {
-	spec := runspec.Spec{Dataset: "study", Output: runspec.OutputNone}
-	cfg, layout, err := pipeline.ConfigFor(&spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := netdesc.Marshal(cfg, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.xml")
-	if err := os.WriteFile(path, doc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := parseArgs([]string{"-data", "study", "-format", "none", "-graph", path, "-kernel-workers", "1"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, layout, err = pipeline.ConfigFor(&c.spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.place(cfg, layout); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Analysis.Workers != 1 {
-		t.Errorf("-graph -kernel-workers 1 runs %d kernel workers, want 1", cfg.Analysis.Workers)
+// TestGraphSpec: a -graph document decodes onto the flags' run spec, so
+// what it omits keeps the flag or the spec default and what it holds wins.
+func TestGraphSpec(t *testing.T) {
+	for _, c := range []struct {
+		name, xml string
+		args      []string
+		check     func(*pipeline.Config, *pipeline.Layout) bool
+	}{
+		{"omitted-analysis-keeps-flags", `<pipeline><impl>hmp</impl></pipeline>`, []string{"-rep", "sparse", "-roi", "8x8x2x2", "-gray", "16"},
+			func(cfg *pipeline.Config, _ *pipeline.Layout) bool {
+				return cfg.Analysis.ROI == [4]int{8, 8, 2, 2} && cfg.Analysis.GrayLevels == 16 && cfg.Analysis.Representation == core.SparseMatrix
+			}},
+		{"omitted-policy-is-demand-driven", `<pipeline><impl>split</impl></pipeline>`, nil,
+			func(cfg *pipeline.Config, _ *pipeline.Layout) bool { return cfg.Policy == filter.DemandDriven }},
+		{"present-attribute-beats-flag", `<pipeline><analysis gray="8"/><layout><hmp nodes="5 5"/></layout></pipeline>`, []string{"-gray", "16", "-texture", "3"},
+			func(cfg *pipeline.Config, l *pipeline.Layout) bool {
+				return cfg.Analysis.GrayLevels == 8 && reflect.DeepEqual(l.HMPNodes, []int{5, 5})
+			}},
+		{"kernel-workers", `<pipeline><analysis roi="4x4x2x2"/></pipeline>`, []string{"-kernel-workers", "1"},
+			func(cfg *pipeline.Config, _ *pipeline.Layout) bool { return cfg.Analysis.Workers == 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.xml")
+			if err := os.WriteFile(path, []byte(c.xml), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cl, err := parseArgs(append([]string{"-data", "study", "-format", "none", "-graph", path}, c.args...), io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, layout, err := pipeline.ConfigFor(&cl.spec, 2)
+			if err == nil {
+				err = cl.place(cfg, layout)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.check(cfg, layout) {
+				t.Errorf("%s under %v ran %+v on %+v", c.xml, c.args, *cfg, *layout)
+			}
+		})
 	}
 }

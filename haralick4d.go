@@ -102,6 +102,16 @@ func NewVolume(dims [4]int) *Volume { return volume.NewVolume(dims) }
 // is its default.
 type Spec = runspec.Spec
 
+// Spec values the library's callers name most; every Spec enum also reads
+// its text form (UnmarshalText), as the CLI flags do.
+const (
+	// Split runs the split HCC+HPC texture implementation (Spec.Impl).
+	Split = runspec.Split
+	// OutputJPEG writes stitched JPEG slice series to Spec.OutDir instead
+	// of returning grids (Spec.Output).
+	OutputJPEG = runspec.OutputJPEG
+)
+
 // Duration is a Spec duration (StallTimeout): a time.Duration whose text
 // and JSON form is Go's duration syntax.
 type Duration = runspec.Duration
@@ -121,9 +131,10 @@ type Options struct {
 	// sequential reference kernel; outputs are bit-identical at every
 	// setting. Deadline bounds both entry points; CacheBlocks,
 	// CacheBlockSize and ServeStale act on AnalyzeDataset's backend only.
-	// Dataset, Output and OutDir belong to the CLI and the daemon:
-	// the library reads AnalyzeDataset's url and returns its grids in
-	// Result, so they must stay zero.
+	// Output is zero or OutputNone for the grids in Result, or OutputJPEG
+	// with an OutDir for stitched JPEG slice series written there instead.
+	// Dataset belongs to the CLI and the daemon: the library reads
+	// AnalyzeDataset's url, so it must stay empty.
 	Spec
 	// DisableMetrics turns off the run's observability layer; Result.Report
 	// stays nil. Metrics are on by default and cost a few atomic operations
@@ -184,8 +195,10 @@ func (o *Options) Validate() error {
 		return err
 	}
 	switch {
-	case o.Dataset != "" || o.Output != 0 || o.OutDir != "":
-		return fmt.Errorf("haralick4d: Dataset, Output and OutDir are the CLI's and the daemon's: the library reads AnalyzeDataset's url and returns grids in memory")
+	case o.Dataset != "":
+		return fmt.Errorf("haralick4d: Dataset is the CLI's and the daemon's: the library reads AnalyzeDataset's url")
+	case (o.Output == OutputJPEG) != (o.OutDir != ""):
+		return fmt.Errorf("haralick4d: OutputJPEG and OutDir go together: the other outputs return grids in memory")
 	case o.CheckpointInterval < 0:
 		return fmt.Errorf("haralick4d: CheckpointInterval must not be negative")
 	case o.CheckpointInterval > 0 && o.Checkpoint == "":
@@ -265,9 +278,10 @@ type RunReport = metrics.RunReport
 
 // Result holds the assembled parameter images of one analysis.
 type Result struct {
-	// Grids maps each requested feature to its 4D parameter image. The
-	// grid dimensions are the dataset dimensions minus ROI−1 per axis (one
-	// value per fully-contained ROI).
+	// Grids maps each requested feature to its 4D parameter image; empty
+	// when the run wrote JPEG slice series instead. The grid dimensions are
+	// the dataset dimensions minus ROI−1 per axis (one value per
+	// fully-contained ROI).
 	Grids map[Feature]*FloatGrid
 	// OutputDims are the dimensions of every grid.
 	OutputDims [4]int
@@ -360,7 +374,9 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 	}
 	defer st.Close()
 	spec := opts.Spec
-	spec.Output = runspec.OutputNone // the in-memory sink
+	if spec.Output != OutputJPEG {
+		spec.Output = runspec.OutputNone // the in-memory sink
+	}
 	p, err := pipeline.Prepare(st, &spec, pipeline.Checkpoint{Path: opts.Checkpoint, Resume: opts.Resume, Interval: opts.CheckpointInterval}, nil)
 	if err != nil {
 		return nil, err
@@ -377,8 +393,10 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 	if !opts.DisableMetrics {
 		res.Report = rep
 	}
-	for _, f := range p.Config.Analysis.Features {
-		res.Grids[f] = p.Results.Grid(f)
+	if p.Results != nil { // nil when the run wrote JPEGs
+		for _, f := range p.Config.Analysis.Features {
+			res.Grids[f] = p.Results.Grid(f)
+		}
 	}
 	return res, nil
 }

@@ -2,17 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"time"
 
-	"os"
-
-	"haralick4d/internal/cluster"
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/features"
-	"haralick4d/internal/filter"
 	"haralick4d/internal/glcm"
-	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/volume"
 )
 
@@ -65,7 +62,7 @@ func Density(e *Env) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.analysis(core.SparseMatrix)
+	cfg := axisAnalysis(e.Spec, core.SparseMatrix)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,7 +99,7 @@ func ZeroSkip(e *Env) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.analysis(core.FullMatrix)
+	cfg := axisAnalysis(e.Spec, core.FullMatrix)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,8 +189,10 @@ func IICScaling(e *Env) (*Figure, error) {
 		YLabel: "max per-copy IIC compute time (virtual s)",
 	}
 	s := Series{Label: "IIC"}
+	spec := e.Spec
+	spec.Impl, spec.Representation = runspec.Split, core.SparseMatrix
 	for _, copies := range []int{1, 2, 4, 8} {
-		report, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, 8, true, filter.DemandDriven, copies)
+		report, err := e.runHomogeneous(spec, 8, true, copies)
 		if err != nil {
 			return nil, fmt.Errorf("iic copies=%d: %w", copies, err)
 		}
@@ -226,7 +225,7 @@ func Directions(e *Env) (*Figure, error) {
 	}
 	s := Series{Label: "full matrix + paper parameters"}
 	for _, nd := range []int{1, 2, 3, 4} {
-		cfg := e.analysis(core.FullMatrix)
+		cfg := axisAnalysis(e.Spec, core.FullMatrix)
 		cfg.NDim = nd
 		cfg.Directions = nil // sweep the full canonical set of each NDim
 		if nd == 1 {
@@ -253,11 +252,6 @@ func Directions(e *Env) (*Figure, error) {
 // discusses the tradeoff in §5.1: small chunks duplicate too much overlap,
 // huge chunks starve the texture filters).
 func ChunkShape(e *Env) (*Figure, error) {
-	outDims, err := volume.OutputDims(e.Scale.Dims, e.Scale.ROI)
-	if err != nil {
-		return nil, err
-	}
-	_ = outDims
 	fig := &Figure{
 		ID:     "chunk",
 		Title:  "ablation: IIC-to-TEXTURE chunk size (§5.1 tradeoff)",
@@ -267,24 +261,9 @@ func ChunkShape(e *Env) (*Figure, error) {
 	s := Series{Label: "HMP full, 8 texture nodes"}
 	var notes []string
 	for _, edge := range chunkEdges(e.Scale) {
-		cs := [4]int{edge, edge, e.Scale.ChunkShape[2], e.Scale.ChunkShape[3]}
-		plan := newHomPlan(e.Scale.StorageNodes, 1, 8)
-		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
-			cfg := &pipeline.Config{
-				Analysis:   e.analysis(core.FullMatrix),
-				ChunkShape: cs,
-				Impl:       pipeline.HMPImpl,
-				Policy:     filter.DemandDriven,
-				Output:     pipeline.OutputCollect,
-			}
-			layout := &pipeline.Layout{
-				SourceNodes: plan.rfr,
-				IICNodes:    plan.iic,
-				OutputNodes: plan.out,
-				HMPNodes:    plan.texture,
-			}
-			return cfg, layout, nil
-		}, cluster.PIIICluster(plan.numNodes()))
+		spec := e.Spec
+		spec.ChunkShape = runspec.Shape{edge, edge, e.Scale.ChunkShape[2], e.Scale.ChunkShape[3]}
+		report, err := e.runHomogeneous(spec, 8, false, 1)
 		if err != nil {
 			return nil, fmt.Errorf("chunk edge=%d: %w", edge, err)
 		}
@@ -392,7 +371,7 @@ func Kernel(e *Env) (*Figure, error) {
 	s := Series{Label: "blocked kernel, sparse matrix + paper parameters"}
 	var base float64
 	for _, w := range []int{1, 2, 4, 8} {
-		analysis := e.analysis(core.SparseMatrix)
+		analysis := axisAnalysis(e.Spec, core.SparseMatrix)
 		analysis.Workers = w
 		sec, err := measure(analysis)
 		if err != nil {
@@ -480,30 +459,9 @@ func Declustering(e *Env) (*Figure, error) {
 		if _, err := dataset.WriteDistributed(dir, v, e.Scale.StorageNodes, dist, dataset.EncodingRaw); err != nil {
 			return nil, err
 		}
-		st, err := dataset.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		plan := newHomPlan(e.Scale.StorageNodes, 4, 8)
-		saved := e.Store
-		e.Store = st
-		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
-			cfg := &pipeline.Config{
-				Analysis:   e.analysis(core.FullMatrix),
-				ChunkShape: e.Scale.ChunkShape,
-				Impl:       pipeline.HMPImpl,
-				Policy:     filter.DemandDriven,
-				Output:     pipeline.OutputCollect,
-			}
-			layout := &pipeline.Layout{
-				SourceNodes: plan.rfr,
-				IICNodes:    plan.iic,
-				OutputNodes: plan.out,
-				HMPNodes:    plan.texture,
-			}
-			return cfg, layout, nil
-		}, cluster.PIIICluster(plan.numNodes()))
-		e.Store = saved
+		spec := e.Spec
+		spec.Dataset = dir
+		report, err := e.runHomogeneous(spec, 8, false, 4)
 		if err != nil {
 			return nil, fmt.Errorf("decluster %v: %w", dist, err)
 		}

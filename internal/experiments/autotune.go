@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"haralick4d/internal/checkpoint"
 	"haralick4d/internal/core"
-	"haralick4d/internal/filter"
 	"haralick4d/internal/pipeline"
-	"haralick4d/internal/volume"
 )
 
 // AutoTuneSweep (figure id "autotune") tunes the texture copy count — baked
@@ -25,47 +21,22 @@ import (
 // reports the split (CI asserts recomputed=0 on the second invocation).
 func AutoTuneSweep(e *Env) (*Figure, error) {
 	copiesSweep := []int{1, 2, 4}
-	repeats := e.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
+	repeats := max(e.Repeats, 1)
 	// The swept cells only differ on the parallel scan path, so the worker
-	// count is pinned above one; everything else rides the Env defaults.
-	analysis := e.analysis(core.SparseMatrix)
-	analysis.Workers = 2
+	// count is pinned above one; everything else rides the base Spec.
+	spec := e.Spec
+	spec.Representation, spec.KernelWorkers = core.SparseMatrix, 2
 
-	// The fingerprint half of the memo key: the same header bytes a resume
-	// would verify, over the cell-independent configuration.
-	probe := &pipeline.Config{
-		Analysis:   analysis,
-		ChunkShape: e.Scale.ChunkShape,
-		Impl:       pipeline.HMPImpl,
-		Policy:     filter.DemandDriven,
-		Output:     pipeline.OutputCollect,
-	}
-	if err := probe.Validate(e.Store.Meta.Dims); err != nil {
-		return nil, err
-	}
-	chunker, err := volume.NewChunker(e.Store.Meta.Dims, probe.ChunkShape, analysis.ROI)
+	// The fingerprint half of the memo key: the digest of the checkpoint
+	// header a run of the cell-independent configuration would journal.
+	fp, err := pipeline.Fingerprint(&spec, e.Store.Meta.Dims)
 	if err != nil {
 		return nil, err
 	}
-	feats := make([]int, len(probe.Analysis.Features))
-	for i, f := range probe.Analysis.Features {
-		feats[i] = int(f)
+	ra, err := spec.ReadAhead.MarshalText()
+	if err != nil {
+		return nil, err
 	}
-	hdr := checkpoint.Header{
-		Dims:           e.Store.Meta.Dims,
-		ROI:            analysis.ROI,
-		ChunkShape:     probe.ChunkShape,
-		OutDims:        chunker.OutputDims(),
-		GrayLevels:     analysis.GrayLevels,
-		NDim:           analysis.NDim,
-		Distance:       analysis.Distance,
-		Representation: int(probe.Analysis.Representation),
-		Features:       feats,
-	}
-	fp := hdr.Fingerprint()
 
 	var memo *memoFile
 	if e.MemoPath != "" {
@@ -77,7 +48,7 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 	recomputed, cached := 0, 0
 
 	measure := func(copies int) (float64, error) {
-		cell := fmt.Sprintf("impl=hmp,workers=%d,ra=%d,copies=%d", analysis.Workers, e.ReadAhead, copies)
+		cell := fmt.Sprintf("impl=hmp,workers=%d,ra=%s,copies=%d", spec.KernelWorkers, ra, copies)
 		if memo != nil {
 			if c, ok := memo.get(memoKey(fp, cell)); ok {
 				cached++
@@ -85,36 +56,18 @@ func AutoTuneSweep(e *Env) (*Figure, error) {
 			}
 		}
 		recomputed++
-		var best time.Duration
-		for r := 0; r < repeats; r++ {
-			cfg := &pipeline.Config{
-				Analysis:   analysis,
-				ChunkShape: e.Scale.ChunkShape,
-				Impl:       pipeline.HMPImpl,
-				Policy:     filter.DemandDriven,
-				Output:     pipeline.OutputCollect,
-				ReadAhead:  e.ReadAhead,
-			}
-			layout := &pipeline.Layout{HMPNodes: make([]int, copies)}
-			g, _, _, err := pipeline.Build(e.Store, cfg, layout)
-			if err != nil {
-				return 0, err
-			}
-			rs, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineLocal, &pipeline.RunOptions{Options: filter.Options{StallTimeout: e.StallTimeout}})
-			if err != nil {
-				return 0, err
-			}
-			e.LastReport = rs
-			if r == 0 || rs.Elapsed() < best {
-				best = rs.Elapsed()
-			}
+		// Every filter on node 0: the local engine runs copies as
+		// goroutines, so only the copy count is measured.
+		rs, err := e.run(spec, pipeline.Layout{HMPNodes: make([]int, copies)}, pipeline.EngineLocal, pipeline.RunOptions{}, repeats)
+		if err != nil {
+			return 0, err
 		}
 		if memo != nil {
-			if err := memo.put(memoKey(fp, cell), memoCell{ElapsedNS: best.Nanoseconds()}); err != nil {
+			if err := memo.put(memoKey(fp, cell), memoCell{ElapsedNS: rs.Elapsed().Nanoseconds()}); err != nil {
 				return 0, err
 			}
 		}
-		return best.Seconds(), nil
+		return rs.Elapsed().Seconds(), nil
 	}
 
 	fig := &Figure{

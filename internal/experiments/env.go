@@ -23,6 +23,7 @@ import (
 	"haralick4d/internal/filters"
 	"haralick4d/internal/glcm"
 	"haralick4d/internal/metrics"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -117,10 +118,18 @@ func ScaleByName(name string) (Scale, error) {
 const DefaultComputeScale = 2.5
 
 // Env is a prepared experiment environment: a phantom study written as a
-// disk-resident dataset plus the simulation calibration.
+// disk-resident dataset, the base run every engine-run figure edits, and
+// the simulation calibration.
 type Env struct {
-	Scale        Scale
-	Store        *dataset.Store
+	Scale Scale
+	// Store is the phantom, open for the figures measured in process
+	// (density, zeroskip, dirs, kernel); the engine runs open Spec.Dataset.
+	Store *dataset.Store
+	// Spec is the base run of every engine-run figure: BaseSpec with the
+	// phantom's directory and the scale's ROI, gray levels and chunk. A
+	// figure edits a copy (implementation, representation, policy, chunk,
+	// dataset) and places its filters itself.
+	Spec         runspec.Spec
 	ComputeScale float64
 	// QueueBytes is each filter copy's input-queue budget in payload bytes
 	// on the simulated cluster (filter.Options.QueueBytes; buffers on the
@@ -137,26 +146,11 @@ type Env struct {
 	// jitter (GC pauses, scheduling noise) that the emulation would
 	// otherwise charge as compute. Default 3.
 	Repeats int
-	// ReadAhead is the depth of the reader filters' read-ahead stage (see
-	// filters.RFRConfig.ReadAhead). 0 keeps the synchronous reads; outputs
-	// are bit-identical at every depth, so only I/O timing changes.
-	ReadAhead int
-	// KernelWorkers pins the intra-chunk worker count of the texture
-	// kernel. The paper's figures measure scaling across filter copies, so
-	// the default is 1 (the sequential reference kernel) — leaving each
-	// figure's shape exactly as the paper's single-threaded filters produce
-	// it. The `kernel` figure sweeps this knob explicitly.
-	KernelWorkers int
 	// MemoPath is the cross-run result journal of the autotune sweep
 	// (memoFile): repeated invocations reuse measured cells
 	// instead of recomputing them. Setup defaults it to a file next to the
 	// dataset; empty disables memoization.
 	MemoPath string
-	// StallTimeout arms the filter runtime's no-progress watchdog on the
-	// figures' engine runs, so an unattended sweep fails with a diagnostic
-	// instead of hanging: virtual time on the simulated cluster, wall time
-	// on the local-engine ablations. 0 disables.
-	StallTimeout time.Duration
 	// LastReport is the observability report of the most recent engine run
 	// an experiment performed (the best repetition of the last simulated
 	// configuration). cmd/experiments surfaces it behind -metrics.
@@ -215,36 +209,39 @@ func Setup(scale Scale, dir string) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec := BaseSpec()
+	spec.Dataset, spec.ROI, spec.GrayLevels, spec.ChunkShape = dir, scale.ROI, scale.GrayLevels, scale.ChunkShape
 	return &Env{
-		Scale:         scale,
-		Store:         st,
-		ComputeScale:  DefaultComputeScale,
-		QueueBytes:    16 * scale.chunkBytes(),
-		Repeats:       3,
-		KernelWorkers: 1,
-		MemoPath:      filepath.Join(dir, "autotune-memo.json"),
+		Scale:        scale,
+		Store:        st,
+		Spec:         spec,
+		ComputeScale: DefaultComputeScale,
+		QueueBytes:   16 * scale.chunkBytes(),
+		Repeats:      3,
+		MemoPath:     filepath.Join(dir, "autotune-memo.json"),
 	}, nil
 }
 
-// analysis returns the core analysis config for a representation. The
-// performance experiments probe one direction per dimension (the four axis
-// directions at distance 1): the paper's formulation computes one
-// co-occurrence matrix for "a specific distance ... and a specific
-// direction", and its reported runtimes are only consistent with a small
-// direction set. The full 40-direction 4D set remains the library default
-// and is swept by the `dirs` ablation.
-func (e *Env) analysis(rep core.Representation) core.Config {
-	workers := e.KernelWorkers
-	if workers == 0 {
-		workers = 1 // zero-value Env: keep the paper-faithful sequential kernel
-	}
-	return core.Config{
-		ROI:            e.Scale.ROI,
-		GrayLevels:     e.Scale.GrayLevels,
-		NDim:           4,
-		Distance:       1,
-		Directions:     glcm.AxisDirections(4, 1),
-		Representation: rep,
-		Workers:        workers,
-	}
+// BaseSpec is the run every figure starts from before Setup adds the
+// phantom and the scale's geometry: no output sink, 4 read-ahead windows
+// and KernelWorkers 1, the sequential reference kernel. The paper's figures
+// measure scaling across filter copies, so each figure's shape stays what
+// the paper's single-threaded filters produce (the `kernel` figure sweeps
+// the workers itself). cmd/experiments binds its engine flags onto it.
+func BaseSpec() runspec.Spec {
+	return runspec.Spec{Output: runspec.OutputNone, KernelWorkers: 1, ReadAhead: 4}
+}
+
+// axisAnalysis is the texture analysis of s under rep over the figures'
+// direction set. The performance experiments probe one direction per
+// dimension (the four axis directions at distance 1): the paper's
+// formulation computes one co-occurrence matrix for "a specific distance
+// ... and a specific direction", and its reported runtimes are only
+// consistent with a small direction set. The full 40-direction 4D set
+// remains the library default and is swept by the `dirs` ablation.
+func axisAnalysis(s runspec.Spec, rep core.Representation) core.Config {
+	s.Representation = rep
+	a := s.Analysis()
+	a.Directions = glcm.AxisDirections(4, 1)
+	return a
 }

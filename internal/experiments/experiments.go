@@ -11,6 +11,7 @@ import (
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 )
 
 // TextureNodeSweep is the processor-count axis of the homogeneous
@@ -64,34 +65,35 @@ func hccHPCSplit(textureNodes []int) (hcc, hpc []int) {
 	return textureNodes[:n-nHPC], textureNodes[n-nHPC:]
 }
 
-// simulate builds and runs a configuration Repeats times on the simulated
-// cluster, returning the report of the run with the smallest virtual elapsed
-// time (the one least polluted by host jitter).
-func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), topo *cluster.Topology) (*metrics.RunReport, error) {
-	reps := e.Repeats
-	if reps < 1 {
-		reps = 1
+// simulate runs s repeats times on the simulated cluster topo, each copy's
+// input queue budgeted to queueBytes, and returns the fastest run's report
+// (see run).
+func (e *Env) simulate(s runspec.Spec, layout pipeline.Layout, topo *cluster.Topology, queueBytes, repeats int) (*metrics.RunReport, error) {
+	return e.run(s, layout, pipeline.EngineSim, pipeline.RunOptions{
+		Options:      filter.Options{QueueBytes: queueBytes},
+		Topology:     topo,
+		ComputeScale: e.ComputeScale,
+	}, repeats)
+}
+
+// run prepares s through the one run body, with layout in place of the
+// spec's own placement and the figures' direction set, and runs it repeats
+// times on engine over a freshly opened dataset each time (so the report's
+// backend counters are the run's own). It returns the report of the run
+// with the smallest elapsed time, the one least polluted by host jitter.
+func (e *Env) run(s runspec.Spec, layout pipeline.Layout, engine pipeline.Engine, ro pipeline.RunOptions, repeats int) (*metrics.RunReport, error) {
+	place := func(cfg *pipeline.Config, l *pipeline.Layout) error {
+		cfg.Analysis = axisAnalysis(s, s.Representation)
+		*l = layout
+		return nil
 	}
 	var best *metrics.RunReport
-	for r := 0; r < reps; r++ {
+	for r := 0; r < max(repeats, 1); r++ {
 		// Normalize the collector's state so that garbage from earlier
 		// experiments is not charged to this run's filters (the emulation
 		// charges all host time, GC assists included, as virtual compute).
 		runtime.GC()
-		cfg, layout, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		cfg.ReadAhead = e.ReadAhead
-		g, _, _, err := pipeline.Build(e.Store, cfg, layout)
-		if err != nil {
-			return nil, err
-		}
-		report, err := pipeline.RunContext(e.ctx(), g, pipeline.EngineSim, &pipeline.RunOptions{
-			Options:      filter.Options{QueueBytes: e.QueueBytes, StallTimeout: e.StallTimeout},
-			Topology:     topo,
-			ComputeScale: e.ComputeScale,
-		})
+		report, err := e.runOnce(&s, place, engine, &ro)
 		if err != nil {
 			return nil, err
 		}
@@ -103,39 +105,39 @@ func (e *Env) simulate(mk func() (*pipeline.Config, *pipeline.Layout, error), to
 	return best, nil
 }
 
-// runHomogeneous executes one homogeneous-cluster configuration on the
-// simulated PIII cluster and returns its run report (virtual time).
-func (e *Env) runHomogeneous(impl pipeline.Impl, rep core.Representation, textureNodes int,
-	overlap bool, policy filter.Policy, iicCopies int) (*metrics.RunReport, error) {
-	plan := newHomPlan(e.Scale.StorageNodes, iicCopies, textureNodes)
-	mk := func() (*pipeline.Config, *pipeline.Layout, error) {
-		cfg := &pipeline.Config{
-			Analysis:   e.analysis(rep),
-			ChunkShape: e.Scale.ChunkShape,
-			Impl:       impl,
-			Policy:     policy,
-			Output:     pipeline.OutputCollect,
-		}
-		layout := &pipeline.Layout{
-			SourceNodes: plan.rfr,
-			IICNodes:    plan.iic,
-			OutputNodes: plan.out,
-		}
-		switch impl {
-		case pipeline.HMPImpl:
-			layout.HMPNodes = plan.texture
-		case pipeline.SplitImpl:
-			if overlap {
-				// One HCC and one HPC co-located on every texture node.
-				layout.HCCNodes = plan.texture
-				layout.HPCNodes = plan.texture
-			} else {
-				layout.HCCNodes, layout.HPCNodes = hccHPCSplit(plan.texture)
-			}
-		}
-		return cfg, layout, nil
+// runOnce opens s's dataset, prepares s with place and runs it on engine.
+func (e *Env) runOnce(s *runspec.Spec, place func(*pipeline.Config, *pipeline.Layout) error, engine pipeline.Engine, ro *pipeline.RunOptions) (*metrics.RunReport, error) {
+	st, err := pipeline.OpenDataset(e.ctx(), s, nil)
+	if err != nil {
+		return nil, err
 	}
-	return e.simulate(mk, cluster.PIIICluster(plan.numNodes()))
+	defer st.Close()
+	p, err := pipeline.Prepare(st, s, pipeline.Checkpoint{}, place)
+	if err != nil {
+		return nil, err
+	}
+	report, _, err := p.Run(e.ctx(), engine, ro)
+	return report, err
+}
+
+// runHomogeneous runs s on the simulated PIII cluster with the paper's
+// homogeneous placement: storage nodes first, then iicCopies IIC nodes, the
+// output node and textureNodes texture nodes; the split implementation
+// co-locates HCC and HPC on every texture node when overlap is set, and
+// splits the nodes 4:1 otherwise.
+func (e *Env) runHomogeneous(s runspec.Spec, textureNodes int, overlap bool, iicCopies int) (*metrics.RunReport, error) {
+	plan := newHomPlan(e.Scale.StorageNodes, iicCopies, textureNodes)
+	layout := pipeline.Layout{SourceNodes: plan.rfr, IICNodes: plan.iic, OutputNodes: plan.out}
+	switch {
+	case s.Impl == runspec.HMP:
+		layout.HMPNodes = plan.texture
+	case overlap:
+		// One HCC and one HPC co-located on every texture node.
+		layout.HCCNodes, layout.HPCNodes = plan.texture, plan.texture
+	default:
+		layout.HCCNodes, layout.HPCNodes = hccHPCSplit(plan.texture)
+	}
+	return e.simulate(s, layout, cluster.PIIICluster(plan.numNodes()), e.QueueBytes, e.Repeats)
 }
 
 func seconds(d time.Duration) float64 { return d.Seconds() }
@@ -154,8 +156,10 @@ func Fig7a(e *Env) (*Figure, error) {
 	}
 	for _, rep := range []core.Representation{core.FullMatrix, core.SparseMatrix} {
 		s := Series{Label: "HMP " + rep.String()}
+		spec := e.Spec
+		spec.Representation = rep
 		for _, n := range TextureNodeSweep {
-			report, err := e.runHomogeneous(pipeline.HMPImpl, rep, n, false, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(spec, n, false, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig7a n=%d rep=%v: %w", n, rep, err)
 			}
@@ -180,8 +184,10 @@ func Fig7b(e *Env) (*Figure, error) {
 	}
 	for _, rep := range []core.Representation{core.FullMatrix, core.SparseMatrix} {
 		s := Series{Label: "HCC+HPC " + rep.String()}
+		spec := e.Spec
+		spec.Impl, spec.Representation = runspec.Split, rep
 		for _, n := range TextureNodeSweep {
-			report, err := e.runHomogeneous(pipeline.SplitImpl, rep, n, false, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(spec, n, false, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig7b n=%d rep=%v: %w", n, rep, err)
 			}
@@ -207,18 +213,20 @@ func Fig8(e *Env) (*Figure, error) {
 	}
 	type variant struct {
 		label   string
-		impl    pipeline.Impl
+		impl    runspec.Impl
 		rep     core.Representation
 		overlap bool
 	}
 	for _, v := range []variant{
-		{"HCC+HPC No Overlap", pipeline.SplitImpl, core.SparseMatrix, false},
-		{"HCC+HPC All Overlap", pipeline.SplitImpl, core.SparseMatrix, true},
-		{"HMP", pipeline.HMPImpl, core.FullMatrix, false},
+		{"HCC+HPC No Overlap", runspec.Split, core.SparseMatrix, false},
+		{"HCC+HPC All Overlap", runspec.Split, core.SparseMatrix, true},
+		{"HMP", runspec.HMP, core.FullMatrix, false},
 	} {
 		s := Series{Label: v.label}
+		spec := e.Spec
+		spec.Impl, spec.Representation = v.impl, v.rep
 		for _, n := range TextureNodeSweep {
-			report, err := e.runHomogeneous(v.impl, v.rep, n, v.overlap, filter.DemandDriven, 1)
+			report, err := e.runHomogeneous(spec, n, v.overlap, 1)
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s n=%d: %w", v.label, n, err)
 			}
@@ -248,8 +256,10 @@ func Fig9(e *Env) (*Figure, error) {
 	for i, n := range names {
 		series[i].Label = n
 	}
+	spec := e.Spec
+	spec.Impl, spec.Representation = runspec.Split, core.SparseMatrix
 	for _, n := range TextureNodeSweep {
-		report, err := e.runHomogeneous(pipeline.SplitImpl, core.SparseMatrix, n, false, filter.DemandDriven, 1)
+		report, err := e.runHomogeneous(spec, n, false, 1)
 		if err != nil {
 			return nil, fmt.Errorf("fig9 n=%d: %w", n, err)
 		}
@@ -303,14 +313,6 @@ func Fig10(e *Env) (*Figure, error) {
 		Title:  "heterogeneous PIII+XEON: HMP vs split HCC+HPC",
 		YLabel: "execution time (virtual s)",
 	}
-	// A bar comparison needs tighter timing than a trend curve: use extra
-	// repetitions to squeeze host jitter out of the emulation.
-	savedReps := e.Repeats
-	if e.Repeats < 7 {
-		e.Repeats = 7
-	}
-	defer func() { e.Repeats = savedReps }()
-
 	// HMP: one transparent copy per processor, 13 + 10 = 23 copies.
 	hmpLayout := base
 	hmpLayout.HMPNodes = append(append([]int{}, piiiTexture...), append(append([]int{}, xeonFirst...), xeonSecond...)...)
@@ -322,25 +324,18 @@ func Fig10(e *Env) (*Figure, error) {
 
 	for _, v := range []struct {
 		label  string
-		impl   pipeline.Impl
+		impl   runspec.Impl
 		rep    core.Representation
 		layout pipeline.Layout
 	}{
-		{"HMP implementation", pipeline.HMPImpl, core.FullMatrix, hmpLayout},
-		{"HCC+HPC", pipeline.SplitImpl, core.SparseMatrix, splitLayout},
+		{"HMP implementation", runspec.HMP, core.FullMatrix, hmpLayout},
+		{"HCC+HPC", runspec.Split, core.SparseMatrix, splitLayout},
 	} {
-		v := v
-		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
-			cfg := &pipeline.Config{
-				Analysis:   e.analysis(v.rep),
-				ChunkShape: e.Scale.ChunkShape,
-				Impl:       v.impl,
-				Policy:     filter.DemandDriven,
-				Output:     pipeline.OutputCollect,
-			}
-			layout := v.layout
-			return cfg, &layout, nil
-		}, &h.Topology)
+		spec := e.Spec
+		spec.Impl, spec.Representation = v.impl, v.rep
+		// A bar comparison needs tighter timing than a trend curve: extra
+		// repetitions squeeze host jitter out of the emulation.
+		report, err := e.simulate(spec, v.layout, &h.Topology, e.QueueBytes, max(e.Repeats, 7))
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", v.label, err)
 		}
@@ -364,7 +359,7 @@ func Fig11(e *Env) (*Figure, error) {
 		{Name: "OPTERON", Nodes: 6, CPUs: 2, Speed: cluster.SpeedOpteron, Latency: cluster.LANLatency, MBps: cluster.GigabitMBps},
 	}, cluster.Link{Latency: cluster.LANLatency, MBPerSecond: cluster.GigabitMBps})
 	// XEON vnodes 0..9; OPTERON vnodes 10..21.
-	layout := &pipeline.Layout{
+	layout := pipeline.Layout{
 		SourceNodes: []int{10, 12, 14, 16},             // separate OPTERON boxes
 		IICNodes:    []int{18},                         // its own box
 		HPCNodes:    []int{11, 13},                     // second processors of RFR boxes
@@ -380,28 +375,15 @@ func Fig11(e *Env) (*Figure, error) {
 	// while buffers are still unassigned, so this experiment uses a shallow
 	// buffer pool (the paper notes the buffer-size sensitivity in its §5.3
 	// discussion). Extra repetitions tighten the bar comparison.
-	savedBytes, savedReps := e.QueueBytes, e.Repeats
-	e.QueueBytes = 4 * e.Scale.chunkBytes()
-	if e.Repeats < 7 {
-		e.Repeats = 7
-	}
-	defer func() { e.QueueBytes, e.Repeats = savedBytes, savedReps }()
-	for _, policy := range []filter.Policy{filter.RoundRobin, filter.DemandDriven} {
-		policy := policy
-		report, err := e.simulate(func() (*pipeline.Config, *pipeline.Layout, error) {
-			cfg := &pipeline.Config{
-				Analysis:   e.analysis(core.SparseMatrix),
-				ChunkShape: e.Scale.ChunkShape,
-				Impl:       pipeline.SplitImpl,
-				Policy:     policy,
-				Output:     pipeline.OutputCollect,
-			}
-			return cfg, layout, nil
-		}, &h.Topology)
+	spec := e.Spec
+	spec.Impl, spec.Representation = runspec.Split, core.SparseMatrix
+	for _, policy := range []runspec.Policy{runspec.RoundRobin, runspec.DemandDriven} {
+		spec.Policy = policy
+		report, err := e.simulate(spec, layout, &h.Topology, 4*e.Scale.chunkBytes(), max(e.Repeats, 7))
 		if err != nil {
-			return nil, fmt.Errorf("fig11 %v: %w", policy, err)
+			return nil, fmt.Errorf("fig11 %v: %w", policy.Filter(), err)
 		}
-		fig.Series = append(fig.Series, Series{Label: policy.String(), Y: []float64{seconds(report.Elapsed())}})
+		fig.Series = append(fig.Series, Series{Label: policy.Filter().String(), Y: []float64{seconds(report.Elapsed())}})
 	}
 	fig.Notes = append(fig.Notes, "paper: the demand driven method performs better than the round robin method",
 		fmt.Sprintf("buffer pool %d bytes per copy, 4 texture chunks (shallow pools give the scheduler feedback; see §5.3)", 4*e.Scale.chunkBytes()))

@@ -4,6 +4,12 @@
 // parameters, the chunk geometry, the implementation and scheduling
 // choices, the output stage and the placement of every filter's copies.
 //
+// A document is not a second run description: it decodes onto a run spec
+// (internal/runspec), where each attribute or element it holds overrides
+// the spec's field and each one it omits keeps the caller's value, and
+// what no spec field carries (the placement, the read window, the matrix
+// packets) becomes a Placement, applied in a pipeline.Prepare place hook.
+//
 // Example:
 //
 //	<pipeline>
@@ -32,44 +38,44 @@ import (
 	"strconv"
 	"strings"
 
-	"haralick4d/internal/core"
-	"haralick4d/internal/filter"
 	"haralick4d/internal/pipeline"
 	"haralick4d/internal/runspec"
 )
 
-// Document is the XML representation of one pipeline.
+// Document is the XML representation of one pipeline. Every value is its
+// text form; empty is absent.
 type Document struct {
 	XMLName  xml.Name    `xml:"pipeline"`
 	Analysis AnalysisXML `xml:"analysis"`
 	Chunk    ChunkXML    `xml:"chunk"`
-	Impl     string      `xml:"impl"`
-	Policy   string      `xml:"policy"`
+	Impl     string      `xml:"impl,omitempty"`
+	Policy   string      `xml:"policy,omitempty"`
 	Output   OutputXML   `xml:"output"`
 	Layout   LayoutXML   `xml:"layout"`
 }
 
 // AnalysisXML holds the texture-analysis parameters.
 type AnalysisXML struct {
-	ROI      string `xml:"roi,attr"`
-	Gray     int    `xml:"gray,attr"`
-	NDim     int    `xml:"ndim,attr"`
-	Distance int    `xml:"distance,attr"`
-	Rep      string `xml:"rep,attr"`
-	Features string `xml:"features,attr"`
+	ROI      string `xml:"roi,attr,omitempty"`
+	Gray     string `xml:"gray,attr,omitempty"`
+	NDim     string `xml:"ndim,attr,omitempty"`
+	Distance string `xml:"distance,attr,omitempty"`
+	Rep      string `xml:"rep,attr,omitempty"`
+	Features string `xml:"features,attr,omitempty"`
 }
 
 // ChunkXML holds the chunk geometry.
 type ChunkXML struct {
-	Shape   string `xml:"shape,attr"`
-	IOChunk string `xml:"iochunk,attr"`
-	Packets int    `xml:"packets,attr"`
+	Shape   string `xml:"shape,attr,omitempty"`
+	IOChunk string `xml:"iochunk,attr,omitempty"`
+	Packets string `xml:"packets,attr,omitempty"`
 }
 
-// OutputXML holds the output stage selection.
+// OutputXML holds the output stage selection: a run spec's output (uso,
+// jpeg, none; collect is none) and directory.
 type OutputXML struct {
-	Mode string `xml:"mode,attr"`
-	Dir  string `xml:"dir,attr"`
+	Mode string `xml:"mode,attr,omitempty"`
+	Dir  string `xml:"dir,attr,omitempty"`
 }
 
 // LayoutXML assigns filter copies to nodes; each element's nodes attribute
@@ -86,7 +92,7 @@ type LayoutXML struct {
 
 // NodesXML is one placement list.
 type NodesXML struct {
-	Nodes string `xml:"nodes,attr"`
+	Nodes string `xml:"nodes,attr,omitempty"`
 }
 
 // Parse reads a pipeline document.
@@ -109,12 +115,144 @@ func ParseFile(path string) (*Document, error) {
 	return Parse(f)
 }
 
-func parseNodes(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
+// Placement is what a document says beyond its run spec: where each
+// filter's copies run, the RFR read window and the HCC packets per chunk.
+// A nil node list or a zero value keeps what the run already has.
+type Placement struct {
+	Layout          pipeline.Layout
+	IOChunk         [2]int
+	PacketsPerChunk int
+}
+
+// Place applies the placement's node lists and values over the
+// configuration and layout the spec gave, inside a pipeline.Prepare place
+// hook.
+func (p *Placement) Place(cfg *pipeline.Config, layout *pipeline.Layout) {
+	dst, src := layoutLists(layout), layoutLists(&p.Layout)
+	for i := range dst {
+		if *src[i] != nil {
+			*dst[i] = *src[i]
+		}
+	}
+	if p.IOChunk != ([2]int{}) {
+		cfg.IOChunk = p.IOChunk
+	}
+	if p.PacketsPerChunk != 0 {
+		cfg.PacketsPerChunk = p.PacketsPerChunk
+	}
+}
+
+// layoutLists lists l's node lists in LayoutXML's order.
+func layoutLists(l *pipeline.Layout) [7]*[]int {
+	return [7]*[]int{&l.SourceNodes, &l.IICNodes, &l.HMPNodes, &l.HCCNodes, &l.HPCNodes, &l.OutputNodes, &l.JIWNodes}
+}
+
+func (x *LayoutXML) lists() [7]*NodesXML {
+	return [7]*NodesXML{&x.Source, &x.IIC, &x.HMP, &x.HCC, &x.HPC, &x.Out, &x.JIW}
+}
+
+// field pairs one value text of a document with the field it describes.
+type field struct {
+	text  *string
+	value interface {
+		encoding.TextMarshaler
+		encoding.TextUnmarshaler
+	}
+}
+
+// fields pairs every value text of d with its field of s or p.
+func (d *Document) fields(s *runspec.Spec, p *Placement) []field {
+	return []field{
+		{&d.Analysis.ROI, &s.ROI}, {&d.Analysis.Gray, count{&s.GrayLevels}},
+		{&d.Analysis.NDim, count{&s.NDim}}, {&d.Analysis.Distance, count{&s.Distance}},
+		{&d.Analysis.Rep, &s.Representation}, {&d.Analysis.Features, &s.Features},
+		{&d.Chunk.Shape, &s.ChunkShape}, {&d.Chunk.IOChunk, ioChunk{&p.IOChunk}},
+		{&d.Chunk.Packets, count{&p.PacketsPerChunk}},
+		{&d.Impl, &s.Impl}, {&d.Policy, &s.Policy},
+		{&d.Output.Mode, mode{&s.Output}}, {&d.Output.Dir, (*text)(&s.OutDir)},
+	}
+}
+
+// count is an int field; 0, the default, is written as nothing.
+type count struct{ p *int }
+
+func (c count) UnmarshalText(b []byte) error {
+	n, err := strconv.Atoi(string(b))
+	if err != nil {
+		return fmt.Errorf("invalid count %q", b)
+	}
+	*c.p = n
+	return nil
+}
+
+func (c count) MarshalText() ([]byte, error) {
+	if *c.p == 0 {
 		return nil, nil
 	}
+	return []byte(strconv.Itoa(*c.p)), nil
+}
+
+// ioChunk is the RFR read window, XxY.
+type ioChunk struct{ p *[2]int }
+
+func (c ioChunk) UnmarshalText(b []byte) error {
+	if _, err := fmt.Sscanf(string(b), "%dx%d", &c.p[0], &c.p[1]); err != nil {
+		return fmt.Errorf("invalid iochunk %q (want XxY)", b)
+	}
+	return nil
+}
+
+func (c ioChunk) MarshalText() ([]byte, error) {
+	if *c.p == ([2]int{}) {
+		return nil, nil
+	}
+	return []byte(fmt.Sprintf("%dx%d", c.p[0], c.p[1])), nil
+}
+
+// mode is the run spec's output; collect, the documents' older name for
+// none, still reads.
+type mode struct{ *runspec.Output }
+
+func (m mode) UnmarshalText(b []byte) error {
+	if string(b) == "collect" {
+		b = []byte("none")
+	}
+	return m.Output.UnmarshalText(b)
+}
+
+// text is a string field.
+type text string
+
+func (t text) MarshalText() ([]byte, error)  { return []byte(t), nil }
+func (t *text) UnmarshalText(b []byte) error { *t = text(b); return nil }
+
+// Decode applies the document to s: every value it holds replaces s's
+// field, and every one it omits keeps s's. It returns the rest of the
+// document, the placement.
+func (d *Document) Decode(s *runspec.Spec) (*Placement, error) {
+	p := &Placement{}
+	for _, f := range d.fields(s, p) {
+		if t := strings.TrimSpace(*f.text); t != "" {
+			if err := f.value.UnmarshalText([]byte(t)); err != nil {
+				return nil, fmt.Errorf("netdesc: %w", err)
+			}
+		}
+	}
+	for i, x := range d.Layout.lists() {
+		nodes, err := parseNodes(x.Nodes)
+		if err != nil {
+			return nil, err
+		}
+		*layoutLists(&p.Layout)[i] = nodes
+	}
+	return p, nil
+}
+
+func parseNodes(s string) ([]int, error) {
 	fields := strings.Fields(s)
+	if len(fields) == 0 {
+		return nil, nil
+	}
 	out := make([]int, len(fields))
 	for i, f := range fields {
 		n, err := strconv.Atoi(f)
@@ -126,133 +264,24 @@ func parseNodes(s string) ([]int, error) {
 	return out, nil
 }
 
-// Build converts the document into a pipeline configuration and layout.
-// Values share the run spec's parsers (internal/runspec).
-func (d *Document) Build() (*pipeline.Config, *pipeline.Layout, error) {
-	var (
-		roi, chunk runspec.Shape
-		feats      runspec.Features
-		rep        core.Representation
-		impl       pipeline.Impl
-		err        error
-	)
-	for _, p := range []struct {
-		dst  encoding.TextUnmarshaler
-		text string
-	}{
-		{&roi, d.Analysis.ROI}, {&chunk, d.Chunk.Shape}, {&feats, d.Analysis.Features},
-		{&rep, d.Analysis.Rep}, {&impl, strings.TrimSpace(d.Impl)},
-	} {
-		if p.text == "" {
-			continue
-		}
-		if err := p.dst.UnmarshalText([]byte(p.text)); err != nil {
-			return nil, nil, fmt.Errorf("netdesc: %w", err)
-		}
-	}
-	cfg := &pipeline.Config{
-		Analysis: core.Config{
-			ROI:            roi,
-			GrayLevels:     d.Analysis.Gray,
-			NDim:           d.Analysis.NDim,
-			Distance:       d.Analysis.Distance,
-			Features:       feats,
-			Representation: rep,
-		},
-		ChunkShape:      chunk,
-		PacketsPerChunk: d.Chunk.Packets,
-		Impl:            impl,
-	}
-	if d.Chunk.IOChunk != "" {
-		if _, err := fmt.Sscanf(d.Chunk.IOChunk, "%dx%d", &cfg.IOChunk[0], &cfg.IOChunk[1]); err != nil {
-			return nil, nil, fmt.Errorf("netdesc: invalid iochunk %q (want XxY)", d.Chunk.IOChunk)
-		}
-	}
-	if d.Policy != "" {
-		if cfg.Policy, err = filter.ParsePolicy(strings.TrimSpace(d.Policy)); err != nil {
-			return nil, nil, fmt.Errorf("netdesc: %w", err)
-		}
-	}
-	switch d.Output.Mode {
-	case "", "collect":
-		cfg.Output = pipeline.OutputCollect
-	case "uso":
-		cfg.Output = pipeline.OutputUSO
-	case "jpeg":
-		cfg.Output = pipeline.OutputJPEG
-	default:
-		return nil, nil, fmt.Errorf("netdesc: unknown output mode %q", d.Output.Mode)
-	}
-	cfg.OutDir = d.Output.Dir
-
-	layout := &pipeline.Layout{}
-	assign := []struct {
-		dst *[]int
-		src NodesXML
-	}{
-		{&layout.SourceNodes, d.Layout.Source},
-		{&layout.IICNodes, d.Layout.IIC},
-		{&layout.HMPNodes, d.Layout.HMP},
-		{&layout.HCCNodes, d.Layout.HCC},
-		{&layout.HPCNodes, d.Layout.HPC},
-		{&layout.OutputNodes, d.Layout.Out},
-		{&layout.JIWNodes, d.Layout.JIW},
-	}
-	for _, a := range assign {
-		nodes, err := parseNodes(a.src.Nodes)
+// Marshal renders a spec and a placement as a document, so a tuned setup
+// can be saved and replayed. Zero counts, shapes and lists are left out,
+// so decoding the document keeps the caller's values for them.
+func Marshal(s *runspec.Spec, p *Placement) ([]byte, error) {
+	var d Document
+	for _, f := range d.fields(s, p) {
+		b, err := f.value.MarshalText()
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("netdesc: %w", err)
 		}
-		*a.dst = nodes
+		*f.text = string(b)
 	}
-	return cfg, layout, nil
-}
-
-// Marshal renders a configuration back to the XML form (layout lists are
-// written only when non-nil), so a tuned setup can be saved and replayed.
-func Marshal(cfg *pipeline.Config, layout *pipeline.Layout) ([]byte, error) {
-	nodes := func(ns []int) string {
-		parts := make([]string, len(ns))
-		for i, n := range ns {
-			parts[i] = strconv.Itoa(n)
+	for i, nodes := range layoutLists(&p.Layout) {
+		parts := make([]string, len(*nodes))
+		for j, n := range *nodes {
+			parts[j] = strconv.Itoa(n)
 		}
-		return strings.Join(parts, " ")
-	}
-	mode := map[pipeline.OutputMode]string{
-		pipeline.OutputCollect: "collect",
-		pipeline.OutputUSO:     "uso",
-		pipeline.OutputJPEG:    "jpeg",
-	}[cfg.Output]
-	d := Document{
-		Analysis: AnalysisXML{
-			ROI:      runspec.Shape(cfg.Analysis.ROI).String(),
-			Gray:     cfg.Analysis.GrayLevels,
-			NDim:     cfg.Analysis.NDim,
-			Distance: cfg.Analysis.Distance,
-			Rep:      cfg.Analysis.Representation.String(),
-			Features: runspec.Features(cfg.Analysis.Features).String(),
-		},
-		Chunk: ChunkXML{
-			Shape:   runspec.Shape(cfg.ChunkShape).String(),
-			Packets: cfg.PacketsPerChunk,
-		},
-		Impl:   cfg.Impl.String(),
-		Policy: cfg.Policy.String(),
-		Output: OutputXML{Mode: mode, Dir: cfg.OutDir},
-	}
-	if cfg.IOChunk != ([2]int{}) {
-		d.Chunk.IOChunk = fmt.Sprintf("%dx%d", cfg.IOChunk[0], cfg.IOChunk[1])
-	}
-	if layout != nil {
-		d.Layout = LayoutXML{
-			Source: NodesXML{nodes(layout.SourceNodes)},
-			IIC:    NodesXML{nodes(layout.IICNodes)},
-			HMP:    NodesXML{nodes(layout.HMPNodes)},
-			HCC:    NodesXML{nodes(layout.HCCNodes)},
-			HPC:    NodesXML{nodes(layout.HPCNodes)},
-			Out:    NodesXML{nodes(layout.OutputNodes)},
-			JIW:    NodesXML{nodes(layout.JIWNodes)},
-		}
+		d.Layout.lists()[i].Nodes = strings.Join(parts, " ")
 	}
 	out, err := xml.MarshalIndent(&d, "", "  ")
 	if err != nil {

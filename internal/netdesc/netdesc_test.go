@@ -9,8 +9,7 @@ import (
 
 	"haralick4d/internal/core"
 	"haralick4d/internal/features"
-	"haralick4d/internal/filter"
-	"haralick4d/internal/pipeline"
+	"haralick4d/internal/runspec"
 )
 
 const sampleXML = `
@@ -35,28 +34,30 @@ func TestParseAndBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, layout, err := d.Build()
+	s := runspec.Spec{Texture: 8}
+	p, err := d.Decode(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Analysis.ROI != [4]int{16, 16, 3, 3} || cfg.Analysis.GrayLevels != 32 {
-		t.Errorf("analysis = %+v", cfg.Analysis)
+	if s.ROI != (runspec.Shape{16, 16, 3, 3}) || s.GrayLevels != 32 || s.Texture != 8 {
+		t.Errorf("spec = %+v", s)
 	}
-	if cfg.Analysis.Representation != core.SparseMatrix {
+	if s.Representation != core.SparseMatrix {
 		t.Error("representation not parsed")
 	}
-	if len(cfg.Analysis.Features) != 2 || cfg.Analysis.Features[0] != features.ASM {
-		t.Errorf("features = %v", cfg.Analysis.Features)
+	if len(s.Features) != 2 || s.Features[0] != features.ASM {
+		t.Errorf("features = %v", s.Features)
 	}
-	if cfg.ChunkShape != [4]int{64, 64, 8, 8} || cfg.IOChunk != [2]int{256, 256} || cfg.PacketsPerChunk != 4 {
-		t.Errorf("chunk = %v %v %d", cfg.ChunkShape, cfg.IOChunk, cfg.PacketsPerChunk)
+	if s.ChunkShape != (runspec.Shape{64, 64, 8, 8}) || p.IOChunk != [2]int{256, 256} || p.PacketsPerChunk != 4 {
+		t.Errorf("chunk = %v %v %d", s.ChunkShape, p.IOChunk, p.PacketsPerChunk)
 	}
-	if cfg.Impl != pipeline.SplitImpl || cfg.Policy != filter.DemandDriven {
+	if s.Impl != runspec.Split || s.Policy != runspec.DemandDriven {
 		t.Error("impl/policy not parsed")
 	}
-	if cfg.Output != pipeline.OutputJPEG || cfg.OutDir != "maps" {
+	if s.Output != runspec.OutputJPEG || s.OutDir != "maps" {
 		t.Error("output not parsed")
 	}
+	layout := p.Layout
 	if len(layout.SourceNodes) != 4 || layout.SourceNodes[3] != 3 {
 		t.Errorf("source nodes = %v", layout.SourceNodes)
 	}
@@ -86,6 +87,7 @@ func TestBuildErrors(t *testing.T) {
 		`<pipeline><analysis roi="bogus"/></pipeline>`,
 		`<pipeline><analysis rep="nope"/></pipeline>`,
 		`<pipeline><analysis features="nope"/></pipeline>`,
+		`<pipeline><analysis gray="many"/></pipeline>`,
 		`<pipeline><chunk iochunk="weird"/></pipeline>`,
 		`<pipeline><impl>nope</impl></pipeline>`,
 		`<pipeline><policy>nope</policy></pipeline>`,
@@ -97,7 +99,7 @@ func TestBuildErrors(t *testing.T) {
 		if err != nil {
 			continue // malformed XML also counts as rejection
 		}
-		if _, _, err := d.Build(); err == nil {
+		if _, err := d.Decode(&runspec.Spec{}); err == nil {
 			t.Errorf("case %d accepted: %s", i, src)
 		}
 	}
@@ -106,57 +108,61 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// decode parses src onto a zero spec.
+func decode(t *testing.T, src string) (runspec.Spec, *Placement, error) {
+	t.Helper()
+	d, err := Parse(strings.NewReader(src))
+	if err != nil {
+		return runspec.Spec{}, nil, err
+	}
+	var s runspec.Spec
+	p, err := d.Decode(&s)
+	return s, p, err
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
-	d, err := Parse(strings.NewReader(sampleXML))
+	s, p, err := decode(t, sampleXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, layout, err := d.Build()
+	out, err := Marshal(&s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Marshal(cfg, layout)
+	s2, p2, err := decode(t, string(out))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("re-decode failed: %v\n%s", err, out)
 	}
-	d2, err := Parse(strings.NewReader(string(out)))
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\n%s", err, out)
-	}
-	cfg2, layout2, err := d2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.Analysis.ROI != cfg.Analysis.ROI || cfg2.Impl != cfg.Impl ||
-		cfg2.Policy != cfg.Policy || cfg2.Output != cfg.Output ||
-		cfg2.ChunkShape != cfg.ChunkShape || cfg2.IOChunk != cfg.IOChunk {
-		t.Errorf("round trip changed config:\n%+v\n%+v", cfg, cfg2)
-	}
-	if len(layout2.HCCNodes) != len(layout.HCCNodes) {
-		t.Error("round trip changed layout")
+	if !reflect.DeepEqual(s, s2) || !reflect.DeepEqual(p, p2) {
+		t.Errorf("round trip changed the document:\n%+v %+v\n%+v %+v", s, p, s2, p2)
 	}
 }
 
+// TestDefaultsAreZeroValues: an empty document leaves the caller's spec as
+// it was and places nothing; collect reads as no output.
 func TestDefaultsAreZeroValues(t *testing.T) {
 	d, err := Parse(strings.NewReader(`<pipeline/>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, layout, err := d.Build()
+	s := runspec.Spec{Impl: runspec.Split, Policy: runspec.RoundRobin, GrayLevels: 16}
+	want := s
+	p, err := d.Decode(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Impl != pipeline.HMPImpl || cfg.Policy != filter.RoundRobin || cfg.Output != pipeline.OutputCollect {
-		t.Errorf("unexpected defaults: %+v", cfg)
+	if !reflect.DeepEqual(s, want) || !reflect.DeepEqual(*p, Placement{}) {
+		t.Errorf("empty document changed the spec to %+v, placement %+v", s, p)
 	}
-	if layout.SourceNodes != nil {
-		t.Error("empty layout should stay nil")
+	if s, _, err := decode(t, `<pipeline><output mode="collect"/></pipeline>`); err != nil || s.Output != runspec.OutputNone {
+		t.Errorf("collect decoded as %v, %v", s.Output, err)
 	}
 }
 
 // FuzzNetdesc feeds arbitrary documents to the parser: every input gives
-// an error or a (Config, Layout), never a panic, and a document that
-// builds survives Marshal → Parse → Build with an equal config and layout.
+// an error or a (Spec, Placement), never a panic, and a document that
+// decodes survives Marshal → Parse → Decode with an equal spec and
+// placement.
 func FuzzNetdesc(f *testing.F) {
 	f.Add(sampleXML)
 	f.Add(`<pipeline/>`)
@@ -164,34 +170,26 @@ func FuzzNetdesc(f *testing.F) {
 	f.Add(`<pipeline><analysis roi="0x0x0x0" rep="full-noskip"/><chunk shape="1x2x3" packets="-1"/></pipeline>`)
 	f.Add("not xml at all")
 	f.Fuzz(func(t *testing.T, src string) {
-		d, err := Parse(strings.NewReader(src))
+		s, p, err := decode(t, src)
 		if err != nil {
 			return
 		}
-		cfg, layout, err := d.Build()
+		if p == nil {
+			t.Fatal("Decode returned no error and no placement")
+		}
+		out, err := Marshal(&s, p)
 		if err != nil {
-			return
+			t.Fatalf("Marshal of a decoded document: %v", err)
 		}
-		if cfg == nil || layout == nil {
-			t.Fatal("Build returned no error and no config")
-		}
-		out, err := Marshal(cfg, layout)
+		s2, p2, err := decode(t, string(out))
 		if err != nil {
-			t.Fatalf("Marshal of a built document: %v", err)
+			t.Fatalf("re-decode: %v\n%s", err, out)
 		}
-		d2, err := Parse(strings.NewReader(string(out)))
-		if err != nil {
-			t.Fatalf("re-parse: %v\n%s", err, out)
+		if !reflect.DeepEqual(s, s2) {
+			t.Errorf("spec changed over the round trip:\n%+v\n%+v\n%s", s, s2, out)
 		}
-		cfg2, layout2, err := d2.Build()
-		if err != nil {
-			t.Fatalf("re-build: %v\n%s", err, out)
-		}
-		if !reflect.DeepEqual(cfg, cfg2) {
-			t.Errorf("config changed over the round trip:\n%+v\n%+v\n%s", cfg, cfg2, out)
-		}
-		if !reflect.DeepEqual(layout, layout2) {
-			t.Errorf("layout changed over the round trip:\n%+v\n%+v\n%s", layout, layout2, out)
+		if !reflect.DeepEqual(p, p2) {
+			t.Errorf("placement changed over the round trip:\n%+v\n%+v\n%s", p, p2, out)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"haralick4d/internal/checkpoint"
+	"haralick4d/internal/features"
+	"haralick4d/internal/runspec"
 	"haralick4d/internal/volume"
 )
 
@@ -34,27 +36,9 @@ func prepareCheckpoint(datasetDims [4]int, cfg *Config, ck Checkpoint) (*Restart
 	if cfg.Output == OutputJPEG {
 		return nil, fmt.Errorf("pipeline: checkpointing requires OutputCollect or OutputUSO (JPEG stitching holds no durable portions)")
 	}
-	if err := cfg.Validate(datasetDims); err != nil {
-		return nil, err
-	}
-	chunker, err := volume.NewChunker(datasetDims, cfg.ChunkShape, cfg.Analysis.ROI)
+	hdr, chunker, err := header(datasetDims, cfg)
 	if err != nil {
 		return nil, err
-	}
-	feats := make([]int, len(cfg.Analysis.Features))
-	for i, f := range cfg.Analysis.Features {
-		feats[i] = int(f)
-	}
-	hdr := checkpoint.Header{
-		Dims:           datasetDims,
-		ROI:            cfg.Analysis.ROI,
-		ChunkShape:     cfg.ChunkShape,
-		OutDims:        chunker.OutputDims(),
-		GrayLevels:     cfg.Analysis.GrayLevels,
-		NDim:           cfg.Analysis.NDim,
-		Distance:       cfg.Analysis.Distance,
-		Representation: int(cfg.Analysis.Representation),
-		Features:       feats,
 	}
 	if !ck.Resume {
 		cfg.Journal, err = checkpoint.Create(ck.Path, hdr, ck.Interval)
@@ -64,7 +48,7 @@ func prepareCheckpoint(datasetDims [4]int, cfg *Config, ck Checkpoint) (*Restart
 	if err != nil {
 		return nil, err
 	}
-	skip, err := checkpoint.CompleteChunks(st, chunker, feats)
+	skip, err := checkpoint.CompleteChunks(st, chunker, hdr.Features)
 	if err != nil {
 		j.Close()
 		return nil, err
@@ -77,4 +61,53 @@ func prepareCheckpoint(datasetDims [4]int, cfg *Config, ck Checkpoint) (*Restart
 		TotalChunks:    chunker.Count(),
 		TruncatedBytes: st.TruncatedBytes,
 	}, nil
+}
+
+// header validates cfg against datasetDims and returns the checkpoint header
+// that guards the run's journal against configuration drift, with the run's
+// chunk plan.
+func header(datasetDims [4]int, cfg *Config) (checkpoint.Header, *volume.Chunker, error) {
+	if err := cfg.Validate(datasetDims); err != nil {
+		return checkpoint.Header{}, nil, err
+	}
+	chunker, err := volume.NewChunker(datasetDims, cfg.ChunkShape, cfg.Analysis.ROI)
+	if err != nil {
+		return checkpoint.Header{}, nil, err
+	}
+	return checkpoint.Header{
+		Dims:           datasetDims,
+		ROI:            cfg.Analysis.ROI,
+		ChunkShape:     cfg.ChunkShape,
+		OutDims:        chunker.OutputDims(),
+		GrayLevels:     cfg.Analysis.GrayLevels,
+		NDim:           cfg.Analysis.NDim,
+		Distance:       cfg.Analysis.Distance,
+		Representation: int(cfg.Analysis.Representation),
+		Features:       featureIDs(cfg.Analysis.Features),
+	}, chunker, nil
+}
+
+// Fingerprint is the digest of the checkpoint header a run of s over a
+// dataset of datasetDims journals under: two specs share it exactly when a
+// journal of one could resume the other, so it also keys measurements that
+// only those fields can change (the experiments' memo).
+func Fingerprint(s *runspec.Spec, datasetDims [4]int) (string, error) {
+	cfg, _, err := ConfigFor(s, 0)
+	if err != nil {
+		return "", err
+	}
+	hdr, _, err := header(datasetDims, cfg)
+	if err != nil {
+		return "", err
+	}
+	return hdr.Fingerprint(), nil
+}
+
+// featureIDs lists fs by their journal ids.
+func featureIDs(fs []features.Feature) []int {
+	ids := make([]int, len(fs))
+	for i, f := range fs {
+		ids[i] = int(f)
+	}
+	return ids
 }

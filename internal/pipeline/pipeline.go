@@ -69,7 +69,7 @@ type Config struct {
 	Analysis        core.Config
 	ChunkShape      [4]int // IIC-to-TEXTURE chunk voxel shape
 	IOChunk         [2]int // RFR read window; zero reads whole slices
-	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous (tests, cmd/experiments), ReadAheadAuto = self-sized
+	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous (tests; a run spec's 0 is ReadAheadAuto), ReadAheadAuto = self-sized
 	PacketsPerChunk int    // HCC matrix packets per chunk (default 4)
 	Impl            Impl
 	Policy          filter.Policy // buffer scheduling into texture (and HPC) copies
@@ -141,11 +141,7 @@ func (c *Config) resumeSkip(chunker *volume.Chunker) (map[int]bool, error) {
 	if c.Recovered == nil {
 		return nil, nil
 	}
-	feats := make([]int, len(c.Analysis.Features))
-	for i, f := range c.Analysis.Features {
-		feats[i] = int(f)
-	}
-	return checkpoint.CompleteChunks(c.Recovered, chunker, feats)
+	return checkpoint.CompleteChunks(c.Recovered, chunker, featureIDs(c.Analysis.Features))
 }
 
 // ReadAheadAuto as Config.ReadAhead lets every reader copy size its own

@@ -350,6 +350,7 @@ func TestOptionsRefusedEverywhere(t *testing.T) {
 		{Spec: Spec{Deadline: -1}},
 		{Spec: Spec{ServeStale: true}},
 		{Spec: Spec{Output: runspec.OutputJPEG}},
+		{Spec: Spec{OutDir: "maps"}},
 	} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%+v validated", o.Spec)

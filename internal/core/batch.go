@@ -28,16 +28,24 @@ type MatrixBatch struct {
 	sparseHeaders []glcm.Sparse
 	fullHeaders   []glcm.Full
 	shards        []batchShard
+	slots         []grainSlot // per grain, where its matrices are stored
 }
 
-// batchShard is one worker's private output arena. Workers own contiguous
-// raster-row blocks, so concatenating the shards in worker order restores
-// global raster order.
+// batchShard is one worker's private output arena. A worker appends the
+// matrices of the grains it is dealt, in the order it takes them; the
+// grain slots say where each grain's run starts, so the headers are laid
+// out in grain order, which is raster order.
 type batchShard struct {
 	entries []glcm.Entry // sparse entry arena
 	cells   []uint32     // dense counts arena
 	counts  []int        // entries per matrix (sparse)
 	totals  []uint64     // pair total per matrix
+}
+
+// grainSlot locates one grain's matrices: in shard w, from matrix m (an
+// index into counts and totals) and, for sparse batches, entry e on.
+type grainSlot struct {
+	w, m, e int
 }
 
 // NumEntries returns the number of sparse entries the batch stores.
@@ -49,17 +57,22 @@ func (b *MatrixBatch) NumEntries() int {
 	return n
 }
 
-func (b *MatrixBatch) reset(workers int) {
+func (b *MatrixBatch) reset(workers, grains int) {
 	b.Sparse = b.Sparse[:0]
 	b.Full = b.Full[:0]
 	if cap(b.shards) < workers {
 		b.shards = append(b.shards[:cap(b.shards)], make([]batchShard, workers-cap(b.shards))...)
 	}
 	b.shards = b.shards[:workers]
+	if cap(b.slots) < grains {
+		b.slots = make([]grainSlot, grains)
+	}
+	b.slots = b.slots[:grains]
 	for i := range b.shards {
 		sh := &b.shards[i]
-		// Row blocks are near-equal, so a worker's share of the hint plus an
-		// eighth covers it; a shard that still runs out grows by doubling.
+		// Workers take near-equal shares of the grains, so a worker's share
+		// of the hint plus an eighth covers it; a shard that still runs out
+		// grows by doubling.
 		if want := b.EntryHint/workers + b.EntryHint/(8*workers); cap(sh.entries) < want {
 			sh.entries = make([]glcm.Entry, 0, want)
 		}
@@ -73,8 +86,8 @@ func (b *MatrixBatch) reset(workers int) {
 // SparseBatchInto computes one sparse co-occurrence matrix per ROI origin
 // of the box, in raster order, publishing them on b.Sparse. The matrices
 // alias b's arenas; see MatrixBatch. With an effective worker count above
-// one the raster rows are striped across a worker pool running the blocked
-// kernel's row walk; at one it runs the sequential reference kernel.
+// one the raster rows are dealt in grains to a worker pool running the
+// blocked kernel's row walk; at one it runs the sequential reference kernel.
 func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, b *MatrixBatch) error {
 	if region == nil {
 		return ErrNilRegion
@@ -83,11 +96,10 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		return err
 	}
 	workers := spanWorkers(cfg, origins)
-	b.reset(workers)
-	shape := origins.Shape()
-	rows := shape[1] * shape[2] * shape[3]
+	gs := newGrains(origins, workers)
+	b.reset(workers, gs.n)
 	local := make([]Stats, workers)
-	err := runRows(rows, workers, func(w, r0, r1 int) error {
+	err := runGrains(gs, workers, func(w int, take func() (int, bool)) error {
 		sc := newRowScanner(region, origins, cfg, SparseMatrix, workers > 1)
 		defer sc.release()
 		var st *Stats
@@ -97,13 +109,20 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		// The scanner snapshots straight into the shard's entry arena.
 		sh := &b.shards[w]
 		sc.entries, sc.keep = sh.entries, true
-		err := sc.scan(r0, r1, st, func(_ [4]int, _ *glcm.Full, s *glcm.Sparse) error {
+		defer func() { sh.entries = sc.entries }()
+		visit := func(_ [4]int, _ *glcm.Full, s *glcm.Sparse) error {
 			sh.counts = append(sh.counts, len(s.Entries))
 			sh.totals = append(sh.totals, s.Total)
 			return nil
-		})
-		sh.entries = sc.entries
-		return err
+		}
+		for g, ok := take(); ok; g, ok = take() {
+			b.slots[g] = grainSlot{w: w, m: len(sh.counts), e: len(sc.entries)}
+			r0, r1 := gs.rows(g)
+			if err := sc.scan(r0, r1, st, visit); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -115,11 +134,14 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		b.sparseHeaders = make([]glcm.Sparse, n)
 	}
 	hdrs := b.sparseHeaders[:n]
+	nx := origins.Shape()[0]
 	k := 0
-	for si := range b.shards {
-		sh := &b.shards[si]
-		off := 0
-		for m, c := range sh.counts {
+	for g, slot := range b.slots {
+		sh := &b.shards[slot.w]
+		off := slot.e
+		r0, r1 := gs.rows(g)
+		for m := slot.m; m < slot.m+(r1-r0)*nx; m++ {
+			c := sh.counts[m]
 			hdrs[k] = glcm.Sparse{G: cfg.GrayLevels, Entries: sh.entries[off : off+c : off+c], Total: sh.totals[m]}
 			b.Sparse = append(b.Sparse, &hdrs[k])
 			k++
@@ -141,11 +163,10 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 		return err
 	}
 	workers := spanWorkers(cfg, origins)
-	b.reset(workers)
-	shape := origins.Shape()
-	rows := shape[1] * shape[2] * shape[3]
+	gs := newGrains(origins, workers)
+	b.reset(workers, gs.n)
 	local := make([]Stats, workers)
-	err := runRows(rows, workers, func(w, r0, r1 int) error {
+	err := runGrains(gs, workers, func(w int, take func() (int, bool)) error {
 		sc := newRowScanner(region, origins, cfg, FullMatrixNoSkip, workers > 1)
 		defer sc.release()
 		var st *Stats
@@ -153,11 +174,19 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 			st = &local[w]
 		}
 		sh := &b.shards[w]
-		return sc.scan(r0, r1, st, func(_ [4]int, full *glcm.Full, _ *glcm.Sparse) error {
+		visit := func(_ [4]int, full *glcm.Full, _ *glcm.Sparse) error {
 			sh.cells = append(sh.cells, full.Counts...)
 			sh.totals = append(sh.totals, full.Total)
 			return nil
-		})
+		}
+		for g, ok := take(); ok; g, ok = take() {
+			b.slots[g] = grainSlot{w: w, m: len(sh.totals)}
+			r0, r1 := gs.rows(g)
+			if err := sc.scan(r0, r1, st, visit); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -170,11 +199,13 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 	}
 	hdrs := b.fullHeaders[:n]
 	gg := cfg.GrayLevels * cfg.GrayLevels
+	nx := origins.Shape()[0]
 	k := 0
-	for si := range b.shards {
-		sh := &b.shards[si]
-		for off := 0; off < len(sh.cells); off += gg {
-			hdrs[k] = glcm.Full{G: cfg.GrayLevels, Counts: sh.cells[off : off+gg : off+gg], Total: sh.totals[off/gg]}
+	for g, slot := range b.slots {
+		sh := &b.shards[slot.w]
+		r0, r1 := gs.rows(g)
+		for m := slot.m; m < slot.m+(r1-r0)*nx; m++ {
+			hdrs[k] = glcm.Full{G: cfg.GrayLevels, Counts: sh.cells[m*gg : (m+1)*gg : (m+1)*gg], Total: sh.totals[m]}
 			b.Full = append(b.Full, &hdrs[k])
 			k++
 		}

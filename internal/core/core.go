@@ -9,7 +9,7 @@
 // (ScanRegion, and every entry point at one worker), which recomputes each
 // ROI's matrix with glcm.ComputeFull or glcm.ComputeSparse and is what the
 // parallel pipelines are verified against; and the production path
-// (parallel.go), which stripes ROI raster rows across workers running the
+// (parallel.go), which deals ROI raster rows in grains to workers running the
 // blocked kernel, glcm.Blocked.
 package core
 
@@ -105,8 +105,8 @@ type Config struct {
 	Representation Representation
 	// Workers bounds the intra-chunk parallelism of AnalyzeRegion and the
 	// batch builders: 0 selects GOMAXPROCS, 1 forces the sequential
-	// reference kernel (the verification oracle), and larger values stripe
-	// ROI raster rows across a worker pool whose kernel also reuses
+	// reference kernel (the verification oracle), and larger values deal
+	// ROI raster rows to a worker pool whose kernel also reuses
 	// overlapping-window work along x and from row to row (glcm.Blocked).
 	Workers int
 }
@@ -282,7 +282,7 @@ func checkOrigins(region *volume.Region, origins volume.Box, cfg *Config) error 
 // matrices plus Haralick parameters — what the HMP filter does) over the
 // given origins and returns one FloatRegion per requested feature, in the
 // order of cfg.Features. With cfg.Workers resolving above one, the ROI
-// raster rows are striped across a worker pool (see AnalyzeRegionInto);
+// raster rows are dealt to a worker pool (see AnalyzeRegionInto);
 // the result is bit-identical to the sequential reference either way.
 func AnalyzeRegion(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats) ([]*volume.FloatRegion, error) {
 	out := make([]*volume.FloatRegion, len(cfg.Features))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"haralick4d/internal/features"
 	"haralick4d/internal/glcm"
@@ -11,21 +12,23 @@ import (
 )
 
 // This file implements the parallel intra-chunk compute path. The unit of
-// work distribution is one ROI raster row (fixed y, z, t — all origins along
-// x): rows are split into contiguous blocks, one block per worker, so the
-// per-worker results concatenate back into global raster order. Each worker
-// owns its own kernel, scratch matrix and feature calculator, so the hot
-// loop performs no allocation and shares no mutable state. A worker
-// walks its rows with the blocked kernel (glcm.Blocked.StartRow/Step), which
-// slides the window along x within a row and — on its column path — carries
-// per-column pair histograms and gray-level bounds from one row to the row
-// below, so only a block's first row and the rows after a z/t wrap are
-// rebuilt, and every snapshot scans only the levels present in its ROI. The
-// zero-skipping full representation takes the kernel's sorted non-zero list
-// straight to the feature sums; only FullMatrixNoSkip and the HCC batches
-// materialise a dense matrix. Geometries the blocked planner rejects (more
-// than 64 directions, say) run the oracle kernels on every worker, one full
-// recompute per ROI.
+// work distribution is a grain: a run of consecutive ROI raster rows (a row
+// is fixed y, z, t — all origins along x) inside one (z, t) plane, a whole
+// plane when there are enough of them (see grains). Workers take grains from
+// a shared counter on demand, and every grain's results land at its own
+// raster position, so the output is in global raster order whoever computed
+// it. Each worker owns its own kernel, scratch matrix and feature
+// calculator, so the hot loop performs no allocation and shares no mutable
+// state. A worker walks a grain's rows with the blocked kernel
+// (glcm.Blocked.StartRow/Step), which slides the window along x within a row
+// and — on its column path — carries per-column pair histograms and
+// gray-level bounds from one row to the row below, so only a grain's first
+// row is rebuilt, and every snapshot scans only the levels present in its
+// ROI. The zero-skipping full representation takes the kernel's sorted
+// non-zero list straight to the feature sums; only FullMatrixNoSkip and the
+// HCC batches materialise a dense matrix. Geometries the blocked planner
+// rejects (more than 64 directions, say) run the oracle kernels on every
+// worker, one full recompute per ROI.
 //
 // Workers == 1 runs no blocked kernel: ScanRegion, and the batch builders'
 // single worker, recompute every ROI with the oracle kernels. Because
@@ -41,52 +44,71 @@ func (c *Config) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// spanWorkers bounds the effective worker count by the number of ROI raster
-// rows in the origin box, the grain of work distribution.
-func spanWorkers(cfg *Config, origins volume.Box) int {
-	shape := origins.Shape()
-	rows := shape[1] * shape[2] * shape[3]
-	w := cfg.EffectiveWorkers()
-	if w > rows {
-		w = rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// grains deals the ROI raster rows of an origin box to workers on demand.
+// A grain is a run of consecutive rows inside one (z, t) plane: the whole
+// plane when the box has at least twice as many planes as workers, so that
+// every grain's rows carry one into the next and a plane costs its one
+// rebuild, as in the sequential walk; otherwise each plane is cut into equal
+// runs, so that every worker gets about two grains. Grains are numbered in
+// raster order.
+type grains struct {
+	sy       int // rows per (z, t) plane
+	perPlane int // grains per plane
+	n        int // grains in the box
 }
 
-// blockRange splits n units into parts contiguous blocks and returns the
-// half-open range of block i.
-func blockRange(n, parts, i int) (lo, hi int) {
-	base, rem := n/parts, n%parts
-	lo = i*base + min(i, rem)
-	hi = lo + base
-	if i < rem {
+func newGrains(origins volume.Box, workers int) grains {
+	shape := origins.Shape()
+	planes := shape[2] * shape[3]
+	per := 1
+	if planes < 2*workers {
+		per = min(shape[1], (2*workers+planes-1)/planes)
+	}
+	return grains{sy: shape[1], perPlane: per, n: planes * per}
+}
+
+// rows returns the half-open raster-row range of grain i.
+func (gs grains) rows(i int) (r0, r1 int) {
+	plane, j := i/gs.perPlane, i%gs.perPlane
+	base, rem := gs.sy/gs.perPlane, gs.sy%gs.perPlane
+	lo := j*base + min(j, rem)
+	hi := lo + base
+	if j < rem {
 		hi++
 	}
-	return lo, hi
+	return plane*gs.sy + lo, plane*gs.sy + hi
 }
 
-// runRows executes fn over contiguous row blocks: inline for a single
-// worker, on one goroutine per block otherwise. It returns the first
-// non-nil error in block order.
-func runRows(rows, workers int, fn func(w, r0, r1 int) error) error {
+// spanWorkers bounds the effective worker count by the number of grains the
+// origin box deals, so that no worker starts without one.
+func spanWorkers(cfg *Config, origins volume.Box) int {
+	w := cfg.EffectiveWorkers()
+	return max(1, min(w, newGrains(origins, w).n))
+}
+
+// runGrains runs work once per worker, each calling take for its next grain
+// until take reports none is left: inline over every grain in order for a
+// single worker, otherwise on one goroutine per worker, all taking from a
+// shared counter — a worker whose grains run fast takes more of them, so no
+// core idles while another works through a slow half. It returns the first
+// non-nil error in worker order.
+func runGrains(gs grains, workers int, work func(w int, take func() (g int, ok bool)) error) error {
+	var next atomic.Int64
+	take := func() (int, bool) {
+		g := int(next.Add(1) - 1)
+		return g, g < gs.n
+	}
 	if workers <= 1 {
-		return fn(0, 0, rows)
+		return work(0, take)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		r0, r1 := blockRange(rows, workers, w)
-		if r0 >= r1 {
-			continue
-		}
+	for w := range errs {
 		wg.Add(1)
-		go func(w, r0, r1 int) {
+		go func() {
 			defer wg.Done()
-			errs[w] = fn(w, r0, r1)
-		}(w, r0, r1)
+			errs[w] = work(w, take)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -255,9 +277,9 @@ func mergeStats(stats *Stats, local []Stats) {
 // AnalyzeRegionInto is AnalyzeRegion writing into caller-provided output
 // regions — one per configured feature, each spanning exactly the origin
 // box — so callers can pool the float backing across chunks. With an
-// effective worker count above one, the ROI raster rows are striped across
-// a worker pool running the blocked kernel's row walk; at one, it runs the
-// sequential reference path (ScanRegion), the verification oracle.
+// effective worker count above one, the ROI raster rows are dealt in grains
+// to a worker pool running the blocked kernel's row walk; at one, it runs
+// the sequential reference path (ScanRegion), the verification oracle.
 func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, out []*volume.FloatRegion) error {
 	if region == nil {
 		return ErrNilRegion
@@ -290,10 +312,10 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 	if err := checkOrigins(region, origins, cfg); err != nil {
 		return err
 	}
-	shape := origins.Shape()
-	rows := shape[1] * shape[2] * shape[3]
+	nx := origins.Shape()[0]
 	local := make([]Stats, workers)
-	err := runRows(rows, workers, func(w, r0, r1 int) error {
+	gs := newGrains(origins, workers)
+	err := runGrains(gs, workers, func(w int, take func() (int, bool)) error {
 		sc := newRowScanner(region, origins, cfg, cfg.Representation, true)
 		defer sc.release()
 		calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
@@ -301,10 +323,10 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 		if stats != nil {
 			st = &local[w]
 		}
-		// Workers write disjoint elements of the shared backing: the scan
-		// visits its rows in raster order, from the block's first index on.
-		idx := r0 * shape[0]
-		return sc.scan(r0, r1, st, func(_ [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
+		// Workers write disjoint elements of the shared backing: a grain's
+		// rows are visited in raster order, from its first index on.
+		var idx int
+		visit := func(_ [4]int, full *glcm.Full, sparse *glcm.Sparse) error {
 			vals, err := calcValues(calc, full, sparse, zeroSkip)
 			if err != nil {
 				return err
@@ -314,7 +336,15 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 			}
 			idx++
 			return nil
-		})
+		}
+		for g, ok := take(); ok; g, ok = take() {
+			r0, r1 := gs.rows(g)
+			idx = r0 * nx
+			if err := sc.scan(r0, r1, st, visit); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err

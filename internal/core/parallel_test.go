@@ -351,18 +351,19 @@ func TestValidateWorkersAndPairs(t *testing.T) {
 }
 
 // TestRowCarryUnevenBlocks runs the kernel's column path — per-column
-// histograms and level bounds carried from row to row — the way workers cut
-// it up: 49 raster rows (7 y × 7 z, so every block crosses z wraps) split
-// among 2, 3 and 5 workers, none of which divides 49, on an origin box
-// strictly inside an offset region, over noise (every window is [0, G)) and
-// over a ramp (narrow windows that move with the origin). Feature values,
-// batch matrices and Stats must equal the workers = 1 oracle bit for bit in
-// every representation: FullMatrix through the fused non-zero list,
+// histograms and level bounds carried from row to row — the way workers are
+// dealt it, on origin boxes strictly inside an offset region: 49 raster rows
+// (7 y × 7 z) dealt as whole planes to 2 and 3 workers and as sub-plane
+// grains to 5; a single (z, t) plane, cut into sub-plane grains for every
+// worker count; and 2 planes for 2, 3 and 5 workers, fewer planes than
+// workers at 3 and 5. Over noise (every window is [0, G)) and over a ramp
+// (narrow windows that move with the origin), feature values, batch
+// matrices and Stats must equal the workers = 1 oracle bit for bit in every
+// representation: FullMatrix through the fused non-zero list,
 // FullMatrixNoSkip through the dense snapshot, SparseMatrix.
 func TestRowCarryUnevenBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	regionBox := volume.BoxAt([4]int{3, 2, 1, 0}, [4]int{22, 11, 9, 1})
-	origins := volume.BoxAt([4]int{4, 3, 2, 0}, [4]int{15, 7, 7, 1})
 	for _, fill := range []string{"noise", "ramp"} {
 		region := volume.NewRegion(regionBox)
 		for i := range region.Data {
@@ -371,70 +372,88 @@ func TestRowCarryUnevenBlocks(t *testing.T) {
 				region.Data[i] = uint8((i%22+i/22%11)/5 + rng.Intn(2))
 			}
 		}
-		for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
-			cfg := Config{ROI: [4]int{5, 4, 2, 1}, GrayLevels: 8, NDim: 3, Distance: 1, Representation: rep, Features: features.All()}
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
+		for _, shape := range [][4]int{{15, 7, 7, 1}, {15, 7, 1, 1}, {15, 7, 2, 1}} {
+			origins := volume.BoxAt([4]int{4, 3, 2, 0}, shape)
+			for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
+				checkRowCarry(t, fmt.Sprintf("%s %v %v", fill, shape, rep), region, origins, rep)
 			}
-			k := glcm.NewBlocked(cfg.GrayLevels)
-			if !k.Plan(volume.Strides(regionBox.Shape()), cfg.ROI, cfg.DirectionSet(), 1, 0) || !k.PlanRows(origins.Shape()[0]) {
-				t.Fatal("the test geometry does not take the column path")
-			}
-			ref := cfg
-			ref.Workers = 1
-			var refStats Stats
-			want, err := AnalyzeRegion(region, origins, &ref, &refStats)
+		}
+	}
+}
+
+// checkRowCarry compares AnalyzeRegion and the batch builder of rep at 2, 3
+// and 5 workers with the workers = 1 oracle: values bit for bit, Stats
+// equal.
+func checkRowCarry(t *testing.T, tag string, region *volume.Region, origins volume.Box, rep Representation) {
+	t.Helper()
+	cfg := Config{ROI: [4]int{5, 4, 2, 1}, GrayLevels: 8, NDim: 3, Distance: 1, Representation: rep, Features: features.All()}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	k := glcm.NewBlocked(cfg.GrayLevels)
+	if !k.Plan(volume.Strides(region.Box.Shape()), cfg.ROI, cfg.DirectionSet(), 1, 0) || !k.PlanRows(origins.Shape()[0]) {
+		t.Fatal("the test geometry does not take the column path")
+	}
+	// batch runs the representation's batch builder and returns its
+	// matrices in a comparable form.
+	batch := func(cfg *Config, stats *Stats) []any {
+		var out []any
+		if rep == SparseMatrix {
+			ms, err := SparseBatch(region, origins, cfg, stats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantS, err := SparseBatch(region, origins, &ref, nil)
+			for _, m := range ms {
+				out = append(out, *m)
+			}
+		} else {
+			ms, err := FullBatch(region, origins, cfg, stats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantF, err := FullBatch(region, origins, &ref, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, m := range ms {
+				out = append(out, *m)
 			}
-			for _, workers := range []int{2, 3, 5} {
-				tag := fmt.Sprintf("%s %v workers %d", fill, rep, workers)
-				pcfg := cfg
-				pcfg.Workers = workers
-				var stats Stats
-				got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
-				if err != nil {
-					t.Fatal(err)
+		}
+		return out
+	}
+	ref := cfg
+	ref.Workers = 1
+	var refStats, refBatchStats Stats
+	want, err := AnalyzeRegion(region, origins, &ref, &refStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB := batch(&ref, &refBatchStats)
+	for _, workers := range []int{2, 3, 5} {
+		tag := fmt.Sprintf("%s workers %d", tag, workers)
+		pcfg := cfg
+		pcfg.Workers = workers
+		var stats, batchStats Stats
+		got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != refStats {
+			t.Errorf("%s: stats %+v, want %+v", tag, stats, refStats)
+		}
+		for i := range want {
+			for j, v := range want[i].Data {
+				if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
+					t.Fatalf("%s: feature %v at %d is %v, the oracle's %v", tag, cfg.Features[i], j, got[i].Data[j], v)
 				}
-				if stats != refStats {
-					t.Errorf("%s: stats %+v, want %+v", tag, stats, refStats)
-				}
-				for i := range want {
-					for j, v := range want[i].Data {
-						if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
-							t.Fatalf("%s: feature %v at %d is %v, the oracle's %v", tag, cfg.Features[i], j, got[i].Data[j], v)
-						}
-					}
-				}
-				if rep == SparseMatrix {
-					gotS, err := SparseBatch(region, origins, &pcfg, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k := range wantS {
-						if gotS[k].Total != wantS[k].Total || !reflect.DeepEqual(gotS[k].Entries, wantS[k].Entries) {
-							t.Fatalf("%s: sparse matrix %d diverged from the oracle", tag, k)
-						}
-					}
-				} else {
-					gotF, err := FullBatch(region, origins, &pcfg, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k := range wantF {
-						if gotF[k].Total != wantF[k].Total || !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
-							t.Fatalf("%s: full matrix %d diverged from the oracle", tag, k)
-						}
-					}
-				}
+			}
+		}
+		gotB := batch(&pcfg, &batchStats)
+		if batchStats != refBatchStats {
+			t.Errorf("%s: batch stats %+v, want %+v", tag, batchStats, refBatchStats)
+		}
+		if len(gotB) != len(wantB) {
+			t.Fatalf("%s: %d batch matrices, want %d", tag, len(gotB), len(wantB))
+		}
+		for k := range wantB {
+			if !reflect.DeepEqual(gotB[k], wantB[k]) {
+				t.Fatalf("%s: batch matrix %d diverged from the oracle", tag, k)
 			}
 		}
 	}
@@ -476,8 +495,9 @@ func TestStatsAgreeAcrossPaths(t *testing.T) {
 }
 
 // TestSparseBatchEntryHint: a fresh container sized from a hint stores the
-// same matrices without growing its arenas, and NumEntries reports what the
-// next hint should be.
+// same matrices, every worker arena starts at its share of the hint and
+// grows only when the grains its worker was dealt need more, and NumEntries
+// reports what the next hint should be.
 func TestSparseBatchEntryHint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	region, dims := randRegion(rng, 16)
@@ -505,10 +525,15 @@ func TestSparseBatchEntryHint(t *testing.T) {
 	if err := SparseBatchInto(region, origins, &cfg, nil, &hinted); err != nil {
 		t.Fatal(err)
 	}
+	want := n/3 + n/24
 	for i := range hinted.shards {
-		if want := n/3 + n/24; cap(hinted.shards[i].entries) != want {
-			t.Errorf("shard %d arena capacity %d, want the hinted %d (it grew or was not sized)", i, cap(hinted.shards[i].entries), want)
+		sh := &hinted.shards[i]
+		if grew := cap(sh.entries) != want; grew != (len(sh.entries) > want) {
+			t.Errorf("shard %d arena capacity %d for %d entries, want the hinted %d unless they outgrew it", i, cap(sh.entries), len(sh.entries), want)
 		}
+	}
+	if hinted.NumEntries() != n {
+		t.Fatalf("hinted NumEntries = %d, want %d", hinted.NumEntries(), n)
 	}
 	for k := range first.Sparse {
 		if !reflect.DeepEqual(hinted.Sparse[k].Entries, first.Sparse[k].Entries) || hinted.Sparse[k].Total != first.Sparse[k].Total {

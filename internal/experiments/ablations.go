@@ -299,7 +299,7 @@ func chunkEdges(sc Scale) []int {
 }
 
 // Kernel sweeps the intra-chunk worker count of the texture kernel (the
-// `Workers` knob of core.Config): ROI raster rows are striped across the
+// `Workers` knob of core.Config): ROI raster rows are dealt in grains to the
 // workers, and each worker's blocked kernel reuses the overlapping-window
 // work along x and from row to row (workers > 1 only; workers = 1 is the
 // sequential full-recompute oracle). The measurement times

@@ -116,8 +116,8 @@ func (intMsg) SizeBytes() int { return 8 }
 func init() { gob.Register(intMsg(0)) }
 
 // chaosGraph wires source(n) → work (3 copies, factory wrapped by the
-// caller) → a shared-slice sink.
-func chaosGraph(n int, workFactory func(int) filter.Filter, workNodes []int) (*filter.Graph, func() []int) {
+// caller, fed by the given policy) → a shared-slice sink.
+func chaosGraph(n int, policy filter.Policy, workFactory func(int) filter.Filter, workNodes []int) (*filter.Graph, func() []int) {
 	g := filter.NewGraph()
 	g.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: func(int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
@@ -145,7 +145,7 @@ func chaosGraph(n int, workFactory func(int) filter.Filter, workNodes []int) (*f
 			}
 		})
 	}})
-	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "work", ToPort: "in", Policy: filter.DemandDriven})
+	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "work", ToPort: "in", Policy: policy})
 	g.Connect(filter.ConnSpec{From: "work", FromPort: "out", To: "sink", ToPort: "in", Policy: filter.RoundRobin})
 	return g, func() []int {
 		mu.Lock()
@@ -171,7 +171,7 @@ func forward(int) filter.Filter {
 
 func TestCrashAfterFailover(t *testing.T) {
 	const n = 80
-	g, got := chaosGraph(n, CrashAfter(forward, 1, 4), nil)
+	g, got := chaosGraph(n, filter.DemandDriven, CrashAfter(forward, 1, 4), nil)
 	if _, err := filter.RunLocal(g, &filter.Options{Failover: true}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -187,8 +187,11 @@ func TestCrashAfterFailover(t *testing.T) {
 	}
 }
 
+// TestCrashAfterWithoutFailoverFails deals round-robin, so copy 1's 4th
+// buffer — the 11th of 80 — arrives by construction; demand-driven dealing
+// could drain the stream through the other copies before it did.
 func TestCrashAfterWithoutFailoverFails(t *testing.T) {
-	g, _ := chaosGraph(80, CrashAfter(forward, 1, 4), nil)
+	g, _ := chaosGraph(80, filter.RoundRobin, CrashAfter(forward, 1, 4), nil)
 	if _, err := filter.RunLocal(g, nil); err == nil {
 		t.Fatal("injected crash absorbed without failover")
 	}
@@ -206,11 +209,13 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 	const n = 40
 	// Break the 7th write on every outbound node link; each redial gets a
 	// fresh FlakyConn that breaks again, so the run only completes if the
-	// sender keeps reconnecting and retransmitting.
+	// sender keeps reconnecting and retransmitting. Round-robin dealing puts
+	// 13 buffers on each remote link by construction: demand-driven dealing
+	// keeps them at the co-located copy once the links are priced.
 	wrap := func(c net.Conn, from, to int) net.Conn {
 		return &FlakyConn{Conn: c, FailAt: 7}
 	}
-	g, got := chaosGraph(n, forward, []int{0, 1, 2})
+	g, got := chaosGraph(n, filter.RoundRobin, forward, []int{0, 1, 2})
 	rs, err := filter.RunTCP(g, &filter.Options{
 		WireCodec:   filter.CodecBinary,
 		Failover:    true,
@@ -249,7 +254,7 @@ func TestFlakyTCPLinkWithoutRetryFails(t *testing.T) {
 	wrap := func(c net.Conn, from, to int) net.Conn {
 		return &FlakyConn{Conn: c, FailAt: 7}
 	}
-	g, _ := chaosGraph(40, forward, []int{0, 1, 2})
+	g, _ := chaosGraph(40, filter.RoundRobin, forward, []int{0, 1, 2})
 	if _, err := filter.RunTCP(g, &filter.Options{WireCodec: filter.CodecBinary, WrapConn: wrap}); err == nil {
 		t.Fatal("flaky link survived without a retry policy")
 	}

@@ -489,3 +489,88 @@ func TestDemandDrivenSkew(t *testing.T) {
 		t.Errorf("demand-driven did not favor the fast copy: fast=%d slow=%d", fast, slow)
 	}
 }
+
+// TestTCPSplitPricesRemoteLinks runs the split layout over TCP: a producer
+// and a consumer filter with one copy of each co-located on nodes 1 and 2,
+// fed by a source on node 0, collected by a sink there. All the work enters
+// at node 1's producer, so its co-located consumer's queue is the deeper
+// one. An unpriced link scores as free, so a buffer may cross to node 2's
+// idle consumer; once the link has carried one, its measured send time for
+// a 4 MiB buffer outweighs the queue the byte budget allows, so at most one
+// buffer crosses per link. Every item arrives exactly once.
+func TestTCPSplitPricesRemoteLinks(t *testing.T) {
+	const n, blob = 12, 16 << 20
+	data := make([]byte, blob)
+	// relay forwards what it receives, tagged with its node's bit; the
+	// producer turns each item into a blob-carrying buffer.
+	relay := func(produce bool) func(int) Filter {
+		return func(int) Filter {
+			return Func(func(ctx Context) error {
+				for {
+					m, ok := ctx.Recv()
+					if !ok {
+						return nil
+					}
+					var out Payload
+					if produce {
+						out = &wireTestPayload{N: int(m.Payload.(intPayload))<<1 | ctx.Node() - 1, Blob: data}
+					} else {
+						out = intPayload(m.Payload.(*wireTestPayload).N<<1 | ctx.Node() - 1)
+					}
+					if err := ctx.Send("out", out); err != nil {
+						return err
+					}
+				}
+			})
+		}
+	}
+	g := NewGraph()
+	g.AddFilter(FilterSpec{Name: "src", Copies: 1, New: func(int) Filter {
+		return Func(func(ctx Context) error {
+			for i := 0; i < n; i++ {
+				if err := ctx.SendTo("out", 0, intPayload(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}})
+	g.AddFilter(FilterSpec{Name: "hcc", Copies: 2, Nodes: []int{1, 2}, New: relay(true)})
+	g.AddFilter(FilterSpec{Name: "hpc", Copies: 2, Nodes: []int{1, 2}, New: relay(false)})
+	sink, got := collect()
+	g.AddFilter(FilterSpec{Name: "sink", Copies: 1, New: sink})
+	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "hcc", ToPort: "in", Policy: Explicit})
+	g.Connect(ConnSpec{From: "hcc", FromPort: "out", To: "hpc", ToPort: "in", Policy: DemandDriven})
+	g.Connect(ConnSpec{From: "hpc", FromPort: "out", To: "sink", ToPort: "in", Policy: RoundRobin})
+	rep, err := RunTCP(g, &Options{QueueBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, n)
+	crossed := map[[2]int]int{}
+	for _, r := range got() {
+		hcc, hpc, i := r>>1&1, r&1, r>>2
+		if i < 0 || i >= n || seen[i] {
+			t.Fatalf("item %d arrived twice or out of range", i)
+		}
+		seen[i] = true
+		if hcc != hpc {
+			crossed[[2]int{hcc + 1, hpc + 1}]++
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("item %d never arrived", i)
+		}
+	}
+	for link, k := range crossed {
+		if k > 1 {
+			t.Errorf("%d buffers crossed node %d->%d, want at most one before the link is priced", k, link[0], link[1])
+		}
+	}
+	for _, c := range rep.Network {
+		if c.FromNode > 0 && c.ToNode > 0 && c.MsgsOut > 2 {
+			t.Errorf("network row %d->%d carried %d messages, want at most one buffer and its end-of-stream marker", c.FromNode, c.ToNode, c.MsgsOut)
+		}
+	}
+}

@@ -224,7 +224,8 @@ type transport interface {
 	// failure.
 	deliver(from *copyState, to *copyState, m inMsg) error
 	// transfer is the demand-driven score's cost of moving a buffer of
-	// the given payload bytes from node a to node b.
+	// the given payload bytes from node a to node b: modelled by the
+	// simulated links, measured by the TCP ones.
 	transfer(a, b, bytes int) time.Duration
 	// close tears the transport down after the run.
 	close() error
@@ -826,7 +827,10 @@ func (rt *runtime) demandTarget(consumers []*copyState, from, size int) *copySta
 // its mean observed service time, plus the transfer that reaches it, in
 // nanoseconds — doubled, so that a one-unit remote penalty acts purely as a
 // tie-break in favour of a co-located copy (it receives the buffer by
-// pointer hand-off). A copy with no history serves in 1 ns, so it is scored
+// pointer hand-off). The transfer is the transport's: none on the local
+// engine, the link's measured send time for the buffer's bytes on TCP (none
+// until the link has carried a buffer), the topology's link under the
+// simulated cluster. A copy with no history serves in 1 ns, so it is scored
 // by its queue and the transfer alone.
 func ddScore(cand *copyState, from int, transfer time.Duration) int64 {
 	svc := int64(1)

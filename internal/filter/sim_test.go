@@ -52,10 +52,11 @@ func ddScoreBefore(c candidate, from int) int64 {
 	return score
 }
 
-// TestDemandTargetMatchesDDScore: under the local and TCP engines, whose
-// transfer term is zero, the one demand-driven score picks the copy the
-// engines' own score picked, ties included (the first lowest in index
-// order, a co-located copy before a remote one at equal load).
+// TestDemandTargetMatchesDDScore: under the local engine, and the TCP
+// engine before any link has carried a buffer — both transfer terms are
+// zero — the one demand-driven score picks the copy the engines' own score
+// picked, ties included (the first lowest in index order, a co-located copy
+// before a remote one at equal load).
 func TestDemandTargetMatchesDDScore(t *testing.T) {
 	table := [][]candidate{
 		{{0, 0, 0, 0}, {0, 0, 0, 1}},                  // no history, co-located first
@@ -101,6 +102,59 @@ func TestDemandTargetMatchesDDScore(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDemandTargetPricesTCPLinks: once a TCP link has carried a buffer, the
+// score adds the buffer's bytes times the link's measured send cost. Every
+// row sends a 5 MiB buffer from node 0; copies serve in 10 ms (100 ms busy
+// over 10 buffers), about what a split-layout HPC copy takes for a batch of
+// that size.
+func TestDemandTargetPricesTCPLinks(t *testing.T) {
+	const size = 5 << 20
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		pending []int64         // per copy; copy i is on node i
+		price   map[int]float64 // ns per byte of the link 0→node; absent: unpriced
+		want    int
+	}{
+		{"unpriced: a queued buffer outweighs locality", []int64{1, 0}, nil, 1},
+		{"priced above one service time: locality wins", []int64{1, 0}, map[int]float64{1: 2.4}, 0},
+		{"priced below one service time: the idle copy", []int64{1, 0}, map[int]float64{1: 1.5}, 1},
+		{"priced: a deep enough local queue still sends remote", []int64{3, 0}, map[int]float64{1: 2.4}, 1},
+		{"both remote at equal load: the cheaper link", []int64{5, 0, 0}, map[int]float64{1: 5, 2: 2}, 2},
+		{"both remote, one unpriced: the unpriced", []int64{5, 0, 0}, map[int]float64{1: 2}, 2},
+	} {
+		tr := &tcpTransport{conns: map[[2]int]*tcpConn{}}
+		for node, p := range tc.price {
+			c := &tcpConn{}
+			c.observe(time.Duration(p*size), size)
+			tr.conns[[2]int{0, node}] = c
+		}
+		rt := &runtime{trans: tr}
+		copies := make([]*copyState, len(tc.pending))
+		for i, p := range tc.pending {
+			copies[i] = &copyState{copyIdx: i, node: i}
+			copies[i].pending.Store(p)
+			copies[i].led.Busy.Add(int64(100 * ms))
+			copies[i].led.MsgsIn.Add(10)
+		}
+		if got := rt.demandTarget(copies, 0, size); got != copies[tc.want] {
+			t.Errorf("%s: picked copy %d, want %d", tc.name, got.copyIdx, tc.want)
+		}
+	}
+	// The price is an EWMA over the link's sends, per payload byte.
+	var c tcpConn
+	c.observe(4*time.Millisecond, 1<<20)
+	c.observe(8*time.Millisecond, 1<<20)
+	c.observe(time.Hour, 0) // an end-of-stream marker prices nothing
+	tr := &tcpTransport{conns: map[[2]int]*tcpConn{{0, 1}: &c}}
+	if got, want := tr.transfer(0, 1, 1<<20), 5*time.Millisecond; got != want {
+		t.Errorf("transfer after 4 ms and 8 ms sends = %v, want %v", got, want)
+	}
+	if got := tr.transfer(1, 0, 1<<20); got != 0 {
+		t.Errorf("an unused link costs %v, want 0", got)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"haralick4d/internal/metrics"
@@ -146,6 +148,27 @@ type tcpConn struct {
 	res *resilience.Set // pair breaker/budget; nil when not configured
 	seq uint64          // last stamped sequence number (retry mode)
 	rng *rand.Rand      // pair-seeded backoff jitter, used under mu
+
+	// price is the link's send cost, an EWMA of encode + write nanoseconds
+	// per payload byte (float64 bits; 0 until the first buffer was sent),
+	// written under mu and read by the demand-driven score.
+	price atomic.Uint64
+}
+
+// priceWeight is the weight of the newest send in a link's price.
+const priceWeight = 0.25
+
+// observe folds one send of a payload of the given bytes that took d into
+// the link's price; the first send sets it. Called under c.mu.
+func (c *tcpConn) observe(d time.Duration, bytes int) {
+	if bytes <= 0 {
+		return
+	}
+	ns := float64(d) / float64(bytes)
+	if old := c.price.Load(); old != 0 {
+		ns = priceWeight*ns + (1-priceWeight)*math.Float64frombits(old)
+	}
+	c.price.Store(math.Float64bits(max(ns, math.SmallestNonzeroFloat64)))
 }
 
 func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, error) {
@@ -534,16 +557,15 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 		c.seq++
 		env.Seq = c.seq
 	}
-	var start time.Time
+	start := time.Now()
 	before := c.cw.n
-	if c.met != nil {
-		start = time.Now()
-	}
 	if err := c.writeEnvelope(&env, to, tok); err != nil {
 		return err
 	}
+	took := time.Since(start)
+	c.observe(took, m.size)
 	if c.met != nil {
-		c.met.Send.Add(time.Since(start))
+		c.met.Send.Add(took)
 		c.met.MsgsOut.Inc()
 		c.met.WireBytesOut.Add(c.cw.n - before)
 	}
@@ -612,9 +634,19 @@ func (c *tcpConn) redial() error {
 	return nil
 }
 
-// transfer is zero: a demand-driven choice over TCP weighs queues and
-// service times, and locality only as a tie-break.
-func (tr *tcpTransport) transfer(a, b, bytes int) time.Duration { return 0 }
+// transfer is what sending bytes of payload over the a→b link is measured
+// to cost: the bytes times the link's price. A link that has carried no
+// buffer yet costs nothing, so until its first send completes the score
+// weighs queues and service times, and locality only as a tie-break.
+func (tr *tcpTransport) transfer(a, b, bytes int) time.Duration {
+	tr.mu.Lock()
+	c := tr.conns[[2]int{a, b}]
+	tr.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return time.Duration(math.Float64frombits(c.price.Load()) * float64(bytes))
+}
 
 func (tr *tcpTransport) close() error {
 	tr.mu.Lock()

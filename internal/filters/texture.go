@@ -77,7 +77,7 @@ func sendParam(ctx filter.Context, cfg *TextureConfig, m *ParamMsg) error {
 // filter that computes the co-occurrence matrix and all selected Haralick
 // parameters for every ROI of each incoming chunk, emitting one ParamMsg
 // per parameter per chunk. With Analysis.Workers resolving above one, each
-// chunk's ROI rows are striped across an intra-filter worker pool
+// chunk's ROI rows are dealt to an intra-filter worker pool
 // (core.AnalyzeRegionInto); output values are bit-identical either way.
 func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 	return func(copy int) filter.Filter {

@@ -27,7 +27,10 @@ import (
 //     the same cell repeatedly, and alternation breaks the resulting
 //     store-to-load dependency chain (uint32 addition is mod 2^32, so bank
 //     assignment — including transient per-bank underflow during slides —
-//     cannot change the merged sum). The symmetric matrix the rest of the
+//     cannot change the merged sum). The column path (see PlanRows) writes
+//     bank 0 only — its dense passes add whole stores, and its short pair
+//     groups replay into one histogram — so its snapshots read one bank.
+//     The symmetric matrix the rest of the
 //     system expects is produced once per ROI by a merging snapshot that
 //     folds the banks and the two mirror cells together with additive row
 //     decoding (no '/' or '%'). The snapshot also derives the sorted sparse
@@ -95,8 +98,7 @@ func (p *pairProg) compile(pk []int64) {
 }
 
 // replay adds delta — 1, or ^0 for −1 mod 2^32 — to the cell of every pair
-// of the program as observed in dd, alternating between the banks c0 and c1
-// (which may be the same histogram).
+// of the program as observed in dd, alternating between the banks c0 and c1.
 func (p *pairProg) replay(c0, c1 []uint32, mul []uint16, dd []uint8, delta uint32) {
 	mul = mul[:256]
 	starts, nbrs := p.start, p.nbr
@@ -110,6 +112,21 @@ func (p *pairProg) replay(c0, c1 []uint32, mul []uint16, dd []uint8, delta uint3
 		}
 		if len(grp) >= 1 {
 			c0[ma+int(dd[grp[0]])] += delta
+		}
+	}
+}
+
+// replayOne is replay into the one histogram h: the column stores, whose
+// short groups gain nothing from bank alternation. Each group is one range
+// loop over its neighbors; unlike the paired grp = grp[2:] walk, it keeps
+// its operands in registers.
+func (p *pairProg) replayOne(h []uint32, mul []uint16, dd []uint8, delta uint32) {
+	mul = mul[:256]
+	starts, nbrs := p.start, p.nbr
+	for gi, a := range p.anchor {
+		ma := int(mul[dd[a]])
+		for _, n := range nbrs[starts[gi]:starts[gi+1]] {
+			h[ma+int(dd[n])] += delta
 		}
 	}
 }
@@ -342,7 +359,9 @@ func (k *Blocked) addRun(data []uint8, i0, j0, n int) {
 // Accumulate rasters the ROI at flat offset base once, accumulating every
 // planned direction's pairs: per direction, a branch-free interval sweep
 // over its valid rows, each row one flat x run against the neighbor stride.
-// The ROI rows stay L1-resident across the per-direction sweeps.
+// The ROI rows stay L1-resident across the per-direction sweeps. Accumulate
+// and Slide belong to the x-slab walk: a kernel whose PlanRows chose the
+// column path walks with StartRow/Step, and its snapshots read bank 0 only.
 func (k *Blocked) Accumulate(data []uint8, base int) {
 	k.wlo, k.whi = 0, k.g-1
 	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
@@ -516,12 +535,12 @@ func (k *Blocked) bring(which, c int, data []uint8) {
 	progs, h, base := &k.col[which], k.hist(c, which), k.rowBase+c
 	if k.cont {
 		dd := data[base-k.strides[1]:]
-		progs[progOut].replay(h, h, k.mul, dd, ^uint32(0))
-		progs[progIn].replay(h, h, k.mul, dd, 1)
+		progs[progOut].replayOne(h, k.mul, dd, ^uint32(0))
+		progs[progIn].replayOne(h, k.mul, dd, 1)
 		return
 	}
 	clear(h)
-	progs[progAll].replay(h, h, k.mul, data[base:], 1)
+	progs[progAll].replayOne(h, k.mul, data[base:], 1)
 }
 
 // levelBounds returns the gray-level range of slab columns [c0, c1).
@@ -619,6 +638,20 @@ func (k *Blocked) SnapshotFull(m *Full) {
 	if hi-lo+1 < g {
 		clear(out) // cells outside the window are zero
 	}
+	m.Total = 2 * k.pairs
+	if k.ncol > 0 { // the column path writes bank 0 only
+		for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
+			r0 := c0[ri : ri+g]
+			rowO := out[ri : ri+g]
+			rowO[i] = 2 * r0[i]
+			for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
+				c := r0[j] + c0[ji]
+				rowO[j] = c
+				out[ji] = c
+			}
+		}
+		return
+	}
 	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]
@@ -631,7 +664,6 @@ func (k *Blocked) SnapshotFull(m *Full) {
 			out[ji] = c
 		}
 	}
-	m.Total = 2 * k.pairs
 }
 
 // SnapshotSparse extracts the sparse matrix from the scratch, replacing s's
@@ -654,6 +686,20 @@ func (k *Blocked) AppendSparse(dst []Entry) []Entry {
 	gg := g * g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
 	lo, hi := k.wlo, k.whi
+	if k.ncol > 0 { // the column path writes bank 0 only
+		for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
+			r0 := c0[ri : ri+g]
+			if c := r0[i]; c != 0 {
+				dst = append(dst, Entry{I: uint8(i), J: uint8(i), Count: 2 * c})
+			}
+			for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
+				if c := r0[j] + c0[ji]; c != 0 {
+					dst = append(dst, Entry{I: uint8(i), J: uint8(j), Count: c})
+				}
+			}
+		}
+		return dst
+	}
 	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]

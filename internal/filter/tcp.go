@@ -168,6 +168,7 @@ func (c *tcpConn) observe(d time.Duration, bytes int) {
 	if old := c.price.Load(); old != 0 {
 		ns = priceWeight*ns + (1-priceWeight)*math.Float64frombits(old)
 	}
+	// Never 0, which reads as unpriced.
 	c.price.Store(math.Float64bits(max(ns, math.SmallestNonzeroFloat64)))
 }
 

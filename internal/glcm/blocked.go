@@ -30,12 +30,11 @@ import (
 //     cannot change the merged sum). The column path (see PlanRows) writes
 //     bank 0 only — its dense passes add whole stores, and its short pair
 //     groups replay into one histogram — so its snapshots read one bank.
-//     The symmetric matrix the rest of the
-//     system expects is produced once per ROI by a merging snapshot that
-//     folds the banks and the two mirror cells together with additive row
-//     decoding (no '/' or '%'). The snapshot also derives the sorted sparse
-//     entry list directly from the scratch scan, with no per-pair key lookup
-//     or insertion.
+//     The symmetric matrix the rest of the system expects is produced once
+//     per ROI by a merging snapshot that folds the banks and the two mirror
+//     cells together with additive row decoding (no '/' or '%'). The
+//     snapshot also derives the sorted sparse entry list directly from the
+//     scratch scan, with no per-pair key lookup or insertion.
 //
 //   - Quantization lookup table: the row-base product a·G is read from a
 //     256-entry LUT filled once per kernel, so the inner loop performs no

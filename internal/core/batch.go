@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"haralick4d/internal/glcm"
 	"haralick4d/internal/volume"
 )
@@ -19,8 +21,9 @@ type MatrixBatch struct {
 	Full   []*glcm.Full   // populated by FullBatchInto, raster order
 
 	// EntryHint is the number of sparse entries the caller expects the next
-	// SparseBatchInto to store — typically NumEntries of its previous
-	// packet. A container whose arenas are smaller (a fresh one: over a
+	// SparseBatchInto to store — typically its previous packet's entries
+	// per ROI times this box's ROIs, since packets and chunks differ in
+	// size. A container whose arenas are smaller (a fresh one: over a
 	// network transport the batches never come back to the producer's pool)
 	// allocates them at that size once instead of growing them by doubling.
 	EntryHint int
@@ -70,10 +73,11 @@ func (b *MatrixBatch) reset(workers, grains int) {
 	b.slots = b.slots[:grains]
 	for i := range b.shards {
 		sh := &b.shards[i]
-		// Workers take near-equal shares of the grains, so a worker's share
-		// of the hint plus an eighth covers it; a shard that still runs out
-		// grows by doubling.
-		if want := b.EntryHint/workers + b.EntryHint/(8*workers); cap(sh.entries) < want {
+		// Workers are dealt grains on demand, so one may take more than its
+		// share: a shard is sized for twice its share of the hint (all of it
+		// for one or two workers) plus an eighth of its share, and one that
+		// still runs out grows by doubling.
+		if want := min(2*b.EntryHint/workers, b.EntryHint) + b.EntryHint/(8*workers); cap(sh.entries) < want {
 			sh.entries = make([]glcm.Entry, 0, want)
 		}
 		sh.entries = sh.entries[:0]
@@ -99,6 +103,7 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 	gs := newGrains(origins, workers)
 	b.reset(workers, gs.n)
 	local := make([]Stats, workers)
+	nx := origins.Shape()[0]
 	err := runGrains(gs, workers, func(w int, take func() (int, bool)) error {
 		sc := newRowScanner(region, origins, cfg, SparseMatrix, workers > 1)
 		defer sc.release()
@@ -118,6 +123,14 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		for g, ok := take(); ok; g, ok = take() {
 			b.slots[g] = grainSlot{w: w, m: len(sh.counts), e: len(sc.entries)}
 			r0, r1 := gs.rows(g)
+			// An arena about to run out doubles ahead of the grain, at the
+			// entries per matrix so far: append's own growth of a slice
+			// this large is a quarter, which copies the arena over and over.
+			if m := len(sh.counts); m > 0 {
+				if need := len(sc.entries) / m * (r1 - r0) * nx; cap(sc.entries)-len(sc.entries) < need {
+					sc.entries = slices.Grow(sc.entries, max(need, cap(sc.entries)))
+				}
+			}
 			if err := sc.scan(r0, r1, st, visit); err != nil {
 				return err
 			}
@@ -134,7 +147,6 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 		b.sparseHeaders = make([]glcm.Sparse, n)
 	}
 	hdrs := b.sparseHeaders[:n]
-	nx := origins.Shape()[0]
 	k := 0
 	for g, slot := range b.slots {
 		sh := &b.shards[slot.w]

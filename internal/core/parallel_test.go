@@ -525,7 +525,7 @@ func TestSparseBatchEntryHint(t *testing.T) {
 	if err := SparseBatchInto(region, origins, &cfg, nil, &hinted); err != nil {
 		t.Fatal(err)
 	}
-	want := n/3 + n/24
+	want := 2*n/3 + n/24
 	for i := range hinted.shards {
 		sh := &hinted.shards[i]
 		if grew := cap(sh.entries) != want; grew != (len(sh.entries) > want) {

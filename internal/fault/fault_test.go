@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,6 +248,78 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 	}
 	if retries == 0 || redials == 0 {
 		t.Errorf("retries=%d redials=%d, want both > 0", retries, redials)
+	}
+}
+
+// TestFlakyTCPLinkDemandDriven deals demand-driven from a source that sends
+// every half millisecond to copies that serve in 5 ms, so every copy queues
+// work, and no queue holds more than a few buffers. The source's link to
+// node 1 breaks once, at its 3rd write; the retried send's 100 ms backoff and
+// its redial are not the link's price, so node 1's copy keeps receiving
+// buffers after it.
+func TestFlakyTCPLinkDemandDriven(t *testing.T) {
+	const n, failAt = 40, 3
+	var dials atomic.Int32
+	wrap := func(c net.Conn, from, to int) net.Conn {
+		if from == 0 && to == 1 && dials.Add(1) == 1 {
+			return &FlakyConn{Conn: c, FailAt: failAt}
+		}
+		return c
+	}
+	var perNode [3]atomic.Int32
+	var mu sync.Mutex
+	var got []int
+	g := filter.NewGraph()
+	g.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: func(int) filter.Filter {
+		return filter.Func(func(ctx filter.Context) error {
+			for i := 0; i < n; i++ {
+				time.Sleep(time.Millisecond / 2)
+				if err := ctx.Send("out", intMsg(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}})
+	g.AddFilter(filter.FilterSpec{Name: "work", Copies: 3, Nodes: []int{0, 1, 2}, New: func(int) filter.Filter {
+		return filter.Func(func(ctx filter.Context) error {
+			for {
+				m, ok := ctx.Recv()
+				if !ok {
+					return nil
+				}
+				perNode[ctx.Node()].Add(1)
+				time.Sleep(5 * time.Millisecond)
+				mu.Lock()
+				got = append(got, int(m.Payload.(intMsg)))
+				mu.Unlock()
+			}
+		})
+	}})
+	g.Connect(filter.ConnSpec{From: "src", FromPort: "out", To: "work", ToPort: "in", Policy: filter.DemandDriven})
+	// A backoff far above what the bounded queues can hold: were it the
+	// link's price, node 1 would never be worth a buffer again.
+	backoff := &resilience.Policy{Retry: resilience.Retry{Attempts: 3, Base: 100 * time.Millisecond, Max: 100 * time.Millisecond}}
+	rs, err := filter.RunTCP(g, &filter.Options{QueueBytes: 32, Resilience: backoff, WrapConn: wrap})
+	if err != nil {
+		t.Fatalf("run with retry: %v", err)
+	}
+	sort.Ints(got)
+	if len(got) != n {
+		t.Fatalf("received %d buffers, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("message %d delivered as %d: duplicates or loss", i, v)
+		}
+	}
+	for _, c := range rs.Network {
+		if c.FromNode == 0 && c.ToNode == 1 && (c.Retries == 0 || c.Redials == 0) {
+			t.Errorf("link 0->1: retries=%d redials=%d, want both > 0", c.Retries, c.Redials)
+		}
+	}
+	if k := perNode[1].Load(); k <= failAt {
+		t.Errorf("node 1's copy received %d buffers, want more than the %d up to the retried one", k, failAt)
 	}
 }
 

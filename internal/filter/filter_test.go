@@ -496,7 +496,7 @@ func TestDemandDrivenSkew(t *testing.T) {
 // at node 1's producer, so its co-located consumer's queue is the deeper
 // one. An unpriced link scores as free, so a buffer may cross to node 2's
 // idle consumer; once the link has carried one, its measured send time for
-// a 4 MiB buffer outweighs the queue the byte budget allows, so at most one
+// a 16 MiB buffer outweighs the queue the byte budget allows, so at most one
 // buffer crosses per link. Every item arrives exactly once.
 func TestTCPSplitPricesRemoteLinks(t *testing.T) {
 	const n, blob = 12, 16 << 20
@@ -513,9 +513,9 @@ func TestTCPSplitPricesRemoteLinks(t *testing.T) {
 					}
 					var out Payload
 					if produce {
-						out = &wireTestPayload{N: int(m.Payload.(intPayload))<<1 | ctx.Node() - 1, Blob: data}
+						out = &wireTestPayload{N: int(m.Payload.(intPayload))<<1 | (ctx.Node() - 1), Blob: data}
 					} else {
-						out = intPayload(m.Payload.(*wireTestPayload).N<<1 | ctx.Node() - 1)
+						out = intPayload(m.Payload.(*wireTestPayload).N<<1 | (ctx.Node() - 1))
 					}
 					if err := ctx.Send("out", out); err != nil {
 						return err

@@ -828,8 +828,8 @@ func (rt *runtime) demandTarget(consumers []*copyState, from, size int) *copySta
 // nanoseconds — doubled, so that a one-unit remote penalty acts purely as a
 // tie-break in favour of a co-located copy (it receives the buffer by
 // pointer hand-off). The transfer is the transport's: none on the local
-// engine, the link's measured send time for the buffer's bytes on TCP (none
-// until the link has carried a buffer), the topology's link under the
+// engine, the link's measured price for the buffer's bytes on TCP (none
+// until some link has carried a buffer), the topology's link under the
 // simulated cluster. A copy with no history serves in 1 ns, so it is scored
 // by its queue and the transfer alone.
 func ddScore(cand *copyState, from int, transfer time.Duration) int64 {

@@ -106,10 +106,10 @@ func TestDemandTargetMatchesDDScore(t *testing.T) {
 }
 
 // TestDemandTargetPricesTCPLinks: once a TCP link has carried a buffer, the
-// score adds the buffer's bytes times the link's measured send cost. Every
-// row sends a 5 MiB buffer from node 0; copies serve in 10 ms (100 ms busy
-// over 10 buffers), about what a split-layout HPC copy takes for a batch of
-// that size.
+// score adds the buffer's bytes times the link's measured price. Every row
+// sends a 5 MiB buffer from node 0; copies serve in 10 ms (100 ms busy over
+// 10 buffers), about what a split-layout HPC copy takes for a batch of that
+// size.
 func TestDemandTargetPricesTCPLinks(t *testing.T) {
 	const size = 5 << 20
 	ms := time.Millisecond
@@ -119,21 +119,21 @@ func TestDemandTargetPricesTCPLinks(t *testing.T) {
 		price   map[int]float64 // ns per byte of the link 0→node; absent: unpriced
 		want    int
 	}{
-		{"unpriced: a queued buffer outweighs locality", []int64{1, 0}, nil, 1},
+		{"nothing priced: a queued buffer outweighs locality", []int64{1, 0}, nil, 1},
 		{"priced above one service time: locality wins", []int64{1, 0}, map[int]float64{1: 2.4}, 0},
 		{"priced below one service time: the idle copy", []int64{1, 0}, map[int]float64{1: 1.5}, 1},
 		{"priced: a deep enough local queue still sends remote", []int64{3, 0}, map[int]float64{1: 2.4}, 1},
 		{"both remote at equal load: the cheaper link", []int64{5, 0, 0}, map[int]float64{1: 5, 2: 2}, 2},
-		{"both remote, one unpriced: the unpriced", []int64{5, 0, 0}, map[int]float64{1: 2}, 2},
+		{"an unpriced link is not free: it takes the pool's price", []int64{5, 0, 1}, map[int]float64{1: 2}, 1},
+		{"an unpriced link takes the pool's price: locality wins", []int64{1, 0, 0}, map[int]float64{2: 2.4}, 0},
 	} {
-		tr := &tcpTransport{conns: map[[2]int]*tcpConn{}}
+		nodes := len(tc.pending)
+		tr := &tcpTransport{nodes: nodes, prices: make([]linkPrice, nodes*nodes), start: time.Now()}
 		for node, p := range tc.price {
-			c := &tcpConn{}
-			c.observe(time.Duration(p*size), size)
-			tr.conns[[2]int{0, node}] = c
+			tr.record(0, node, 0, time.Duration(p*size), size, true)
 		}
 		rt := &runtime{trans: tr}
-		copies := make([]*copyState, len(tc.pending))
+		copies := make([]*copyState, nodes)
 		for i, p := range tc.pending {
 			copies[i] = &copyState{copyIdx: i, node: i}
 			copies[i].pending.Store(p)
@@ -144,17 +144,45 @@ func TestDemandTargetPricesTCPLinks(t *testing.T) {
 			t.Errorf("%s: picked copy %d, want %d", tc.name, got.copyIdx, tc.want)
 		}
 	}
-	// The price is an EWMA over the link's sends, per payload byte.
-	var c tcpConn
-	c.observe(4*time.Millisecond, 1<<20)
-	c.observe(8*time.Millisecond, 1<<20)
-	c.observe(time.Hour, 0) // an end-of-stream marker prices nothing
-	tr := &tcpTransport{conns: map[[2]int]*tcpConn{{0, 1}: &c}}
-	if got, want := tr.transfer(0, 1, 1<<20), 5*time.Millisecond; got != want {
-		t.Errorf("transfer after 4 ms and 8 ms sends = %v, want %v", got, want)
+}
+
+// TestLinkPrice: a link's price is its timed work over the payload bytes it
+// carried — the sender's encode and the receiver's read and decode — and a
+// link that has carried nothing takes the pool's. Buffers under
+// minPricedBytes price nothing. A price halves for every priceHalfLife
+// since the link's last buffer, or since the start for an unused link.
+func TestLinkPrice(t *testing.T) {
+	const mib = 1 << 20
+	tr := &tcpTransport{nodes: 3, prices: make([]linkPrice, 9)}
+	if got := tr.cost(0, 1, 0, mib); got != 0 {
+		t.Errorf("nothing priced: %v, want 0", got)
 	}
-	if got := tr.transfer(1, 0, 1<<20); got != 0 {
-		t.Errorf("an unused link costs %v, want 0", got)
+	tr.record(0, 1, 0, 100*time.Microsecond, 64, true) // small: fixed costs only
+	tr.record(0, 1, 0, 3*time.Millisecond, mib, true)  // the sender's encode
+	tr.record(0, 1, 0, 5*time.Millisecond, mib, false) // the receiver's read and decode
+	for _, tc := range []struct {
+		a, b int
+		now  time.Duration
+		want time.Duration
+	}{
+		{0, 1, 0, 8 * time.Millisecond},
+		{0, 1, priceHalfLife, 4 * time.Millisecond},
+		{0, 1, 3 * priceHalfLife, time.Millisecond},
+		{1, 2, 0, 8 * time.Millisecond},             // the pool's
+		{1, 2, priceHalfLife, 4 * time.Millisecond}, // decayed from the start
+		{0, 3, 0, 0}, // no such node
+	} {
+		if got := tr.cost(tc.a, tc.b, tc.now, mib); got != tc.want {
+			t.Errorf("%d->%d at %v: %v, want %v", tc.a, tc.b, tc.now, got, tc.want)
+		}
+	}
+	// A second link's sends move the pool, not the first link.
+	tr.record(1, 0, 0, 24*time.Millisecond, mib, true)
+	if got, want := tr.cost(0, 1, 0, mib), 8*time.Millisecond; got != want {
+		t.Errorf("0->1 after 1->0 priced: %v, want %v", got, want)
+	}
+	if got, want := tr.cost(2, 1, 0, mib), 16*time.Millisecond; got != want {
+		t.Errorf("2->1 from the pool: %v, want %v", got, want)
 	}
 }
 

@@ -110,6 +110,13 @@ type tcpTransport struct {
 	mu    sync.Mutex
 	conns map[[2]int]*tcpConn
 
+	// prices holds each ordered node pair's linkPrice at from·nodes + to,
+	// and pool all of them together; start is the origin of their clock.
+	nodes  int
+	prices []linkPrice
+	pool   linkPrice
+	start  time.Time
+
 	// streams resequences arrivals per ordered node pair. It outlives
 	// individual sockets: when a broken connection is replaced, its last
 	// successfully-written frames can still be in flight while retransmitted
@@ -148,29 +155,28 @@ type tcpConn struct {
 	res *resilience.Set // pair breaker/budget; nil when not configured
 	seq uint64          // last stamped sequence number (retry mode)
 	rng *rand.Rand      // pair-seeded backoff jitter, used under mu
-
-	// price is the link's send cost, an EWMA of encode + write nanoseconds
-	// per payload byte (float64 bits; 0 until the first buffer was sent),
-	// written under mu and read by the demand-driven score.
-	price atomic.Uint64
 }
 
-// priceWeight is the weight of the newest send in a link's price.
-const priceWeight = 0.25
-
-// observe folds one send of a payload of the given bytes that took d into
-// the link's price; the first send sets it. Called under c.mu.
-func (c *tcpConn) observe(d time.Duration, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	ns := float64(d) / float64(bytes)
-	if old := c.price.Load(); old != 0 {
-		ns = priceWeight*ns + (1-priceWeight)*math.Float64frombits(old)
-	}
-	// Never 0, which reads as unpriced.
-	c.price.Store(math.Float64bits(max(ns, math.SmallestNonzeroFloat64)))
+// linkPrice is one ordered node pair's measured cost of carrying payload:
+// the nanoseconds its buffers spent being encoded by the sender, and being
+// read off the socket and decoded by the receiver once their frame began to
+// arrive, over the payload bytes they carried. Waits that are not the link's
+// own fall outside both timed spans: a sender's retry backoff, redials and
+// failed attempts, and a receiver blocked on its consumer's full queue,
+// which the demand-driven score already counts as that copy's queue.
+type linkPrice struct {
+	ns, bytes atomic.Int64
+	last      atomic.Int64 // when the last span ended, ns since the transport started
 }
+
+// minPricedBytes is the smallest buffer that prices a link: below it a
+// message's fixed costs, not its bytes, set its time.
+const minPricedBytes = 64 << 10
+
+// priceHalfLife is how long an unused link takes to lose half its price:
+// long against one buffer's transfer, short against a run that streams a
+// disk-resident dataset.
+const priceHalfLife = time.Second
 
 func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, error) {
 	tr := &tcpTransport{
@@ -178,6 +184,9 @@ func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, erro
 		conns:   map[[2]int]*tcpConn{},
 		mets:    map[[2]int]*metrics.Conn{},
 		streams: map[[2]int]*pairStream{},
+		nodes:   nodes,
+		prices:  make([]linkPrice, nodes*nodes),
+		start:   time.Now(),
 	}
 	if opts != nil {
 		if p := opts.Resilience; p != nil {
@@ -199,6 +208,54 @@ func newTCPTransport(rt *runtime, nodes int, opts *Options) (*tcpTransport, erro
 		go tr.acceptLoop(ln, i)
 	}
 	return tr, nil
+}
+
+// price returns the a→b link's price, nil for a node outside the run.
+func (tr *tcpTransport) price(a, b int) *linkPrice {
+	if a < 0 || b < 0 || a >= tr.nodes || b >= tr.nodes {
+		return nil
+	}
+	return &tr.prices[a*tr.nodes+b]
+}
+
+// record adds a timed span of the a→b link's work on a buffer of the given
+// payload bytes, ended at now, to the link's price and the pool; the
+// sender's span counts the bytes, the receiver's only its time. Buffers
+// under minPricedBytes are not recorded.
+func (tr *tcpTransport) record(a, b int, now, d time.Duration, bytes int, sender bool) {
+	p := tr.price(a, b)
+	if p == nil || bytes < minPricedBytes {
+		return
+	}
+	for _, q := range []*linkPrice{p, &tr.pool} {
+		q.ns.Add(int64(d))
+		if sender {
+			q.bytes.Add(int64(bytes))
+		}
+	}
+	p.last.Store(int64(now))
+}
+
+// cost prices bytes of payload over the a→b link at now: its nanoseconds
+// per byte so far, or the pool's while it has priced nothing itself, times
+// the bytes, halved for every priceHalfLife since the link's last span — for
+// a link that has carried nothing, since the transport started — so a link
+// priced high by one stall is tried again. Zero until some link has carried
+// a buffer.
+func (tr *tcpTransport) cost(a, b int, now time.Duration, bytes int) time.Duration {
+	p := tr.price(a, b)
+	if p == nil {
+		return 0
+	}
+	ns, n := p.ns.Load(), p.bytes.Load()
+	if n == 0 {
+		ns, n = tr.pool.ns.Load(), tr.pool.bytes.Load()
+	}
+	if n == 0 {
+		return 0
+	}
+	age := max(now-time.Duration(p.last.Load()), 0)
+	return time.Duration(float64(ns) / float64(n) * float64(bytes) * math.Exp2(-float64(age)/float64(priceHalfLife)))
 }
 
 // connMetric returns the shared metric set for the ordered node pair, or nil
@@ -288,13 +345,15 @@ type frameDecoder struct {
 	conn        net.Conn // deadline control; nil when timeouts are off
 	bodyTimeout time.Duration
 	hdr         [4]byte
-	buf         []byte // frame scratch, reused across messages
+	buf         []byte        // frame scratch, reused across messages
+	took        time.Duration // the last frame's body read and decode
 }
 
 func (d *frameDecoder) next() (envelope, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return envelope{}, err
 	}
+	start := time.Now()
 	n := int(binaryFrameLen(d.hdr))
 	if n > maxWireFrame {
 		return envelope{}, fmt.Errorf("filter: tcp frame of %d bytes exceeds limit", n)
@@ -310,7 +369,9 @@ func (d *frameDecoder) next() (envelope, error) {
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		return envelope{}, err
 	}
-	return decodeEnvelope(d.buf)
+	env, err := decodeEnvelope(d.buf)
+	d.took = time.Since(start)
+	return env, err
 }
 
 // recvLoop decodes envelopes arriving at one node's endpoint and enqueues
@@ -348,6 +409,9 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 				tr.rt.fail(fmt.Errorf("filter: tcp decode: %w", err))
 			}
 			return
+		}
+		if env.Payload != nil {
+			tr.record(env.FromNode, node, time.Since(tr.start), dec.took, env.Payload.SizeBytes(), false)
 		}
 		if met == nil {
 			met = tr.connMetric(env.FromNode, node)
@@ -558,15 +622,18 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 		c.seq++
 		env.Seq = c.seq
 	}
-	start := time.Now()
+	var start time.Time
 	before := c.cw.n
-	if err := c.writeEnvelope(&env, to, tok); err != nil {
+	if c.met != nil {
+		start = time.Now()
+	}
+	encode, err := c.writeEnvelope(&env, to, tok)
+	if err != nil {
 		return err
 	}
-	took := time.Since(start)
-	c.observe(took, m.size)
+	tr.record(c.from, c.to, time.Since(tr.start), encode, m.size, true)
 	if c.met != nil {
-		c.met.Send.Add(took)
+		c.met.Send.Add(time.Since(start))
 		c.met.MsgsOut.Inc()
 		c.met.WireBytesOut.Add(c.cw.n - before)
 	}
@@ -578,13 +645,15 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 // and retransmits the same envelope (same sequence number) over the fresh
 // connection; the receiver's pair resequencer drops any duplicate. The
 // envelope's one outcome goes to the pair breaker under the token deliver
-// was granted.
-func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Token) error {
+// was granted. It returns how long the encode took.
+func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Token) (time.Duration, error) {
 	// The frame is encoded once and retransmitted byte-identically.
+	start := time.Now()
 	buf, err := appendEnvelope(c.buf[:0], env)
 	if err != nil {
-		return fmt.Errorf("filter: tcp encode to %s[%d]: %w", to.filter, to.copyIdx, err)
+		return 0, fmt.Errorf("filter: tcp encode to %s[%d]: %w", to.filter, to.copyIdx, err)
 	}
+	encode := time.Since(start)
 	c.buf = buf // keep the grown scratch for the next message
 	err = c.retry(func(attempt int) error {
 		if attempt > 0 {
@@ -602,13 +671,13 @@ func (c *tcpConn) writeEnvelope(env *envelope, to *copyState, tok resilience.Tok
 		// Shutdown verdicts say nothing about the link; release a granted
 		// half-open probe without recording an outcome.
 		c.res.Cancel(tok)
-		return err
+		return 0, err
 	}
 	c.res.Record(tok, err)
 	if err != nil {
-		return fmt.Errorf("filter: tcp write to %s[%d]: %w", to.filter, to.copyIdx, err)
+		return 0, fmt.Errorf("filter: tcp write to %s[%d]: %w", to.filter, to.copyIdx, err)
 	}
-	return nil
+	return encode, nil
 }
 
 // writeOnce performs a single framed write under the link's send deadline.
@@ -635,18 +704,12 @@ func (c *tcpConn) redial() error {
 	return nil
 }
 
-// transfer is what sending bytes of payload over the a→b link is measured
-// to cost: the bytes times the link's price. A link that has carried no
-// buffer yet costs nothing, so until its first send completes the score
-// weighs queues and service times, and locality only as a tie-break.
+// transfer is what carrying bytes of payload over the a→b link is measured
+// to cost (see cost). Until some link has carried a buffer it is zero, and
+// the score weighs queues and service times, and locality only as a
+// tie-break.
 func (tr *tcpTransport) transfer(a, b, bytes int) time.Duration {
-	tr.mu.Lock()
-	c := tr.conns[[2]int{a, b}]
-	tr.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return time.Duration(math.Float64frombits(c.price.Load()) * float64(bytes))
+	return tr.cost(a, b, time.Since(tr.start), bytes)
 }
 
 func (tr *tcpTransport) close() error {

@@ -159,7 +159,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 			}
 			sparse := acfg.Representation == core.SparseMatrix
 			stop := ctx.RunContext().Done()
-			entries := 0 // sparse entries of the previous packet
+			perROI := 0.0 // sparse entries per ROI of the previous packet
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
@@ -180,7 +180,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				met := ctx.Metrics()
 				for _, sub := range SplitBox(chunk.Origins, cfg.packets()) {
 					scratch := getBatchScratch(met)
-					scratch.EntryHint = entries
+					scratch.EntryHint = int(perROI * float64(sub.NumVoxels()))
 					if !cfg.Admission.Acquire(1, stop) {
 						return nil // the run is aborting
 					}
@@ -188,7 +188,7 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 					var err error
 					if sparse {
 						err = core.SparseBatchInto(chunk.Region, sub, &acfg, nil, scratch)
-						entries = scratch.NumEntries()
+						perROI = float64(scratch.NumEntries()) / float64(sub.NumVoxels())
 					} else {
 						err = core.FullBatchInto(chunk.Region, sub, &acfg, nil, scratch)
 					}

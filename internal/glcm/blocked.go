@@ -27,14 +27,13 @@ import (
 //     the same cell repeatedly, and alternation breaks the resulting
 //     store-to-load dependency chain (uint32 addition is mod 2^32, so bank
 //     assignment — including transient per-bank underflow during slides —
-//     cannot change the merged sum). The column path (see PlanRows) writes
-//     bank 0 only — its dense passes add whole stores, and its short pair
-//     groups replay into one histogram — so its snapshots read one bank.
-//     The symmetric matrix the rest of the system expects is produced once
-//     per ROI by a merging snapshot that folds the banks and the two mirror
-//     cells together with additive row decoding (no '/' or '%'). The
-//     snapshot also derives the sorted sparse entry list directly from the
-//     scratch scan, with no per-pair key lookup or insertion.
+//     cannot change the merged sum). The column path (see PlanRows) replays
+//     its short pair groups into one histogram: they gain nothing from
+//     alternation. The symmetric matrix the rest of the system expects is
+//     produced once per ROI by a merging snapshot that folds the banks and
+//     the two mirror cells together with additive row decoding (no '/' or
+//     '%'). The snapshot also derives the sorted sparse entry list directly
+//     from the scratch scan, with no per-pair key lookup or insertion.
 //
 //   - Quantization lookup table: the row-base product a·G is read from a
 //     256-entry LUT filled once per kernel, so the inner loop performs no
@@ -358,9 +357,7 @@ func (k *Blocked) addRun(data []uint8, i0, j0, n int) {
 // Accumulate rasters the ROI at flat offset base once, accumulating every
 // planned direction's pairs: per direction, a branch-free interval sweep
 // over its valid rows, each row one flat x run against the neighbor stride.
-// The ROI rows stay L1-resident across the per-direction sweeps. Accumulate
-// and Slide belong to the x-slab walk: a kernel whose PlanRows chose the
-// column path walks with StartRow/Step, and its snapshots read bank 0 only.
+// The ROI rows stay L1-resident across the per-direction sweeps.
 func (k *Blocked) Accumulate(data []uint8, base int) {
 	k.wlo, k.whi = 0, k.g-1
 	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
@@ -637,20 +634,6 @@ func (k *Blocked) SnapshotFull(m *Full) {
 	if hi-lo+1 < g {
 		clear(out) // cells outside the window are zero
 	}
-	m.Total = 2 * k.pairs
-	if k.ncol > 0 { // the column path writes bank 0 only
-		for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
-			r0 := c0[ri : ri+g]
-			rowO := out[ri : ri+g]
-			rowO[i] = 2 * r0[i]
-			for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
-				c := r0[j] + c0[ji]
-				rowO[j] = c
-				out[ji] = c
-			}
-		}
-		return
-	}
 	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]
@@ -663,6 +646,7 @@ func (k *Blocked) SnapshotFull(m *Full) {
 			out[ji] = c
 		}
 	}
+	m.Total = 2 * k.pairs
 }
 
 // SnapshotSparse extracts the sparse matrix from the scratch, replacing s's
@@ -685,20 +669,6 @@ func (k *Blocked) AppendSparse(dst []Entry) []Entry {
 	gg := g * g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
 	lo, hi := k.wlo, k.whi
-	if k.ncol > 0 { // the column path writes bank 0 only
-		for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
-			r0 := c0[ri : ri+g]
-			if c := r0[i]; c != 0 {
-				dst = append(dst, Entry{I: uint8(i), J: uint8(i), Count: 2 * c})
-			}
-			for j, ji := i+1, ri+g+i; j <= hi; j, ji = j+1, ji+g {
-				if c := r0[j] + c0[ji]; c != 0 {
-					dst = append(dst, Entry{I: uint8(i), J: uint8(j), Count: c})
-				}
-			}
-		}
-		return dst
-	}
 	for i, ri := lo, lo*g; i <= hi; i, ri = i+1, ri+g {
 		r0 := c0[ri : ri+g]
 		r1 := c1[ri : ri+g]

@@ -59,56 +59,6 @@ func TestAnalyzeDatasetMemBackend(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDatasetCacheCounters enables the block cache on a local run
-// and checks the hit/miss counters reach the report.
-func TestAnalyzeDatasetCacheCounters(t *testing.T) {
-	v := phantom(t)
-	dir := t.TempDir()
-	if err := WriteDataset(dir, v, 2); err != nil {
-		t.Fatal(err)
-	}
-	opts := smallOpts(2)
-	opts.CacheBlocks = 64
-	res, err := AnalyzeDataset(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Backends) != 1 {
-		t.Fatalf("report has %d backend entries, want 1", len(res.Report.Backends))
-	}
-	be := res.Report.Backends[0]
-	if be.Scheme != "file" {
-		t.Errorf("backend scheme = %q, want file", be.Scheme)
-	}
-	if be.CacheHits+be.CacheMisses == 0 {
-		t.Errorf("block cache saw no traffic: %+v", be)
-	}
-	if be.CacheFetchBytes == 0 {
-		t.Errorf("block cache fetched no bytes: %+v", be)
-	}
-}
-
-func TestOptionsBackendValidation(t *testing.T) {
-	o := smallOpts(1)
-	o.CacheBlocks = -1
-	if err := o.Validate(); err == nil {
-		t.Error("negative CacheBlocks accepted")
-	}
-	o = smallOpts(1)
-	o.CacheBlockSize = -1
-	if err := o.Validate(); err == nil {
-		t.Error("negative CacheBlockSize accepted")
-	}
-	o = smallOpts(1)
-	o.CacheBlockSize = 4096 // without CacheBlocks
-	if err := o.Validate(); err == nil {
-		t.Error("CacheBlockSize without CacheBlocks accepted")
-	}
-	if _, err := AnalyzeDataset(t.TempDir(), o); err == nil {
-		t.Error("AnalyzeDataset accepted invalid cache options")
-	}
-}
-
 func TestAnalyzeDatasetBadURL(t *testing.T) {
 	for _, url := range []string{"", "ftp://host/x", "mem://", "mem://no-such-backend", "http://"} {
 		if _, err := AnalyzeDataset(url, smallOpts(1)); err == nil {

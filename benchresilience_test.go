@@ -252,3 +252,26 @@ func TestWriteResilienceBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s", out)
 }
+
+// backendSweep reads every slice of every node once through st and returns
+// the elapsed wall time plus the byte volume decoded.
+func backendSweep(t *testing.T, st *dataset.Store) (time.Duration, int64) {
+	t.Helper()
+	ctx := context.Background()
+	out := make([]uint16, st.Meta.Dims[0]*st.Meta.Dims[1])
+	var bytes int64
+	start := time.Now()
+	for node := 0; node < st.Meta.Nodes; node++ {
+		refs, err := st.NodeIndexContext(ctx, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range refs {
+			if err := st.ReadSliceIntoContext(ctx, node, ref, out); err != nil {
+				t.Fatal(err)
+			}
+			bytes += int64(2 * len(out))
+		}
+	}
+	return time.Since(start), bytes
+}

@@ -33,8 +33,6 @@ import (
 func bindSpecFlags(fs *flag.FlagSet, spec *runspec.Spec) {
 	fs.IntVar(&spec.KernelWorkers, "kernel-workers", spec.KernelWorkers, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
 	fs.TextVar(&spec.ReadAhead, "readahead", spec.ReadAhead, "I/O windows each reader filter keeps in flight ahead of the pipeline: `N` or auto (0 is auto: each reader sizes itself); outputs are identical either way")
-	fs.IntVar(&spec.CacheBlocks, "cache-blocks", spec.CacheBlocks, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
-	fs.IntVar(&spec.CacheBlockSize, "cache-block-size", spec.CacheBlockSize, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
 	// Only the watchdog half of the restart surface is exposed here:
 	// resuming a half-finished figure sweep from a checkpoint would splice
 	// timings from two separate processes into one curve, so the
@@ -95,7 +93,6 @@ func main() {
 		os.Exit(1)
 	}
 	env.Spec.KernelWorkers, env.Spec.ReadAhead, env.Spec.StallTimeout = spec.KernelWorkers, spec.ReadAhead, spec.StallTimeout
-	env.Spec.CacheBlocks, env.Spec.CacheBlockSize = spec.CacheBlocks, spec.CacheBlockSize
 	// ^C and SIGTERM (what containers and orchestrators send first) cancel
 	// the figures' engine runs cleanly; a second signal kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -36,7 +36,7 @@ func TestValidateCountFlags(t *testing.T) {
 		{[]string{"-readahead", "4", "-kernel-workers", "1"}, ""},
 		{[]string{"-readahead", "-1"}, "readahead (-readahead) must not be negative, got -1"},
 		{[]string{"-kernel-workers", "-1"}, "kernel_workers (-kernel-workers) must not be negative, got -1"},
-		{[]string{"-cache-block-size", "4096"}, "cache_block_size (-cache-block-size) set without a cache_blocks"},
+		{[]string{"-cache-blocks", "64"}, "flag provided but not defined: -cache-blocks"},
 	} {
 		_, err := parseSpecFlags(c.args...)
 		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {

@@ -133,6 +133,7 @@ func TestParseArgsRejects(t *testing.T) {
 		{[]string{"-autotune-interval", "5ms"}, "flag provided but not defined: -autotune-interval"},
 		{[]string{"-autotune-seed", "7"}, "flag provided but not defined: -autotune-seed"},
 		{[]string{"-dicom"}, "flag provided but not defined: -dicom"},
+		{[]string{"-cache-blocks", "64"}, "flag provided but not defined: -cache-blocks"},
 		{[]string{"-retry", "0,5ms"}, "-retry: resilience: invalid retry attempts"},
 		{[]string{"-retry-budget", "10,0"}, "-retry-budget: resilience: invalid budget replenish ratio"},
 	}

@@ -1,11 +1,10 @@
 // Remote storage: the full texture pipeline reading its dataset over HTTP
-// range requests through the block cache, exactly as it would from an
-// object store — the storage nodes become elastic. The example starts an
-// in-process HTTP server over a generated study (any server with Range
-// support works: cmd/dataserve, nginx, an S3 gateway), analyzes the
-// dataset twice through haralick4d.AnalyzeDataset — once uncached, once
-// through a block cache — and prints the backend I/O counters the run
-// report collects for each.
+// range requests, exactly as it would from an object store — the storage
+// nodes become elastic. The example starts an in-process HTTP server over a
+// generated study (any server with Range support works: cmd/dataserve,
+// nginx, an S3 gateway), analyzes the dataset through
+// haralick4d.AnalyzeDataset, prints the backend I/O counters the run report
+// collects, and checks the maps against a run from local disk.
 //
 //	go run ./examples/remote
 package main
@@ -44,34 +43,19 @@ func main() {
 		Texture:    3,
 	}}
 
-	run := func(label string, cacheBlocks int) {
-		o := *opts
-		o.CacheBlocks = cacheBlocks
-		res, err := haralick4d.AnalyzeDataset(srv.URL, &o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: output dims %v\n", label, res.OutputDims)
-		for _, be := range res.Report.Backends {
-			fmt.Printf("  backend %s (%s): %d opens, %d reads, %d bytes\n",
-				be.Scheme, be.URL, be.Opens, be.Reads, be.ReadBytes)
-			if be.CacheHits+be.CacheMisses > 0 {
-				fmt.Printf("  block cache: %d hits, %d misses, %d evictions, %d bytes fetched\n",
-					be.CacheHits, be.CacheMisses, be.CacheEvictions, be.CacheFetchBytes)
-			}
-		}
-		fmt.Println()
-	}
-
-	run("uncached remote run", 0)
-	run("cached remote run (256 x 128KiB blocks)", 256)
-
-	// The same maps from local disk, proving the transport changes nothing.
-	local, err := haralick4d.AnalyzeDataset(dir, opts)
+	remote, err := haralick4d.AnalyzeDataset(srv.URL, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	remote, err := haralick4d.AnalyzeDataset(srv.URL, opts)
+	fmt.Printf("remote run: output dims %v\n", remote.OutputDims)
+	for _, be := range remote.Report.Backends {
+		fmt.Printf("  backend %s (%s): %d opens, %d reads, %d bytes\n",
+			be.Scheme, be.URL, be.Opens, be.Reads, be.ReadBytes)
+	}
+	fmt.Println()
+
+	// The same maps from local disk, proving the transport changes nothing.
+	local, err := haralick4d.AnalyzeDataset(dir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

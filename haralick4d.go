@@ -129,8 +129,8 @@ type Options struct {
 	// Spec describes the run (see Spec). Texture is the number of texture
 	// filter copies on both entry points. KernelWorkers 1 runs the
 	// sequential reference kernel; outputs are bit-identical at every
-	// setting. Deadline bounds both entry points; CacheBlocks,
-	// CacheBlockSize and ServeStale act on AnalyzeDataset's backend only.
+	// setting. Deadline bounds both entry points; ServeStale acts on
+	// AnalyzeDataset's backend only.
 	// Output is zero or OutputNone for the grids in Result, or OutputJPEG
 	// with an OutDir for stitched JPEG slice series written there instead.
 	// Dataset belongs to the CLI and the daemon: the library reads
@@ -271,7 +271,7 @@ type DegradedSummary = pipeline.DegradedSummary
 // RunReport is the structured observability report of one analysis run:
 // per-filter busy/blocked/stalled times and span decompositions (read,
 // assemble, compute, emit, write), per-stream traffic, network activity
-// under the TCP engine, dataset-backend I/O and cache counters, and a
+// under the TCP engine, dataset-backend I/O and resilience counters, and a
 // pipeline-wide critical-path summary. It serializes to JSON via
 // encoding/json or its JSON method.
 type RunReport = metrics.RunReport

@@ -72,10 +72,7 @@ type Backend interface {
 	Close() error
 }
 
-// Stats is a point-in-time snapshot of a backend's counters. The cache
-// fields stay zero unless the backend is wrapped by a CachedBackend, which
-// overlays its hit/miss/evict/fetch counters on the inner backend's I/O
-// counts.
+// Stats is a point-in-time snapshot of a backend's counters.
 type Stats struct {
 	Scheme string `json:"scheme"`
 	URL    string `json:"url,omitempty"`
@@ -87,13 +84,6 @@ type Stats struct {
 	// the underlying storage; ReadBytes is their byte total.
 	Reads     int64 `json:"reads"`
 	ReadBytes int64 `json:"read_bytes"`
-	// Block-cache counters (CachedBackend only): lookup hits and misses,
-	// evictions of resident blocks, and the bytes fetched from the inner
-	// backend to fill missed blocks.
-	CacheHits       int64 `json:"cache_hits,omitempty"`
-	CacheMisses     int64 `json:"cache_misses,omitempty"`
-	CacheEvictions  int64 `json:"cache_evictions,omitempty"`
-	CacheFetchBytes int64 `json:"cache_fetch_bytes,omitempty"`
 	// Resilience counters, populated when the backend carries a
 	// resilience.Set (URLOptions.Resilience): circuit
 	// breaker state and transition counts, shared-retry-budget spend, and

@@ -53,18 +53,6 @@ func TestParseURL(t *testing.T) {
 	}
 }
 
-func TestNewBackendCacheValidation(t *testing.T) {
-	if _, err := NewBackend(t.TempDir(), &URLOptions{CacheBlocks: -1}); err == nil {
-		t.Error("negative CacheBlocks accepted")
-	}
-	if _, err := NewBackend(t.TempDir(), &URLOptions{CacheBlockSize: 4096}); err == nil {
-		t.Error("CacheBlockSize without CacheBlocks accepted")
-	}
-	if _, err := NewBackend(t.TempDir(), &URLOptions{CacheBlocks: 2, CacheBlockSize: -1}); err == nil {
-		t.Error("negative CacheBlockSize accepted")
-	}
-}
-
 // TestOpenURLFileMatchesOpen verifies the shim contract: Open(dir) and
 // OpenURL("file://dir") read back the identical volume.
 func TestOpenURLFileMatchesOpen(t *testing.T) {

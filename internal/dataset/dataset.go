@@ -287,7 +287,7 @@ func atomicWriteFile(path string, data []byte) error {
 // Store provides read access to a dataset through a storage backend.
 type Store struct {
 	// Dir is the local root directory when the backend is local-FS (possibly
-	// behind a cache layer), "" otherwise. Retained for callers that poke the
+	// behind a fault wrapper), "" otherwise. Retained for callers that poke the
 	// on-disk layout directly (corruption injection, node-dir tooling).
 	Dir  string
 	Meta Meta
@@ -366,24 +366,12 @@ func (m *Meta) check() error {
 // Backend returns the store's storage backend.
 func (s *Store) Backend() Backend { return s.be }
 
-// Stats returns the backend's I/O and cache counters.
+// Stats returns the backend's I/O and resilience counters.
 func (s *Store) Stats() Stats { return s.be.Stats() }
 
 // Close releases the backend (cached file handles, idle connections). Reads
 // after Close fail.
 func (s *Store) Close() error { return s.be.Close() }
-
-// WithCache returns a store over the same dataset whose reads go through a
-// fixed-size block cache of blocks × blockSize bytes (blockSize 0 selects
-// DefaultCacheBlockSize) layered over this store's backend. The two stores
-// share the backend; close only one of them.
-func (s *Store) WithCache(blockSize, blocks int) (*Store, error) {
-	cb, err := NewCachedBackend(s.be, blockSize, blocks)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Dir: s.Dir, Meta: s.Meta, be: cb}, nil
-}
 
 // NodeDir returns the local directory of the given storage node. Meaningful
 // only for local-FS backends (Dir != "").

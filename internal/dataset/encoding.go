@@ -9,8 +9,8 @@ import (
 
 // Encoding names how a dataset stores each slice's pixels. Every encoding
 // shares the rest of the layout (the header, the per-node indexes with
-// their CRC-32C column, one object per slice), so the backends, the block
-// cache, the resilience layer and the readers serve all of them alike.
+// their CRC-32C column, one object per slice), so the backends, the
+// resilience layer and the readers serve all of them alike.
 type Encoding string
 
 const (

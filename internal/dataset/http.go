@@ -282,8 +282,8 @@ func parseContentRange(h string) (start, total int64, err error) {
 }
 
 // ReadAt implements Object with one ranged GET per call. The reader filters
-// issue window- or slice-sized reads, so per-call overhead is amortized over
-// kilobytes — and the block cache turns repeat visits into memory copies.
+// issue window- or slice-sized reads and read each byte once, so per-call
+// overhead is amortized over kilobytes and no read is repeated.
 // With a hedger attached, a read that outlives the latency threshold races
 // a second identical GET; the attempts write private buffers so the loser
 // can finish (or be canceled) without touching the winner's result.

@@ -240,13 +240,11 @@ func (o *localObject) Close() error {
 }
 
 // localDirOf returns the root directory when the backend (or the backend a
-// cache or fault wrapper wraps) is local, else "".
+// fault wrapper wraps) is local, else "".
 func localDirOf(b Backend) string {
 	switch be := b.(type) {
 	case *LocalBackend:
 		return be.Dir()
-	case *CachedBackend:
-		return localDirOf(be.inner)
 	case *wrappedBackend:
 		return localDirOf(be.Backend)
 	}

@@ -149,79 +149,6 @@ func TestHTTPOneRequestPerRead(t *testing.T) {
 	}
 }
 
-// TestHTTPCachedRequestCounts: through the block cache a cold slice read
-// costs ⌈size/block⌉ requests — also when the slice is a whole number of
-// blocks, where probing for the end would cost one more — and a warm one
-// costs none.
-func TestHTTPCachedRequestCounts(t *testing.T) {
-	const X, Y = 8, 8 // 128-byte slices
-	v := randomVolume(42, [4]int{X, Y, 3, 1})
-	dir := t.TempDir()
-	if _, err := Write(dir, v, 1); err != nil {
-		t.Fatal(err)
-	}
-	srv, log := loggedServer(t, dir, nil)
-	for _, tc := range []struct {
-		block, wantCold int
-	}{
-		{block: 128, wantCold: 1}, // exactly one block
-		{block: 64, wantCold: 2},  // block-aligned
-		{block: 48, wantCold: 3},  // short last block
-		{block: 4096, wantCold: 1},
-	} {
-		st, err := OpenURL(context.Background(), srv.URL, &URLOptions{CacheBlocks: 16, CacheBlockSize: tc.block})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs, err := st.NodeIndex(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log.take()
-		for pass, want := range []int{tc.wantCold, 0} {
-			got, err := st.ReadSlice(0, refs[1])
-			if err != nil {
-				t.Fatalf("block %d pass %d: %v", tc.block, pass, err)
-			}
-			for i, w := range v.Slice(refs[1].Z, refs[1].T) {
-				if got[i] != w {
-					t.Fatalf("block %d pass %d voxel %d: %d != %d", tc.block, pass, i, got[i], w)
-				}
-			}
-			if reqs := log.take(); len(reqs) != want {
-				t.Errorf("block %d pass %d: %d requests %q, want %d", tc.block, pass, len(reqs), reqs, want)
-			}
-		}
-		st.Close()
-	}
-}
-
-// TestCachedWrongSizeStaysDegraded: the verdict on a wrong-sized slice must
-// not depend on whether its blocks are already resident.
-func TestCachedWrongSizeStaysDegraded(t *testing.T) {
-	v := randomVolume(43, [4]int{8, 8, 2, 1}) // 128-byte slices
-	for _, size := range []int64{128 + 64, 128 - 10} {
-		direct, _ := writeTemp(t, v, 1)
-		refs, err := direct.NodeIndex(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(filepath.Join(direct.NodeDir(0), refs[0].File), size); err != nil {
-			t.Fatal(err)
-		}
-		cached, err := direct.WithCache(64, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			if _, err := cached.ReadSlice(0, refs[0]); !errors.Is(err, ErrDegradedData) {
-				t.Errorf("%d-byte slice, pass %d: err = %v, want ErrDegradedData", size, pass, err)
-			}
-		}
-		direct.Close()
-	}
-}
-
 // TestHTTPTransportOwnership: a backend built without a client owns its
 // transport — sized for the read concurrency, and the only thing its Close
 // touches.

@@ -1,5 +1,5 @@
 // Serve-stale degradation: the opt-in layer that lets a run ride out a
-// backend brownout on whatever the block cache already holds.
+// backend brownout by skipping the slices it cannot reach.
 
 package dataset
 
@@ -11,9 +11,9 @@ import (
 
 // staleBackend converts transport-level unavailability on positioned reads
 // into ErrDegradedData, the per-slice failure class a run with
-// fault.SkipDegraded knows how to skip and account. Layered outermost —
-// above the block cache — so cached blocks keep serving normally during a
-// brownout and only the reads that genuinely need the sick backend degrade.
+// fault.SkipDegraded knows how to skip and account. Layered outermost, so
+// the retry, breaker and hedging inside the backend have had their say
+// before a read degrades.
 //
 // Metadata reads (ReadFile: header, index files) pass through unconverted:
 // without them there is no dataset to degrade, so unavailability there must

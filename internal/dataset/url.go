@@ -15,19 +15,9 @@ import (
 
 // URLOptions tunes OpenURL and NewBackend.
 type URLOptions struct {
-	// CacheBlocks enables the block-cache layer between the backend and the
-	// readers: a fixed budget of this many blocks, shared across all
-	// objects. 0 disables caching (the default for local reads).
-	CacheBlocks int
-	// CacheBlockSize is the cache's block granularity in bytes; 0 selects
-	// DefaultCacheBlockSize. Meaningful only with CacheBlocks > 0.
-	CacheBlockSize int
 	// HTTPClient overrides http.DefaultClient for http(s) backends — the
 	// seam for transport fault injection and custom TLS/timeouts.
 	HTTPClient *http.Client
-	// LocalMaxOpen bounds the local backend's file-descriptor cache; 0
-	// selects DefaultMaxOpenFiles, negative disables handle reuse.
-	LocalMaxOpen int
 	// Resilience attaches a resilience set (retry schedule, circuit
 	// breaker, retry budget, hedger) to http(s) backends. The daemon passes
 	// per-host sets here so every job reading one host shares one breaker
@@ -37,8 +27,9 @@ type URLOptions struct {
 	Resilience *resilience.Set
 	// ServeStale converts transport-unavailable positioned reads into
 	// ErrDegradedData, so a run with fault-policy skip-degraded rides out
-	// a backend brownout on cached blocks and reports the unreachable ROIs
-	// degraded instead of aborting. Header and index reads still abort.
+	// a backend brownout: the slices it could not reach are reported
+	// degraded instead of aborting the run. Header and index reads still
+	// abort.
 	ServeStale bool
 }
 
@@ -81,8 +72,8 @@ func ParseURL(raw string) (scheme, rest string, err error) {
 	return "", "", fmt.Errorf("dataset: unknown dataset URL scheme %q (want file, mem, http or https)", scheme)
 }
 
-// NewBackend resolves a dataset URL to a Backend, layering the block cache
-// on when o asks for one.
+// NewBackend resolves a dataset URL to a Backend, wrapped in the
+// serve-stale layer when o asks for it.
 func NewBackend(rawurl string, o *URLOptions) (Backend, error) {
 	if o == nil {
 		o = &URLOptions{}
@@ -94,7 +85,7 @@ func NewBackend(rawurl string, o *URLOptions) (Backend, error) {
 	var be Backend
 	switch scheme {
 	case "file":
-		be = NewLocalBackend(rest, o.LocalMaxOpen)
+		be = NewLocalBackend(rest, 0)
 	case "mem":
 		mb, ok := LookupMem(rest)
 		if !ok {
@@ -106,20 +97,7 @@ func NewBackend(rawurl string, o *URLOptions) (Backend, error) {
 			return nil, err
 		}
 	}
-	if o.CacheBlocks > 0 {
-		cb, err := NewCachedBackend(be, o.CacheBlockSize, o.CacheBlocks)
-		if err != nil {
-			return nil, err
-		}
-		be = cb
-	} else if o.CacheBlocks < 0 {
-		return nil, fmt.Errorf("dataset: cache capacity %d blocks must not be negative", o.CacheBlocks)
-	} else if o.CacheBlockSize != 0 {
-		return nil, fmt.Errorf("dataset: cache block size set without a cache block budget")
-	}
 	if o.ServeStale {
-		// Outermost, above the cache: cached blocks keep serving during a
-		// brownout; only reads that need the sick backend degrade.
 		be = newStaleBackend(be)
 	}
 	return be, nil

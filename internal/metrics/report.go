@@ -137,20 +137,15 @@ type ConnReport struct {
 }
 
 // BackendReport is one storage backend's I/O table entry: object opens,
-// positioned reads and bytes fetched from the backing store, plus the block
-// cache's hit/miss/evict/fetch counters when a cache layer is configured.
+// positioned reads and bytes fetched from the backing store.
 // Populated from dataset.Stats after the run (the dataset layer stays free
 // of metrics imports and vice versa).
 type BackendReport struct {
-	Scheme          string `json:"scheme"`
-	URL             string `json:"url"`
-	Opens           int64  `json:"opens"`
-	Reads           int64  `json:"reads"`
-	ReadBytes       int64  `json:"read_bytes"`
-	CacheHits       int64  `json:"cache_hits,omitempty"`
-	CacheMisses     int64  `json:"cache_misses,omitempty"`
-	CacheEvictions  int64  `json:"cache_evictions,omitempty"`
-	CacheFetchBytes int64  `json:"cache_fetch_bytes,omitempty"`
+	Scheme    string `json:"scheme"`
+	URL       string `json:"url"`
+	Opens     int64  `json:"opens"`
+	Reads     int64  `json:"reads"`
+	ReadBytes int64  `json:"read_bytes"`
 	// Resilience counters, populated when the backend carries a breaker,
 	// retry budget, hedger or serve-stale layer.
 	BreakerState      string `json:"breaker_state,omitempty"`
@@ -383,12 +378,9 @@ func (r *RunReport) String() string {
 	}
 	if len(r.Backends) > 0 {
 		fmt.Fprintf(&b, "backends:\n")
-		fmt.Fprintf(&b, "  %-8s %8s %10s %14s %10s %10s %10s %14s\n",
-			"scheme", "opens", "reads", "read-bytes", "hits", "misses", "evicts", "fetch-bytes")
+		fmt.Fprintf(&b, "  %-8s %8s %10s %14s\n", "scheme", "opens", "reads", "read-bytes")
 		for _, be := range r.Backends {
-			fmt.Fprintf(&b, "  %-8s %8d %10d %14d %10d %10d %10d %14d\n",
-				be.Scheme, be.Opens, be.Reads, be.ReadBytes,
-				be.CacheHits, be.CacheMisses, be.CacheEvictions, be.CacheFetchBytes)
+			fmt.Fprintf(&b, "  %-8s %8d %10d %14d\n", be.Scheme, be.Opens, be.Reads, be.ReadBytes)
 			fmt.Fprintf(&b, "    url %s\n", be.URL)
 			if be.BreakerState != "" || be.HedgedReads+be.RetryBudgetSpent+be.RetryBudgetDenied+be.StaleReads > 0 {
 				fmt.Fprintf(&b, "    resilience breaker=%s trips=%d probes=%d budget-spent=%d budget-denied=%d hedged=%d hedge-wins=%d stale-reads=%d\n",

@@ -78,9 +78,7 @@ func TestHTTPPipelineMatchesLocal(t *testing.T) {
 
 	for _, engine := range []Engine{EngineLocal, EngineTCP} {
 		t.Run(engine.String(), func(t *testing.T) {
-			st, err := dataset.OpenURL(context.Background(), srv.URL, &dataset.URLOptions{
-				CacheBlocks: 64,
-			})
+			st, err := dataset.OpenURL(context.Background(), srv.URL, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,9 +96,6 @@ func TestHTTPPipelineMatchesLocal(t *testing.T) {
 			}
 			if be.Reads == 0 || be.ReadBytes == 0 {
 				t.Errorf("backend counters empty: %+v", be)
-			}
-			if be.CacheHits+be.CacheMisses == 0 {
-				t.Errorf("block cache saw no traffic: %+v", be)
 			}
 		})
 	}

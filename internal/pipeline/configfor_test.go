@@ -43,7 +43,7 @@ func FuzzSpecJSON(f *testing.F) {
 		// README's example and the benchmark's daemon job.
 		`{"dataset": "http://localhost:8171", "output": "uso", "gray": 32, "stall_timeout": "2m"}`,
 		`{"dataset": "/bench/data", "output": "uso", "texture": 2, "kernel_workers": 2}`,
-		`{"dataset": "x", "features": ["asm","contrast"], "rep": "sparse", "impl": "split", "policy": "rr", "fault_policy": "skip", "serve_stale": true, "deadline_ms": 60000, "readahead": "auto", "cache_blocks": 8, "cache_block_size": 4096, "ndim": 2, "distance": 3}`,
+		`{"dataset": "x", "features": ["asm","contrast"], "rep": "sparse", "impl": "split", "policy": "rr", "fault_policy": "skip", "serve_stale": true, "deadline_ms": 60000, "readahead": "auto", "ndim": 2, "distance": 3}`,
 		`{"dataset": "x", "kernel_worker": 2}`,
 		`{"roi": [1,1,1,1]}`,
 		`{"texture": 99999999999}`,

@@ -29,15 +29,12 @@ func WithDeadline(ctx context.Context, s *runspec.Spec) (context.Context, contex
 	return context.WithCancel(ctx)
 }
 
-// OpenDataset opens the spec's dataset with its block cache and stale reads
-// and res, the caller's resilience set for an http(s) backend (nil keeps the
+// OpenDataset opens the spec's dataset with its stale reads and res, the caller's resilience set for an http(s) backend (nil keeps the
 // default retry schedule). ctx bounds the header fetch and is not retained.
 func OpenDataset(ctx context.Context, s *runspec.Spec, res *resilience.Set) (*dataset.Store, error) {
 	return dataset.OpenURL(ctx, s.Dataset, &dataset.URLOptions{
-		CacheBlocks:    s.CacheBlocks,
-		CacheBlockSize: s.CacheBlockSize,
-		Resilience:     res,
-		ServeStale:     s.ServeStale,
+		Resilience: res,
+		ServeStale: s.ServeStale,
 	})
 }
 

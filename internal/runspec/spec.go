@@ -11,6 +11,11 @@
 // explicit kernel_workers 1. What only an engine run has — the engine, the
 // wire codec, retries and breakers, checkpoints, tuning, the kernel's inner
 // knobs — stays an option of the front end that has it.
+//
+// A key taken out of the spec (the block cache's two, when the cache went)
+// is an unknown key from then on: a job submit carrying it is refused, and
+// a journal replay, which decodes leniently, drops it and keeps every other
+// field.
 package runspec
 
 import (
@@ -50,12 +55,10 @@ type Spec struct {
 	KernelWorkers int       `json:"kernel_workers,omitempty"` // per texture copy; 0 = one per CPU, 1 = the sequential oracle
 	ReadAhead     ReadAhead `json:"readahead,omitempty"`      // windows in flight per reader; 0 = self-sized
 
-	FaultPolicy    fault.Policy `json:"fault_policy,omitempty"`     // default fail-fast
-	CacheBlocks    int          `json:"cache_blocks,omitempty"`     // block-cache budget; 0 = no cache
-	CacheBlockSize int          `json:"cache_block_size,omitempty"` // bytes per block; 0 = 128 KiB
-	StallTimeout   Duration     `json:"stall_timeout,omitempty"`    // no-progress watchdog; 0 = off
-	Deadline       Millis       `json:"deadline_ms,omitempty"`      // wall-clock budget; 0 = none
-	ServeStale     bool         `json:"serve_stale,omitempty"`      // degrade reads while the breaker is open
+	FaultPolicy  fault.Policy `json:"fault_policy,omitempty"`  // default fail-fast
+	StallTimeout Duration     `json:"stall_timeout,omitempty"` // no-progress watchdog; 0 = off
+	Deadline     Millis       `json:"deadline_ms,omitempty"`   // wall-clock budget; 0 = none
+	ServeStale   bool         `json:"serve_stale,omitempty"`   // degrade reads while the breaker is open
 }
 
 // maxCopies bounds Texture: beyond any host, well inside what a layout can
@@ -124,8 +127,7 @@ func (s *Spec) Validate() error {
 		v    int
 	}{
 		{"texture (-texture)", s.Texture}, {"kernel_workers (-kernel-workers)", s.KernelWorkers},
-		{"readahead (-readahead)", int(s.ReadAhead)}, {"cache_blocks (-cache-blocks)", s.CacheBlocks},
-		{"cache_block_size (-cache-block-size)", s.CacheBlockSize},
+		{"readahead (-readahead)", int(s.ReadAhead)},
 	} {
 		if c.v < 0 {
 			return invalid("%s must not be negative, got %d", c.name, c.v)
@@ -134,8 +136,6 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.Texture > maxCopies:
 		return invalid("texture (-texture) %d is more than %d copies", s.Texture, maxCopies)
-	case s.CacheBlockSize > 0 && s.CacheBlocks == 0:
-		return invalid("cache_block_size (-cache-block-size) set without a cache_blocks (-cache-blocks) budget")
 	case s.StallTimeout < 0:
 		return invalid("stall_timeout (-stall-timeout) must not be negative, got %v", time.Duration(s.StallTimeout))
 	case s.Deadline < 0:
@@ -193,8 +193,6 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&s.KernelWorkers, "kernel-workers", s.KernelWorkers, "intra-chunk kernel workers per texture copy (0 = auto: all CPUs; 1 = the sequential reference kernel, the bit-exactness oracle, many times slower)")
 	fs.TextVar(&s.ReadAhead, "readahead", s.ReadAhead, "I/O windows each dataset reader keeps in flight: `N` or auto (0 is auto: each reader sizes itself)")
 	fs.TextVar(&s.FaultPolicy, "fault-policy", s.FaultPolicy, "degraded-slice handling: fail-fast or skip-degraded")
-	fs.IntVar(&s.CacheBlocks, "cache-blocks", s.CacheBlocks, "block-cache budget between the backend and the readers, in blocks (0 = no cache)")
-	fs.IntVar(&s.CacheBlockSize, "cache-block-size", s.CacheBlockSize, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
 	fs.TextVar(&s.StallTimeout, "stall-timeout", s.StallTimeout, "fail the run if no filter makes progress for this long, e.g. 2m (0 = wait forever)")
 	fs.TextVar(&s.Deadline, "deadline", s.Deadline, "wall-clock budget for the whole run, e.g. 10m, propagated into every backend read (0 = none)")
 	fs.BoolVar(&s.ServeStale, "serve-stale", s.ServeStale, "while the backend breaker is open, degrade unavailable slices instead of failing (requires -fault-policy skip-degraded)")

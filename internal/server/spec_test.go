@@ -37,12 +37,18 @@ func submitRaw(t *testing.T, base, body string) (int, string) {
 }
 
 // TestSubmitRejectsUnknownKey: a misspelt key is a 400 naming it, not a
-// job silently run at the default (here, the kernel worker count).
+// job silently run at the default (here, the kernel worker count), and so
+// is a key the spec no longer has (the block cache's budget).
 func TestSubmitRejectsUnknownKey(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, msg := submitRaw(t, ts.URL, `{"dataset": "/data/study", "kernel_worker": 2}`)
-	if code != http.StatusBadRequest || !strings.Contains(msg, `"kernel_worker"`) {
-		t.Fatalf("status %d, error %q; want 400 naming kernel_worker", code, msg)
+	for _, c := range []struct{ key, body string }{
+		{"kernel_worker", `{"dataset": "/data/study", "kernel_worker": 2}`},
+		{"cache_blocks", `{"dataset": "/data/study", "cache_blocks": 64}`},
+	} {
+		code, msg := submitRaw(t, ts.URL, c.body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+c.key+`"`) {
+			t.Errorf("status %d, error %q; want 400 naming %s", code, msg, c.key)
+		}
 	}
 }
 
@@ -81,6 +87,8 @@ func TestJournalReplayLenient(t *testing.T) {
 // TestReplayRecordedJournal replays a job journal written by the daemon
 // before job specs became run specs (testdata/head.journal): every job,
 // state and spec field must come back, in the old string and array forms.
+// Job 3 also carries the block cache's two keys, which the spec has since
+// lost: replay drops them and keeps the rest of its spec.
 func TestReplayRecordedJournal(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "head.journal"))
 	if err != nil {
@@ -110,7 +118,7 @@ func TestReplayRecordedJournal(t *testing.T) {
 			ROI: runspec.Shape{8, 8, 3, 3}, ChunkShape: runspec.Shape{16, 16, 5, 5}, GrayLevels: 32, NDim: 3, Distance: 2,
 			Features:       runspec.Features{features.ASM, features.Contrast, features.MaxCorrelationCoeff},
 			Representation: core.SparseMatrix, Impl: runspec.Split, Policy: runspec.RoundRobin, Texture: 3,
-			KernelWorkers: 1, ReadAhead: 8, FaultPolicy: fault.SkipDegraded, CacheBlocks: 64, CacheBlockSize: 4096,
+			KernelWorkers: 1, ReadAhead: 8, FaultPolicy: fault.SkipDegraded,
 			StallTimeout: runspec.Duration(2 * time.Minute), Deadline: runspec.Millis(time.Minute), ServeStale: true}},
 		{StatePaused, true, Spec{Dataset: "http://localhost:8171", GrayLevels: 32, StallTimeout: runspec.Duration(2 * time.Minute)}},
 		{StateFailed, false, Spec{Dataset: "mem://study", Output: runspec.OutputNone, Policy: runspec.RoundRobin,

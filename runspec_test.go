@@ -70,13 +70,13 @@ func TestRunSpecSurfaces(t *testing.T) {
 			opts:  Options{Spec: Spec{ROI: [4]int{5, 5, 2, 2}, ChunkShape: [4]int{12, 12, 3, 4}, GrayLevels: 16, Texture: 2, KernelWorkers: 1}}},
 		{name: "every field",
 			flags: []string{"-ndim", "3", "-distance", "2", "-features", "asm,contrast", "-rep", "sparse", "-impl", "split",
-				"-policy", "round-robin", "-fault-policy", "skip-degraded", "-cache-blocks", "64", "-cache-block-size", "4096",
+				"-policy", "round-robin", "-fault-policy", "skip-degraded",
 				"-stall-timeout", "2m", "-deadline", "1m", "-serve-stale"},
 			json: `"ndim": 3, "distance": 2, "features": ["asm","contrast"], "rep": "sparse", "impl": "split",
-				"policy": "round-robin", "fault_policy": "skip-degraded", "cache_blocks": 64, "cache_block_size": 4096,
+				"policy": "round-robin", "fault_policy": "skip-degraded",
 				"stall_timeout": "2m", "deadline_ms": 60000, "serve_stale": true`,
 			opts: Options{Spec: Spec{NDim: 3, Distance: 2, Features: []Feature{ASM, Contrast}, Representation: SparseMatrix,
-				Impl: runspec.Split, Policy: runspec.RoundRobin, FaultPolicy: SkipDegraded, CacheBlocks: 64, CacheBlockSize: 4096,
+				Impl: runspec.Split, Policy: runspec.RoundRobin, FaultPolicy: SkipDegraded,
 				StallTimeout: Duration(2 * time.Minute), Deadline: Millis(time.Minute), ServeStale: true}}},
 		{name: "runs", run: true,
 			flags: []string{"-roi", "5x5x2x2", "-chunk", "12x12x3x4", "-gray", "16", "-texture", "2", "-kernel-workers", "2",
@@ -94,10 +94,6 @@ func TestRunSpecSurfaces(t *testing.T) {
 			opts: Options{Spec: Spec{KernelWorkers: -1}}, err: "spec: kernel_workers (-kernel-workers) must not be negative, got -1"},
 		{name: "negative readahead", flags: []string{"-readahead", "-1"}, json: `"readahead": -1`,
 			opts: Options{Spec: Spec{ReadAhead: -1}}, err: "spec: readahead (-readahead) must not be negative, got -1"},
-		{name: "negative cache", flags: []string{"-cache-blocks", "-1"}, json: `"cache_blocks": -1`,
-			opts: Options{Spec: Spec{CacheBlocks: -1}}, err: "spec: cache_blocks (-cache-blocks) must not be negative, got -1"},
-		{name: "block size without cache", flags: []string{"-cache-block-size", "4096"}, json: `"cache_block_size": 4096`,
-			opts: Options{Spec: Spec{CacheBlockSize: 4096}}, err: "spec: cache_block_size (-cache-block-size) set without a cache_blocks (-cache-blocks) budget"},
 		{name: "negative stall timeout", flags: []string{"-stall-timeout", "-1s"}, json: `"stall_timeout": "-1s"`,
 			opts: Options{Spec: Spec{StallTimeout: Duration(-time.Second)}}, err: "spec: stall_timeout (-stall-timeout) must not be negative, got -1s"},
 		{name: "negative deadline", flags: []string{"-deadline", "-2s"}, json: `"deadline_ms": -2000`,

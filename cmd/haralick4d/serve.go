@@ -25,10 +25,6 @@ func serveMain(args []string) {
 		stateDir = fs.String("state-dir", "", "daemon state directory: job journal, per-job checkpoints, default output dirs (required)")
 		maxJobs  = fs.Int("max-jobs", 0, "concurrently running jobs (0 = default 2)")
 		maxQueue = fs.Int("max-queue", 0, "admission queue bound; submits beyond it are shed with 429 (0 = default 16)")
-		totalRA  = fs.Int("total-readahead", 0, "global read-ahead credit budget split across running jobs (0 = default 64)")
-		totalWk  = fs.Int("total-workers", 0, "global compute-admission budget split across running jobs (0 = GOMAXPROCS)")
-		jobRA    = fs.Int("job-quota-readahead", 0, "per-job read-ahead quota cap (0 = default 16)")
-		jobWk    = fs.Int("job-quota-workers", 0, "per-job compute quota cap (0 = GOMAXPROCS)")
 		drainS   = fs.String("drain-timeout", "", "graceful-drain bound on SIGTERM/^C, e.g. 45s (default 30s)")
 		stallS   = fs.String("stall-timeout", "", "per-job stall watchdog default when a spec leaves stall_timeout 0, e.g. 2m (default: disabled)")
 		brkS     = fs.String("breaker", "", "circuit breaker \"consec[,open-for[,window,error-rate]]\" shared per backend host across jobs (empty = off)")
@@ -37,7 +33,7 @@ func serveMain(args []string) {
 	)
 	fs.Parse(args)
 	cfg, err := cliflags.ParseServeFlags(*addr, *stateDir,
-		*maxJobs, *maxQueue, *totalRA, *totalWk, *jobRA, *jobWk, *drainS, *stallS)
+		*maxJobs, *maxQueue, *drainS, *stallS)
 	if err == nil {
 		cfg.Resilience, err = cliflags.ParseResilienceFlags("", *brkS, *budgetS, *hedgeS)
 	}

@@ -69,7 +69,7 @@ func ParseResilienceFlags(retryS, breakerS, budgetS, hedgeS string) (pol *resili
 // duration strings into a daemon configuration. Zero counts select the
 // server package's documented defaults; violations are usage errors (print
 // with flag.Usage(), exit 2).
-func ParseServeFlags(addr, stateDir string, maxJobs, maxQueue, totalRA, totalWorkers, jobRA, jobWorkers int, drainS, stallS string) (*server.Config, error) {
+func ParseServeFlags(addr, stateDir string, maxJobs, maxQueue int, drainS, stallS string) (*server.Config, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("-serve-addr is required (e.g. localhost:7474)")
 	}
@@ -81,8 +81,6 @@ func ParseServeFlags(addr, stateDir string, maxJobs, maxQueue, totalRA, totalWor
 		v    int
 	}{
 		{"-max-jobs", maxJobs}, {"-max-queue", maxQueue},
-		{"-total-readahead", totalRA}, {"-total-workers", totalWorkers},
-		{"-job-quota-readahead", jobRA}, {"-job-quota-workers", jobWorkers},
 	} {
 		if c.v < 0 {
 			return nil, fmt.Errorf("%s must not be negative, got %d", c.name, c.v)
@@ -91,8 +89,6 @@ func ParseServeFlags(addr, stateDir string, maxJobs, maxQueue, totalRA, totalWor
 	sf := &server.Config{
 		Addr: addr, StateDir: stateDir,
 		MaxJobs: maxJobs, MaxQueue: maxQueue,
-		TotalReadAhead: totalRA, TotalWorkers: totalWorkers,
-		JobReadAhead: jobRA, JobWorkers: jobWorkers,
 	}
 	if drainS != "" {
 		d, err := time.ParseDuration(drainS)

@@ -47,7 +47,7 @@ func TestParseRestartFlags(t *testing.T) {
 }
 
 func TestParseServeFlags(t *testing.T) {
-	sf, err := ParseServeFlags("localhost:0", "/tmp/state", 2, 8, 64, 4, 16, 4, "45s", "2m")
+	sf, err := ParseServeFlags("localhost:0", "/tmp/state", 2, 8, "45s", "2m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestParseServeFlags(t *testing.T) {
 		t.Fatalf("parsed %+v", sf)
 	}
 	// Zero counts are valid: they select the server package defaults.
-	if _, err := ParseServeFlags("localhost:0", "/tmp/state", 0, 0, 0, 0, 0, 0, "", ""); err != nil {
+	if _, err := ParseServeFlags("localhost:0", "/tmp/state", 0, 0, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// A zero stall timeout is "off", as in a job spec.
-	if sf, err := ParseServeFlags("localhost:0", "/tmp/state", 0, 0, 0, 0, 0, 0, "", "0s"); err != nil || sf.StallTimeout != 0 {
+	if sf, err := ParseServeFlags("localhost:0", "/tmp/state", 0, 0, "", "0s"); err != nil || sf.StallTimeout != 0 {
 		t.Fatalf("-stall-timeout 0s: %+v, %v", sf, err)
 	}
 	cases := []struct {
@@ -68,22 +68,22 @@ func TestParseServeFlags(t *testing.T) {
 		wantErr string
 	}{
 		{"no-addr", func() (*server.Config, error) {
-			return ParseServeFlags("", "/s", 0, 0, 0, 0, 0, 0, "", "")
+			return ParseServeFlags("", "/s", 0, 0, "", "")
 		}, "-serve-addr is required"},
 		{"no-state-dir", func() (*server.Config, error) {
-			return ParseServeFlags("localhost:0", "", 0, 0, 0, 0, 0, 0, "", "")
+			return ParseServeFlags("localhost:0", "", 0, 0, "", "")
 		}, "-state-dir is required"},
-		{"negative-quota", func() (*server.Config, error) {
-			return ParseServeFlags("localhost:0", "/s", 0, 0, 0, 0, -1, 0, "", "")
-		}, "-job-quota-readahead must not be negative"},
+		{"negative-max-jobs", func() (*server.Config, error) {
+			return ParseServeFlags("localhost:0", "/s", -1, 0, "", "")
+		}, "-max-jobs must not be negative"},
 		{"bad-drain", func() (*server.Config, error) {
-			return ParseServeFlags("localhost:0", "/s", 0, 0, 0, 0, 0, 0, "eventually", "")
+			return ParseServeFlags("localhost:0", "/s", 0, 0, "eventually", "")
 		}, "invalid -drain-timeout"},
 		{"zero-drain", func() (*server.Config, error) {
-			return ParseServeFlags("localhost:0", "/s", 0, 0, 0, 0, 0, 0, "0s", "")
+			return ParseServeFlags("localhost:0", "/s", 0, 0, "0s", "")
 		}, "invalid -drain-timeout"},
 		{"bad-stall", func() (*server.Config, error) {
-			return ParseServeFlags("localhost:0", "/s", 0, 0, 0, 0, 0, 0, "", "-3s")
+			return ParseServeFlags("localhost:0", "/s", 0, 0, "", "-3s")
 		}, "invalid -stall-timeout"},
 	}
 	for _, tc := range cases {

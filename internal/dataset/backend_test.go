@@ -420,7 +420,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.ReadSliceRegion(0, refs[0], 2, 6, 1, 5)
+	got, err := readRegion(st, 0, refs[0], 2, 6, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 	}
 	// Region reads skip checksum verification by design: the flipped byte
 	// still decodes, it just decodes wrong.
-	if err := st.ReadSliceRegionInto(0, ref, 0, 4, 0, 3, out[:4*3]); err != nil {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), 0, ref, 0, 4, 0, 3, out[:4*3]); err != nil {
 		t.Fatalf("region read after flip: %v", err)
 	}
 }
@@ -87,7 +88,7 @@ func TestTruncatedAndMissingSlicesDegrade(t *testing.T) {
 	if err := st.ReadSliceInto(0, refs[1], out); !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("missing-file read err = %v, want ErrDegradedData", err)
 	}
-	if err := st.ReadSliceRegionInto(0, refs[1], 0, 8, 0, 6, out); !errors.Is(err, ErrDegradedData) {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), 0, refs[1], 0, 8, 0, 6, out); !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("missing-file region read err = %v, want ErrDegradedData", err)
 	}
 }

@@ -576,34 +576,12 @@ func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef
 	return nil
 }
 
-// ReadSliceRegion reads the 2D subsection [x0, x1)×[y0, y1) of a slice with
-// one positioned read — the paper's "RFR filter reads a 2D subsection of each
-// image slice". The read spans the window's first value to its last, so a
-// window costs one seek or one remote request whatever its height.
-func (s *Store) ReadSliceRegion(node int, ref SliceRef, x0, x1, y0, y1 int) ([]uint16, error) {
-	return s.ReadSliceRegionContext(context.Background(), node, ref, x0, x1, y0, y1)
-}
-
-// ReadSliceRegionContext is ReadSliceRegion bounded by ctx.
-func (s *Store) ReadSliceRegionContext(ctx context.Context, node int, ref SliceRef, x0, x1, y0, y1 int) ([]uint16, error) {
-	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
-	if x0 < 0 || x1 > X || y0 < 0 || y1 > Y || x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("dataset: region [%d,%d)x[%d,%d) outside slice %dx%d", x0, x1, y0, y1, X, Y)
-	}
-	out := make([]uint16, (x1-x0)*(y1-y0))
-	if err := s.ReadSliceRegionIntoContext(ctx, node, ref, x0, x1, y0, y1, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadSliceRegionInto is ReadSliceRegion decoding into the caller's
-// (x1−x0)·(y1−y0)-value buffer.
-func (s *Store) ReadSliceRegionInto(node int, ref SliceRef, x0, x1, y0, y1 int, out []uint16) error {
-	return s.ReadSliceRegionIntoContext(context.Background(), node, ref, x0, x1, y0, y1, out)
-}
-
-// ReadSliceRegionIntoContext is ReadSliceRegionInto bounded by ctx.
+// ReadSliceRegionIntoContext reads the 2D subsection [x0, x1)×[y0, y1) of a
+// slice with one positioned read, bounded by ctx, decoding into the caller's
+// (x1−x0)·(y1−y0)-value buffer — the paper's "RFR filter reads a 2D
+// subsection of each image slice". The read spans the window's first value to
+// its last, so a window costs one seek or one remote request whatever its
+// height.
 func (s *Store) ReadSliceRegionIntoContext(ctx context.Context, node int, ref SliceRef, x0, x1, y0, y1 int, out []uint16) error {
 	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
 	if x0 < 0 || x1 > X || y0 < 0 || y1 > Y || x0 >= x1 || y0 >= y1 {

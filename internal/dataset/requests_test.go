@@ -115,7 +115,7 @@ func TestHTTPOneRequestPerRead(t *testing.T) {
 			}
 			log.take() // header + index
 			if tc.region {
-				_, err = st.ReadSliceRegion(0, refs[0], 1, 5, 1, 4)
+				_, err = readRegion(st, 0, refs[0], 1, 5, 1, 4)
 			} else {
 				var got []uint16
 				if got, err = st.ReadSlice(0, refs[0]); err == nil {
@@ -309,7 +309,7 @@ func TestRegionReadIsOneRead(t *testing.T) {
 				for _, w := range windows {
 					log.take()
 					before := st.Stats().Reads
-					got, err := st.ReadSliceRegion(node, ref, w[0], w[1], w[2], w[3])
+					got, err := readRegion(st, node, ref, w[0], w[1], w[2], w[3])
 					if err != nil {
 						t.Fatalf("%s: window %v: %v", name, w, err)
 					}
@@ -340,10 +340,10 @@ func TestRegionReadIsOneRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range map[string]*Store{"local": local, "http": remote} {
-		if _, err := st.ReadSliceRegion(0, refs[0], 2, 7, 0, 5); err != nil {
+		if _, err := readRegion(st, 0, refs[0], 2, 7, 0, 5); err != nil {
 			t.Errorf("%s: window above the cut: %v", name, err)
 		}
-		if _, err := st.ReadSliceRegion(0, refs[0], 2, 7, 3, 7); !errors.Is(err, ErrDegradedData) {
+		if _, err := readRegion(st, 0, refs[0], 2, 7, 3, 7); !errors.Is(err, ErrDegradedData) {
 			t.Errorf("%s: window across the cut: err = %v, want ErrDegradedData", name, err)
 		}
 	}

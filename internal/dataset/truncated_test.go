@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,12 +28,12 @@ func TestReadSliceRegionTruncatedFile(t *testing.T) {
 	}
 
 	// Rows entirely before the cut still read fine.
-	if _, err := st.ReadSliceRegion(node, ref, 0, 10, 0, 5); err != nil {
+	if _, err := readRegion(st, node, ref, 0, 10, 0, 5); err != nil {
 		t.Fatalf("rows before the truncation failed: %v", err)
 	}
 	// Any region touching the cut fails loudly, naming file and row.
 	for _, r := range [][4]int{{0, 10, 5, 6}, {0, 10, 0, 8}, {4, 9, 5, 7}, {0, 10, 7, 8}} {
-		_, err := st.ReadSliceRegion(node, ref, r[0], r[1], r[2], r[3])
+		_, err := readRegion(st, node, ref, r[0], r[1], r[2], r[3])
 		if err == nil {
 			t.Fatalf("region %v of a truncated file read without error", r)
 		}
@@ -73,16 +74,12 @@ func TestReadSliceIntoMatchesReadSlice(t *testing.T) {
 					t.Fatalf("slice (z=%d, t=%d) value %d: %d != %d", z, tt, i, buf[i], want[i])
 				}
 			}
-			wantR, err := st.ReadSliceRegion(node, ref, 2, 6, 1, 4)
-			if err != nil {
+			if err := st.ReadSliceRegionIntoContext(context.Background(), node, ref, 2, 6, 1, 4, regionBuf); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.ReadSliceRegionInto(node, ref, 2, 6, 1, 4, regionBuf); err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantR {
-				if regionBuf[i] != wantR[i] {
-					t.Fatalf("region value %d: %d != %d", i, regionBuf[i], wantR[i])
+			for i, got := range regionBuf {
+				if w := want[(1+i/4)*9+2+i%4]; got != w {
+					t.Fatalf("region value %d: %d != %d", i, got, w)
 				}
 			}
 		}
@@ -93,7 +90,7 @@ func TestReadSliceIntoMatchesReadSlice(t *testing.T) {
 	if err := st.ReadSliceInto(node, ref, make([]uint16, 5)); err == nil {
 		t.Error("short slice buffer accepted")
 	}
-	if err := st.ReadSliceRegionInto(node, ref, 0, 4, 0, 4, make([]uint16, 5)); err == nil {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), node, ref, 0, 4, 0, 4, make([]uint16, 5)); err == nil {
 		t.Error("short region buffer accepted")
 	}
 }

@@ -155,7 +155,7 @@ func TestTransposedSliceIsDegraded(t *testing.T) {
 	if _, err := st.ReadSlice(0, refs[1]); !errors.Is(err, dataset.ErrDegradedData) || !strings.Contains(err.Error(), "is 4x6") {
 		t.Errorf("transposed slice: err = %v, want degraded geometry", err)
 	}
-	if _, err := st.ReadSliceRegion(0, refs[1], 0, 2, 0, 2); !errors.Is(err, dataset.ErrDegradedData) {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), 0, refs[1], 0, 2, 0, 2, make([]uint16, 4)); !errors.Is(err, dataset.ErrDegradedData) {
 		t.Errorf("transposed slice window: err = %v, want degraded", err)
 	}
 	if _, err := st.ReadSlice(0, refs[0]); err != nil {

@@ -10,7 +10,6 @@ import (
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
-	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -38,12 +37,6 @@ type RFRConfig struct {
 	// synchronously, reproducing the un-staged reader exactly;
 	// readahead.Auto sizes each copy's depth from what it measures.
 	ReadAhead int
-	// ReadAheadGate, when set, overrides ReadAhead with a live-resizable
-	// bound on the windows in flight over all RFR copies together (one
-	// credit each), moved only by its maker (the daemon's governor). It
-	// changes how far reads run ahead; emission order and content are
-	// untouched.
-	ReadAheadGate *sem.Sem
 	// FaultPolicy selects what a failed slice read does: fault.FailFast
 	// (zero value) aborts the run with the read error; fault.SkipDegraded
 	// replaces the lost window with DegradedPieceMsg notices so the rest of
@@ -159,7 +152,7 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 				}
 				return window, nil
 			}
-			ra, async := startReadAhead(ctx, fetch, len(windows), 2*iox*ioy, cfg.ReadAhead, cfg.ReadAheadGate, seed)
+			ra, async := startReadAhead(ctx, fetch, len(windows), 2*iox*ioy, cfg.ReadAhead, seed)
 			defer func() { met.ReadAhead(ra.Depth()); ra.Close() }()
 			for i := range windows {
 				var wait metrics.Span
@@ -197,15 +190,11 @@ func NewRFR(cfg RFRConfig) func(int) filter.Filter {
 }
 
 // startReadAhead opens a reader copy's prefetch stage over n windows of
-// windowBytes raw bytes each — on the run's shared gate when there is one,
-// self-sized under readahead.Auto (seed: how long the copy's index read
-// took), at the fixed depth otherwise — and reports whether fetches run
-// ahead of Next at all.
-func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n, windowBytes, depth int, gate *sem.Sem, seed time.Duration) (*readahead.Reader[*volume.Region], bool) {
-	switch {
-	case gate != nil:
-		return readahead.NewGated(fetch, n, gate), true
-	case depth == readahead.Auto:
+// windowBytes raw bytes each — self-sized under readahead.Auto (seed: how
+// long the copy's index read took), at the fixed depth otherwise — and
+// reports whether fetches run ahead of Next at all.
+func startReadAhead(ctx filter.Context, fetch readahead.Fetch[*volume.Region], n, windowBytes, depth int, seed time.Duration) (*readahead.Reader[*volume.Region], bool) {
+	if depth == readahead.Auto {
 		return readahead.NewAuto(fetch, n, readahead.AutoCap(ctx.NumCopies(), windowBytes), seed), true
 	}
 	return readahead.New(fetch, n, depth), depth > 0

@@ -6,7 +6,6 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
-	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -26,12 +25,6 @@ type TextureConfig struct {
 	// per chunk. Zero selects the default (4); negative values are rejected
 	// by Validate. Ignored by HMP/HPC.
 	PacketsPerChunk int
-	// Admission, when set, gates each chunk's compute behind one credit of
-	// this live-resizable semaphore shared across the filter's copies —
-	// the daemon governor's concurrency knob. Admission only reorders when
-	// copies compute, never what they compute, so outputs are unchanged.
-	// Nil admits everything at no cost.
-	Admission *sem.Sem
 }
 
 // Validate checks the filter-level knobs. The embedded Analysis config is
@@ -95,7 +88,6 @@ func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 			for i := range outs {
 				outs[i] = &volume.FloatRegion{}
 			}
-			stop := ctx.RunContext().Done()
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
@@ -117,13 +109,9 @@ func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 					outs[i].Box = chunk.Origins
 					outs[i].Data = getFloats(n, met)
 				}
-				if !cfg.Admission.Acquire(1, stop) {
-					return nil // the run is aborting
-				}
 				sp := met.StartCompute()
 				err := core.AnalyzeRegionInto(chunk.Region, chunk.Origins, &acfg, nil, outs)
 				sp.End()
-				cfg.Admission.Release(1)
 				if err != nil {
 					return err
 				}
@@ -158,7 +146,6 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				return err
 			}
 			sparse := acfg.Representation == core.SparseMatrix
-			stop := ctx.RunContext().Done()
 			perROI := 0.0 // sparse entries per ROI of the previous packet
 			for {
 				m, ok := ctx.Recv()
@@ -181,9 +168,6 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				for _, sub := range SplitBox(chunk.Origins, cfg.packets()) {
 					scratch := getBatchScratch(met)
 					scratch.EntryHint = int(perROI * float64(sub.NumVoxels()))
-					if !cfg.Admission.Acquire(1, stop) {
-						return nil // the run is aborting
-					}
 					sp := met.StartCompute()
 					var err error
 					if sparse {
@@ -193,7 +177,6 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 						err = core.FullBatchInto(chunk.Region, sub, &acfg, nil, scratch)
 					}
 					sp.End()
-					cfg.Admission.Release(1)
 					if err != nil {
 						return err
 					}
@@ -231,7 +214,6 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 			for i := range outs {
 				outs[i] = &volume.FloatRegion{}
 			}
-			stop := ctx.RunContext().Done()
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
@@ -257,9 +239,6 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 					outs[i].Box = batch.Origins
 					outs[i].Data = getFloats(n, met)
 				}
-				if !cfg.Admission.Acquire(1, stop) {
-					return nil // the run is aborting
-				}
 				sp := met.StartCompute()
 				for k := 0; k < n; k++ {
 					var vals []float64
@@ -270,7 +249,6 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 						vals, err = calc.FromFull(batch.Full[k], !batch.NoSkip)
 					}
 					if err != nil {
-						cfg.Admission.Release(1)
 						return err
 					}
 					for i, v := range vals {
@@ -278,7 +256,6 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 					}
 				}
 				sp.End()
-				cfg.Admission.Release(1)
 				emit := met.StartEmit()
 				for i, fr := range outs {
 					out := newParamMsg(acfg.Features[i], fr.Box, fr.Data)

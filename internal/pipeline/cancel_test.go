@@ -13,7 +13,6 @@ import (
 	"haralick4d/internal/filter"
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
-	"haralick4d/internal/sem"
 	"haralick4d/internal/synthetic"
 	"haralick4d/internal/volume"
 )
@@ -250,27 +249,24 @@ func TestPipelineRunReport(t *testing.T) {
 }
 
 // TestReportReadAheadDepth checks what each reader copy's row says about its
-// read-ahead stage under the three owners a gate can have: a fixed depth
-// reports itself, a self-sized reader stays inside its share of the run's
-// budget, a shared gate reports its owner's setting, and a synchronous
-// reader reports nothing.
+// read-ahead stage: a fixed depth reports itself, a self-sized reader stays
+// inside its share of the run's budget, and a synchronous reader reports
+// nothing.
 func TestReportReadAheadDepth(t *testing.T) {
 	st := testStore(t)
 	share := int64(readahead.AutoCap(st.Meta.Nodes, 2*st.Meta.Dims[0]*st.Meta.Dims[1]))
 	for _, c := range []struct {
 		name                     string
 		depth                    int
-		gate                     *sem.Sem
 		loDepth, hiDepth, hiPeak int64
 		limit                    int64
 	}{
-		{"sync", 0, nil, 0, 0, 0, 0},
-		{"fixed", 3, nil, 3, 3, 3, 3},
-		{"auto", ReadAheadAuto, nil, readahead.Floor, share, share, share},
-		{"gated", ReadAheadAuto, sem.New(5, 1, 9), 5, 5, 5, 9},
+		{"sync", 0, 0, 0, 0, 0},
+		{"fixed", 3, 3, 3, 3, 3},
+		{"auto", ReadAheadAuto, readahead.Floor, share, share, share},
 	} {
 		cfg := testConfig(HMPImpl, core.SparseMatrix, filter.DemandDriven)
-		cfg.ReadAhead, cfg.ReadAheadGate = c.depth, c.gate
+		cfg.ReadAhead = c.depth
 		g, _, _, err := Build(st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -287,9 +283,6 @@ func TestReportReadAheadDepth(t *testing.T) {
 				t.Errorf("%s: RFR[%d] depth %d peak %d limit %d, want depth in [%d, %d], peak <= %d, limit %d",
 					c.name, row.Copy, row.ReadAheadDepth, row.ReadAheadPeak, row.ReadAheadLimit, c.loDepth, c.hiDepth, c.hiPeak, c.limit)
 			}
-		}
-		if c.gate != nil && c.gate.Limit() != 5 {
-			t.Errorf("%s: the readers moved a gate they do not own to %d", c.name, c.gate.Limit())
 		}
 	}
 }

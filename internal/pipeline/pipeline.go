@@ -22,7 +22,6 @@ import (
 	"haralick4d/internal/metrics"
 	"haralick4d/internal/readahead"
 	"haralick4d/internal/runspec"
-	"haralick4d/internal/sem"
 	"haralick4d/internal/volume"
 )
 
@@ -88,15 +87,6 @@ type Config struct {
 	// chunks it proves complete are skipped from the readers onward, and the
 	// sink is pre-seeded with the recovered portions.
 	Recovered *checkpoint.State
-	// ReadAheadGate, when set, is the resizable prefetch bound the readers
-	// share (one credit per window in flight) instead of a ReadAhead depth
-	// of their own — the injection point for an external resource governor
-	// (the serve daemon splits one global budget across jobs through these).
-	ReadAheadGate *sem.Sem
-	// Admission, when set, is the resizable compute-admission semaphore the
-	// texture filters share — the governor's counterpart to ReadAheadGate.
-	// Nil admits every chunk at once.
-	Admission *sem.Sem
 }
 
 // Validate normalizes the config and reports the first problem.
@@ -249,14 +239,13 @@ func Build(store *dataset.Store, cfg *Config, layout *Layout) (*filter.Graph, *f
 		Name:   "RFR",
 		Copies: len(srcNodes),
 		New: filters.NewRFR(filters.RFRConfig{
-			Store:         store,
-			Chunker:       chunker,
-			GrayLevels:    cfg.Analysis.GrayLevels,
-			IOChunk:       cfg.IOChunk,
-			ReadAhead:     cfg.ReadAhead,
-			ReadAheadGate: cfg.ReadAheadGate,
-			FaultPolicy:   cfg.FaultPolicy,
-			Skip:          skip,
+			Store:       store,
+			Chunker:     chunker,
+			GrayLevels:  cfg.Analysis.GrayLevels,
+			IOChunk:     cfg.IOChunk,
+			ReadAhead:   cfg.ReadAhead,
+			FaultPolicy: cfg.FaultPolicy,
+			Skip:        skip,
 		}),
 		Nodes: srcNodes,
 	})
@@ -283,9 +272,6 @@ func addTextureAndOutput(g *filter.Graph, cfg *Config, layout *Layout, outDims [
 		Analysis:        cfg.Analysis,
 		PacketsPerChunk: cfg.PacketsPerChunk,
 		RouteByFeature:  cfg.Output == OutputJPEG,
-		// One admission pool across every texture copy (both halves of the
-		// split stage): its limit is the stage's total compute concurrency.
-		Admission: cfg.Admission,
 	}
 	var paramProducer string
 	switch cfg.Impl {

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"haralick4d/internal/sem"
 )
 
 // sim drives a self-sized reader on a simulated clock: every fetch takes
@@ -296,54 +294,21 @@ func TestAutoByteBudget(t *testing.T) {
 	}
 }
 
-// TestGateOwnerKeepsDepth: a gate someone else made is never moved by the
-// readers on it, however slow the fetches are against the consumer.
-func TestGateOwnerKeepsDepth(t *testing.T) {
-	g := sem.New(5, 1, 32)
-	var wg sync.WaitGroup
-	for k := 0; k < 2; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := NewGated(func(i int) (int, error) {
-				time.Sleep(200 * time.Microsecond)
-				return i, nil
-			}, 60, g)
-			defer r.Close()
-			for i := 0; i < 60; i++ {
-				if _, err, ok := r.Next(); !ok || err != nil {
-					t.Errorf("Next %d: ok=%v err=%v", i, ok, err)
-					return
-				}
-				if d, peak, limit := r.Depth(); d != 5 || peak != 5 || limit != 32 {
-					t.Errorf("Depth() = %d, %d, %d on an externally owned gate, want 5, 5, 32", d, peak, limit)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if d := g.Limit(); d != 5 {
-		t.Fatalf("gate depth %d after two readers streamed through it, want the owner's 5", d)
-	}
-}
-
-// TestCloseDeep: closing with 256 fetches in flight waits for them, returns
-// every credit and leaves no goroutine behind.
+// TestCloseDeep: closing with 256 fetches in flight waits for them and leaves
+// no goroutine behind.
 func TestCloseDeep(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const depth = MaxRequests
-	g := sem.New(depth, 1, depth)
 	var mu sync.Mutex
 	started := 0
 	release := make(chan struct{})
-	r := NewGated(func(i int) (int, error) {
+	r := New(func(i int) (int, error) {
 		mu.Lock()
 		started++
 		mu.Unlock()
 		<-release
 		return i, nil
-	}, 1000, g)
+	}, 1000, depth)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
@@ -369,7 +334,6 @@ func TestCloseDeep(t *testing.T) {
 	}
 	close(release)
 	<-closed
-	gateAtRest(t, g)
 	mu.Lock()
 	n := started
 	mu.Unlock()

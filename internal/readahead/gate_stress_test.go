@@ -10,13 +10,26 @@ import (
 	"haralick4d/internal/sem"
 )
 
-// These tests pin what readers do on a gate whose owner resizes it under live
-// traffic — the situation the daemon's resource governor creates every time a
-// job starts or finishes and every running job's share is re-cut in place.
-// (The semaphore's own resize semantics are pinned in internal/sem.)
+// These tests pin what a reader does when its gate is resized under live
+// traffic, as a self-sized reader resizes its own gate from Next once per
+// window. (The semaphore's own resize semantics are pinned in internal/sem.)
+
+// selfSized returns a self-sized reader over n indices, capped at limit and
+// opened at it (atLimit) or at Floor, whose clock never moves: its rule then
+// measures nothing and never resizes, so a test moves the reader's gate
+// itself, at the instant it chooses.
+func selfSized(fetch Fetch[int], n, limit int, atLimit bool) *Reader[int] {
+	seed := time.Duration(0)
+	if atLimit {
+		seed = seedOpen
+	}
+	t0 := time.Unix(1, 0)
+	return newAuto(fetch, n, limit, seed, func() time.Time { return t0 })
+}
 
 // gateAtRest fails the test unless every credit of g has come home: the
-// whole range fits at once only when nothing is held.
+// whole range fits at once only when nothing is held. It may run on any
+// goroutine.
 func gateAtRest(t *testing.T, g *sem.Sem) {
 	t.Helper()
 	_, hi := g.Bounds()
@@ -24,7 +37,8 @@ func gateAtRest(t *testing.T, g *sem.Sem) {
 	closed := make(chan struct{})
 	close(closed)
 	if !g.Acquire(hi, closed) {
-		t.Fatal("credits still held on the gate after its readers closed")
+		t.Error("credits still held on the gate after its stream was consumed")
+		return
 	}
 	g.Release(hi)
 }
@@ -61,60 +75,59 @@ func (b *blockingFetch) reach(t *testing.T, want int64, when string) {
 // flight revokes nothing, stops its dispatcher entirely, and dispatch resumes
 // only once consumption has drained the surplus under the new limit.
 func TestGateShrinkBelowInFlight(t *testing.T) {
-	g := sem.New(8, 1, 16)
+	const limit = 3 * Floor
 	b := newBlockingFetch()
-	r := NewGated(b.fetch, 40, g)
+	r := selfSized(b.fetch, 40, limit, true)
 	defer r.Close()
-	b.reach(t, 8, "limit 8")
-	if d := g.Resize(2); d != 2 {
-		t.Fatalf("Resize(2) = %d", d)
+	b.reach(t, limit, "at the limit")
+	if d := r.gate.Resize(Floor); d != Floor {
+		t.Fatalf("Resize(%d) = %d", Floor, d)
 	}
 	close(b.release)
-	for i := 0; i < 6; i++ { // 8 in flight down to 2: at the limit, no free credit
+	for i := 0; i < limit-Floor; i++ { // down to Floor in flight: at the limit, no free credit
 		if v, err, ok := r.Next(); !ok || err != nil || v != i {
 			t.Fatalf("Next %d = (%d, %v, %v)", i, v, err, ok)
 		}
 	}
-	b.reach(t, 8, "2 in flight, limit 2")
+	b.reach(t, limit, "Floor in flight, limit Floor")
 	if _, err, ok := r.Next(); !ok || err != nil {
-		t.Fatalf("Next 6: ok=%v err=%v", ok, err)
+		t.Fatalf("Next %d: ok=%v err=%v", limit-Floor, ok, err)
 	}
-	b.reach(t, 9, "1 in flight, limit 2")
+	b.reach(t, limit+1, "Floor-1 in flight, limit Floor")
 }
 
-// TestGateGrowWakesAllBlocked parks the dispatchers of several readers on a
-// full shared gate and grows it: every newly minted credit starts a fetch, not
-// just one for the first dispatcher woken.
+// TestGateGrowWakesAllBlocked parks the dispatchers of several readers on
+// their full gates and grows each: every newly minted credit starts a fetch,
+// and each reader takes only its own, since no reader draws on another's gate.
 func TestGateGrowWakesAllBlocked(t *testing.T) {
-	const readers = 5
-	g := sem.New(1, 1, 16)
+	const readers, limit = 5, 4 * Floor
 	b := newBlockingFetch()
 	var rs []*Reader[int]
 	for k := 0; k < readers; k++ {
-		rs = append(rs, NewGated(b.fetch, 10, g))
+		rs = append(rs, selfSized(b.fetch, 2*limit, limit, false))
 	}
-	b.reach(t, 1, "limit 1 over five readers")
-	g.Resize(readers)
-	b.reach(t, readers, "limit grown to one credit per reader")
+	b.reach(t, readers*Floor, "every reader at Floor")
+	for _, r := range rs {
+		r.gate.Resize(limit)
+	}
+	b.reach(t, readers*limit, "every reader grown to its limit")
 	close(b.release)
 	for _, r := range rs {
 		r.Close()
 	}
-	gateAtRest(t, g)
 }
 
 // TestGateResizeDuringDrain closes every reader in the middle of a resize
-// storm: no dispatcher may stay wedged on the gate, and every credit —
-// dispatched, in flight, or fetched and never consumed — must come home.
+// storm on its gate: no dispatcher may stay wedged on it.
 func TestGateResizeDuringDrain(t *testing.T) {
-	g := sem.New(2, 1, 8)
+	const hi = 2 * Floor
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for k := 0; k < 4; k++ {
-		wg.Add(1)
+		r := selfSized(func(i int) (int, error) { runtime.Gosched(); return i, nil }, 1<<30, hi, false)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r := NewGated(func(i int) (int, error) { runtime.Gosched(); return i, nil }, 1<<30, g)
 			defer r.Close()
 			for {
 				select {
@@ -128,20 +141,19 @@ func TestGateResizeDuringDrain(t *testing.T) {
 				}
 			}
 		}()
-	}
-	resizerDone := make(chan struct{})
-	go func() {
-		defer close(resizerDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.gate.Resize(Floor + i%(hi-Floor+1))
+				runtime.Gosched()
 			}
-			g.Resize(1 + i%8)
-			runtime.Gosched()
-		}
-	}()
+		}()
+	}
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
 	done := make(chan struct{})
@@ -151,38 +163,36 @@ func TestGateResizeDuringDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a reader stayed wedged after closing mid-resize")
 	}
-	<-resizerDone
-	gateAtRest(t, g)
 }
 
-// TestGateConcurrentResizeStress whipsaws the limit across its whole range
-// under readers that want more than it ever allows and checks the invariants
-// no interleaving may break: fetches running at once never exceed the gate's
-// upper bound, every reader still sees its windows in order, and the gate is
-// at rest when they are done.
+// TestGateConcurrentResizeStress whipsaws each reader's limit across its
+// whole range while it streams more than the limit ever allows, and checks
+// the invariants no interleaving may break: a reader's fetches running at
+// once never exceed its gate's upper bound, every reader still sees its
+// windows in order, and each gate is at rest when its stream is consumed.
 func TestGateConcurrentResizeStress(t *testing.T) {
-	const hi, readers, n = 8, 4, 400
-	g := sem.New(hi, 1, hi)
-	var cur, peak atomic.Int64
-	fetch := func(i int) (int, error) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		runtime.Gosched()
-		cur.Add(-1)
-		return i, nil
-	}
+	const hi, readers, n = 2 * Floor, 4, 400
 	var wg sync.WaitGroup
 	for k := 0; k < readers; k++ {
-		wg.Add(1)
+		var cur, peak atomic.Int64
+		fetch := func(i int) (int, error) {
+			c := cur.Add(1)
+			for {
+				p := peak.Load()
+				if c <= p || peak.CompareAndSwap(p, c) {
+					break
+				}
+			}
+			runtime.Gosched()
+			cur.Add(-1)
+			return i, nil
+		}
+		r := selfSized(fetch, n, hi, true)
+		streamed := make(chan struct{})
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r := NewGated(fetch, n, g)
-			defer r.Close()
+			defer close(streamed)
 			for i := 0; i < n; i++ {
 				if v, err, ok := r.Next(); !ok || err != nil || v != i {
 					t.Errorf("Next %d = (%d, %v, %v)", i, v, err, ok)
@@ -190,20 +200,23 @@ func TestGateConcurrentResizeStress(t *testing.T) {
 				}
 			}
 		}()
-	}
-	streamed := make(chan struct{})
-	go func() { wg.Wait(); close(streamed) }()
-	for i := 0; ; i++ {
-		select {
-		case <-streamed:
-			if p := peak.Load(); p > hi {
-				t.Fatalf("observed %d fetches at once, upper bound is %d", p, hi)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-streamed:
+					if p := peak.Load(); p > hi {
+						t.Errorf("observed %d fetches at once, upper bound is %d", p, hi)
+					}
+					gateAtRest(t, r.gate)
+					r.Close()
+					return
+				default:
+					r.gate.Resize(Floor + i%(hi-Floor+1))
+					runtime.Gosched()
+				}
 			}
-			gateAtRest(t, g)
-			return
-		default:
-			g.Resize(1 + i%hi)
-			runtime.Gosched()
-		}
+		}()
 	}
+	wg.Wait()
 }

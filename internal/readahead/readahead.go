@@ -15,13 +15,12 @@
 //     flight at any moment, and a fetch is in flight from the moment it
 //     holds a credit, so depth is both the number of requests the backend
 //     sees at once and the number of window buffers outstanding. The bound
-//     is a sem.Sem credit count (the gate) with one owner: fixed (New), moved
-//     by whoever made the gate (NewGated — the daemon's governor), or moved
-//     by the reader itself from what it measures (NewAuto).
-//   - Synchronous degenerate case: depth ≤ 0 (and no gate) runs every fetch
-//     inline on the consumer's goroutine — no goroutine, no reordering
-//     window, no extra buffering — reproducing the pre-readahead reader
-//     loop bit for bit.
+//     is a sem.Sem credit count (the gate) private to the reader: fixed
+//     (New), or moved by the reader itself from what it measures (NewAuto).
+//   - Synchronous degenerate case: depth ≤ 0 runs every fetch inline on
+//     the consumer's goroutine — no goroutine, no reordering window, no
+//     extra buffering — reproducing the pre-readahead reader loop bit for
+//     bit.
 //   - Cancellable: Close releases the goroutines even when the consumer
 //     stops consuming mid-stream (pipeline abort); it is idempotent and safe
 //     to defer alongside normal completion.
@@ -30,7 +29,6 @@ package readahead
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"haralick4d/internal/sem"
@@ -86,7 +84,6 @@ type Reader[T any] struct {
 	// wakes the dispatcher at once. Closing done releases the dispatcher
 	// wherever it blocks.
 	gate      *sem.Sem
-	held      atomic.Int64 // credits this reader holds (dispatched, unconsumed)
 	pending   chan chan result[T]
 	done      chan struct{}
 	wg        sync.WaitGroup
@@ -165,18 +162,6 @@ func New[T any](fetch Fetch[T], n, depth int) *Reader[T] {
 	return newAsync(fetch, n, sem.New(depth, depth, depth), false, 0, time.Now)
 }
 
-// NewGated returns a reader over indices [0, n) whose read-ahead bound is
-// the gate's current limit — moved mid-stream by the gate's owner, never by
-// the reader, and shared with every other reader on the same gate (one
-// credit per window in flight). A nil gate falls back to a synchronous
-// reader.
-func NewGated[T any](fetch Fetch[T], n int, g *sem.Sem) *Reader[T] {
-	if g == nil {
-		return New(fetch, n, 0)
-	}
-	return newAsync(fetch, n, g, false, 0, time.Now)
-}
-
 // NewAuto returns a reader over indices [0, n) that sizes its own depth
 // inside [Floor, limit] (see AutoCap) from the fetch and consume times it
 // measures, once per consumed window. seed is a latency sample of the same
@@ -218,7 +203,6 @@ func (r *Reader[T]) dispatch() {
 		if !r.gate.Acquire(1, r.done) {
 			return
 		}
-		r.held.Add(1)
 		out := make(chan result[T], 1)
 		select {
 		case r.pending <- out:
@@ -263,7 +247,6 @@ func (r *Reader[T]) Next() (v T, err error, ok bool) {
 		}
 		select {
 		case res := <-out:
-			r.held.Add(-1)
 			r.gate.Release(1)
 			r.depth = r.gate.Limit()
 			if r.auto {
@@ -296,9 +279,7 @@ func (r *Reader[T]) Depth() (depth, peak, limit int) {
 // Close stops the prefetcher and waits for every goroutine to exit. It is
 // idempotent and must be called even after a complete consumption (defer it)
 // so the goroutines never outlive the filter copy. Fetches already in flight
-// finish first. Credits still held (results dispatched but never consumed —
-// an aborted stream) are returned to the gate, so readers sharing it are not
-// starved by a sibling's early exit.
+// finish first.
 func (r *Reader[T]) Close() {
 	if r.gate == nil {
 		return
@@ -306,6 +287,5 @@ func (r *Reader[T]) Close() {
 	r.closeOnce.Do(func() {
 		close(r.done)
 		r.wg.Wait()
-		r.gate.Release(int(r.held.Swap(0)))
 	})
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"haralick4d/internal/sem"
 )
 
 // TestOrderPreserved checks that results arrive in index order for every
@@ -152,9 +150,9 @@ func TestCloseMidStream(t *testing.T) {
 	}
 }
 
-// TestGateResizeGrow checks that raising a gate's depth mid-stream lets the
-// dispatcher start more outstanding fetches without rebuilding the reader —
-// the live-tuning contract the daemon's governor relies on.
+// TestGateResizeGrow checks that raising a reader's depth mid-stream — the
+// doubling step of the self-sizing rule — lets the dispatcher start more
+// outstanding fetches without rebuilding the reader.
 func TestGateResizeGrow(t *testing.T) {
 	const n = 100
 	var started atomic.Int64
@@ -164,8 +162,7 @@ func TestGateResizeGrow(t *testing.T) {
 		<-release
 		return i, nil
 	}
-	g := sem.New(2, 1, 16)
-	r := NewGated(fetch, n, g)
+	r := selfSized(fetch, n, 16, false)
 	defer r.Close()
 	defer close(release)
 
@@ -176,14 +173,14 @@ func TestGateResizeGrow(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond) // give an over-dispatch bug time to show
 		if got := started.Load(); got != want {
-			t.Fatalf("%d fetches outstanding, want %d (depth=%d)", got, want, g.Limit())
+			t.Fatalf("%d fetches outstanding, want %d (depth=%d)", got, want, r.gate.Limit())
 		}
 	}
-	waitFor(2)
-	if d := g.Resize(8); d != 8 {
-		t.Fatalf("Resize(8) = %d", d)
+	waitFor(Floor)
+	if d := r.gate.Resize(2 * Floor); d != 2*Floor {
+		t.Fatalf("Resize(%d) = %d", 2*Floor, d)
 	}
-	waitFor(8)
+	waitFor(2 * Floor)
 }
 
 // TestGateResizeShrink checks that lowering the depth stops new dispatches
@@ -195,17 +192,16 @@ func TestGateResizeShrink(t *testing.T) {
 		started.Add(1)
 		return i, nil
 	}
-	g := sem.New(6, 1, 16)
-	r := NewGated(fetch, n, g)
+	r := selfSized(fetch, n, 2*Floor, true)
 	defer r.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for started.Load() < 6 && time.Now().Before(deadline) {
+	for started.Load() < 2*Floor && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	g.Resize(2)
-	// Consuming one result returns one credit; with 5 still outstanding and
-	// the limit at 2, no new fetch may start.
+	r.gate.Resize(Floor)
+	// Consuming one result returns one credit; with 7 still outstanding and
+	// the limit at 4, no new fetch may start.
 	base := started.Load()
 	if _, err, ok := r.Next(); err != nil || !ok {
 		t.Fatalf("Next: err=%v ok=%v", err, ok)
@@ -223,55 +219,16 @@ func TestGateResizeShrink(t *testing.T) {
 	}
 }
 
-// TestGateShared checks that two readers on one gate share its credit
-// budget, and that closing one mid-stream returns its held credits so the
-// survivor is not starved.
-func TestGateShared(t *testing.T) {
-	const n = 40
-	var started atomic.Int64
-	release := make(chan struct{})
-	blocking := func(i int) (int, error) {
-		started.Add(1)
-		<-release
-		return i, nil
-	}
-	g := sem.New(4, 1, 16)
-	a := NewGated(blocking, n, g)
-	b := NewGated(blocking, n, g)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for started.Load() < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := started.Load(); got != 4 {
-		t.Fatalf("%d fetches outstanding across two readers, want shared budget 4", got)
-	}
-	// Aborting reader a must hand its credits back so b can finish alone.
-	// (Unblock the fetches first: Close waits for in-flight fetches, and
-	// from here both readers race for credits until a is gone.)
-	close(release)
-	a.Close()
-	for i := 0; i < n; i++ {
-		v, err, ok := b.Next()
-		if err != nil || !ok || v != i {
-			t.Fatalf("survivor Next %d = (%d, %v, %v)", i, v, err, ok)
-		}
-	}
-	b.Close()
-}
-
 // TestGateClamp checks a reader reports its gate's clamped limit and upper
-// bound as the owner moves it past both ends of the range.
+// bound as the gate is moved past both ends of its range.
 func TestGateClamp(t *testing.T) {
-	g := sem.New(0, 2, 8)
-	r := NewGated(func(i int) (int, error) { return i, nil }, 3, g)
+	r := selfSized(func(i int) (int, error) { return i, nil }, 3, 8, false)
 	defer r.Close()
 	for i, resize := range []int{0, 100, -3} {
 		if i > 0 {
-			g.Resize(resize)
+			r.gate.Resize(resize)
 		}
-		want := min(max(resize, 2), 8)
+		want := min(max(resize, Floor), 8)
 		if _, err, ok := r.Next(); !ok || err != nil {
 			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
 		}

@@ -1,9 +1,8 @@
 // Package sem is the one live-resizable weighted semaphore under every
 // bounded resource of a run: a reader's windows in flight (one credit per
-// request), a filter copy's input queue (one credit per payload byte), and the
-// texture filters' compute admission (one credit per chunk being computed).
-// The owner of a Sem moves its limit mid-run — a self-sized reader, the serve
-// daemon's governor; holders only block.
+// request) and a filter copy's input queue (one credit per payload byte).
+// Only the owner of a Sem moves its limit mid-run — a self-sized reader, on
+// its own gate; holders only block.
 package sem
 
 import (

@@ -106,10 +106,11 @@ func TestWeighted(t *testing.T) {
 
 // TestShrinkBelowInFlight pins the shrink semantics when the cut goes below
 // what is already held: nothing is revoked, new admissions stop entirely, and
-// they resume only once the surplus has drained under the new limit. (The
-// daemon's governor does this to every running job when one more is admitted.)
-// The 8 credits are held as 8 unit requests (one per chunk being computed, as
-// the texture filters take them) and as 4 requests of 2.
+// they resume only once the surplus has drained under the new limit. (A
+// self-sized reader does this to its own gate when its rule steps the depth
+// down with every credit out.) The 8 credits are held as 8 unit requests (one
+// per window in flight, as a reader's dispatcher takes them) and as 4
+// requests of 2.
 func TestShrinkBelowInFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -140,8 +141,8 @@ func TestShrinkBelowInFlight(t *testing.T) {
 
 // TestGrowWakesAllBlocked parks acquirers on a full semaphore and grows it:
 // every newly minted credit goes to a waiter, not just the first. The
-// one-waiter case is a texture pool at its limit of 2 that the governor
-// raises to 3.
+// one-waiter case is a reader's dispatcher parked on its full gate when the
+// reader raises the limit.
 func TestGrowWakesAllBlocked(t *testing.T) {
 	t.Run("one-waiter", func(t *testing.T) {
 		s := New(2, 1, 4)

@@ -22,7 +22,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"haralick4d/internal/checkpoint"
@@ -109,9 +108,8 @@ func checkpointable(sp *Spec) bool { return sp.Output != runspec.OutputJPEG }
 
 // decodeSubmit reads a POST /jobs body: strict JSON (a misspelt key is an
 // error, not a silent default), the run spec's Validate, then what only a
-// daemon job requires — a dataset, and no fixed read-ahead depth, because
-// the governor sizes every job's depth and would ignore one. Replaying the
-// journal decodes leniently instead (see replay).
+// daemon job requires — a dataset. Replaying the journal decodes leniently
+// instead (see replay).
 func decodeSubmit(r io.Reader) (Spec, error) {
 	sp, err := runspec.DecodeJSON(r)
 	if err != nil {
@@ -120,11 +118,8 @@ func decodeSubmit(r io.Reader) (Spec, error) {
 	if err := sp.Validate(); err != nil {
 		return sp, err
 	}
-	switch {
-	case sp.Dataset == "":
+	if sp.Dataset == "" {
 		return sp, errors.New("spec: dataset is required")
-	case sp.ReadAhead != 0:
-		return sp, fmt.Errorf("spec: readahead %d: the daemon's governor sizes every job's read-ahead (-total-readahead split under -job-quota-readahead); omit it or send \"auto\"", sp.ReadAhead)
 	}
 	return sp, nil
 }

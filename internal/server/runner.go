@@ -17,7 +17,7 @@ import (
 )
 
 // runJob executes job id's spec to completion, cancellation or failure.
-func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool, gate *grant) (*metrics.RunReport, *pipeline.RestartSummary, error) {
+func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool) (*metrics.RunReport, *pipeline.RestartSummary, error) {
 	st, err := pipeline.OpenDataset(ctx, &spec, s.resilienceFor(spec.Dataset))
 	if err != nil {
 		return nil, nil, err
@@ -33,12 +33,7 @@ func (s *Server) runJob(ctx context.Context, id int64, spec Spec, resume bool, g
 		_, serr := os.Stat(ck.Path)
 		ck.Resume = resume && serr == nil
 	}
-	p, err := pipeline.Prepare(st, &spec, ck, func(cfg *pipeline.Config, _ *pipeline.Layout) error {
-		// The governor owns the job's read-ahead gate and compute tokens; a
-		// gate takes precedence over any depth in the spec.
-		cfg.ReadAheadGate, cfg.Admission = gate.gate, gate.tokens
-		return nil
-	})
+	p, err := pipeline.Prepare(st, &spec, ck, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,6 @@
 // Package server implements the haralick4d analysis daemon: an HTTP/JSON
 // control plane over the filter-stream pipeline that runs many analyses
-// concurrently against one shared resource budget.
+// concurrently, each exactly the run the CLI runs for the same spec.
 //
 // The control API:
 //
@@ -12,7 +12,7 @@
 //	POST /jobs/{id}/pause   checkpoint and stop; resumable
 //	POST /jobs/{id}/resume  re-queue a paused/parked/failed job
 //	GET  /healthz           liveness ("ok" / "draining")
-//	GET  /stats             scheduler + governor counters
+//	GET  /stats             scheduler + resilience counters
 //
 // Robustness contract: every submission and state transition is appended
 // to a CRC-framed job journal before the API acknowledges it, so a daemon
@@ -34,7 +34,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -58,15 +57,6 @@ type Config struct {
 	// MaxQueue bounds the admission queue; a submit beyond it is shed with
 	// 429 + Retry-After (default 16).
 	MaxQueue int
-	// TotalReadAhead / TotalWorkers are the global budgets the governor
-	// splits across running jobs (defaults: 64 read-ahead credits,
-	// GOMAXPROCS compute slots).
-	TotalReadAhead int
-	TotalWorkers   int
-	// JobReadAhead / JobWorkers cap any single job's share (defaults: 16,
-	// GOMAXPROCS).
-	JobReadAhead int
-	JobWorkers   int
 	// DrainTimeout bounds how long Drain waits for running jobs to park
 	// (default 30s).
 	DrainTimeout time.Duration
@@ -96,18 +86,6 @@ func (c *Config) setDefaults() error {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 16
 	}
-	if c.TotalReadAhead <= 0 {
-		c.TotalReadAhead = 64
-	}
-	if c.TotalWorkers <= 0 {
-		c.TotalWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.JobReadAhead <= 0 {
-		c.JobReadAhead = 16
-	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -131,7 +109,6 @@ type Server struct {
 	closed   bool
 
 	jour *checkpoint.Log
-	gov  *governor
 	hub  *hub
 	res  *resilience.Registry // nil when Config.Resilience is off
 	wg   sync.WaitGroup       // one per running job
@@ -156,14 +133,8 @@ func New(cfg Config) (*Server, error) {
 		jobs:   map[int64]*Job{},
 		nextID: nextID,
 		jour:   jour,
-		gov: newGovernor(budgets{
-			TotalReadAhead: cfg.TotalReadAhead,
-			TotalWorkers:   cfg.TotalWorkers,
-			JobReadAhead:   cfg.JobReadAhead,
-			JobWorkers:     cfg.JobWorkers,
-		}),
-		hub: newHub(),
-		res: resilience.NewRegistry(cfg.Resilience),
+		hub:    newHub(),
+		res:    resilience.NewRegistry(cfg.Resilience),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,25 +262,23 @@ func (s *Server) scheduleLocked() {
 		j.cancel = cancel
 		j.Progress = metrics.Progress{}
 		s.running++
-		gr := s.gov.admit(j.ID)
 		spec, resume := j.Spec, j.Resume
 		s.wg.Add(1)
 		go func() {
 			defer cancel() // release the deadline timer once the run ends
-			s.run(j, ctx, spec, resume, gr)
+			s.run(j, ctx, spec, resume)
 		}()
 	}
 }
 
 // run hosts one job's runner goroutine and records its final transition.
-func (s *Server) run(j *Job, ctx context.Context, spec Spec, resume bool, gr *grant) {
+func (s *Server) run(j *Job, ctx context.Context, spec Spec, resume bool) {
 	defer s.wg.Done()
-	report, restart, err := s.runJob(ctx, j.ID, spec, resume, gr)
+	report, restart, err := s.runJob(ctx, j.ID, spec, resume)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	s.gov.release(j.ID)
 	j.cancel = nil
 	ev := j.reason
 	switch {
@@ -541,8 +510,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxJobs    int                            `json:"max_jobs"`
 		MaxQueue   int                            `json:"max_queue"`
 		Draining   bool                           `json:"draining"`
-		ShareRA    int                            `json:"job_share_readahead"`
-		ShareWork  int                            `json:"job_share_workers"`
 		Resilience map[string]resilience.SetStats `json:"resilience,omitempty"`
 	}
 	st := stats{Jobs: map[State]int{}, Resilience: s.res.Snapshot()}
@@ -556,7 +523,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.MaxQueue = s.cfg.MaxQueue
 	st.Draining = s.draining
 	s.mu.Unlock()
-	st.ShareRA, st.ShareWork, _ = s.gov.shares()
 	writeJSON(w, http.StatusOK, st)
 }
 

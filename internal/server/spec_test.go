@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/features"
+	"haralick4d/internal/pipeline"
+	"haralick4d/internal/readahead"
 	"haralick4d/internal/runspec"
 )
 
@@ -52,26 +55,80 @@ func TestSubmitRejectsUnknownKey(t *testing.T) {
 	}
 }
 
-// TestSubmitReadAhead: the governor owns every job's read-ahead depth, so a
-// fixed depth is a 400 naming the daemon flag that sizes it; auto, 0 and an
-// absent key are accepted.
+// TestSubmitReadAhead: a daemon job runs the spec's read-ahead exactly as the
+// CLI runs it. A fixed depth is accepted and every reader copy holds it;
+// auto, 0 and an absent key size each copy under its share of the run's
+// budget, the limit the CLI's run of the same spec reports.
 func TestSubmitReadAhead(t *testing.T) {
 	url := writeTestDataset(t)
 	_, ts := newTestServer(t, Config{MaxJobs: 1})
-	code, msg := submitRaw(t, ts.URL, `{"dataset": "`+url+`", "readahead": 4}`)
-	if code != http.StatusBadRequest || !strings.Contains(msg, "-job-quota-readahead") {
-		t.Fatalf("fixed readahead: status %d, error %q; want 400 naming -job-quota-readahead", code, msg)
+	base := `{"dataset": "` + url + `", "roi": [5,5,2,2], "gray": 16, "output": "none"`
+	auto := int64(readahead.AutoCap(3, 2*testDims[0]*testDims[1]))
+	if cli := cliReadAheadLimit(t, base+`}`); cli != auto {
+		t.Fatalf("CLI run: RFR limit %d, want AutoCap %d", cli, auto)
 	}
-	for _, extra := range []string{``, `, "readahead": "auto"`, `, "readahead": 0`} {
-		body := `{"dataset": "` + url + `", "roi": [5,5,2,2], "gray": 16, "output": "none"` + extra + `}`
-		if code, msg := submitRaw(t, ts.URL, body); code != http.StatusAccepted {
-			t.Fatalf("%s: status %d (%s), want 202", body, code, msg)
+	for _, c := range []struct {
+		extra            string
+		loDepth, hiDepth int64
+		limit            int64
+	}{
+		{`, "readahead": 3`, 3, 3, 3},
+		{`, "readahead": "auto"`, readahead.Floor, auto, auto},
+		{`, "readahead": 0`, readahead.Floor, auto, auto},
+		{``, readahead.Floor, auto, auto},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(base+c.extra+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, v := resp.StatusCode, decodeView(t, resp)
+		if code != http.StatusAccepted {
+			t.Fatalf("%q: status %d (%s), want 202", c.extra, code, v.Error)
+		}
+		v = pollTerminal(t, ts.URL, v.ID, State.Terminal)
+		if v.State != StateCompleted || v.Report == nil {
+			t.Fatalf("%q: job %s (%s)", c.extra, v.State, v.Error)
+		}
+		for _, row := range v.Report.Filter("RFR").Copies {
+			if row.ReadAheadDepth < c.loDepth || row.ReadAheadDepth > c.hiDepth || row.ReadAheadLimit != c.limit {
+				t.Errorf("%q: RFR[%d] depth %d limit %d, want depth in [%d, %d], limit %d",
+					c.extra, row.Copy, row.ReadAheadDepth, row.ReadAheadLimit, c.loDepth, c.hiDepth, c.limit)
+			}
 		}
 	}
 }
 
+// cliReadAheadLimit runs body's spec the way the CLI does — open, Prepare
+// with no placement, the local engine — and returns the largest RFR
+// read-ahead limit its report carries.
+func cliReadAheadLimit(t *testing.T, body string) int64 {
+	t.Helper()
+	sp, err := runspec.DecodeJSON(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := pipeline.OpenDataset(context.Background(), &sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p, err := pipeline.Prepare(st, &sp, pipeline.Checkpoint{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := p.Run(context.Background(), pipeline.EngineLocal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var limit int64
+	for _, row := range rep.Filter("RFR").Copies {
+		limit = max(limit, row.ReadAheadLimit)
+	}
+	return limit
+}
+
 // TestJournalReplayLenient: records already accepted replay even with keys
-// this version does not know or a depth the governor overrides.
+// this version does not know, and keep their read-ahead depth.
 func TestJournalReplayLenient(t *testing.T) {
 	jobs, next, err := replayAll([][]byte{
 		[]byte(`{"type":"submit","id":1,"spec":{"dataset":"/d","kernel_worker":2,"readahead":8}}`),

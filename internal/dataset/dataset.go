@@ -535,7 +535,7 @@ func (s *Store) ReadSliceContext(ctx context.Context, node int, ref SliceRef) ([
 // an ErrDegradedData-wrapped error — as do missing, truncated, short-read
 // and (in a DICOM dataset) undecodable or wrong-geometry slices. Note that
 // only whole-slice reads verify checksums; the positioned window reads of
-// ReadSliceRegionInto on a raw dataset detect truncation but not bit flips.
+// ReadSliceRegionIntoContext on a raw dataset detect truncation but not bit flips.
 func (s *Store) ReadSliceInto(node int, ref SliceRef, out []uint16) error {
 	return s.ReadSliceIntoContext(context.Background(), node, ref, out)
 }

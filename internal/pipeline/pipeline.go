@@ -143,7 +143,7 @@ const ReadAheadAuto = readahead.Auto
 // storage nodes come first, then one IIC copy, the output copy and the
 // texture copies, a node each; split co-locates each HCC copy with an HPC
 // copy (the paper's best layout). What only an engine run has — kernel
-// mode, gates, journal — is the caller's to add.
+// mode, journal — is the caller's to add.
 func ConfigFor(s *runspec.Spec, storageNodes int) (*Config, *Layout, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err

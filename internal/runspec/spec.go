@@ -31,6 +31,7 @@ import (
 	"haralick4d/internal/core"
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
+	"haralick4d/internal/readahead"
 )
 
 // Spec is one analysis run. The JSON keys (a daemon job spec's) and the
@@ -62,7 +63,8 @@ type Spec struct {
 }
 
 // maxCopies bounds Texture: beyond any host, well inside what a layout can
-// allocate.
+// allocate. ReadAhead stops at readahead.MaxRequests, as a self-sized reader
+// does: each reader allocates its slot queue at its depth.
 const maxCopies = 1024
 
 // Defaults returns the default run with every default resolved.
@@ -136,6 +138,8 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.Texture > maxCopies:
 		return invalid("texture (-texture) %d is more than %d copies", s.Texture, maxCopies)
+	case s.ReadAhead > readahead.MaxRequests:
+		return invalid("readahead (-readahead) %d is more than the %d requests the backend keeps alive", s.ReadAhead, readahead.MaxRequests)
 	case s.StallTimeout < 0:
 		return invalid("stall_timeout (-stall-timeout) must not be negative, got %v", time.Duration(s.StallTimeout))
 	case s.Deadline < 0:

@@ -16,6 +16,7 @@ import (
 	"haralick4d/internal/dataset"
 	"haralick4d/internal/fault"
 	"haralick4d/internal/features"
+	"haralick4d/internal/readahead"
 )
 
 // TestValueText pins each value type's one text syntax, shared by its flag
@@ -193,7 +194,7 @@ func TestDefaults(t *testing.T) {
 // TestValidateRejectsOutOfRange: a Go literal can hold an enum value no
 // text names; Validate refuses it instead of running it.
 func TestValidateRejectsOutOfRange(t *testing.T) {
-	for _, s := range []Spec{{Output: 7}, {Impl: -1}, {Policy: 2}, {Representation: 9}, {FaultPolicy: 3}, {Texture: maxCopies + 1}} {
+	for _, s := range []Spec{{Output: 7}, {Impl: -1}, {Policy: 2}, {Representation: 9}, {FaultPolicy: 3}, {Texture: maxCopies + 1}, {ReadAhead: readahead.MaxRequests + 1}} {
 		if err := s.Validate(); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%+v: %v", s, err)
 		}

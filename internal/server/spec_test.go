@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -66,6 +67,12 @@ func TestSubmitReadAhead(t *testing.T) {
 	auto := int64(readahead.AutoCap(3, 2*testDims[0]*testDims[1]))
 	if cli := cliReadAheadLimit(t, base+`}`); cli != auto {
 		t.Fatalf("CLI run: RFR limit %d, want AutoCap %d", cli, auto)
+	}
+	// A depth past what the backend keeps alive is refused before it is
+	// journalled: each reader allocates its slot queue at its depth.
+	tooDeep := fmt.Sprintf(`, "readahead": %d}`, readahead.MaxRequests+1)
+	if code, msg := submitRaw(t, ts.URL, base+tooDeep); code != http.StatusBadRequest || !strings.Contains(msg, "readahead") {
+		t.Fatalf("%q: status %d, error %q; want 400 naming readahead", tooDeep, code, msg)
 	}
 	for _, c := range []struct {
 		extra            string

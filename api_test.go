@@ -95,18 +95,6 @@ func TestAnalyzeReport(t *testing.T) {
 	if !strings.Contains(string(data), `"HMP"`) {
 		t.Error("serialized report lacks the HMP filter")
 	}
-	// DisableMetrics leaves Report nil at every copy count.
-	for _, par := range []int{1, 3} {
-		opts := smallOpts(par)
-		opts.DisableMetrics = true
-		res, err := Analyze(v, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report != nil {
-			t.Errorf("Texture %d: Report non-nil with DisableMetrics", par)
-		}
-	}
 }
 
 func TestAnalyzeDatasetReport(t *testing.T) {

@@ -136,10 +136,6 @@ type Options struct {
 	// Dataset belongs to the CLI and the daemon: the library reads
 	// AnalyzeDataset's url, so it must stay empty.
 	Spec
-	// DisableMetrics turns off the run's observability layer; Result.Report
-	// stays nil. Metrics are on by default and cost a few atomic operations
-	// per stream buffer.
-	DisableMetrics bool
 	// Checkpoint is the path of a durable progress journal (AnalyzeDataset
 	// only): every assembled output portion is recorded there as it lands,
 	// so a crashed or killed run can be continued with Resume instead of
@@ -167,7 +163,7 @@ type Options struct {
 	// the export point for job-status APIs (the serve daemon streams these
 	// per job). Calls happen on a dedicated goroutine; the callback must
 	// not block for long and must tolerate being called zero times on very
-	// short runs. Requires metrics.
+	// short runs.
 	Progress func(Progress)
 	// ProgressInterval is the sampling period; 0 selects the 500 ms
 	// default. Requires Progress.
@@ -209,8 +205,6 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("haralick4d: ProgressInterval must not be negative")
 	case o.Progress == nil && o.ProgressInterval > 0:
 		return fmt.Errorf("haralick4d: ProgressInterval set without a Progress callback")
-	case o.Progress != nil && o.DisableMetrics:
-		return fmt.Errorf("haralick4d: Progress needs the metrics it samples (unset DisableMetrics)")
 	}
 	return nil
 }
@@ -285,8 +279,7 @@ type Result struct {
 	Grids map[Feature]*FloatGrid
 	// OutputDims are the dimensions of every grid.
 	OutputDims [4]int
-	// Report is the run's observability report: nil only when
-	// Options.DisableMetrics is set.
+	// Report is the run's observability report, kept on every run.
 	Report *RunReport
 	// Degraded summarizes data a SkipDegraded run skipped; nil when the run
 	// was clean (and always nil under FailFast, which errors instead).
@@ -382,17 +375,13 @@ func analyze(ctx context.Context, opts *Options, open func(context.Context, *Opt
 		return nil, err
 	}
 	rep, degraded, err := p.Run(ctx, pipeline.EngineLocal, &pipeline.RunOptions{
-		Options:          filter.Options{DisableMetrics: opts.DisableMetrics},
 		Progress:         opts.Progress,
 		ProgressInterval: opts.ProgressInterval,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: p.OutDims, Degraded: degraded, Restart: p.Restart}
-	if !opts.DisableMetrics {
-		res.Report = rep
-	}
+	res := &Result{Grids: map[Feature]*FloatGrid{}, OutputDims: p.OutDims, Report: rep, Degraded: degraded, Restart: p.Restart}
 	if p.Results != nil { // nil when the run wrote JPEGs
 		for _, f := range p.Config.Analysis.Features {
 			res.Grids[f] = p.Results.Grid(f)

@@ -208,46 +208,68 @@ func retryPolicy() *resilience.Policy {
 
 func TestFlakyTCPLinkWithRetry(t *testing.T) {
 	const n = 40
-	// Break the 7th write on every outbound node link; each redial gets a
-	// fresh FlakyConn that breaks again, so the run only completes if the
-	// sender keeps reconnecting and retransmitting. Round-robin dealing puts
-	// 13 buffers on each remote link by construction: demand-driven dealing
-	// keeps them at the co-located copy once the links are priced.
-	wrap := func(c net.Conn, from, to int) net.Conn {
-		return &FlakyConn{Conn: c, FailAt: 7}
-	}
-	g, got := chaosGraph(n, filter.RoundRobin, forward, []int{0, 1, 2})
-	rs, err := filter.RunTCP(g, &filter.Options{
-		WireCodec:   filter.CodecBinary,
-		Failover:    true,
-		Resilience:  retryPolicy(),
-		SendTimeout: 2 * time.Second,
-		RecvTimeout: 2 * time.Second,
-		WrapConn:    wrap,
-	})
-	if err != nil {
-		t.Fatalf("run with retry: %v", err)
-	}
-	msgs := got()
-	if len(msgs) != n {
-		t.Fatalf("sink received %d buffers, want %d", len(msgs), n)
-	}
-	sort.Ints(msgs)
-	for i, v := range msgs {
-		if v != i {
-			t.Fatalf("message %d delivered as %d: duplicates or loss", i, v)
-		}
-	}
-	if rs == nil {
-		t.Fatal("run report missing")
-	}
-	var retries, redials int64
-	for _, c := range rs.Network {
-		retries += c.Retries
-		redials += c.Redials
-	}
-	if retries == 0 || redials == 0 {
-		t.Errorf("retries=%d redials=%d, want both > 0", retries, redials)
+	for _, tc := range []struct {
+		name string
+		wrap func(dials *atomic.Int32) func(c net.Conn, from, to int) net.Conn
+	}{
+		// Break the 7th write on every outbound node link; each redial gets
+		// a fresh FlakyConn that breaks again, so the run only completes if
+		// the sender keeps reconnecting and retransmitting. Round-robin
+		// dealing puts 13 buffers on each remote link by construction:
+		// demand-driven dealing keeps them at the co-located copy once the
+		// links are priced.
+		{"every link breaks at write 7", func(*atomic.Int32) func(net.Conn, int, int) net.Conn {
+			return func(c net.Conn, from, to int) net.Conn { return &FlakyConn{Conn: c, FailAt: 7} }
+		}},
+		// Tear the first frame of the 0→1 link's first socket after 3 bytes,
+		// inside its 4-byte length prefix: the receiver fails that socket
+		// before any whole frame has named the sending node, so it has no
+		// pair metrics to count the error on yet.
+		{"first frame torn", func(dials *atomic.Int32) func(net.Conn, int, int) net.Conn {
+			return func(c net.Conn, from, to int) net.Conn {
+				if from == 0 && to == 1 && dials.Add(1) == 1 {
+					return &FlakyConn{Conn: c, FailAt: 1, Partial: 3}
+				}
+				return c
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dials atomic.Int32
+			g, got := chaosGraph(n, filter.RoundRobin, forward, []int{0, 1, 2})
+			rs, err := filter.RunTCP(g, &filter.Options{
+				WireCodec:   filter.CodecBinary,
+				Failover:    true,
+				Resilience:  retryPolicy(),
+				SendTimeout: 2 * time.Second,
+				RecvTimeout: 2 * time.Second,
+				WrapConn:    tc.wrap(&dials),
+			})
+			if err != nil {
+				t.Fatalf("run with retry: %v", err)
+			}
+			msgs := got()
+			if len(msgs) != n {
+				t.Fatalf("sink received %d buffers, want %d", len(msgs), n)
+			}
+			sort.Ints(msgs)
+			for i, v := range msgs {
+				if v != i {
+					t.Fatalf("message %d delivered as %d: duplicates or loss", i, v)
+				}
+			}
+			if rs == nil {
+				t.Fatal("run report missing")
+			}
+			var retries, redials int64
+			for _, c := range rs.Network {
+				retries += c.Retries
+				redials += c.Redials
+			}
+			if retries == 0 || redials == 0 {
+				t.Errorf("retries=%d redials=%d, want both > 0", retries, redials)
+			}
+		})
 	}
 }
 

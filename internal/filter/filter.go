@@ -77,9 +77,7 @@ type Context interface {
 	// SendTo emits a buffer to a specific consumer copy (explicit routing).
 	SendTo(port string, copy int, p Payload) error
 	// Metrics returns this copy's metric set for span and pool-counter
-	// recording, or nil when the run has metrics disabled. All methods of
-	// the returned set are nil-receiver safe, so filters may use it
-	// unconditionally.
+	// recording. Every run keeps one per copy; it is never nil.
 	Metrics() *metrics.Copy
 	// Aborting reports whether the runtime is tearing the run down after a
 	// failure: an end-of-stream a filter observes then is a side effect of

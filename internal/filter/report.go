@@ -10,10 +10,9 @@ import (
 // Probe and once at the end: per copy, the engine's ledger and what the
 // filter recorded; per stream, its traffic counters; then the per-filter
 // aggregates and the critical path. ledger returns the named filter's copy
-// ledger; stream returns a connection's counters, nil when metrics are
-// disabled (the report then has no stream rows, and no spans since the
-// ledgers carry none). The caller adds what only its engine knows (failover
-// redeliveries, queue bytes, the network table); Finalize leaves those be.
+// ledger; stream returns a connection's counters. The caller adds what only
+// its engine knows (failover redeliveries, queue bytes, the network table);
+// Finalize leaves those be.
 func BuildReport(engine string, elapsed time.Duration, g *Graph,
 	ledger func(filter string, copy int) *metrics.Ledger, stream func(ConnSpec) *metrics.Stream) *metrics.RunReport {
 	rep := &metrics.RunReport{Engine: engine, ElapsedNS: int64(elapsed)}
@@ -26,9 +25,6 @@ func BuildReport(engine string, elapsed time.Duration, g *Graph,
 	}
 	for _, c := range g.Conns {
 		s := stream(c)
-		if s == nil {
-			continue
-		}
 		sw := s.SendWait.Stat()
 		rep.Streams = append(rep.Streams, metrics.StreamReport{
 			From: c.From, FromPort: c.FromPort, To: c.To, ToPort: c.ToPort,

@@ -111,43 +111,6 @@ func TestLocalRunReportAccounting(t *testing.T) {
 	}
 }
 
-func TestLocalMetricsDisabled(t *testing.T) {
-	g := NewGraph()
-	g.AddFilter(FilterSpec{Name: "src", Copies: 1, New: source(5)})
-	g.AddFilter(FilterSpec{Name: "sink", Copies: 1, New: func(int) Filter {
-		return Func(func(ctx Context) error {
-			if ctx.Metrics() != nil {
-				return errors.New("ctx.Metrics() non-nil with metrics disabled")
-			}
-			// Nil-receiver metric calls must be safe no-ops.
-			sp := ctx.Metrics().StartCompute()
-			sp.End()
-			ctx.Metrics().Pool(true)
-			for {
-				if _, ok := ctx.Recv(); !ok {
-					return nil
-				}
-			}
-		})
-	}})
-	g.Connect(ConnSpec{From: "src", FromPort: "out", To: "sink", ToPort: "in", Policy: RoundRobin})
-	stats, err := RunLocal(g, &Options{DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The report keeps the elapsed time and the engine's ledgers, and
-	// nothing the metrics layer records.
-	if stats == nil || stats.ElapsedNS <= 0 {
-		t.Fatalf("report %+v without an elapsed time under DisableMetrics", stats)
-	}
-	if got := stats.Filter("sink").MsgsIn; got != 5 {
-		t.Errorf("sink MsgsIn = %d under DisableMetrics, want 5", got)
-	}
-	if len(stats.Streams) != 0 || stats.Filter("sink").Spans != nil {
-		t.Errorf("streams %v or spans %v under DisableMetrics", stats.Streams, stats.Filter("sink").Spans)
-	}
-}
-
 func TestLocalContextCancel(t *testing.T) {
 	g := NewGraph()
 	g.AddFilter(FilterSpec{Name: "src", Copies: 1, New: endlessSource()})

@@ -25,11 +25,6 @@ type Options struct {
 	// larger than the whole budget crosses an empty queue alone. Default
 	// readahead.BudgetBytes, the run's one byte budget.
 	QueueBytes int
-	// DisableMetrics turns off the observability layer: filters see a nil
-	// metric set and stream counters are not kept, so the run report holds
-	// only the elapsed time and the engine's per-copy ledgers. The default
-	// (metrics on) costs a few atomic operations per buffer.
-	DisableMetrics bool
 	// WireCodec names the TCP engine's serialization of buffers crossing
 	// nodes. CodecBinary, the zero value, is the only one.
 	WireCodec Codec
@@ -77,7 +72,7 @@ type Options struct {
 	// run with a Probe over the live runtime. stop is closed when the run
 	// finishes (or aborts); the engine waits for Monitor to return before
 	// building the final report. The pipeline's progress sampler attaches
-	// here. Requires metrics (ignored when DisableMetrics is set).
+	// here.
 	Monitor func(stop <-chan struct{}, p Probe)
 }
 
@@ -212,7 +207,7 @@ type connState struct {
 	spec      ConnSpec
 	consumers []*copyState
 	rr        atomic.Uint64
-	met       *metrics.Stream // nil when metrics are disabled
+	met       metrics.Stream
 }
 
 // transport delivers a message to a consumer copy that is placed on a
@@ -239,8 +234,7 @@ type runtime struct {
 	copies     map[string][]*copyState
 	conns      map[string]*connState // key: from + "." + fromPort
 	trans      transport
-	engine     string // "local", "tcp" or "sim", recorded in the report
-	metricsOn  bool
+	engine     string        // "local", "tcp" or "sim", recorded in the report
 	queueBytes int           // every copy's input-queue budget, payload bytes
 	stall      time.Duration // watchdog deadline; 0 = no watchdog
 	// failover has an entry per failover-eligible filter (nil map when the
@@ -268,17 +262,16 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 		return nil, err
 	}
 	rt := &runtime{
-		graph:     g,
-		copies:    make(map[string][]*copyState),
-		conns:     make(map[string]*connState),
-		trans:     trans,
-		metricsOn: opts == nil || !opts.DisableMetrics,
-		done:      make(chan struct{}),
+		graph:  g,
+		copies: make(map[string][]*copyState),
+		conns:  make(map[string]*connState),
+		trans:  trans,
+		done:   make(chan struct{}),
 	}
 	if opts != nil && opts.StallTimeout > 0 {
 		rt.stall = opts.StallTimeout
 	}
-	if opts != nil && opts.Monitor != nil && rt.metricsOn {
+	if opts != nil {
 		rt.monitor = opts.Monitor
 	}
 	rt.queueBytes = opts.queueBytes()
@@ -291,9 +284,6 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 				node:      fs.Nodes[i],
 				inbox:     newInbox(rt.queueBytes),
 				eosExpect: map[string]int{},
-			}
-			if rt.metricsOn {
-				states[i].led.Met = &metrics.Copy{}
 			}
 		}
 		rt.copies[fs.Name] = states
@@ -309,9 +299,6 @@ func newRuntime(g *Graph, opts *Options, trans transport) (*runtime, error) {
 	for _, c := range g.Conns {
 		producer, _ := g.Filter(c.From)
 		cs := &connState{spec: c, consumers: rt.copies[c.To]}
-		if rt.metricsOn {
-			cs.met = &metrics.Stream{}
-		}
 		rt.conns[c.From+"."+c.FromPort] = cs
 		for _, consumer := range rt.copies[c.To] {
 			consumer.eosExpect[c.ToPort] += producer.Copies
@@ -461,7 +448,7 @@ type netReporter interface {
 func (rt *runtime) Report() *metrics.RunReport {
 	rep := BuildReport(rt.engine, rt.clk.now(), rt.graph,
 		func(name string, i int) *metrics.Ledger { return &rt.copies[name][i].led },
-		func(c ConnSpec) *metrics.Stream { return rt.conns[c.From+"."+c.FromPort].met })
+		func(c ConnSpec) *metrics.Stream { return &rt.conns[c.From+"."+c.FromPort].met })
 	for i := range rep.Filters {
 		if fo := rt.failover[rep.Filters[i].Name]; fo != nil {
 			fo.mu.Lock()
@@ -622,7 +609,7 @@ func (c *copyCtx) FilterName() string     { return c.st.filter }
 func (c *copyCtx) CopyIndex() int         { return c.st.copyIdx }
 func (c *copyCtx) NumCopies() int         { return len(c.rt.copies[c.st.filter]) }
 func (c *copyCtx) Node() int              { return c.st.node }
-func (c *copyCtx) Metrics() *metrics.Copy { return c.st.led.Met }
+func (c *copyCtx) Metrics() *metrics.Copy { return &c.st.led.Met }
 
 func (c *copyCtx) ConsumerCopies(port string) int {
 	cs, ok := c.rt.conns[c.st.filter+"."+port]

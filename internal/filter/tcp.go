@@ -150,8 +150,8 @@ type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn // replaced in place on redial, under mu
 	cw  *countingWriter
-	buf []byte          // frame scratch, reused under mu
-	met *metrics.Conn   // nil when metrics are disabled
+	buf []byte // frame scratch, reused under mu
+	met *metrics.Conn
 	res *resilience.Set // pair breaker/budget; nil when not configured
 	seq uint64          // last stamped sequence number (retry mode)
 	rng *rand.Rand      // pair-seeded backoff jitter, used under mu
@@ -258,12 +258,8 @@ func (tr *tcpTransport) cost(a, b int, now time.Duration, bytes int) time.Durati
 	return time.Duration(float64(ns) / float64(n) * float64(bytes) * math.Exp2(-float64(age)/float64(priceHalfLife)))
 }
 
-// connMetric returns the shared metric set for the ordered node pair, or nil
-// when metrics are disabled.
+// connMetric returns the shared metric set for the ordered node pair.
 func (tr *tcpTransport) connMetric(from, to int) *metrics.Conn {
-	if !tr.rt.metricsOn {
-		return nil
-	}
 	key := [2]int{from, to}
 	tr.metMu.Lock()
 	defer tr.metMu.Unlock()
@@ -400,6 +396,8 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 					// A torn frame from a broken sender: drop this socket and
 					// rely on the sender's retransmission over a fresh one —
 					// the pair resequencer drops anything already delivered.
+					// met is nil until a whole frame has named the sender,
+					// so a first frame torn on this socket counts nowhere.
 					if met != nil {
 						met.RecvErrors.Inc()
 					}
@@ -416,19 +414,15 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 		if met == nil {
 			met = tr.connMetric(env.FromNode, node)
 		}
-		if met != nil {
-			met.Recv.Add(time.Since(start))
-			met.MsgsIn.Inc()
-			met.WireBytesIn.Add(cr.n - lastBytes)
-			lastBytes = cr.n
-		}
+		met.Recv.Add(time.Since(start))
+		met.MsgsIn.Inc()
+		met.WireBytesIn.Add(cr.n - lastBytes)
+		lastBytes = cr.n
 		batch := []envelope{env}
 		if env.Seq > 0 {
 			ready, dup := tr.sequence(env.FromNode, node, env)
 			if dup {
-				if met != nil {
-					met.DupsDropped.Inc()
-				}
+				met.DupsDropped.Inc()
 				continue
 			}
 			batch = ready // may be empty: held back until the gap fills
@@ -517,11 +511,8 @@ func (tr *tcpTransport) sequence(from, to int, env envelope) (ready []envelope, 
 // links' retry schedule, funded by the pair's shared set and jittered by the
 // pair's source. A run abort ends it with errStopped.
 func (c *tcpConn) retry(try func(attempt int) error) error {
-	err := c.tr.retry.Do(doneCtx{done: c.tr.rt.done}, c.res, c.rng, func() {
-		if c.met != nil {
-			c.met.Retries.Inc()
-		}
-	}, func(attempt int) (time.Duration, error) { return 0, try(attempt) })
+	err := c.tr.retry.Do(doneCtx{done: c.tr.rt.done}, c.res, c.rng, c.met.Retries.Inc,
+		func(attempt int) (time.Duration, error) { return 0, try(attempt) })
 	if errors.Is(err, context.Canceled) {
 		return errStopped
 	}
@@ -622,21 +613,15 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 		c.seq++
 		env.Seq = c.seq
 	}
-	var start time.Time
-	before := c.cw.n
-	if c.met != nil {
-		start = time.Now()
-	}
+	start, before := time.Now(), c.cw.n
 	encode, err := c.writeEnvelope(&env, to, tok)
 	if err != nil {
 		return err
 	}
 	tr.record(c.from, c.to, time.Since(tr.start), encode, m.size, true)
-	if c.met != nil {
-		c.met.Send.Add(time.Since(start))
-		c.met.MsgsOut.Inc()
-		c.met.WireBytesOut.Add(c.cw.n - before)
-	}
+	c.met.Send.Add(time.Since(start))
+	c.met.MsgsOut.Inc()
+	c.met.WireBytesOut.Add(c.cw.n - before)
 	return nil
 }
 
@@ -698,9 +683,7 @@ func (c *tcpConn) redial() error {
 	}
 	c.c.Close()
 	c.attach(conn)
-	if c.met != nil {
-		c.met.Redials.Inc()
-	}
+	c.met.Redials.Inc()
 	return nil
 }
 

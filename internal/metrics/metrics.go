@@ -79,8 +79,8 @@ func (t *Timer) Stat() SpanStat {
 	return SpanStat{Count: t.count.Load(), TotalNS: t.ns.Load(), MaxNS: t.max.Load()}
 }
 
-// Span is one open wall-clock measurement. The zero Span is a no-op, which
-// is how nil metric sets disable recording without branches at call sites.
+// Span is one open wall-clock measurement. The zero Span is a no-op, so a
+// call site that opens a span only on some paths ends it without a branch.
 type Span struct {
 	t     *Timer
 	start time.Time
@@ -115,8 +115,8 @@ type Ledger struct {
 	Busy, BlockedRecv, StalledSend     Counter
 	MsgsIn, MsgsOut, BytesIn, BytesOut Counter
 	failure                            atomic.Pointer[string]
-	// Met is what the filter records itself; nil when metrics are disabled.
-	Met *Copy
+	// Met is what the filter records itself.
+	Met Copy
 }
 
 // Fail records the copy's failure, tolerated by failover.
@@ -146,9 +146,8 @@ func (l *Ledger) Row(copy, node int) CopyReport {
 }
 
 // Copy collects one filter copy's instrumented activity beyond what the
-// engine measures on its own in its Ledger. All
-// methods are nil-receiver safe: a nil *Copy records nothing, so filters
-// run unchanged when metrics are disabled.
+// engine measures on its own in its Ledger. Every run keeps one per copy,
+// so a filter's ctx.Metrics() is never nil.
 type Copy struct {
 	Read, ReadWait, Assemble, Compute, Emit, Write Timer
 	PoolHit, PoolMiss                              Counter
@@ -158,81 +157,53 @@ type Copy struct {
 }
 
 // ReadAhead records a reader copy's final, peak and limiting read-ahead
-// depth (no-op on nil receiver).
+// depth.
 func (c *Copy) ReadAhead(depth, peak, limit int) {
-	if c == nil {
-		return
-	}
 	c.ReadAheadDepth.Observe(int64(depth))
 	c.ReadAheadPeak.Observe(int64(peak))
 	c.ReadAheadLimit.Observe(int64(limit))
 }
 
-// Fill copies what the filter recorded into its row of the run report
-// (no-op on nil receiver).
+// Fill copies what the filter recorded into its row of the run report.
 func (c *Copy) Fill(cr *CopyReport) {
-	if c == nil {
-		return
-	}
 	cr.Spans = c.Spans()
 	cr.PoolHits, cr.PoolMisses = c.PoolHit.Load(), c.PoolMiss.Load()
 	cr.ReadAheadDepth, cr.ReadAheadPeak, cr.ReadAheadLimit = c.ReadAheadDepth.Load(), c.ReadAheadPeak.Load(), c.ReadAheadLimit.Load()
 }
 
-// StartRead opens a read span (no-op on nil receiver).
+// StartRead opens a read span.
 func (c *Copy) StartRead() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.Read.Start()
 }
 
 // StartReadWait opens a read-wait span — the time a reader's emit loop
-// spends blocked on the read-ahead stage (no-op on nil receiver).
+// spends blocked on the read-ahead stage.
 func (c *Copy) StartReadWait() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.ReadWait.Start()
 }
 
-// StartAssemble opens an assemble span (no-op on nil receiver).
+// StartAssemble opens an assemble span.
 func (c *Copy) StartAssemble() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.Assemble.Start()
 }
 
-// StartCompute opens a compute span (no-op on nil receiver).
+// StartCompute opens a compute span.
 func (c *Copy) StartCompute() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.Compute.Start()
 }
 
-// StartEmit opens an emit span (no-op on nil receiver).
+// StartEmit opens an emit span.
 func (c *Copy) StartEmit() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.Emit.Start()
 }
 
-// StartWrite opens a write span (no-op on nil receiver).
+// StartWrite opens a write span.
 func (c *Copy) StartWrite() Span {
-	if c == nil {
-		return Span{}
-	}
 	return c.Write.Start()
 }
 
-// Pool records one buffer-pool lease outcome (no-op on nil receiver).
+// Pool records one buffer-pool lease outcome.
 func (c *Copy) Pool(hit bool) {
-	if c == nil {
-		return
-	}
 	if hit {
 		c.PoolHit.Inc()
 	} else {
@@ -242,13 +213,8 @@ func (c *Copy) Pool(hit bool) {
 
 // Progress returns a monotone heartbeat derived from the span timers and
 // pool counters: it grows whenever the copy completes any instrumented
-// activity. It is the filter's share of Ledger.Progress. Nil-receiver safe:
-// a nil *Copy reports 0, leaving the engine counters as the only heartbeat
-// when metrics are disabled.
+// activity. It is the filter's share of Ledger.Progress.
 func (c *Copy) Progress() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.Read.Count() + c.ReadWait.Count() + c.Assemble.Count() +
 		c.Compute.Count() + c.Emit.Count() + c.Write.Count() +
 		c.PoolHit.Load() + c.PoolMiss.Load()
@@ -256,9 +222,6 @@ func (c *Copy) Progress() int64 {
 
 // Spans snapshots the non-empty span timers, keyed by span name.
 func (c *Copy) Spans() map[string]SpanStat {
-	if c == nil {
-		return nil
-	}
 	out := map[string]SpanStat{}
 	for name, t := range map[string]*Timer{
 		SpanRead: &c.Read, SpanReadWait: &c.ReadWait, SpanAssemble: &c.Assemble,
@@ -287,11 +250,8 @@ type Stream struct {
 
 // ObserveSend records one delivered buffer: its payload size, the
 // producer-side wait, and the consumer queue depth observed after the
-// delivery. Nil-receiver safe.
+// delivery.
 func (s *Stream) ObserveSend(bytes int64, wait time.Duration, depth int64) {
-	if s == nil {
-		return
-	}
 	s.Buffers.Inc()
 	s.Bytes.Add(bytes)
 	s.BufferMax.Observe(bytes)

@@ -40,23 +40,6 @@ func TestMaxGauge(t *testing.T) {
 	}
 }
 
-func TestNilCopyIsSafe(t *testing.T) {
-	var c *Copy
-	c.StartRead().End()
-	c.StartAssemble().End()
-	c.StartCompute().End()
-	c.StartEmit().End()
-	c.StartWrite().End()
-	c.Pool(true)
-	c.ReadAhead(4, 8, 16)
-	c.Fill(&CopyReport{})
-	if c.Spans() != nil {
-		t.Fatalf("nil copy has spans")
-	}
-	var s *Stream
-	s.ObserveSend(10, time.Millisecond, 3)
-}
-
 func TestCopySpansSnapshot(t *testing.T) {
 	c := &Copy{}
 	c.StartCompute().End()

@@ -382,7 +382,7 @@ type RunOptions struct {
 	// the run, on a goroutine of its own — the export point for job-status
 	// APIs (the serve daemon streams them per job). It must not block for
 	// long and may be called zero times on a short run. It takes the
-	// runtime's Monitor slot, and requires metrics.
+	// runtime's Monitor slot.
 	Progress         func(metrics.Progress)
 	ProgressInterval time.Duration
 }

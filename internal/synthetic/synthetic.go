@@ -79,46 +79,8 @@ func gammaVariate(t, t0, tp, alpha float64) float64 {
 	return math.Pow(r, alpha) * math.Exp(alpha*(1-r))
 }
 
-// Truth is the phantom's ground truth: the 3D tumor enhancement field
-// (X·Y·Z, x fastest), used to label texture features for classifier
-// training and evaluation.
-type Truth struct {
-	Dims        [4]int
-	TumorWeight []float64
-}
-
-// At returns the tumor enhancement amplitude at the 3D position.
-func (t *Truth) At(x, y, z int) float64 {
-	return t.TumorWeight[(z*t.Dims[1]+y)*t.Dims[0]+x]
-}
-
-// MeanIn returns the mean tumor weight over a 3D box (half-open bounds),
-// the label statistic for an ROI.
-func (t *Truth) MeanIn(lo, hi [3]int) float64 {
-	sum, n := 0.0, 0
-	for z := lo[2]; z < hi[2]; z++ {
-		for y := lo[1]; y < hi[1]; y++ {
-			for x := lo[0]; x < hi[0]; x++ {
-				sum += t.At(x, y, z)
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Generate builds the phantom study.
 func Generate(cfg Config) *volume.Volume {
-	v, _ := GenerateWithTruth(cfg)
-	return v
-}
-
-// GenerateWithTruth builds the phantom study and returns the tumor ground
-// truth alongside it.
-func GenerateWithTruth(cfg Config) (*volume.Volume, *Truth) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	X, Y, Z, T := cfg.Dims[0], cfg.Dims[1], cfg.Dims[2], cfg.Dims[3]
@@ -211,7 +173,7 @@ func GenerateWithTruth(cfg Config) (*volume.Volume, *Truth) {
 			out[j] = uint16(val)
 		}
 	}
-	return v, &Truth{Dims: cfg.Dims, TumorWeight: tumorW}
+	return v
 }
 
 // GenerateGrid is a convenience for tests and examples: generate a phantom

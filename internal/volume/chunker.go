@@ -89,9 +89,6 @@ func (c *Chunker) Count() int {
 	return c.counts[0] * c.counts[1] * c.counts[2] * c.counts[3]
 }
 
-// GridCounts returns the number of chunks along each dimension.
-func (c *Chunker) GridCounts() [4]int { return c.counts }
-
 // OutputDims returns the full output (ROI-origin) dimensions.
 func (c *Chunker) OutputDims() [4]int { return c.outDims }
 

@@ -69,6 +69,13 @@ type Header struct {
 	Representation int
 	// Features are the feature ids in emission order.
 	Features []int
+	// Split marks a split (HCC/HPC) run, whose portions are HCC's grains:
+	// (z, t) planes, or runs of plane rows dealt for GrainWorkers kernel
+	// workers (0 when every chunk is dealt whole planes). Other runs
+	// journal whole chunks and do not record it, so a journal resumes only
+	// a run that cuts its portions the same way.
+	Split        bool
+	GrainWorkers int
 }
 
 func (h *Header) encode() []byte {
@@ -86,6 +93,10 @@ func (h *Header) encode() []byte {
 	}
 	for _, f := range h.Features {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(f))
+	}
+	if h.Split {
+		buf = append(buf, 'S')
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.GrainWorkers))
 	}
 	return buf
 }
@@ -215,7 +226,7 @@ func Resume(path string, hdr Header, syncInterval time.Duration) (*Journal, *Sta
 	}
 	l, truncated, err := OpenLog(path, hdr.encode(), syncInterval, visit)
 	if errors.Is(err, ErrMismatch) {
-		err = fmt.Errorf("%w (run fingerprint differs: dataset dims, ROI, chunking, gray levels, directions, features and representation must all match)", ErrMismatch)
+		err = fmt.Errorf("%w (run fingerprint differs: dataset dims, ROI, chunking, gray levels, directions, features, representation and whether the run is split must all match, and a split run's kernel workers when its grains cut planes)", ErrMismatch)
 	}
 	if err != nil {
 		return nil, nil, err

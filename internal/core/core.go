@@ -240,29 +240,6 @@ func ScanRegion(region *volume.Region, origins volume.Box, cfg *Config, stats *S
 	return sc.scan(0, shape[1]*shape[2]*shape[3], stats, visit)
 }
 
-// SparseBatch computes one sparse co-occurrence matrix per ROI origin of
-// the box, in raster order — the HCC filter's product for one packet. The
-// matrices of the batch share backing arenas; callers that process chunks
-// in a loop should reuse a MatrixBatch via SparseBatchInto instead.
-func SparseBatch(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats) ([]*glcm.Sparse, error) {
-	var b MatrixBatch
-	if err := SparseBatchInto(region, origins, cfg, stats, &b); err != nil {
-		return nil, err
-	}
-	return b.Sparse, nil
-}
-
-// FullBatch computes one dense co-occurrence matrix per ROI origin of the
-// box, in raster order — the HCC filter's product when the full
-// representation is configured. See SparseBatch about reuse.
-func FullBatch(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats) ([]*glcm.Full, error) {
-	var b MatrixBatch
-	if err := FullBatchInto(region, origins, cfg, stats, &b); err != nil {
-		return nil, err
-	}
-	return b.Full, nil
-}
-
 // checkOrigins verifies that every ROI rooted in origins lies inside the
 // region.
 func checkOrigins(region *volume.Region, origins volume.Box, cfg *Config) error {

@@ -79,6 +79,19 @@ func (gs grains) rows(i int) (r0, r1 int) {
 	return plane*gs.sy + lo, plane*gs.sy + hi
 }
 
+// box returns the origins of grain i: its rows, each along the whole x
+// extent of the box, in one (z, t) plane.
+func (gs grains) box(origins volume.Box, i int) volume.Box {
+	r0, r1 := gs.rows(i)
+	plane, sz := r0/gs.sy, origins.Shape()[2]
+	b := origins
+	b.Lo[1] += r0 % gs.sy
+	b.Lo[2] += plane % sz
+	b.Lo[3] += plane / sz
+	b.Hi[1], b.Hi[2], b.Hi[3] = b.Lo[1]+r1-r0, b.Lo[2]+1, b.Lo[3]+1
+	return b
+}
+
 // spanWorkers bounds the effective worker count by the number of grains the
 // origin box deals, so that no worker starts without one.
 func spanWorkers(cfg *Config, origins volume.Box) int {

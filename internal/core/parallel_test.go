@@ -494,54 +494,6 @@ func TestStatsAgreeAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestSparseBatchEntryHint: a fresh container sized from a hint stores the
-// same matrices, every worker arena starts at its share of the hint and
-// grows only when the grains its worker was dealt need more, and NumEntries
-// reports what the next hint should be.
-func TestSparseBatchEntryHint(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	region, dims := randRegion(rng, 16)
-	cfg := Config{ROI: [4]int{4, 4, 2, 2}, GrayLevels: 16, NDim: 4, Distance: 1, Representation: SparseMatrix, Workers: 3}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	outDims, err := volume.OutputDims(dims, cfg.ROI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origins := volume.BoxAt([4]int{}, outDims)
-	var first MatrixBatch
-	if err := SparseBatchInto(region, origins, &cfg, nil, &first); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, m := range first.Sparse {
-		n += len(m.Entries)
-	}
-	if first.NumEntries() != n || n == 0 {
-		t.Fatalf("NumEntries = %d, matrices hold %d", first.NumEntries(), n)
-	}
-	hinted := MatrixBatch{EntryHint: n}
-	if err := SparseBatchInto(region, origins, &cfg, nil, &hinted); err != nil {
-		t.Fatal(err)
-	}
-	want := 2*n/3 + n/24
-	for i := range hinted.shards {
-		sh := &hinted.shards[i]
-		if grew := cap(sh.entries) != want; grew != (len(sh.entries) > want) {
-			t.Errorf("shard %d arena capacity %d for %d entries, want the hinted %d unless they outgrew it", i, cap(sh.entries), len(sh.entries), want)
-		}
-	}
-	if hinted.NumEntries() != n {
-		t.Fatalf("hinted NumEntries = %d, want %d", hinted.NumEntries(), n)
-	}
-	for k := range first.Sparse {
-		if !reflect.DeepEqual(hinted.Sparse[k].Entries, first.Sparse[k].Entries) || hinted.Sparse[k].Total != first.Sparse[k].Total {
-			t.Fatalf("matrix %d differs with a hint", k)
-		}
-	}
-}
-
 // BenchmarkAnalyzeWindow times the parallel per-chunk computation on the
 // paper geometry over two kinds of data: "noise" spans every gray level in
 // every slab column, so each ROI's gray-level window is [0, G) — the worst

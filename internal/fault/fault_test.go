@@ -210,6 +210,7 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 	const n = 40
 	for _, tc := range []struct {
 		name string
+		torn bool // a frame breaks mid-way, so a receiver counts an error
 		wrap func(dials *atomic.Int32) func(c net.Conn, from, to int) net.Conn
 	}{
 		// Break the 7th write on every outbound node link; each redial gets
@@ -217,15 +218,16 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 		// the sender keeps reconnecting and retransmitting. Round-robin
 		// dealing puts 13 buffers on each remote link by construction:
 		// demand-driven dealing keeps them at the co-located copy once the
-		// links are priced.
-		{"every link breaks at write 7", func(*atomic.Int32) func(net.Conn, int, int) net.Conn {
+		// links are priced. Each break fails a whole write, so receivers see
+		// a clean end of stream between frames.
+		{"every link breaks at write 7", false, func(*atomic.Int32) func(net.Conn, int, int) net.Conn {
 			return func(c net.Conn, from, to int) net.Conn { return &FlakyConn{Conn: c, FailAt: 7} }
 		}},
 		// Tear the first frame of the 0→1 link's first socket after 3 bytes,
 		// inside its 4-byte length prefix: the receiver fails that socket
-		// before any whole frame has named the sending node, so it has no
-		// pair metrics to count the error on yet.
-		{"first frame torn", func(dials *atomic.Int32) func(net.Conn, int, int) net.Conn {
+		// before any whole frame has named the sending node, so the error
+		// counts on node 1's row for an unknown sender.
+		{"first frame torn", true, func(dials *atomic.Int32) func(net.Conn, int, int) net.Conn {
 			return func(c net.Conn, from, to int) net.Conn {
 				if from == 0 && to == 1 && dials.Add(1) == 1 {
 					return &FlakyConn{Conn: c, FailAt: 1, Partial: 3}
@@ -261,13 +263,20 @@ func TestFlakyTCPLinkWithRetry(t *testing.T) {
 			if rs == nil {
 				t.Fatal("run report missing")
 			}
-			var retries, redials int64
+			var retries, redials, recvErrors int64
 			for _, c := range rs.Network {
 				retries += c.Retries
 				redials += c.Redials
+				recvErrors += c.RecvErrors
+				if c.RecvErrors > 0 && (c.FromNode != -1 || c.ToNode != 1) {
+					t.Errorf("receive errors on row %d -> %d, want them on the unknown sender's row into node 1", c.FromNode, c.ToNode)
+				}
 			}
 			if retries == 0 || redials == 0 {
 				t.Errorf("retries=%d redials=%d, want both > 0", retries, redials)
+			}
+			if tc.torn != (recvErrors > 0) {
+				t.Errorf("recv_errors=%d with torn=%v", recvErrors, tc.torn)
 			}
 		})
 	}

@@ -271,6 +271,10 @@ func (tr *tcpTransport) connMetric(from, to int) *metrics.Conn {
 	return m
 }
 
+// unknownNode is the sending node of the network row that counts receive
+// errors on sockets that broke before any whole frame named their sender.
+const unknownNode = -1
+
 // pairKey names an ordered node pair in the resilience registry.
 func pairKey(from, to int) string { return fmt.Sprintf("%d->%d", from, to) }
 
@@ -396,11 +400,12 @@ func (tr *tcpTransport) recvLoop(conn net.Conn, node int) {
 					// A torn frame from a broken sender: drop this socket and
 					// rely on the sender's retransmission over a fresh one —
 					// the pair resequencer drops anything already delivered.
-					// met is nil until a whole frame has named the sender,
-					// so a first frame torn on this socket counts nowhere.
-					if met != nil {
-						met.RecvErrors.Inc()
+					// Until a whole frame has named the sender, the error
+					// counts on the node's row for an unknown sender.
+					if met == nil {
+						met = tr.connMetric(unknownNode, node)
 					}
+					met.RecvErrors.Inc()
 					conn.Close()
 					return
 				}
@@ -622,6 +627,11 @@ func (tr *tcpTransport) deliver(from, to *copyState, m inMsg) error {
 	c.met.Send.Add(time.Since(start))
 	c.met.MsgsOut.Inc()
 	c.met.WireBytesOut.Add(c.cw.n - before)
+	// The frame is written and the receiver decodes its own copy, so the
+	// sender's buffers go back to their pools now instead of to the GC.
+	if r, ok := m.payload.(interface{ Recycle() }); ok {
+		r.Recycle()
+	}
 	return nil
 }
 

@@ -9,122 +9,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"testing/quick"
 
 	"haralick4d/internal/features"
 	"haralick4d/internal/filter"
 	"haralick4d/internal/volume"
 )
 
-func TestSplitBoxCoversExactly(t *testing.T) {
-	b := volume.BoxAt([4]int{2, 3, 0, 0}, [4]int{10, 4, 2, 2})
-	parts := SplitBox(b, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
+// yRuns cuts b along y into n boxes of whole x rows, as a texture filter's
+// portions are cut.
+func yRuns(b volume.Box, n int) []volume.Box {
+	out := make([]volume.Box, n)
+	sy := b.Shape()[1]
+	for i := range out {
+		out[i] = b
+		out[i].Lo[1], out[i].Hi[1] = b.Lo[1]+i*sy/n, b.Lo[1]+(i+1)*sy/n
 	}
-	total := 0
-	seen := map[[4]int]bool{}
-	for _, p := range parts {
-		if !b.ContainsBox(p) {
-			t.Fatalf("part %v outside box", p)
-		}
-		total += p.NumVoxels()
-		var q [4]int
-		for q[3] = p.Lo[3]; q[3] < p.Hi[3]; q[3]++ {
-			for q[2] = p.Lo[2]; q[2] < p.Hi[2]; q[2]++ {
-				for q[1] = p.Lo[1]; q[1] < p.Hi[1]; q[1]++ {
-					for q[0] = p.Lo[0]; q[0] < p.Hi[0]; q[0]++ {
-						if seen[q] {
-							t.Fatalf("voxel %v covered twice", q)
-						}
-						seen[q] = true
-					}
-				}
-			}
-		}
-	}
-	if total != b.NumVoxels() {
-		t.Fatalf("parts cover %d voxels, box has %d", total, b.NumVoxels())
-	}
-}
-
-// Property: SplitBox partitions any box for any n.
-func TestSplitBoxProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var shape [4]int
-		for k := range shape {
-			shape[k] = 1 + rng.Intn(6)
-		}
-		b := volume.BoxAt([4]int{rng.Intn(3), rng.Intn(3), 0, 0}, shape)
-		n := int(nRaw%8) + 1
-		parts := SplitBox(b, n)
-		total := 0
-		for _, p := range parts {
-			if p.Empty() || !b.ContainsBox(p) {
-				return false
-			}
-			total += p.NumVoxels()
-		}
-		return total == b.NumVoxels() && len(parts) <= n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSplitBoxCutsOutermost pins which dimension takes the cut: the
-// outermost one with at least n origins, so packets keep whole x rows and
-// runs of consecutive y rows; x only when nothing else can, and the longest
-// dimension (the slower on ties) when no dimension has n origins.
-func TestSplitBoxCutsOutermost(t *testing.T) {
-	cases := []struct {
-		shape   [4]int
-		n       int
-		dim     int // the dimension cut
-		extents []int
-	}{
-		{[4]int{97, 97, 4, 4}, 4, 3, []int{1, 1, 1, 1}}, // the paper chunk: four packets of 97×97×4×1
-		{[4]int{97, 97, 4, 3}, 4, 2, []int{1, 1, 1, 1}},
-		{[4]int{97, 97, 3, 3}, 4, 1, []int{24, 24, 24, 25}},
-		{[4]int{97, 3, 2, 2}, 4, 0, []int{24, 24, 24, 25}}, // only x can take four cuts
-		{[4]int{3, 3, 2, 2}, 4, 1, []int{1, 1, 1}},         // none can: longest, slower of the tie
-		{[4]int{5, 5, 5, 5}, 2, 3, []int{2, 3}},
-	}
-	for _, c := range cases {
-		b := volume.BoxAt([4]int{1, 2, 3, 4}, c.shape)
-		parts := SplitBox(b, c.n)
-		if len(parts) != len(c.extents) {
-			t.Errorf("%v / %d: %d parts, want %d", c.shape, c.n, len(parts), len(c.extents))
-			continue
-		}
-		at := b.Lo[c.dim]
-		for i, p := range parts {
-			want := b
-			want.Lo[c.dim], want.Hi[c.dim] = at, at+c.extents[i]
-			at += c.extents[i]
-			if p != want {
-				t.Errorf("%v / %d: part %d = %v, want %v", c.shape, c.n, i, p, want)
-			}
-		}
-		if at != b.Hi[c.dim] {
-			t.Errorf("%v / %d: parts end at %d, box at %d", c.shape, c.n, at, b.Hi[c.dim])
-		}
-	}
-}
-
-func TestSplitBoxDegenerate(t *testing.T) {
-	if parts := SplitBox(volume.Box{}, 4); parts != nil {
-		t.Errorf("empty box split into %v", parts)
-	}
-	b := volume.BoxAt([4]int{0, 0, 0, 0}, [4]int{1, 1, 1, 1})
-	parts := SplitBox(b, 10)
-	if len(parts) != 1 || parts[0] != b {
-		t.Errorf("single-voxel split = %v", parts)
-	}
-	if len(SplitBox(b, 0)) != 1 {
-		t.Error("n=0 should clamp to 1")
-	}
+	return out
 }
 
 func TestPayloadSizes(t *testing.T) {
@@ -171,7 +71,7 @@ func TestUSORoundTrip(t *testing.T) {
 	err := runSink(t, func(ctx filter.Context) error {
 		// Emit the grid as two box portions for two features.
 		for _, ft := range []features.Feature{features.ASM, features.Entropy} {
-			for _, box := range SplitBox(volume.BoxAt([4]int{}, outDims), 2) {
+			for _, box := range yRuns(volume.BoxAt([4]int{}, outDims), 2) {
 				vals := make([]float64, 0, box.NumVoxels())
 				var p [4]int
 				for p[3] = box.Lo[3]; p[3] < box.Hi[3]; p[3]++ {
@@ -284,7 +184,7 @@ func TestHICAndJIW(t *testing.T) {
 	g := filter.NewGraph()
 	g.AddFilter(filter.FilterSpec{Name: "src", Copies: 1, New: func(int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
-			for _, box := range SplitBox(volume.BoxAt([4]int{}, outDims), 3) {
+			for _, box := range yRuns(volume.BoxAt([4]int{}, outDims), 3) {
 				vals := make([]float64, box.NumVoxels())
 				for i := range vals {
 					vals[i] = float64(i)

@@ -54,7 +54,7 @@ type ChunkMsg struct {
 // SizeBytes implements filter.Payload.
 func (m *ChunkMsg) SizeBytes() int { return 80 + m.Region.SizeBytes() }
 
-// MatrixBatchMsg is a packet of co-occurrence matrices from an HCC copy to
+// MatrixBatchMsg is one grain of co-occurrence matrices from an HCC copy to
 // the HPC filters, one matrix per ROI origin of Origins in raster order.
 // Exactly one of Sparse/Full is populated, matching the configured
 // representation; the sparse form is dramatically smaller on the wire,
@@ -67,9 +67,9 @@ type MatrixBatchMsg struct {
 	Full    []*glcm.Full
 	NoSkip  bool // full-matrix parameter calculation without the zero test
 
-	// scratch is the pooled container whose arenas the matrices alias.
-	// Local-engine only (gob skips it); returned to the pool by Recycle.
-	scratch *core.MatrixBatch
+	// grain is the batch container whose arenas the matrices alias, on the
+	// producing node only (the wire codec skips it); Recycle releases it.
+	grain *core.MatrixBatch
 }
 
 // SizeBytes implements filter.Payload.
@@ -121,46 +121,4 @@ func init() {
 	gob.Register(&MatrixBatchMsg{})
 	gob.Register(&ParamMsg{})
 	gob.Register(&AssembledMsg{})
-}
-
-// SplitBox partitions a box into at most n sub-boxes, preserving raster
-// completeness (used by HCC to emit a packet of co-occurrence matrices
-// "whenever [a fraction] of a chunk had been processed"). The cut runs along
-// the outermost (slowest) dimension that has at least n origins, so packets
-// keep the box's full x rows and runs of consecutive y rows — what the GLCM
-// kernel reuses work across — and x is cut only when no other dimension can
-// take all n cuts. When no dimension can, the longest one is cut (the slower
-// on ties) into fewer than n boxes. It returns at least one box for a
-// non-empty input.
-func SplitBox(b volume.Box, n int) []volume.Box {
-	if n < 1 {
-		n = 1
-	}
-	shape := b.Shape()
-	dim, best := 0, 0
-	for k := 3; k >= 0; k-- {
-		if shape[k] >= n {
-			dim, best = k, shape[k]
-			break
-		}
-		if shape[k] > best {
-			dim, best = k, shape[k]
-		}
-	}
-	if best == 0 {
-		return nil
-	}
-	if n > best {
-		n = best
-	}
-	out := make([]volume.Box, 0, n)
-	for i := 0; i < n; i++ {
-		lo := b.Lo[dim] + i*best/n
-		hi := b.Lo[dim] + (i+1)*best/n
-		sub := b
-		sub.Lo[dim] = lo
-		sub.Hi[dim] = hi
-		out = append(out, sub)
-	}
-	return out
 }

@@ -14,18 +14,18 @@ import (
 // allocation. Ownership discipline: a message's buffers belong to the
 // producer until Send succeeds, then to the single consumer the runtime
 // delivers the payload pointer to, which calls Recycle once the values have
-// been copied or persisted. Over the TCP transport gob materializes fresh
-// objects on the receiving side (the unexported scratch field stays nil),
-// so Recycle degrades gracefully to pooling those.
+// been copied or persisted. Across nodes the TCP transport recycles the
+// sender's message once its frame is written, and the receiver decodes
+// fresh objects of its own (a decoded MatrixBatchMsg has no batch
+// container), which its consumer recycles the same way.
 
 var (
-	paramPool   = sync.Pool{New: func() any { return new(ParamMsg) }}
-	floatPool   sync.Pool // holds *[]float64
-	batchPool   = sync.Pool{New: func() any { return new(MatrixBatchMsg) }}
-	scratchPool = sync.Pool{New: func() any { return new(core.MatrixBatch) }}
-	piecePool   = sync.Pool{New: func() any { return new(PieceMsg) }}
-	regionPool  sync.Pool // holds *volume.Region
-	u16Pool     sync.Pool // holds *[]uint16 (reader decode scratch)
+	paramPool  = sync.Pool{New: func() any { return new(ParamMsg) }}
+	floatPool  sync.Pool // holds *[]float64
+	batchPool  = sync.Pool{New: func() any { return new(MatrixBatchMsg) }}
+	piecePool  = sync.Pool{New: func() any { return new(PieceMsg) }}
+	regionPool sync.Pool // holds *volume.Region
+	u16Pool    sync.Pool // holds *[]uint16 (reader decode scratch)
 )
 
 // getRegion leases a region covering box b, reusing pooled backing when its
@@ -120,39 +120,30 @@ func (m *ParamMsg) Recycle() {
 	paramPool.Put(m)
 }
 
-// getBatchScratch leases a reusable matrix-batch container for the HCC
-// filter; it rides inside the MatrixBatchMsg and returns to the pool when
-// the consumer recycles the message. A container with grown arenas counts
-// as a pool hit.
-func getBatchScratch(met *metrics.Copy) *core.MatrixBatch {
-	b := scratchPool.Get().(*core.MatrixBatch)
-	met.Pool(len(b.Sparse) > 0 || len(b.Full) > 0)
-	return b
-}
-
-// newMatrixBatchMsg assembles a pooled MatrixBatchMsg publishing whichever
-// representation the scratch holds.
-func newMatrixBatchMsg(chunk int, origins volume.Box, g int, noSkip bool, scratch *core.MatrixBatch) *MatrixBatchMsg {
+// newMatrixBatchMsg assembles a pooled MatrixBatchMsg publishing one
+// grain's batch, whose container the message now owns.
+func newMatrixBatchMsg(chunk, g int, noSkip bool, b *core.MatrixBatch) *MatrixBatchMsg {
 	m := batchPool.Get().(*MatrixBatchMsg)
-	m.Chunk, m.Origins, m.G, m.NoSkip = chunk, origins, g, noSkip
+	m.Chunk, m.Origins, m.G, m.NoSkip = chunk, b.Origins, g, noSkip
 	m.Sparse, m.Full = nil, nil
-	if len(scratch.Sparse) > 0 {
-		m.Sparse = scratch.Sparse
+	if len(b.Sparse) > 0 {
+		m.Sparse = b.Sparse
 	} else {
-		m.Full = scratch.Full
+		m.Full = b.Full
 	}
-	m.scratch = scratch
+	m.grain = b
 	return m
 }
 
-// Recycle returns the message — and, on the producing node, the batch
-// container whose arenas the matrices alias — to the pools. Only the final
-// consumer may call it; the matrices become invalid immediately.
+// Recycle returns the message to its pool and, on the producing node, the
+// batch container whose arenas the matrices alias to its HCC copy's free
+// list. Only the final consumer may call it; the matrices become invalid
+// immediately.
 func (m *MatrixBatchMsg) Recycle() {
 	m.Sparse, m.Full = nil, nil
-	if m.scratch != nil {
-		scratchPool.Put(m.scratch)
-		m.scratch = nil
+	if m.grain != nil {
+		m.grain.Release()
+		m.grain = nil
 	}
 	batchPool.Put(m)
 }

@@ -9,10 +9,6 @@ import (
 	"haralick4d/internal/volume"
 )
 
-// defaultPacketsPerChunk is the paper's packetization: a packet whenever a
-// quarter of a chunk has been processed.
-const defaultPacketsPerChunk = 4
-
 // TextureConfig is shared by the texture analysis filters.
 type TextureConfig struct {
 	Analysis core.Config
@@ -21,28 +17,6 @@ type TextureConfig struct {
 	// copies each stitch complete parameters. Leave false for transparent
 	// USO/Collector copies.
 	RouteByFeature bool
-	// PacketsPerChunk is how many co-occurrence matrix packets HCC emits
-	// per chunk. Zero selects the default (4); negative values are rejected
-	// by Validate. Ignored by HMP/HPC.
-	PacketsPerChunk int
-}
-
-// Validate checks the filter-level knobs. The embedded Analysis config is
-// validated separately by each filter on its private copy (core.Config
-// validation fills defaults in place).
-func (c *TextureConfig) Validate() error {
-	if c.PacketsPerChunk < 0 {
-		return fmt.Errorf("filters: PacketsPerChunk %d must be >= 0 (0 selects the default %d)",
-			c.PacketsPerChunk, defaultPacketsPerChunk)
-	}
-	return nil
-}
-
-func (c *TextureConfig) packets() int {
-	if c.PacketsPerChunk == 0 {
-		return defaultPacketsPerChunk
-	}
-	return c.PacketsPerChunk
 }
 
 // sendParam emits a ParamMsg under the configured routing discipline.
@@ -75,9 +49,6 @@ func sendParam(ctx filter.Context, cfg *TextureConfig, m *ParamMsg) error {
 func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 	return func(copy int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
-			if err := cfg.Validate(); err != nil {
-				return err
-			}
 			acfg := cfg.Analysis
 			if err := acfg.Validate(); err != nil {
 				return err
@@ -130,31 +101,35 @@ func NewHMP(cfg TextureConfig) func(int) filter.Filter {
 }
 
 // NewHCC returns the HaralickCoMatrixCalculator factory: the first half of
-// the split implementation. For each chunk it rasters the ROI origins,
-// computes one co-occurrence matrix per ROI in the configured
-// representation, and ships them to the HPC filters in packets covering a
-// fraction of the chunk. Packet containers are pooled: the consumer's
-// Recycle returns each batch's arenas for the next chunk.
+// the split implementation. For each chunk it computes one co-occurrence
+// matrix per ROI origin in the configured representation and streams them
+// to the HPC filters grain by grain (core.StreamBatches): each finished
+// (z, t) plane, or run of plane rows, is sent as one MatrixBatchMsg while
+// the kernel workers go on with the next. Its compute span is the wait for
+// the next grain, its emit span the send. Batch containers come from a free
+// list the copy owns, and return to it when the consumer recycles the
+// message — or, over TCP, once the frame is written.
 func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 	return func(copy int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
-			if err := cfg.Validate(); err != nil {
-				return err
-			}
 			acfg := cfg.Analysis
 			if err := acfg.Validate(); err != nil {
 				return err
 			}
-			sparse := acfg.Representation == core.SparseMatrix
-			perROI := 0.0 // sparse entries per ROI of the previous packet
+			noSkip := acfg.Representation == core.FullMatrixNoSkip
+			met := ctx.Metrics()
+			// Room for twice the batches the copy holds at once — one per
+			// kernel worker and the one being sent — so that as many again
+			// can wait in the consumer's queue.
+			free := core.NewBatchList(2*(acfg.EffectiveWorkers()+1), met.Pool)
 			for {
 				m, ok := ctx.Recv()
 				if !ok {
 					return nil
 				}
 				if dm, isDegraded := m.Payload.(*DegradedChunkMsg); isDegraded {
-					// One notice per degraded chunk — no packet split; the
-					// HPC side forwards it on unchanged.
+					// One notice per degraded chunk; the HPC side forwards it
+					// on unchanged.
 					if err := ctx.Send(PortOut, dm); err != nil {
 						return err
 					}
@@ -164,30 +139,18 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 				if !okType {
 					return fmt.Errorf("filters: HCC received %T", m.Payload)
 				}
-				met := ctx.Metrics()
-				for _, sub := range SplitBox(chunk.Origins, cfg.packets()) {
-					scratch := getBatchScratch(met)
-					scratch.EntryHint = int(perROI * float64(sub.NumVoxels()))
-					sp := met.StartCompute()
-					var err error
-					if sparse {
-						err = core.SparseBatchInto(chunk.Region, sub, &acfg, nil, scratch)
-						perROI = float64(scratch.NumEntries()) / float64(sub.NumVoxels())
-					} else {
-						err = core.FullBatchInto(chunk.Region, sub, &acfg, nil, scratch)
-					}
+				sp := met.StartCompute()
+				err := core.StreamBatches(chunk.Region, chunk.Origins, &acfg, nil, free, func(b *core.MatrixBatch) error {
 					sp.End()
-					if err != nil {
-						return err
-					}
-					batch := newMatrixBatchMsg(chunk.Chunk, sub, acfg.GrayLevels,
-						acfg.Representation == core.FullMatrixNoSkip, scratch)
 					emit := met.StartEmit()
-					err = ctx.Send(PortOut, batch)
+					err := ctx.Send(PortOut, newMatrixBatchMsg(chunk.Chunk, acfg.GrayLevels, noSkip, b))
 					emit.End()
-					if err != nil {
-						return err
-					}
+					sp = met.StartCompute()
+					return err
+				})
+				sp.End()
+				if err != nil {
+					return err
 				}
 			}
 		})
@@ -196,15 +159,12 @@ func NewHCC(cfg TextureConfig) func(int) filter.Filter {
 
 // NewHPC returns the HaralickParameterCalculator factory: the second half
 // of the split implementation. It computes every selected Haralick
-// parameter from each matrix of each incoming packet — directly from the
+// parameter from each matrix of each incoming batch — directly from the
 // sparse form when the matrices arrive sparse — and emits one ParamMsg per
-// parameter per packet, recycling the packet afterwards.
+// parameter per batch, recycling the batch afterwards.
 func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 	return func(copy int) filter.Filter {
 		return filter.Func(func(ctx filter.Context) error {
-			if err := cfg.Validate(); err != nil {
-				return err
-			}
 			acfg := cfg.Analysis
 			if err := acfg.Validate(); err != nil {
 				return err
@@ -232,7 +192,7 @@ func NewHPC(cfg TextureConfig) func(int) filter.Filter {
 				met := ctx.Metrics()
 				n := batch.Origins.NumVoxels()
 				if len(batch.Sparse) != n && len(batch.Full) != n {
-					return fmt.Errorf("filters: packet for %v has %d+%d matrices, want %d",
+					return fmt.Errorf("filters: batch for %v has %d+%d matrices, want %d",
 						batch.Origins, len(batch.Sparse), len(batch.Full), n)
 				}
 				for i := range outs {

@@ -109,6 +109,8 @@ type StreamReport struct {
 // ConnReport is one ordered node pair's TCP connection entry: envelopes and
 // wire bytes in each direction plus sender encode+write and receiver
 // read+decode time (the latter includes time waiting for data to arrive).
+// A row with FromNode -1 counts only the RecvErrors of sockets into ToNode
+// that broke before a whole frame named their sender.
 type ConnReport struct {
 	FromNode     int   `json:"from_node"`
 	ToNode       int   `json:"to_node"`

@@ -7,15 +7,15 @@
 // A document is not a second run description: it decodes onto a run spec
 // (internal/runspec), where each attribute or element it holds overrides
 // the spec's field and each one it omits keeps the caller's value, and
-// what no spec field carries (the placement, the read window, the matrix
-// packets) becomes a Placement, applied in a pipeline.Prepare place hook.
+// what no spec field carries (the placement and the read window) becomes a
+// Placement, applied in a pipeline.Prepare place hook.
 //
 // Example:
 //
 //	<pipeline>
 //	  <analysis roi="16x16x3x3" gray="32" ndim="4" distance="1"
 //	            rep="sparse" features="asm,correlation,variance,idm"/>
-//	  <chunk shape="64x64x8x8" iochunk="256x256" packets="4"/>
+//	  <chunk shape="64x64x8x8" iochunk="256x256"/>
 //	  <impl>split</impl>
 //	  <policy>demand-driven</policy>
 //	  <output mode="jpeg" dir="maps"/>
@@ -64,7 +64,8 @@ type AnalysisXML struct {
 	Features string `xml:"features,attr,omitempty"`
 }
 
-// ChunkXML holds the chunk geometry.
+// ChunkXML holds the chunk geometry. Packets is read only to refuse it:
+// HCC sends one matrix batch per grain, and no packet count replaces that.
 type ChunkXML struct {
 	Shape   string `xml:"shape,attr,omitempty"`
 	IOChunk string `xml:"iochunk,attr,omitempty"`
@@ -116,12 +117,11 @@ func ParseFile(path string) (*Document, error) {
 }
 
 // Placement is what a document says beyond its run spec: where each
-// filter's copies run, the RFR read window and the HCC packets per chunk.
-// A nil node list or a zero value keeps what the run already has.
+// filter's copies run and the RFR read window. A nil node list or a zero
+// value keeps what the run already has.
 type Placement struct {
-	Layout          pipeline.Layout
-	IOChunk         [2]int
-	PacketsPerChunk int
+	Layout  pipeline.Layout
+	IOChunk [2]int
 }
 
 // Place applies the placement's node lists and values over the
@@ -136,9 +136,6 @@ func (p *Placement) Place(cfg *pipeline.Config, layout *pipeline.Layout) {
 	}
 	if p.IOChunk != ([2]int{}) {
 		cfg.IOChunk = p.IOChunk
-	}
-	if p.PacketsPerChunk != 0 {
-		cfg.PacketsPerChunk = p.PacketsPerChunk
 	}
 }
 
@@ -167,7 +164,6 @@ func (d *Document) fields(s *runspec.Spec, p *Placement) []field {
 		{&d.Analysis.NDim, count{&s.NDim}}, {&d.Analysis.Distance, count{&s.Distance}},
 		{&d.Analysis.Rep, &s.Representation}, {&d.Analysis.Features, &s.Features},
 		{&d.Chunk.Shape, &s.ChunkShape}, {&d.Chunk.IOChunk, ioChunk{&p.IOChunk}},
-		{&d.Chunk.Packets, count{&p.PacketsPerChunk}},
 		{&d.Impl, &s.Impl}, {&d.Policy, &s.Policy},
 		{&d.Output.Mode, mode{&s.Output}}, {&d.Output.Dir, (*text)(&s.OutDir)},
 	}
@@ -230,6 +226,9 @@ func (t *text) UnmarshalText(b []byte) error { *t = text(b); return nil }
 // field, and every one it omits keeps s's. It returns the rest of the
 // document, the placement.
 func (d *Document) Decode(s *runspec.Spec) (*Placement, error) {
+	if d.Chunk.Packets != "" {
+		return nil, fmt.Errorf("netdesc: chunk attribute packets=%q is not supported: HCC sends one matrix batch per kernel grain", d.Chunk.Packets)
+	}
 	p := &Placement{}
 	for _, f := range d.fields(s, p) {
 		if t := strings.TrimSpace(*f.text); t != "" {

@@ -16,7 +16,7 @@ const sampleXML = `
 <pipeline>
   <analysis roi="16x16x3x3" gray="32" ndim="4" distance="1"
             rep="sparse" features="asm,correlation"/>
-  <chunk shape="64x64x8x8" iochunk="256x256" packets="4"/>
+  <chunk shape="64x64x8x8" iochunk="256x256"/>
   <impl>split</impl>
   <policy>demand-driven</policy>
   <output mode="jpeg" dir="maps"/>
@@ -48,8 +48,8 @@ func TestParseAndBuild(t *testing.T) {
 	if len(s.Features) != 2 || s.Features[0] != features.ASM {
 		t.Errorf("features = %v", s.Features)
 	}
-	if s.ChunkShape != (runspec.Shape{64, 64, 8, 8}) || p.IOChunk != [2]int{256, 256} || p.PacketsPerChunk != 4 {
-		t.Errorf("chunk = %v %v %d", s.ChunkShape, p.IOChunk, p.PacketsPerChunk)
+	if s.ChunkShape != (runspec.Shape{64, 64, 8, 8}) || p.IOChunk != [2]int{256, 256} {
+		t.Errorf("chunk = %v %v", s.ChunkShape, p.IOChunk)
 	}
 	if s.Impl != runspec.Split || s.Policy != runspec.DemandDriven {
 		t.Error("impl/policy not parsed")
@@ -105,6 +105,15 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader("not xml at all")); err == nil {
 		t.Error("garbage XML accepted")
+	}
+}
+
+// TestPacketsRefused: a document that sets the HCC packet count, which no
+// longer exists, fails with an error that names the attribute.
+func TestPacketsRefused(t *testing.T) {
+	_, _, err := decode(t, `<pipeline><chunk shape="64x64x8x8" packets="4"/><impl>split</impl></pipeline>`)
+	if err == nil || !strings.Contains(err.Error(), "packets") {
+		t.Fatalf("packets=4 gave %v, want an error naming packets", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"haralick4d/internal/checkpoint"
+	"haralick4d/internal/core"
 	"haralick4d/internal/features"
 	"haralick4d/internal/runspec"
 	"haralick4d/internal/volume"
@@ -74,7 +75,7 @@ func header(datasetDims [4]int, cfg *Config) (checkpoint.Header, *volume.Chunker
 	if err != nil {
 		return checkpoint.Header{}, nil, err
 	}
-	return checkpoint.Header{
+	hdr := checkpoint.Header{
 		Dims:           datasetDims,
 		ROI:            cfg.Analysis.ROI,
 		ChunkShape:     cfg.ChunkShape,
@@ -84,7 +85,17 @@ func header(datasetDims [4]int, cfg *Config) (checkpoint.Header, *volume.Chunker
 		Distance:       cfg.Analysis.Distance,
 		Representation: int(cfg.Analysis.Representation),
 		Features:       featureIDs(cfg.Analysis.Features),
-	}, chunker, nil
+		Split:          cfg.Impl == SplitImpl,
+	}
+	if hdr.Split {
+		for i := range chunker.Count() {
+			if !core.WholePlanes(chunker.Chunk(i).Origins, &cfg.Analysis) {
+				hdr.GrainWorkers = cfg.Analysis.EffectiveWorkers()
+				break
+			}
+		}
+	}
+	return hdr, chunker, nil
 }
 
 // Fingerprint is the digest of the checkpoint header a run of s over a

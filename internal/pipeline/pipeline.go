@@ -65,15 +65,14 @@ type Layout struct {
 
 // Config carries everything the graph builder needs besides placement.
 type Config struct {
-	Analysis        core.Config
-	ChunkShape      [4]int // IIC-to-TEXTURE chunk voxel shape
-	IOChunk         [2]int // RFR read window; zero reads whole slices
-	ReadAhead       int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous (tests; a run spec's 0 is ReadAheadAuto), ReadAheadAuto = self-sized
-	PacketsPerChunk int    // HCC matrix packets per chunk (default 4)
-	Impl            Impl
-	Policy          filter.Policy // buffer scheduling into texture (and HPC) copies
-	Output          OutputMode
-	OutDir          string // for OutputUSO / OutputJPEG
+	Analysis   core.Config
+	ChunkShape [4]int // IIC-to-TEXTURE chunk voxel shape
+	IOChunk    [2]int // RFR read window; zero reads whole slices
+	ReadAhead  int    // I/O windows each reader copy keeps in flight ahead of its emit loop; 0 = synchronous (tests; a run spec's 0 is ReadAheadAuto), ReadAheadAuto = self-sized
+	Impl       Impl
+	Policy     filter.Policy // buffer scheduling into texture (and HPC) copies
+	Output     OutputMode
+	OutDir     string // for OutputUSO / OutputJPEG
 	// FaultPolicy selects how the readers handle degraded slices (checksum
 	// mismatch, truncation, missing file): fault.FailFast (zero value)
 	// aborts the run, fault.SkipDegraded completes the healthy remainder and
@@ -96,9 +95,6 @@ func (c *Config) Validate(datasetDims [4]int) error {
 	}
 	if err := c.Analysis.CheckRegion(datasetDims); err != nil {
 		return fmt.Errorf("pipeline: %w", err)
-	}
-	if c.PacketsPerChunk < 0 {
-		return fmt.Errorf("pipeline: PacketsPerChunk %d must be >= 0 (0 selects the default)", c.PacketsPerChunk)
 	}
 	if c.ChunkShape == ([4]int{}) {
 		c.ChunkShape = defaultChunkShape(datasetDims, c.Analysis.ROI)
@@ -269,9 +265,8 @@ func Build(store *dataset.Store, cfg *Config, layout *Layout) (*filter.Graph, *f
 // behind IIC, the chunk producer.
 func addTextureAndOutput(g *filter.Graph, cfg *Config, layout *Layout, outDims [4]int) (*filters.Results, error) {
 	tcfg := filters.TextureConfig{
-		Analysis:        cfg.Analysis,
-		PacketsPerChunk: cfg.PacketsPerChunk,
-		RouteByFeature:  cfg.Output == OutputJPEG,
+		Analysis:       cfg.Analysis,
+		RouteByFeature: cfg.Output == OutputJPEG,
 	}
 	var paramProducer string
 	switch cfg.Impl {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -343,5 +344,145 @@ func TestResumeConfigMismatch(t *testing.T) {
 	cfg2.Analysis.GrayLevels = 8
 	if _, _, err := openCheckpoint(st.Meta.Dims, cfg2, path, true, 0); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume with changed config: err = %v, want ErrMismatch", err)
+	}
+}
+
+// TestSplitResumeAcrossPortionBoxes: a split run journals one portion per
+// HCC grain, where earlier builds journaled a chunk in four packets. Portions
+// of both cuts of one chunk would overfill it on a later resume, so a
+// journal resumes only a run that cuts the same way:
+//   - a split journal without the split mark — what the packet-cutting
+//     build wrote — is refused with ErrMismatch, on every resume, and is
+//     left as it was;
+//   - a split journal cut mid-chunk resumes to completion, and then again
+//     with every chunk skipped;
+//   - a kernel worker count whose grains cut planes differently is refused.
+func TestSplitResumeAcrossPortionBoxes(t *testing.T) {
+	st := testStore(t)
+	dir := t.TempDir()
+	splitConfig := func(workers int) *Config {
+		cfg := testConfig(SplitImpl, core.SparseMatrix, filter.DemandDriven)
+		cfg.Analysis.Workers = workers
+		return cfg
+	}
+	ref, err := Sequential(st, splitConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tag string, cfg *Config) {
+		t.Helper()
+		g, res, _, err := Build(st, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(g, EngineLocal, &RunOptions{Options: filter.Options{QueueBytes: queueBytes(cfg, 4)}}); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if err := res.Complete(cfg.Analysis.Features); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		for _, f := range cfg.Analysis.Features {
+			gridsEqual(t, tag+"-"+f.String(), ref[f], res.Grid(f))
+		}
+	}
+
+	// The packet-cutting build's journal: chunk 0's first two of four
+	// packets, cut along y.
+	cfg := splitConfig(1)
+	hdr, chunker, err := header(st.Meta.Dims, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.Split, hdr.GrainWorkers = false, 0
+	packets := filepath.Join(dir, "packets.ckpt")
+	j, err := checkpoint.Create(packets, hdr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := chunker.Chunk(0).Origins
+	for _, f := range cfg.Analysis.Features {
+		for i := 0; i < 2; i++ {
+			box := origins
+			sy := origins.Shape()[1]
+			box.Lo[1], box.Hi[1] = origins.Lo[1]+i*sy/4, origins.Lo[1]+(i+1)*sy/4
+			if err := j.AppendPortion(int(f), box, extractBox(ref[f], box)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(packets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := openCheckpoint(st.Meta.Dims, splitConfig(1), packets, true, 0); !errors.Is(err, checkpoint.ErrMismatch) {
+			t.Fatalf("resume %d of a packet journal: err = %v, want ErrMismatch", i+1, err)
+		}
+	}
+	if after, err := os.ReadFile(packets); err != nil || string(after) != string(before) {
+		t.Fatalf("a refused resume changed the journal (err %v)", err)
+	}
+
+	// A clean split run's journal, cut to the first grain of chunk 0.
+	full := filepath.Join(dir, "full.ckpt")
+	cfg = splitConfig(2)
+	if _, _, err := openCheckpoint(st.Meta.Dims, cfg, full, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	run("clean", cfg)
+	if err := cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg = splitConfig(2)
+	if _, _, err := openCheckpoint(st.Meta.Dims, cfg, full, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	portions := cfg.Recovered.Portions
+	if err := cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.ckpt")
+	cfg = splitConfig(2)
+	if _, _, err := openCheckpoint(st.Meta.Dims, cfg, cut, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for _, p := range portions {
+		if origins.ContainsBox(p.Box) && p.Box.Lo != origins.Lo {
+			continue
+		}
+		if p.Box.Lo == origins.Lo && p.Box == origins {
+			t.Fatal("chunk 0 was journaled whole: no grain to cut it at")
+		}
+		if err := cfg.Journal.AppendPortion(p.Feature, p.Box, p.Values); err != nil {
+			t.Fatal(err)
+		}
+		kept++
+	}
+	if err := cfg.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kept == len(portions) {
+		t.Fatal("the cut journal holds every portion")
+	}
+	for i, want := range []int{chunker.Count() - 1, chunker.Count()} {
+		cfg = splitConfig(2)
+		_, sum, err := openCheckpoint(st.Meta.Dims, cfg, cut, true, 0)
+		if err != nil {
+			t.Fatalf("resume %d of a cut split journal: %v", i+1, err)
+		}
+		if sum.SkippedChunks != want {
+			t.Fatalf("resume %d skipped %d chunks, want %d", i+1, sum.SkippedChunks, want)
+		}
+		run(fmt.Sprintf("resume-%d", i+1), cfg)
+		if err := cfg.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := openCheckpoint(st.Meta.Dims, splitConfig(4), cut, true, 0); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("resume at 4 kernel workers of a journal cut at 2: err = %v, want ErrMismatch", err)
 	}
 }
